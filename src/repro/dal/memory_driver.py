@@ -183,7 +183,7 @@ class MemoryTransaction:
              columns: Optional[Sequence[str]] = None) -> list[dict]:
         self._check()
         schema = self._driver.schema(table)
-        schema.partition_values(partition_values)  # validate coverage
+        schema.scan_partition_values(partition_values)  # validate the columns
 
         def matches(row: Mapping[str, Any]) -> bool:
             if any(row[c] != v for c, v in partition_values.items()):

@@ -5,6 +5,13 @@ it *is* the primary key (hash partitioning on the full PK). HopsFS relies
 on custom partition keys: the ``inodes`` table is partitioned on
 ``parent_id`` so all children of a directory share a shard, and the
 file-metadata tables are partitioned on ``inode_id``.
+
+Because the partition key is part of the (immutable) primary key, every
+fragment keeps an index from partition-key values to the rows that carry
+them (:mod:`repro.ndb.fragment`). That index is what makes a
+partition-pruned index scan cost O(rows returned): one shard by hashing
+the values, then one bucket of that shard — the directory's children or
+the file's blocks, not the shard's other rows.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ class TableSchema:
     ``indexes`` maps an index name to the tuple of columns it covers;
     indexes are exact-match (hash) indexes used by scans. A scan whose
     equality predicate covers the partition-key columns can be *pruned* to
-    a single partition.
+    a single partition and, inside it, to the rows with those values (the
+    partition-key index is implicit; it is not listed in ``indexes``).
     """
 
     name: str
@@ -30,6 +38,10 @@ class TableSchema:
     primary_key: tuple[str, ...]
     partition_key: Optional[tuple[str, ...]] = None
     indexes: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    #: pk positions of the partition-key columns (derived): projecting a pk
+    #: onto the partition key runs once per row access
+    _partition_positions: tuple[int, ...] = field(
+        init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -50,6 +62,8 @@ class TableSchema:
                     f"partition-key column {col!r} of table {self.name!r} must "
                     "be part of the primary key (NDB restriction)"
                 )
+        object.__setattr__(self, "_partition_positions", tuple(
+            self.primary_key.index(col) for col in self.partition_key))  # type: ignore[union-attr]
         for idx_name, idx_cols in self.indexes.items():
             for col in idx_cols:
                 if col not in colset:
@@ -92,8 +106,7 @@ class TableSchema:
 
     def partition_values_from_pk(self, pk: tuple[Any, ...]) -> tuple[Any, ...]:
         """Project a PK tuple onto the partition-key columns."""
-        pos = {col: i for i, col in enumerate(self.primary_key)}
-        return tuple(pk[pos[col]] for col in self.partition_key)  # type: ignore[union-attr]
+        return tuple(pk[i] for i in self._partition_positions)
 
     def partition_values(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Extract partition-key values from a mapping (e.g. a hint)."""
@@ -103,6 +116,22 @@ class TableSchema:
                 f"partition key for {self.name!r} missing columns {missing}"
             )
         return tuple(values[col] for col in self.partition_key)  # type: ignore[union-attr]
+
+    def scan_partition_values(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
+        """Partition-key values of a partition-pruned scan.
+
+        ``values`` must name exactly the partition-key columns: a scan
+        cannot be pruned by any other column, and silently dropping (or
+        filtering on) one would make the drivers disagree.
+        """
+        pvals = self.partition_values(values)
+        if len(values) != len(pvals):
+            extra = sorted(set(values) - set(self.partition_key))  # type: ignore[arg-type]
+            raise SchemaError(
+                f"{extra} are not partition-key columns of {self.name!r}; "
+                "filter on them with a predicate"
+            )
+        return pvals
 
     def index_columns(self, index_name: str) -> tuple[str, ...]:
         try:

@@ -67,6 +67,9 @@ class Transaction:
         self.state = TxState.ACTIVE  # guarded_by: _mutex [writes]
         self.stats = AccessStats()
         self._writes: dict[tuple[str, tuple[Any, ...]], _Write] = {}  # guarded_by: owner-thread
+        #: the same writes by table, so a scan merges only its own table's
+        # guarded_by: owner-thread
+        self._table_writes: dict[str, dict[tuple[Any, ...], _Write]] = {}
         self._participants: set[int] = {coordinator}  # guarded_by: owner-thread
         self._mutex = threading.Lock()  # serializes commit vs external abort
 
@@ -117,6 +120,17 @@ class Transaction:
 
     def _buffered(self, table: str, pk: tuple[Any, ...]) -> Optional[_Write]:
         return self._writes.get((table, pk))
+
+    def _buffer(self, table: str, pk: tuple[Any, ...], pid: int,
+                write: Optional[_Write]) -> None:
+        """Set (or with ``None`` cancel) the pending write of one row."""
+        if write is None:
+            del self._writes[(table, pk)]
+            del self._table_writes[table][pk]
+        else:
+            self._writes[(table, pk)] = write
+            self._table_writes.setdefault(table, {})[pk] = write
+        self._participants.add(self._cluster._primary_node(pid))
 
     def _record(self, kind: AccessKind, table: str, partitions: Sequence[int],
                 rows: int, locked: bool, write: bool = False) -> None:
@@ -249,25 +263,37 @@ class Transaction:
              columns: Optional[Sequence[str]] = None) -> list[dict[str, Any]]:
         """Partition-pruned index scan: touches exactly one shard.
 
-        ``partition_values`` must cover the table's partition-key columns;
-        rows returned match those values *and* the optional predicate.
-        ``columns`` projects the result (the subtree protocol reads only
-        inode ids, §6.1 phase 2).
+        ``partition_values`` must name exactly the table's partition-key
+        columns; rows returned carry those values *and* pass the optional
+        predicate. ``columns`` projects the result (the subtree protocol
+        reads only inode ids, §6.1 phase 2).
+
+        Cost: O(rows carrying those values) — the shard's partition-key
+        index hands over the candidates, so the predicate runs on the
+        directory's children (the file's blocks), never on the shard's
+        other rows — plus this transaction's buffered writes *of this
+        table*. A locking scan takes its row locks as one pk-ordered
+        batch and re-reads the batch once.
         """
         self._check_active()
         schema = self._cluster.schema(table)
-        pvals = schema.partition_values(partition_values)
+        pvals = schema.scan_partition_values(partition_values)
         pid = self._cluster._pmap.partition_of(pvals)
-        pcols = schema.partition_key
-
-        def matches(row: Mapping[str, Any]) -> bool:
-            if any(row[col] != partition_values[col] for col in pcols):
-                return False
-            return predicate is None or predicate(row)
-
         started = time.perf_counter()
         self._cluster._round_trip()
-        rows = self._scan_partition(table, pid, matches, lock)
+        frag = self._cluster._primary_fragment(table, pid)
+        rows = frag.partition_lookup(pvals, predicate)
+        if lock is not LockMode.READ_COMMITTED:
+            # pk order keeps concurrent locking scans deadlock-free (§3.4)
+            pks = sorted(map(schema.pk_of, rows))
+            self._lock_many(table, pks, lock)
+            # re-read: a row may have changed or gone before its lock
+            rows = [fresh for fresh in frag.get_many(pks)
+                    if fresh is not None
+                    and (predicate is None or predicate(fresh))]
+        rows = self._merge_writes(
+            table, rows, predicate,
+            lambda pk: schema.partition_values_from_pk(pk) == pvals)
         self._observe_shard(AccessKind.PPIS.value, pid, started)
         self._record(AccessKind.PPIS, table, [pid], rows=len(rows),
                      locked=lock is not LockMode.READ_COMMITTED)
@@ -331,7 +357,7 @@ class Transaction:
                 started = time.perf_counter()
                 with span("shard_scan", shard=pid, table=table):
                     self._cluster._round_trip()
-                    result = self._scan_partition(table, pid, predicate, lock,
+                    result = self._scan_partition(table, pid, predicate,
                                                   index=index)
                 self._observe_shard(kind, pid, started)
                 return result
@@ -364,33 +390,20 @@ class Transaction:
             else:
                 candidates.extend(frag.scan(predicate))
             self._observe_shard(kind, pid, started)
-        locked_rows = []
         # pk order keeps concurrent locking scans deadlock-free (§3.4)
-        for row in sorted(candidates, key=schema.pk_of):
-            pk = schema.pk_of(row)
-            self._lock(table, pk, lock)
-            self._check_active()
-            pid = self._cluster.partition_of(table, pk)
-            fresh = self._cluster._primary_fragment(table, pid).get(pk)
+        pks = sorted(map(schema.pk_of, candidates))
+        self._lock_many(table, pks, lock)
+        partition_of = self._cluster.partition_of
+        rows = []
+        for pk in pks:
+            # re-read: a row may have changed or gone before its lock
+            fresh = self._committed_row(table, partition_of(table, pk), pk)
             if fresh is not None and predicate(fresh):
-                locked_rows.append(fresh)
-        # merge this transaction's own buffered writes
-        merged: dict[tuple[Any, ...], dict[str, Any]] = {
-            schema.pk_of(row): row for row in locked_rows
-        }
+                rows.append(fresh)
         pid_set = set(pids)
-        for (wtable, pk), pending in self._writes.items():
-            if wtable != table:
-                continue
-            if self._cluster.partition_of(table, pk) not in pid_set:
-                continue
-            if pending.op == "delete":
-                merged.pop(pk, None)
-            elif predicate(pending.row):  # type: ignore[arg-type]
-                merged[pk] = dict(pending.row)  # type: ignore[arg-type]
-            else:
-                merged.pop(pk, None)
-        return list(merged.values())
+        return self._merge_writes(
+            table, rows, predicate,
+            lambda pk: partition_of(table, pk) in pid_set)
 
     # -- writes -----------------------------------------------------------------
 
@@ -408,8 +421,7 @@ class Transaction:
             raise DuplicateKeyError(f"{table}:{pk} already written in this tx")
         if pending is None and self._committed_row(table, pid, pk) is not None:
             raise DuplicateKeyError(f"{table}:{pk} already exists")
-        self._writes[(table, pk)] = _Write("insert", dict(row))
-        self._participants.add(self._cluster._primary_node(pid))
+        self._buffer(table, pk, pid, _Write("insert", dict(row)))
 
     def update(self, table: str, key: Mapping[str, Any] | Sequence[Any],
                changes: Mapping[str, Any]) -> None:
@@ -435,8 +447,7 @@ class Transaction:
         merged.update(changes)
         pending = self._buffered(table, pk)
         op = "insert" if pending is not None and pending.op == "insert" else "update"
-        self._writes[(table, pk)] = _Write(op, merged)
-        self._participants.add(self._cluster._primary_node(pid))
+        self._buffer(table, pk, pid, _Write(op, merged))
 
     def write(self, table: str, row: Mapping[str, Any]) -> None:
         """Upsert a full row (insert if absent, overwrite if present)."""
@@ -453,8 +464,7 @@ class Transaction:
             op = "insert" if pending is not None and pending.op == "insert" else "update"
         else:
             op = "insert"
-        self._writes[(table, pk)] = _Write(op, dict(row))
-        self._participants.add(self._cluster._primary_node(pid))
+        self._buffer(table, pk, pid, _Write(op, dict(row)))
 
     def delete(self, table: str, key: Mapping[str, Any] | Sequence[Any],
                must_exist: bool = True) -> bool:
@@ -471,12 +481,9 @@ class Transaction:
                 raise NoSuchRowError(f"{table}:{pk}")
             return False
         pending = self._buffered(table, pk)
-        if pending is not None and pending.op == "insert":
-            # insert+delete inside one tx cancels out
-            del self._writes[(table, pk)]
-        else:
-            self._writes[(table, pk)] = _Write("delete", None)
-        self._participants.add(self._cluster._primary_node(pid))
+        # insert+delete inside one tx cancels out
+        cancels = pending is not None and pending.op == "insert"
+        self._buffer(table, pk, pid, None if cancels else _Write("delete", None))
         return True
 
     # -- transaction end -----------------------------------------------------------
@@ -545,45 +552,47 @@ class Transaction:
 
     def _scan_partition(self, table: str, pid: int,
                         predicate: Callable[[Mapping[str, Any]], bool],
-                        lock: LockMode,
                         index: Optional[tuple[str, tuple[Any, ...]]] = None,
                         ) -> list[dict[str, Any]]:
-        """Scan one partition, merge in buffered writes, lock if requested.
+        """One shard's part of an unlocked all-shard scan.
 
         With ``index`` the partition's hash index narrows the candidate
         rows (an index scan is cheaper than a full scan *per shard*, even
         though both touch every shard).
         """
-        schema = self._cluster.schema(table)
         frag = self._cluster._primary_fragment(table, pid)
         if index is not None:
             index_name, key = index
             rows = frag.index_lookup(index_name, key, predicate)
         else:
             rows = frag.scan(predicate)
-        if lock is not LockMode.READ_COMMITTED:
-            locked_rows = []
-            # pk order keeps concurrent locking scans deadlock-free (§3.4)
-            for row in sorted(rows, key=schema.pk_of):
-                pk = schema.pk_of(row)
-                self._lock(table, pk, lock)
-                self._check_active()
-                fresh = frag.get(pk)  # re-read: row may have changed pre-lock
-                if fresh is not None and predicate(fresh):
-                    locked_rows.append(fresh)
-            rows = locked_rows
-        # merge this transaction's own buffered writes
-        merged: dict[tuple[Any, ...], dict[str, Any]] = {
-            schema.pk_of(row): row for row in rows
-        }
-        for (wtable, pk), pending in self._writes.items():
-            if wtable != table:
-                continue
-            if self._cluster.partition_of(table, pk) != pid:
-                continue
-            if pending.op == "delete":
-                merged.pop(pk, None)
-            elif predicate(pending.row):  # type: ignore[arg-type]
+        partition_of = self._cluster.partition_of
+        return self._merge_writes(
+            table, rows, predicate,
+            lambda pk: partition_of(table, pk) == pid)
+
+    def _merge_writes(self, table: str, rows: list[dict[str, Any]],
+                      predicate: Predicate,
+                      in_scope: Callable[[tuple[Any, ...]], bool],
+                      ) -> list[dict[str, Any]]:
+        """Overlay this transaction's buffered writes of ``table`` on the
+        committed ``rows`` of a scan (read-your-writes).
+
+        ``in_scope(pk)`` says whether a pk lies in the scanned range; a
+        scan with no buffered write in range gets ``rows`` back untouched.
+        Updated rows keep their place, inserted rows follow in write
+        order, deleted rows and rows that stopped matching drop out.
+        """
+        pendings = [(pk, pending)
+                    for pk, pending in self._table_writes.get(table, {}).items()
+                    if in_scope(pk)]
+        if not pendings:
+            return rows
+        pk_of = self._cluster.schema(table).pk_of
+        merged = {pk_of(row): row for row in rows}
+        for pk, pending in pendings:
+            if pending.op != "delete" and (
+                    predicate is None or predicate(pending.row)):  # type: ignore[arg-type]
                 merged[pk] = dict(pending.row)  # type: ignore[arg-type]
             else:
                 merged.pop(pk, None)

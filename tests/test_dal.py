@@ -9,7 +9,7 @@ path minus the subprocess spawn (covered by ``test_rpc_process.py``).
 import pytest
 
 from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
-from repro.errors import DuplicateKeyError, NoSuchRowError
+from repro.errors import DuplicateKeyError, NoSuchRowError, SchemaError
 from repro.ndb import AccessKind, LockMode, NDBConfig, TableSchema
 from repro.rpc import NDBServer
 
@@ -89,6 +89,23 @@ def test_ppis_filters_partition(driver):
     session.run(fill)
     rows = session.run(lambda tx: tx.ppis("items", {"pid": 1}))
     assert len(rows) == 4 and all(r["pid"] == 1 for r in rows)
+
+
+def test_ppis_rejects_non_partition_key_columns(driver):
+    """A scan is pruned by the partition key only: a driver may neither
+    drop another column silently nor filter on it (that is a predicate)."""
+    session = driver.session()
+    session.run(lambda tx: tx.insert(
+        "items", {"pid": 1, "name": "a", "value": 7}))
+    for bad in ({"pid": 1, "value": 7}, {"pid": 1, "name": "a"},
+                {"pid": 1, "nope": 0}):
+        with pytest.raises(SchemaError):
+            session.run(lambda tx, bad=bad: tx.ppis("items", bad))
+    with pytest.raises(SchemaError):  # and must still cover the key
+        session.run(lambda tx: tx.ppis("items", {}))
+    rows = session.run(lambda tx: tx.ppis(
+        "items", {"pid": 1}, predicate=lambda r: r["value"] == 7))
+    assert [r["name"] for r in rows] == ["a"]
 
 
 def test_batch_read_order_preserved(driver):

@@ -18,6 +18,7 @@ from repro.errors import (
     TransactionAbortedError,
 )
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema
+from repro.ndb.fragment import Fragment
 
 KV = TableSchema(
     name="kv",
@@ -209,12 +210,29 @@ class TestEpochsAndCrashRecovery:
         assert get(cluster, 2) == "y"
 
 
+def assert_indexes_match_rows(frag):
+    """A fragment's partition-key and secondary indexes are exactly what
+    rebuilding them from its rows gives."""
+    rebuilt = Fragment(frag.schema, frag.partition_id)
+    rebuilt.load(frag.snapshot())
+    with frag._lock, rebuilt._lock:
+        assert list(frag._rows) == list(rebuilt._rows)
+        # buckets list their pks in row (= scan) order
+        assert ({key: list(pks) for key, pks in frag._partition_index.items()}
+                == {key: list(pks)
+                    for key, pks in rebuilt._partition_index.items()})
+        # an update that changes an indexed column re-appends the pk to
+        # its new bucket, so secondary buckets compare as sets
+        assert frag._indexes == rebuilt._indexes
+
+
 def replica_snapshots(cluster, table):
     """Per-partition row snapshots of every *live* replica of ``table``.
 
     Returns ``{pid: [rows-of-replica, ...]}`` with each replica's rows in
     primary-key order, so equality between list entries means the
-    replicas are byte-identical.
+    replicas are byte-identical. Every replica visited must also hold
+    indexes that match its rows.
     """
     schema = cluster.schema(table)
     out = {}
@@ -224,8 +242,9 @@ def replica_snapshots(cluster, table):
             node = cluster.datanodes[node_id]
             if not node.alive:
                 continue
-            rows = node.fragment(table, pid).scan()
-            replicas.append(sorted(rows, key=schema.pk_of))
+            frag = node.fragment(table, pid)
+            assert_indexes_match_rows(frag)
+            replicas.append(sorted(frag.scan(), key=schema.pk_of))
         out[pid] = replicas
     return out
 

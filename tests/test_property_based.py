@@ -7,13 +7,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.errors import DuplicateKeyError
+from repro.errors import DuplicateKeyError, NoSuchRowError
 from repro.hopsfs.hintcache import InodeHintCache
 from repro.hopsfs.paths import join_path, normalize, split_path
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema
 from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap, stable_hash
 from repro.util.stats import LatencyReservoir, percentile
+from tests.test_ndb_failures import assert_indexes_match_rows
 
 FAST = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -116,6 +117,112 @@ def test_aborted_transactions_leave_no_trace(ops, abort_every):
     with cluster.begin() as tx:
         rows = tx.full_scan("kv")
     assert {r["k"]: r["v"] for r in rows} == oracle
+
+
+# ---------------------------------------------------------------------------
+# Partition-pruned index scan vs brute force over full_scan
+# ---------------------------------------------------------------------------
+
+_PT = TableSchema(name="pt", columns=("p", "k", "v"), primary_key=("p", "k"),
+                  partition_key=("p",), indexes={"by_v": ("v",)})
+
+# small domains, so that runs collide on rows and partition values
+_P = st.integers(min_value=0, max_value=2)
+_K = st.sampled_from(["c", "a", "b"])
+_V = st.integers(min_value=0, max_value=3)
+_PREDICATES = {
+    "none": None,
+    "even": lambda row: row["v"] % 2 == 0,
+    "big": lambda row: row["v"] >= 2,
+}
+
+_scan_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["insert", "write", "update"]), _P, _K, _V),
+        st.tuples(st.just("delete"), _P, _K),
+        st.tuples(st.just("scan"), _P, st.sampled_from(sorted(_PREDICATES)),
+                  st.sampled_from(list(LockMode)),
+                  st.sampled_from([None, ("k",), ("v", "p")])),
+        st.tuples(st.sampled_from(["commit", "commit", "commit", "abort",
+                                   "epoch", "lcp", "crash"])),
+        st.tuples(st.sampled_from(["kill", "restart"]),
+                  st.integers(min_value=0, max_value=1)),
+    ),
+    min_size=1, max_size=50)
+
+
+def _check_ppis(cluster, tx, p, predicate, lock, columns):
+    """``ppis`` == the brute-force filter over ``full_scan``, in order."""
+
+    def brute(row):
+        return row["p"] == p and (predicate is None or predicate(row))
+
+    expected = tx.full_scan("pt", brute)
+    if lock is not LockMode.READ_COMMITTED:
+        # a locking scan returns the committed matches in pk (= lock)
+        # order; rows only this transaction's writes bring in still follow
+        with cluster.begin() as other:
+            committed = {(r["p"], r["k"]) for r in other.full_scan("pt", brute)}
+        first = [r for r in expected if (r["p"], r["k"]) in committed]
+        rest = [r for r in expected if (r["p"], r["k"]) not in committed]
+        expected = sorted(first, key=_PT.pk_of) + rest
+    if columns is not None:
+        expected = [{c: r[c] for c in columns} for r in expected]
+    assert tx.ppis("pt", {"p": p}, predicate, lock, columns) == expected
+
+
+@FAST
+@pytest.mark.lock_witness_exempt  # one thread; locks rows in workload order
+@given(_scan_steps)
+def test_ppis_equals_brute_force_scan(steps):
+    """Through commits, aborts, buffered writes, node kill/restart and
+    crash recovery the partition-key index answers exactly what a filter
+    over every row answers, and every replica's indexes match its rows."""
+    cluster = NDBCluster(NDBConfig(num_datanodes=2, replication=2,
+                                   lock_timeout=0.5))
+    cluster.create_table(_PT)
+    tx = cluster.begin()
+    for step in steps:
+        if tx.state.value != "active":  # ended, or aborted by a failure
+            tx = cluster.begin()
+        op = step[0]
+        if op in ("insert", "write", "update"):
+            _, p, k, v = step
+            try:
+                if op == "update":
+                    tx.update("pt", (p, k), {"v": v})
+                else:
+                    getattr(tx, op)("pt", {"p": p, "k": k, "v": v})
+            except (DuplicateKeyError, NoSuchRowError):
+                pass  # the transaction stays usable
+        elif op == "delete":
+            tx.delete("pt", step[1:], must_exist=False)
+        elif op == "scan":
+            _, p, pred, lock, columns = step
+            _check_ppis(cluster, tx, p, _PREDICATES[pred], lock, columns)
+        elif op == "commit":
+            tx.commit()
+        elif op == "abort":
+            tx.abort()
+        elif op == "epoch":
+            cluster.complete_epoch()
+        elif op == "lcp":
+            cluster.local_checkpoint()
+        elif op == "crash":
+            cluster.crash_and_recover()  # load + undo/redo apply_restore
+        elif op == "kill":
+            if len(cluster.live_nodes()) > 1:
+                cluster.kill_node(step[1])
+        elif op == "restart":
+            cluster.restart_node(step[1])  # load from the surviving peer
+    if tx.state.value == "active":
+        tx.commit()
+    with cluster.begin() as tx:
+        for p in range(3):
+            _check_ppis(cluster, tx, p, None, LockMode.SHARED, None)
+    for node in cluster.datanodes:
+        for frag in node.fragments.values():
+            assert_indexes_match_rows(frag)
 
 
 # ---------------------------------------------------------------------------
