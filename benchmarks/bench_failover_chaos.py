@@ -40,21 +40,15 @@ from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan, installed
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.ndb import NDBConfig
+from repro.util.stats import percentile
 
 SEED = 20260808
 
 
-def _percentile(values: list[float], p: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _latency_cell(latencies: list[float]) -> dict:
-    return {"p50_ms": round(_percentile(latencies, 50) * 1e3, 3),
-            "p99_ms": round(_percentile(latencies, 99) * 1e3, 3),
+    ordered = sorted(latencies)
+    return {"p50_ms": round(percentile(ordered, 50) * 1e3, 3),
+            "p99_ms": round(percentile(ordered, 99) * 1e3, 3),
             "ops": len(latencies)}
 
 

@@ -230,6 +230,7 @@ def measure_tracing_overhead(repeat: int = 200, rounds: int = 60,
                "1": round(base + delta_full, 2),
                "64": round(base + delta_64, 2)}
     return {
+        "kind": "tracing",
         "workload": {"op": "stat (warm hint cache)", "repeat": repeat,
                      "rounds": rounds, "deploy": deploy,
                      "method": "median paired A/B/A CPU-time difference, "
@@ -249,12 +250,11 @@ def measure_distributed_tracing(repeat: int = 200,
     distributed-tracing path: trace envelope on the request, per-request
     server trace + span shipping on the response, clock alignment and
     grafting on the client. Unsampled requests carry no envelope, so the
-    1-in-64 row is the bound that matters for production sampling. The
-    keys are distinct from the embedded report (``wire_overhead_*``) so
-    the perf gate can tell the two baselines apart by shape.
+    1-in-64 row is the bound that matters for production sampling.
     """
     report = measure_tracing_overhead(repeat, rounds, deploy="process")
     return {
+        "kind": "disttracing",
         "workload": report["workload"],
         "us_per_op_by_sample_every": report["us_per_op_by_sample_every"],
         "wire_overhead_pct_full_tracing":

@@ -2,21 +2,21 @@
 
 Measures a *stat-heavy* metadata workload (the read-dominant mix that
 dominates real HDFS traces — PAPER.md §5, Fletch in PAPERS.md) through
-the full namenode stack, in four deployment cells:
+the full namenode stack, in three deployment cells:
 
-* ``embedded-legacy`` — the pre-cost-program hot path:
-  ``resolver_coalesced_locking=False`` (the resolver re-reads every
-  locked row after the batched resolve) and
-  ``batched_lock_acquisition=False`` (the lock manager takes one stripe
-  mutex round per key). This is the "before" row.
-* ``embedded-optimized`` — engine and namenode defaults after this PR:
-  coalesced resolve locking (a warm stat is one database round trip)
-  and per-stripe grouped lock acquisition.
-* ``process-tcp`` / ``process-unix`` — the optimized configuration
-  behind one ``ndb-server`` process, with the namenode's DAL speaking
-  the RPC protocol over loopback TCP and over an AF_UNIX socket
-  respectively. These price the deployment boundary: same engine, plus
-  a real socket round trip per database batch.
+* ``embedded-optimized`` — engine and namenode defaults: the batched
+  resolve takes the strongest locks itself (a warm stat is one database
+  round trip) through per-stripe grouped lock acquisition.
+* ``process-tcp`` / ``process-unix`` — the same configuration behind
+  one ``ndb-server`` process, with the namenode's DAL speaking the RPC
+  protocol over loopback TCP and over an AF_UNIX socket respectively.
+  These price the deployment boundary: same engine, plus a real socket
+  round trip per database batch.
+
+The re-read resolver with per-key lock acquisition that the first cell
+replaced (2 round trips per stat, 2713.9 ops/s at 8 threads against
+3304.9, +21.8 %) is gone from the code; those numbers are kept under
+``"history"`` in ``BENCH_hotpath.json`` and are not re-run.
 
 Each cell also measures **db round trips per stat** directly from the
 namenode's ``db_round_trips_total`` counter over a single-threaded
@@ -33,7 +33,7 @@ Run standalone::
         --json BENCH_hotpath.json
 
 ``--smoke`` shrinks op counts for CI; ``--skip-process`` drops the two
-subprocess cells (e.g. for quick embedded A/B runs).
+subprocess cells.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.hopsfs import HopsFSCluster, HopsFSConfig
+from repro.hopsfs import HopsFSCluster
 from repro.ndb import NDBConfig
 
 THREADS = (1, 8)
@@ -60,13 +60,6 @@ LOG_FLUSH_DELAY = 0.0002
 ENGINE_PROFILE = dict(num_datanodes=4, replication=2, lock_timeout=10.0,
                       network_delay=NETWORK_DELAY,
                       log_flush_delay=LOG_FLUSH_DELAY)
-
-CELLS = {
-    "embedded-legacy": dict(
-        ndb=dict(batched_lock_acquisition=False),
-        hopsfs=dict(resolver_coalesced_locking=False)),
-    "embedded-optimized": dict(ndb={}, hopsfs={}),
-}
 
 
 def _fs_path(tid: int, j: int) -> str:
@@ -123,13 +116,11 @@ def _stat_throughput(nn, n_threads: int, total_ops: int) -> float:
     return (per_thread * n_threads) / elapsed
 
 
-def _run_cell(make_driver: Callable[[], object], hopsfs_options: dict,
+def _run_cell(make_driver: Callable[[], object],
               total_ops: int) -> tuple[dict[str, float], float]:
     """One deployment cell: build the stack, measure all thread counts."""
     driver = make_driver()
-    fs = HopsFSCluster(num_namenodes=1, num_datanodes=3,
-                       config=HopsFSConfig(**hopsfs_options),
-                       driver=driver)
+    fs = HopsFSCluster(num_namenodes=1, num_datanodes=3, driver=driver)
     nn = fs.namenodes[0]
     ops: dict[str, float] = {}
     try:
@@ -151,13 +142,8 @@ def run_benchmark(total_ops: int, skip_process: bool = False) -> dict:
     ops: dict[str, dict[str, float]] = {}
     round_trips: dict[str, float] = {}
 
-    for name, overrides in CELLS.items():
-        def make_driver(overrides=overrides):
-            return NDBDriver(config=NDBConfig(**ENGINE_PROFILE,
-                                              **overrides["ndb"]))
-
-        ops[name], round_trips[name] = _run_cell(
-            make_driver, overrides["hopsfs"], total_ops)
+    ops["embedded-optimized"], round_trips["embedded-optimized"] = _run_cell(
+        lambda: NDBDriver(config=NDBConfig(**ENGINE_PROFILE)), total_ops)
 
     if not skip_process:
         from repro.dal import RemoteDriver
@@ -184,11 +170,11 @@ def run_benchmark(total_ops: int, skip_process: bool = False) -> dict:
                                         timeout=120.0)
 
                 ops[name], round_trips[name] = _run_cell(
-                    make_driver, {}, total_ops)
+                    make_driver, total_ops)
 
-    legacy8 = ops["embedded-legacy"]["8"]
     opt8 = ops["embedded-optimized"]["8"]
     return {
+        "kind": "hotpath",
         "workload": {
             "op": "stat (get_file_info), warm hint cache",
             "total_ops": total_ops,
@@ -199,8 +185,6 @@ def run_benchmark(total_ops: int, skip_process: bool = False) -> dict:
             "host_cpus": os.cpu_count(),
         },
         "cells": {
-            "embedded-legacy": "resolver_coalesced_locking=False, "
-                               "batched_lock_acquisition=False",
             "embedded-optimized": "engine + namenode defaults",
             "process-tcp": "optimized behind ndb-server over loopback TCP",
             "process-unix": "optimized behind ndb-server over AF_UNIX",
@@ -208,11 +192,6 @@ def run_benchmark(total_ops: int, skip_process: bool = False) -> dict:
         "ops_per_second": ops,
         "round_trips_per_stat": {k: round(v, 2)
                                  for k, v in round_trips.items()},
-        "round_trips_saved_per_stat": round(
-            round_trips["embedded-legacy"]
-            - round_trips["embedded-optimized"], 2),
-        "improvement_vs_legacy_at_8_threads_pct": round(
-            (opt8 / legacy8 - 1.0) * 100.0, 1),
         # BENCH_engine_parallelism.json parallel@8t (mixed read/write kv
         # workload, same engine profile) — the pre-PR throughput anchor
         "engine_parallelism_parallel_8t_ref": 1455.2,

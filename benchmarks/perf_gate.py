@@ -6,21 +6,21 @@ against the baseline. A cell that comes in more than ``--tolerance``
 (default 15%) below its committed value fails the gate; improvements
 always pass (commit a refreshed baseline to ratchet them in).
 
-The benchmark kind is inferred from the baseline's shape:
+Each baseline names its benchmark in a ``"kind"`` field:
 
-* ``speedup_at_8_threads`` — the engine comparison
-  (``bench_engine_parallelism.py``, sequential vs parallel engine);
-* ``scaling_8_to_16`` — the deployment comparison
+* ``engine`` — engine throughput by client threads
+  (``bench_engine_parallelism.py``);
+* ``deploy`` — the deployment comparison
   (``--deploy process``, embedded vs ndb-server processes);
-* ``round_trips_per_stat`` — the hot-path cost program
+* ``hotpath`` — the hot-path cost program
   (``bench_hotpath.py``): throughput cells gate like the others, and
   each cell's measured db round trips per stat must not exceed the
   committed value (round trips are deterministic, so no tolerance);
-* ``overhead_pct_full_tracing`` — the tracing-overhead measurement
+* ``tracing`` — the tracing-overhead measurement
   (``bench_functional_micro.py``): overheads are lower-is-better and
   gate against the committed value plus ``--tracing-margin`` percentage
   points (the measurement itself is noisy, the margin absorbs that);
-* ``wire_overhead_pct_full_tracing`` — the same A/B/A measurement under
+* ``disttracing`` — the same A/B/A measurement under
   ``--deploy process``, where tracing additionally ships a trace
   envelope and span tree over every RPC. The production config
   (1-in-64 sampling) gates at ``--tracing-margin``; the
@@ -34,9 +34,9 @@ Run from the repo root::
         BENCH_hotpath.json BENCH_tracing_overhead.json \
         BENCH_distributed_tracing.json
 
-Both workloads are sleep-dominated by design (simulated network and log
-delays), so cell values are largely machine-independent and a committed
-baseline transfers across hosts.
+The throughput workloads are sleep-dominated by design (simulated
+network and log delays), so cell values are largely machine-independent
+and a committed baseline transfers across hosts.
 """
 
 from __future__ import annotations
@@ -56,22 +56,15 @@ TRACING_GATE = dict(repeat=150, rounds=40)
 #: the process cell pays a real TCP round trip per op, so fewer rounds
 DIST_TRACING_GATE = dict(repeat=150, rounds=30)
 
+KINDS = ("engine", "deploy", "hotpath", "tracing", "disttracing")
+
 
 def baseline_kind(data: dict) -> str:
-    if "speedup_at_8_threads" in data:
-        return "engine"
-    if "scaling_8_to_16" in data:
-        return "deploy"
-    if "round_trips_per_stat" in data:
-        return "hotpath"
-    if "overhead_pct_full_tracing" in data:
-        return "tracing"
-    if "wire_overhead_pct_full_tracing" in data:
-        return "disttracing"
-    raise SystemExit("unrecognized baseline shape: expected a "
-                     "BENCH_engine_parallelism, BENCH_process_deploy, "
-                     "BENCH_hotpath, BENCH_tracing_overhead or "
-                     "BENCH_distributed_tracing style report")
+    kind = data.get("kind")
+    if kind not in KINDS:
+        raise SystemExit(f"baseline has \"kind\": {kind!r}; expected one "
+                         f"of {', '.join(KINDS)}")
+    return kind
 
 
 def run_current(kind: str, ops: int | None) -> dict:

@@ -35,5 +35,4 @@ class NDBDriver(DALDriver):
         dispatch = ("parallel" if self.cluster.parallel_dispatch_enabled
                     else "inline")
         return (f"ndb(nodes={cfg.num_datanodes}, r={cfg.replication}, "
-                f"partitions={cfg.num_partitions}, "
-                f"stripes={cfg.lock_stripes}, dispatch={dispatch})")
+                f"partitions={cfg.num_partitions}, dispatch={dispatch})")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.util.clock import Clock, SystemClock
+from repro.util.validate import check_ranges
 
 
 @dataclass
@@ -25,11 +26,6 @@ class HopsFSConfig:
     default_replication: int = 3
     #: block size in bytes (only matters for block allocation accounting)
     block_size: int = 128 * 1024 * 1024
-    #: lock the parent/last path components inside the batched resolve
-    #: read itself (one round trip) instead of re-reading each locked row
-    #: afterwards; False reproduces the re-read resolver (benchmark
-    #: baseline knob)
-    resolver_coalesced_locking: bool = True
     #: inodes deleted/updated per transaction in subtree operations
     subtree_batch_size: int = 64
     #: worker threads quiescing / executing subtree operations in parallel
@@ -38,8 +34,6 @@ class HopsFSConfig:
     id_batch_size: int = 1000
     #: seconds without renewal before a lease may be recovered
     lease_timeout: float = 60.0
-    #: seconds between namenode heartbeats (leader election rounds)
-    nn_heartbeat_interval: float = 1.0
     #: heartbeats a namenode may miss before being declared dead
     nn_missed_heartbeats: int = 2
     #: seconds without heartbeat before a datanode is declared dead
@@ -53,20 +47,6 @@ class HopsFSConfig:
     #: the phase histograms fed at a fraction of that (the first
     #: operation is always traced, then every Nth after it)
     trace_sample_every: int = 16
-    #: completed traces kept per namenode for inspection
-    trace_ring_size: int = 256
-    #: operations slower than this (seconds) land in the slow-op log
-    slow_op_threshold: float = 0.5
-    #: flight recorder: begin/end records kept per namenode (every op,
-    #: sampled or not); 1 is the useful minimum
-    flight_ring_size: int = 512
-    #: full traces kept by the flight recorder (failed/retried/slow ops)
-    flight_trace_keep: int = 64
-    #: abort-class failures within the last ``flight_storm_window`` ops
-    #: that trigger an automatic flight-recorder dump (when a dump
-    #: directory is configured; see metrics.flightrecorder)
-    flight_storm_threshold: int = 8
-    flight_storm_window: int = 64
     #: directory for automatic flight-recorder dumps (None: only the
     #: $REPRO_FLIGHT_DIR environment variable enables auto-dumps)
     flight_dump_dir: str | None = None
@@ -88,38 +68,18 @@ class HopsFSConfig:
     degraded_probe_interval: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.random_partition_depth < 0:
-            raise ValueError("random_partition_depth must be >= 0")
-        if self.default_replication < 1:
-            raise ValueError("default_replication must be >= 1")
-        if self.subtree_batch_size < 1:
-            raise ValueError("subtree_batch_size must be >= 1")
-        if self.subtree_parallelism < 1:
-            raise ValueError("subtree_parallelism must be >= 1")
-        if self.id_batch_size < 1:
-            raise ValueError("id_batch_size must be >= 1")
-        if self.trace_sample_every < 0:
-            raise ValueError("trace_sample_every must be >= 0")
-        if self.trace_ring_size < 1:
-            raise ValueError("trace_ring_size must be >= 1")
-        if self.slow_op_threshold <= 0:
-            raise ValueError("slow_op_threshold must be positive")
-        if self.flight_ring_size < 1:
-            raise ValueError("flight_ring_size must be >= 1")
-        if self.flight_trace_keep < 1:
-            raise ValueError("flight_trace_keep must be >= 1")
-        if self.flight_storm_threshold < 1:
-            raise ValueError("flight_storm_threshold must be >= 1")
-        if self.flight_storm_window < self.flight_storm_threshold:
+        check_ranges(self, {
+            "random_partition_depth": "[0, inf)",
+            "default_replication": "[1, inf)",
+            "subtree_batch_size": "[1, inf)",
+            "subtree_parallelism": "[1, inf)",
+            "id_batch_size": "[1, inf)",
+            "trace_sample_every": "[0, inf)",
+            "degraded_failure_threshold": "(0, 1]",
+            "degraded_window": "[1, inf)",
+            "degraded_min_samples": "[1, inf)",
+            "degraded_probe_interval": "[0, inf)",
+        })
+        if self.degraded_min_samples > self.degraded_window:
             raise ValueError(
-                "flight_storm_window must be >= flight_storm_threshold")
-        if not (0.0 < self.degraded_failure_threshold <= 1.0):
-            raise ValueError(
-                "degraded_failure_threshold must be in (0, 1]")
-        if self.degraded_window < 1:
-            raise ValueError("degraded_window must be >= 1")
-        if not (1 <= self.degraded_min_samples <= self.degraded_window):
-            raise ValueError(
-                "degraded_min_samples must be in [1, degraded_window]")
-        if self.degraded_probe_interval < 0:
-            raise ValueError("degraded_probe_interval must be >= 0")
+                "degraded_min_samples must be <= degraded_window")

@@ -76,8 +76,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
             missed_heartbeats=config.nn_missed_heartbeats)
         self.resolver = PathResolver(
             self.hint_cache, config.random_partition_depth,
-            is_namenode_dead=self._is_namenode_dead,
-            coalesced_locking=config.resolver_coalesced_locking)
+            is_namenode_dead=self._is_namenode_dead)
         self.id_alloc = IdAllocator(driver.session(), "inodes",
                                     batch=config.id_batch_size)
         self.block_alloc = IdAllocator(driver.session(), "blocks",
@@ -89,17 +88,10 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self.op_count = Counter()  # guarded_by: _stats_mutex
         self._stats_mutex = threading.Lock()
         self.metrics = MetricsRegistry()
-        self.flight = FlightRecorder(
-            name=f"nn{nn_id}",
-            ring_size=config.flight_ring_size,
-            trace_keep=config.flight_trace_keep,
-            storm_threshold=config.flight_storm_threshold,
-            storm_window=config.flight_storm_window,
-            dump_dir=config.flight_dump_dir)
+        self.flight = FlightRecorder(name=f"nn{nn_id}",
+                                     dump_dir=config.flight_dump_dir)
         self.tracer = Tracer(
             registry=self.metrics,
-            ring_size=config.trace_ring_size,
-            slow_threshold=config.slow_op_threshold,
             sample_every=config.trace_sample_every,
             on_finish=self._on_trace_finish)
         # hot-path metric handles, cached so per-operation recording is a
@@ -206,7 +198,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
     def _on_trace_finish(self, trace: Trace) -> None:
         """Keep failed, retried and slow traces in the flight recorder."""
         if (trace.error is not None
-                or trace.duration >= self.config.slow_op_threshold
+                or trace.duration >= self.tracer.slow_threshold
                 or trace.execute_attempts > 1
                 or trace.retry_events):
             self.flight.keep_trace(trace)

@@ -4,14 +4,17 @@ Every inode operation is one DAL transaction with three phases:
 
 1. **Lock phase** — primary keys for the path components come from the
    inode hint cache; one *batched* primary-key read fetches every
-   component up to the penultimate one at read-committed (no locks). On a
-   cache miss or stale hint the resolver falls back to component-by-
-   component reads and repairs the cache. The last component (and, for
-   mutating/listing operations, its parent) is then read with the
-   strongest lock the operation will need — never upgraded later — in
-   root-down order, which is the global total order that keeps lock
-   acquisition deadlock free. File-inode related rows are read with
-   partition-pruned index scans in a fixed table order.
+   component, the intermediate ones at read-committed (no locks) and,
+   in the same read, the last component (and, for mutating/listing
+   operations, its parent) with the strongest lock the operation will
+   need — never upgraded later, never re-read — in root-down order,
+   which is the global total order that keeps lock acquisition deadlock
+   free. There is one resolver: on a cache miss the resolver falls back
+   to component-by-component reads, repairs the cache and takes the
+   parent/last locks with one locked re-read; a hint found stale under
+   a lock aborts and retries (:class:`StalePathHintError`). File-inode
+   related rows are read with partition-pruned index scans in a fixed
+   table order.
 2. **Execute phase** — pure computation on the rows (the per-transaction
    cache: rows are plain dicts held by the operation; the DAL transaction
    additionally buffers writes and serves read-your-writes).
@@ -60,8 +63,8 @@ class StaleSubtreeLockError(FileSystemError):
 class StalePathHintError(TransactionAbortedError):
     """A locked batched resolve validated a hint as stale (paper §5.3).
 
-    With coalesced resolver locking the parent/last locks are taken on
-    hint-derived primary keys inside the batched read itself; when
+    The parent/last locks are taken on hint-derived primary keys
+    inside the batched read itself; when
     validation then finds a hint stale the transaction holds a lock on a
     key the path no longer maps to, so the only safe move is to abort and
     retry with the (now invalidated) hint repaired. Subclassing
@@ -148,16 +151,10 @@ class PathResolver:
     """Per-namenode resolver owning the inode hint cache."""
 
     def __init__(self, cache: InodeHintCache, random_depth: int,
-                 is_namenode_dead: Callable[[int], bool],
-                 coalesced_locking: bool = True) -> None:
+                 is_namenode_dead: Callable[[int], bool]) -> None:
         self._cache = cache
         self._random_depth = random_depth
         self._is_namenode_dead = is_namenode_dead
-        #: lock the parent/last components inside the batched resolve
-        #: read itself (one round trip) instead of re-reading each locked
-        #: row individually afterwards; False reproduces the re-read
-        #: resolver (benchmark baseline knob)
-        self._coalesced_locking = coalesced_locking
         self.batched_resolutions = 0
         self.recursive_resolutions = 0
 
@@ -192,25 +189,17 @@ class PathResolver:
                                 root=self.root_row())
         if not components:
             return resolved
-        coalesce = self._coalesced_locking and (
-            lock_last is not LockMode.READ_COMMITTED
-            or lock_parent is not LockMode.READ_COMMITTED)
-        batched_before = self.batched_resolutions
         with span("resolve", depth=len(components)) as resolve_span:
-            rows, locked = self._resolve_prefix(
-                tx, components,
-                lock_last=lock_last if coalesce else LockMode.READ_COMMITTED,
-                lock_parent=(lock_parent if coalesce
-                             else LockMode.READ_COMMITTED))
+            rows, batched = self._resolve_prefix(tx, components, lock_last,
+                                                 lock_parent)
             if resolve_span is not None:
                 resolve_span.set_label(
-                    "method",
-                    "batched" if self.batched_resolutions > batched_before
-                    else "recursive")
-        if not locked and (lock_last is not LockMode.READ_COMMITTED
-                           or lock_parent is not LockMode.READ_COMMITTED):
-            # Re-read the components that need locks at the required
-            # strength, in root-down order (parent first, then last).
+                    "method", "batched" if batched else "recursive")
+        if not batched and (lock_last is not LockMode.READ_COMMITTED
+                            or lock_parent is not LockMode.READ_COMMITTED):
+            # The recursive resolve reads lock-free: re-read the
+            # components that need locks at the required strength, in
+            # root-down order (parent first, then last).
             with span("lock", last=lock_last.value, parent=lock_parent.value):
                 self._lock_resolved(tx, components, rows, lock_last,
                                     lock_parent)
@@ -226,8 +215,7 @@ class PathResolver:
         return resolved
 
     def _resolve_prefix(self, tx: DALTransaction, components: list[str],
-                        lock_last: LockMode = LockMode.READ_COMMITTED,
-                        lock_parent: LockMode = LockMode.READ_COMMITTED,
+                        lock_last: LockMode, lock_parent: LockMode,
                         ) -> tuple[list[Optional[dict]], bool]:
         """Resolve every component, batched if possible.
 
@@ -237,13 +225,14 @@ class PathResolver:
         still fetched in one batch ("up to the penultimate inode",
         Fig. 4 line 3) and the last component costs one extra PK read.
 
-        With lock modes given (coalesced locking), the batch itself locks
-        the parent/last keys — root-down key order, so the lock phase
-        follows the global total order — and the second element of the
-        returned tuple reports that no locked re-reads remain. A hint
-        found stale by a *locked* batch raises
-        :class:`StalePathHintError` (retry with the hint repaired); the
-        lock-free resolve keeps falling back in-transaction.
+        The batch itself locks the parent/last keys — root-down key
+        order, so the lock phase follows the global total order. The
+        second element of the returned tuple says whether the batched
+        path served the resolve (every requested lock is then held);
+        False means the lock-free recursive fallback did. A hint found
+        stale by a *locked* batch raises :class:`StalePathHintError`
+        (retry with the hint repaired); the lock-free batch keeps
+        falling back in-transaction.
         """
         hints = []
         parent_id = fs_schema.ROOT_ID
@@ -270,8 +259,7 @@ class PathResolver:
                     parent = rows[-1] if rows else self.root_row()
                     if parent is None:
                         pass
-                    elif (want_locks
-                            and lock_last is not LockMode.READ_COMMITTED):
+                    elif lock_last is not LockMode.READ_COMMITTED:
                         # Lock the last key (existing or future) in the
                         # same read that fetches it: serializes raced
                         # creates of the same name without a re-read.
@@ -292,7 +280,7 @@ class PathResolver:
                                             last["is_dir"],
                                             last["children_random"])
                 self.batched_resolutions += 1
-                return rows, want_locks
+                return rows, True
         self.recursive_resolutions += 1
         return self._recursive_resolve(tx, components), False
 
@@ -359,9 +347,9 @@ class PathResolver:
                        lock_parent: LockMode) -> None:
         """Re-read the parent/last components at lock strength, root-down.
 
-        Mutates ``rows`` in place. Coalesced locking folds the (at most
-        two) locked re-reads into one batched read; the legacy resolver
-        issues one PK read per locked component.
+        Mutates ``rows`` in place. Only the recursive (cold or
+        stale-hint) resolve gets here; two locked re-reads fold into one
+        batched read, a single one stays a PK read.
         """
         n = len(components)
         want: list[tuple[int, tuple, LockMode]] = []
@@ -392,7 +380,7 @@ class PathResolver:
                                          components[-1]), lock_last))
         if not want:
             return
-        if self._coalesced_locking and len(want) > 1:
+        if len(want) > 1:
             # hfs: allow(HFS106, reason=want is built walking the resolved path root-down; depth order is the hierarchical total order (section 3.4))
             fresh = tx.read_batch("inodes", [pk for _i, pk, _m in want],
                                   locks=[m for _i, _pk, m in want])

@@ -67,12 +67,8 @@ class NDBCluster:
         )
         # guarded_by: GIL -- tables are created during single-threaded setup
         self._schemas: dict[str, TableSchema] = {}
-        self._locks = LockManager(
-            timeout=self.config.lock_timeout,
-            deadlock_detection=self.config.deadlock_detection,
-            stripes=self.config.lock_stripes,
-            shard_of=self._lock_key_shard,
-        )
+        self._locks = LockManager(timeout=self.config.lock_timeout,
+                                  shard_of=self._lock_key_shard)
         #: current primary node per partition (same for all tables)
         # guarded_by: _structure_gate [writes]
         self._primaries: dict[int, int] = {
@@ -199,16 +195,13 @@ class NDBCluster:
     def parallel_dispatch_enabled(self) -> bool:
         """Whether multi-shard work fans out on the executor.
 
-        ``parallel_dispatch=None`` (auto) enables the executor only when
-        round trips carry simulated latency: with zero-latency in-memory
-        shards the fan-out is pure Python compute, which the GIL runs no
-        faster on more threads, so inline execution wins.
+        Only when there is an executor and round trips carry simulated
+        latency: with zero-latency in-memory shards the fan-out is pure
+        Python compute, which the GIL runs no faster on more threads, so
+        inline execution wins.
         """
-        if self.config.executor_threads <= 0:
-            return False
-        if self.config.parallel_dispatch is None:
-            return self.config.network_delay > 0
-        return bool(self.config.parallel_dispatch)
+        return (self.config.executor_threads > 0
+                and self.config.network_delay > 0)
 
     def _shard_executor(self) -> ThreadPoolExecutor:
         executor = self._executor
@@ -358,9 +351,7 @@ class NDBCluster:
         # injected error is a clean abort the standard retry loop handles
         fault_point("ndb.commit.before_apply", tx_id=tx.tx_id,
                     coordinator=tx.coordinator)
-        gate = (self._structure_gate.write_locked() if self.config.serial_commit
-                else self._structure_gate.read_locked())
-        with gate:
+        with self._structure_gate.read_locked():
             if tx.state is not TxState.ACTIVE:
                 raise TransactionAbortedError(f"tx {tx.tx_id} no longer active")
             if self._locks.is_aborted(tx):

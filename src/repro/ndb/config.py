@@ -1,9 +1,17 @@
-"""Configuration for an NDB cluster instance."""
+"""Configuration for an NDB cluster instance.
+
+Every field here is set to something other than its default by a
+shipping caller (see the Configuration table in docs/architecture.md);
+engine internals with one value in use — lock stripes, deadlock
+detection, the commit gate, batched lock acquisition — are constants of
+the code that owns them, not options.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+
+from repro.util.validate import check_ranges
 
 
 @dataclass
@@ -24,60 +32,37 @@ class NDBConfig:
     #: seconds a transaction waits for a row lock before aborting
     #: (NDB TransactionInactiveTimeout is 1200 ms by default).
     lock_timeout: float = 1.2
-    #: enable wait-for-graph deadlock detection (fail fast instead of
-    #: waiting for the timeout).
-    deadlock_detection: bool = True
-    #: number of hash stripes in the row-lock manager. Each stripe has its
-    #: own mutex/condvar, so lock traffic on unrelated rows never contends.
-    #: 1 reproduces the old single-condition (fully serialized) manager.
-    lock_stripes: int = 16
     #: worker threads in the per-cluster shard executor used for parallel
     #: batch/scan fan-out and participant-parallel commit apply. 0 disables
     #: the executor entirely (all dispatch runs inline on the caller).
     executor_threads: int = 4
-    #: whether multi-shard work is dispatched on the executor. ``None``
-    #: (auto) enables it only when ``network_delay`` > 0 — with zero
-    #: simulated latency the fan-out is pure Python compute and the GIL
-    #: makes inline execution faster. True/False force it on/off.
-    parallel_dispatch: Optional[bool] = None
     #: simulated seconds per database round trip (shard visit, participant
-    #: commit round). 0 means no simulated latency (unit-test mode); the
-    #: parallelism benchmark sets it to a sub-millisecond RTT so that the
-    #: engine's fan-out/overlap behaviour is measurable in wall-clock time
-    #: (same philosophy as the DES models, see DESIGN.md §5).
+    #: commit round). 0 means no simulated latency (unit-test mode) and
+    #: multi-shard work runs inline — the fan-out would be pure Python
+    #: compute, which the GIL makes slower on more threads; > 0 dispatches
+    #: it on the executor. The parallelism benchmark sets a sub-millisecond
+    #: RTT so that the engine's fan-out/overlap behaviour is measurable in
+    #: wall-clock time (same philosophy as the DES models, DESIGN.md §5).
     network_delay: float = 0.0
     #: simulated seconds per redo-log flush. 0 disables; > 0 makes the
     #: group-commit batching observable (many commits share one flush).
     log_flush_delay: float = 0.0
-    #: serialize commit application under one cluster-wide exclusive lock,
-    #: reproducing the pre-striping engine (benchmark baseline knob).
-    serial_commit: bool = False
-    #: batched lock acquisition for read_batch/subtree lock phases: group
-    #: keys by stripe and take each stripe mutex once per batch
-    #: (LockManager.acquire_many). False reproduces the per-key loop
-    #: (benchmark baseline knob); grant order is identical either way.
-    batched_lock_acquisition: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_datanodes < 1:
-            raise ValueError("need at least one datanode")
-        if self.replication < 1:
-            raise ValueError("replication degree must be >= 1")
+        check_ranges(self, {
+            "num_datanodes": "[1, inf)",
+            "replication": "[1, inf)",
+            "partitions_per_node": "[1, inf)",
+            "lock_timeout": "(0, inf)",
+            "executor_threads": "[0, inf)",
+            "network_delay": "[0, inf)",
+            "log_flush_delay": "[0, inf)",
+        })
         if self.num_datanodes % self.replication != 0:
             raise ValueError(
                 "num_datanodes must be a multiple of the replication degree "
                 f"(got {self.num_datanodes} datanodes, R={self.replication})"
             )
-        if self.partitions_per_node < 1:
-            raise ValueError("partitions_per_node must be >= 1")
-        if self.lock_timeout <= 0:
-            raise ValueError("lock_timeout must be positive")
-        if self.lock_stripes < 1:
-            raise ValueError("lock_stripes must be >= 1")
-        if self.executor_threads < 0:
-            raise ValueError("executor_threads must be >= 0")
-        if self.network_delay < 0 or self.log_flush_delay < 0:
-            raise ValueError("simulated delays must be >= 0")
 
     @property
     def num_node_groups(self) -> int:

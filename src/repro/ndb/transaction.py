@@ -93,9 +93,7 @@ class Transaction:
         """Lock a batch of pks in the given (deadlock-free) order.
 
         With ``modes`` each pk gets its own mode; READ_COMMITTED entries
-        take no lock. Uses the lock manager's batched stripe-grouped
-        acquisition unless the cluster disables it
-        (``batched_lock_acquisition=False``, benchmark baseline knob).
+        take no lock. One stripe-grouped ``LockManager.acquire_many``.
         """
         if modes is None:
             wanted = 0 if mode is LockMode.READ_COMMITTED else len(pks)
@@ -104,17 +102,9 @@ class Transaction:
                          if m is not LockMode.READ_COMMITTED)
         if not wanted:
             return
-        keys = [(table, pk) for pk in pks]
-        if self._cluster.config.batched_lock_acquisition:
-            # hfs: allow(HFS106, reason=DAL primitive; acquire_many's docstring contract requires keys already in the deadlock-free total order, linted at caller sites)
-            self._cluster._locks.acquire_many(self, keys, mode, modes=modes)
-        else:
-            for i, key in enumerate(keys):
-                kmode = mode if modes is None else modes[i]
-                if kmode is LockMode.READ_COMMITTED:
-                    continue
-                # hfs: allow(HFS102, reason=callers supply a deadlock-free total order (§5 left-ordered DFS); see read_batch docstring)
-                self._cluster._locks.acquire(self, key, kmode)
+        # hfs: allow(HFS106, reason=DAL primitive; acquire_many's docstring contract requires keys already in the deadlock-free total order, linted at caller sites)
+        self._cluster._locks.acquire_many(
+            self, [(table, pk) for pk in pks], mode, modes=modes)
         self.stats.rows_locked += wanted
         self._check_active()
 

@@ -795,11 +795,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replication", type=int, default=2)
     parser.add_argument("--partitions-per-node", type=int, default=2)
     parser.add_argument("--lock-timeout", type=float, default=1.2)
-    parser.add_argument("--lock-stripes", type=int, default=16)
     parser.add_argument("--executor-threads", type=int, default=4)
     parser.add_argument("--network-delay", type=float, default=0.0)
     parser.add_argument("--log-flush-delay", type=float, default=0.0)
-    parser.add_argument("--serial-commit", action="store_true")
     parser.add_argument("--drain-timeout", type=float, default=5.0)
     parser.add_argument("--fault-plan", default=None, metavar="PATH",
                         help="install the JSON fault plan at PATH at startup "
@@ -823,11 +821,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         replication=args.replication,
         partitions_per_node=args.partitions_per_node,
         lock_timeout=args.lock_timeout,
-        lock_stripes=args.lock_stripes,
         executor_threads=args.executor_threads,
         network_delay=args.network_delay,
         log_flush_delay=args.log_flush_delay,
-        serial_commit=args.serial_commit,
     )
     server = NDBServer(config=config, host=args.host, port=args.port,
                        unix_path=args.unix,

@@ -142,7 +142,7 @@ def recover(fs, clock):
     # dead (stale subtree locks are only reclaimable afterwards)
     config = fs.namenodes[0].config
     for _ in range(config.nn_missed_heartbeats + 2):
-        clock.advance(config.nn_heartbeat_interval)
+        clock.advance(1.0)
         fs.tick_heartbeats()
 
 

@@ -179,6 +179,31 @@ class TestInodeHintCacheEffect:
         assert nn2.get_file_info("/d/old") is None
         assert nn2.get_file_info("/d/new") is not None
 
+    def test_stale_hint_under_lock_aborts_repairs_and_retries_once(self):
+        """The batched resolve locks hint-derived keys; a hint found stale
+        *under* that lock (StalePathHintError) must abort, release the
+        lock on the stale key, repair the hint and retry transparently."""
+        fs = make_hopsfs(num_namenodes=2)
+        nn1, nn2 = fs.namenodes
+        nn1.mkdirs("/d")
+        nn1.create("/d/f", client="c")
+        stale_id = nn2.get_file_info("/d/f").inode_id  # warm nn2's cache
+        assert nn1.delete("/d/f")
+        nn1.create("/d/f", client="c")  # same pk, new inode id
+        parent_id = nn2.get_file_info("/d").inode_id
+        assert nn2.hint_cache.get(parent_id, "f").inode_id == stale_id
+
+        nn2.set_permission("/d/f", 0o600)  # X-locks the last component
+
+        fresh = nn2.get_file_info("/d/f")
+        assert fresh.perm == 0o600 and fresh.inode_id != stale_id
+        assert nn2.hint_cache.get(parent_id, "f").inode_id == fresh.inode_id
+        assert nn2.metrics.counter("fs_op_tx_retries_total",
+                                   op="chmod").value == 1
+        assert nn2.metrics.counter("ndb_tx_retries_total",
+                                   reason="StalePathHintError").value == 1
+        assert fs.driver.cluster._locks.lock_table_size() == 0
+
     def test_resolution_round_trip_reduction(self):
         """Paper §5.1: cache hits reduce N round trips to 1 for the path
         prefix."""

@@ -1,10 +1,14 @@
 """Tests for NDB configuration validation and session retry behaviour."""
 
+import dataclasses
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
+from repro.hopsfs import HopsFSConfig
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema
 
 
@@ -32,8 +36,18 @@ class TestConfigValidation:
         {"lock_timeout": 0},
     ])
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             NDBConfig(**kwargs)
+
+    def test_docs_configuration_table_lists_exactly_the_fields(self):
+        doc = Path(__file__).parents[1] / "docs" / "architecture.md"
+        documented = set(re.findall(
+            r"^\| `((?:HopsFSConfig|NDBConfig)\.\w+)` \|",
+            doc.read_text(encoding="utf-8"), flags=re.MULTILINE))
+        actual = {f"{cls.__name__}.{f.name}"
+                  for cls in (HopsFSConfig, NDBConfig)
+                  for f in dataclasses.fields(cls)}
+        assert documented == actual
 
 
 class TestSessionRetries:

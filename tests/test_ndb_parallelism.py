@@ -21,6 +21,13 @@ from repro.ndb.stats import AccessKind
 KV = TableSchema(name="kv", columns=("k", "v"), primary_key=("k",))
 
 
+#: the two sides of the dispatch rule, by the inputs it derives from:
+#: no executor -> inline; an executor plus a (sub-millisecond) simulated
+#: round-trip latency -> multi-shard work fans out on the executor
+INLINE = dict(executor_threads=0)
+PARALLEL = dict(network_delay=0.0001)
+
+
 def make_cluster(**overrides):
     defaults = dict(num_datanodes=4, replication=2, lock_timeout=0.5)
     defaults.update(overrides)
@@ -134,8 +141,7 @@ class TestStripedLocks:
         assert mgr.lock_table_size() == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NDBConfig(lock_stripes=0)
+        assert LockManager(stripes=0).num_stripes == 1  # clamped, not broken
         with pytest.raises(ValueError):
             NDBConfig(executor_threads=-1)
         with pytest.raises(ValueError):
@@ -146,20 +152,20 @@ class TestStripedLocks:
 
 
 class TestShardDispatch:
-    def test_auto_mode_inline_without_latency(self):
-        cluster = make_cluster()
-        assert not cluster.parallel_dispatch_enabled
+    def test_inline_without_latency_or_without_executor(self):
+        assert not make_cluster().parallel_dispatch_enabled
+        assert not make_cluster(**INLINE, **PARALLEL).parallel_dispatch_enabled
 
-    def test_auto_mode_parallel_with_latency(self):
-        cluster = make_cluster(network_delay=0.0001)
+    def test_parallel_with_latency(self):
+        cluster = make_cluster(**PARALLEL)
         try:
             assert cluster.parallel_dispatch_enabled
         finally:
             cluster.close()
 
     def test_read_batch_parallel_matches_inline(self):
-        inline = make_cluster(parallel_dispatch=False)
-        parallel = make_cluster(parallel_dispatch=True)
+        inline = make_cluster(**INLINE)
+        parallel = make_cluster(**PARALLEL)
         try:
             seed(inline, 40)
             seed(parallel, 40)
@@ -173,7 +179,7 @@ class TestShardDispatch:
             parallel.close()
 
     def test_read_batch_emits_one_batch_event(self):
-        cluster = make_cluster(parallel_dispatch=True)
+        cluster = make_cluster(**PARALLEL)
         try:
             seed(cluster, 20)
             tx = cluster.begin()
@@ -187,8 +193,8 @@ class TestShardDispatch:
             cluster.close()
 
     def test_scans_parallel_match_inline(self):
-        inline = make_cluster(parallel_dispatch=False)
-        parallel = make_cluster(parallel_dispatch=True)
+        inline = make_cluster(**INLINE)
+        parallel = make_cluster(**PARALLEL)
         try:
             seed(inline, 30)
             seed(parallel, 30)
@@ -204,9 +210,9 @@ class TestShardDispatch:
 
     def test_locked_scan_stays_correct_under_parallel_config(self):
         # scans that take row locks never fan out (lock order must stay
-        # deterministic), but the config flag must not break them
+        # deterministic), but a parallel-dispatch cluster must not break them
         cluster = NDBCluster(NDBConfig(num_datanodes=4, replication=2,
-                                       parallel_dispatch=True))
+                                       **PARALLEL))
         cluster.create_table(TableSchema(
             name="idx", columns=("k", "g"), primary_key=("k",),
             indexes={"by_g": ("g",)}))

@@ -22,30 +22,32 @@ import perf_gate  # noqa: E402
 
 
 ENGINE_BASELINE = {
-    "speedup_at_8_threads": 2.4,
+    "kind": "engine",
     "ops_per_second": {
-        "parallel": {"1": 500.0, "8": 1450.0},
-        "sequential": {"1": 280.0, "8": 620.0},
+        "parallel": {"1": 500.0, "2": 930.0, "4": 1430.0, "8": 1450.0},
     },
 }
 
 HOTPATH_BASELINE = {
+    "kind": "hotpath",
     "ops_per_second": {
-        "embedded-legacy": {"8": 2700.0},
         "embedded-optimized": {"8": 3300.0},
+        "process-unix": {"8": 1180.0},
     },
     "round_trips_per_stat": {
-        "embedded-legacy": 2.0,
         "embedded-optimized": 1.0,
+        "process-unix": 1.0,
     },
 }
 
 TRACING_BASELINE = {
+    "kind": "tracing",
     "overhead_pct_full_tracing": 12.7,
     "overhead_pct_sampled_64": 0.4,
 }
 
 DIST_TRACING_BASELINE = {
+    "kind": "disttracing",
     "wire_overhead_pct_full_tracing": 53.2,
     "wire_overhead_pct_sampled_64": 2.2,
 }
@@ -54,15 +56,13 @@ TRACING_MARGINS = {"overhead_pct_full_tracing": 5.0,
                    "overhead_pct_sampled_64": 5.0}
 
 
-def test_baseline_kind_detection():
-    assert perf_gate.baseline_kind(ENGINE_BASELINE) == "engine"
-    assert perf_gate.baseline_kind({"scaling_8_to_16": 1.5,
-                                    "ops_per_second": {}}) == "deploy"
-    assert perf_gate.baseline_kind(HOTPATH_BASELINE) == "hotpath"
-    assert perf_gate.baseline_kind(TRACING_BASELINE) == "tracing"
-    assert perf_gate.baseline_kind(DIST_TRACING_BASELINE) == "disttracing"
-    with pytest.raises(SystemExit, match="unrecognized baseline shape"):
-        perf_gate.baseline_kind({"something": "else"})
+def test_baseline_kind_is_read_not_inferred():
+    for kind in perf_gate.KINDS:
+        assert perf_gate.baseline_kind({"kind": kind}) == kind
+    with pytest.raises(SystemExit, match="None"):  # shape alone: no kind
+        perf_gate.baseline_kind({"scaling_8_to_16": 1.5})
+    with pytest.raises(SystemExit, match="'ledger'"):
+        perf_gate.baseline_kind({"kind": "ledger"})
 
 
 def test_compare_passes_at_baseline():
@@ -93,10 +93,10 @@ def test_compare_tolerates_noise_within_tolerance():
 
 def test_compare_flags_missing_cell():
     current = copy.deepcopy(ENGINE_BASELINE)
-    del current["ops_per_second"]["sequential"]["8"]
+    del current["ops_per_second"]["parallel"]["8"]
     _rows, failures = perf_gate.compare(
         "engine", ENGINE_BASELINE, current, 0.15)
-    assert failures == ["engine: sequential@8t missing from the "
+    assert failures == ["engine: parallel@8t missing from the "
                         "current run"]
 
 
@@ -166,11 +166,11 @@ def test_main_end_to_end_with_stubbed_benchmark(tmp_path, capsys,
                            "--json", str(report)]) == 0
     assert json.loads(report.read_text())["passed"] is True
 
-    current["ops_per_second"]["sequential"]["1"] = 100.0  # -64%
+    current["ops_per_second"]["parallel"]["1"] = 100.0  # -80%
     assert perf_gate.main([str(path), "--runs", "1",
                            "--json", str(report)]) == 1
     out = capsys.readouterr().out
-    assert "sequential@1t regressed" in out
+    assert "parallel@1t regressed" in out
     gate = json.loads(report.read_text())
     assert gate["passed"] is False
-    assert any("sequential@1t" in f for f in gate["failures"])
+    assert any("parallel@1t" in f for f in gate["failures"])

@@ -22,13 +22,9 @@ analyzer bug that undercounts fails the runtime pin. If a change
 legitimately alters a budget, update ``OP_BUDGETS`` *in the same PR*
 and say why in the commit.
 
-The legacy-toggle cells pin the "before" behaviour the benchmarks
-compare against (``BENCH_hotpath.json``): with
-``resolver_coalesced_locking=False`` the resolver re-reads the locked
-parent/last components after the batched resolve, which is exactly one
-extra round trip on stat and two on parent+child write ops. Legacy
-numbers live here (not in the table) — the analyzer only models the
-optimized warm path.
+The cold cell pins the one fallback the resolver has (hint-cache miss →
+recursive PK reads, then a single batched lock re-read); its count lives
+here, not in the table — the analyzer only models the warm path.
 """
 
 import pytest
@@ -46,10 +42,6 @@ OP_TABLE_KEYS = {
     "rename": "rename",
 }
 
-#: extra round trips under the legacy (non-coalescing) resolver: one
-#: re-read on stat, two (parent + child) on parent-mutating write ops.
-LEGACY_EXTRA = {"stat": 1, "mkdir": 2, "create": 2, "rename": 0}
-
 
 def _budget(op_name: str, **bounds: int) -> int:
     budget = budget_for(op_name)
@@ -57,8 +49,8 @@ def _budget(op_name: str, **bounds: int) -> int:
     return budget.cost.evaluate(**bounds)
 
 
-def _warm_namenode(**config_overrides):
-    fs = make_hopsfs(num_namenodes=1, **config_overrides)
+def _warm_namenode():
+    fs = make_hopsfs(num_namenodes=1)
     nn = fs.namenodes[0]
     nn.mkdirs("/a/b")
     nn.create("/a/b/f0", client="c")
@@ -94,12 +86,30 @@ def test_optimized_budgets_match_shared_table():
     assert used == expected
 
 
-def test_legacy_resolver_budgets_are_exact():
-    nn = _warm_namenode(resolver_coalesced_locking=False)
-    used = _measure(nn)
-    expected = {op: _budget(key) + LEGACY_EXTRA[op]
-                for op, key in OP_TABLE_KEYS.items()}
-    assert used == expected
+def test_cold_create_is_recursive_reads_plus_one_batched_lock_reread():
+    """Hint-cache miss: the batched resolve (one BATCH_PK + the locked PK
+    read of the missing last component) becomes one PK read per component
+    plus ONE BATCH_PK re-reading parent+last at lock strength — never a
+    PK read per locked component."""
+    nn = _warm_namenode()
+    kinds = (AccessKind.PK, AccessKind.BATCH_PK)
+
+    def accesses(path):
+        counters = [nn.metrics.counter("db_access_total", kind=k.value)
+                    for k in kinds]
+        counters.append(nn.metrics.counter("db_round_trips_total"))
+        before = [c.value for c in counters]
+        nn.create(path, client="c")
+        return [int(c.value - b)
+                for c, b in zip(counters, before, strict=True)]
+
+    warm_pk, warm_batched, warm_total = accesses("/a/b/warm")
+    nn.hint_cache.clear()
+    cold_pk, cold_batched, cold_total = accesses("/a/b/cold")
+    assert (warm_pk, warm_total) == (1, _budget("create"))
+    assert cold_pk == 3                  # a, b, and the missing last
+    assert cold_batched == warm_batched  # lock re-read replaces the resolve
+    assert cold_total == _budget("create") + 2
 
 
 def test_warm_stat_is_one_batched_read():

@@ -6,7 +6,7 @@ enabled, database work runs on executor threads, and tracing v1 silently
 dropped every span/event those threads produced (the thread-local trace
 binding did not propagate). v2 captures a :class:`TraceContext` at
 submit time, so a parallel-dispatch run must record exactly the same
-``db.*`` round-trip events as the sequential engine.
+``db.*`` round-trip events as an inline-dispatch (no executor) run.
 """
 
 import json
@@ -25,12 +25,14 @@ from repro.util.clock import ManualClock
 from tests.conftest import make_hopsfs
 
 
-def build_fs(parallel_dispatch, network_delay=0.0, num_namenodes=1):
+def build_fs(network_delay=0.0, num_namenodes=1):
+    """Inline shard dispatch (no executor) unless a simulated round-trip
+    latency is given, which fans multi-shard work out on 4 workers."""
     config = HopsFSConfig(clock=ManualClock(), trace_sample_every=1,
                           subtree_batch_size=8, subtree_parallelism=2)
     ndb = NDBConfig(num_datanodes=4, replication=2, lock_timeout=1.0,
-                    parallel_dispatch=parallel_dispatch,
-                    executor_threads=4, network_delay=network_delay)
+                    executor_threads=4 if network_delay else 0,
+                    network_delay=network_delay)
     return HopsFSCluster(num_namenodes=num_namenodes, num_datanodes=3,
                          config=config, ndb_config=ndb)
 
@@ -62,9 +64,8 @@ def db_event_counts(nn):
 
 class TestParallelDispatchParity:
     def test_db_events_survive_parallel_dispatch(self):
-        sequential = run_workload(build_fs(parallel_dispatch=False))
-        parallel = run_workload(build_fs(parallel_dispatch=True,
-                                         network_delay=0.0004))
+        sequential = run_workload(build_fs())
+        parallel = run_workload(build_fs(network_delay=0.0004))
         seq_counts = db_event_counts(sequential)
         par_counts = db_event_counts(parallel)
         assert sum(seq_counts.values()) > 0
@@ -73,8 +74,7 @@ class TestParallelDispatchParity:
         assert par_counts == seq_counts
 
     def test_parallel_traces_carry_shard_labels_and_worker_spans(self):
-        nn = run_workload(build_fs(parallel_dispatch=True,
-                                   network_delay=0.0004))
+        nn = run_workload(build_fs(network_delay=0.0004))
         traces = nn.tracer.recent()
         db_events = [e for t in traces for e in t.events()
                      if e.name.startswith("db.")]
@@ -133,7 +133,7 @@ class TestParallelDispatchParity:
         assert wait.duration > 0
 
     def test_commit_events_carry_node_group(self):
-        nn = run_workload(build_fs(parallel_dispatch=False))
+        nn = run_workload(build_fs())
         commits = [e for t in nn.tracer.recent()
                    for e in t.events("db.commit")]
         assert commits
@@ -141,8 +141,7 @@ class TestParallelDispatchParity:
             assert "node_group" in event.labels
 
     def test_shard_op_histograms_recorded(self):
-        nn = run_workload(build_fs(parallel_dispatch=True,
-                                   network_delay=0.0004))
+        nn = run_workload(build_fs(network_delay=0.0004))
         reg = nn.metrics_registry()
         kinds = {dict(h.labels).get("kind") for h in reg.histograms()
                  if h.name == "ndb_shard_op_seconds"}
