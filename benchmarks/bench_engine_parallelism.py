@@ -233,8 +233,7 @@ def run_deploy_benchmark(total_ops: int) -> dict:
         executor_threads=DEPLOY_PROFILE["executor_threads"],
     )
     with ServerPool(DEPLOY_SERVERS, **pool_options) as pool:
-        drivers = [RemoteDriver(host, port, timeout=120.0,
-                                pipeline_writes=True)
+        drivers = [RemoteDriver(host, port, timeout=120.0)
                    for host, port in pool.addresses]
         try:
             for driver in drivers:
@@ -272,7 +271,6 @@ def run_deploy_benchmark(total_ops: int) -> dict:
         "deployment": {
             "server_processes": DEPLOY_SERVERS,
             "executor_threads_per_process": DEPLOY_EXECUTOR_THREADS,
-            "client_pipeline_writes": True,
             "note": "a server process is one fixed-capacity unit "
                     "(ndbmtd analog); embedded mode has exactly one",
         },

@@ -20,10 +20,11 @@ fallbacks (statements excluded with ``# rt: offpath(...)``), bounded
 retry loops at their uncontended iteration count (``# rt: bound(...)``).
 
 Costs are symbolic expressions over workload-size symbols, e.g.
-``"3 + 8*node + node*block"`` — ``node`` rows deleted per subtree batch,
-``block`` blocks per file. A plain integer means the op's cost is
-constant. The grammar is sums of integer-coefficient products:
-``K`` | ``K*sym`` | ``sym*sym`` | ... (see :class:`Cost`).
+``"4 + node*block*replica"`` — ``node`` rows deleted per subtree batch,
+``block`` blocks per file, ``replica`` replicas per block. A plain
+integer means the op's cost is constant. The grammar is sums of
+integer-coefficient products: ``K`` | ``K*sym`` | ``sym*sym`` | ... (see
+:class:`Cost`).
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ OP_BUDGETS: dict[str, str] = {
     "stat": "1",
     "mkdirs": "5",
     "create": "5",
-    "read": "3",
+    "read": "2",
     "ls": "2",
     "content_summary": "2 + dir",
     "add_block": "5",
     "block_received": "8",
     "complete": "5 + 2*block + 2*block*extra",
     "append": "5",
-    "delete": "13 + block + block*replica",
+    "delete": "6 + block*replica",
     "rename": "8",
     "chmod": "4",
     "chown": "4",
@@ -73,8 +74,8 @@ OP_BUDGETS: dict[str, str] = {
     "set_quota": "4",
     "{op}_subtree_lock": "4",
     "subtree_quiesce": "1",
-    "delete_subtree_root": "6",
-    "subtree_delete_batch": "3 + 8*node + node*block + node*block*replica",
+    "delete_subtree_root": "5",
+    "subtree_delete_batch": "4 + node*block*replica",
     "{op}_subtree": "4",
     "subtree_release": "3",
     # -- blockreport ----------------------------------------------------------

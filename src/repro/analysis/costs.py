@@ -4,9 +4,9 @@ Builds a call graph rooted at every ``_fs_op`` transaction callback in
 the budget scope (:data:`repro.analysis.budgets.BUDGET_SCOPE_SUFFIXES`)
 and symbolically counts DAL access round trips:
 
-* ``tx.read`` / ``tx.read_batch`` / ``tx.ppis`` / ``tx.index_scan`` /
-  ``tx.full_scan`` cost **1** round trip each (a batch is one trip
-  regardless of fan-out);
+* ``tx.read`` / ``tx.read_batch`` / ``tx.ppis`` / ``tx.ppis_batch`` /
+  ``tx.index_scan`` / ``tx.full_scan`` cost **1** round trip each (a
+  batch is one trip regardless of fan-out);
 * ``tx.insert`` / ``tx.update`` / ``tx.delete`` / ``tx.write`` are
   buffered — **0** round trips, but they mark the transaction as
   writing, and a writing transaction pays **+2** at commit (the batched
@@ -42,8 +42,8 @@ from repro.analysis.budgets import BUDGET_SCOPE_SUFFIXES, Cost, budget_for
 from repro.analysis.waivers import RtNote, parse_rt_notes, rt_note_for
 
 #: DAL accesses costing one database round trip
-READ_METHODS = frozenset({"read", "read_batch", "ppis", "index_scan",
-                          "full_scan"})
+READ_METHODS = frozenset({"read", "read_batch", "ppis", "ppis_batch",
+                          "index_scan", "full_scan"})
 #: buffered DAL writes: zero round trips now, +2 at commit
 WRITE_METHODS = frozenset({"insert", "update", "delete", "write"})
 

@@ -109,8 +109,9 @@ def _check_hot_path(tree: ast.AST, path: str, out: list[Violation]) -> None:
             out.append(Violation(
                 path, node.lineno, node.col_offset, "HFS101",
                 f"{node.func.attr}() fans out to every shard; hot-path "
-                "modules may only use read/read_batch/ppis (paper §3.3) — "
-                "restructure the access or waive with a reason"))
+                "modules may only use read/read_batch/ppis/ppis_batch "
+                "(paper §3.3) — restructure the access or waive with a "
+                "reason"))
 
 
 # -- HFS102: total lock order, strongest level up front ------------------------

@@ -5,8 +5,9 @@ the tree follows only by convention:
 
 * **HFS101** (§3.3) — hot-path modules may use only the cheap access
   types: primary-key ``read``, ``read_batch`` and partition-pruned index
-  scans (``ppis``). ``full_scan`` and unhinted ``index_scan`` fan out to
-  every shard and must not appear on the operation hot path.
+  scans (``ppis``, ``ppis_batch``). ``full_scan`` and unhinted
+  ``index_scan`` fan out to every shard and must not appear on the
+  operation hot path.
 * **HFS102** (§3.4) — row locks are taken in one total order at the
   strongest level needed up front: no SHARED→EXCLUSIVE upgrade on the
   same key inside one transaction function, no acquisition of literal
@@ -60,14 +61,16 @@ HOT_PATH_SUFFIXES: tuple[str, ...] = (
 )
 
 #: DAL access methods only allowed on hot paths
-HOT_PATH_ALLOWED: frozenset[str] = frozenset({"read", "read_batch", "ppis"})
+HOT_PATH_ALLOWED: frozenset[str] = frozenset({"read", "read_batch", "ppis",
+                                              "ppis_batch"})
 
 #: DAL access methods banned on hot paths (all-shard fan-out)
 HOT_PATH_BANNED: frozenset[str] = frozenset({"full_scan", "index_scan"})
 
 #: the DAL access vocabulary HFS103 polices (see repro.dal.driver)
 DAL_ACCESS_METHODS: frozenset[str] = frozenset({
-    "read", "read_batch", "ppis", "index_scan", "full_scan", "write",
+    "read", "read_batch", "ppis", "ppis_batch", "index_scan", "full_scan",
+    "write",
 })
 
 #: receiver names that identify a raw session object

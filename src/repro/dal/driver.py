@@ -5,7 +5,8 @@ union of what the namenode transaction template needs:
 
 * transactions with partition-key hints (distribution-aware placement);
 * primary-key reads (optionally locked), batched primary-key reads,
-  partition-pruned index scans, index scans, full scans;
+  partition-pruned index scans (one, or a batch in one round trip),
+  index scans, full scans;
 * buffered inserts/updates/deletes flushed at commit;
 * per-session access statistics (:class:`repro.ndb.AccessStats`).
 
@@ -42,6 +43,13 @@ class DALTransaction(Protocol):
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Any = ..., lock: LockMode = ...,
              columns: Optional[Sequence[str]] = ...) -> list[dict]: ...
+
+    def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   ) -> list[list[dict]]:
+        """``[ppis(table, values) for table, values in scans]`` — unlocked,
+        any tables, results in request order, own buffered writes
+        visible — in **one** round trip and one access event."""
+        ...
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
                    predicate: Any = ..., lock: LockMode = ...) -> list[dict]: ...

@@ -177,11 +177,8 @@ class MemoryTransaction:
                 merged.pop(pk, None)
         return list(merged.values())
 
-    def ppis(self, table: str, partition_values: Mapping[str, Any],
-             predicate: Predicate = None,
-             lock: LockMode = LockMode.READ_COMMITTED,
-             columns: Optional[Sequence[str]] = None) -> list[dict]:
-        self._check()
+    def _pruned(self, table: str, partition_values: Mapping[str, Any],
+                predicate: Predicate = None) -> list[dict]:
         schema = self._driver.schema(table)
         schema.scan_partition_values(partition_values)  # validate the columns
 
@@ -190,12 +187,30 @@ class MemoryTransaction:
                 return False
             return predicate is None or predicate(row)
 
-        rows = self._scan(table, matches)
+        return self._scan(table, matches)
+
+    def ppis(self, table: str, partition_values: Mapping[str, Any],
+             predicate: Predicate = None,
+             lock: LockMode = LockMode.READ_COMMITTED,
+             columns: Optional[Sequence[str]] = None) -> list[dict]:
+        self._check()
+        rows = self._pruned(table, partition_values, predicate)
         self._record(AccessKind.PPIS, table, len(rows),
                      locked=lock is not LockMode.READ_COMMITTED)
         if columns is not None:
             rows = [{c: row[c] for c in columns} for row in rows]
         return rows
+
+    def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   ) -> list[list[dict]]:
+        self._check()
+        if not scans:
+            return []
+        results = [self._pruned(table, values) for table, values in scans]
+        self._record(AccessKind.PPIS,
+                     "+".join(dict.fromkeys(table for table, _ in scans)),
+                     sum(map(len, results)), locked=False)
+        return results
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
                    predicate: Predicate = None,

@@ -23,12 +23,15 @@ lives in-process or behind a socket. What changes under the hood:
   the connection *while a commit is in flight* maps to
   :class:`CommitAmbiguousError` and is never transparently retried: the
   commit may have applied;
-* **pipelined writes** (opt-in ``pipeline_writes=True``) — buffered-write
-  RPCs (insert/update/write/delete) are fired without waiting for their
-  replies; errors surface at the next read/commit. This trades the
-  embedded contract of *immediate* ``DuplicateKeyError``/``NoSuchRowError``
-  for one round trip per transaction instead of one per write, so it is
-  off by default;
+* **define locally, ship on execute** (protocol version 2,
+  :mod:`repro.rpc.protocol`) — a request is sent only when the caller
+  needs its reply: ``begin`` rides the transaction's first request,
+  ``insert``/``update``/``write`` are buffered here and ride the next
+  reply-bearing one (so their ``DuplicateKeyError``/``NoSuchRowError``
+  surfaces there — at the latest at the commit — not at the write call
+  as it does embedded), and commit/abort of a transaction that called
+  no write method are one-way frames. An error reply ends the
+  transaction on both sides;
 * **client-side predicates** — predicate callables cannot cross the
   wire; scans fetch matching rows by index/partition server-side and
   apply the Python predicate locally (projection then happens after the
@@ -50,7 +53,9 @@ from repro.dal.driver import DALDriver
 from repro.errors import (
     CommitAmbiguousError,
     ConnectionClosedError,
+    ProtocolError,
     RequestTimeoutError,
+    RPCError,
     TransactionAbortedError,
 )
 from repro.faults import fault_point
@@ -75,6 +80,8 @@ from repro.util.retry import Deadline, RetryPolicy
 T = TypeVar("T")
 
 _CONN_ERRORS = (ConnectionClosedError, RequestTimeoutError)
+#: after these a connection's stream position is unknown: never pool it
+_CONN_POISON = _CONN_ERRORS + (ProtocolError,)
 
 #: the four client-observed phases every traced RPC decomposes into
 RPC_PHASES = ("send", "wire", "server_queue", "engine")
@@ -94,22 +101,24 @@ def _phase_hists(registry, method: str) -> dict:
 
 
 def _traced_call(conn: ClientConn, method: str,
-                 params: Optional[dict[str, Any]] = None) -> Any:
+                 params: Optional[dict[str, Any]] = None,
+                 **labels: object) -> Any:
     """One RPC with wire-level trace propagation.
 
     Untraced callers (no trace bound to this thread — sampling off or
     sampled out) pay nothing beyond a thread-local read: the request
     carries no trace envelope and the server does no span work. Traced
-    callers get an ``rpc.<method>`` span whose children decompose the
-    round trip into send / wire / server-queue / engine (the server's
-    clock-aligned span tree grafted in the middle), and the phase
-    durations land in ``rpc_request_seconds{phase,method}`` histograms
-    on the bound registry.
+    callers get an ``rpc.<method>`` span (labelled with ``labels``)
+    whose children decompose the round trip into send / wire /
+    server-queue / engine (the server's clock-aligned span tree grafted
+    in the middle), and the phase durations land in
+    ``rpc_request_seconds{phase,method}`` histograms on the bound
+    registry.
     """
     trace, stack, registry, _link = _ACTIVE.bind
     if stack is None:
         return conn.call(method, params)
-    with span("rpc." + method) as rpc_span:
+    with span("rpc." + method, **labels) as rpc_span:
         result, payload, t_send, t_sent, t_recv = conn.call_traced(
             method, params, trace={"id": trace.trace_id})
         if payload is not None:
@@ -127,36 +136,61 @@ class RemoteTransaction:
 
     Satisfies :class:`repro.dal.driver.DALTransaction` structurally. Not
     thread safe; owned by one caller thread, like the native
-    :class:`repro.ndb.transaction.Transaction`.
+    :class:`repro.ndb.transaction.Transaction`. The server learns of it
+    with its first request; until then it is a connection, a number and
+    a list of buffered writes.
     """
 
     def __init__(self, driver: "RemoteDriver", conn: ClientConn,
-                 handle: int, coordinator: int,
-                 pipeline_writes: bool) -> None:
+                 hint: Optional[tuple[str, Mapping[str, Any]]]) -> None:
         self._driver = driver
-        self._conn = conn
-        self._handle = handle
-        self.coordinator = coordinator
+        self._conn: Optional[ClientConn] = conn
+        self._handle = conn.next_tx()
+        self._hint = hint
+        #: known once the first reply is in
+        self.coordinator = -1
         self.state = TxState.ACTIVE
         self.stats = AccessStats()
-        self._pipeline = pipeline_writes
-        conn.on_pipelined_result = self._fold_pipelined
+        self._begun = False   # has the server seen a request of ours?
+        self._wrote = False   # was any write method called?
+        #: insert/update/write calls not yet shipped, in call order
+        self._buffered: list[list[Any]] = []
 
     # -- plumbing --------------------------------------------------------------
 
-    def _fold_pipelined(self, result: Any) -> None:
-        if isinstance(result, Mapping) and "stats" in result:
-            protocol.apply_stats_delta(self.stats, result["stats"])
-
     def _check_active(self) -> None:
-        if self.state is TxState.ABORTED:
-            raise TransactionAbortedError(f"remote tx {self._handle} aborted")
-        if self.state is TxState.COMMITTED:
+        if self.state is not TxState.ACTIVE:
             raise TransactionAbortedError(
-                f"remote tx {self._handle} already committed")
+                f"remote tx {self._handle} already {self.state.value}")
+
+    def _request(self, method: str, params: dict[str, Any]) -> Any:
+        """One reply-bearing request, carrying whatever is pending: the
+        begin marker on the first one, and every buffered write. Raises
+        what the transport or the server raises, with this side already
+        ended when the error reply (or the lost connection) ended the
+        server's."""
+        params["tx"] = self._handle
+        if not self._begun:
+            params["begin"] = self._hint
+        carried = len(self._buffered)
+        if carried:
+            params["writes"], self._buffered = self._buffered, []
+        try:
+            result = _traced_call(self._conn, method, params, writes=carried)
+        except Exception as exc:
+            # a dead connection takes its transactions with it; a live
+            # one answered with an error, and an error reply ends the
+            # transaction server-side (protocol rule)
+            self._end(TxState.ABORTED,
+                      reusable=not isinstance(exc, _CONN_POISON))
+            raise
+        self._begun = True
+        self.coordinator = result.get("coordinator", self.coordinator)
+        protocol.apply_stats_delta(self.stats, result["stats"])
+        return result
 
     def _call(self, method: str, params: dict[str, Any]) -> Any:
-        """One synchronous transaction RPC; folds the stats delta in.
+        """A request inside the transaction.
 
         A dead connection means the server aborted this transaction (and
         released its locks), so connection loss surfaces as
@@ -164,68 +198,43 @@ class RemoteTransaction:
         transaction callback, exactly like an engine-side abort.
         """
         self._check_active()
-        params["tx"] = self._handle
         try:
-            result = _traced_call(self._conn, method, params)
+            return self._request(method, params)
         except _CONN_ERRORS as exc:
-            self.state = TxState.ABORTED
-            self._release(reusable=False)
             raise TransactionAbortedError(
                 f"connection lost mid-transaction ({method}): {exc}"
             ) from exc
-        if isinstance(result, Mapping) and "stats" in result:
-            protocol.apply_stats_delta(self.stats, result["stats"])
-        return result
 
-    def _send_write(self, method: str, params: dict[str, Any]) -> None:
-        """A buffered-write RPC: pipelined when enabled, else synchronous."""
-        if not self._pipeline:
-            self._call(method, params)
-            return
+    def _buffer(self, op: str, *args: Any) -> None:
         self._check_active()
-        params["tx"] = self._handle
-        try:
-            self._conn.send_nowait(method, params)
-            # pipelined requests carry no trace envelope (the server does
-            # no per-request span work for them); a traced client still
-            # sees *that* the write was fired, as a zero-length event
-            add_event("rpc." + method, pipelined=True)
-        except _CONN_ERRORS as exc:
-            self.state = TxState.ABORTED
-            self._release(reusable=False)
-            raise TransactionAbortedError(
-                f"connection lost mid-transaction ({method}): {exc}"
-            ) from exc
+        self._wrote = True
+        self._buffered.append([op, *args])
+        # nothing is sent, so there is no rpc span: a traced client sees
+        # *that* the write was issued, as a zero-length event
+        add_event("rpc.tx." + op, buffered=True)
 
-    def _release(self, reusable: bool) -> None:
+    def _end(self, state: TxState, reusable: bool) -> None:
+        self.state = state
         conn, self._conn = self._conn, None
-        if conn is None:
-            return
-        conn.on_pipelined_result = None
-        self._driver._checkin(conn, reusable=reusable and not conn.closed)
+        if conn is not None:
+            self._driver._checkin(conn, reusable=reusable)
 
     # -- reads -----------------------------------------------------------------
 
     def read(self, table: str, key: Any,
              lock: LockMode = LockMode.READ_COMMITTED
              ) -> Optional[dict[str, Any]]:
-        result = self._call("tx.read", {
-            "table": table, "key": protocol.encode_value(key),
-            "lock": lock.name})
-        return protocol.decode_value(result["row"])
+        return self._call("tx.read", {
+            "table": table, "key": key, "lock": lock.name})["row"]
 
     def read_batch(self, table: str, keys: Sequence[Any],
                    lock: LockMode = LockMode.READ_COMMITTED,
                    locks: Optional[Sequence[LockMode]] = None,
                    ) -> list[Optional[dict[str, Any]]]:
-        params = {
-            "table": table,
-            "keys": [protocol.encode_value(k) for k in keys],
-            "lock": lock.name}
+        params = {"table": table, "keys": list(keys), "lock": lock.name}
         if locks is not None:
             params["locks"] = [m.name for m in locks]
-        result = self._call("tx.read_batch", params)
-        return [protocol.decode_value(r) for r in result["rows"]]
+        return protocol.decode_rows(self._call("tx.read_batch", params))
 
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Predicate = None,
@@ -234,35 +243,40 @@ class RemoteTransaction:
         # with a client-side predicate the server must send full rows;
         # projection happens after filtering, as embedded does
         request_columns = None if predicate is not None else columns
-        result = self._call("tx.ppis", {
-            "table": table,
-            "partition_values": protocol.encode_value(dict(partition_values)),
+        rows = protocol.decode_rows(self._call("tx.ppis", {
+            "table": table, "partition_values": dict(partition_values),
             "lock": lock.name,
-            "columns": list(request_columns) if request_columns else None})
-        rows = [protocol.decode_value(r) for r in result["rows"]]
+            "columns": list(request_columns) if request_columns else None}))
         if predicate is not None:
             rows = [row for row in rows if predicate(row)]
             if columns is not None:
                 rows = [{col: row[col] for col in columns} for row in rows]
         return rows
 
+    def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   ) -> list[list[dict[str, Any]]]:
+        if not scans:  # no operation defined: nothing to execute
+            self._check_active()
+            return []
+        result = self._call("tx.ppis_batch", {
+            "scans": [[table, dict(values)] for table, values in scans]})
+        return [protocol.decode_rows(rows) for rows in result["scans"]]
+
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
                    predicate: Predicate = None,
                    lock: LockMode = LockMode.READ_COMMITTED
                    ) -> list[dict[str, Any]]:
-        result = self._call("tx.index_scan", {
-            "table": table, "index": index_name,
-            "values": protocol.encode_value(list(values)),
-            "lock": lock.name})
-        rows = [protocol.decode_value(r) for r in result["rows"]]
+        rows = protocol.decode_rows(self._call("tx.index_scan", {
+            "table": table, "index": index_name, "values": list(values),
+            "lock": lock.name}))
         if predicate is not None:
             rows = [row for row in rows if predicate(row)]
         return rows
 
     def full_scan(self, table: str,
                   predicate: Predicate = None) -> list[dict[str, Any]]:
-        result = self._call("tx.full_scan", {"table": table})
-        rows = [protocol.decode_value(r) for r in result["rows"]]
+        rows = protocol.decode_rows(
+            self._call("tx.full_scan", {"table": table}))
         if predicate is not None:
             rows = [row for row in rows if predicate(row)]
         return rows
@@ -270,78 +284,68 @@ class RemoteTransaction:
     # -- writes ----------------------------------------------------------------
 
     def insert(self, table: str, row: Mapping[str, Any]) -> None:
-        self._send_write("tx.insert", {
-            "table": table, "row": protocol.encode_value(dict(row))})
+        self._buffer("insert", table, dict(row))
 
     def update(self, table: str, key: Any,
                changes: Mapping[str, Any]) -> None:
-        self._send_write("tx.update", {
-            "table": table, "key": protocol.encode_value(key),
-            "changes": protocol.encode_value(dict(changes))})
+        self._buffer("update", table, key, dict(changes))
 
     def write(self, table: str, row: Mapping[str, Any]) -> None:
-        self._send_write("tx.write", {
-            "table": table, "row": protocol.encode_value(dict(row))})
+        self._buffer("write", table, dict(row))
 
     def delete(self, table: str, key: Any, must_exist: bool = True) -> bool:
-        # delete returns whether the row existed, so it always syncs
-        result = self._call("tx.delete", {
-            "table": table, "key": protocol.encode_value(key),
-            "must_exist": must_exist})
-        return result["existed"]
+        # delete returns whether the row existed, so it waits for a reply
+        self._wrote = True
+        return self._call("tx.delete", {
+            "table": table, "key": key, "must_exist": must_exist})["existed"]
 
     # -- transaction end -------------------------------------------------------
 
+    def _notify_end(self, method: str) -> None:
+        """End a transaction that wrote nothing with a one-way frame —
+        or, if the server never heard of it, with no frame at all."""
+        add_event("rpc." + method, one_way=True)
+        if self._begun and not self._conn.closed:
+            try:
+                self._conn.notify(method, {"tx": self._handle})
+            except RPCError:
+                pass  # the dead connection ended it server-side
+
     def commit(self) -> None:
         self._check_active()
-        # drain pipelined writes *before* committing: a buffered-write
-        # error (duplicate key, missing row) must fail the transaction
-        # while it is still abortable, never after the commit applied
-        if self._conn.pipelined:
-            try:
-                self._conn.drain()
-            except _CONN_ERRORS as exc:
-                self.state = TxState.ABORTED
-                self._release(reusable=False)
-                raise TransactionAbortedError(
-                    f"connection lost mid-transaction (drain): {exc}"
-                ) from exc
+        if not self._wrote:
+            # every outcome of a read-only commit is the same to the
+            # caller, and all its reads happened while all its locks
+            # were held: nothing to wait for
+            self._notify_end("tx.commit")
+            self._end(TxState.COMMITTED, reusable=True)
+            return
         with span("commit"):
             try:
-                result = _traced_call(self._conn, "tx.commit",
-                                      {"tx": self._handle})
-                # the commit round records its own access events
-                # (write-batch flush + commit) server-side
-                self._fold_pipelined(result)
+                # carries the writes still buffered; the commit round
+                # records its own access events (write-batch flush +
+                # commit) server-side
+                self._request("tx.commit", {})
             except _CONN_ERRORS as exc:
                 # the commit request may have been applied before the
                 # connection died: ambiguous by construction, never
                 # transparently retried (the caller must re-read)
-                self.state = TxState.ABORTED
-                self._release(reusable=False)
                 raise CommitAmbiguousError(
                     f"connection lost while commit of remote tx "
                     f"{self._handle} was in flight: {exc}") from exc
-            except Exception:
-                self.state = TxState.ABORTED
-                self._release(reusable=True)
-                raise
-        self.state = TxState.COMMITTED
-        self._release(reusable=True)
+        self._end(TxState.COMMITTED, reusable=True)
 
     def abort(self) -> None:
         if self.state is not TxState.ACTIVE:
             return
-        self.state = TxState.ABORTED
-        conn = self._conn
-        if conn is None or conn.closed:
-            self._release(reusable=False)
-            return  # server-side abort already happened with the conn
-        try:
-            conn.call("tx.abort", {"tx": self._handle})
-        except Exception:  # noqa: BLE001 - abort is best effort
-            pass
-        self._release(reusable=True)
+        if not self._wrote:
+            self._notify_end("tx.abort")
+        elif self._begun and not self._conn.closed:
+            try:
+                self._conn.call("tx.abort", {"tx": self._handle})
+            except Exception:  # noqa: BLE001 - abort is best effort
+                pass
+        self._end(TxState.ABORTED, reusable=True)
 
     def __enter__(self) -> "RemoteTransaction":
         return self
@@ -370,7 +374,8 @@ class RemoteSession:
 
     def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None
               ) -> RemoteTransaction:
-        return self._driver._begin(hint)
+        # pinned to one connection; nothing is sent until a reply is needed
+        return RemoteTransaction(self._driver, self._driver._checkout(), hint)
 
     def run(self, fn: Callable[[RemoteTransaction], T],
             hint: Optional[tuple[str, Mapping[str, Any]]] = None,
@@ -396,7 +401,6 @@ class RemoteDriver(DALDriver):
                  reconnect_backoff_max: float = 2.0,
                  op_deadline: Optional[float] = None,
                  pool_size: int = 16,
-                 pipeline_writes: bool = False,
                  client_name: str = "remote-dal") -> None:
         self.host = host
         self.port = port
@@ -408,7 +412,6 @@ class RemoteDriver(DALDriver):
         self.max_reconnect_attempts = max_reconnect_attempts
         self.reconnect_backoff = reconnect_backoff
         self.pool_size = pool_size
-        self.pipeline_writes = pipeline_writes
         self.client_name = client_name
         #: wall-clock budget for one driver-level call *including* its
         #: reconnect retries; propagated into each request's socket
@@ -495,7 +498,7 @@ class RemoteDriver(DALDriver):
         return self._dial(deadline=deadline)
 
     def _checkin(self, conn: ClientConn, reusable: bool = True) -> None:
-        if not reusable or conn.closed or conn.pipelined or self._closed:
+        if not reusable or conn.closed or self._closed:
             conn.close()
             return
         with self._pool_lock:
@@ -557,23 +560,6 @@ class RemoteDriver(DALDriver):
         finally:
             if not conn.closed:
                 conn.settimeout(self.timeout)
-
-    def _begin(self, hint: Optional[tuple[str, Mapping[str, Any]]]
-               ) -> RemoteTransaction:
-        """Open a server-side transaction pinned to one connection."""
-        last_exc: Exception = ConnectionClosedError("no attempts made")
-        for _attempt in range(max(1, self.max_reconnect_attempts)):
-            conn = self._checkout()
-            try:
-                result = _traced_call(conn, "begin",
-                                      {"hint": protocol.encode_hint(hint)})
-            except _CONN_ERRORS as exc:
-                last_exc = exc  # nothing started server-side that survives
-                continue
-            return RemoteTransaction(self, conn, result["tx"],
-                                     result.get("coordinator", -1),
-                                     self.pipeline_writes)
-        raise last_exc
 
     # -- DALDriver interface ---------------------------------------------------
 
@@ -638,7 +624,7 @@ class RemoteDriver(DALDriver):
 
     def replica_snapshots(self, table: str) -> dict[int, list[list[dict]]]:
         raw = self.admin("replica_snapshots", table=table, idempotent=True)
-        return {int(pid): [[protocol.decode_value(row) for row in replica]
+        return {int(pid): [protocol.decode_rows(replica)
                            for replica in replicas]
                 for pid, replicas in raw.items()}
 

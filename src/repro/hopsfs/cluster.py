@@ -25,7 +25,10 @@ from repro.hopsfs.namenode import NameNode
 from repro.hopsfs.quota import QuotaManager
 from repro.hopsfs.replication import ReplicationManager
 from repro.ndb.config import NDBConfig
-from repro.errors import NameNodeUnavailableError
+from repro.errors import NameNodeUnavailableError, RPCError
+
+#: the engine's gauges (:meth:`repro.ndb.NDBCluster.publish_gauges`)
+_ENGINE_GAUGES = ("ndb_lock_", "ndb_group_commit_")
 
 
 class HopsFSCluster:
@@ -248,8 +251,9 @@ class HopsFSCluster:
         Counters and histograms sum/fold across namenodes (dead ones
         included — their history is still part of the cluster's story).
         Ratio gauges are recomputed from the summed totals, and the
-        database lock manager's counters are bridged in when the driver
-        exposes one.
+        database's lock-manager and group-commit gauges are bridged in
+        from the engine — in-process, or through the ndb-server's own
+        metrics snapshot when the driver is remote.
         """
         from repro.metrics.registry import MetricsRegistry
 
@@ -263,21 +267,18 @@ class HopsFSCluster:
         merged.set_gauge("hint_cache_hit_rate",
                          hits / total if total else 0.0)
         ndb = getattr(self.driver, "cluster", None)
-        locks = getattr(ndb, "_locks", None)
-        if locks is not None:
-            merged.set_gauge("ndb_lock_waits", locks.waits)
-            merged.set_gauge("ndb_lock_deadlocks", locks.deadlocks)
-            merged.set_gauge("ndb_lock_timeouts", locks.timeouts)
-            merged.set_gauge("ndb_lock_wait_seconds", locks.wait_seconds)
-            merged.set_gauge("ndb_lock_table_size", locks.lock_table_size())
-            merged.set_gauge("ndb_lock_stripes", locks.num_stripes)
-            for idx, waits in enumerate(locks.stripe_wait_counts()):
-                if waits:
-                    merged.set_gauge("ndb_lock_stripe_waits", waits,
-                                     stripe=idx)
         if ndb is not None:
-            for key, value in ndb.group_commit_stats.items():
-                merged.set_gauge(f"ndb_group_commit_{key}", value)
+            ndb.publish_gauges(merged)
+        elif hasattr(self.driver, "metrics_snapshot"):
+            # behind an ndb-server: the same gauges, from its registry
+            try:
+                served = self.driver.metrics_snapshot(include_samples=False)
+            except RPCError:
+                served = {}  # a dead server must not take the metrics down
+            for gauge in served.get("gauges", ()):
+                if gauge["name"].startswith(_ENGINE_GAUGES):
+                    merged.set_gauge(gauge["name"], gauge["value"],
+                                     **gauge.get("labels", {}))
         return merged
 
     def metrics_snapshot(self) -> dict:

@@ -44,6 +44,16 @@ from repro.hopsfs.types import (
 from repro.ndb.locks import LockMode
 
 
+_INODE_SUB_TABLES = ("xattrs", "ec_groups")
+
+
+def _sub_tables(is_dir: bool) -> tuple[str, ...]:
+    """The ``inode_id``-partitioned tables that can hold rows of an inode."""
+    if is_dir:  # a directory has no blocks
+        return _INODE_SUB_TABLES
+    return blk.FILE_BLOCK_TABLES + _INODE_SUB_TABLES
+
+
 class InodeOpsMixin:
     """File system operations mixed into :class:`repro.hopsfs.namenode.NameNode`."""
 
@@ -291,9 +301,9 @@ class InodeOpsMixin:
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
-            inode_id = row["id"]
-            file_blocks = tx.ppis("blocks", {"inode_id": inode_id})
-            replicas = tx.ppis("replicas", {"inode_id": inode_id})
+            on_shard = {"inode_id": row["id"]}
+            file_blocks, replicas = tx.ppis_batch(
+                [("blocks", on_shard), ("replicas", on_shard)])
             by_block: dict[int, list[int]] = {}
             for replica in replicas:
                 by_block.setdefault(replica["block_id"], []).append(
@@ -509,26 +519,42 @@ class InodeOpsMixin:
             return self.delete_subtree(path)
         return result
 
-    def _delete_xattrs(self, tx: DALTransaction, inode_id: int) -> None:
-        for xattr in sorted(tx.ppis("xattrs", {"inode_id": inode_id}),
-                            key=lambda x: x["name"]):
-            tx.delete("xattrs", (inode_id, xattr["name"]), must_exist=False)
+    def _scan_sub_rows(self, tx: DALTransaction,
+                       inodes: Sequence[tuple[int, bool]],
+                       ) -> dict[int, dict[str, list[dict]]]:
+        """Everything hanging off each ``(inode_id, is_dir)``, as
+        ``{inode_id: {table: rows}}`` — one batched scan for all of them.
+        The rows live on their inode's shard so that they can be fetched
+        together (§4.2), and the inode X lock the caller holds covers
+        them (§5.2.1), so read-committed suffices."""
+        scans = [(table, {"inode_id": inode_id})
+                 for inode_id, is_dir in inodes
+                 for table in _sub_tables(is_dir)]
+        scanned = iter(tx.ppis_batch(scans))
+        return {inode_id: {table: next(scanned)
+                           for table in _sub_tables(is_dir)}
+                for inode_id, is_dir in inodes}
+
+    def _delete_sub_rows(self, tx: DALTransaction, inode_id: int,
+                         is_dir: bool, rows: dict[str, list[dict]]) -> None:
+        """Delete what :meth:`_scan_sub_rows` found for one inode."""
+        if not is_dir:
+            blk.remove_file_blocks(tx, inode_id, rows)
+            tx.delete("leases", (inode_id,), must_exist=False)
+        else:
+            tx.delete("quotas", (inode_id,), must_exist=False)
+        for name in sorted(xattr["name"] for xattr in rows["xattrs"]):
+            tx.delete("xattrs", (inode_id, name), must_exist=False)
         tx.delete("ec_files", (inode_id,), must_exist=False)
-        for group in sorted(tx.ppis("ec_groups", {"inode_id": inode_id}),
-                            key=lambda g: g["group_idx"]):
-            tx.delete("ec_groups", (inode_id, group["group_idx"]),
-                      must_exist=False)
+        for group_idx in sorted(g["group_idx"] for g in rows["ec_groups"]):
+            tx.delete("ec_groups", (inode_id, group_idx), must_exist=False)
 
     def _delete_file_rows(self, tx: DALTransaction, resolved: ResolvedPath,
                           row: dict) -> None:
         """Remove one inode (file or empty dir) and its dependent rows."""
         inode_id = row["id"]
-        if not row["is_dir"]:
-            blk.remove_file_blocks(tx, inode_id)
-            tx.delete("leases", (inode_id,), must_exist=False)
-        else:
-            tx.delete("quotas", (inode_id,), must_exist=False)
-        self._delete_xattrs(tx, inode_id)
+        sub_rows = self._scan_sub_rows(tx, [(inode_id, row["is_dir"])])
+        self._delete_sub_rows(tx, inode_id, row["is_dir"], sub_rows[inode_id])
         tx.delete("inodes", (row["part_key"], row["parent_id"], row["name"]))
         quota_mod.enforce_and_queue(
             tx, self._ancestor_ids(resolved,

@@ -37,7 +37,6 @@ from repro.errors import (
     SubtreeLockedError,
 )
 from repro.dal.driver import DALTransaction
-from repro.hopsfs import blocks as blk
 from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.paths import is_same_or_ancestor, split_path
@@ -305,8 +304,9 @@ class SubtreeOpsMixin:
                 lock_parent=LockMode.EXCLUSIVE, check_subtree_locks=False)
             row = resolved.last
             if row is not None and row["id"] == root["id"]:
-                tx.delete("quotas", (row["id"],), must_exist=False)
-                self._delete_xattrs(tx, row["id"])
+                sub_rows = self._scan_sub_rows(tx, [(row["id"], True)])
+                # rt: cost(0, reason=the subtree root is a directory: no block rows, so none of remove_file_blocks' per-replica reads)
+                self._delete_sub_rows(tx, row["id"], True, sub_rows[row["id"]])
                 tx.delete("inodes",
                           (row["part_key"], row["parent_id"], row["name"]))
                 quota_mod.enforce_and_queue(
@@ -335,13 +335,11 @@ class SubtreeOpsMixin:
             ordered = sorted(nodes, key=lambda n: n.pk)
             tx.read_batch("inodes", [node.pk for node in ordered],
                           lock=LockMode.EXCLUSIVE)
+            sub_rows = self._scan_sub_rows(
+                tx, [(node.id, node.is_dir) for node in ordered])
             for node in ordered:
-                if not node.is_dir:
-                    blk.remove_file_blocks(tx, node.id)
-                    tx.delete("leases", (node.id,), must_exist=False)
-                else:
-                    tx.delete("quotas", (node.id,), must_exist=False)
-                self._delete_xattrs(tx, node.id)
+                self._delete_sub_rows(tx, node.id, node.is_dir,
+                                      sub_rows[node.id])
                 tx.delete("inodes", node.pk, must_exist=False)
                 self.hint_cache.invalidate(node.parent_id, node.name)
 

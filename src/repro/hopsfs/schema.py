@@ -223,13 +223,6 @@ ALL_TABLES = (
     DATANODES,
 )
 
-#: tables whose rows hang off a file inode, read in this fixed total order
-#: during the lock phase (paper Fig. 4 line 6) to keep lock acquisition
-#: deadlock free.
-FILE_INODE_TABLES = ("blocks", "replicas", "urb", "prb", "ruc", "cr", "er",
-                     "inv", "leases")
-
-
 def create_all_tables(driver: DALDriver) -> None:
     for schema in ALL_TABLES:
         driver.create_table(schema)

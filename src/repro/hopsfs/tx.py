@@ -409,21 +409,6 @@ class PathResolver:
             )
 
 
-def read_file_metadata(tx: DALTransaction, inode_id: int,
-                       tables: tuple[str, ...] = fs_schema.FILE_INODE_TABLES,
-                       ) -> dict[str, list[dict]]:
-    """Lock-phase line 6: read file-inode related rows with PPIS.
-
-    Tables are read in the fixed :data:`repro.hopsfs.schema.FILE_INODE_TABLES`
-    order; the inode's row lock implicitly protects them (hierarchical
-    locking, §5.2.1), so read-committed suffices here.
-    """
-    return {
-        table: tx.ppis(table, {"inode_id": inode_id})
-        for table in tables
-    }
-
-
 class IdAllocator:
     """Allocates unique ids from the ``sequences`` table in leased batches.
 

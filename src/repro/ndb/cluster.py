@@ -189,6 +189,23 @@ class NDBCluster:
         """Flush counters of the group-committed log (observability)."""
         return self._commit_log.stats()
 
+    def publish_gauges(self, registry: Any) -> None:
+        """Set the lock manager's and the group-committed log's running
+        totals as ``ndb_lock_*`` / ``ndb_group_commit_*`` gauges — the
+        one place they are named, for whichever process owns the engine."""
+        locks = self._locks
+        registry.set_gauge("ndb_lock_waits", locks.waits)
+        registry.set_gauge("ndb_lock_deadlocks", locks.deadlocks)
+        registry.set_gauge("ndb_lock_timeouts", locks.timeouts)
+        registry.set_gauge("ndb_lock_wait_seconds", locks.wait_seconds)
+        registry.set_gauge("ndb_lock_table_size", locks.lock_table_size())
+        registry.set_gauge("ndb_lock_stripes", locks.num_stripes)
+        for idx, waits in enumerate(locks.stripe_wait_counts()):
+            if waits:
+                registry.set_gauge("ndb_lock_stripe_waits", waits, stripe=idx)
+        for key, value in self.group_commit_stats.items():
+            registry.set_gauge(f"ndb_group_commit_{key}", value)
+
     # -- shard executor ---------------------------------------------------------------
 
     @property

@@ -281,13 +281,59 @@ class Transaction:
             rows = [fresh for fresh in frag.get_many(pks)
                     if fresh is not None
                     and (predicate is None or predicate(fresh))]
-        rows = self._merge_writes(
-            table, rows, predicate,
-            lambda pk: schema.partition_values_from_pk(pk) == pvals)
+        rows = self._merge_pruned(table, schema, pvals, rows, predicate)
         self._observe_shard(AccessKind.PPIS.value, pid, started)
         self._record(AccessKind.PPIS, table, [pid], rows=len(rows),
                      locked=lock is not LockMode.READ_COMMITTED)
         return self._project(rows, columns)
+
+    def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   ) -> list[list[dict[str, Any]]]:
+        """A batch of unlocked partition-pruned scans: one round trip.
+
+        ``scans`` is a sequence of ``(table, partition_values)`` pairs,
+        any tables; the result holds, in request order, exactly what
+        ``ppis(table, partition_values)`` would have returned for each —
+        this transaction's buffered writes included. It is the scan
+        analogue of :meth:`read_batch` (NDB defines the operations
+        locally and ships them on one ``execute()``): the scans are
+        grouped by shard, the shards are visited concurrently, and the
+        whole batch records exactly one PPIS access event naming every
+        scanned table and shard. An empty batch defines no operation and
+        costs nothing.
+        """
+        self._check_active()
+        if not scans:
+            return []
+        plans = []
+        by_shard: dict[int, list[int]] = {}
+        for i, (table, partition_values) in enumerate(scans):
+            schema = self._cluster.schema(table)
+            pvals = schema.scan_partition_values(partition_values)
+            pid = self._cluster._pmap.partition_of(pvals)
+            plans.append((table, schema, pvals, pid))
+            by_shard.setdefault(pid, []).append(i)
+        results: list[list[dict[str, Any]]] = [[] for _ in plans]
+
+        def shard_scan(pid: int, indexes: list[int]):
+            def scan() -> None:
+                started = time.perf_counter()
+                self._cluster._round_trip()
+                for i in indexes:
+                    table, schema, pvals, _pid = plans[i]
+                    frag = self._cluster._primary_fragment(table, pid)
+                    results[i] = self._merge_pruned(
+                        table, schema, pvals, frag.partition_lookup(pvals))
+                self._observe_shard(AccessKind.PPIS.value, pid, started)
+            return scan
+
+        self._cluster._run_on_shards(
+            [shard_scan(pid, indexes) for pid, indexes in by_shard.items()])
+        self._record(AccessKind.PPIS,
+                     "+".join(dict.fromkeys(plan[0] for plan in plans)),
+                     [plan[3] for plan in plans],
+                     rows=sum(map(len, results)), locked=False)
+        return results
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
                    predicate: Predicate = None,
@@ -560,6 +606,14 @@ class Transaction:
         return self._merge_writes(
             table, rows, predicate,
             lambda pk: partition_of(table, pk) == pid)
+
+    def _merge_pruned(self, table: str, schema: Any, pvals: tuple[Any, ...],
+                      rows: list[dict[str, Any]],
+                      predicate: Predicate = None) -> list[dict[str, Any]]:
+        """:meth:`_merge_writes` for a scan pruned to ``pvals``."""
+        return self._merge_writes(
+            table, rows, predicate,
+            lambda pk: schema.partition_values_from_pk(pk) == pvals)
 
     def _merge_writes(self, table: str, rows: list[dict[str, Any]],
                       predicate: Predicate,

@@ -1,17 +1,17 @@
-"""Framed socket connections: blocking transport plus a pipelining client.
+"""Framed socket connections: blocking transport plus the client side.
 
 :class:`FrameConn` is the symmetric transport both ends share — blocking
 reads of exactly one frame, write-locked sends so concurrent senders
 never interleave a frame.
 
 :class:`ClientConn` adds the client-side request plumbing: request-id
-allocation, synchronous ``call()``, and explicit pipelining via
-``send_nowait()`` + ``drain()``. The server answers a connection's
-requests strictly in order, so a pipelined caller just reads responses
-until its own id comes back, checking the earlier (pipelined) ones for
-errors on the way. A connection is owned by one logical caller at a time
-(the driver's pool hands it to one transaction); it is not a
-multiplexer.
+allocation, the synchronous ``call()``, the one-way ``notify()`` (a
+frame without an id, which the server never answers) and the
+connection-scoped transaction numbers a client-begun transaction names
+itself with. The server answers a connection's requests strictly in
+order, so a caller just reads until its own id comes back. A connection
+is owned by one logical caller at a time (the driver's pool hands it to
+one transaction); it is not a multiplexer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.errors import (
     ConnectionClosedError,
@@ -96,37 +96,28 @@ class FrameConn:
 
 
 class ClientConn:
-    """A client connection: ids, sync calls, and write pipelining."""
+    """A client connection: request ids, sync calls, one-way frames."""
 
     def __init__(self, sock: socket.socket,
                  timeout: Optional[float] = None) -> None:
         sock.settimeout(timeout)
         self._conn = FrameConn(sock)
-        self._next_id = 0           # guarded_by: owner-thread
-        self._pipelined: list[int] = []  # guarded_by: owner-thread
-        #: called with each successful pipelined response's result as it
-        #: is collected (the remote driver folds stats deltas through it)
-        self.on_pipelined_result: Optional[Callable[[Any], None]] = None
+        self._next_id = 0  # guarded_by: owner-thread
+        self._next_tx = 0  # guarded_by: owner-thread
 
     @property
     def closed(self) -> bool:
         return self._conn.closed
 
-    @property
-    def pipelined(self) -> int:
-        """Requests sent but not yet acknowledged (pipelining depth)."""
-        return len(self._pipelined)
+    def next_tx(self) -> int:
+        """A transaction number unused on this connection so far."""
+        self._next_tx += 1
+        return self._next_tx
 
     def call(self, method: str,
              params: Optional[Mapping[str, Any]] = None) -> Any:
-        """Send one request and return its result (raising remote errors).
-
-        Any pipelined requests still in flight are drained first — their
-        responses arrive before ours, and the first error among them is
-        raised after the in-order read completes.
-        """
-        req_id = self._send(method, params)
-        return self._await(req_id).get("result")
+        """Send one request and return its result (raising remote errors)."""
+        return self._await(self._send(method, params)).get("result")
 
     def call_traced(self, method: str,
                     params: Optional[Mapping[str, Any]] = None,
@@ -141,7 +132,7 @@ class ClientConn:
         exactly what :func:`repro.metrics.tracing.graft_remote_call`
         needs to align the server's window into the client clock. The
         payload is ``None`` when the server attached no spans (error
-        responses, unsampled requests, old servers).
+        responses, unsampled requests).
         """
         t_send = time.perf_counter()
         req_id = self._send(method, params, trace=trace)
@@ -151,36 +142,10 @@ class ClientConn:
         return (response.get("result"), response.get("trace"),
                 t_send, t_sent, t_recv)
 
-    def send_nowait(self, method: str,
-                    params: Optional[Mapping[str, Any]] = None) -> int:
-        """Pipeline a request; its response is checked at the next sync
-        point (``call``/``drain``)."""
-        req_id = self._send(method, params)
-        self._pipelined.append(req_id)
-        return req_id
-
-    def drain(self) -> None:
-        """Collect every pipelined response; raise the first error."""
-        first_error: Optional[Mapping[str, Any]] = None
-        while self._pipelined:
-            response = self._conn.recv()
-            got = response.get("id")
-            req_id = self._pipelined[0]
-            if isinstance(got, int) and got < req_id:
-                continue  # stale duplicate of an already-answered request
-            self._pipelined.pop(0)
-            if got != req_id:
-                self._conn.close()
-                raise ProtocolError(
-                    f"response id {got!r} does not match "
-                    f"pipelined request {req_id}")
-            if response.get("ok"):
-                if self.on_pipelined_result is not None:
-                    self.on_pipelined_result(response.get("result"))
-            elif first_error is None:
-                first_error = response.get("error", {})
-        if first_error is not None:
-            protocol.raise_remote(first_error)
+    def notify(self, method: str,
+               params: Optional[Mapping[str, Any]] = None) -> None:
+        """Send a one-way frame: no id, so the server sends no reply."""
+        self._send(method, params, one_way=True)
 
     def close(self) -> None:
         self._conn.close()
@@ -193,45 +158,35 @@ class ClientConn:
 
     def _send(self, method: str,
               params: Optional[Mapping[str, Any]],
-              trace: Optional[Mapping[str, Any]] = None) -> int:
+              trace: Optional[Mapping[str, Any]] = None,
+              one_way: bool = False) -> Optional[int]:
         # injected connection reset: close before sending so the send
         # (or the response read) fails exactly like a TCP RST would
         if fault_point("rpc.client.send", method=method):
             self._conn.close()
-        self._next_id += 1
-        req_id = self._next_id
+        req_id = None
+        if not one_way:
+            self._next_id += 1
+            req_id = self._next_id
         self._conn.send(protocol.request(req_id, method, params,
                                          trace=trace))
         return req_id
 
     def _await(self, req_id: int) -> dict[str, Any]:
-        pipelined_error: Optional[Mapping[str, Any]] = None
         while True:
             response = self._conn.recv()
             got = response.get("id")
-            if self._pipelined and got == self._pipelined[0]:
-                self._pipelined.pop(0)
-                if response.get("ok"):
-                    if self.on_pipelined_result is not None:
-                        self.on_pipelined_result(response.get("result"))
-                elif pipelined_error is None:
-                    pipelined_error = response.get("error", {})
-                continue
-            if got != req_id:
-                # duplicates of already-answered responses (delivered
-                # twice by a flaky server) have older ids — ignore them;
-                # an id from the *future* is a real protocol violation
-                if isinstance(got, int) and got < req_id:
-                    continue
+            if got == req_id:
+                break
+            # duplicates of already-answered responses (delivered twice
+            # by a flaky server) have older ids — ignore them; an id
+            # from the *future* is a real protocol violation
+            if not (isinstance(got, int) and got < req_id):
                 self._conn.close()
                 raise ProtocolError(
                     f"response id {got!r} does not match request {req_id}")
-            break
         if not response.get("ok"):
-            # the sync call's own failure wins: it is the actionable one
             protocol.raise_remote(response.get("error", {}))
-        if pipelined_error is not None:
-            protocol.raise_remote(pipelined_error)
         return response
 
 

@@ -1,51 +1,64 @@
-"""Wire protocol for the DAL RPC subsystem.
+"""Wire protocol (version 2) for the DAL RPC subsystem.
 
 Frames are length-prefixed JSON: a 4-byte big-endian payload length
-followed by the UTF-8 JSON payload. JSON keeps the protocol debuggable
-with ``tcpdump``/``socat`` and needs no third-party codec; the framing
-gives cheap message boundaries and request pipelining (a client may send
-many requests before reading any response — the server handles each
-connection's requests strictly in order and responds in order, so
-responses match up by ``id`` even under pipelining).
+followed by the UTF-8 JSON payload, handled strictly in order per
+connection. JSON stays debuggable with ``tcpdump``/``socat`` and needs
+no third-party codec; on this host the whole codec is ~40 µs of a 6-row
+reply while one *wait* for a reply is 100-400 µs, so the protocol is
+built to wait less, not to encode faster (docs/performance.md)::
 
-Requests and responses::
-
-    {"id": 7, "method": "tx", "params": {...}, "trace": {"id": "41"}}
+    {"id": 7, "method": "tx.read", "params": {...}, "trace": {"id": "41"}}
     {"id": 7, "ok": true,  "result": {...}, "trace": {...}}
     {"id": 7, "ok": false, "error": {"type": "DeadlockError", "message": "..."}}
+    {"method": "tx.commit", "params": {"tx": 3}}    # no id: never answered
 
-The ``trace`` fields are optional on both sides (either end may omit
-them with no protocol change — absent means unsampled). A request-side
-``trace`` envelope carries the client's ``trace_id`` and marks the
-request as sampled; the server then binds a per-request trace so engine
-spans (``commit.participant``, ``lock_wait``, ``shard_fetch``,
-``log_flush``) record under the client's operation, and the response's
-``trace`` payload ships them back — the span tree in ``to_dict`` form
-plus the server's ``perf_counter`` window (``started``/``pre_s``/
-``engine_s``/``total_s``) and identity (``pid``/``server``), which
+A transaction ships work the way the NDB API does — define locally, send
+on execute (docs/deployment.md has the page):
+
+* ``begin`` is not a request. The client numbers the transaction itself
+  (``tx``, scoped to the connection); the first frame that reaches the
+  server carries ``"begin": <hint>`` and its reply the ``coordinator``.
+* ``insert``/``update``/``write`` are buffered by the client and ride,
+  in call order, as ``"writes": [[op, table, ...], ...]`` on the
+  transaction's next reply-bearing request (a read, ``tx.delete``, the
+  commit), where the server applies them *before* that request's own
+  operation. A buffered write's ``DuplicateKeyError``/``NoSuchRowError``
+  is therefore the error of the request that carried it — at the latest
+  the commit's, never after the commit applied.
+* Commit and abort of a transaction that called no write method are
+  one-way frames; a transaction that sent nothing ends without a frame.
+* **An error reply ends the transaction**: before answering ``ok:
+  false`` to a ``tx.*`` request (and on a failing one-way frame) the
+  server has aborted the transaction and forgotten its number, and the
+  client marks its side aborted without another frame. No request can
+  leave a transaction registered but orphaned.
+
+Row sets cross as one column header plus positional value lists
+(:func:`encode_rows` / :func:`decode_rows`), misses of a batched read as
+``null``. ``bytes`` anywhere in a message travel as a tagged base64
+object through the JSON encoder/decoder hooks; tuples become lists
+(every DAL entry point accepts sequences). Also here, because both ends
+need them: :func:`encode_schema` / :func:`decode_schema` for
+``create_table``, and :class:`StatsCursor` /
+:func:`apply_stats_delta` — every transaction reply carries the
+:class:`AccessStats` diff the request produced *server-side* (scalar
+counters plus the new :class:`AccessEvent` records) and the client folds
+it into its own, so access-path verification and the performance model
+see exactly what an embedded driver would.
+
+The ``trace`` fields are optional (absent means unsampled). A
+request-side envelope carries the client's ``trace_id``; the server then
+binds a per-request trace so engine spans (``commit.participant``,
+``lock_wait``, ``shard_fetch``, ``log_flush``) record under the client's
+operation, and the reply's ``trace`` ships them back with the server's
+``perf_counter`` window and identity, which
 :func:`repro.metrics.tracing.graft_remote_call` aligns into the client
-clock and folds under the client's ``rpc.<method>`` span.
-
-Three value-level codecs live here because both ends need them:
-
-* :func:`encode_value` / :func:`decode_value` — rows, keys and hints.
-  JSON-native scalars pass through, tuples become lists (every DAL
-  entry point accepts sequences), and ``bytes`` become a tagged base64
-  object;
-* :func:`encode_schema` / :func:`decode_schema` — :class:`TableSchema`
-  for ``create_table``;
-* :func:`stats_delta` / :func:`apply_stats_delta` — incremental
-  :class:`AccessStats` shipping. Every transaction RPC response carries
-  the statistics the call produced *server-side* (scalar counter diffs
-  plus the new :class:`AccessEvent` records), and the client folds them
-  into its local stats object, so access-path verification and the
-  performance model see exactly what an embedded driver would.
+clock under the client's ``rpc.<method>`` span.
 
 Errors travel as ``{"type": <class name>, "message": str}``. The client
 re-raises the matching class from :mod:`repro.errors` (the whole
-``ReproError`` tree is registered by introspection, so a new database
-error type propagates with no protocol change); unknown types surface
-as :class:`repro.errors.RemoteCallError`.
+``ReproError`` tree is registered by introspection); unknown types
+surface as :class:`repro.errors.RemoteCallError`.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from repro import errors as _errors
 from repro.errors import ProtocolError, RemoteCallError
@@ -61,7 +74,7 @@ from repro.ndb.schema import TableSchema
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
 #: bump when the frame or message layout changes incompatibly
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: refuse frames larger than this (corrupt peer / length desync guard)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -74,9 +87,32 @@ _BYTES_TAG = "__bytes_b64__"
 # -- framing -------------------------------------------------------------------
 
 
+def _bytes_to_json(value: Any) -> dict[str, str]:
+    """``json.dumps`` hook: the only non-JSON type a message may hold."""
+    if isinstance(value, (bytes, bytearray)):
+        return {_BYTES_TAG: base64.b64encode(bytes(value)).decode("ascii")}
+    raise ProtocolError(f"cannot encode {type(value).__name__} value "
+                        f"{value!r} for the wire")
+
+
+def _bytes_from_json(obj: dict[str, Any]) -> Any:
+    """``json.loads`` hook: turn a tagged base64 object back into bytes."""
+    if len(obj) == 1 and _BYTES_TAG in obj:
+        try:
+            return base64.b64decode(obj[_BYTES_TAG], validate=True)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad base64 in frame: {exc}") from None
+    return obj
+
+
 def encode_frame(message: Mapping[str, Any]) -> bytes:
     """Serialize one message to its on-wire bytes (length prefix + JSON)."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    try:
+        payload = json.dumps(message, separators=(",", ":"),
+                             default=_bytes_to_json).encode("utf-8")
+    except (TypeError, ValueError) as exc:  # e.g. a non-string mapping key
+        raise ProtocolError(f"cannot encode message for the wire: {exc}"
+                            ) from None
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds "
                             f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
@@ -94,7 +130,8 @@ def decode_length(header: bytes) -> int:
 
 def decode_payload(payload: bytes) -> dict[str, Any]:
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(payload.decode("utf-8"),
+                             object_hook=_bytes_from_json)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
     if not isinstance(message, dict):
@@ -106,12 +143,15 @@ def decode_payload(payload: bytes) -> dict[str, Any]:
 # -- message constructors ------------------------------------------------------
 
 
-def request(req_id: int, method: str,
+def request(req_id: Optional[int], method: str,
             params: Optional[Mapping[str, Any]] = None,
             trace: Optional[Mapping[str, Any]] = None) -> dict[str, Any]:
-    message = {"id": req_id, "method": method, "params": dict(params or {})}
+    """A request; ``req_id=None`` makes it a one-way frame (no reply)."""
+    message: dict[str, Any] = {"method": method, "params": params or {}}
+    if req_id is not None:
+        message["id"] = req_id
     if trace is not None:
-        message["trace"] = dict(trace)
+        message["trace"] = trace
     return message
 
 
@@ -152,45 +192,42 @@ def raise_remote(err: Mapping[str, Any]) -> None:
     raise cls(message)
 
 
-# -- value codec ---------------------------------------------------------------
+# -- row-set codec -------------------------------------------------------------
 
 
-def encode_value(value: Any) -> Any:
-    """Recursively encode a row/key/hint value into JSON-able form."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (bytes, bytearray)):
-        return {_BYTES_TAG: base64.b64encode(bytes(value)).decode("ascii")}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(item) for item in value]
-    if isinstance(value, Mapping):
-        return {str(k): encode_value(v) for k, v in value.items()}
-    raise ProtocolError(f"cannot encode {type(value).__name__} value "
-                        f"{value!r} for the wire")
+def encode_rows(rows: Iterable[Optional[Mapping[str, Any]]]) -> dict[str, Any]:
+    """A row set as ``{"columns": [...], "rows": [[...] | null, ...]}``.
+
+    Every row of one result carries the same columns (a table's, or a
+    projection's); the first row names them once.
+    """
+    columns: Optional[tuple[str, ...]] = None
+    out: list[Optional[list[Any]]] = []
+    for row in rows:
+        if row is None:
+            out.append(None)
+            continue
+        if columns is None:
+            columns = tuple(row)
+        try:
+            values = [row[column] for column in columns]
+        except KeyError:
+            values = None
+        if values is None or len(row) != len(columns):
+            raise ProtocolError(f"row {dict(row)!r} does not have the "
+                                f"columns {columns} of its row set")
+        out.append(values)
+    return {"columns": columns or (), "rows": out}
 
 
-def decode_value(value: Any) -> Any:
-    if isinstance(value, list):
-        return [decode_value(item) for item in value]
-    if isinstance(value, dict):
-        if set(value) == {_BYTES_TAG}:
-            return base64.b64decode(value[_BYTES_TAG])
-        return {k: decode_value(v) for k, v in value.items()}
-    return value
-
-
-def encode_hint(hint: Optional[tuple[str, Mapping[str, Any]]]) -> Any:
-    if hint is None:
-        return None
-    table, values = hint
-    return [table, encode_value(dict(values))]
-
-
-def decode_hint(raw: Any) -> Optional[tuple[str, dict[str, Any]]]:
-    if raw is None:
-        return None
-    table, values = raw
-    return (table, decode_value(values))
+def decode_rows(raw: Any) -> list[Optional[dict[str, Any]]]:
+    try:
+        columns = raw["columns"]
+        return [None if values is None
+                else dict(zip(columns, values, strict=True))
+                for values in raw["rows"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed row set: {exc}") from None
 
 
 # -- schema codec --------------------------------------------------------------

@@ -1,28 +1,32 @@
 """``ndb-server``: hosts an NDB cluster and serves the DAL over a socket.
 
 One server process owns one :class:`repro.ndb.NDBCluster` (through its
-DAL driver) and exposes the full ``DALTransaction`` contract — begin,
-reads at every access path with lock modes and partition hints intact,
-buffered writes, commit/abort — plus admin/failure-injection and
-observability endpoints. The loop is thread-per-connection: each
-connection gets its own DAL session and its transactions are answered
-strictly in order, which is what makes client-side request pipelining
-safe (responses match requests by position as well as by id).
+DAL driver) and exposes the full ``DALTransaction`` contract plus
+admin/failure-injection and observability endpoints, in protocol
+version 2 (:mod:`repro.rpc.protocol`): a transaction begins on its first
+request, buffered writes arrive on the next reply-bearing request and
+are applied before that request's own operation, and frames without an
+``id`` get no reply. The loop is thread-per-connection: each connection
+gets its own DAL session and its frames are handled strictly in order.
 
 Connection death is transaction death: every transaction opened on a
 connection is aborted when the connection goes away, so a crashed or
-timed-out client never leaves row locks behind.
+timed-out client never leaves row locks behind. So is failure: a
+``tx.*`` request that fails — in a fault site, in a write it carried, in
+its own operation or in the commit — has its transaction aborted and
+forgotten before the error reply is sent.
 
 Graceful shutdown (SIGTERM / ``KeyboardInterrupt`` / the ``shutdown``
-RPC) stops accepting connections, refuses new ``begin`` requests with
-:class:`ServerShutdownError`, waits up to ``drain_timeout`` seconds for
-in-flight transactions to commit or abort, aborts whatever remains, and
-only then tears the engine down. Redo-log flushing needs no extra step:
-the group-committed log's ``append`` blocks until the record is flushed,
-so every transaction that managed to commit is already durable. On exit
-the server writes its metrics snapshot (with raw histogram samples, so
-snapshots from many processes merge exactly) and dumps its flight
-recorder when a dump directory is configured.
+RPC) stops accepting connections, refuses requests that would begin a
+transaction with :class:`ServerShutdownError`, waits up to
+``drain_timeout`` seconds for in-flight transactions to commit or abort,
+aborts whatever remains, and only then tears the engine down. Redo-log
+flushing needs no extra step: the group-committed log's ``append``
+blocks until the record is flushed, so every transaction that managed
+to commit is already durable. On exit the server writes its metrics
+snapshot (with raw histogram samples, so snapshots from many processes
+merge exactly) and dumps its flight recorder when a dump directory is
+configured.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ from repro.rpc.protocol import StatsCursor
 
 #: stdout handshake line prefix the supervisor waits for
 READY_PREFIX = "REPRO-NDB-SERVE READY"
+
+
+#: the buffered writes a request may carry (``tx.delete`` returns whether
+#: the row existed, so it is a request of its own)
+_BUFFERED_WRITES = frozenset({"insert", "update", "write"})
 
 
 def _lock_mode(name: Optional[str]) -> LockMode:
@@ -141,15 +150,12 @@ class NDBServer:
             "create_table": self._h_create_table,
             "table_size": self._h_table_size,
             "tables": self._h_tables,
-            "begin": self._h_begin,
             "tx.read": self._h_tx_read,
             "tx.read_batch": self._h_tx_read_batch,
             "tx.ppis": self._h_tx_ppis,
+            "tx.ppis_batch": self._h_tx_ppis_batch,
             "tx.index_scan": self._h_tx_index_scan,
             "tx.full_scan": self._h_tx_full_scan,
-            "tx.insert": self._h_tx_insert,
-            "tx.update": self._h_tx_update,
-            "tx.write": self._h_tx_write,
             "tx.delete": self._h_tx_delete,
             "tx.commit": self._h_tx_commit,
             "tx.abort": self._h_tx_abort,
@@ -259,7 +265,15 @@ class NDBServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
+    def _publish_engine_gauges(self) -> None:
+        """Refresh the engine's lock/group-commit gauges in the registry
+        (called wherever the registry is about to be exported)."""
+        cluster = getattr(self.driver, "cluster", None)
+        if cluster is not None:
+            cluster.publish_gauges(self.registry)
+
     def _persist_observability(self) -> None:
+        self._publish_engine_gauges()
         if self.metrics_path:
             meta = {"server": self.name, "pid": os.getpid(),
                     "engine": self.driver.engine_name, "reason": "shutdown"}
@@ -318,6 +332,8 @@ class NDBServer:
                         # response, exactly like the process dying here
                         self.registry.inc("rpc_injected_conn_drops_total")
                         break
+                    if "id" not in message:
+                        continue  # a one-way frame is never answered
                     try:
                         conn.send(response)
                         if fault_point("rpc.server.duplicate_response",
@@ -347,6 +363,8 @@ class NDBServer:
         try:
             if handler is None:
                 raise protocol.ProtocolError(f"unknown method {method!r}")
+            if not isinstance(params, Mapping):
+                raise protocol.ProtocolError("params must be an object")
             fault_point("rpc.server.request", method=method)
             if wire_trace is None:
                 return protocol.ok(req_id, handler(state, params))
@@ -361,6 +379,10 @@ class NDBServer:
             error = exc
             self.registry.inc("rpc_errors_total", method=method,
                               type=type(exc).__name__)
+            handle = params.get("tx") if isinstance(params, Mapping) else None
+            if method.startswith("tx.") and isinstance(handle, int):
+                # an error reply ends the transaction (protocol rule)
+                self._abort_tx(state, handle)
             return protocol.error(req_id, exc)
         finally:
             self.registry.inc("rpc_requests_total", method=method)
@@ -400,23 +422,70 @@ class NDBServer:
 
     # -- tx plumbing -----------------------------------------------------------
 
-    def _get_tx(self, state: _ConnState,
-                params: Mapping[str, Any]) -> tuple[Any, StatsCursor]:
+    def _tx(self, state: _ConnState,
+            params: Mapping[str, Any]) -> tuple[Any, StatsCursor]:
+        """The request's transaction, ready for the request's own operation:
+        begun if this is its first request, and with the buffered writes
+        the request carries applied, in the client's call order."""
         handle = params.get("tx")
-        with state.lock:
-            entry = state.txs.get(handle)
-        if entry is None:
-            raise TransactionAbortedError(
-                f"unknown transaction handle {handle!r} "
-                "(aborted server-side or already finished)")
+        if "begin" in params:
+            entry = self._begin(state, handle, params["begin"])
+        else:
+            with state.lock:
+                entry = state.txs.get(handle)
+            if entry is None:
+                raise TransactionAbortedError(
+                    f"unknown transaction handle {handle!r} "
+                    "(aborted server-side or already finished)")
+        tx = entry[0]
+        for op, table, *args in params.get("writes", ()):
+            if op not in _BUFFERED_WRITES:
+                raise protocol.ProtocolError(f"unknown buffered write {op!r}")
+            getattr(tx, op)(table, *args)
         return entry
 
-    def _pop_tx(self, state: _ConnState,
-                params: Mapping[str, Any]) -> tuple[Any, StatsCursor]:
-        entry = self._get_tx(state, params)
+    def _begin(self, state: _ConnState, handle: Any,
+               hint: Any) -> tuple[Any, StatsCursor]:
+        if self._draining:
+            raise ServerShutdownError(
+                f"server {self.name} is draining for shutdown")
         with state.lock:
-            state.txs.pop(params.get("tx"), None)
+            if not isinstance(handle, int) or handle in state.txs:
+                raise protocol.ProtocolError(
+                    f"cannot begin a transaction as handle {handle!r}")
+        # hfs: allow(HFS103, reason=server proxy: the remote client owns the transaction template; this session is its wire-side twin)
+        entry = (state.session.begin(tuple(hint) if hint else None),
+                 StatsCursor())
+        with state.lock:
+            state.txs[handle] = entry
+        self._open_txs.inc(1)
         return entry
+
+    def _forget_tx(self, state: _ConnState, handle: Any) -> Optional[Any]:
+        """Unregister ``handle``; the transaction it named, if any."""
+        with state.lock:
+            entry = state.txs.pop(handle, None)
+        if entry is None:
+            return None
+        self._open_txs.inc(-1)
+        return entry[0]
+
+    def _abort_tx(self, state: _ConnState, handle: Any) -> None:
+        tx = self._forget_tx(state, handle)
+        if tx is not None:
+            try:
+                tx.abort()
+            except Exception:  # noqa: BLE001 - the request's error is the news
+                pass
+
+    @staticmethod
+    def _tx_reply(params: Mapping[str, Any], entry: tuple[Any, StatsCursor],
+                  **fields: Any) -> dict[str, Any]:
+        tx, cursor = entry
+        fields["stats"] = cursor.delta(tx.stats)
+        if "begin" in params:
+            fields["coordinator"] = getattr(tx, "coordinator", -1)
+        return fields
 
     # -- handlers: control plane -----------------------------------------------
 
@@ -468,118 +537,85 @@ class NDBServer:
 
     # -- handlers: transactions ------------------------------------------------
 
-    def _h_begin(self, state: _ConnState,
-                 params: Mapping[str, Any]) -> dict[str, Any]:
-        if self._draining:
-            raise ServerShutdownError(
-                f"server {self.name} is draining for shutdown")
-        hint = protocol.decode_hint(params.get("hint"))
-        # hfs: allow(HFS103, reason=server proxy: the remote client owns the transaction template; this session is its wire-side twin)
-        tx = state.session.begin(hint)
-        handle = next(self._handles)
-        with state.lock:
-            state.txs[handle] = (tx, StatsCursor())
-        self._open_txs.inc(1)
-        return {"tx": handle, "coordinator": getattr(tx, "coordinator", -1)}
-
     def _h_tx_read(self, state: _ConnState,
                    params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        row = tx.read(params["table"], protocol.decode_value(params["key"]),
-                      lock=_lock_mode(params.get("lock")))
-        return {"row": protocol.encode_value(row),
-                "stats": cursor.delta(tx.stats)}
+        entry = self._tx(state, params)
+        row = entry[0].read(params["table"], params["key"],
+                            lock=_lock_mode(params.get("lock")))
+        return self._tx_reply(params, entry, row=row)
 
     def _h_tx_read_batch(self, state: _ConnState,
                          params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        keys = [protocol.decode_value(k) for k in params["keys"]]
+        entry = self._tx(state, params)
         locks = params.get("locks")
         # hfs: allow(HFS106, reason=server relays client-supplied keys verbatim; the ordering obligation is linted at the client call site)
-        rows = tx.read_batch(params["table"], keys,
-                             lock=_lock_mode(params.get("lock")),
-                             locks=(None if locks is None else
-                                    [_lock_mode(name) for name in locks]))
-        return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+        rows = entry[0].read_batch(
+            params["table"], params["keys"],
+            lock=_lock_mode(params.get("lock")),
+            locks=(None if locks is None else
+                   [_lock_mode(name) for name in locks]))
+        return self._tx_reply(params, entry, **protocol.encode_rows(rows))
 
     def _h_tx_ppis(self, state: _ConnState,
                    params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        rows = tx.ppis(params["table"],
-                       protocol.decode_value(params["partition_values"]),
-                       predicate=None,  # predicates filter client-side
-                       lock=_lock_mode(params.get("lock")),
-                       columns=params.get("columns"))
-        return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+        entry = self._tx(state, params)
+        rows = entry[0].ppis(params["table"], params["partition_values"],
+                             predicate=None,  # predicates filter client-side
+                             lock=_lock_mode(params.get("lock")),
+                             columns=params.get("columns"))
+        return self._tx_reply(params, entry, **protocol.encode_rows(rows))
+
+    def _h_tx_ppis_batch(self, state: _ConnState,
+                         params: Mapping[str, Any]) -> dict[str, Any]:
+        entry = self._tx(state, params)
+        results = entry[0].ppis_batch(
+            [(table, values) for table, values in params["scans"]])
+        return self._tx_reply(
+            params, entry,
+            scans=[protocol.encode_rows(rows) for rows in results])
 
     def _h_tx_index_scan(self, state: _ConnState,
                          params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        rows = tx.index_scan(params["table"], params["index"],
-                             protocol.decode_value(params["values"]),
-                             predicate=None,
-                             lock=_lock_mode(params.get("lock")))
-        return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
+        entry = self._tx(state, params)
+        rows = entry[0].index_scan(params["table"], params["index"],
+                                   params["values"], predicate=None,
+                                   lock=_lock_mode(params.get("lock")))
+        return self._tx_reply(params, entry, **protocol.encode_rows(rows))
 
     def _h_tx_full_scan(self, state: _ConnState,
                         params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        rows = tx.full_scan(params["table"], predicate=None)
-        return {"rows": [protocol.encode_value(r) for r in rows],
-                "stats": cursor.delta(tx.stats)}
-
-    def _h_tx_insert(self, state: _ConnState,
-                     params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        tx.insert(params["table"], protocol.decode_value(params["row"]))
-        return {"stats": cursor.delta(tx.stats)}
-
-    def _h_tx_update(self, state: _ConnState,
-                     params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        tx.update(params["table"], protocol.decode_value(params["key"]),
-                  protocol.decode_value(params["changes"]))
-        return {"stats": cursor.delta(tx.stats)}
-
-    def _h_tx_write(self, state: _ConnState,
-                    params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        tx.write(params["table"], protocol.decode_value(params["row"]))
-        return {"stats": cursor.delta(tx.stats)}
+        entry = self._tx(state, params)
+        rows = entry[0].full_scan(params["table"], predicate=None)
+        return self._tx_reply(params, entry, **protocol.encode_rows(rows))
 
     def _h_tx_delete(self, state: _ConnState,
                      params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._get_tx(state, params)
-        existed = tx.delete(params["table"],
-                            protocol.decode_value(params["key"]),
-                            must_exist=params.get("must_exist", True))
-        return {"existed": existed, "stats": cursor.delta(tx.stats)}
+        entry = self._tx(state, params)
+        existed = entry[0].delete(params["table"], params["key"],
+                                  must_exist=params.get("must_exist", True))
+        return self._tx_reply(params, entry, existed=existed)
 
     def _h_tx_commit(self, state: _ConnState,
                      params: Mapping[str, Any]) -> dict[str, Any]:
-        # "crash before the commit applied": fires while the tx is still
-        # registered in state.txs, so the conn teardown's abort_all
-        # releases its row locks (the client's CommitAmbiguousError
-        # resolves to: aborted)
+        # "crash before the commit applied": the transaction is still
+        # registered (or not yet begun), so an injected error aborts it
+        # through the error-reply rule and an injected connection drop
+        # through the conn teardown's abort_all — its row locks go either
+        # way (the client's CommitAmbiguousError resolves to: aborted)
         fault_point("rpc.server.commit.before", tx=params.get("tx"))
-        tx, cursor = self._pop_tx(state, params)
-        self._open_txs.inc(-1)
-        tx.commit()
+        entry = self._tx(state, params)
+        self._forget_tx(state, params.get("tx"))
+        entry[0].commit()
         # "crash after the commit applied": the client sees the same
         # connection loss, but the commit is durable (resolves to:
         # committed) — the two sides of the ambiguity, by construction
         fault_point("rpc.server.commit.after", tx=params.get("tx"))
-        return {"stats": cursor.delta(tx.stats)}
+        return self._tx_reply(params, entry)
 
     def _h_tx_abort(self, state: _ConnState,
                     params: Mapping[str, Any]) -> dict[str, Any]:
-        tx, cursor = self._pop_tx(state, params)
-        self._open_txs.inc(-1)
-        tx.abort()
-        return {"stats": cursor.delta(tx.stats)}
+        self._abort_tx(state, params.get("tx"))
+        return {}
 
     # -- handlers: observability -----------------------------------------------
 
@@ -587,6 +623,7 @@ class NDBServer:
                    params: Mapping[str, Any]) -> dict[str, Any]:
         meta = {"server": self.name, "pid": os.getpid(),
                 "engine": self.driver.engine_name}
+        self._publish_engine_gauges()
         data = export.snapshot(
             self.registry, meta=meta,
             include_samples=params.get("include_samples", True))
@@ -691,7 +728,7 @@ class NDBServer:
                     continue
                 rows = sorted(node.fragment(table, pid).scan(),
                               key=schema.pk_of)
-                replicas.append([protocol.encode_value(r) for r in rows])
+                replicas.append(protocol.encode_rows(rows))
             out[str(pid)] = replicas
         return out
 
@@ -724,6 +761,8 @@ class _MetricsHTTP:
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 parsed = urlparse(self.path)
+                if parsed.path in ("/", "/metrics", "/metrics.json"):
+                    ndb._publish_engine_gauges()
                 if parsed.path in ("/", "/metrics"):
                     body = export.prometheus_text(ndb.registry)
                     ctype = "text/plain; version=0.0.4"

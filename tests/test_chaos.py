@@ -454,6 +454,7 @@ def test_server_side_delay_fault(server):
 def test_drain_aborted_transactions_are_counted(tmp_path):
     """SIGTERM with a transaction still open: the drain aborts it and
     the shutdown metrics snapshot records rpc_drain_aborted_total."""
+    from repro.ndb import LockMode
     from repro.rpc import Supervisor
 
     metrics_path = tmp_path / "drain.metrics.json"
@@ -464,6 +465,9 @@ def test_drain_aborted_transactions_are_counted(tmp_path):
         drv.create_table(_kv_schema())
         session = drv.session()
         tx = session.begin()
+        # a locked read: the server learns of a transaction with its
+        # first request (a buffered insert alone never leaves the client)
+        tx.read("kv", (1,), lock=LockMode.EXCLUSIVE)
         tx.insert("kv", {"k": 1, "v": 1})  # open, uncommitted
         assert handle.stop() == 0
         drv.close()

@@ -21,6 +21,13 @@ SCHEMA = TableSchema(
     indexes={"by_value": ("value",)},
 )
 
+TAGS = TableSchema(
+    name="tags",
+    columns=("pid", "tag"),
+    primary_key=("pid", "tag"),
+    partition_key=("pid",),
+)
+
 CONFIG = NDBConfig(num_datanodes=2, replication=2, lock_timeout=0.4)
 
 
@@ -29,15 +36,18 @@ def driver(request):
     if request.param == "ndb":
         drv = NDBDriver(config=CONFIG)
         drv.create_table(SCHEMA)
+        drv.create_table(TAGS)
         yield drv
     elif request.param == "memory":
         drv = MemoryDriver()
         drv.create_table(SCHEMA)
+        drv.create_table(TAGS)
         yield drv
     else:
         with NDBServer(config=CONFIG) as server:
             drv = RemoteDriver(server.host, server.port, timeout=10.0)
             drv.create_table(SCHEMA)
+            drv.create_table(TAGS)
             try:
                 yield drv
             finally:
@@ -106,6 +116,74 @@ def test_ppis_rejects_non_partition_key_columns(driver):
     rows = session.run(lambda tx: tx.ppis(
         "items", {"pid": 1}, predicate=lambda r: r["value"] == 7))
     assert [r["name"] for r in rows] == ["a"]
+
+
+def _fill_items_and_tags(session):
+    def fill(tx):
+        for pid in (1, 2, 3):
+            for i in range(pid):  # pid 1 has one item, pid 3 three
+                tx.insert("items", {"pid": pid, "name": f"n{i}", "value": i})
+            tx.insert("tags", {"pid": pid, "tag": "t"})
+
+    session.run(fill)
+
+
+def test_ppis_batch_is_the_single_scans_in_one_round_trip(driver):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    scans = [("items", {"pid": 3}), ("tags", {"pid": 1}),
+             ("items", {"pid": 9}), ("items", {"pid": 1}),
+             ("tags", {"pid": 3}), ("items", {"pid": 3})]
+
+    singles = session.run(
+        lambda tx: [tx.ppis(table, values) for table, values in scans])
+    session.reset_stats()
+    batched = session.run(lambda tx: tx.ppis_batch(scans))
+    # results in request order, mixed tables, repeats and misses included
+    assert batched == singles
+    assert [len(rows) for rows in batched] == [3, 1, 0, 1, 1, 3]
+    assert batched[1] == [{"pid": 1, "tag": "t"}]
+    # one round trip and one access event for the whole batch, with the
+    # rows of every scan counted
+    assert session.stats.round_trips == 1
+    assert session.stats.count(AccessKind.PPIS) == 1
+    assert session.stats.rows_read == 9
+    [event] = session.stats.events
+    assert event.table == "items+tags" and not event.locked
+
+
+def test_ppis_batch_empty_batch_costs_nothing(driver):
+    session = driver.session()
+    assert session.run(lambda tx: tx.ppis_batch([])) == []
+    assert session.stats.round_trips == 0 and not session.stats.events
+
+
+def test_ppis_batch_rejects_non_partition_key_columns(driver):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    for bad in ({"pid": 1, "value": 0}, {"name": "n0"}, {}):
+        with pytest.raises(SchemaError):
+            session.run(lambda tx, bad=bad: tx.ppis_batch(
+                [("tags", {"pid": 1}), ("items", bad)]))
+
+
+def test_ppis_batch_reads_the_transactions_own_writes(driver):
+    session = driver.session()
+    _fill_items_and_tags(session)
+
+    def fn(tx):
+        tx.insert("items", {"pid": 1, "name": "new", "value": 5})
+        tx.delete("items", (3, "n1"))
+        tx.update("items", (3, "n2"), {"value": 20})
+        tx.write("tags", {"pid": 2, "tag": "u"})
+        return tx.ppis_batch([("items", {"pid": 1}), ("items", {"pid": 3}),
+                              ("tags", {"pid": 2})])
+
+    ones, threes, tags = session.run(fn)
+    assert sorted(r["name"] for r in ones) == ["n0", "new"]
+    assert sorted((r["name"], r["value"]) for r in threes) == [
+        ("n0", 0), ("n2", 20)]
+    assert sorted(r["tag"] for r in tags) == ["t", "u"]
 
 
 def test_batch_read_order_preserved(driver):

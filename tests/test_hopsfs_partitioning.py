@@ -114,7 +114,12 @@ class TestAccessPathDiscipline:
         stats = op_stats(
             nn, lambda: nn.get_block_locations("/proj/data/part-0001"))
         assert not stats.uses_expensive_scans
-        assert stats.count(AccessKind.PPIS) == 2  # blocks + replicas
+        # blocks + replicas ride one batched scan: one round trip, one
+        # event, and both tables sit on the file's own shard
+        [scan] = [e for e in stats.events if e.kind is AccessKind.PPIS]
+        assert scan.table == "blocks+replicas"
+        assert len(scan.partitions) == 2 and len(set(scan.partitions)) == 1
+        assert not scan.locked
 
     def test_deep_ls_is_partition_pruned(self, warm):
         fs, client, nn = warm

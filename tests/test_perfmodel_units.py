@@ -74,6 +74,44 @@ class TestOpProfile:
         assert scan.all_shards and not pk.all_shards
 
 
+class TestBatchedScanPricing:
+    """A PPIS event that names several shards (a ``ppis_batch``) is one
+    round trip fanned out over its nodes in parallel, exactly as a
+    BATCH_PK event is — not one trip per scan and not one node's work."""
+
+    @staticmethod
+    def _event(kind, nodes, partitions, rows=8):
+        from repro.ndb.stats import AccessEvent
+
+        return AccessEvent(kind=kind, table="blocks+replicas",
+                           partitions=partitions, nodes=nodes,
+                           coordinator=nodes[0], rows=rows)
+
+    def test_multi_shard_ppis_is_priced_like_a_batched_read(self):
+        from repro.ndb.stats import AccessKind
+        from repro.perfmodel.analytic import SaturationModel
+        from repro.perfmodel.profiles import _events_to_trips
+
+        batched_scan, batched_read, one_shard = _events_to_trips([
+            self._event(AccessKind.PPIS, (0, 1, 2), (0, 2, 4, 4)),
+            self._event(AccessKind.BATCH_PK, (0, 1, 2), (0, 2, 4, 4)),
+            self._event(AccessKind.PPIS, (0,), (0, 0))])
+        assert batched_scan.fanout == batched_read.fanout == 3
+        assert not batched_scan.local and not batched_scan.all_shards
+        assert one_shard.fanout == 1 and one_shard.local
+        model = SaturationModel()
+        latency = {name: model.op_latency(OpProfile(name=name, trips=(trip,)))
+                   for name, trip in (("scan", batched_scan),
+                                      ("read", batched_read),
+                                      ("single", one_shard))}
+        assert latency["scan"] == pytest.approx(latency["read"])
+        # same rows, three nodes working in parallel: less than one
+        # node doing all of it even after paying the inter-node hop
+        row_work = 8 * model.cost.db_row_cost + model.cost.db_trip_overhead
+        assert latency["single"] - latency["scan"] == pytest.approx(
+            row_work * (1 - 1 / 3) - model.cost.db_internode_hop)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         from repro.perfmodel.hdfs_model import simulate_hdfs

@@ -143,12 +143,19 @@ _scan_steps = st.lists(
         st.tuples(st.just("scan"), _P, st.sampled_from(sorted(_PREDICATES)),
                   st.sampled_from(list(LockMode)),
                   st.sampled_from([None, ("k",), ("v", "p")])),
+        st.tuples(st.just("write_u"), _P, _K, _V),
+        st.tuples(st.just("batch"), st.lists(
+            st.tuples(st.sampled_from(["pt", "pu"]), _P), max_size=5)),
         st.tuples(st.sampled_from(["commit", "commit", "commit", "abort",
                                    "epoch", "lcp", "crash"])),
         st.tuples(st.sampled_from(["kill", "restart"]),
                   st.integers(min_value=0, max_value=1)),
     ),
     min_size=1, max_size=50)
+
+#: a second table for the batched scans to mix in
+_PU = TableSchema(name="pu", columns=("p", "k", "v"), primary_key=("p", "k"),
+                  partition_key=("p",))
 
 
 def _check_ppis(cluster, tx, p, predicate, lock, columns):
@@ -171,22 +178,42 @@ def _check_ppis(cluster, tx, p, predicate, lock, columns):
     assert tx.ppis("pt", {"p": p}, predicate, lock, columns) == expected
 
 
+def _check_ppis_batch(tx, scans):
+    """``ppis_batch`` == the single scans, in order, for one round trip
+    (none when the batch is empty) and the same rows counted."""
+    scans = [(table, {"p": p}) for table, p in scans]
+    trips, rows = tx.stats.round_trips, tx.stats.rows_read
+    expected = [tx.ppis(table, values) for table, values in scans]
+    single_rows = tx.stats.rows_read - rows
+    assert tx.stats.round_trips - trips == len(scans)
+    trips, rows = tx.stats.round_trips, tx.stats.rows_read
+    assert tx.ppis_batch(scans) == expected
+    assert tx.stats.round_trips - trips == (1 if scans else 0)
+    assert tx.stats.rows_read - rows == single_rows
+
+
 @FAST
 @pytest.mark.lock_witness_exempt  # one thread; locks rows in workload order
 @given(_scan_steps)
 def test_ppis_equals_brute_force_scan(steps):
     """Through commits, aborts, buffered writes, node kill/restart and
     crash recovery the partition-key index answers exactly what a filter
-    over every row answers, and every replica's indexes match its rows."""
+    over every row answers, a batch of scans answers exactly what the
+    single scans answer, and every replica's indexes match its rows."""
     cluster = NDBCluster(NDBConfig(num_datanodes=2, replication=2,
                                    lock_timeout=0.5))
     cluster.create_table(_PT)
+    cluster.create_table(_PU)
     tx = cluster.begin()
     for step in steps:
         if tx.state.value != "active":  # ended, or aborted by a failure
             tx = cluster.begin()
         op = step[0]
-        if op in ("insert", "write", "update"):
+        if op == "write_u":
+            tx.write("pu", dict(zip(("p", "k", "v"), step[1:], strict=True)))
+        elif op == "batch":
+            _check_ppis_batch(tx, step[1])
+        elif op in ("insert", "write", "update"):
             _, p, k, v = step
             try:
                 if op == "update":
@@ -223,6 +250,76 @@ def test_ppis_equals_brute_force_scan(steps):
     for node in cluster.datanodes:
         for frag in node.fragments.values():
             assert_indexes_match_rows(frag)
+
+
+_driver_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.sampled_from(["pt", "pu"]), _P, _K, _V),
+        st.tuples(st.just("delete"), st.sampled_from(["pt", "pu"]), _P, _K),
+        st.tuples(st.just("batch"), st.lists(
+            st.tuples(st.sampled_from(["pt", "pu"]), _P), max_size=5)),
+        st.tuples(st.sampled_from(["commit", "commit", "abort"])),
+    ),
+    min_size=1, max_size=30)
+
+
+@pytest.fixture(scope="module")
+def _three_drivers():
+    from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
+    from repro.rpc import NDBServer
+
+    config = NDBConfig(num_datanodes=2, replication=2, lock_timeout=0.5)
+    with NDBServer(config=config) as server:
+        remote = RemoteDriver(server.host, server.port, timeout=10.0)
+        try:
+            yield {"ndb": NDBDriver(config=config), "memory": MemoryDriver(),
+                   "remote": remote}
+        finally:
+            remote.close()
+
+
+_example_ids = iter(range(1 << 30))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@pytest.mark.lock_witness_exempt  # one thread; locks rows in workload order
+@given(_driver_steps)
+def test_ppis_batch_agrees_across_drivers(_three_drivers, steps):
+    """The same writes, commits, aborts and batched scans against the
+    ndb, memory and remote drivers: every batch returns the same rows
+    and costs the same round trips and rows read on all three."""
+    suffix = f"_{next(_example_ids)}"  # tables cannot be dropped
+    observed = {}
+    for name, driver in _three_drivers.items():
+        for schema in (_PT, _PU):
+            driver.create_table(TableSchema(
+                name=schema.name + suffix, columns=schema.columns,
+                primary_key=schema.primary_key,
+                partition_key=schema.partition_key))
+        session = driver.session()
+        seen = observed[name] = []
+        tx = session.begin()
+        for step in steps:
+            op = step[0]
+            if op == "write":
+                tx.write(step[1] + suffix,
+                         dict(zip(("p", "k", "v"), step[2:], strict=True)))
+            elif op == "delete":
+                tx.delete(step[1] + suffix, step[2:], must_exist=False)
+            elif op == "batch":
+                trips, rows = tx.stats.round_trips, tx.stats.rows_read
+                batch = tx.ppis_batch([(table + suffix, {"p": p})
+                                       for table, p in step[1]])
+                seen.append(([sorted(map(_PT.pk_of, found)) for found in batch],
+                             tx.stats.round_trips - trips,
+                             tx.stats.rows_read - rows))
+            else:
+                getattr(tx, op)()
+                tx = session.begin()
+        tx.abort()
+    assert observed["ndb"] == observed["memory"] == observed["remote"]
 
 
 # ---------------------------------------------------------------------------

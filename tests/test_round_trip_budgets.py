@@ -22,6 +22,9 @@ analyzer bug that undercounts fails the runtime pin. If a change
 legitimately alters a budget, update ``OP_BUDGETS`` *in the same PR*
 and say why in the commit.
 
+The *wire budget* at the bottom is the same ledger one layer down: over
+an ndb-server, how many requests a warm operation *waits for*.
+
 The cold cell pins the one fallback the resolver has (hint-cache miss →
 recursive PK reads, then a single batched lock re-read); its count lives
 here, not in the table — the analyzer only models the warm path.
@@ -163,6 +166,27 @@ class TestSubtreeBudgets:
         assert used == expected
 
 
+    def test_a_delete_batch_is_four_round_trips_whatever_its_size(self):
+        """Lock batch, scan batch, flush, commit: the per-node scans of
+        a batch ride one ``ppis_batch`` (zero-block files: no per-replica
+        invalidation reads either)."""
+        assert (_budget("subtree_delete_batch", node=1, block=0, replica=0)
+                == _budget("subtree_delete_batch", node=64, block=0,
+                           replica=0) == 4)
+        fs = make_hopsfs(num_namenodes=1)  # subtree_batch_size=8
+        nn = fs.namenodes[0]
+        used = []
+        for size in (2, 8):
+            nn.mkdirs("/t")
+            for i in range(size):
+                nn.create(f"/t/f{i}", client="c")
+            counter = nn.metrics.counter("db_round_trips_total")
+            before = counter.value
+            assert nn.delete_subtree("/t")
+            used.append(int(counter.value - before))
+        assert used[0] == used[1]
+
+
 class TestBlockReportBudgets:
     """Pin block-report reconciliation (§7.7) to the shared table.
 
@@ -231,3 +255,98 @@ def test_budget_counts_from_open_not_from_zero():
     budget = stats.budget(1)
     stats.round_trips += 1
     assert budget.used == 1 and not budget.exceeded
+
+
+class TestWireBudget:
+    """Requests a warm operation *waits for* over an ndb-server, pinned
+    with zero tolerance under one rule (protocol v2: define locally,
+    ship on execute):
+
+    * a read-only op waits exactly ``AccessStats.round_trips`` times —
+      once per database round trip, nothing for ``begin`` or the commit;
+    * a writing op waits (its read round trips) + (its ``tx.delete``
+      calls, which return whether the row existed) + 1 for the commit,
+      which carries every buffered write.
+    """
+
+    #: op -> waits; the literal table of docs/performance.md
+    PINNED = {"stat": 1, "read": 2, "ls": 2, "create": 4, "mkdirs": 4,
+              "set_permission": 2, "rename": 8, "delete": 7}
+
+    @pytest.fixture
+    def remote_nn(self):
+        from repro.dal import RemoteDriver
+        from repro.hopsfs import HopsFSCluster, HopsFSConfig
+        from repro.ndb import NDBConfig
+        from repro.rpc import NDBServer
+        from repro.util.clock import ManualClock
+
+        with NDBServer(config=NDBConfig(num_datanodes=4, replication=2,
+                                        lock_timeout=1.0)) as server:
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
+            try:
+                fs = HopsFSCluster(
+                    num_namenodes=1, num_datanodes=3, driver=driver,
+                    config=HopsFSConfig(clock=ManualClock()))
+                yield fs.namenodes[0]
+            finally:
+                driver.close()
+
+    def test_warm_ops_wait_once_per_read_per_delete_and_per_commit(
+            self, remote_nn, monkeypatch):
+        from repro.dal.remote_driver import RemoteTransaction
+        from repro.rpc import ClientConn
+
+        nn = remote_nn
+        nn.mkdirs("/a/b")
+        for i in range(4):
+            nn.create(f"/a/b/f{i}", client="c")
+        nn.get_file_info("/a/b/f0")
+        nn.rename("/a/b/f3", "/a/b/g3")
+        nn.delete("/a/b/g3")  # every op (+ id leases, hints) warm
+
+        seen = {"waits": 0, "one_way": 0, "deletes": 0}
+
+        def counting(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(ClientConn, "_await", "waits")
+        counting(ClientConn, "notify", "one_way")
+        counting(RemoteTransaction, "delete", "deletes")
+
+        ops = {
+            "stat": lambda: nn.get_file_info("/a/b/f0"),
+            "read": lambda: nn.get_block_locations("/a/b/f0"),
+            "ls": lambda: nn.list_status("/a/b"),
+            "create": lambda: nn.create("/a/b/new", client="c"),
+            "mkdirs": lambda: nn.mkdirs("/a/b/dir"),
+            "set_permission": lambda: nn.set_permission("/a/b/f1", 0o600),
+            "rename": lambda: nn.rename("/a/b/f1", "/a/b/g1"),
+            "delete": lambda: nn.delete("/a/b/f2"),
+        }
+        measured = {}
+        for name, op in ops.items():
+            seen.update(waits=0, one_way=0, deletes=0)
+            stats, nn.stats = nn.stats, AccessStats()
+            try:
+                op()
+                round_trips = nn.stats.round_trips
+                wrote = nn.stats.count(AccessKind.COMMIT) > 0
+            finally:
+                nn.stats = stats
+            if wrote:
+                # flush + commit are database round trips of one request
+                rule = (round_trips - 2) + seen["deletes"] + 1
+                assert seen["one_way"] == 0, name
+            else:
+                rule = round_trips
+                assert seen["one_way"] == 1, name  # the commit frame
+            assert seen["waits"] == rule, name
+            measured[name] = seen["waits"]
+        assert measured == self.PINNED

@@ -17,6 +17,7 @@ from repro.errors import (
     CommitAmbiguousError,
     ConnectionClosedError,
     DuplicateKeyError,
+    NoSuchRowError,
     ProtocolError,
     RemoteCallError,
     RequestTimeoutError,
@@ -50,11 +51,58 @@ def test_frame_length_limit():
         protocol.decode_length(huge)
 
 
+def _over_the_wire(message):
+    return protocol.decode_payload(protocol.encode_frame(message)[4:])
+
+
 def test_value_codec_bytes_and_tuples():
-    value = {"pk": (1, "a"), "blob": b"\x00\xffbinary"}
-    decoded = protocol.decode_value(protocol.encode_value(value))
-    assert decoded["blob"] == b"\x00\xffbinary"
-    assert decoded["pk"] == [1, "a"]  # tuples travel as lists
+    rows = [{"k": 1, "blob": b"\x00\xffbinary", "pk": (1, "a")}, None,
+            {"k": 2, "blob": b"", "pk": (2, "b")}]
+    message = _over_the_wire({
+        "id": 1, "params": {"key": (1, "a"), "hint": ("t", {"k": b"\x01"})},
+        "result": protocol.encode_rows(rows)})
+    assert message["params"]["key"] == [1, "a"]  # tuples travel as lists
+    assert message["params"]["hint"] == ["t", {"k": b"\x01"}]
+    assert message["result"]["columns"] == ["k", "blob", "pk"]  # named once
+    assert protocol.decode_rows(message["result"]) == [
+        {"k": 1, "blob": b"\x00\xffbinary", "pk": [1, "a"]}, None,
+        {"k": 2, "blob": b"", "pk": [2, "b"]}]
+    # a projection is just a narrower header; an empty set has none
+    projected = _over_the_wire(protocol.encode_rows([{"k": 7}, {"k": 8}]))
+    assert protocol.decode_rows(projected) == [{"k": 7}, {"k": 8}]
+    assert protocol.decode_rows(
+        _over_the_wire(protocol.encode_rows([]))) == []
+
+
+def test_codec_rejects_hostile_input():
+    # a row that does not have its row set's columns, on either side: a
+    # silent zip() truncation would hand the caller a wrong row
+    with pytest.raises(ProtocolError, match="columns"):
+        protocol.encode_rows([{"k": 1, "v": 2}, {"k": 1}])
+    with pytest.raises(ProtocolError, match="columns"):
+        protocol.encode_rows([{"k": 1, "v": 2}, {"k": 1, "w": 2}])
+    for rows in ([[1]], [[1, 2, 3]]):
+        with pytest.raises(ProtocolError, match="row set"):
+            protocol.decode_rows({"columns": ["k", "v"], "rows": rows})
+    for garbage in (None, [], {"rows": []}, {"columns": ["k"], "rows": 5}):
+        with pytest.raises(ProtocolError):
+            protocol.decode_rows(garbage)
+    with pytest.raises(ProtocolError, match="expected an object"):
+        protocol.decode_payload(b"[1, 2]")
+    with pytest.raises(ProtocolError, match="undecodable"):
+        protocol.decode_payload(b"\xff{")
+    with pytest.raises(ProtocolError, match="base64"):
+        protocol.decode_payload(b'{"x": {"__bytes_b64__": "@@@"}}')
+    with pytest.raises(ProtocolError, match="cannot encode"):
+        protocol.encode_frame({"value": object()})
+    with pytest.raises(ProtocolError, match="cannot encode"):
+        protocol.encode_frame({"row": {(1, 2): "tuple key"}})
+
+
+def test_oversized_frame_is_refused_before_it_is_sent(monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+    with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
+        protocol.encode_frame({"blob": "x" * 64})
 
 
 def test_typed_error_roundtrip():
@@ -154,42 +202,259 @@ def test_read_your_own_writes_and_locks(driver):
     assert session.stats.rows_locked >= 1
 
 
-def test_pipelined_write_error_surfaces_before_commit(server):
-    drv = RemoteDriver(server.host, server.port, timeout=5.0,
-                       pipeline_writes=True)
-    drv.create_table(KV)
+# -- protocol v2: define locally, ship on execute ------------------------------
+
+
+def _requests(server):
+    """method -> frames the server has dispatched (one-way ones included)."""
+    return {dict(c.labels)["method"]: int(c.value)
+            for c in server.registry.counters()
+            if c.name == "rpc_requests_total"}
+
+
+def _open_txs(server):
+    return server.registry.get_gauge("rpc_open_txs")
+
+
+def _wait_until(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+def test_version_1_hello_is_refused(server):
+    conn = ClientConn(dial(server.host, server.port, timeout=5.0))
     try:
-        _fill(drv, n=2)
-        session = drv.session()
-
-        def dup(tx):
-            tx.insert("kv", {"k": 0, "v": 99})  # pipelined; k=0 exists
-
-        with pytest.raises(DuplicateKeyError):
-            session.run(dup)
-        # the duplicate never committed
-        assert session.run(lambda tx: tx.read("kv", (0,))["v"]) == 0
+        with pytest.raises(ProtocolError, match="protocol"):
+            conn.call("hello", {"protocol": 1})
     finally:
-        drv.close()
+        conn.close()
 
 
-def test_pipelined_stats_deltas_are_folded(server):
-    drv = RemoteDriver(server.host, server.port, timeout=5.0,
-                       pipeline_writes=True)
-    drv.create_table(KV)
+def test_retired_knob_and_begin_rpc_are_gone(server, driver):
+    with pytest.raises(TypeError):
+        RemoteDriver(server.host, server.port, pipeline_writes=True)
+    with pytest.raises(ProtocolError, match="unknown method"):
+        driver._call("begin", {"hint": None})
+
+
+def test_begin_is_local_and_an_unused_transaction_costs_nothing(server,
+                                                                driver):
+    before = _requests(server)
+    session = driver.session()
+    tx = session.begin()
+    assert tx.coordinator == -1  # not known before the first reply
+    tx.commit()
+    tx = session.begin()
+    tx.insert("kv", {"k": 1, "v": 1})  # buffered, never shipped
+    tx.abort()
+    assert _requests(server) == before
+    assert driver.table_size("kv") == 0
+
+
+def test_blind_write_transaction_is_one_request(server, driver):
+    before = _requests(server)
+    session = _fill(driver, n=6)
+    after = _requests(server)
+    assert after.pop("tx.commit") - before.get("tx.commit", 0) == 1
+    assert after == {m: n for m, n in before.items() if m != "tx.commit"}
+    # the stats delta of the commit reply covers the carried writes
+    assert session.stats.rows_locked >= 6
+    assert session.stats.rows_written == 6
+    assert session.stats.count(AccessKind.COMMIT) == 1
+    assert driver.table_size("kv") == 6
+
+
+def test_first_reply_carries_the_coordinator(driver):
+    _fill(driver)
+    tx = driver.session().begin(("kv", {"k": 3}))
+    assert tx.read("kv", (3,))["v"] == 30
+    assert tx.coordinator >= 0
+    tx.commit()
+
+
+@pytest.mark.parametrize("carrier", ["read", "delete", "commit"])
+def test_deferred_write_error_surfaces_on_the_carrying_request(
+        server, driver, carrier):
+    _fill(driver, n=2)
+    tx = driver.session().begin()
+    tx.read("kv", (0,), lock=LockMode.EXCLUSIVE)  # now the server knows it
+    assert _open_txs(server) == 1
+    tx.insert("kv", {"k": 0, "v": 99})  # k=0 exists: returns all the same
+    tx.update("kv", (1,), {"v": 11})
+    tx.write("kv", {"k": 5, "v": 5})
+    with pytest.raises(DuplicateKeyError):
+        if carrier == "read":
+            tx.read("kv", (1,))
+        elif carrier == "delete":
+            tx.delete("kv", (1,))
+        else:
+            tx.commit()
+    # the error reply ended the transaction on both sides: no frame is
+    # needed to abort it, its locks are free, nothing was applied
+    assert tx.state.name == "ABORTED"
+    assert _open_txs(server) == 0
+    assert server.driver.cluster._locks.lock_table_size() == 0
+    before = _requests(server)
+    tx.abort()
+    assert _requests(server) == before
+    with pytest.raises(TransactionAbortedError):
+        tx.read("kv", (1,))
+    session = driver.session()
+    assert session.run(lambda t: t.read_batch("kv", [(0,), (1,), (5,)])) \
+        == [{"k": 0, "v": 0}, {"k": 1, "v": 10}, None]
+
+
+def test_deferred_write_error_fails_the_commit_not_after_it(driver):
+    _fill(driver, n=2)
+    session = driver.session()
+
+    def dup(tx):
+        tx.insert("kv", {"k": 0, "v": 99})  # buffered; k=0 exists
+
+    with pytest.raises(DuplicateKeyError):
+        session.run(dup)
+    # the duplicate never committed
+    assert session.run(lambda tx: tx.read("kv", (0,))["v"]) == 0
+
+    def missing(tx):
+        tx.write("kv", {"k": 7, "v": 7})
+        tx.update("kv", (9,), {"v": 0})  # no such row
+
+    with pytest.raises(NoSuchRowError):
+        session.run(missing)
+    assert driver.table_size("kv") == 2  # k=7 did not slip through
+
+
+def test_buffered_writes_are_applied_before_the_carrying_read(
+        server, driver, monkeypatch):
+    """Lock order is call order: the X locks of the writes a read
+    carries are taken before the read's own lock."""
+    _fill(driver, n=4)
+    locks = server.driver.cluster._locks
+    acquired = []
+    real = locks.acquire
+    monkeypatch.setattr(
+        locks, "acquire",
+        lambda owner, key, mode, **kw: (acquired.append((key, mode)),
+                                        real(owner, key, mode, **kw))[1])
+    tx = driver.session().begin()
+    tx.update("kv", (1,), {"v": 11})
+    tx.write("kv", {"k": 2, "v": 21})
+    assert not acquired  # nothing has been shipped yet
+    assert tx.read("kv", (2,), lock=LockMode.SHARED)["v"] == 21  # own write
+    tx.insert("kv", {"k": 8, "v": 8})
+    assert tx.read("kv", (9,), lock=LockMode.SHARED) is None
+    assert acquired == [
+        (("kv", (1,)), LockMode.EXCLUSIVE), (("kv", (2,)), LockMode.EXCLUSIVE),
+        (("kv", (2,)), LockMode.SHARED),
+        (("kv", (8,)), LockMode.EXCLUSIVE), (("kv", (9,)), LockMode.SHARED)]
+    tx.abort()
+    assert _open_txs(server) == 0
+
+
+def test_read_only_commit_and_abort_are_one_way_frames(server, driver,
+                                                       monkeypatch):
+    _fill(driver)
+    session = driver.session()
+    waits = []
+    real = ClientConn._await
+    monkeypatch.setattr(
+        ClientConn, "_await",
+        lambda conn, req_id: (waits.append(req_id), real(conn, req_id))[1])
+    tx = session.begin()
+    tx.read("kv", (3,), lock=LockMode.SHARED)
+    tx.commit()  # returns without waiting
+    tx = session.begin()
+    tx.read("kv", (3,), lock=LockMode.EXCLUSIVE)
+    tx.abort()
+    assert len(waits) == 2  # the two reads; nobody waited for the ends
+    # ...yet the frames arrived: the server forgot both transactions and
+    # another connection X-locks the row well inside the lock timeout
+    other = RemoteDriver(server.host, server.port, timeout=5.0)
     try:
+        row = other.session().run(
+            lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))
+        assert row["v"] == 30
+    finally:
+        other.close()
+    assert _wait_until(lambda: _open_txs(server) == 0)
+    assert not driver._pool[-1].closed  # and the connection is pooled again
+
+
+def test_writing_transaction_never_ends_with_a_one_way_frame(server, driver,
+                                                             monkeypatch):
+    _fill(driver)
+    sent = []
+    real = ClientConn.notify
+    monkeypatch.setattr(
+        ClientConn, "notify",
+        lambda conn, method, params=None: (sent.append(method),
+                                           real(conn, method, params))[1])
+    session = driver.session()
+    for write in (lambda t: t.insert("kv", {"k": 50, "v": 0}),
+                  lambda t: t.update("kv", (1,), {"v": 0}),
+                  lambda t: t.write("kv", {"k": 51, "v": 0}),
+                  lambda t: t.delete("kv", (2,), must_exist=False)):
+        for end in ("commit", "abort"):
+            tx = session.begin()
+            tx.read("kv", (0,))
+            write(tx)
+            getattr(tx, end)()
+            assert _open_txs(server) == 0  # ended with a reply, so: now
+    assert sent == []
+
+
+def test_failed_commit_request_does_not_leak_the_transaction(server, driver):
+    """An error reply to a commit that failed before the server forgot
+    the transaction used to leave it registered (and its row locks held)
+    while the client had already moved on."""
+    from repro import faults
+    from repro.errors import InjectedFaultError
+    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+    _fill(driver)
+    session = driver.session()
+    tx = session.begin()
+    tx.read("kv", (3,), lock=LockMode.EXCLUSIVE)
+    tx.update("kv", (3,), {"v": 31})
+    faults.install(FaultInjector(FaultPlan(specs=[FaultSpec(
+        site="rpc.server.commit.before", action="error", max_fires=1)])))
+    try:
+        with pytest.raises(InjectedFaultError):
+            tx.commit()
+    finally:
+        faults.uninstall()
+    tx.abort()  # what every retry loop does next: must have nothing to do
+    assert _open_txs(server) == 0
+    assert server.driver.cluster._locks.lock_table_size() == 0
+    started = time.monotonic()
+    row = session.run(lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))
+    assert row["v"] == 30  # the failed commit applied nothing
+    assert time.monotonic() - started < CONFIG.lock_timeout / 2
+
+
+def test_ppis_batch_is_one_request_and_one_event(server):
+    schema = TableSchema(name="sub", columns=("p", "k", "v"),
+                         primary_key=("p", "k"), partition_key=("p",))
+    drv = RemoteDriver(server.host, server.port, timeout=5.0)
+    try:
+        drv.create_table(KV)
+        drv.create_table(schema)
         session = drv.session()
-
-        def fill(tx):
-            for i in range(6):
-                tx.insert("kv", {"k": i, "v": i})
-
-        session.run(fill)
-        # every pipelined insert X-locked its row; the deltas rode back
-        # on the pipelined responses and the commit response
-        assert session.stats.rows_locked >= 6
-        assert session.stats.rows_written == 6
-        assert session.stats.count(AccessKind.COMMIT) == 1
+        session.run(lambda tx: [tx.insert("sub", {"p": p, "k": k, "v": b"x"})
+                                for p in range(3) for k in range(2)])
+        before = _requests(server)
+        scans = [("sub", {"p": 2}), ("kv", {"k": 1}), ("sub", {"p": 0})]
+        got = session.run(lambda tx: tx.ppis_batch(scans))
+        assert [len(rows) for rows in got] == [2, 0, 2]
+        assert got[2][0] == {"p": 0, "k": 0, "v": b"x"}
+        after = _requests(server)
+        assert after["tx.ppis_batch"] - before.get("tx.ppis_batch", 0) == 1
+        [event] = session.stats.events[-1:]
+        assert event.kind is AccessKind.PPIS and event.table == "sub+kv"
+        assert event.rows == 4 and len(event.partitions) == 3
     finally:
         drv.close()
 
@@ -248,6 +513,9 @@ def test_graceful_stop_drains_in_flight_transaction(server, driver):
     _fill(driver)
     session = driver.session()
     tx = session.begin()
+    # a locked read first: a transaction exists server-side from its
+    # first request on, and only such a one can hold up the drain
+    tx.read("kv", (0,), lock=LockMode.EXCLUSIVE)
     tx.write("kv", {"k": 300, "v": 42})
 
     stopper = threading.Thread(target=server.stop)

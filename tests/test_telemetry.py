@@ -193,21 +193,29 @@ class TestMetricsEndpoint:
 
     def test_open_txs_gauge_tracks_begin_commit_abort(self):
         from repro.dal import RemoteDriver
-        from repro.ndb import TableSchema
+        from repro.ndb import LockMode, TableSchema
 
         schema = TableSchema(name="g", columns=("k",), primary_key=("k",))
         with _ndb_server_with_http() as server:
             driver = RemoteDriver(server.host, server.port, timeout=10.0)
             driver.create_table(schema)
             session = driver.session()
+            gauge = lambda: server.registry.get_gauge("rpc_open_txs")
             tx = session.begin()
-            assert server.registry.get_gauge("rpc_open_txs") == 1
+            assert not gauge()  # begin is client-local...
+            tx.read("g", (1,), lock=LockMode.EXCLUSIVE)
+            assert gauge() == 1  # ...the first request opens it
             tx.insert("g", {"k": 1})
             tx.commit()
-            assert server.registry.get_gauge("rpc_open_txs") == 0
+            assert gauge() == 0
             tx = session.begin()
-            tx.abort()
-            assert server.registry.get_gauge("rpc_open_txs") == 0
+            tx.read("g", (1,), lock=LockMode.EXCLUSIVE)
+            assert gauge() == 1
+            tx.abort()  # read-only: a one-way frame, so poll for it
+            deadline = time.monotonic() + 2.0
+            while gauge() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert gauge() == 0
             driver.close()
 
     def test_metrics_rpc_accepts_window_param(self):
@@ -219,6 +227,86 @@ class TestMetricsEndpoint:
             data = driver.metrics_snapshot(window=45)
             driver.close()
         assert data["windows"]["window_seconds"] == 45
+
+
+class TestEngineGaugeParity:
+    """The cluster snapshot has the same database columns whether the
+    engine is in-process or behind an ndb-server (where they used to be
+    missing: the ledger read ``ndb.lock_waits`` as null)."""
+
+    GAUGES = ("ndb_lock_waits", "ndb_lock_deadlocks", "ndb_lock_timeouts",
+              "ndb_lock_wait_seconds", "ndb_lock_table_size",
+              "ndb_lock_stripes", "ndb_group_commit_flushes",
+              "ndb_group_commit_records")
+
+    @pytest.fixture(params=["embedded", "process"])
+    def deployed(self, request):
+        from repro.dal import NDBDriver, RemoteDriver
+        from repro.hopsfs import HopsFSCluster
+        from repro.ndb import NDBConfig
+        from repro.rpc import NDBServer
+
+        config = NDBConfig(num_datanodes=4, replication=2, lock_timeout=2.0)
+        if request.param == "embedded":
+            driver = NDBDriver(config=config)
+            yield HopsFSCluster(num_namenodes=1, driver=driver), driver
+            return
+        with NDBServer(config=config) as server:
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
+            try:
+                yield HopsFSCluster(num_namenodes=1, driver=driver), driver
+            finally:
+                driver.close()
+
+    @staticmethod
+    def _gauges(fs):
+        return {g["name"]: g["value"]
+                for g in fs.metrics_snapshot()["gauges"] if not g["labels"]}
+
+    def test_lock_and_group_commit_gauges_on_both_deploys(self, deployed):
+        import threading
+        from repro.ndb import LockMode
+
+        fs, driver = deployed
+        fs.namenodes[0].mkdirs("/gauges/a")
+        before = self._gauges(fs)
+        assert set(self.GAUGES) <= set(before)
+        assert before["ndb_lock_waits"] == 0  # a number, not a hole
+        assert before["ndb_group_commit_records"] > 0
+        # provoke exactly one lock wait and see it arrive
+        holder = driver.session().begin()
+        holder.read("inodes", (0, 0, ""), lock=LockMode.EXCLUSIVE)
+        waiter = threading.Thread(target=lambda: driver.session().run(
+            lambda tx: tx.read("inodes", (0, 0, ""), lock=LockMode.SHARED)))
+        waiter.start()
+        deadline = time.monotonic() + 2.0
+        while (self._gauges(fs)["ndb_lock_waits"] == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert self._gauges(fs)["ndb_lock_table_size"] == 1
+        holder.abort()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        after = self._gauges(fs)
+        assert after["ndb_lock_waits"] == before["ndb_lock_waits"] + 1
+        assert after["ndb_lock_wait_seconds"] > 0
+
+    def test_a_dead_server_does_not_take_the_cluster_metrics_down(self):
+        from repro.dal import RemoteDriver
+        from repro.hopsfs import HopsFSCluster
+        from repro.ndb import NDBConfig
+        from repro.rpc import NDBServer
+
+        with NDBServer(config=NDBConfig(num_datanodes=2)) as server:
+            driver = RemoteDriver(server.host, server.port, timeout=5.0,
+                                  max_reconnect_attempts=1)
+            fs = HopsFSCluster(num_namenodes=1, driver=driver)
+            fs.namenodes[0].mkdirs("/x")
+        try:  # the server is gone; the namenodes' own metrics still read
+            names = {c["name"] for c in fs.metrics_snapshot()["counters"]}
+            assert "fs_op_total" in names
+        finally:
+            driver.close()
 
 
 class TestTop:

@@ -563,7 +563,7 @@ class TestDistributedTracing:
             driver.close()
             server.stop()
 
-    def test_pipelined_writes_record_events_not_envelopes(self):
+    def test_buffered_writes_and_one_way_ends_are_events_not_spans(self):
         from repro.dal import RemoteDriver
         from repro.metrics import MetricsRegistry
         from repro.rpc import NDBServer
@@ -573,8 +573,7 @@ class TestDistributedTracing:
         schema = TableSchema(name="p", columns=("k", "v"),
                              primary_key=("k",))
         with NDBServer(config=NDBConfig()) as server:
-            driver = RemoteDriver(server.host, server.port, timeout=10.0,
-                                  pipeline_writes=True)
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
             driver.create_table(schema)
             with tracer.trace("batch") as trace:
                 session = driver.session()
@@ -582,15 +581,36 @@ class TestDistributedTracing:
                 def fn(tx):
                     for i in range(3):
                         tx.insert("p", {"k": i, "v": "x"})
+                    tx.read("p", (0,))  # carries the three inserts
+                    tx.write("p", {"k": 9, "v": "y"})  # rides the commit
 
                 session.run(fn)
+                session.run(lambda tx: tx.read("p", (9,)))  # read-only
             driver.close()
-        events = [s for s in self._walk(trace)
-                  if s.name == "rpc.tx.insert"]
-        assert len(events) == 3
-        # pipelined writes are events (zero-length), not full rpc spans
-        assert all(e.start == e.end for e in events)
-        assert all(e.labels.get("pipelined") == "True" for e in events)
+        # (the grafted server-side roots reuse the rpc.<method> names;
+        # the client's own spans are the ones labelled with `writes`)
+        spans = sorted(self._walk(trace), key=lambda s: s.start)
+        # a buffered write sends nothing: a zero-length event, no rpc span
+        for name, count in (("rpc.tx.insert", 3), ("rpc.tx.write", 1)):
+            events = [s for s in spans if s.name == name]
+            assert len(events) == count
+            assert all(e.start == e.end and not e.children for e in events)
+            assert all(e.labels.get("buffered") == "True" for e in events)
+        # the carrying requests are real spans and say what they carried
+        reads = [s for s in spans
+                 if s.name == "rpc.tx.read" and "writes" in s.labels]
+        assert [s.labels["writes"] for s in reads] == ["3", "0"]
+        assert all(self.spans_by_name(s, "rpc.server") for s in reads)
+        # one waited-for commit (the writer's, carrying the last write)
+        # and one one-way commit (the reader's): span vs event
+        [waited] = [s for s in spans
+                    if s.name == "rpc.tx.commit" and "writes" in s.labels]
+        assert waited.labels["writes"] == "1"
+        assert self.spans_by_name(waited, "rpc.server")
+        [one_way] = [s for s in spans if s.name == "rpc.tx.commit"
+                     and s.labels.get("one_way") == "True"]
+        assert one_way.start == one_way.end and not one_way.children
+        assert one_way.start > waited.end  # the reader ran second
 
     def test_multiprocess_chrome_export(self, tmp_path):
         from repro.metrics.traceexport import to_chrome
