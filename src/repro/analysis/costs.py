@@ -6,7 +6,9 @@ and symbolically counts DAL access round trips:
 
 * ``tx.read`` / ``tx.read_batch`` / ``tx.ppis`` / ``tx.ppis_batch`` /
   ``tx.index_scan`` / ``tx.full_scan`` cost **1** round trip each (a
-  batch is one trip regardless of fan-out);
+  batch is one trip regardless of fan-out, and a scan — single or
+  batched — regardless of ``lock=``: the rows are locked and re-read
+  inside the trip that found them);
 * ``tx.insert`` / ``tx.update`` / ``tx.delete`` / ``tx.write`` are
   buffered — **0** round trips, but they mark the transaction as
   writing, and a writing transaction pays **+2** at commit (the batched

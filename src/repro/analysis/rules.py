@@ -31,7 +31,10 @@ the tree follows only by convention:
   within a transaction, no helper that acquires per-item locks called
   from a loop over an unsorted iterable, and every batched acquisition
   site (``acquire_many`` / ``_lock_many`` / locked ``read_batch``) must
-  take a provably sorted key iterable. See :mod:`repro.analysis.interproc`.
+  take a provably sorted key iterable. A locking scan (``ppis``,
+  ``ppis_batch``, ``index_scan`` with ``lock=``) puts no such obligation
+  on its caller: the primitive finds the keys itself and sorts them
+  before it locks. See :mod:`repro.analysis.interproc`.
 
 ``HFS100`` is reserved for problems with the waiver and annotation
 comments themselves (malformed syntax, missing reason, unknown rule

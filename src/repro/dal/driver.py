@@ -5,7 +5,8 @@ union of what the namenode transaction template needs:
 
 * transactions with partition-key hints (distribution-aware placement);
 * primary-key reads (optionally locked), batched primary-key reads,
-  partition-pruned index scans (one, or a batch in one round trip),
+  partition-pruned index scans (one, or a batch in one round trip;
+  either optionally locked),
   index scans, full scans;
 * buffered inserts/updates/deletes flushed at commit;
 * per-session access statistics (:class:`repro.ndb.AccessStats`).
@@ -45,10 +46,13 @@ class DALTransaction(Protocol):
              columns: Optional[Sequence[str]] = ...) -> list[dict]: ...
 
     def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
-                   ) -> list[list[dict]]:
-        """``[ppis(table, values) for table, values in scans]`` — unlocked,
-        any tables, results in request order, own buffered writes
-        visible — in **one** round trip and one access event."""
+                   lock: LockMode = ...) -> list[list[dict]]:
+        """``[ppis(table, values, lock=lock) for table, values in scans]``
+        — any tables, results in request order, own buffered writes
+        visible — in **one** round trip and one access event. A locking
+        batch takes the row locks of all its scans as one
+        ``(table, pk)``-ordered batch and re-reads the rows under them;
+        it takes no predicate, so the caller filters."""
         ...
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],

@@ -202,14 +202,18 @@ class MemoryTransaction:
         return rows
 
     def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   lock: LockMode = LockMode.READ_COMMITTED,
                    ) -> list[list[dict]]:
         self._check()
         if not scans:
             return []
+        # the global mutex is every row lock at once: ``lock`` only
+        # shows in the access event, as for ``ppis``
         results = [self._pruned(table, values) for table, values in scans]
         self._record(AccessKind.PPIS,
                      "+".join(dict.fromkeys(table for table, _ in scans)),
-                     sum(map(len, results)), locked=False)
+                     sum(map(len, results)),
+                     locked=lock is not LockMode.READ_COMMITTED)
         return results
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],

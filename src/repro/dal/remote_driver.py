@@ -23,7 +23,7 @@ lives in-process or behind a socket. What changes under the hood:
   the connection *while a commit is in flight* maps to
   :class:`CommitAmbiguousError` and is never transparently retried: the
   commit may have applied;
-* **define locally, ship on execute** (protocol version 2,
+* **define locally, ship on execute** (since protocol version 2,
   :mod:`repro.rpc.protocol`) — a request is sent only when the caller
   needs its reply: ``begin`` rides the transaction's first request,
   ``insert``/``update``/``write`` are buffered here and ride the next
@@ -254,12 +254,14 @@ class RemoteTransaction:
         return rows
 
     def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   lock: LockMode = LockMode.READ_COMMITTED,
                    ) -> list[list[dict[str, Any]]]:
         if not scans:  # no operation defined: nothing to execute
             self._check_active()
             return []
         result = self._call("tx.ppis_batch", {
-            "scans": [[table, dict(values)] for table, values in scans]})
+            "scans": [[table, dict(values)] for table, values in scans],
+            "lock": lock.name})
         return [protocol.decode_rows(rows) for rows in result["scans"]]
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],

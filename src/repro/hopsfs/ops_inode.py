@@ -129,8 +129,7 @@ class InodeOpsMixin:
         return ids
 
     def _list_children(self, tx: DALTransaction, dir_row: dict,
-                       columns: Optional[Sequence[str]] = None,
-                       lock: LockMode = LockMode.READ_COMMITTED) -> list[dict]:
+                       columns: Optional[Sequence[str]] = None) -> list[dict]:
         """Children of a directory.
 
         Ordinary directories co-locate their children on one shard, so
@@ -141,13 +140,13 @@ class InodeOpsMixin:
         dir_id = dir_row["id"]
         if dir_row["children_random"]:
             # hfs: allow(HFS101, reason=random-partitioned dirs spread children across shards by design; §4.2.1)
-            rows = tx.index_scan("inodes", "by_parent", (dir_id,), lock=lock)
+            rows = tx.index_scan("inodes", "by_parent", (dir_id,))
             if columns is not None:
                 rows = [{c: r[c] for c in columns} for r in rows]
             return rows
         return tx.ppis("inodes", {"part_key": dir_id},
                        predicate=lambda r: r["parent_id"] == dir_id,
-                       lock=lock, columns=columns)
+                       columns=columns)
 
     def _has_children(self, tx: DALTransaction, dir_row: dict) -> bool:
         return bool(self._list_children(tx, dir_row, columns=("id",)))

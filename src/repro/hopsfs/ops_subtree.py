@@ -9,11 +9,20 @@ run in one database transaction. HopsFS instead:
   namenode's id. Inode and subtree operations that later resolve a path
   through the flagged inode voluntarily abort and retry (§6.3); flags
   owned by dead namenodes are lazily reclaimed (§6.2).
-* **Phase 2** — quiesces the subtree: level by level, worker threads take
-  (and, by committing, release) exclusive locks on every descendant with
-  partition-pruned scans, in the same total order as inode operations,
-  waiting out any in-flight transactions. The scan projects only the
-  columns needed to build an in-memory tree of the subtree.
+* **Phase 2** — quiesces the subtree, one *level* at a time and top-down:
+  the directories of a level are cut into groups of at most
+  ``subtree_batch_size``, and one transaction per group takes (and, by
+  committing, releases) exclusive locks on every child of every
+  directory of the group with one locking ``ppis_batch`` — one
+  ``(table, pk)``-ordered lock batch, the total order of inode
+  operations — waiting out any in-flight transactions. So a transaction
+  holds the child locks of up to ``subtree_batch_size`` directories at
+  once, and a lock timeout or deadlock abort retries a group. A level of
+  one group runs on the calling thread; several groups run on worker
+  threads. A directory whose children are hash-partitioned (the top
+  levels, §4.2.1) is an all-shard locked index scan in a transaction of
+  its own. The scans return full rows (the batched scan has no
+  projection), from which the in-memory tree of the subtree is built.
 * **Phase 3** — the actual operation:
   - *delete* runs bottom-up in parallel batched transactions, so a
     namenode crash mid-way never orphans inodes (the undeleted remainder
@@ -25,10 +34,11 @@ run in one database transaction. HopsFS instead:
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import (
     FileNotFoundError_,
@@ -40,7 +50,7 @@ from repro.dal.driver import DALTransaction
 from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.paths import is_same_or_ancestor, split_path
-from repro.metrics.tracing import TraceContext, link_scope
+from repro.metrics.tracing import TraceContext, current_trace, link_scope
 from repro.ndb.locks import LockMode
 
 
@@ -150,7 +160,7 @@ class SubtreeOpsMixin:
 
     def _set_quota_linked(self, path: str, ns_quota: Optional[int],
                           ds_quota: Optional[int]) -> None:
-        ctx = self._subtree_begin(path, "set_quota", allow_empty=True)
+        ctx = self._subtree_begin(path, "set_quota")
         try:
             self._subtree_quiesce(ctx)
             ns_used, ds_used = _tree_usage(ctx.tree)
@@ -169,8 +179,7 @@ class SubtreeOpsMixin:
 
     # ------------------------------------------------------------- phase 1
 
-    def _subtree_begin(self, path: str, op: str,
-                       allow_empty: bool = True) -> SubtreeContext:
+    def _subtree_begin(self, path: str, op: str) -> SubtreeContext:
         """Phase 1: set the subtree lock flag on the root of the subtree."""
         if not split_path(path):
             raise PermissionDeniedError(f"cannot run {op} on the root")
@@ -223,44 +232,50 @@ class SubtreeOpsMixin:
             size=root["size"], replication=root["replication"], level=0,
             children_random=root["children_random"])
         frontier = [ctx.tree]
-        # carry the link (and any live trace binding) onto the workers so
-        # their per-directory transactions parent under the root trace
-        submit_ctx = TraceContext.capture()
+        size = self.config.subtree_batch_size
         with ThreadPoolExecutor(
                 max_workers=self.config.subtree_parallelism) as pool:
             while frontier:
-                futures = [
-                    pool.submit(submit_ctx.wrap(self._quiesce_directory),
-                                node)
-                    for node in frontier
-                ]
-                next_frontier: list[SubtreeNode] = []
-                for node, future in zip(frontier, futures, strict=True):
-                    children = future.result()
-                    node.children = children
-                    next_frontier.extend(c for c in children if c.is_dir)
-                frontier = next_frontier
+                plain = [n for n in frontier if not n.children_random]
+                groups = [plain[i: i + size]
+                          for i in range(0, len(plain), size)]
+                groups += [[n] for n in frontier if n.children_random]
+                _run_level(pool, self._quiesce_group, groups)
+                frontier = [c for node in frontier for c in node.children
+                            if c.is_dir]
         self._subtree_failpoint("after_quiesce")
 
-    def _quiesce_directory(self, node: SubtreeNode) -> list[SubtreeNode]:
-        """Write-lock the children of one directory; the commit releases
-        the locks, which is exactly the 'take and release' of §6.1."""
+    def _quiesce_group(self, group: list[SubtreeNode]) -> None:
+        """Write-lock the children of a group of directories in one
+        transaction; the commit releases the locks, which is exactly the
+        'take and release' of §6.1."""
+        first = group[0]
 
-        def fn(tx: DALTransaction) -> list[dict]:
-            dir_like = {"id": node.id, "children_random": node.children_random}
-            return self._list_children(tx, dir_like, columns=None,
-                                       lock=LockMode.EXCLUSIVE)
+        def fn(tx: DALTransaction) -> list[list[dict]]:
+            trace = current_trace()
+            if trace is not None:
+                trace.set_label("dirs", len(group))
+            if first.children_random:  # children on every shard: alone
+                return [tx.index_scan("inodes", "by_parent", (first.id,),
+                                      lock=LockMode.EXCLUSIVE)]
+            return tx.ppis_batch(
+                [("inodes", {"part_key": node.id}) for node in group],
+                lock=LockMode.EXCLUSIVE)
 
-        rows = self._fs_op("subtree_quiesce", fn,
-                           hint=("inodes", {"part_key": node.id}))
-        return [
-            SubtreeNode(part_key=r["part_key"], parent_id=r["parent_id"],
-                        name=r["name"], id=r["id"], is_dir=r["is_dir"],
-                        size=r["size"], replication=r["replication"],
-                        level=node.level + 1,
-                        children_random=r["children_random"])
-            for r in rows
-        ]
+        scanned = self._fs_op("subtree_quiesce", fn,
+                              hint=("inodes", {"part_key": first.id}))
+        for node, rows in zip(group, scanned, strict=True):
+            node.children = [
+                SubtreeNode(part_key=r["part_key"], parent_id=r["parent_id"],
+                            name=r["name"], id=r["id"], is_dir=r["is_dir"],
+                            size=r["size"], replication=r["replication"],
+                            level=node.level + 1,
+                            children_random=r["children_random"])
+                # the scan takes no predicate: a top-level inode whose
+                # hashed part_key equals this id was locked with the
+                # batch, and is not a child
+                for r in rows if r["parent_id"] == node.id
+            ]
 
     # ------------------------------------------------------------- phase 3
 
@@ -278,20 +293,15 @@ class SubtreeOpsMixin:
                        for nodes in by_level.values() for n in nodes
                        if not n.is_dir)
         batch = self.config.subtree_batch_size
-        submit_ctx = TraceContext.capture()
         with ThreadPoolExecutor(
                 max_workers=self.config.subtree_parallelism) as pool:
             for level in sorted(by_level, reverse=True):
                 if level == 0:
                     continue  # the root is deleted last, below
                 nodes = by_level[level]
-                futures = [
-                    pool.submit(submit_ctx.wrap(self._delete_batch),
-                                nodes[i: i + batch])
-                    for i in range(0, len(nodes), batch)
-                ]
-                for future in futures:
-                    future.result()
+                _run_level(pool, self._delete_batch,
+                           [nodes[i: i + batch]
+                            for i in range(0, len(nodes), batch)])
                 self._subtree_failpoint(f"after_delete_level_{level}")
         # final transaction: remove the root, settle quota, drop the op row
         root = ctx.root_row
@@ -401,6 +411,38 @@ class SubtreeOpsMixin:
                         hint=self._hint_for_parent(ctx.path))
         except Exception:
             pass  # the lazy reclaim path owns cleanup from here
+
+
+def _run_level(pool: ThreadPoolExecutor,
+               fn: Callable[[list[SubtreeNode]], None],
+               units: list[list[SubtreeNode]]) -> None:
+    """Run ``fn`` on each unit (quiesce group, delete batch) of one level.
+
+    One unit has nothing to overlap with: it runs on the calling thread
+    and starts no pool thread. Several go to the pool, under the
+    caller's trace binding. After the first failure no further unit
+    starts — the caller is about to be told the operation failed, so
+    nothing more is locked or deleted on its behalf; the units already
+    running finish, then the first failure in submission order is raised.
+    """
+    if len(units) == 1:
+        fn(units[0])
+        return
+    failed = threading.Event()
+
+    def run(unit: list[SubtreeNode]) -> None:
+        if not failed.is_set():
+            try:
+                fn(unit)
+            except BaseException:
+                failed.set()
+                raise
+
+    bound = TraceContext.capture().wrap(run)
+    futures = [pool.submit(bound, unit) for unit in units]
+    for exc in [future.exception() for future in futures]:  # waits for all
+        if exc is not None:
+            raise exc
 
 
 def _tree_usage(tree: Optional[SubtreeNode]) -> tuple[int, int]:

@@ -288,23 +288,27 @@ class Transaction:
         return self._project(rows, columns)
 
     def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                   lock: LockMode = LockMode.READ_COMMITTED,
                    ) -> list[list[dict[str, Any]]]:
-        """A batch of unlocked partition-pruned scans: one round trip.
+        """A batch of partition-pruned scans: one round trip.
 
         ``scans`` is a sequence of ``(table, partition_values)`` pairs,
         any tables; the result holds, in request order, exactly what
-        ``ppis(table, partition_values)`` would have returned for each —
-        this transaction's buffered writes included. It is the scan
-        analogue of :meth:`read_batch` (NDB defines the operations
-        locally and ships them on one ``execute()``): the scans are
-        grouped by shard, the shards are visited concurrently, and the
-        whole batch records exactly one PPIS access event naming every
-        scanned table and shard. An empty batch defines no operation and
-        costs nothing.
+        ``ppis(table, partition_values, lock=lock)`` would have returned
+        for each — this transaction's buffered writes included. It is
+        the scan analogue of :meth:`read_batch` (NDB defines the
+        operations locally and ships them on one ``execute()``): the
+        scans are grouped by shard, the shards are visited concurrently,
+        and the whole batch records exactly one PPIS access event naming
+        every scanned table and shard. A locking batch then takes the
+        candidates of *all* its scans as one ``(table, pk)``-ordered lock
+        batch and re-reads them once under their locks. An empty batch
+        defines no operation and costs nothing.
         """
         self._check_active()
         if not scans:
             return []
+        locked = lock is not LockMode.READ_COMMITTED
         plans = []
         by_shard: dict[int, list[int]] = {}
         for i, (table, partition_values) in enumerate(scans):
@@ -322,18 +326,46 @@ class Transaction:
                 for i in indexes:
                     table, schema, pvals, _pid = plans[i]
                     frag = self._cluster._primary_fragment(table, pid)
-                    results[i] = self._merge_pruned(
-                        table, schema, pvals, frag.partition_lookup(pvals))
+                    rows = frag.partition_lookup(pvals)
+                    # a locking batch merges after its re-read under lock
+                    results[i] = rows if locked else self._merge_pruned(
+                        table, schema, pvals, rows)
                 self._observe_shard(AccessKind.PPIS.value, pid, started)
             return scan
 
         self._cluster._run_on_shards(
             [shard_scan(pid, indexes) for pid, indexes in by_shard.items()])
+        if locked:
+            self._lock_scanned(plans, results, lock)
         self._record(AccessKind.PPIS,
                      "+".join(dict.fromkeys(plan[0] for plan in plans)),
                      [plan[3] for plan in plans],
-                     rows=sum(map(len, results)), locked=False)
+                     rows=sum(map(len, results)), locked=locked)
         return results
+
+    def _lock_scanned(self, plans: list[tuple],
+                      results: list[list[dict[str, Any]]],
+                      lock: LockMode) -> None:
+        """The locking half of :meth:`ppis_batch`: lock the candidate
+        rows in ``results`` and replace them with what is there under
+        the locks (each scan in pk order, as a locking ``ppis``)."""
+        scan_pks = [sorted(map(plan[1].pk_of, rows))
+                    for plan, rows in zip(plans, results, strict=True)]
+        # one (table, pk) order over the whole batch — the order every
+        # multi-row transaction locks in (§3.4) — whatever the request
+        # order of the scans; a row two scans share is locked once
+        keys = sorted(dict.fromkeys(
+            (plan[0], pk)
+            for plan, pks in zip(plans, scan_pks, strict=True) for pk in pks))
+        self._cluster._locks.acquire_many(self, keys, lock)
+        self.stats.rows_locked += sum(map(len, scan_pks))
+        self._check_active()
+        for i, ((table, schema, pvals, pid), pks) in enumerate(
+                zip(plans, scan_pks, strict=True)):
+            frag = self._cluster._primary_fragment(table, pid)
+            # re-read: a row may have changed or gone before its lock
+            fresh = [row for row in frag.get_many(pks) if row is not None]
+            results[i] = self._merge_pruned(table, schema, pvals, fresh)
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
                    predicate: Predicate = None,

@@ -79,7 +79,8 @@ def _events_to_trips(events: Iterable[AccessEvent],
             # file and are not hot.
             hot = min(hot_path_rows, event.rows)
         # one event is one trip whatever it batches: a BATCH_PK or a
-        # batched PPIS that names several nodes is a parallel fan-out
+        # batched PPIS — locking (the subtree quiesce) or not — that
+        # names several nodes is a parallel fan-out
         trips.append(TripSpec(
             kind=event.kind.value,
             table=event.table,

@@ -1,4 +1,4 @@
-"""Wire protocol (version 2) for the DAL RPC subsystem.
+"""Wire protocol (version 3) for the DAL RPC subsystem.
 
 Frames are length-prefixed JSON: a 4-byte big-endian payload length
 followed by the UTF-8 JSON payload, handled strictly in order per
@@ -73,8 +73,11 @@ from repro.errors import ProtocolError, RemoteCallError
 from repro.ndb.schema import TableSchema
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
-#: bump when the frame or message layout changes incompatibly
-PROTOCOL_VERSION = 2
+#: bump when the frame or message layout changes incompatibly — or, as
+#: for 3, when a request grows a field an older server would silently
+#: ignore to the caller's harm (``tx.ppis_batch``'s ``"lock"``: a
+#: version-2 server would hand back unlocked rows)
+PROTOCOL_VERSION = 3
 
 #: refuse frames larger than this (corrupt peer / length desync guard)
 MAX_FRAME_BYTES = 64 * 1024 * 1024

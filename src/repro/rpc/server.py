@@ -3,7 +3,7 @@
 One server process owns one :class:`repro.ndb.NDBCluster` (through its
 DAL driver) and exposes the full ``DALTransaction`` contract plus
 admin/failure-injection and observability endpoints, in protocol
-version 2 (:mod:`repro.rpc.protocol`): a transaction begins on its first
+version 3 (:mod:`repro.rpc.protocol`): a transaction begins on its first
 request, buffered writes arrive on the next reply-bearing request and
 are applied before that request's own operation, and frames without an
 ``id`` get no reply. The loop is thread-per-connection: each connection
@@ -569,7 +569,8 @@ class NDBServer:
                          params: Mapping[str, Any]) -> dict[str, Any]:
         entry = self._tx(state, params)
         results = entry[0].ppis_batch(
-            [(table, values) for table, values in params["scans"]])
+            [(table, values) for table, values in params["scans"]],
+            lock=_lock_mode(params.get("lock")))
         return self._tx_reply(
             params, entry,
             scans=[protocol.encode_rows(rows) for rows in results])

@@ -89,6 +89,19 @@ class TestHFS105:
         # 1 read + buffered write (free) + flush/commit pair (+2)
         assert costs == {"touch_op": "3"}
 
+    def test_a_locking_batched_scan_is_still_one_round_trip(self):
+        costs, problems = derive("""
+        class Ops:
+            def quiesce(self, group):
+                def fn(tx):
+                    return tx.ppis_batch(
+                        [("inodes", {"part_key": d}) for d in group],
+                        lock=LockMode.EXCLUSIVE)
+                return self._fs_op("subtree_quiesce", fn)
+        """)
+        assert costs == {"subtree_quiesce": "1"}
+        assert [p for p in problems if "subtree_quiesce" in p.message] == []
+
     def test_mismatch_against_declared_budget_flagged(self):
         _, problems = derive("""
         class Ops:
@@ -211,6 +224,16 @@ class TestHFS106:
         src = """
         def fn(tx, keys):
             return tx.read_batch("inodes", keys)
+        """
+        assert interproc_codes(src) == []
+
+    def test_locking_scans_order_their_own_acquisition(self):
+        # the keys are found by the primitive, which sorts before it
+        # locks: nothing for the call site to prove
+        src = """
+        def fn(tx, dirs):
+            return tx.ppis_batch([("inodes", {"part_key": d}) for d in dirs],
+                                 lock=LockMode.EXCLUSIVE)
         """
         assert interproc_codes(src) == []
 

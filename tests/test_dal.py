@@ -6,6 +6,9 @@ in-thread :class:`~repro.rpc.NDBServer` — the process-deployment code
 path minus the subprocess spawn (covered by ``test_rpc_process.py``).
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
@@ -155,7 +158,103 @@ def test_ppis_batch_is_the_single_scans_in_one_round_trip(driver):
 def test_ppis_batch_empty_batch_costs_nothing(driver):
     session = driver.session()
     assert session.run(lambda tx: tx.ppis_batch([])) == []
+    assert session.run(
+        lambda tx: tx.ppis_batch([], lock=LockMode.EXCLUSIVE)) == []
     assert session.stats.round_trips == 0 and not session.stats.events
+    assert session.stats.rows_locked == 0
+
+
+LOCKING = [LockMode.SHARED, LockMode.EXCLUSIVE]
+
+
+@pytest.mark.lock_witness_exempt  # the single scans lock in request order
+@pytest.mark.parametrize("lock", LOCKING, ids=lambda m: m.name)
+def test_locked_ppis_batch_is_the_locked_single_scans(driver, lock):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    # request order is neither table nor pk order; one partition repeats
+    scans = [("tags", {"pid": 3}), ("items", {"pid": 3}),
+             ("items", {"pid": 9}), ("items", {"pid": 1}),
+             ("tags", {"pid": 1}), ("items", {"pid": 3})]
+
+    session.reset_stats()
+    singles = session.run(lambda tx: [
+        tx.ppis(table, values, lock=lock) for table, values in scans])
+    single_stats = session.reset_stats()
+    batched = session.run(lambda tx: tx.ppis_batch(scans, lock=lock))
+    assert batched == singles
+    assert [len(rows) for rows in batched] == [1, 3, 0, 1, 1, 3]
+    # one round trip and one locked event; rows read and rows locked are
+    # the per-scan sums (a row two scans share counts for each)
+    stats = session.stats
+    assert single_stats.round_trips == len(scans) and stats.round_trips == 1
+    assert stats.count(AccessKind.PPIS) == 1
+    assert stats.rows_read == single_stats.rows_read == 9
+    assert stats.rows_locked == single_stats.rows_locked >= 9
+    [event] = stats.events
+    assert event.table == "tags+items" and event.locked
+    assert event.rows == 9
+
+
+@pytest.mark.lock_witness_exempt  # writes first, then locks lower keys
+@pytest.mark.parametrize("lock", LOCKING, ids=lambda m: m.name)
+def test_locked_ppis_batch_reads_the_transactions_own_writes(driver, lock):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    scans = [("items", {"pid": 1}), ("items", {"pid": 3}),
+             ("tags", {"pid": 2}), ("items", {"pid": 7})]
+
+    def fn(tx):
+        tx.insert("items", {"pid": 1, "name": "new", "value": 5})
+        tx.delete("items", (3, "n1"))
+        tx.update("items", (3, "n2"), {"value": 20})
+        tx.write("tags", {"pid": 2, "tag": "u"})
+        tx.insert("items", {"pid": 7, "name": "only", "value": 7})
+        batched = tx.ppis_batch(scans, lock=lock)
+        assert batched == [tx.ppis(table, values, lock=lock)
+                           for table, values in scans]
+        return batched
+
+    ones, threes, tags, sevens = session.run(fn)
+    assert sorted(r["name"] for r in ones) == ["n0", "new"]
+    assert sorted((r["name"], r["value"]) for r in threes) == [
+        ("n0", 0), ("n2", 20)]
+    assert sorted(r["tag"] for r in tags) == ["t", "u"]
+    assert [r["name"] for r in sevens] == ["only"]
+
+
+def test_locked_ppis_batch_drops_rows_that_vanish_before_the_grant(driver):
+    """A candidate deleted between the unlocked candidate read and the
+    lock grant is gone from the re-read under lock."""
+    if isinstance(driver, MemoryDriver):
+        pytest.skip("one global mutex: no second transaction can be open")
+    session = driver.session()
+    _fill_items_and_tags(session)
+    deleter = driver.session().begin()
+    assert deleter.delete("items", (3, "n1"))  # holds X on the row
+    scans = [("items", {"pid": 3}), ("tags", {"pid": 3})]
+    got = []
+
+    def scan():
+        got.append(session.run(
+            lambda tx: tx.ppis_batch(scans, lock=LockMode.EXCLUSIVE)))
+
+    session.reset_stats()
+    waiter = threading.Thread(target=scan)
+    waiter.start()
+    time.sleep(0.1)  # the batch read its candidates and waits for (3, n1)
+    assert waiter.is_alive()
+    deleter.commit()
+    waiter.join(timeout=5.0)
+    assert not waiter.is_alive()
+    [[items, tags]] = got
+    assert [r["name"] for r in items] == ["n0", "n2"]
+    assert tags == [{"pid": 3, "tag": "t"}]
+    # four candidates were locked — the vanished one included — and the
+    # three rows found under the locks are what the event counts
+    assert session.stats.rows_read == 3
+    assert session.stats.rows_locked == 4 + 3
+    assert session.run(lambda tx: tx.ppis_batch(scans)) == [items, tags]
 
 
 def test_ppis_batch_rejects_non_partition_key_columns(driver):

@@ -243,3 +243,69 @@ def test_lock_manager_sees_no_deadlocks_under_normal_workload():
     fs.client("setup").mkdirs("/shared/dir2")
     run_threads([lambda i=i: worker(i) for i in range(4)])
     assert fs.driver.cluster._locks.deadlocks == 0
+
+
+def test_batched_quiesce_vs_inode_ops_keeps_one_lock_order():
+    """Level-wide quiesce transactions (several directories' children in
+    one ``(table, pk)``-ordered lock batch) race create, rename, file
+    delete and a nested recursive delete's ``_delete_batch`` in the same
+    subtree: the acquisition-order graph stays acyclic with no upgrade,
+    no lock outlives the run and the namespace checks out."""
+    from repro.analysis import lockwitness
+    from repro.errors import FileNotFoundError_, SubtreeLockedError
+    from repro.hopsfs.fsck import Fsck
+    from repro.ndb.locks import LockManager
+    from repro.util.rwlock import ReadWriteLock
+
+    fs = make_hopsfs(num_namenodes=2, subtree_batch_size=4)
+    setup = fs.client("setup")
+    dirs = 6  # created in name order: path order == pk order across them
+    for d in range(dirs):
+        for f in range(4):
+            setup.create(f"/p/q/tree/d{d}/f{f}")
+    rounds = 12
+
+    def tolerant(op, *args, **kwargs):
+        try:
+            op(*args, **kwargs)
+        except (SubtreeLockedError, FileNotFoundError_,
+                FileAlreadyExistsError):
+            pass  # lost a race against another worker: fine
+
+    def quiescer():  # levels {tree} and {d0..d5}: groups of 4 + 2
+        nn = fs.namenodes[0]
+        for i in range(rounds):
+            tolerant(nn.chown_subtree, "/p/q/tree", f"u{i}", "g")
+
+    def creator():
+        client = fs.client("creator", seed=1)
+        for i in range(rounds):
+            tolerant(client.create, f"/p/q/tree/d{i % dirs}/new{i}")
+
+    def renamer():
+        client = fs.client("renamer", seed=2)
+        for i in range(rounds):
+            here = f"/p/q/tree/d{i % (dirs - 1)}/f0"
+            there = f"/p/q/tree/d{i % (dirs - 1) + 1}/moved{i}"
+            tolerant(client.rename, here, there)
+            tolerant(client.rename, there, here)
+
+    def deleter():
+        client = fs.client("deleter", seed=3)
+        for i in range(rounds):
+            tolerant(client.delete, f"/p/q/tree/d{i % dirs}/f3")
+            if i == rounds // 2:  # phase 3 of another subtree op
+                tolerant(client.delete, "/p/q/tree/d5", recursive=True)
+
+    previous = lockwitness.current_witness()
+    witness = lockwitness.install_witness()
+    try:
+        run_threads([quiescer, creator, renamer, deleter])
+    finally:
+        LockManager._witness = ReadWriteLock._witness = previous
+        lockwitness._current = previous
+    report = witness.report()
+    assert report.ok, report.render()
+    assert witness.edge_count() > 0
+    assert fs.driver.cluster._locks.lock_table_size() == 0
+    assert Fsck(fs.namenodes[0]).run().healthy

@@ -5,10 +5,24 @@ set-quota phase-3 semantics, namenode-failure consistency and the lazy
 reclamation of stale subtree locks.
 """
 
+import threading
+import time
+
 import pytest
 
-from repro.errors import NameNodeUnavailableError, SubtreeLockedError
+from repro import faults
+from repro.errors import (
+    InjectedFaultError,
+    LockTimeoutError,
+    NameNodeUnavailableError,
+    SubtreeLockedError,
+)
+from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.hopsfs import schema as fs_schema
+from repro.hopsfs.fsck import Fsck
+from repro.ndb import LockMode, NDBConfig
+from repro.util.clock import ManualClock
+from tests.conftest import make_hopsfs
 
 
 def build_tree(client, root="/tree", dirs=3, files_per_dir=5, depth=2):
@@ -156,6 +170,217 @@ class TestSubtreeFailureHandling:
         nn.failpoints.clear()
         # lock was released by the error path; the op can run again
         assert nn.delete("/d", recursive=True)
+
+
+def inode_pk(fs, name):
+    [row] = [r for r in subtree_rows(fs, "inodes") if r["name"] == name]
+    return (row["part_key"], row["parent_id"], row["name"])
+
+
+def tree_names(node):
+    """{directory name: sorted child names} of a quiesced in-memory tree."""
+    out = {}
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.is_dir:
+            out[node.name] = sorted(c.name for c in node.children)
+            stack.extend(node.children)
+    return out
+
+
+def committed(nn, op):
+    """Transactions of one ``_fs_op`` name that ran to their commit."""
+    return int(nn.metrics.get_counter("fs_op_total", op=op) or 0)
+
+
+class TestLevelQuiesce:
+    """Phase 2 walks a level at a time: one transaction per group of at
+    most ``subtree_batch_size`` directories (8 in the test fixture)."""
+
+    def test_builds_the_same_tree_group_by_group(self, fs, client):
+        for d in range(20):  # one level, three groups
+            client.create(f"/x/y/wide/d{d:02}/f")
+            client.create(f"/x/y/wide/d{d:02}/g")
+        nn = fs.namenodes[0]
+        ctx = nn._subtree_begin("/x/y/wide", "chown")
+        nn._subtree_quiesce(ctx)
+        assert committed(nn, "subtree_quiesce") == 1 + 3
+        names = tree_names(ctx.tree)
+        assert names.pop("wide") == [f"d{d:02}" for d in range(20)]
+        assert names == {f"d{d:02}": ["f", "g"] for d in range(20)}
+        assert fs.driver.cluster._locks.lock_table_size() == 0
+        nn._subtree_release(ctx)
+
+    def test_group_waits_out_an_in_flight_transaction(self, fs, client):
+        """§6.1: a level's group is delayed by a transaction holding one
+        file of one of its directories, and sees what it committed."""
+        client.create("/x/y/t/a/f")
+        client.create("/x/y/t/b/g")
+        nn = fs.namenodes[0]
+        pk = inode_pk(fs, "f")
+        holder = fs.driver.session().begin()
+        assert holder.read("inodes", pk, lock=LockMode.EXCLUSIVE)
+        holder.update("inodes", pk, {"size": 42})
+        ctx = nn._subtree_begin("/x/y/t", "chown")
+        walker = threading.Thread(target=nn._subtree_quiesce, args=(ctx,))
+        walker.start()
+        time.sleep(0.15)
+        assert walker.is_alive()  # level 1 ({a, b}) waits for the holder
+        assert ctx.tree.children and not ctx.tree.children[0].children
+        holder.commit()
+        walker.join(timeout=5.0)
+        assert not walker.is_alive()
+        [f] = [c for d in ctx.tree.children for c in d.children
+               if c.name == "f"]
+        assert f.size == 42
+        assert fs.driver.cluster._locks.lock_table_size() == 0
+        nn._subtree_release(ctx)
+
+    def test_group_times_out_retries_and_holds_nothing(self):
+        fs = HopsFSCluster(
+            num_namenodes=1, num_datanodes=3,
+            config=HopsFSConfig(clock=ManualClock(), subtree_batch_size=8),
+            ndb_config=NDBConfig(num_datanodes=4, replication=2,
+                                 lock_timeout=0.05))
+        nn = fs.namenodes[0]
+        nn.create("/x/y/t/a/f", client="c")
+        nn.create("/x/y/t/b/g", client="c")
+        locks = fs.driver.cluster._locks
+        holder = fs.driver.session().begin()
+        assert holder.read("inodes", inode_pk(fs, "f"),
+                           lock=LockMode.EXCLUSIVE)
+        with pytest.raises(LockTimeoutError):
+            nn.chown_subtree("/x/y/t", "u", "g")
+        # the transaction retry loop ran the whole group five times, and
+        # every attempt gave back the rows it had locked before the wait
+        assert nn.metrics.get_counter("fs_op_tx_retries_total",
+                                      op="subtree_quiesce") == 5
+        assert locks.lock_table_size() == 1  # the holder's
+        holder.abort()
+        assert locks.lock_table_size() == 0
+        assert subtree_rows(fs) == []  # the failed op released its flag
+        nn.chown_subtree("/x/y/t", "u", "g")
+        assert nn.get_file_info("/x/y/t").owner == "u"
+
+    #: a depth-1 name whose hashed part_key is 3 — the id ``/t/a`` gets
+    #: in a fresh cluster (found by search; asserted below)
+    FOREIGN = "foreign1636481"
+
+    def test_foreign_row_sharing_the_partition_value(self, fs, client,
+                                                     monkeypatch):
+        """A top-level inode whose hashed ``part_key`` equals a quiesced
+        directory's id rides the directory's scan: locked and released
+        with the group, never taken for a child."""
+        client.create("/t/a/f")
+        client.create("/" + self.FOREIGN)
+        nn = fs.namenodes[0]
+        a_id = nn.get_file_info("/t/a").inode_id
+        foreign_pk = inode_pk(fs, self.FOREIGN)
+        assert foreign_pk[:2] == (a_id, fs_schema.ROOT_ID)
+        locks = fs.driver.cluster._locks
+        batches = []
+        real = locks.acquire_many
+
+        def spy(owner, keys, mode, **kwargs):
+            batches.append(list(keys))
+            return real(owner, batches[-1], mode, **kwargs)
+
+        monkeypatch.setattr(locks, "acquire_many", spy)
+        ctx = nn._subtree_begin("/t", "chown")
+        batches.clear()
+        nn._subtree_quiesce(ctx)
+        assert ("inodes", foreign_pk) in batches[-1]
+        assert tree_names(ctx.tree) == {"t": ["a"], "a": ["f"]}
+        assert locks.lock_table_size() == 0
+        nn._subtree_release(ctx)
+        assert client.exists("/" + self.FOREIGN)
+
+
+class TestFailedLevelStops:
+    """Once one unit of a level has failed no further one starts: the
+    caller is about to be told the operation failed."""
+
+    @staticmethod
+    def one_worker_fs():
+        # one pool thread: whatever is queued behind the failing unit
+        # would run after it, deterministically
+        fs = make_hopsfs(num_namenodes=1, subtree_parallelism=1)
+        nn = fs.namenodes[0]
+        for d in range(20):  # 3 quiesce groups; 3 + 3 delete batches
+            nn.create(f"/x/y/wide/d{d:02}/f", client="c")
+        return fs, nn
+
+    @staticmethod
+    def delete_failing(nn, op, skip):
+        """Recursive delete with the ``skip + 1``-th ``op`` transaction
+        failing as it begins; returns what happened at ``op``'s begin
+        site, in order: ``call`` a transaction began, ``error`` the
+        fault fired in the one that had just begun."""
+        plan = faults.FaultPlan(seed=1)
+        plan.add("hopsfs.op", match={"op": op}, action="call",
+                 callback="begun", max_fires=None)
+        plan.add("hopsfs.op", match={"op": op}, action="error", skip=skip)
+        with faults.installed(plan) as injector:
+            injector.register("begun", lambda: None)
+            with pytest.raises(InjectedFaultError):
+                nn.delete_subtree("/x/y/wide")
+        return [fired.action for fired in injector.fired]
+
+    def test_quiesce_stops_after_the_first_failed_group(self):
+        fs, nn = self.one_worker_fs()
+        # the root's group, then the first of the level of 20 fails: the
+        # two groups queued behind it never begin
+        assert self.delete_failing(nn, "subtree_quiesce", skip=1) == [
+            "call", "call", "error"]
+        assert committed(nn, "subtree_delete_batch") == 0
+        self.assert_released_and_resumable(fs, nn)
+
+    def test_delete_stops_after_the_first_failed_batch(self):
+        fs, nn = self.one_worker_fs()
+        assert self.delete_failing(nn, "subtree_delete_batch", skip=0) == [
+            "call", "error"]
+        assert fs.driver.table_size("inodes") == 2 + 1 + 20 + 20
+        self.assert_released_and_resumable(fs, nn)
+
+    def test_namenode_killed_mid_quiesce_leaves_only_the_flag(self):
+        """Groups write nothing: a namenode that dies between two of
+        them leaves the subtree flag (lazily reclaimed, §6.2), every
+        inode, and no row lock."""
+        fs = make_hopsfs(num_namenodes=2, subtree_parallelism=1)
+        victim, survivor = fs.namenodes
+        for d in range(20):
+            victim.create(f"/x/y/wide/d{d:02}/f", client="c")
+        inodes = fs.driver.table_size("inodes")
+        plan = faults.FaultPlan(seed=1)
+        plan.add("hopsfs.op", match={"op": "subtree_quiesce", "nn": victim.nn_id},
+                 action="call", callback="kill", skip=2)
+        with faults.installed(plan) as injector:
+            injector.register("kill", victim.kill)
+            with pytest.raises(NameNodeUnavailableError):
+                victim.delete_subtree("/x/y/wide")
+        assert committed(victim, "subtree_quiesce") == 2  # root, one group
+        assert fs.driver.table_size("inodes") == inodes
+        assert [r["path"] for r in subtree_rows(fs)] == ["/x/y/wide"]
+        assert fs.driver.cluster._locks.lock_table_size() == 0
+        with pytest.raises(SubtreeLockedError):  # the owner looks alive
+            survivor.get_file_info("/x/y/wide/d00/f")
+        for _ in range(3):
+            fs.tick_heartbeats()
+        assert survivor.get_file_info("/x/y/wide/d00/f") is not None
+        assert subtree_rows(fs) == []
+        assert survivor.delete_subtree("/x/y/wide")
+        assert Fsck(survivor).run().healthy
+
+    @staticmethod
+    def assert_released_and_resumable(fs, nn):
+        assert subtree_rows(fs) == []
+        assert all(r["subtree_lock_owner"] == fs_schema.NO_LOCK
+                   for r in subtree_rows(fs, "inodes"))
+        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert nn.delete_subtree("/x/y/wide")  # a re-submit finishes
+        assert fs.driver.table_size("inodes") == 2
+        assert Fsck(nn).run().healthy
 
 
 class TestSubtreeMove:

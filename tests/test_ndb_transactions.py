@@ -265,6 +265,43 @@ class TestScans:
         tx.abort()
 
 
+    def test_locked_ppis_batch_is_one_ascending_lock_batch(self, cluster,
+                                                           monkeypatch):
+        """Whatever order the scans come in, the lock manager sees their
+        candidates once, as one ascending (table, pk) sequence."""
+        self.fill_dir(cluster, 1, 3)
+        self.fill_dir(cluster, 2, 2)
+        for block_id in (7, 4):  # stored in this order, locked in pk order
+            with cluster.begin() as tx:
+                tx.insert("blocks", dict(inode_id=5, block_id=block_id,
+                                         size=1))
+        batches = []
+        real = cluster._locks.acquire_many
+
+        def spy(owner, keys, mode, **kwargs):
+            batches.append((list(keys), mode))
+            return real(owner, batches[-1][0], mode, **kwargs)
+
+        monkeypatch.setattr(cluster._locks, "acquire_many", spy)
+        tx = cluster.begin()
+        got = tx.ppis_batch(
+            [("inodes", {"parent_id": 2}), ("blocks", {"inode_id": 5}),
+             ("inodes", {"parent_id": 1}), ("inodes", {"parent_id": 2})],
+            lock=LockMode.EXCLUSIVE)
+        assert [len(rows) for rows in got] == [2, 2, 3, 2]
+        assert [r["block_id"] for r in got[1]] == [4, 7]  # pk order
+        [(keys, mode)] = batches
+        assert mode is LockMode.EXCLUSIVE
+        assert keys == sorted(set(keys)) and len(keys) == 7
+        assert keys[0][0] == "blocks" and keys[-1] == ("inodes", (2, "f1"))
+        assert set(keys) == set(cluster._locks.held_keys(tx))
+        # rows locked: the per-scan candidates (parent 2 twice) plus the
+        # locked event's rows, as the same four single scans would count
+        assert tx.stats.rows_locked == 9 + 9
+        tx.commit()
+        assert cluster._locks.lock_table_size() == 0
+
+
 class TestAccessStats:
     def test_pk_read_is_one_round_trip(self, cluster):
         with cluster.begin() as tx:

@@ -80,12 +80,24 @@ class TestBatchedScanPricing:
     BATCH_PK event is — not one trip per scan and not one node's work."""
 
     @staticmethod
-    def _event(kind, nodes, partitions, rows=8):
+    def _event(kind, nodes, partitions, rows=8, locked=False):
         from repro.ndb.stats import AccessEvent
 
         return AccessEvent(kind=kind, table="blocks+replicas",
                            partitions=partitions, nodes=nodes,
-                           coordinator=nodes[0], rows=rows)
+                           coordinator=nodes[0], rows=rows, locked=locked)
+
+    def test_a_locking_batched_scan_is_the_same_fan_out(self):
+        """The subtree quiesce's locked ``ppis_batch`` event: one trip
+        over its nodes in parallel, as the unlocked one."""
+        from repro.ndb.stats import AccessKind
+        from repro.perfmodel.profiles import _events_to_trips
+
+        unlocked, locked = _events_to_trips([
+            self._event(AccessKind.PPIS, (0, 1, 2), (0, 2, 4, 4)),
+            self._event(AccessKind.PPIS, (0, 1, 2), (0, 2, 4, 4),
+                        locked=True)])
+        assert locked == unlocked and locked.fanout == 3
 
     def test_multi_shard_ppis_is_priced_like_a_batched_read(self):
         from repro.ndb.stats import AccessKind

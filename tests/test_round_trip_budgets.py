@@ -187,6 +187,74 @@ class TestSubtreeBudgets:
         assert used[0] == used[1]
 
 
+def _create_level_by_level(nn, path: str) -> None:
+    """Create a file, making each missing directory in a transaction of
+    its own: ``create`` of a path with several missing directories
+    inserts them root-down and only then touches the existing prefix's
+    last row, an ancestor-after-descendant edge the lock-order witness
+    would close into a cycle with the level-wide quiesce batches."""
+    parts = path.strip("/").split("/")
+    for depth in range(1, len(parts)):
+        nn.mkdirs("/" + "/".join(parts[:depth]))
+    nn.create(path, client="c")
+
+
+def _subtree_txs(levels, batch: int) -> int:
+    """Transactions of a root-update subtree op: phase 1, phase 3 and,
+    per level of the walk, one per group of ``batch`` plain directories
+    plus one per directory with hash-partitioned children."""
+    return 2 + sum(-(-plain // batch) + hashed for plain, hashed in levels)
+
+
+class TestSubtreeTransactionCount:
+    """How many transactions a subtree ``set_owner`` is — exact: the
+    quiesce is one ``subtree_quiesce`` transaction (budget ``"1"``) per
+    *group*, so the op's cost is its level shape, not its directory
+    count."""
+
+    @staticmethod
+    def _chown_txs(nn, path):
+        before = nn.op_counts()
+        nn.chown_subtree(path, "u", "g")
+        spent = {op: n - before.get(op, 0)
+                 for op, n in nn.op_counts().items() if n != before.get(op, 0)}
+        assert spent.pop("chown_subtree_lock") == 1
+        assert spent.pop("chown_subtree") == 1
+        assert set(spent) == {"subtree_quiesce"}
+        return 2 + spent["subtree_quiesce"]
+
+    def test_the_ledger_tree_shape_is_five_transactions(self):
+        """1, 8 and 40 directories per level at the default group bound
+        of 64: three quiesce transactions where there were 49."""
+        fs = make_hopsfs(num_namenodes=1, subtree_batch_size=64)
+        nn = fs.namenodes[0]
+        for parent in range(8):
+            for leaf in range(5):
+                _create_level_by_level(
+                    nn, f"/x/y/tree/p{parent}/d{leaf}/f")
+        assert (self._chown_txs(nn, "/x/y/tree")
+                == _subtree_txs([(1, 0), (8, 0), (40, 0)], 64) == 5)
+
+    def test_a_level_of_twenty_directories_is_three_groups_of_eight(self):
+        fs = make_hopsfs(num_namenodes=1)  # subtree_batch_size=8
+        nn = fs.namenodes[0]
+        for d in range(20):
+            nn.create(f"/x/y/wide/d{d}/f", client="c")
+        assert (self._chown_txs(nn, "/x/y/wide")
+                == _subtree_txs([(1, 0), (20, 0)], 8) == 2 + 1 + 3)
+
+    def test_a_hash_partitioned_directory_is_a_transaction_of_its_own(self):
+        # depth <= 3 hashed: /top and its three directories all scan
+        # every shard, the level below them is plain again
+        fs = make_hopsfs(num_namenodes=1, random_partition_depth=3)
+        nn = fs.namenodes[0]
+        for d in range(3):
+            for leaf in range(2):
+                _create_level_by_level(nn, f"/top/d{d}/e{leaf}/f")
+        assert (self._chown_txs(nn, "/top")
+                == _subtree_txs([(0, 1), (0, 3), (6, 0)], 8) == 2 + 1 + 3 + 1)
+
+
 class TestBlockReportBudgets:
     """Pin block-report reconciliation (§7.7) to the shared table.
 
@@ -350,3 +418,39 @@ class TestWireBudget:
             assert seen["waits"] == rule, name
             measured[name] = seen["waits"]
         assert measured == self.PINNED
+
+    def test_a_three_level_quiesce_waits_three_times(self, remote_nn,
+                                                     monkeypatch):
+        """One reply-bearing ``tx.ppis_batch`` per level and its one-way
+        commit: the rule above, unchanged — a quiesce transaction reads
+        once and writes nothing."""
+        from repro.dal.remote_driver import RemoteTransaction
+        from repro.rpc import ClientConn
+
+        nn = remote_nn
+        for parent in range(2):
+            for leaf in range(3):
+                _create_level_by_level(
+                    nn, f"/x/y/tree/p{parent}/d{leaf}/f")
+        ctx = nn._subtree_begin("/x/y/tree", "chown")
+        requests, one_way = [], []
+        real_request = RemoteTransaction._request
+        real_notify = ClientConn.notify
+
+        def request(tx, method, params):
+            requests.append((method, params.get("lock"),
+                             len(params.get("scans", ()))))
+            return real_request(tx, method, params)
+
+        def notify(conn, method, params):
+            one_way.append(method)
+            return real_notify(conn, method, params)
+
+        monkeypatch.setattr(RemoteTransaction, "_request", request)
+        monkeypatch.setattr(ClientConn, "notify", notify)
+        nn._subtree_quiesce(ctx)
+        assert requests == [("tx.ppis_batch", "EXCLUSIVE", dirs)
+                            for dirs in (1, 2, 6)]
+        assert one_way == ["tx.commit"] * 3
+        monkeypatch.undo()
+        nn._subtree_release(ctx)

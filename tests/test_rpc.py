@@ -232,6 +232,18 @@ def test_version_1_hello_is_refused(server):
         conn.close()
 
 
+def test_version_2_hello_is_refused(server):
+    """Version 2 had no ``"lock"`` on ``tx.ppis_batch``: a server that
+    ignored the field would hand back unlocked rows, so the two do not
+    talk to each other."""
+    conn = ClientConn(dial(server.host, server.port, timeout=5.0))
+    try:
+        with pytest.raises(ProtocolError, match="protocol"):
+            conn.call("hello", {"protocol": 2})
+    finally:
+        conn.close()
+
+
 def test_retired_knob_and_begin_rpc_are_gone(server, driver):
     with pytest.raises(TypeError):
         RemoteDriver(server.host, server.port, pipeline_writes=True)
@@ -457,6 +469,19 @@ def test_ppis_batch_is_one_request_and_one_event(server):
         assert event.rows == 4 and len(event.partitions) == 3
     finally:
         drv.close()
+
+
+def test_locked_ppis_batch_holds_its_locks_on_the_server(server, driver):
+    session = _fill(driver, n=4)
+    locks = server.driver.cluster._locks
+    tx = session.begin()
+    got = tx.ppis_batch([("kv", {"k": 3}), ("kv", {"k": 9}), ("kv", {"k": 0})],
+                        lock=LockMode.EXCLUSIVE)
+    assert [[r["k"] for r in rows] for rows in got] == [[3], [], [0]]
+    assert locks.lock_table_size() == 2  # held until the transaction ends
+    assert tx.stats.events[-1].locked and tx.stats.rows_locked == 2 + 2
+    tx.commit()  # read-only: a one-way frame
+    assert _wait_until(lambda: locks.lock_table_size() == 0)
 
 
 def test_conn_loss_mid_transaction_is_a_retryable_abort(driver):

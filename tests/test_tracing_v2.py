@@ -232,6 +232,11 @@ class TestSubtreeLinking:
         for trace in inners:
             assert trace.parent_id == root.trace_id, trace.op
         assert root.parent_id is None
+        # one quiesce transaction per level group, not per directory —
+        # /big (hashed children: a group of its own), then {x, y} — each
+        # labelled with the directories it covered
+        assert sorted(t.labels["dirs"] for t in inners
+                      if t.op == "subtree_quiesce") == ["1", "2"]
 
 
 # -- retries, sampling ---------------------------------------------------------
