@@ -266,8 +266,9 @@ class HopsShell:
                 raise CommandError("faults load <plan.json>")
             with open(args[1], encoding="utf-8") as fh:
                 plan = faults.FaultPlan.from_dict(json.load(fh))
+            # a live registry (the cluster view is a fresh merge per call)
             injector = faults.FaultInjector(
-                plan, registry=self.cluster.metrics_registry())
+                plan, registry=self.cluster.driver.metrics_registry())
             faults.install(injector)
             return (f"installed fault plan {plan.name or '(unnamed)'} "
                     f"(seed={plan.seed}, {len(plan.specs)} specs)")

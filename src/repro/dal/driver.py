@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
+from repro.metrics.registry import MetricsRegistry
 from repro.ndb.locks import LockMode
 from repro.ndb.schema import TableSchema
 from repro.ndb.stats import AccessStats
@@ -106,3 +107,8 @@ class DALDriver(abc.ABC):
     @abc.abstractmethod
     def engine_name(self) -> str:
         """Human-readable engine identifier."""
+
+    @abc.abstractmethod
+    def metrics_registry(self) -> MetricsRegistry:
+        """The live registry this driver (and the engine behind it, when
+        in-process) records into, its point-in-time gauges refreshed."""

@@ -24,10 +24,13 @@ from repro.errors import (
     TransactionAbortedError,
 )
 from repro.dal.driver import DALDriver
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import span
 from repro.ndb.locks import LockMode
 from repro.ndb.schema import TableSchema
+from repro.ndb.session import run_in_session
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
+from repro.ndb.transaction import TxState
 
 T = TypeVar("T")
 Predicate = Optional[Callable[[Mapping[str, Any]], bool]]
@@ -38,6 +41,7 @@ class MemoryDriver(DALDriver):
         self._schemas: dict[str, TableSchema] = {}
         self._tables: dict[str, dict[tuple[Any, ...], dict[str, Any]]] = {}
         self._mutex = threading.RLock()
+        self.metrics = MetricsRegistry()
 
     def create_table(self, schema: TableSchema) -> None:
         if schema.name in self._schemas:
@@ -63,12 +67,16 @@ class MemoryDriver(DALDriver):
     def engine_name(self) -> str:
         return "memory(single-node)"
 
+    def metrics_registry(self) -> MetricsRegistry:
+        return self.metrics
+
 
 class MemorySession:
     def __init__(self, driver: MemoryDriver) -> None:
         self._driver = driver
+        self.metrics = driver.metrics
         self.stats = AccessStats()
-        self.retries_used = 0  # mutex serialization: conflicts can't happen
+        self.retries_used = 0
 
     def begin(self, hint: Optional[tuple[str, Mapping[str, Any]]] = None
               ) -> "MemoryTransaction":
@@ -77,19 +85,9 @@ class MemorySession:
     def run(self, fn: Callable[["MemoryTransaction"], T],
             hint: Optional[tuple[str, Mapping[str, Any]]] = None,
             retries: int = 5) -> T:
-        tx = self.begin(hint)
-        try:
-            # no "execute" span: the single attempt is implicit and its
-            # execute time is the trace root's self time (attempt_span)
-            result = fn(tx)
-            if tx.active:
-                tx.commit()  # emits its own "commit" span
-            self.stats.merge(tx.stats)
-            return result
-        except Exception:
-            tx.abort()
-            self.stats.merge(tx.stats)
-            raise
+        # the mutex rules lock conflicts out, but a callback can still
+        # abort itself (a path hint found stale): same loop, same policy
+        return run_in_session(self, fn, hint=hint, retries=retries)
 
     def reset_stats(self) -> AccessStats:
         stats, self.stats = self.stats, AccessStats()
@@ -104,13 +102,13 @@ class MemoryTransaction:
         self.stats = AccessStats()
         self.coordinator = 0
         self._writes: dict[tuple[str, tuple[Any, ...]], tuple[str, Optional[dict]]] = {}
-        self.active = True
+        self.state = TxState.ACTIVE
         driver._mutex.acquire()
 
     # -- helpers -------------------------------------------------------------
 
     def _check(self) -> None:
-        if not self.active:
+        if self.state is not TxState.ACTIVE:
             raise TransactionAbortedError("memory tx no longer active")
 
     def _record(self, kind: AccessKind, table: str, rows: int,
@@ -299,23 +297,23 @@ class MemoryTransaction:
                 self._record(AccessKind.BATCH_PK, "*", writes, locked=False,
                              write=True)
                 self._record(AccessKind.COMMIT, "*", 0, locked=False)
-            self._finish()
+            self._finish(TxState.COMMITTED)
 
     def abort(self) -> None:
-        if not self.active:
+        if self.state is not TxState.ACTIVE:
             return
         self._writes.clear()
-        self._finish()
+        self._finish(TxState.ABORTED)
 
-    def _finish(self) -> None:
-        self.active = False
+    def _finish(self, state: TxState) -> None:
+        self.state = state
         self._driver._mutex.release()
 
     def __enter__(self) -> "MemoryTransaction":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and self.active:
+        if exc_type is None and self.state is TxState.ACTIVE:
             self.commit()
-        elif self.active:
+        elif self.state is TxState.ACTIVE:
             self.abort()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dal.driver import DALDriver
+from repro.metrics.registry import MetricsRegistry
 from repro.ndb.cluster import NDBCluster
 from repro.ndb.config import NDBConfig
 from repro.ndb.schema import TableSchema
@@ -36,3 +37,6 @@ class NDBDriver(DALDriver):
                     else "inline")
         return (f"ndb(nodes={cfg.num_datanodes}, r={cfg.replication}, "
                 f"partitions={cfg.num_partitions}, dispatch={dispatch})")
+
+    def metrics_registry(self) -> MetricsRegistry:
+        return self.cluster.metrics_registry()

@@ -41,6 +41,13 @@ Access statistics stay exact: every transaction RPC response carries the
 scalar counter deltas and new :class:`AccessEvent` records produced
 server-side, and the client folds them into ``tx.stats`` — access-path
 verification and the performance model see embedded-identical numbers.
+
+Metrics: what the client side of the wire produces — the per-phase
+``rpc_request_seconds{phase,method}`` of traced calls,
+``rpc_client_reconnects_total`` and its sessions'
+``ndb_tx_retries_total{reason}`` — lives in :attr:`RemoteDriver.metrics`.
+The engine's ``ndb_*`` families and the server's ``rpc_*`` live in the
+server process (:meth:`RemoteDriver.metrics_snapshot` fetches them).
 """
 
 from __future__ import annotations
@@ -60,14 +67,8 @@ from repro.errors import (
 )
 from repro.faults import fault_point
 from repro.faults.plan import FaultPlan
-from repro.metrics.registry import handle_cache
-from repro.metrics.tracing import (
-    _ACTIVE,
-    add_event,
-    current_registry,
-    graft_remote_call,
-    span,
-)
+from repro.metrics.registry import MetricsRegistry
+from repro.metrics.tracing import _ACTIVE, add_event, graft_remote_call, span
 from repro.ndb.locks import LockMode
 from repro.ndb.schema import TableSchema
 from repro.ndb.session import run_in_session
@@ -86,49 +87,9 @@ _CONN_POISON = _CONN_ERRORS + (ProtocolError,)
 #: the four client-observed phases every traced RPC decomposes into
 RPC_PHASES = ("send", "wire", "server_queue", "engine")
 
-
-def _phase_hists(registry, method: str) -> dict:
-    """Cached ``rpc_request_seconds{phase,method}`` histogram handles."""
-    cache = handle_cache(registry)
-    key = ("rpc_phase", method)
-    hists = cache.get(key)
-    if hists is None:
-        hists = cache[key] = {
-            phase: registry.histogram("rpc_request_seconds",
-                                      phase=phase, method=method)
-            for phase in RPC_PHASES}
-    return hists
-
-
-def _traced_call(conn: ClientConn, method: str,
-                 params: Optional[dict[str, Any]] = None,
-                 **labels: object) -> Any:
-    """One RPC with wire-level trace propagation.
-
-    Untraced callers (no trace bound to this thread — sampling off or
-    sampled out) pay nothing beyond a thread-local read: the request
-    carries no trace envelope and the server does no span work. Traced
-    callers get an ``rpc.<method>`` span (labelled with ``labels``)
-    whose children decompose the round trip into send / wire /
-    server-queue / engine (the server's clock-aligned span tree grafted
-    in the middle), and the phase durations land in
-    ``rpc_request_seconds{phase,method}`` histograms on the bound
-    registry.
-    """
-    trace, stack, registry, _link = _ACTIVE.bind
-    if stack is None:
-        return conn.call(method, params)
-    with span("rpc." + method, **labels) as rpc_span:
-        result, payload, t_send, t_sent, t_recv = conn.call_traced(
-            method, params, trace={"id": trace.trace_id})
-        if payload is not None:
-            phases = graft_remote_call(rpc_span, payload,
-                                       t_send, t_sent, t_recv)
-            if registry is not None:
-                hists = _phase_hists(registry, method)
-                for phase, seconds in phases.items():
-                    hists[phase].observe(seconds)
-    return result
+#: the engine's gauges (:meth:`repro.ndb.NDBCluster.metrics_registry`),
+#: readable only through the server's snapshot
+_ENGINE_GAUGES = ("ndb_lock_", "ndb_group_commit_")
 
 
 class RemoteTransaction:
@@ -176,7 +137,8 @@ class RemoteTransaction:
         if carried:
             params["writes"], self._buffered = self._buffered, []
         try:
-            result = _traced_call(self._conn, method, params, writes=carried)
+            result = self._driver._traced_call(self._conn, method, params,
+                                               writes=carried)
         except Exception as exc:
             # a dead connection takes its transactions with it; a live
             # one answered with an error, and an error reply ends the
@@ -371,6 +333,7 @@ class RemoteSession:
 
     def __init__(self, driver: "RemoteDriver") -> None:
         self._driver = driver
+        self.metrics = driver.metrics
         self.stats = AccessStats()
         self.retries_used = 0
 
@@ -425,6 +388,11 @@ class RemoteDriver(DALDriver):
             base_delay=reconnect_backoff, max_delay=reconnect_backoff_max,
             jitter=True)
         self._dial_rng = random.Random()  # guarded_by: GIL
+        #: what the client side of the wire measures (module docstring)
+        self.metrics = MetricsRegistry()
+        #: ``rpc_request_seconds{phase,method}`` handles by method
+        # guarded_by: GIL -- racing fillers store the registry's own metrics
+        self._phase_hists: dict[str, dict[str, Any]] = {}
         #: lifetime count of redial attempts after connection loss (the
         #: registry counter ``rpc_client_reconnects_total`` mirrors it)
         self.reconnects = 0  # guarded_by: GIL
@@ -436,12 +404,6 @@ class RemoteDriver(DALDriver):
 
     # -- connection pool -------------------------------------------------------
 
-    def _count_reconnect(self) -> None:
-        self.reconnects += 1
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("rpc_client_reconnects_total")
-
     def _dial(self, deadline: Optional[Deadline] = None) -> ClientConn:
         """One connection attempt cycle: the shared jittered policy
         (full-jitter exponential backoff, a supervisor may be respawning
@@ -452,7 +414,8 @@ class RemoteDriver(DALDriver):
             if attempt or self._dialed_once:
                 # every dial after the first-ever connection (or after a
                 # failed attempt) is a reconnect
-                self._count_reconnect()
+                self.reconnects += 1
+                self.metrics.inc("rpc_client_reconnects_total")
             if fault_point("dal.remote.dial", attempt=attempt):
                 last_exc = ConnectionClosedError("injected dial failure")
                 continue
@@ -555,13 +518,46 @@ class RemoteDriver(DALDriver):
                     method: str, params: Mapping[str, Any]) -> Any:
         """One request with its socket timeout clamped to the deadline."""
         if deadline.unbounded:
-            return _traced_call(conn, method, dict(params))
+            return self._traced_call(conn, method, dict(params))
         conn.settimeout(deadline.clamp(self.timeout))
         try:
-            return _traced_call(conn, method, dict(params))
+            return self._traced_call(conn, method, dict(params))
         finally:
             if not conn.closed:
                 conn.settimeout(self.timeout)
+
+    def _traced_call(self, conn: ClientConn, method: str,
+                     params: Optional[dict[str, Any]] = None,
+                     **labels: object) -> Any:
+        """One RPC with wire-level trace propagation.
+
+        Untraced callers (no trace bound to this thread — sampling off or
+        sampled out) pay nothing beyond a thread-local read: the request
+        carries no trace envelope and the server does no span work. Traced
+        callers get an ``rpc.<method>`` span (labelled with ``labels``)
+        whose children decompose the round trip into send / wire /
+        server-queue / engine (the server's clock-aligned span tree grafted
+        in the middle), and the phase durations land in this driver's
+        ``rpc_request_seconds{phase,method}`` histograms.
+        """
+        trace, stack, _link = _ACTIVE.bind
+        if stack is None:
+            return conn.call(method, params)
+        with span("rpc." + method, **labels) as rpc_span:
+            result, payload, t_send, t_sent, t_recv = conn.call_traced(
+                method, params, trace={"id": trace.trace_id})
+            if payload is not None:
+                phases = graft_remote_call(rpc_span, payload,
+                                           t_send, t_sent, t_recv)
+                hists = self._phase_hists.get(method)
+                if hists is None:
+                    hists = self._phase_hists[method] = {
+                        phase: self.metrics.histogram(
+                            "rpc_request_seconds", phase=phase, method=method)
+                        for phase in RPC_PHASES}
+                for phase, seconds in phases.items():
+                    hists[phase].observe(seconds)
+        return result
 
     # -- DALDriver interface ---------------------------------------------------
 
@@ -585,6 +581,20 @@ class RemoteDriver(DALDriver):
         return (f"remote({where}, "
                 f"server={info.get('server', '?')}, "
                 f"engine={info.get('engine', '?')})")
+
+    def metrics_registry(self) -> MetricsRegistry:
+        """This driver's registry, with the engine's gauges copied out of
+        the server's snapshot; a server that cannot be reached leaves
+        them at what they last read."""
+        try:
+            served = self.metrics_snapshot(include_samples=False)
+        except RPCError:
+            served = {}  # a dead server must not take the metrics down
+        for gauge in served.get("gauges", ()):
+            if gauge["name"].startswith(_ENGINE_GAUGES):
+                self.metrics.set_gauge(gauge["name"], gauge["value"],
+                                       **gauge.get("labels", {}))
+        return self.metrics
 
     # -- admin / observability surface -----------------------------------------
 

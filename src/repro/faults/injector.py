@@ -10,7 +10,8 @@ and debuggable from artifacts alone:
 
 * a :class:`~repro.faults.plan.FiredFault` entry on
   :attr:`FaultInjector.fired` (the replay-determinism evidence);
-* a ``faults_fired_total{site,action}`` metrics counter;
+* a ``faults_fired_total{site,action}`` counter on the registry the
+  injector was constructed with (none given, none counted);
 * a zero-duration ``fault:<site>`` op in the bound flight recorder, so
   post-mortem dumps show fault firings interleaved with operations.
 
@@ -30,7 +31,6 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from repro import errors as _errors
 from repro.faults.plan import FaultPlan, FaultSpec, FiredFault
-from repro.metrics.tracing import current_registry
 
 
 class DropConnection(Exception):
@@ -157,11 +157,9 @@ class FaultInjector:
         raise _error_class(spec.error)(message)
 
     def _note(self, record: FiredFault) -> None:
-        registry = self.registry if self.registry is not None \
-            else current_registry()
-        if registry is not None:
-            registry.inc("faults_fired_total", site=record.site,
-                         action=record.action)
+        if self.registry is not None:
+            self.registry.inc("faults_fired_total", site=record.site,
+                              action=record.action)
         if self.recorder is not None:
             self.recorder.note(f"fault:{record.site}")
 

@@ -25,10 +25,7 @@ from repro.hopsfs.namenode import NameNode
 from repro.hopsfs.quota import QuotaManager
 from repro.hopsfs.replication import ReplicationManager
 from repro.ndb.config import NDBConfig
-from repro.errors import NameNodeUnavailableError, RPCError
-
-#: the engine's gauges (:meth:`repro.ndb.NDBCluster.publish_gauges`)
-_ENGINE_GAUGES = ("ndb_lock_", "ndb_group_commit_")
+from repro.errors import NameNodeUnavailableError
 
 
 class HopsFSCluster:
@@ -246,39 +243,27 @@ class HopsFSCluster:
     # -- observability ------------------------------------------------------------------------
 
     def metrics_registry(self) -> "MetricsRegistry":
-        """One cluster-wide registry merged from every namenode.
+        """One cluster-wide registry: merge every namenode, merge the
+        driver, recompute the hit rate.
 
         Counters and histograms sum/fold across namenodes (dead ones
-        included — their history is still part of the cluster's story).
-        Ratio gauges are recomputed from the summed totals, and the
-        database's lock-manager and group-commit gauges are bridged in
-        from the engine — in-process, or through the ndb-server's own
-        metrics snapshot when the driver is remote.
+        included — their history is still part of the cluster's story);
+        the driver's registry carries what the database side measured
+        (the engine's own ``ndb_*`` in-process; behind an ndb-server the
+        client's ``rpc_*`` and the engine gauges the server reports).
         """
         from repro.metrics.registry import MetricsRegistry
 
         merged = MetricsRegistry()
         for nn in self.namenodes:
             merged.merge(nn.metrics_registry())
+        merged.merge(self.driver.metrics_registry())
         # summing per-NN hit rates is meaningless; recompute from totals
         hits = merged.get_gauge("hint_cache_hits") or 0.0
         misses = merged.get_gauge("hint_cache_misses") or 0.0
         total = hits + misses
         merged.set_gauge("hint_cache_hit_rate",
                          hits / total if total else 0.0)
-        ndb = getattr(self.driver, "cluster", None)
-        if ndb is not None:
-            ndb.publish_gauges(merged)
-        elif hasattr(self.driver, "metrics_snapshot"):
-            # behind an ndb-server: the same gauges, from its registry
-            try:
-                served = self.driver.metrics_snapshot(include_samples=False)
-            except RPCError:
-                served = {}  # a dead server must not take the metrics down
-            for gauge in served.get("gauges", ()):
-                if gauge["name"].startswith(_ENGINE_GAUGES):
-                    merged.set_gauge(gauge["name"], gauge["value"],
-                                     **gauge.get("labels", {}))
         return merged
 
     def metrics_snapshot(self) -> dict:

@@ -42,7 +42,6 @@ from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Trace, Tracer
 from repro.ndb.locks import LockMode
 from repro.ndb.stats import AccessKind, AccessStats
-from repro.util.stats import Counter
 
 
 #: operations served even in read-only degraded mode (the paper's
@@ -85,7 +84,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
                                            batch=config.id_batch_size)
         self._rng = random.Random(nn_id)
         self.stats = AccessStats(keep_events=False)
-        self.op_count = Counter()  # guarded_by: _stats_mutex
+        self.op_count: dict[str, int] = {}  # guarded_by: _stats_mutex
         self._stats_mutex = threading.Lock()
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(name=f"nn{nn_id}",
@@ -97,8 +96,8 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         # hot-path metric handles, cached so per-operation recording is a
         # couple of lock/inc pairs instead of registry lookups (the
         # registry's get-or-create does label canonicalization each call)
-        self._op_metrics: dict[str, tuple] = {}  # guarded_by: _op_metrics_lock [writes]
-        self._op_metrics_lock = threading.Lock()
+        # guarded_by: GIL -- racing fillers store the registry's own metrics
+        self._op_metrics: dict[str, tuple] = {}
         self._db_kind_counters = {
             kind: self.metrics.counter("db_access_total", kind=kind.value)
             for kind in AccessKind}
@@ -172,7 +171,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         # plans use to simulate a namenode dying as the request arrives
         fault_point("hopsfs.op", op=op_name, nn=self.nn_id)
         self._degraded_gate(op_name)
-        seconds, total, _round_trips = self._hot_op_metrics(op_name)
         record = self.flight.begin(op_name)
         started = time.perf_counter()
         trace = None
@@ -181,19 +179,26 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
                 result = self._fs_op_attempts(op_name, fn, hint,
                                               retry_duplicates)
         except Exception as exc:
-            seconds.observe(time.perf_counter() - started)
-            self.metrics.inc("fs_op_errors_total", op=op_name,
-                             error=type(exc).__name__)
-            self.flight.end(record, error=exc,
-                            trace_id=trace.trace_id if trace else None)
-            self._record_outcome(isinstance(exc, COMMIT_FAILURE_ERRORS))
+            self._account(op_name, record, started, trace, exc)
             raise
-        seconds.observe(time.perf_counter() - started)
-        total.inc()
-        self.flight.end(record,
-                        trace_id=trace.trace_id if trace else None)
-        self._record_outcome(False)
+        self._account(op_name, record, started, trace, None)
         return result
+
+    def _account(self, op_name: str, record: Any, started: float,
+                 trace: Optional[Trace], error: Optional[Exception]) -> None:
+        """The one epilogue of :meth:`_fs_op`: latency, outcome counter,
+        flight record, degraded-mode window."""
+        elapsed = time.perf_counter() - started
+        seconds, total, _round_trips = self._hot_op_metrics(op_name)
+        seconds.observe(elapsed)
+        if error is None:
+            total.inc()
+        else:
+            self.metrics.inc("fs_op_errors_total", op=op_name,
+                             error=type(error).__name__)
+        self.flight.end(record, error=error,
+                        trace_id=trace.trace_id if trace else None)
+        self._record_outcome(isinstance(error, COMMIT_FAILURE_ERRORS))
 
     def _on_trace_finish(self, trace: Trace) -> None:
         """Keep failed, retried and slow traces in the flight recorder."""
@@ -208,15 +213,10 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         histogram) for one op name."""
         metrics = self._op_metrics.get(op_name)
         if metrics is None:
-            with self._op_metrics_lock:
-                metrics = self._op_metrics.get(op_name)
-                if metrics is None:
-                    metrics = (
-                        self.metrics.histogram("fs_op_seconds", op=op_name),
-                        self.metrics.counter("fs_op_total", op=op_name),
-                        self.metrics.histogram("db_op_round_trips",
-                                               op=op_name))
-                    self._op_metrics[op_name] = metrics
+            metrics = self._op_metrics[op_name] = (
+                self.metrics.histogram("fs_op_seconds", op=op_name),
+                self.metrics.counter("fs_op_total", op=op_name),
+                self.metrics.histogram("db_op_round_trips", op=op_name))
         return metrics
 
     def _fs_op_attempts(self, op_name: str, fn: Callable[[DALTransaction], Any],
@@ -255,13 +255,13 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
     def op_counts(self) -> dict[str, int]:
         """A locked snapshot of the per-op invocation counters."""
         with self._stats_mutex:
-            return self.op_count.snapshot()
+            return dict(self.op_count)
 
     def _merge_stats(self, op_name: str, session) -> None:
         stats = session.stats
         with self._stats_mutex:
             self.stats.merge(stats)
-            self.op_count.add(op_name)
+            self.op_count[op_name] = self.op_count.get(op_name, 0) + 1
         # bridge the DAL access statistics into the metrics registry
         # (through cached counter handles — this runs once per operation)
         for kind, n in stats.by_kind.items():

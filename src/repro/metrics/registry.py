@@ -17,11 +17,16 @@ across the tree are documented in ``docs/architecture.md`` §Observability:
 counters end in ``_total``, durations are in seconds and end in
 ``_seconds``.
 
-Registries are cheap to create (one per namenode) and mergeable —
+A registry belongs to the component that produces its metrics — one per
+namenode (``NameNode.metrics``), one per engine (``NDBCluster.metrics``,
+which an ndb-server serves as its own), one per remote driver
+(``RemoteDriver.metrics``) — and that owner keeps the live handles of
+whatever it records on a hot path; nothing finds a registry through a
+thread-local. Registries are cheap to create and mergeable —
 :meth:`MetricsRegistry.merge` sums counters and gauges and folds
 histogram reservoirs together, which is how
 :meth:`repro.hopsfs.cluster.HopsFSCluster.metrics_registry` produces one
-cluster-wide view from per-namenode registries.
+cluster-wide view from the namenodes' registries and the driver's.
 """
 
 from __future__ import annotations
@@ -46,20 +51,6 @@ RECENT_SAMPLES = 2048
 
 def _label_items(labels: dict[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def handle_cache(registry: "MetricsRegistry") -> dict:
-    """The registry's memo dict for hot paths caching live metric handles.
-
-    The convenience :meth:`MetricsRegistry.inc`/:meth:`~MetricsRegistry.observe`
-    helpers pay a label-canonicalization plus a locked dict lookup on
-    every call; a hot path that fires per database round trip caches the
-    live :class:`CounterMetric`/:class:`HistogramMetric` object here
-    under its own cheap key instead. Entries live as long as the
-    registry. Plain-dict races under the GIL are benign: the registry's
-    own get-or-create guarantees both racers receive the same metric.
-    """
-    return registry._handles
 
 
 class _WindowBuckets:
@@ -338,8 +329,6 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, LabelItems], CounterMetric] = {}
         self._gauges: dict[tuple[str, LabelItems], GaugeMetric] = {}
         self._histograms: dict[tuple[str, LabelItems], HistogramMetric] = {}
-        #: hot-path metric-handle memo, handed out by :func:`handle_cache`
-        self._handles: dict = {}
 
     # -- get-or-create ---------------------------------------------------------
 

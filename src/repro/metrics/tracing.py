@@ -36,9 +36,12 @@ given a registry, folds every finished trace's per-phase durations into
 ``hopsfs_phase_seconds{phase,op}`` histograms. ``sample_every=N`` traces
 every Nth call *per operation name* (round-robin within each op, so rare
 ops like ``set_quota`` are not starved by hot ones; 1 = all, 0 = none).
-Unsampled operations still bind the registry, so database-layer counters
-(``ndb_lock_waits_total``, ``ndb_shard_op_seconds``, …) record for every
-operation regardless of sampling.
+
+The binding carries spans and the link, nothing else: an unsampled
+operation binds nothing at all, and no metric is found through it — a
+counter or histogram lives in the registry of the component that
+produces it (``NameNode.metrics``, ``NDBCluster.metrics``,
+``RemoteDriver.metrics``), which records whether or not anybody traces.
 """
 
 from __future__ import annotations
@@ -53,24 +56,23 @@ from typing import Any, Callable, Iterator, Optional
 from repro.metrics.registry import MetricsRegistry
 
 #: span names treated as exclusive phases when aggregating (see
-#: :meth:`Trace.phases`); ``execute`` contributes *self* time only.
-PHASE_SPANS = ("resolve", "lock", "execute", "commit", "lock_wait")
-_PHASE_SET = frozenset(PHASE_SPANS)
+#: :func:`_summarize`); ``execute`` contributes *self* time only.
+PHASE_SPANS = frozenset({"resolve", "lock", "execute", "commit", "lock_wait"})
 
 #: shared empty-children sentinel (see ``Span.__init__``)
 _NO_CHILDREN: tuple = ()
 
-#: one immutable (trace, stack, registry, link) binding shared by every
-#: thread that has never entered a trace/registry context
-_EMPTY_BIND: tuple = (None, None, None, None)
+#: one immutable (trace, stack, link) binding shared by every thread
+#: that is not inside a trace
+_EMPTY_BIND: tuple = (None, None, None)
 
 
 class _ThreadBinding(threading.local):
     """Per-thread trace binding.
 
     The whole binding lives in ONE ``bind`` tuple — ``(trace, span
-    stack, registry, link)`` — so entering/leaving a trace is a single
-    thread-local read plus a single write instead of four of each;
+    stack, link)`` — so entering/leaving a trace is a single
+    thread-local read plus a single write instead of three of each;
     thread-local attribute traffic is a measurable slice of per-span
     cost on hot paths. The class attributes double as per-thread
     defaults: a plain ``threading.local()`` makes every read of a
@@ -82,8 +84,8 @@ class _ThreadBinding(threading.local):
     the hot path.
     """
 
-    #: (trace recording on this thread, live span stack, db-layer
-    #: metrics registry, root trace id of the logical operation group)
+    #: (trace recording on this thread, live span stack, root trace id
+    #: of the logical operation group)
     bind: tuple = _EMPTY_BIND
     link_scopes: int = 0             # depth of active link_scope() blocks
 
@@ -248,8 +250,8 @@ class Trace(Span):
         self.error: Optional[str] = None
         self.trace_id = new_trace_id()
         self.parent_id = parent_id
-        #: filled by ``Tracer._finish`` in its single summary pass so
-        #: finish hooks don't re-walk the span tree per question
+        #: filled by ``Tracer._finish`` from its one :func:`_summarize`
+        #: pass so finish hooks don't re-walk the span tree per question
         self.execute_attempts = 0
         self.retry_events = 0
         #: the trace is its own `with` target (`Tracer.trace` sets the
@@ -264,10 +266,8 @@ class Trace(Span):
     def __enter__(self) -> "Trace":
         prev = _ACTIVE.bind
         self._prev_bind = prev
-        link = prev[3]
-        tracer = self._tracer
+        link = prev[2]
         _ACTIVE.bind = (self, [self],
-                        tracer.registry if tracer is not None else prev[2],
                         link if link is not None else self.trace_id)
         return self
 
@@ -277,7 +277,7 @@ class Trace(Span):
         if _ACTIVE.link_scopes:
             # an enclosing link_scope keeps the link pinned so sibling
             # traces of this operation group parent under the same root
-            prev = (prev[0], prev[1], prev[2], bind[3])
+            prev = (prev[0], prev[1], bind[2])
         _ACTIVE.bind = prev
         stack = bind[1]
         if stack is not None:
@@ -308,27 +308,8 @@ class Trace(Span):
         return [span for span in self.spans(name) if span.is_event]
 
     def phases(self) -> dict[str, float]:
-        """Total seconds per Figure-4 phase.
-
-        ``resolve``/``lock``/``commit``/``lock_wait`` sum span durations
-        across *all* attempts; ``execute`` is the operation's *self*
-        time — the root's own time plus any retry-attempt ``execute``
-        spans' self time — so nested resolve/lock/commit spans are not
-        double counted. Phases with no time are omitted.
-        """
-        totals: dict[str, float] = {}
-        for span in self.walk():
-            if span.name not in PHASE_SPANS:
-                continue
-            seconds = (span.self_time if span.name == "execute"
-                       else span.duration)
-            totals[span.name] = totals.get(span.name, 0.0) + seconds
-        # the first attempt's execute time is the root's self time — the
-        # hot path carries no "execute" span (see attempt_span)
-        seconds = self.self_time
-        if seconds > 0.0:
-            totals["execute"] = totals.get("execute", 0.0) + seconds
-        return totals
+        """Total seconds per Figure-4 phase (see :func:`_summarize`)."""
+        return _summarize(self)[0]
 
     def render(self, indent: int = 0) -> str:
         status = f" error={self.error}" if self.error else ""
@@ -363,15 +344,6 @@ def current_trace() -> Optional[Trace]:
     return _ACTIVE.bind[0]
 
 
-def current_registry() -> Optional[MetricsRegistry]:
-    return _ACTIVE.bind[2]
-
-
-def current_link() -> Optional[str]:
-    """Trace id of the logical operation group bound to this thread."""
-    return _ACTIVE.bind[3]
-
-
 class TraceContext:
     """A propagable snapshot of the calling thread's trace binding.
 
@@ -386,21 +358,19 @@ class TraceContext:
     child-list appends from multiple threads are GIL-atomic.
     """
 
-    __slots__ = ("trace", "parent", "registry", "link")
+    __slots__ = ("trace", "parent", "link")
 
     def __init__(self, trace: Optional[Trace], parent: Optional[Span],
-                 registry: Optional[MetricsRegistry],
                  link: Optional[str]) -> None:
         self.trace = trace
         self.parent = parent
-        self.registry = registry
         self.link = link
 
     @classmethod
     def capture(cls) -> "TraceContext":
-        trace, stack, registry, link = _ACTIVE.bind
+        trace, stack, link = _ACTIVE.bind
         parent = stack[-1] if (trace is not None and stack) else None
-        return cls(trace, parent, registry, link)
+        return cls(trace, parent, link)
 
     def bind(self) -> "_ContextBinding":
         """Context manager installing this snapshot on the current thread."""
@@ -408,7 +378,7 @@ class TraceContext:
 
     def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
         """Return ``fn`` bound to this context (identity when empty)."""
-        if self.trace is None and self.registry is None and self.link is None:
+        if self.trace is None and self.link is None:
             return fn
 
         def bound(*args: Any, **kwargs: Any) -> Any:
@@ -430,7 +400,6 @@ class _ContextBinding:
         _ACTIVE.bind = (
             ctx.trace,
             [ctx.parent] if ctx.parent is not None else None,
-            ctx.registry,
             ctx.link)
         return ctx
 
@@ -458,14 +427,14 @@ class link_scope:
     __slots__ = ("_prev_link",)
 
     def __enter__(self) -> "link_scope":
-        self._prev_link = _ACTIVE.bind[3]
+        self._prev_link = _ACTIVE.bind[2]
         _ACTIVE.link_scopes = _ACTIVE.link_scopes + 1
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         _ACTIVE.link_scopes -= 1
         bind = _ACTIVE.bind
-        _ACTIVE.bind = (bind[0], bind[1], bind[2], self._prev_link)
+        _ACTIVE.bind = (bind[0], bind[1], self._prev_link)
         return False
 
 
@@ -649,31 +618,57 @@ def record_access(kind_value: str, table: str,
     children.append(event)
 
 
-class _RegistryContext:
-    """Registry-only binding for unsampled operations.
+def _summarize(trace: Trace) -> tuple[dict[str, float], int, int]:
+    """``(seconds per Figure-4 phase, execute attempts, tx_retry events)``
+    of one trace, in a single iterative pass over its span tree.
 
-    Database-layer instrumentation reaches the registry through
-    :func:`current_registry`; binding it even when the trace is sampled
-    out keeps counters like ``ndb_lock_waits_total`` complete.
+    ``resolve``/``lock``/``commit``/``lock_wait`` sum span durations
+    across *all* attempts; ``execute`` is the operation's *self* time —
+    the root's own time plus any retry-attempt ``execute`` spans' self
+    time — so nested resolve/lock/commit spans are not double counted.
+    A span still open contributes nothing.
     """
-
-    __slots__ = ("_bind", "_prev")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._bind = (None, None, registry, None)
-
-    def __enter__(self) -> None:
-        prev = _ACTIVE.bind
-        self._prev = prev
-        if prev is _EMPTY_BIND:
-            _ACTIVE.bind = self._bind
-        else:  # preserve an enclosing trace/link, rebind the registry
-            _ACTIVE.bind = (prev[0], prev[1], self._bind[2], prev[3])
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _ACTIVE.bind = self._prev
-        return False
+    phases: dict[str, float] = {}
+    executes = 0
+    retries = 0
+    stack: list[Span] = [trace]
+    while stack:
+        node = stack.pop()
+        children = node.children
+        if children:
+            stack.extend(children)
+        name = node.name
+        if name == "execute":
+            executes += 1
+            end = node.end
+            seconds = (end - node.start) if end is not None else 0.0
+            for child in children:
+                cend = child.end
+                if cend is not None:
+                    seconds -= cend - child.start
+            if seconds < 0.0:
+                seconds = 0.0
+            phases["execute"] = phases.get("execute", 0.0) + seconds
+        elif name in PHASE_SPANS:
+            end = node.end
+            if end is not None:
+                phases[name] = (phases.get(name, 0.0)
+                                + (end - node.start))
+        elif name == "tx_retry":
+            retries += 1
+    # the first attempt has no "execute" span (see attempt_span): its
+    # execute time is the root's self time, and the span count only
+    # covers retries
+    end = trace.end
+    if end is not None:
+        seconds = end - trace.start
+        for child in trace.children:
+            cend = child.end
+            if cend is not None:
+                seconds -= cend - child.start
+        if seconds > 0.0:
+            phases["execute"] = phases.get("execute", 0.0) + seconds
+    return phases, executes + 1, retries
 
 
 class Tracer:
@@ -683,8 +678,8 @@ class Tracer:
       (per-op round-robin: the first call of every op is always sampled,
       so rare ops are never starved by hot ones; 1 = all, 0 = none).
       Traces started inside an active :func:`link_scope` group are always
-      sampled so operation groups stay complete. Unsampled calls still
-      bind the metrics registry (see :class:`_RegistryContext`).
+      sampled so operation groups stay complete. An unsampled call binds
+      nothing.
     * ``ring_size``: completed traces kept for inspection (FIFO);
     * ``slow_threshold``: seconds above which a trace also lands in the
       slow-operation log (kept separately so bursts of fast traces cannot
@@ -726,14 +721,12 @@ class Tracer:
         """Start a trace for one operation (or a no-op if sampled out).
 
         Sampled calls return the :class:`Trace` itself (it is its own
-        context manager); unsampled calls return a registry-only
-        binding.
+        context manager); unsampled calls return the shared no-op.
         """
-        link = _ACTIVE.bind[3]
+        link = _ACTIVE.bind[2]
         sample_every = self.sample_every
         if sample_every == 0 and link is None:
-            return (_RegistryContext(self.registry)
-                    if self.registry is not None else _NULL)
+            return _NULL
         if sample_every != 1 and link is None:
             # only fractional sampling needs the per-op round-robin
             # sequence; trace-everything skips the counter machinery
@@ -742,8 +735,7 @@ class Tracer:
                 seq_counter = self._op_seq.setdefault(op, itertools.count())
             if next(seq_counter) % sample_every != 0:
                 self.traces_dropped += 1
-                return (_RegistryContext(self.registry)
-                        if self.registry is not None else _NULL)
+                return _NULL
         self.traces_started += 1
         trace = Trace(op, _perf_counter(), labels or None,
                       parent_id=link)
@@ -751,53 +743,7 @@ class Tracer:
         return trace
 
     def _finish(self, trace: Trace) -> None:
-        # One iterative pass computes the per-phase totals plus the
-        # attempt/retry summary finish hooks ask about; the previous
-        # recursive walk()-per-question pattern (phases(), then
-        # spans("execute"), then events("tx_retry")) tripled the cost
-        # of finishing a trace.
-        phases: dict[str, float] = {}
-        executes = 0
-        retries = 0
-        stack: list[Span] = [trace]
-        while stack:
-            node = stack.pop()
-            children = node.children
-            if children:
-                stack.extend(children)
-            name = node.name
-            if name == "execute":
-                executes += 1
-                end = node.end
-                seconds = (end - node.start) if end is not None else 0.0
-                for child in children:
-                    cend = child.end
-                    if cend is not None:
-                        seconds -= cend - child.start
-                if seconds < 0.0:
-                    seconds = 0.0
-                phases["execute"] = phases.get("execute", 0.0) + seconds
-            elif name in _PHASE_SET:
-                end = node.end
-                if end is not None:
-                    phases[name] = (phases.get(name, 0.0)
-                                    + (end - node.start))
-            elif name == "tx_retry":
-                retries += 1
-        # the first attempt has no "execute" span (see attempt_span):
-        # its execute time is the root's self time, and the span count
-        # only covers retries
-        end = trace.end
-        if end is not None:
-            seconds = end - trace.start
-            for child in trace.children:
-                cend = child.end
-                if cend is not None:
-                    seconds -= cend - child.start
-            if seconds > 0.0:
-                phases["execute"] = phases.get("execute", 0.0) + seconds
-        trace.execute_attempts = executes + 1
-        trace.retry_events = retries
+        phases, trace.execute_attempts, trace.retry_events = _summarize(trace)
         # deque.append is atomic under the GIL (maxlen eviction included),
         # so the ring and slow log need no lock round here
         self._ring.append(trace)

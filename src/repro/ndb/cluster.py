@@ -40,8 +40,8 @@ from repro.errors import (
     TransactionAbortedError,
 )
 from repro.faults import fault_point
-from repro.metrics.registry import handle_cache
-from repro.metrics.tracing import TraceContext, current_registry, span
+from repro.metrics.registry import HistogramMetric, MetricsRegistry
+from repro.metrics.tracing import TraceContext, span
 from repro.ndb.config import NDBConfig
 from repro.ndb.datanode import CommitRecord, GroupCommitLog, NDBDatanode, WriteRecord
 from repro.ndb.fragment import Fragment
@@ -67,8 +67,24 @@ class NDBCluster:
         )
         # guarded_by: GIL -- tables are created during single-threaded setup
         self._schemas: dict[str, TableSchema] = {}
+        #: every ``ndb_*`` metric of this engine, whoever asked for the
+        #: work; the handles below are made once so the fetch and commit
+        #: paths never look a metric up by name
+        self.metrics = MetricsRegistry()
+        self._fanout = self.metrics.histogram("ndb_shard_fanout")
+        self._dispatch = {
+            path: self.metrics.counter("ndb_shard_dispatch_total", path=path)
+            for path in ("inline", "parallel")}
+        self._commit_participants = self.metrics.histogram(
+            "ndb_commit_participants")
+        self._group_commit_batch = self.metrics.histogram(
+            "ndb_group_commit_batch")
+        #: ``ndb_shard_op_seconds`` handles by (shard, kind)
+        # guarded_by: GIL -- racing fillers store the registry's one metric
+        self._shard_op_hists: dict[tuple[Any, str], HistogramMetric] = {}
         self._locks = LockManager(timeout=self.config.lock_timeout,
-                                  shard_of=self._lock_key_shard)
+                                  shard_of=self._lock_key_shard,
+                                  registry=self.metrics)
         #: current primary node per partition (same for all tables)
         # guarded_by: _structure_gate [writes]
         self._primaries: dict[int, int] = {
@@ -189,10 +205,12 @@ class NDBCluster:
         """Flush counters of the group-committed log (observability)."""
         return self._commit_log.stats()
 
-    def publish_gauges(self, registry: Any) -> None:
-        """Set the lock manager's and the group-committed log's running
-        totals as ``ndb_lock_*`` / ``ndb_group_commit_*`` gauges — the
-        one place they are named, for whichever process owns the engine."""
+    def metrics_registry(self) -> MetricsRegistry:
+        """The engine's registry with its point-in-time gauges refreshed:
+        the lock manager's and the group-committed log's running totals
+        as ``ndb_lock_*`` / ``ndb_group_commit_*`` — the one place they
+        are named, for whichever process owns the engine."""
+        registry = self.metrics
         locks = self._locks
         registry.set_gauge("ndb_lock_waits", locks.waits)
         registry.set_gauge("ndb_lock_deadlocks", locks.deadlocks)
@@ -205,6 +223,16 @@ class NDBCluster:
                 registry.set_gauge("ndb_lock_stripe_waits", waits, stripe=idx)
         for key, value in self.group_commit_stats.items():
             registry.set_gauge(f"ndb_group_commit_{key}", value)
+        return registry
+
+    def _shard_op_seconds(self, shard: Any, kind: str) -> HistogramMetric:
+        """The ``ndb_shard_op_seconds{shard,kind}`` histogram."""
+        hist = self._shard_op_hists.get((shard, kind))
+        if hist is None:
+            hist = self._shard_op_hists[(shard, kind)] = (
+                self.metrics.histogram("ndb_shard_op_seconds",
+                                       shard=shard, kind=kind))
+        return hist
 
     # -- shard executor ---------------------------------------------------------------
 
@@ -244,24 +272,11 @@ class NDBCluster:
         Results keep task order. If any task raises, every task is still
         awaited (no stragglers left mutating state) and the first
         exception is re-raised. Records the fan-out width and dispatch
-        path in the active metrics registry.
+        path.
         """
         parallel = len(tasks) > 1 and self.parallel_dispatch_enabled
-        registry = current_registry()
-        if registry is not None:
-            # cached handles: this runs once per batched round trip
-            cache = handle_cache(registry)
-            fanout = cache.get("shard_fanout")
-            if fanout is None:
-                fanout = cache["shard_fanout"] = registry.histogram(
-                    "ndb_shard_fanout")
-            fanout.observe(len(tasks))
-            path = "parallel" if parallel else "inline"
-            dispatch = cache.get(("shard_dispatch", path))
-            if dispatch is None:
-                dispatch = cache[("shard_dispatch", path)] = registry.counter(
-                    "ndb_shard_dispatch_total", path=path)
-            dispatch.inc()
+        self._fanout.observe(len(tasks))
+        self._dispatch["parallel" if parallel else "inline"].inc()
         if not parallel:
             return [task() for task in tasks]
         # propagate the submitter's trace binding onto the worker threads
@@ -410,8 +425,9 @@ class NDBCluster:
                 def participant(node_id: int, batch) -> Callable[[], None]:
                     group = self._pmap.node_group_of(
                         batch[0][2].partition_id) if batch else 0
-                    shards = sorted({wrec.partition_id
-                                     for _p, _b, wrec in batch})
+                    shards = {wrec.partition_id for _p, _b, wrec in batch}
+                    shard = shards.pop() if len(shards) == 1 else "multi"
+                    seconds = self._shard_op_seconds(shard, "commit")
 
                     def apply_batch() -> None:
                         # stall-only site (a datanode pausing mid-2PC):
@@ -420,9 +436,7 @@ class NDBCluster:
                         fault_point("ndb.commit.participant", node=node_id)
                         started = time.perf_counter()
                         with span("commit.participant", node=node_id,
-                                  node_group=group,
-                                  shard=(shards[0] if len(shards) == 1
-                                         else "multi")):
+                                  node_group=group, shard=shard):
                             self._round_trip()  # one commit round per participant
                             node = self.datanodes[node_id]
                             for pending, before, wrec in batch:
@@ -440,14 +454,7 @@ class NDBCluster:
                                     frag.apply_update(wrec.pk, pending.row)
                                 node.redo_log.append(
                                     (record.tx_id, record.epoch, wrec))
-                        participant_registry = current_registry()
-                        if participant_registry is not None:
-                            participant_registry.observe(
-                                "ndb_shard_op_seconds",
-                                time.perf_counter() - started,
-                                shard=(shards[0] if len(shards) == 1
-                                       else "multi"),
-                                kind="commit")
+                        seconds.observe(time.perf_counter() - started)
                     return apply_batch
 
                 self._run_on_shards([participant(node_id, batch) for
@@ -456,10 +463,8 @@ class NDBCluster:
             # slow log flush never serializes unrelated partition applies
             batch_size = self._commit_log.append(record)
             tx.state = TxState.COMMITTED
-            registry = current_registry()
-            if registry is not None:
-                registry.observe("ndb_commit_participants", len(node_batches))
-                registry.observe("ndb_group_commit_batch", batch_size)
+            self._commit_participants.observe(len(node_batches))
+            self._group_commit_batch.observe(batch_size)
             # account the flushed write batch + the commit round
             from repro.ndb.stats import AccessEvent, AccessKind
 

@@ -42,7 +42,7 @@ from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import DeadlockError, LockTimeoutError, TransactionAbortedError
 from repro.faults import fault_point
-from repro.metrics.tracing import current_registry
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import span as trace_span
 
 
@@ -106,9 +106,13 @@ class LockManager:
 
     def __init__(self, timeout: float = 1.2, deadlock_detection: bool = True,
                  stripes: int = 16,
-                 shard_of: Optional[Callable[[Any], Optional[int]]] = None) -> None:
+                 shard_of: Optional[Callable[[Any], Optional[int]]] = None,
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self._timeout = timeout
         self._deadlock_detection = deadlock_detection
+        #: the owning cluster's metrics registry; a bare manager has none
+        #: and records its waits in the stripe counters only
+        self._registry = registry
         #: optional (table, pk) -> partition id resolver, so lock_wait
         #: spans and ndb_shard_op_seconds carry the shard being waited on
         self._shard_of = shard_of
@@ -207,7 +211,7 @@ class LockManager:
                 self._wait_edges.pop(owner, None)
                 waited = time.monotonic() - started
                 stripe.wait_seconds += waited
-                registry = current_registry()
+                registry = self._registry
                 if registry is not None:
                     registry.inc("ndb_lock_wait_seconds_total", waited)
                     registry.inc("ndb_lock_waits_total")

@@ -20,7 +20,7 @@ from dataclasses import replace
 from typing import Any, Callable, Mapping, Optional, TypeVar
 
 from repro.errors import DeadlockError, LockTimeoutError, TransactionAbortedError
-from repro.metrics.tracing import add_event, attempt_span, current_registry
+from repro.metrics.tracing import add_event, attempt_span
 from repro.ndb.stats import AccessStats
 from repro.ndb.transaction import Transaction, TxState
 from repro.util.retry import RetryPolicy
@@ -40,9 +40,11 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
                    retries: int = 5) -> T:
     """Run ``fn`` in a transaction of ``session``; retry lock conflicts.
 
-    ``session`` provides ``begin(hint)``, ``stats`` and ``retries_used``.
-    Statistics of every attempt — including aborted ones, whose work was
-    real — are merged into ``session.stats``.
+    ``session`` provides ``begin(hint)``, ``stats``, ``retries_used`` and
+    ``metrics`` — the registry of the engine or driver that owns it, where
+    ``ndb_tx_retries_total{reason}`` is counted. Statistics of every
+    attempt — including aborted ones, whose work was real — are merged
+    into ``session.stats``.
     """
     policy = (TX_RETRY_POLICY if retries == TX_RETRY_POLICY.max_attempts
               else replace(TX_RETRY_POLICY, max_attempts=max(1, retries)))
@@ -65,10 +67,8 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
                 raise
             session.retries_used += 1
             add_event("tx_retry", reason=type(exc).__name__)
-            registry = current_registry()
-            if registry is not None:
-                registry.inc("ndb_tx_retries_total",
-                             reason=type(exc).__name__)
+            session.metrics.inc("ndb_tx_retries_total",
+                                reason=type(exc).__name__)
             last_exc = exc
     raise last_exc
 
@@ -76,6 +76,7 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
 class Session:
     def __init__(self, cluster: "repro.ndb.cluster.NDBCluster") -> None:
         self.cluster = cluster
+        self.metrics = cluster.metrics
         self.stats = AccessStats()
         self.retries_used = 0
 

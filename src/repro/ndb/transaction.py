@@ -30,8 +30,7 @@ from repro.errors import (
     SchemaError,
     TransactionAbortedError,
 )
-from repro.metrics.registry import handle_cache
-from repro.metrics.tracing import current_registry, span
+from repro.metrics.tracing import span
 from repro.ndb.locks import LockMode
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
@@ -148,14 +147,8 @@ class Transaction:
 
     def _observe_shard(self, kind: str, shard: Any, started: float) -> None:
         """Fold one shard-local round trip into ndb_shard_op_seconds."""
-        registry = current_registry()
-        if registry is not None:
-            cache = handle_cache(registry)
-            metric = cache.get(("shard_op", shard, kind))
-            if metric is None:
-                metric = cache[("shard_op", shard, kind)] = registry.histogram(
-                    "ndb_shard_op_seconds", shard=shard, kind=kind)
-            metric.observe(time.perf_counter() - started)
+        self._cluster._shard_op_seconds(shard, kind).observe(
+            time.perf_counter() - started)
 
     # -- reads -------------------------------------------------------------------
 

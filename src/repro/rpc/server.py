@@ -49,8 +49,7 @@ from repro.errors import RPCError, ServerShutdownError, TransactionAbortedError
 from repro.faults import DropConnection, FaultInjector, FaultPlan, fault_point
 from repro.metrics import export
 from repro.metrics.flightrecorder import FlightRecorder
-from repro.metrics.registry import MetricsRegistry
-from repro.metrics.tracing import Span, Trace, _RegistryContext
+from repro.metrics.tracing import Span, Trace
 from repro.ndb.config import NDBConfig
 from repro.ndb.locks import LockMode
 from repro.rpc import protocol
@@ -109,7 +108,6 @@ class NDBServer:
                  host: str = "127.0.0.1", port: int = 0,
                  unix_path: Optional[str] = None,
                  name: str = "ndb0",
-                 registry: Optional[MetricsRegistry] = None,
                  drain_timeout: float = 5.0,
                  metrics_path: Optional[str] = None,
                  metrics_port: Optional[int] = None,
@@ -122,7 +120,9 @@ class NDBServer:
         self.port = port
         #: listen on an AF_UNIX socket at this path instead of TCP
         self.unix_path = unix_path
-        self.registry = registry or MetricsRegistry()
+        #: the engine's own registry, served as this process's: ``rpc_*``
+        #: lands next to the ``ndb_*`` the engine records itself
+        self.registry = self.driver.metrics_registry()
         self.drain_timeout = drain_timeout
         self.metrics_path = metrics_path
         #: serve the registry over HTTP (Prometheus + JSON) when set
@@ -265,21 +265,14 @@ class NDBServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    def _publish_engine_gauges(self) -> None:
-        """Refresh the engine's lock/group-commit gauges in the registry
-        (called wherever the registry is about to be exported)."""
-        cluster = getattr(self.driver, "cluster", None)
-        if cluster is not None:
-            cluster.publish_gauges(self.registry)
-
     def _persist_observability(self) -> None:
-        self._publish_engine_gauges()
+        registry = self.driver.metrics_registry()  # gauges refreshed
         if self.metrics_path:
             meta = {"server": self.name, "pid": os.getpid(),
                     "engine": self.driver.engine_name, "reason": "shutdown"}
             try:
                 with open(self.metrics_path, "w", encoding="utf-8") as fh:
-                    fh.write(export.to_json(self.registry, meta=meta,
+                    fh.write(export.to_json(registry, meta=meta,
                                             include_samples=True))
             except OSError:  # pragma: no cover - disk full/permissions
                 pass
@@ -317,30 +310,27 @@ class NDBServer:
         self.registry.inc("rpc_connections_total")
         self.registry.gauge("rpc_open_connections").inc(1)
         try:
-            # bind the server registry so engine-level counters
-            # (lock waits, shard fan-out, ...) record on every request
-            with _RegistryContext(self.registry):
-                while True:
-                    try:
-                        message = conn.recv()
-                    except RPCError:
-                        break  # peer went away (or sent garbage)
-                    try:
-                        response = self._dispatch(state, message)
-                    except DropConnection:
-                        # injected crash: close the socket without a
-                        # response, exactly like the process dying here
-                        self.registry.inc("rpc_injected_conn_drops_total")
-                        break
-                    if "id" not in message:
-                        continue  # a one-way frame is never answered
-                    try:
-                        conn.send(response)
-                        if fault_point("rpc.server.duplicate_response",
-                                       method=message.get("method", "")):
-                            conn.send(response)  # veto = send it twice
-                    except RPCError:
-                        break
+            while True:
+                try:
+                    message = conn.recv()
+                except RPCError:
+                    break  # peer went away (or sent garbage)
+                try:
+                    response = self._dispatch(state, message)
+                except DropConnection:
+                    # injected crash: close the socket without a
+                    # response, exactly like the process dying here
+                    self.registry.inc("rpc_injected_conn_drops_total")
+                    break
+                if "id" not in message:
+                    continue  # a one-way frame is never answered
+                try:
+                    conn.send(response)
+                    if fault_point("rpc.server.duplicate_response",
+                                   method=message.get("method", "")):
+                        conn.send(response)  # veto = send it twice
+                except RPCError:
+                    break
         finally:
             aborted = state.abort_all()
             if aborted:
@@ -624,13 +614,13 @@ class NDBServer:
                    params: Mapping[str, Any]) -> dict[str, Any]:
         meta = {"server": self.name, "pid": os.getpid(),
                 "engine": self.driver.engine_name}
-        self._publish_engine_gauges()
+        registry = self.driver.metrics_registry()  # gauges refreshed
         data = export.snapshot(
-            self.registry, meta=meta,
+            registry, meta=meta,
             include_samples=params.get("include_samples", True))
         window = params.get("window")
         if window:
-            data["windows"] = export.windows(self.registry, float(window))
+            data["windows"] = export.windows(registry, float(window))
         return data
 
     def _h_flight_dump(self, state: _ConnState,
@@ -763,9 +753,9 @@ class _MetricsHTTP:
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 parsed = urlparse(self.path)
                 if parsed.path in ("/", "/metrics", "/metrics.json"):
-                    ndb._publish_engine_gauges()
+                    registry = ndb.driver.metrics_registry()  # gauges fresh
                 if parsed.path in ("/", "/metrics"):
-                    body = export.prometheus_text(ndb.registry)
+                    body = export.prometheus_text(registry)
                     ctype = "text/plain; version=0.0.4"
                 elif parsed.path == "/metrics.json":
                     query = parse_qs(parsed.query)
@@ -774,10 +764,10 @@ class _MetricsHTTP:
                     except ValueError:
                         window = 60.0
                     data = export.snapshot(
-                        ndb.registry, include_samples=True,
+                        registry, include_samples=True,
                         meta={"server": ndb.name, "pid": os.getpid(),
                               "engine": ndb.driver.engine_name})
-                    data["windows"] = export.windows(ndb.registry, window)
+                    data["windows"] = export.windows(registry, window)
                     body = json.dumps(data, sort_keys=True)
                     ctype = "application/json"
                 elif parsed.path == "/healthz":

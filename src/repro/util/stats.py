@@ -145,26 +145,3 @@ class ThroughputWindow:
 
     def rate_at(self, t: float) -> float:
         return self._buckets.get(int(t // self.width), 0) / self.width
-
-
-class Counter:
-    """A named bag of monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def add(self, name: str, n: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
-        return f"Counter({inner})"

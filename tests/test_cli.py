@@ -107,3 +107,22 @@ def test_decommission_command(shell):
     output = shell.execute(f"decommission {dn_id}")
     assert "retired" in output
     assert shell.execute("cat /cli-demo/decom-file") == "some data here"
+
+
+def test_faults_fired_in_the_shell_show_in_its_metrics(shell, tmp_path):
+    """The shell's injector counts on a live registry (the driver's), so
+    a firing is in the cluster view — not on a discarded merge."""
+    import json
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "cli", "seed": 1, "specs": [
+        {"site": "hopsfs.op", "action": "delay", "delay": 0.0,
+         "max_fires": 1}]}))
+    try:
+        assert "installed" in shell.execute(f"faults load {plan}")
+        shell.execute("ls /")
+        assert "hopsfs.op: 1" in shell.execute("faults status")
+        assert ('faults_fired_total{action="delay",site="hopsfs.op"} 1'
+                in shell.execute("metrics prom"))
+    finally:
+        shell.execute("faults clear")

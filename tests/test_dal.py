@@ -12,7 +12,13 @@ import time
 import pytest
 
 from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
-from repro.errors import DuplicateKeyError, NoSuchRowError, SchemaError
+from repro.errors import (
+    CommitAmbiguousError,
+    DuplicateKeyError,
+    NoSuchRowError,
+    SchemaError,
+    TransactionAbortedError,
+)
 from repro.ndb import AccessKind, LockMode, NDBConfig, TableSchema
 from repro.rpc import NDBServer
 
@@ -312,3 +318,45 @@ def test_stats_recorded(driver):
     session.run(lambda tx: tx.read("items", (1, "a")))
     assert session.stats.count(AccessKind.PK) == 1
     assert session.stats.count(AccessKind.COMMIT) >= 1
+
+
+def test_session_run_retries_an_abort_once_and_counts_it(driver):
+    """One retry loop (``run_in_session``) behind every driver's
+    ``session.run``: an abort-class error re-runs the callback."""
+    session = driver.session()
+    calls = []
+
+    def fn(tx):
+        calls.append(len(calls))
+        tx.insert("items", {"pid": 7, "name": f"try{len(calls)}", "value": 0})
+        if len(calls) == 1:
+            raise TransactionAbortedError("induced abort")
+        return "done"
+
+    assert session.run(fn) == "done"
+    assert calls == [0, 1]
+    assert session.retries_used == 1
+    # the aborted attempt's write is gone, the retry's is in
+    names = session.run(lambda tx: [r["name"] for r in
+                                    tx.ppis("items", {"pid": 7})])
+    assert names == ["try2"]
+    assert driver.metrics_registry().get_counter(
+        "ndb_tx_retries_total", reason="TransactionAbortedError") == 1
+
+
+def test_session_run_never_retries_an_ambiguous_commit(driver):
+    session = driver.session()
+    calls = []
+
+    def fn(tx):
+        calls.append(1)
+        raise CommitAmbiguousError("induced")
+
+    with pytest.raises(CommitAmbiguousError):
+        session.run(fn)
+    assert calls == [1]
+    assert session.retries_used == 0
+    # the session is not wedged: the failed transaction let go
+    session.run(lambda tx: tx.insert(
+        "items", {"pid": 8, "name": "after", "value": 0}))
+    assert driver.table_size("items") == 1

@@ -184,11 +184,8 @@ class TestInodeHintCacheEffect:
         assert nn2.get_file_info("/d/old") is None
         assert nn2.get_file_info("/d/new") is not None
 
-    def test_stale_hint_under_lock_aborts_repairs_and_retries_once(self):
-        """The batched resolve locks hint-derived keys; a hint found stale
-        *under* that lock (StalePathHintError) must abort, release the
-        lock on the stale key, repair the hint and retry transparently."""
-        fs = make_hopsfs(num_namenodes=2)
+    @staticmethod
+    def _stale_hint_under_lock(fs):
         nn1, nn2 = fs.namenodes
         nn1.mkdirs("/d")
         nn1.create("/d/f", client="c")
@@ -205,9 +202,47 @@ class TestInodeHintCacheEffect:
         assert nn2.hint_cache.get(parent_id, "f").inode_id == fresh.inode_id
         assert nn2.metrics.counter("fs_op_tx_retries_total",
                                    op="chmod").value == 1
-        assert nn2.metrics.counter("ndb_tx_retries_total",
-                                   reason="StalePathHintError").value == 1
+        # the retry itself is counted where the session lives: on the
+        # engine's (or the remote driver's) registry
+        assert fs.driver.metrics_registry().counter(
+            "ndb_tx_retries_total", reason="StalePathHintError").value == 1
+
+    def test_stale_hint_under_lock_aborts_repairs_and_retries_once(self):
+        """The batched resolve locks hint-derived keys; a hint found stale
+        *under* that lock (StalePathHintError) must abort, release the
+        lock on the stale key, repair the hint and retry transparently."""
+        fs = make_hopsfs(num_namenodes=2)
+        self._stale_hint_under_lock(fs)
         assert fs.driver.cluster._locks.lock_table_size() == 0
+
+    def test_stale_hint_under_lock_retries_once_on_the_memory_driver(self):
+        """Clients never see StalePathHintError, whatever the driver: the
+        memory session runs the same retry loop as the other two."""
+        from repro.dal import MemoryDriver
+        from repro.hopsfs import HopsFSCluster, HopsFSConfig
+        from repro.util.clock import ManualClock
+
+        self._stale_hint_under_lock(HopsFSCluster(
+            num_namenodes=2, config=HopsFSConfig(clock=ManualClock()),
+            driver=MemoryDriver()))
+
+    def test_stale_hint_under_lock_retries_once_on_the_remote_driver(self):
+        from repro.dal import RemoteDriver
+        from repro.hopsfs import HopsFSCluster, HopsFSConfig
+        from repro.ndb import NDBConfig
+        from repro.rpc import NDBServer
+        from repro.util.clock import ManualClock
+
+        with NDBServer(config=NDBConfig(num_datanodes=4, replication=2,
+                                        lock_timeout=1.0)) as server:
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
+            try:
+                self._stale_hint_under_lock(HopsFSCluster(
+                    num_namenodes=2,
+                    config=HopsFSConfig(clock=ManualClock()),
+                    driver=driver))
+            finally:
+                driver.close()
 
     def test_resolution_round_trip_reduction(self):
         """Paper §5.1: cache hits reduce N round trips to 1 for the path

@@ -142,7 +142,7 @@ class TestParallelDispatchParity:
 
     def test_shard_op_histograms_recorded(self):
         nn = run_workload(build_fs(network_delay=0.0004))
-        reg = nn.metrics_registry()
+        reg = nn.driver.metrics_registry()  # the engine owns ndb_*
         kinds = {dict(h.labels).get("kind") for h in reg.histograms()
                  if h.name == "ndb_shard_op_seconds"}
         assert "commit" in kinds
@@ -527,7 +527,7 @@ class TestDistributedTracing:
         finally:
             driver.close()
             server.stop()
-        registry = fs.namenodes[0].metrics
+        registry = driver.metrics  # the client side of the wire owns these
         phases = {}
         for h in registry.histograms():
             if h.name == "rpc_request_seconds":

@@ -7,7 +7,7 @@ import pytest
 
 from repro.util.clock import ManualClock, SystemClock
 from repro.util.rwlock import ReadWriteLock
-from repro.util.stats import Counter, LatencyReservoir, ThroughputWindow, percentile
+from repro.util.stats import LatencyReservoir, ThroughputWindow, percentile
 
 
 class TestManualClock:
@@ -110,23 +110,6 @@ class TestThroughputWindow:
         window.record(1.0, n=4)
         assert window.rate_at(0.5) == 2.0
         assert window.rate_at(3.0) == 0.0
-
-
-class TestCounter:
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("ops")
-        counter.add("ops", 4)
-        assert counter.get("ops") == 5
-        assert counter.get("other") == 0
-
-    def test_snapshot_and_reset(self):
-        counter = Counter()
-        counter.add("a")
-        snap = counter.snapshot()
-        counter.reset()
-        assert snap == {"a": 1}
-        assert counter.get("a") == 0
 
 
 class TestReadWriteLock:
