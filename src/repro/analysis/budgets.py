@@ -50,14 +50,14 @@ OP_BUDGETS: dict[str, str] = {
     "stat": "1",
     "mkdirs": "5",
     "create": "5",
-    "read": "2",
-    "ls": "2",
+    "read": "1",
+    "ls": "1",
     "content_summary": "2 + dir",
     "add_block": "5",
     "block_received": "8",
     "complete": "5 + 2*block + 2*block*extra",
     "append": "5",
-    "delete": "6 + block*replica",
+    "delete": "5 + block*replica",
     "rename": "8",
     "chmod": "4",
     "chown": "4",
@@ -82,7 +82,7 @@ OP_BUDGETS: dict[str, str] = {
     "block_report_lookup": "1",
     "block_report_dbview": "1",
     "block_report_add": "4 + 6*block + 2*block*extra",
-    "block_report_drop": "6 + 2*extra",
+    "block_report_drop": "7 + 2*extra",
 }
 
 

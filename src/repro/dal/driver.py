@@ -4,11 +4,15 @@ The interface is the contract HopsFS code is written against. It is the
 union of what the namenode transaction template needs:
 
 * transactions with partition-key hints (distribution-aware placement);
-* primary-key reads (optionally locked), batched primary-key reads,
+* primary-key reads (optionally locked), batched primary-key reads
+  (which may carry the partition-pruned scans that follow them and the
+  commit of a read-only transaction — NDB's ``execute(Commit)``),
   partition-pruned index scans (one, or a batch in one round trip;
   either optionally locked),
   index scans, full scans;
-* buffered inserts/updates/deletes flushed at commit;
+* buffered inserts/updates/deletes flushed at commit (none of them
+  returns anything: a caller that must know whether a row exists reads
+  it);
 * per-session access statistics (:class:`repro.ndb.AccessStats`).
 
 :class:`repro.ndb.transaction.Transaction` satisfies
@@ -40,7 +44,26 @@ class DALTransaction(Protocol):
     def read_batch(self, table: str, keys: Sequence[Any],
                    lock: LockMode = ...,
                    locks: Optional[Sequence[LockMode]] = ...,
-                   ) -> list[Optional[dict]]: ...
+                   *,
+                   scans: Optional[Sequence[tuple[str, Mapping[str, Any]]]] = ...,
+                   commit: bool = ...,
+                   ) -> Any:
+        """The rows of ``keys`` (``None`` for a miss), in key order, in
+        one round trip; locks are taken in key order.
+
+        With ``scans`` the call is ``(read_batch(table, keys, ...),
+        ppis_batch(scans))`` — returned as that pair — executed in that
+        order in the *same* round trip and recorded as one ``BATCH_PK``
+        access event: every lock of ``keys`` is held before any scan
+        reads, which is what makes the lock of an inode cover the scan
+        of its rows (§5.2.1). Riding scans are read-committed.
+
+        ``commit=True`` says this is the transaction's last operation:
+        the engine commits (releases the locks) after the reads and the
+        transaction comes back ``COMMITTED``. Refused with
+        :class:`~repro.errors.TransactionError`, before anything is
+        read, on a transaction that called a write method."""
+        ...
 
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Any = ..., lock: LockMode = ...,
@@ -67,7 +90,7 @@ class DALTransaction(Protocol):
 
     def write(self, table: str, row: Mapping[str, Any]) -> None: ...
 
-    def delete(self, table: str, key: Any, must_exist: bool = ...) -> bool: ...
+    def delete(self, table: str, key: Any, must_exist: bool = ...) -> None: ...
 
     def commit(self) -> None: ...
 

@@ -22,6 +22,7 @@ from repro.errors import (
     NoSuchTableError,
     SchemaError,
     TransactionAbortedError,
+    TransactionError,
 )
 from repro.dal.driver import DALDriver
 from repro.metrics.registry import MetricsRegistry
@@ -141,21 +142,35 @@ class MemoryTransaction:
     def read_batch(self, table: str, keys: Sequence[Any],
                    lock: LockMode = LockMode.READ_COMMITTED,
                    locks: Optional[Sequence[LockMode]] = None,
-                   ) -> list[Optional[dict]]:
+                   *,
+                   scans: Optional[Sequence[tuple[str, Mapping[str, Any]]]] = None,
+                   commit: bool = False) -> Any:
         self._check()
+        if commit and self._writes:
+            raise TransactionError(
+                "read_batch(commit=True) ends a read-only transaction; "
+                "this one has buffered writes")
         schema = self._driver.schema(table)
         if locks is not None and len(locks) != len(keys):
             raise SchemaError(
                 f"locks must parallel keys: {len(locks)} != {len(keys)}")
         rows = [self._current(table, schema.pk_tuple(key)) for key in keys]
+        scanned = [self._pruned(t, values) for t, values in scans or ()]
         if locks is not None:
             locked = any(m is not LockMode.READ_COMMITTED for m in locks)
         else:
             locked = lock is not LockMode.READ_COMMITTED
-        self._record(AccessKind.BATCH_PK, table,
-                     sum(1 for r in rows if r is not None),
+        scan_rows = sum(map(len, scanned))
+        self._record(AccessKind.BATCH_PK,
+                     "+".join(dict.fromkeys(
+                         [table, *(t for t, _ in scans or ())])),
+                     sum(1 for r in rows if r is not None) + scan_rows,
                      locked=locked)
-        return rows
+        if locked:  # one flag per event; the scans' rows were not locked
+            self.stats.rows_locked -= scan_rows
+        if commit:  # nothing buffered: nothing to flush, nothing to time
+            self._finish(TxState.COMMITTED)
+        return rows if scans is None else (rows, scanned)
 
     def _scan(self, table: str, predicate: Predicate) -> list[dict]:
         self._driver.schema(table)  # validate the table exists
@@ -269,16 +284,15 @@ class MemoryTransaction:
         pk = schema.pk_of(row)
         self._writes[(table, pk)] = ("update", dict(row))
 
-    def delete(self, table: str, key: Any, must_exist: bool = True) -> bool:
+    def delete(self, table: str, key: Any, must_exist: bool = True) -> None:
         self._check()
         schema = self._driver.schema(table)
         pk = schema.pk_tuple(key)
         if self._current(table, pk) is None:
             if must_exist:
                 raise NoSuchRowError(f"{table}:{pk}")
-            return False
+            return
         self._writes[(table, pk)] = ("delete", None)
-        return True
 
     # -- end -----------------------------------------------------------------
 

@@ -26,12 +26,16 @@ lives in-process or behind a socket. What changes under the hood:
 * **define locally, ship on execute** (since protocol version 2,
   :mod:`repro.rpc.protocol`) — a request is sent only when the caller
   needs its reply: ``begin`` rides the transaction's first request,
-  ``insert``/``update``/``write`` are buffered here and ride the next
-  reply-bearing one (so their ``DuplicateKeyError``/``NoSuchRowError``
-  surfaces there — at the latest at the commit — not at the write call
-  as it does embedded), and commit/abort of a transaction that called
-  no write method are one-way frames. An error reply ends the
-  transaction on both sides;
+  ``insert``/``update``/``write``/``delete`` are buffered here and ride
+  the next reply-bearing one (so their X locks are taken and their
+  ``DuplicateKeyError``/``NoSuchRowError`` surfaces there — at the
+  latest at the commit — not at the write call as embedded), a
+  ``read_batch`` carries the scans and the read-only commit its caller
+  hands it (version 4: ``execute(Commit)`` — such a transaction is one
+  request, and losing the connection under it is a retryable abort,
+  since there is nothing a commit could have applied), and commit/abort
+  of any other transaction that called no write method are one-way
+  frames. An error reply ends the transaction on both sides;
 * **client-side predicates** — predicate callables cannot cross the
   wire; scans fetch matching rows by index/partition server-side and
   apply the Python predicate locally (projection then happens after the
@@ -64,6 +68,7 @@ from repro.errors import (
     RequestTimeoutError,
     RPCError,
     TransactionAbortedError,
+    TransactionError,
 )
 from repro.faults import fault_point
 from repro.faults.plan import FaultPlan
@@ -114,7 +119,7 @@ class RemoteTransaction:
         self.stats = AccessStats()
         self._begun = False   # has the server seen a request of ours?
         self._wrote = False   # was any write method called?
-        #: insert/update/write calls not yet shipped, in call order
+        #: write-method calls not yet shipped, in call order
         self._buffered: list[list[Any]] = []
 
     # -- plumbing --------------------------------------------------------------
@@ -124,12 +129,13 @@ class RemoteTransaction:
             raise TransactionAbortedError(
                 f"remote tx {self._handle} already {self.state.value}")
 
-    def _request(self, method: str, params: dict[str, Any]) -> Any:
+    def _request(self, method: str, params: dict[str, Any],
+                 **labels: object) -> Any:
         """One reply-bearing request, carrying whatever is pending: the
         begin marker on the first one, and every buffered write. Raises
         what the transport or the server raises, with this side already
         ended when the error reply (or the lost connection) ended the
-        server's."""
+        server's. ``labels`` go on the traced call's span."""
         params["tx"] = self._handle
         if not self._begun:
             params["begin"] = self._hint
@@ -138,7 +144,7 @@ class RemoteTransaction:
             params["writes"], self._buffered = self._buffered, []
         try:
             result = self._driver._traced_call(self._conn, method, params,
-                                               writes=carried)
+                                               writes=carried, **labels)
         except Exception as exc:
             # a dead connection takes its transactions with it; a live
             # one answered with an error, and an error reply ends the
@@ -151,7 +157,8 @@ class RemoteTransaction:
         protocol.apply_stats_delta(self.stats, result["stats"])
         return result
 
-    def _call(self, method: str, params: dict[str, Any]) -> Any:
+    def _call(self, method: str, params: dict[str, Any],
+              **labels: object) -> Any:
         """A request inside the transaction.
 
         A dead connection means the server aborted this transaction (and
@@ -161,7 +168,7 @@ class RemoteTransaction:
         """
         self._check_active()
         try:
-            return self._request(method, params)
+            return self._request(method, params, **labels)
         except _CONN_ERRORS as exc:
             raise TransactionAbortedError(
                 f"connection lost mid-transaction ({method}): {exc}"
@@ -192,11 +199,35 @@ class RemoteTransaction:
     def read_batch(self, table: str, keys: Sequence[Any],
                    lock: LockMode = LockMode.READ_COMMITTED,
                    locks: Optional[Sequence[LockMode]] = None,
-                   ) -> list[Optional[dict[str, Any]]]:
+                   *,
+                   scans: Optional[Sequence[tuple[str, Mapping[str, Any]]]] = None,
+                   commit: bool = False) -> Any:
         params = {"table": table, "keys": list(keys), "lock": lock.name}
         if locks is not None:
             params["locks"] = [m.name for m in locks]
-        return protocol.decode_rows(self._call("tx.read_batch", params))
+        labels = {}
+        if scans is not None:
+            params["scans"] = [[t, dict(values)] for t, values in scans]
+            labels["scans"] = len(scans)
+        if commit:
+            # nothing buffered, nothing to apply: whatever happens to this
+            # request, the transaction ends with nothing changed — so a
+            # lost connection stays the retryable abort of any read
+            if self._wrote:
+                raise TransactionError(
+                    f"remote tx {self._handle}: read_batch(commit=True) "
+                    "ends a read-only transaction; this one called a "
+                    "write method")
+            params["commit"] = True
+            labels["commit"] = "true"
+        result = self._call("tx.read_batch", params, **labels)
+        if commit:
+            self._end(TxState.COMMITTED, reusable=True)
+        rows = protocol.decode_rows(result)
+        if scans is None:
+            return rows
+        return rows, [protocol.decode_rows(found)
+                      for found in result["scans"]]
 
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Predicate = None,
@@ -257,11 +288,8 @@ class RemoteTransaction:
     def write(self, table: str, row: Mapping[str, Any]) -> None:
         self._buffer("write", table, dict(row))
 
-    def delete(self, table: str, key: Any, must_exist: bool = True) -> bool:
-        # delete returns whether the row existed, so it waits for a reply
-        self._wrote = True
-        return self._call("tx.delete", {
-            "table": table, "key": key, "must_exist": must_exist})["existed"]
+    def delete(self, table: str, key: Any, must_exist: bool = True) -> None:
+        self._buffer("delete", table, key, must_exist)
 
     # -- transaction end -------------------------------------------------------
 

@@ -104,14 +104,15 @@ class BlockReportProcessor:
                 inode_row = nn._lock_inode_by_id(tx, row["inode_id"])
                 if inode_row is None:
                     return 0
-                deleted = tx.delete(
-                    "replicas", (row["inode_id"], row["block_id"], dn_id),
-                    must_exist=False)
-                if deleted:
-                    blk.check_replication(tx, row["inode_id"],
-                                          row["block_id"],
-                                          inode_row["replication"])
-                return 1 if deleted else 0
+                replica_pk = (row["inode_id"], row["block_id"], dn_id)
+                # the view was read in an earlier transaction: look again
+                # under the inode lock
+                if tx.read("replicas", replica_pk) is None:
+                    return 0
+                tx.delete("replicas", replica_pk)
+                blk.check_replication(tx, row["inode_id"], row["block_id"],
+                                      inode_row["replication"])
+                return 1
 
             removed += nn._fs_op("block_report_drop", drop,
                                  hint=("blocks", {"inode_id": row["inode_id"]}))

@@ -26,13 +26,17 @@ class InodeHint:
 
     ``children_random`` mirrors the inode's persistent child-partitioning
     rule so the partition key of a yet-uncached child can be computed
-    without a database read.
+    without a database read. ``is_dir`` and ``children_random`` are
+    immutable per inode id (a move re-inserts the row with both
+    unchanged), so a hint whose ``inode_id`` validates against the row
+    read proves them too — which is what lets the resolver ship the
+    scans keyed by the hinted id in the same batch as the path read.
     """
 
     __slots__ = ("inode_id", "part_key", "is_dir", "children_random")
 
     def __init__(self, inode_id: int, part_key: int, is_dir: bool,
-                 children_random: bool = False) -> None:
+                 children_random: bool) -> None:
         self.inode_id = inode_id
         self.part_key = part_key
         self.is_dir = is_dir

@@ -31,6 +31,7 @@ from repro.dal.driver import DALTransaction
 from repro.hopsfs import blocks as blk
 from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
+from repro.hopsfs.hintcache import InodeHint
 from repro.hopsfs.paths import join_path, split_path
 from repro.hopsfs.tx import ResolvedPath, root_row
 from repro.metrics.tracing import span
@@ -52,6 +53,47 @@ def _sub_tables(is_dir: bool) -> tuple[str, ...]:
     if is_dir:  # a directory has no blocks
         return _INODE_SUB_TABLES
     return blk.FILE_BLOCK_TABLES + _INODE_SUB_TABLES
+
+
+def _sub_row_scans(inodes: Sequence[tuple[int, bool]]) -> list[tuple]:
+    """The scans finding everything that hangs off each ``(inode_id,
+    is_dir)`` — one ``ppis_batch``, or riding the resolve of the one
+    inode a hint names."""
+    return [(table, {"inode_id": inode_id})
+            for inode_id, is_dir in inodes
+            for table in _sub_tables(is_dir)]
+
+
+def _group_sub_rows(inodes: Sequence[tuple[int, bool]],
+                    scanned: Sequence[list[dict]],
+                    ) -> dict[int, dict[str, list[dict]]]:
+    """Results of :func:`_sub_row_scans` as ``{inode_id: {table: rows}}``."""
+    found = iter(scanned)
+    return {inode_id: {table: next(found) for table in _sub_tables(is_dir)}
+            for inode_id, is_dir in inodes}
+
+
+def _block_scans(inode_id: int) -> list[tuple]:
+    """The scans of the read path: a file's blocks and their replicas."""
+    on_shard = {"inode_id": inode_id}
+    return [("blocks", on_shard), ("replicas", on_shard)]
+
+
+# What an operation reads after its resolve, told from the last
+# component's hint (:data:`repro.hopsfs.tx.ScansFor`): these ride the
+# resolve's batched read when the whole path is hinted.
+
+def _read_scans(hint: InodeHint) -> list[tuple]:
+    # a directory has no blocks to locate: the op raises, nothing to read
+    return [] if hint.is_dir else _block_scans(hint.inode_id)
+
+
+def _listing_scans(hint: InodeHint) -> Optional[list[tuple]]:
+    if not hint.is_dir:
+        return []  # a file lists as itself
+    if hint.children_random:
+        return None  # an all-shard index scan: nothing to prune to
+    return [("inodes", {"part_key": hint.inode_id})]
 
 
 class InodeOpsMixin:
@@ -261,7 +303,7 @@ class InodeOpsMixin:
                 ns_delta=1, ds_delta=0, nn_id=self.nn_id)
             self._touch_parent(tx, parent_row)
             self.hint_cache.put(parent_row["id"], name, row["id"],
-                                row["part_key"], False)
+                                row["part_key"], False, False)
             return self._status(path, row)
 
         try:
@@ -282,7 +324,8 @@ class InodeOpsMixin:
 
         def fn(tx: DALTransaction) -> Optional[FileStatus]:
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.SHARED)
+                                             lock_last=LockMode.SHARED,
+                                             last_access=True)
             row = resolved.last
             return self._status(path, row) if row is not None else None
 
@@ -295,14 +338,17 @@ class InodeOpsMixin:
         """The HDFS read path: file blocks plus replica locations."""
 
         def fn(tx: DALTransaction) -> LocatedBlocks:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.SHARED)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans and the commit)
+                tx, path, lock_last=LockMode.SHARED, last_access=True,
+                scans_for=_read_scans)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
-            on_shard = {"inode_id": row["id"]}
-            file_blocks, replicas = tx.ppis_batch(
-                [("blocks", on_shard), ("replicas", on_shard)])
+            if resolved.scanned is not None:
+                file_blocks, replicas = resolved.scanned
+            else:
+                # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
+                file_blocks, replicas = tx.ppis_batch(_block_scans(row["id"]))
             by_block: dict[int, list[int]] = {}
             for replica in replicas:
                 by_block.setdefault(replica["block_id"], []).append(
@@ -326,13 +372,21 @@ class InodeOpsMixin:
         """Directory listing; shared lock on the directory (§5.2.1)."""
 
         def fn(tx: DALTransaction) -> DirectoryListing:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.SHARED)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the children scan and the commit)
+                tx, path, lock_last=LockMode.SHARED, last_access=True,
+                scans_for=_listing_scans)
             row = self._require(resolved)
             if not row["is_dir"]:
                 return DirectoryListing(path=path,
                                         entries=[self._status(path, row)])
-            children = self._list_children(tx, row)
+            if resolved.scanned is not None:
+                # pruned to the shard the children share; as in
+                # _list_children, the predicate keeps only the children
+                children = [r for r in resolved.scanned[0]
+                            if r["parent_id"] == row["id"]]
+            else:
+                # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
+                children = self._list_children(tx, row)
             base = path.rstrip("/")
             listing = DirectoryListing(path=path)
             for child in sorted(children, key=lambda r: r["name"]):
@@ -496,10 +550,12 @@ class InodeOpsMixin:
         """
 
         def fn(tx: DALTransaction):
-            # rt: cost(1, reason=warm delete resolve: parent and target locked in one hinted batched read)
+            # rt: cost(1, reason=warm delete resolve: parent and target locked in one hinted batched read carrying the target's sub-row scans)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                lock_parent=LockMode.EXCLUSIVE)
+                lock_parent=LockMode.EXCLUSIVE,
+                scans_for=lambda hint: _sub_row_scans(
+                    [(hint.inode_id, hint.is_dir)]))
             if not resolved.components:
                 raise PermissionDeniedError("cannot delete the root")
             row = resolved.last
@@ -526,13 +582,8 @@ class InodeOpsMixin:
         The rows live on their inode's shard so that they can be fetched
         together (§4.2), and the inode X lock the caller holds covers
         them (§5.2.1), so read-committed suffices."""
-        scans = [(table, {"inode_id": inode_id})
-                 for inode_id, is_dir in inodes
-                 for table in _sub_tables(is_dir)]
-        scanned = iter(tx.ppis_batch(scans))
-        return {inode_id: {table: next(scanned)
-                           for table in _sub_tables(is_dir)}
-                for inode_id, is_dir in inodes}
+        return _group_sub_rows(inodes,
+                               tx.ppis_batch(_sub_row_scans(inodes)))
 
     def _delete_sub_rows(self, tx: DALTransaction, inode_id: int,
                          is_dir: bool, rows: dict[str, list[dict]]) -> None:
@@ -550,10 +601,17 @@ class InodeOpsMixin:
 
     def _delete_file_rows(self, tx: DALTransaction, resolved: ResolvedPath,
                           row: dict) -> None:
-        """Remove one inode (file or empty dir) and its dependent rows."""
+        """Remove one inode (file or empty dir) and its dependent rows,
+        found by the scans that rode ``resolved``'s batch (``delete``
+        ships them) or else scanned for here."""
         inode_id = row["id"]
-        sub_rows = self._scan_sub_rows(tx, [(inode_id, row["is_dir"])])
-        self._delete_sub_rows(tx, inode_id, row["is_dir"], sub_rows[inode_id])
+        inode = [(inode_id, row["is_dir"])]
+        scanned = resolved.scanned
+        if scanned is None:
+            # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
+            scanned = tx.ppis_batch(_sub_row_scans(inode))
+        self._delete_sub_rows(tx, inode_id, row["is_dir"],
+                              _group_sub_rows(inode, scanned)[inode_id])
         tx.delete("inodes", (row["part_key"], row["parent_id"], row["name"]))
         quota_mod.enforce_and_queue(
             tx, self._ancestor_ids(resolved,
@@ -843,10 +901,20 @@ class InodeOpsMixin:
 
     def remove_xattr(self, path: str, name: str) -> bool:
         def fn(tx: DALTransaction) -> bool:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan)
+                tx, path, lock_last=LockMode.EXCLUSIVE,
+                scans_for=lambda hint: [("xattrs",
+                                         {"inode_id": hint.inode_id})])
             row = self._require(resolved)
-            return tx.delete("xattrs", (row["id"], name), must_exist=False)
+            if resolved.scanned is not None:
+                (xattrs,) = resolved.scanned
+            else:
+                # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
+                xattrs = tx.ppis("xattrs", {"inode_id": row["id"]})
+            if not any(xattr["name"] == name for xattr in xattrs):
+                return False
+            tx.delete("xattrs", (row["id"], name))
+            return True
 
         return self._fs_op("remove_xattr", fn,
                            hint=self._hint_for_file(path))

@@ -14,7 +14,13 @@ Every inode operation is one DAL transaction with three phases:
    parent/last locks with one locked re-read; a hint found stale under
    a lock aborts and retries (:class:`StalePathHintError`). File-inode
    related rows are read with partition-pruned index scans in a fixed
-   table order.
+   table order. When every component is hinted the hint also names the
+   partition those scans are pruned to (the last inode's id), so the
+   batched read ships them with it (``read_batch(scans=...)``: one
+   ``execute()``), and an operation whose resolve is its last database
+   access has it carry the commit too (``commit=True``:
+   ``execute(Commit)``) — a warm ``stat``/``read``/``ls`` is one round
+   trip and, over the wire, one request.
 2. **Execute phase** — pure computation on the rows (the per-transaction
    cache: rows are plain dicts held by the operation; the DAL transaction
    additionally buffers writes and serves read-your-writes).
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import (
     FileSystemError,
@@ -41,7 +47,7 @@ from repro.errors import (
 )
 from repro.dal.driver import DALSession, DALTransaction
 from repro.hopsfs import schema as fs_schema
-from repro.hopsfs.hintcache import InodeHintCache
+from repro.hopsfs.hintcache import InodeHint, InodeHintCache
 from repro.hopsfs.paths import join_path, split_path
 from repro.metrics.tracing import span
 from repro.ndb.locks import LockMode
@@ -71,6 +77,13 @@ class StalePathHintError(TransactionAbortedError):
     :class:`TransactionAbortedError` makes every session's retry loop
     handle it transparently; clients never see this error.
     """
+
+
+#: what an operation reads right after its resolve, told from the last
+#: component's hint alone: the pruned scans to ship with the batched
+#: read, ``[]`` for "nothing more", None for "cannot tell" (e.g. the
+#: listing of a ``children_random`` directory is an all-shard scan)
+ScansFor = Callable[[InodeHint], Optional[list[tuple[str, Mapping[str, Any]]]]]
 
 
 def root_row(children_random: bool = True) -> dict:
@@ -110,6 +123,10 @@ class ResolvedPath:
     components: list[str]
     rows: list[Optional[dict]] = field(default_factory=list)
     root: dict = field(default_factory=root_row)
+    #: results of the scans that rode the batched read, in the order the
+    #: operation's ``scans_for`` listed them; None when none rode (cold,
+    #: partial or unprovable hints) and the operation scans for itself
+    scanned: Optional[list[list[dict]]] = None  # guarded_by: owner-thread
 
     @property
     def exists(self) -> bool:
@@ -178,11 +195,22 @@ class PathResolver:
     def resolve(self, tx: DALTransaction, path: str,
                 lock_last: LockMode = LockMode.READ_COMMITTED,
                 lock_parent: LockMode = LockMode.READ_COMMITTED,
-                check_subtree_locks: bool = True) -> ResolvedPath:
+                check_subtree_locks: bool = True,
+                scans_for: Optional[ScansFor] = None,
+                last_access: bool = False) -> ResolvedPath:
         """Resolve ``path``, locking the parent and last components.
 
         Lock order is parent before child (root-down), matching the global
         total order. Intermediate components are read at read-committed.
+
+        ``scans_for`` names the scans the operation runs next and
+        ``last_access`` says the resolve (with those scans) is the
+        transaction's last database access. Both are used only when every
+        component is hinted: the scans then ride the batched read
+        (:attr:`ResolvedPath.scanned`) and, if nothing is left to read,
+        so does the commit — the transaction comes back ``COMMITTED``.
+        Otherwise ``scanned`` is None, the transaction stays open and the
+        operation reads and commits as if it had passed neither.
         """
         components = split_path(path)
         resolved = ResolvedPath(path=path, components=components,
@@ -190,8 +218,9 @@ class PathResolver:
         if not components:
             return resolved
         with span("resolve", depth=len(components)) as resolve_span:
-            rows, batched = self._resolve_prefix(tx, components, lock_last,
-                                                 lock_parent)
+            rows, batched, resolved.scanned = self._resolve_prefix(
+                tx, components, lock_last, lock_parent, scans_for,
+                last_access)
             if resolve_span is not None:
                 resolve_span.set_label(
                     "method", "batched" if batched else "recursive")
@@ -216,7 +245,9 @@ class PathResolver:
 
     def _resolve_prefix(self, tx: DALTransaction, components: list[str],
                         lock_last: LockMode, lock_parent: LockMode,
-                        ) -> tuple[list[Optional[dict]], bool]:
+                        scans_for: Optional[ScansFor], last_access: bool,
+                        ) -> tuple[list[Optional[dict]], bool,
+                                   Optional[list[list[dict]]]]:
         """Resolve every component, batched if possible.
 
         A path whose components are all hinted costs one batched read.
@@ -233,6 +264,10 @@ class PathResolver:
         stale by a *locked* batch raises :class:`StalePathHintError`
         (retry with the hint repaired); the lock-free batch keeps
         falling back in-transaction.
+
+        Only the fully hinted batch carries the operation's scans and
+        commit (see :meth:`resolve`); the third element is what the scans
+        found, None when they did not ride.
         """
         hints = []
         parent_id = fs_schema.ROOT_ID
@@ -253,7 +288,18 @@ class PathResolver:
                     locks[n - 2] = lock_parent
                 if len(hints) == n:
                     locks[n - 1] = lock_last
-            rows = self._batched_resolve(tx, components, hints, locks=locks)
+            scans, commit = None, False
+            if len(hints) == n:
+                # the last hint holds the id every follow-up scan is
+                # pruned to; with nothing left to read the commit rides
+                if scans_for is not None:
+                    scans = scans_for(hints[-1][3])
+                    commit = last_access and scans is not None
+                else:
+                    commit = last_access
+            rows, scanned = self._batched_resolve(
+                tx, components, hints, locks=locks, scans=scans,
+                commit=commit)
             if rows is not None:
                 if len(rows) == n - 1:
                     parent = rows[-1] if rows else self.root_row()
@@ -280,38 +326,47 @@ class PathResolver:
                                             last["is_dir"],
                                             last["children_random"])
                 self.batched_resolutions += 1
-                return rows, True
+                return rows, True, scanned
         self.recursive_resolutions += 1
-        return self._recursive_resolve(tx, components), False
+        return self._recursive_resolve(tx, components), False, None
 
     def _batched_resolve(self, tx: DALTransaction, components: list[str],
                          hints: list,
                          locks: Optional[list[LockMode]] = None,
-                         ) -> Optional[list[Optional[dict]]]:
-        """One batched PK read for the hinted prefix; None on stale hints.
+                         scans: Optional[list] = None,
+                         commit: bool = False,
+                         ) -> tuple[Optional[list[Optional[dict]]],
+                                    Optional[list[list[dict]]]]:
+        """One batched PK read for the hinted prefix, with what the scans
+        that rode it found; ``(None, None)`` on stale hints.
 
         With ``locks`` the batch also acquires the per-key locks; a stale
         hint then raises :class:`StalePathHintError` instead of returning
-        None, because a lock already sits on a hint-derived key.
+        None, because a lock already sits on a hint-derived key — and so
+        it does when the commit rode, because the transaction is over.
         """
         if not hints:
-            return []
+            return [], None
         keys = [
             (hint.part_key, parent_id, name)
             for (_depth, parent_id, name, hint) in hints
         ]
         # hfs: allow(HFS106, reason=keys are path-component pks in root-down depth order; the paper's hierarchical total order (section 3.4))
-        rows = tx.read_batch("inodes", keys, locks=locks)
+        rows = tx.read_batch("inodes", keys, locks=locks, scans=scans,
+                             commit=commit)
+        scanned = None
+        if scans is not None:
+            rows, scanned = rows
         for (_depth, parent_id, name, hint), row in zip(hints, rows,
                                                         strict=True):
             if row is None or row["id"] != hint.inode_id:
                 self._cache.invalidate(parent_id, name)
-                if locks is not None and any(
-                        m is not LockMode.READ_COMMITTED for m in locks):
+                if commit or (locks is not None and any(
+                        m is not LockMode.READ_COMMITTED for m in locks)):
                     raise StalePathHintError(
                         f"stale inode hint for {name!r} under lock; retrying")
-                return None
-        return list(rows)
+                return None, None  # what rode was keyed by the stale id
+        return list(rows), scanned
 
     def _recursive_resolve(self, tx: DALTransaction,
                            components: list[str]) -> list[Optional[dict]]:

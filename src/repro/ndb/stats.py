@@ -35,8 +35,13 @@ class AccessEvent:
     """One client↔cluster round trip.
 
     ``nodes`` is the set of datanodes doing work for the round trip (for a
-    batched read this is every node holding one of the keys; the work is
-    done in parallel). ``coordinator_local`` is True when the transaction
+    batched read this is every node holding one of the keys — and, when
+    the read carried partition-pruned scans, one of their shards: the
+    event then names every table, ``"inodes+blocks+replicas"``, lists the
+    partitions of the keys then of the scans and counts all the rows;
+    the work is done in parallel). A commit that rode such a read is part
+    of its trip: a read-only commit never was an event of its own.
+    ``coordinator_local`` is True when the transaction
     coordinator's own node holds all the data — the distribution-aware
     transaction win.
     """

@@ -19,6 +19,7 @@ can verify access-path usage and feed the performance model.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import threading
 import time
@@ -29,12 +30,16 @@ from repro.errors import (
     NoSuchRowError,
     SchemaError,
     TransactionAbortedError,
+    TransactionError,
 )
 from repro.metrics.tracing import span
 from repro.ndb.locks import LockMode
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
 Predicate = Optional[Callable[[Mapping[str, Any]], bool]]
+
+#: stands in for a worker-side span where none is recorded
+_UNTRACED = contextlib.nullcontext()
 
 
 class TxState(enum.Enum):
@@ -172,7 +177,9 @@ class Transaction:
     def read_batch(self, table: str, keys: Sequence[Mapping[str, Any] | Sequence[Any]],
                    lock: LockMode = LockMode.READ_COMMITTED,
                    locks: Optional[Sequence[LockMode]] = None,
-                   ) -> list[Optional[dict[str, Any]]]:
+                   *,
+                   scans: Optional[Sequence[tuple[str, Mapping[str, Any]]]] = None,
+                   commit: bool = False) -> Any:
         """Batched primary-key read: one round trip, parallel on the shards.
 
         Two phases. The *lock phase* (skipped entirely at READ_COMMITTED)
@@ -186,11 +193,25 @@ class Transaction:
         concurrently on the cluster's shard executor: the whole batch
         costs one parallel round trip, not one per key. Exactly one
         BATCH_PK access event is recorded per call, whatever the fan-out.
+
+        ``scans`` and ``commit`` are the contract's
+        (:class:`repro.dal.driver.DALTransaction`): each shard's visit of
+        the fetch phase also runs the read-committed scans pruned to it —
+        after the lock phase, so every lock of ``keys`` is held before any
+        scan reads — and the one event names every table and shard and
+        counts every row; ``commit=True`` commits the read-only
+        transaction, releasing its locks, before the call returns (one
+        with buffered writes is refused before anything is locked).
         """
         self._check_active()
+        if commit and self._writes:
+            raise TransactionError(
+                f"tx {self.tx_id}: read_batch(commit=True) ends a read-only "
+                "transaction; this one has buffered writes")
         schema = self._cluster.schema(table)
         pks = [schema.pk_tuple(key) for key in keys]
         pids = [self._cluster.partition_of(table, pk) for pk in pks]
+        plans = self._plan_scans(scans) if scans else []
         if locks is not None:
             if len(locks) != len(pks):
                 raise SchemaError(
@@ -203,9 +224,14 @@ class Transaction:
             # hfs: allow(HFS106, reason=DAL primitive; read_batch callers own the pk sort contract (resolver passes root-down path order))
             self._lock_many(table, pks, lock)
         rows: list[Optional[dict[str, Any]]] = [None] * len(pks)
+        scanned: list[list[dict[str, Any]]] = [[] for _ in plans]
         by_shard: dict[int, list[int]] = {}
         for i, pid in enumerate(pids):
             by_shard.setdefault(pid, []).append(i)
+        scans_by_shard: dict[int, list[int]] = {}
+        for i, plan in enumerate(plans):
+            scans_by_shard.setdefault(plan[3], []).append(i)
+            by_shard.setdefault(plan[3], [])
 
         # Worker-side ``shard_fetch`` spans exist to attribute executor-
         # thread work back to the submitting operation; when the fan-out
@@ -219,26 +245,36 @@ class Transaction:
         def shard_fetch(pid: int, indexes: list[int]):
             def fetch() -> None:
                 started = time.perf_counter()
-                if traced_workers:
-                    with span("shard_fetch", shard=pid, table=table):
-                        self._cluster._round_trip()
-                        for i in indexes:
-                            rows[i] = self._committed_or_buffered(
-                                table, pid, pks[i])
-                else:
+                with (span("shard_fetch", shard=pid, table=table)
+                      if traced_workers else _UNTRACED):
                     self._cluster._round_trip()
                     for i in indexes:
                         rows[i] = self._committed_or_buffered(table, pid,
                                                               pks[i])
+                    for i in scans_by_shard.get(pid, ()):
+                        scanned[i] = self._scan_planned(plans[i])
                 self._observe_shard(AccessKind.BATCH_PK.value, pid, started)
             return fetch
 
         self._cluster._run_on_shards(
             [shard_fetch(pid, indexes) for pid, indexes in by_shard.items()])
-        self._record(AccessKind.BATCH_PK, table, pids,
-                     rows=sum(1 for r in rows if r is not None),
-                     locked=any_locked)
-        return rows
+        found = sum(1 for r in rows if r is not None)
+        if plans:
+            scan_rows = sum(map(len, scanned))
+            self._record(AccessKind.BATCH_PK,
+                         "+".join(dict.fromkeys(
+                             [table, *(plan[0] for plan in plans)])),
+                         pids + [plan[3] for plan in plans],
+                         rows=found + scan_rows, locked=any_locked)
+            if any_locked:
+                # the event has one ``locked`` flag; the scans read committed
+                self.stats.rows_locked -= scan_rows
+        else:
+            self._record(AccessKind.BATCH_PK, table, pids, rows=found,
+                         locked=any_locked)
+        if commit:
+            self.commit()
+        return rows if scans is None else (rows, scanned)
 
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Predicate = None,
@@ -302,14 +338,10 @@ class Transaction:
         if not scans:
             return []
         locked = lock is not LockMode.READ_COMMITTED
-        plans = []
+        plans = self._plan_scans(scans)
         by_shard: dict[int, list[int]] = {}
-        for i, (table, partition_values) in enumerate(scans):
-            schema = self._cluster.schema(table)
-            pvals = schema.scan_partition_values(partition_values)
-            pid = self._cluster._pmap.partition_of(pvals)
-            plans.append((table, schema, pvals, pid))
-            by_shard.setdefault(pid, []).append(i)
+        for i, plan in enumerate(plans):
+            by_shard.setdefault(plan[3], []).append(i)
         results: list[list[dict[str, Any]]] = [[] for _ in plans]
 
         def shard_scan(pid: int, indexes: list[int]):
@@ -317,12 +349,9 @@ class Transaction:
                 started = time.perf_counter()
                 self._cluster._round_trip()
                 for i in indexes:
-                    table, schema, pvals, _pid = plans[i]
-                    frag = self._cluster._primary_fragment(table, pid)
-                    rows = frag.partition_lookup(pvals)
                     # a locking batch merges after its re-read under lock
-                    results[i] = rows if locked else self._merge_pruned(
-                        table, schema, pvals, rows)
+                    results[i] = self._scan_planned(plans[i],
+                                                    merge=not locked)
                 self._observe_shard(AccessKind.PPIS.value, pid, started)
             return scan
 
@@ -335,6 +364,29 @@ class Transaction:
                      [plan[3] for plan in plans],
                      rows=sum(map(len, results)), locked=locked)
         return results
+
+    def _plan_scans(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
+                    ) -> list[tuple]:
+        """``(table, schema, partition values, shard)`` of each pruned
+        scan of a batch; a scan that is not pruned raises here, before
+        the batch locks or reads anything."""
+        plans = []
+        for table, partition_values in scans:
+            schema = self._cluster.schema(table)
+            pvals = schema.scan_partition_values(partition_values)
+            plans.append((table, schema, pvals,
+                          self._cluster._pmap.partition_of(pvals)))
+        return plans
+
+    def _scan_planned(self, plan: tuple,
+                      merge: bool = True) -> list[dict[str, Any]]:
+        """The committed rows of one planned scan, with (``merge``) this
+        transaction's buffered writes overlaid."""
+        table, schema, pvals, pid = plan
+        rows = self._cluster._primary_fragment(table, pid).partition_lookup(
+            pvals)
+        return self._merge_pruned(table, schema, pvals, rows) if merge \
+            else rows
 
     def _lock_scanned(self, plans: list[tuple],
                       results: list[list[dict[str, Any]]],
@@ -528,8 +580,9 @@ class Transaction:
         self._buffer(table, pk, pid, _Write(op, dict(row)))
 
     def delete(self, table: str, key: Mapping[str, Any] | Sequence[Any],
-               must_exist: bool = True) -> bool:
-        """Buffer a delete; X-locks the row. Returns True if a row existed."""
+               must_exist: bool = True) -> None:
+        """Buffer a delete; X-locks the row. A missing row raises
+        :class:`NoSuchRowError` with ``must_exist``, else is a no-op."""
         self._check_active()
         schema = self._cluster.schema(table)
         pk = schema.pk_tuple(key)
@@ -540,12 +593,11 @@ class Transaction:
         if current is None:
             if must_exist:
                 raise NoSuchRowError(f"{table}:{pk}")
-            return False
+            return
         pending = self._buffered(table, pk)
         # insert+delete inside one tx cancels out
         cancels = pending is not None and pending.op == "insert"
         self._buffer(table, pk, pid, None if cancels else _Write("delete", None))
-        return True
 
     # -- transaction end -----------------------------------------------------------
 

@@ -70,17 +70,20 @@ def _events_to_trips(events: Iterable[AccessEvent],
     trips = []
     for event in events:
         hot = 0
-        if (event.table == "inodes"
+        if (event.table.partition("+")[0] == "inodes"
                 and event.kind is AccessKind.BATCH_PK
                 and not event.write and event.rows >= 2):
-            # batched path resolution: in the hotspot workload one of the
-            # component rows is the shared ancestor on a single shard.
-            # Single-row PK trips target the operation's own (distinct)
-            # file and are not hot.
+            # batched path resolution (alone, or carrying the scans of
+            # the last inode's rows: "inodes+blocks+replicas"): in the
+            # hotspot workload one of the component rows is the shared
+            # ancestor on a single shard. Single-row PK trips target the
+            # operation's own (distinct) file and are not hot.
             hot = min(hot_path_rows, event.rows)
-        # one event is one trip whatever it batches: a BATCH_PK or a
-        # batched PPIS — locking (the subtree quiesce) or not — that
-        # names several nodes is a parallel fan-out
+        # one event is one trip whatever it batches: a BATCH_PK — the
+        # mixed-table one of a resolve whose scans rode included: keys
+        # and scans are operations of one execute(), fetched in the same
+        # shard visits — or a batched PPIS, locking (the subtree
+        # quiesce) or not, that names several nodes is a parallel fan-out
         trips.append(TripSpec(
             kind=event.kind.value,
             table=event.table,

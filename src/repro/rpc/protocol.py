@@ -1,4 +1,4 @@
-"""Wire protocol (version 3) for the DAL RPC subsystem.
+"""Wire protocol (version 4) for the DAL RPC subsystem.
 
 Frames are length-prefixed JSON: a 4-byte big-endian payload length
 followed by the UTF-8 JSON payload, handled strictly in order per
@@ -18,15 +18,24 @@ on execute (docs/deployment.md has the page):
 * ``begin`` is not a request. The client numbers the transaction itself
   (``tx``, scoped to the connection); the first frame that reaches the
   server carries ``"begin": <hint>`` and its reply the ``coordinator``.
-* ``insert``/``update``/``write`` are buffered by the client and ride,
-  in call order, as ``"writes": [[op, table, ...], ...]`` on the
-  transaction's next reply-bearing request (a read, ``tx.delete``, the
-  commit), where the server applies them *before* that request's own
-  operation. A buffered write's ``DuplicateKeyError``/``NoSuchRowError``
-  is therefore the error of the request that carried it — at the latest
-  the commit's, never after the commit applied.
-* Commit and abort of a transaction that called no write method are
-  one-way frames; a transaction that sent nothing ends without a frame.
+* ``insert``/``update``/``write``/``delete`` are buffered by the client
+  and ride, in call order, as ``"writes": [[op, table, ...], ...]`` on
+  the transaction's next reply-bearing request (a read, the commit),
+  where the server applies them — takes their X locks — *before* that
+  request's own operation. A buffered write's ``DuplicateKeyError``/
+  ``NoSuchRowError`` is therefore the error of the request that carried
+  it — at the latest the commit's, never after the commit applied.
+* ``tx.read_batch`` executes everything defined with it: ``"scans":
+  [[table, partition_values], ...]`` are read-committed pruned scans run
+  after every lock of the keys is held, answered as ``"scans": [row
+  set, ...]`` next to the rows; ``"commit": true`` (``execute(Commit)``)
+  commits the read-only transaction before the reply, so no commit
+  frame follows. The client never sends it for a transaction
+  that called a write method, so a connection lost under it is a
+  retryable abort, not an ambiguous commit.
+* Commit and abort of any other transaction that called no write method
+  are one-way frames; a transaction that sent nothing ends without a
+  frame.
 * **An error reply ends the transaction**: before answering ``ok:
   false`` to a ``tx.*`` request (and on a failing one-way frame) the
   server has aborted the transaction and forgotten its number, and the
@@ -74,10 +83,12 @@ from repro.ndb.schema import TableSchema
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
 #: bump when the frame or message layout changes incompatibly — or, as
-#: for 3, when a request grows a field an older server would silently
-#: ignore to the caller's harm (``tx.ppis_batch``'s ``"lock"``: a
-#: version-2 server would hand back unlocked rows)
-PROTOCOL_VERSION = 3
+#: for 3 and 4, when a request grows a field an older server would
+#: silently ignore to the caller's harm (3: ``tx.ppis_batch``'s
+#: ``"lock"`` — unlocked rows handed back; 4: ``tx.read_batch``'s
+#: ``"commit"`` — a client believing it committed while the server holds
+#: its locks — and ``delete`` among the buffered writes)
+PROTOCOL_VERSION = 4
 
 #: refuse frames larger than this (corrupt peer / length desync guard)
 MAX_FRAME_BYTES = 64 * 1024 * 1024

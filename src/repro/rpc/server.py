@@ -3,11 +3,14 @@
 One server process owns one :class:`repro.ndb.NDBCluster` (through its
 DAL driver) and exposes the full ``DALTransaction`` contract plus
 admin/failure-injection and observability endpoints, in protocol
-version 3 (:mod:`repro.rpc.protocol`): a transaction begins on its first
-request, buffered writes arrive on the next reply-bearing request and
-are applied before that request's own operation, and frames without an
-``id`` get no reply. The loop is thread-per-connection: each connection
-gets its own DAL session and its frames are handled strictly in order.
+version 4 (:mod:`repro.rpc.protocol`): a transaction begins on its first
+request, buffered writes (``delete`` among them) arrive on the next
+reply-bearing request and are applied before that request's own
+operation, a ``tx.read_batch`` may carry the scans that follow it and
+the commit of its read-only transaction (both kinds of commit run
+through :meth:`NDBServer._commit`), and frames without an ``id`` get no
+reply. The loop is thread-per-connection: each connection gets its own
+DAL session and its frames are handled strictly in order.
 
 Connection death is transaction death: every transaction opened on a
 connection is aborted when the connection goes away, so a crashed or
@@ -60,9 +63,9 @@ from repro.rpc.protocol import StatsCursor
 READY_PREFIX = "REPRO-NDB-SERVE READY"
 
 
-#: the buffered writes a request may carry (``tx.delete`` returns whether
-#: the row existed, so it is a request of its own)
-_BUFFERED_WRITES = frozenset({"insert", "update", "write"})
+#: the buffered writes a request may carry: every write method of the
+#: DAL contract (none of them returns anything)
+_BUFFERED_WRITES = frozenset({"insert", "update", "write", "delete"})
 
 
 def _lock_mode(name: Optional[str]) -> LockMode:
@@ -156,7 +159,6 @@ class NDBServer:
             "tx.ppis_batch": self._h_tx_ppis_batch,
             "tx.index_scan": self._h_tx_index_scan,
             "tx.full_scan": self._h_tx_full_scan,
-            "tx.delete": self._h_tx_delete,
             "tx.commit": self._h_tx_commit,
             "tx.abort": self._h_tx_abort,
             "metrics": self._h_metrics,
@@ -536,15 +538,33 @@ class NDBServer:
 
     def _h_tx_read_batch(self, state: _ConnState,
                          params: Mapping[str, Any]) -> dict[str, Any]:
-        entry = self._tx(state, params)
         locks = params.get("locks")
-        # hfs: allow(HFS106, reason=server relays client-supplied keys verbatim; the ordering obligation is linted at the client call site)
-        rows = entry[0].read_batch(
-            params["table"], params["keys"],
-            lock=_lock_mode(params.get("lock")),
-            locks=(None if locks is None else
-                   [_lock_mode(name) for name in locks]))
-        return self._tx_reply(params, entry, **protocol.encode_rows(rows))
+        scans = params.get("scans")
+        commit = bool(params.get("commit"))
+
+        def read(tx: Any) -> Any:
+            # hfs: allow(HFS106, reason=server relays client-supplied keys verbatim; the ordering obligation is linted at the client call site)
+            return tx.read_batch(
+                params["table"], params["keys"],
+                lock=_lock_mode(params.get("lock")),
+                locks=(None if locks is None else
+                       [_lock_mode(name) for name in locks]),
+                scans=(None if scans is None else
+                       [(table, values) for table, values in scans]),
+                commit=commit)
+
+        if commit:
+            entry, result = self._commit(state, params, read)
+        else:
+            entry = self._tx(state, params)
+            result = read(entry[0])
+        if scans is None:
+            return self._tx_reply(params, entry,
+                                  **protocol.encode_rows(result))
+        rows, scanned = result
+        return self._tx_reply(
+            params, entry, **protocol.encode_rows(rows),
+            scans=[protocol.encode_rows(found) for found in scanned])
 
     def _h_tx_ppis(self, state: _ConnState,
                    params: Mapping[str, Any]) -> dict[str, Any]:
@@ -579,15 +599,12 @@ class NDBServer:
         rows = entry[0].full_scan(params["table"], predicate=None)
         return self._tx_reply(params, entry, **protocol.encode_rows(rows))
 
-    def _h_tx_delete(self, state: _ConnState,
-                     params: Mapping[str, Any]) -> dict[str, Any]:
-        entry = self._tx(state, params)
-        existed = entry[0].delete(params["table"], params["key"],
-                                  must_exist=params.get("must_exist", True))
-        return self._tx_reply(params, entry, existed=existed)
-
-    def _h_tx_commit(self, state: _ConnState,
-                     params: Mapping[str, Any]) -> dict[str, Any]:
+    def _commit(self, state: _ConnState, params: Mapping[str, Any],
+                commit: Any) -> tuple[tuple[Any, StatsCursor], Any]:
+        """Serve a request that ends its transaction: ``commit(tx)`` is
+        the call that commits it — ``tx.commit()``, or the read of a
+        ``tx.read_batch`` carrying ``"commit": true``. Returns the
+        transaction's entry and what ``commit`` returned."""
         # "crash before the commit applied": the transaction is still
         # registered (or not yet begun), so an injected error aborts it
         # through the error-reply rule and an injected connection drop
@@ -595,12 +612,20 @@ class NDBServer:
         # way (the client's CommitAmbiguousError resolves to: aborted)
         fault_point("rpc.server.commit.before", tx=params.get("tx"))
         entry = self._tx(state, params)
+        # a failure in here — a read that cannot get its lock, a commit
+        # that cannot apply — leaves the transaction registered for the
+        # error-reply rule to abort and forget
+        result = commit(entry[0])
         self._forget_tx(state, params.get("tx"))
-        entry[0].commit()
         # "crash after the commit applied": the client sees the same
         # connection loss, but the commit is durable (resolves to:
         # committed) — the two sides of the ambiguity, by construction
         fault_point("rpc.server.commit.after", tx=params.get("tx"))
+        return entry, result
+
+    def _h_tx_commit(self, state: _ConnState,
+                     params: Mapping[str, Any]) -> dict[str, Any]:
+        entry, _ = self._commit(state, params, lambda tx: tx.commit())
         return self._tx_reply(params, entry)
 
     def _h_tx_abort(self, state: _ConnState,

@@ -18,6 +18,7 @@ from repro.errors import (
     NoSuchRowError,
     SchemaError,
     TransactionAbortedError,
+    TransactionError,
 )
 from repro.ndb import AccessKind, LockMode, NDBConfig, TableSchema
 from repro.rpc import NDBServer
@@ -55,6 +56,7 @@ def driver(request):
     else:
         with NDBServer(config=CONFIG) as server:
             drv = RemoteDriver(server.host, server.port, timeout=10.0)
+            drv._test_server = server  # for _locks_held
             drv.create_table(SCHEMA)
             drv.create_table(TAGS)
             try:
@@ -237,7 +239,10 @@ def test_locked_ppis_batch_drops_rows_that_vanish_before_the_grant(driver):
     session = driver.session()
     _fill_items_and_tags(session)
     deleter = driver.session().begin()
-    assert deleter.delete("items", (3, "n1"))  # holds X on the row
+    # a locked read takes the X lock now on every driver (a remote
+    # delete is buffered: it locks when the request carrying it ships)
+    assert deleter.read("items", (3, "n1"), lock=LockMode.EXCLUSIVE)
+    deleter.delete("items", (3, "n1"))
     scans = [("items", {"pid": 3}), ("tags", {"pid": 3})]
     got = []
 
@@ -298,6 +303,141 @@ def test_batch_read_order_preserved(driver):
         lambda tx: tx.read_batch("items", [(1, "a"), (1, "missing")])
     )
     assert rows[0]["value"] == 1 and rows[1] is None
+
+
+# -- read_batch(scans=, commit=): execute() and execute(Commit) ------------------
+
+
+def _locks_held(driver) -> int:
+    """Row locks (ndb) or open server transactions (process) left behind."""
+    if isinstance(driver, MemoryDriver):  # its one lock: the global mutex
+        return int(driver._mutex._is_owned())
+    cluster = (driver.cluster if isinstance(driver, NDBDriver)
+               else driver._test_server.driver.cluster)
+    held = cluster._locks.lock_table_size()
+    if not isinstance(driver, NDBDriver):
+        held += int(driver._test_server.registry.get_gauge("rpc_open_txs"))
+    return held
+
+
+@pytest.mark.parametrize("locks", [
+    None, [LockMode.SHARED, LockMode.READ_COMMITTED, LockMode.EXCLUSIVE]],
+    ids=["unlocked", "locked"])
+def test_read_batch_with_scans_is_the_read_then_the_scans_in_one_round_trip(
+        driver, locks):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    keys = [(1, "n0"), (2, "missing"), (3, "n2")]
+    scans = [("tags", {"pid": 3}), ("items", {"pid": 3}),
+             ("items", {"pid": 9}), ("tags", {"pid": 1})]
+
+    session.reset_stats()
+    apart = session.run(lambda tx: (
+        tx.read_batch("items", keys, locks=locks), tx.ppis_batch(scans)))
+    apart_stats = session.reset_stats()
+    together = session.run(lambda tx: tx.read_batch(
+        "items", keys, locks=locks, scans=scans))
+    assert together == apart
+    rows, scanned = together
+    assert [r and r["name"] for r in rows] == ["n0", None, "n2"]
+    assert [len(found) for found in scanned] == [1, 3, 0, 1]
+    # ONE event and ONE round trip where there were two, the same rows
+    stats = session.stats
+    assert apart_stats.round_trips == 2 and stats.round_trips == 1
+    assert stats.rows_read == apart_stats.rows_read == 2 + 5
+    assert stats.rows_locked == apart_stats.rows_locked
+    [event] = stats.events
+    assert event.kind is AccessKind.BATCH_PK
+    assert event.table == "items+tags" and event.rows == 7
+    assert event.locked is (locks is not None)
+    if not isinstance(driver, MemoryDriver):
+        # partitions of the keys, then of the scans
+        assert len(event.partitions) == len(keys) + len(scans)
+    # an empty scan list is still "with scans": a pair comes back
+    assert session.run(lambda tx: tx.read_batch(
+        "items", keys[:1], scans=[])) == (rows[:1], [])
+
+
+def test_read_batch_scans_see_the_transactions_own_writes(driver):
+    session = driver.session()
+    _fill_items_and_tags(session)
+
+    def fn(tx):
+        tx.insert("items", {"pid": 1, "name": "new", "value": 5})
+        tx.delete("items", (3, "n1"))
+        tx.update("items", (3, "n2"), {"value": 20})
+        tx.write("tags", {"pid": 3, "tag": "u"})
+        keys = [(1, "new"), (3, "n1"), (3, "n2")]
+        scans = [("items", {"pid": 1}), ("items", {"pid": 3}),
+                 ("tags", {"pid": 3})]
+        together = tx.read_batch("items", keys, scans=scans)
+        assert together == (tx.read_batch("items", keys),
+                            tx.ppis_batch(scans))
+        return together
+
+    rows, (ones, threes, tags) = session.run(fn)
+    assert [r and r["value"] for r in rows] == [5, None, 20]
+    assert sorted(r["name"] for r in ones) == ["n0", "new"]
+    assert sorted((r["name"], r["value"]) for r in threes) == [
+        ("n0", 0), ("n2", 20)]
+    assert sorted(r["tag"] for r in tags) == ["t", "u"]
+
+
+def test_read_batch_rejects_an_unpruned_riding_scan(driver):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    with pytest.raises(SchemaError):
+        session.run(lambda tx: tx.read_batch(
+            "items", [(1, "n0")], lock=LockMode.EXCLUSIVE,
+            scans=[("items", {"name": "n0"})]))
+    assert _locks_held(driver) == 0
+
+
+def test_read_batch_commit_ends_the_transaction_and_frees_its_locks(driver):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    tx = session.begin()
+    rows, scanned = tx.read_batch(
+        "items", [(3, "n0"), (3, "n1")], lock=LockMode.EXCLUSIVE,
+        scans=[("tags", {"pid": 3})], commit=True)
+    assert [r["name"] for r in rows] == ["n0", "n1"]
+    assert scanned == [[{"pid": 3, "tag": "t"}]]
+    assert tx.state.name == "COMMITTED"
+    assert tx.stats.round_trips == 1 and tx.stats.rows_locked >= 2
+    assert _locks_held(driver) == 0  # before any further call or frame
+    # a second call finds the transaction over; abort has nothing to do
+    with pytest.raises(TransactionAbortedError):
+        tx.read_batch("items", [(3, "n0")])
+    with pytest.raises(TransactionAbortedError):
+        tx.commit()
+    tx.abort()
+    assert tx.state.name == "COMMITTED"
+    # session.run skips its own commit for such a transaction
+    assert session.run(lambda t: t.read_batch(
+        "items", [(1, "n0")], lock=LockMode.SHARED,
+        commit=True))[0]["value"] == 0
+    assert _locks_held(driver) == 0
+
+
+@pytest.mark.parametrize("write", [
+    lambda tx: tx.insert("items", {"pid": 5, "name": "w", "value": 0}),
+    lambda tx: tx.update("items", (1, "n0"), {"value": 9}),
+    lambda tx: tx.write("tags", {"pid": 5, "tag": "w"}),
+    lambda tx: tx.delete("items", (1, "n0")),
+], ids=["insert", "update", "write", "delete"])
+def test_read_batch_commit_is_refused_on_a_transaction_that_wrote(driver,
+                                                                  write):
+    session = driver.session()
+    _fill_items_and_tags(session)
+    tx = session.begin()
+    write(tx)
+    with pytest.raises(TransactionError, match="read-only"):
+        tx.read_batch("items", [(1, "n0")], commit=True)
+    # refused before anything was read or sent: still open, still ours
+    assert tx.state.name == "ACTIVE" and tx.stats.round_trips == 0
+    tx.abort()
+    assert _locks_held(driver) == 0
+    assert session.run(lambda t: t.read("items", (1, "n0")))["value"] == 0
 
 
 def test_index_scan(driver):

@@ -114,18 +114,33 @@ class TestAccessPathDiscipline:
         stats = op_stats(
             nn, lambda: nn.get_block_locations("/proj/data/part-0001"))
         assert not stats.uses_expensive_scans
-        # blocks + replicas ride one batched scan: one round trip, one
-        # event, and both tables sit on the file's own shard
-        [scan] = [e for e in stats.events if e.kind is AccessKind.PPIS]
-        assert scan.table == "blocks+replicas"
-        assert len(scan.partitions) == 2 and len(set(scan.partitions)) == 1
-        assert not scan.locked
+        # blocks + replicas ride the batched read of the hinted path: one
+        # round trip, one event, and both tables sit on the file's own
+        # shard (the two partitions after the three path components')
+        [event] = stats.events
+        assert event.kind is AccessKind.BATCH_PK
+        assert event.table == "inodes+blocks+replicas"
+        scanned = event.partitions[3:]
+        assert len(scanned) == 2 and len(set(scanned)) == 1
+        assert event.locked  # the S lock on the file's inode, as before
+        assert stats.count(AccessKind.PPIS) == 0
 
     def test_deep_ls_is_partition_pruned(self, warm):
         fs, client, nn = warm
         stats = op_stats(nn, lambda: nn.list_status("/proj/data"))
-        assert stats.count(AccessKind.PPIS) == 1
+        # the children scan is pruned to one shard and rides the batched
+        # read of the hinted path: one event, two components + one scan
+        [event] = stats.events
+        assert event.kind is AccessKind.BATCH_PK and event.table == "inodes"
+        assert len(event.partitions) == 2 + 1
         assert not stats.uses_expensive_scans
+        # a cold listing scans for itself: the same rows, one PPIS
+        warm = nn.list_status("/proj/data")
+        nn.hint_cache.clear()
+        cold = op_stats(nn, lambda: nn.list_status("/proj/data"))
+        assert cold.count(AccessKind.PPIS) == 1
+        assert not cold.uses_expensive_scans
+        assert nn.list_status("/proj/data") == warm
 
     def test_top_level_ls_uses_index_scan(self, warm):
         """The documented price of hotspot avoidance (§4.2.1)."""
@@ -268,7 +283,10 @@ class TestDistributionAwareTransactions:
         nn = fs.namenodes[0]
         nn.get_block_locations("/p/q/file")  # warm cache
         stats = op_stats(nn, lambda: nn.get_block_locations("/p/q/file"))
-        ppis_events = [e for e in stats.events
-                       if e.kind is AccessKind.PPIS]
-        assert ppis_events
-        assert all(e.coordinator_local for e in ppis_events)
+        # the scans ride the path's batched read; their shard (the last
+        # two partitions of the event) is the coordinator's own
+        [event] = stats.events
+        assert event.table == "inodes+blocks+replicas"
+        primary = fs.driver.cluster.primary_table()
+        assert {primary[pid] for pid in event.partitions[-2:]} == {
+            event.coordinator}

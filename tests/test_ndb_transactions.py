@@ -80,7 +80,9 @@ class TestBasicCrud:
         with cluster.begin() as tx:
             tx.insert("inodes", inode(0, "f", 1))
         with cluster.begin() as tx:
-            assert tx.delete("inodes", (0, "f")) is True
+            assert tx.delete("inodes", (0, "f")) is None  # tells nothing
+            assert tx.read("inodes", (0, "f")) is None  # own write visible
+        assert cluster.table_size("inodes") == 0
         with cluster.begin() as tx:
             assert tx.read("inodes", (0, "f")) is None
 
@@ -90,7 +92,11 @@ class TestBasicCrud:
                 tx.delete("inodes", (0, "ghost"))
             tx.abort()
         with cluster.begin() as tx:
-            assert tx.delete("inodes", (0, "ghost"), must_exist=False) is False
+            tx.insert("inodes", inode(0, "f", 1))
+        with cluster.begin() as tx:  # a no-op that buffers nothing
+            assert tx.delete("inodes", (0, "ghost"), must_exist=False) is None
+            assert not tx._writes
+        assert cluster.table_size("inodes") == 1
 
     def test_duplicate_insert_rejected(self, cluster):
         with cluster.begin() as tx:

@@ -99,6 +99,32 @@ class TestBatchedScanPricing:
                         locked=True)])
         assert locked == unlocked and locked.fanout == 3
 
+    def test_a_read_carrying_scans_is_one_fan_out_with_a_hot_path_row(self):
+        """The resolve whose scans rode (``read_batch(scans=)``): one
+        mixed-table BATCH_PK event is one trip over its nodes in
+        parallel, priced as the plain batched read of the same rows, and
+        its path prefix still holds the hotspot workload's hot row."""
+        from dataclasses import replace
+
+        from repro.ndb.stats import AccessEvent, AccessKind
+        from repro.perfmodel.analytic import SaturationModel
+        from repro.perfmodel.profiles import _events_to_trips
+
+        plain = self._event(AccessKind.BATCH_PK, (0, 1, 2), (0, 2, 4, 4))
+        riding = AccessEvent(kind=AccessKind.BATCH_PK,
+                             table="inodes+blocks+replicas",
+                             partitions=(0, 2, 4, 4, 4), nodes=(0, 1, 2),
+                             coordinator=0, rows=8, locked=True)
+        plain_trip, riding_trip = _events_to_trips([plain, riding])
+        assert riding_trip.fanout == 3 and not riding_trip.all_shards
+        assert riding_trip.hot_rows == 1 and plain_trip.hot_rows == 0
+        assert replace(riding_trip, table=plain_trip.table,
+                       hot_rows=0) == plain_trip
+        model = SaturationModel()
+        assert model.op_latency(OpProfile(name="r", trips=(riding_trip,))) \
+            == pytest.approx(model.op_latency(
+                OpProfile(name="p", trips=(plain_trip,))))
+
     def test_multi_shard_ppis_is_priced_like_a_batched_read(self):
         from repro.ndb.stats import AccessKind
         from repro.perfmodel.analytic import SaturationModel

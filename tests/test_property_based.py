@@ -57,8 +57,8 @@ def test_engine_matches_dict_oracle(ops):
                 if key in oracle:
                     tx.delete("kv", (key,))
                     del oracle[key]
-                else:
-                    assert tx.delete("kv", (key,), must_exist=False) is False
+                else:  # a no-op: the final scan shows nothing went
+                    tx.delete("kv", (key,), must_exist=False)
             else:
                 row = tx.read("kv", (key,))
                 assert (row["v"] if row else None) == oracle.get(key)
@@ -343,6 +343,86 @@ def test_ppis_batch_agrees_across_drivers(_three_drivers, steps):
     assert observed["ndb"] == observed["remote"]
     assert observed["memory"] == [seen for seen in observed["ndb"]
                                   if not isinstance(seen, int)]
+
+
+_ride_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.sampled_from(["pt", "pu"]), _P, _K, _V),
+        st.tuples(st.just("delete"), st.sampled_from(["pt", "pu"]), _P, _K),
+        st.tuples(st.just("ride"),
+                  st.lists(st.tuples(_P, _K, st.sampled_from(list(LockMode))),
+                           min_size=1, max_size=4),
+                  st.lists(st.tuples(st.sampled_from(["pt", "pu"]), _P),
+                           max_size=4),
+                  st.booleans()),
+        st.tuples(st.sampled_from(["commit", "commit", "abort"])),
+    ),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@pytest.mark.lock_witness_exempt  # one thread; locks rows in workload order
+@given(_ride_steps)
+def test_read_batch_with_scans_agrees_across_drivers(_three_drivers, steps):
+    """``read_batch(t, keys, locks=L, scans=S)`` is ``(read_batch(t, keys,
+    locks=L), ppis_batch(S))`` — buffered writes visible in both halves —
+    for ONE round trip, ONE ``BATCH_PK`` event and the same rows read, on
+    the ndb, memory and remote drivers alike; with ``commit=True`` (asked
+    for only of a transaction that wrote nothing) it also ends the
+    transaction."""
+    suffix = f"_{next(_example_ids)}"  # tables cannot be dropped
+    observed = {}
+    for name, driver in _three_drivers.items():
+        for schema in (_PT, _PU):
+            driver.create_table(TableSchema(
+                name=schema.name + suffix, columns=schema.columns,
+                primary_key=schema.primary_key,
+                partition_key=schema.partition_key))
+        session = driver.session()
+        seen = observed[name] = []
+        tx, wrote = session.begin(), False
+        for step in steps:
+            op = step[0]
+            if op == "write":
+                tx.write(step[1] + suffix,
+                         dict(zip(("p", "k", "v"), step[2:], strict=True)))
+                wrote = True
+            elif op == "delete":
+                tx.delete(step[1] + suffix, step[2:], must_exist=False)
+                wrote = True
+            elif op == "ride":
+                keys = [(p, k) for p, k, _mode in step[1]]
+                locks = [mode for _p, _k, mode in step[1]]
+                scans = [(table + suffix, {"p": p}) for table, p in step[2]]
+                commit = step[3] and not wrote
+                apart = (tx.read_batch("pt" + suffix, keys, locks=locks),
+                         tx.ppis_batch(scans))
+                trips, rows, _ = _totals(tx.stats)
+                events = len(tx.stats.events)
+                together = tx.read_batch("pt" + suffix, keys, locks=locks,
+                                         scans=scans, commit=commit)
+                assert together == apart
+                [event] = tx.stats.events[events:]
+                assert event.kind.name == "BATCH_PK"
+                assert tx.stats.round_trips - trips == 1
+                found = sum(r is not None for r in apart[0]) + sum(
+                    map(len, apart[1]))
+                assert tx.stats.rows_read - rows == event.rows == found
+                seen.append((together[0],
+                             [sorted(map(_PT.pk_of, rows_of))
+                              for rows_of in together[1]],
+                             event.table.replace(suffix, ""),
+                             event.locked, tx.state.name))
+                if commit:
+                    assert tx.state.name == "COMMITTED"
+                    tx = session.begin()
+            else:
+                getattr(tx, op)()
+                tx, wrote = session.begin(), False
+        tx.abort()
+    assert observed["ndb"] == observed["remote"] == observed["memory"]
 
 
 # ---------------------------------------------------------------------------

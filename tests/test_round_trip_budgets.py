@@ -23,7 +23,8 @@ legitimately alters a budget, update ``OP_BUDGETS`` *in the same PR*
 and say why in the commit.
 
 The *wire budget* at the bottom is the same ledger one layer down: over
-an ndb-server, how many requests a warm operation *waits for*.
+an ndb-server, how many frames a warm operation sends and how many of
+them it *waits for*.
 
 The cold cell pins the one fallback the resolver has (hint-cache miss →
 recursive PK reads, then a single batched lock re-read); its count lives
@@ -326,20 +327,22 @@ def test_budget_counts_from_open_not_from_zero():
 
 
 class TestWireBudget:
-    """Requests a warm operation *waits for* over an ndb-server, pinned
-    with zero tolerance under one rule (protocol v2: define locally,
-    ship on execute):
+    """Frames a warm operation sends over an ndb-server and how many of
+    them it *waits for*, pinned with zero tolerance under one rule
+    (define locally, ship on execute; since v4 also ``execute(Commit)``):
 
     * a read-only op waits exactly ``AccessStats.round_trips`` times —
-      once per database round trip, nothing for ``begin`` or the commit;
-    * a writing op waits (its read round trips) + (its ``tx.delete``
-      calls, which return whether the row existed) + 1 for the commit,
-      which carries every buffered write.
+      once per database round trip, nothing for ``begin`` — and sends one
+      more frame, the one-way commit, only if its last read could not
+      carry the commit;
+    * a writing op waits (its read round trips) + 1 for the commit, which
+      carries every buffered write, and sends nothing else.
     """
 
-    #: op -> waits; the literal table of docs/performance.md
-    PINNED = {"stat": 1, "read": 2, "ls": 2, "create": 4, "mkdirs": 4,
-              "set_permission": 2, "rename": 8, "delete": 7}
+    #: op -> (frames, waits); the literal table of docs/performance.md
+    PINNED = {"stat": (1, 1), "read": (1, 1), "ls": (1, 1),
+              "ls_hashed": (3, 2), "create": (4, 4), "mkdirs": (4, 4),
+              "set_permission": (2, 2), "rename": (7, 7), "delete": (3, 3)}
 
     @pytest.fixture
     def remote_nn(self):
@@ -362,7 +365,6 @@ class TestWireBudget:
 
     def test_warm_ops_wait_once_per_read_per_delete_and_per_commit(
             self, remote_nn, monkeypatch):
-        from repro.dal.remote_driver import RemoteTransaction
         from repro.rpc import ClientConn
 
         nn = remote_nn
@@ -373,7 +375,7 @@ class TestWireBudget:
         nn.rename("/a/b/f3", "/a/b/g3")
         nn.delete("/a/b/g3")  # every op (+ id leases, hints) warm
 
-        seen = {"waits": 0, "one_way": 0, "deletes": 0}
+        seen = {"waits": 0, "one_way": 0}
 
         def counting(cls, name, key):
             real = getattr(cls, name)
@@ -386,21 +388,25 @@ class TestWireBudget:
 
         counting(ClientConn, "_await", "waits")
         counting(ClientConn, "notify", "one_way")
-        counting(RemoteTransaction, "delete", "deletes")
 
         ops = {
             "stat": lambda: nn.get_file_info("/a/b/f0"),
             "read": lambda: nn.get_block_locations("/a/b/f0"),
             "ls": lambda: nn.list_status("/a/b"),
+            # /a's children are hash-partitioned: the listing is an
+            # all-shard index scan no hint can prune, so nothing rides
+            "ls_hashed": lambda: nn.list_status("/a"),
             "create": lambda: nn.create("/a/b/new", client="c"),
             "mkdirs": lambda: nn.mkdirs("/a/b/dir"),
             "set_permission": lambda: nn.set_permission("/a/b/f1", 0o600),
             "rename": lambda: nn.rename("/a/b/f1", "/a/b/g1"),
             "delete": lambda: nn.delete("/a/b/f2"),
         }
+        #: read-only ops whose last read carries the commit
+        riding = {"stat", "read", "ls"}
         measured = {}
         for name, op in ops.items():
-            seen.update(waits=0, one_way=0, deletes=0)
+            seen.update(waits=0, one_way=0)
             stats, nn.stats = nn.stats, AccessStats()
             try:
                 op()
@@ -410,14 +416,16 @@ class TestWireBudget:
                 nn.stats = stats
             if wrote:
                 # flush + commit are database round trips of one request
-                rule = (round_trips - 2) + seen["deletes"] + 1
+                assert seen["waits"] == (round_trips - 2) + 1, name
                 assert seen["one_way"] == 0, name
             else:
-                rule = round_trips
-                assert seen["one_way"] == 1, name  # the commit frame
-            assert seen["waits"] == rule, name
-            measured[name] = seen["waits"]
+                assert seen["waits"] == round_trips, name
+                # the commit frame, unless the last read carried it
+                assert seen["one_way"] == (0 if name in riding else 1), name
+            measured[name] = (seen["waits"] + seen["one_way"], seen["waits"])
         assert measured == self.PINNED
+        assert {op: _budget(op) for op in ("stat", "read", "ls")} == {
+            op: self.PINNED[op][1] for op in ("stat", "read", "ls")}
 
     def test_a_three_level_quiesce_waits_three_times(self, remote_nn,
                                                      monkeypatch):

@@ -244,11 +244,28 @@ def test_version_2_hello_is_refused(server):
         conn.close()
 
 
+def test_version_3_hello_is_refused(server):
+    """Version 3 had neither ``"scans"`` nor ``"commit"`` on
+    ``tx.read_batch``: a server that ignored the second would keep the
+    locks of a transaction its client believes committed."""
+    conn = ClientConn(dial(server.host, server.port, timeout=5.0))
+    try:
+        with pytest.raises(ProtocolError, match="protocol"):
+            conn.call("hello", {"protocol": 3})
+        assert protocol.PROTOCOL_VERSION == 4
+    finally:
+        conn.close()
+
+
 def test_retired_knob_and_begin_rpc_are_gone(server, driver):
+    # ...and, since v4, the ``tx.delete`` request
     with pytest.raises(TypeError):
         RemoteDriver(server.host, server.port, pipeline_writes=True)
-    with pytest.raises(ProtocolError, match="unknown method"):
-        driver._call("begin", {"hint": None})
+    for method, params in (("begin", {"hint": None}),
+                           ("tx.delete", {"tx": 1, "begin": None,
+                                          "table": "kv", "key": [1]})):
+        with pytest.raises(ProtocolError, match="unknown method"):
+            driver._call(method, params)
 
 
 def test_begin_is_local_and_an_unused_transaction_costs_nothing(server,
@@ -296,11 +313,15 @@ def test_deferred_write_error_surfaces_on_the_carrying_request(
     tx.insert("kv", {"k": 0, "v": 99})  # k=0 exists: returns all the same
     tx.update("kv", (1,), {"v": 11})
     tx.write("kv", {"k": 5, "v": 5})
+    if carrier == "delete":
+        # since v4 a delete carries nothing: it joins the buffer, behind
+        # the doomed insert, and rides the commit with it
+        before = _requests(server)
+        assert tx.delete("kv", (1,)) is None
+        assert _requests(server) == before
     with pytest.raises(DuplicateKeyError):
         if carrier == "read":
             tx.read("kv", (1,))
-        elif carrier == "delete":
-            tx.delete("kv", (1,))
         else:
             tx.commit()
     # the error reply ended the transaction on both sides: no frame is
@@ -316,6 +337,44 @@ def test_deferred_write_error_surfaces_on_the_carrying_request(
     session = driver.session()
     assert session.run(lambda t: t.read_batch("kv", [(0,), (1,), (5,)])) \
         == [{"k": 0, "v": 0}, {"k": 1, "v": 10}, None]
+
+
+def test_deferred_delete_of_a_missing_row_fails_the_carrying_request(
+        server, driver):
+    """``delete`` is a buffered write like the other three: its X lock is
+    taken and its ``NoSuchRowError`` raised by the request that carries
+    it; with ``must_exist=False`` a missing row is a no-op there too."""
+    _fill(driver, n=2)
+    locks = server.driver.cluster._locks
+    before = _requests(server)
+    tx = driver.session().begin()
+    tx.delete("kv", (0,))
+    tx.delete("kv", (7,), must_exist=False)
+    tx.delete("kv", (9,))  # no such row: returns all the same
+    assert _requests(server) == before and locks.lock_table_size() == 0
+    with pytest.raises(NoSuchRowError):
+        tx.read("kv", (1,))  # carries the three
+    assert tx.state.name == "ABORTED"
+    assert _open_txs(server) == 0 and locks.lock_table_size() == 0
+    assert driver.table_size("kv") == 2  # k=0 did not go
+    # a delete that can be applied is: own write visible to the carrying
+    # read, the row gone once the commit (its second request) is in
+    session = driver.session()
+    before = _requests(server)
+
+    def fn(t):
+        t.delete("kv", (0,))
+        t.delete("kv", (7,), must_exist=False)
+        assert locks.lock_table_size() == 0  # nothing shipped yet
+        rows = t.read_batch("kv", [(0,), (1,)])
+        assert locks.lock_table_size() == 2  # X on k=0 and on k=7
+        return rows
+
+    assert session.run(fn) == [None, {"k": 1, "v": 10}]
+    after = _requests(server)
+    assert {m: n - before.get(m, 0) for m, n in after.items()
+            if n != before.get(m, 0)} == {"tx.read_batch": 1, "tx.commit": 1}
+    assert driver.table_size("kv") == 1
 
 
 def test_deferred_write_error_fails_the_commit_not_after_it(driver):
@@ -445,6 +504,160 @@ def test_failed_commit_request_does_not_leak_the_transaction(server, driver):
     row = session.run(lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))
     assert row["v"] == 30  # the failed commit applied nothing
     assert time.monotonic() - started < CONFIG.lock_timeout / 2
+
+
+# -- protocol v4: execute(Commit) ----------------------------------------------
+
+
+def _frames(monkeypatch):
+    """Count what a client sends: reply-bearing requests and one-way frames."""
+    sent = {"waits": 0, "one_way": 0}
+    real_await, real_notify = ClientConn._await, ClientConn.notify
+
+    def waited(conn, req_id):
+        sent["waits"] += 1
+        return real_await(conn, req_id)
+
+    def notified(conn, method, params=None):
+        sent["one_way"] += 1
+        return real_notify(conn, method, params)
+
+    monkeypatch.setattr(ClientConn, "_await", waited)
+    monkeypatch.setattr(ClientConn, "notify", notified)
+    return sent
+
+
+def test_read_batch_carrying_scans_and_commit_is_the_only_frame(
+        server, driver, monkeypatch):
+    session = _fill(driver, n=4)
+    locks = server.driver.cluster._locks
+    before = _requests(server)
+    sent = _frames(monkeypatch)
+    session.reset_stats()
+
+    def fn(tx):
+        got = tx.read_batch("kv", [(3,), (9,)], lock=LockMode.EXCLUSIVE,
+                            scans=[("kv", {"k": 1}), ("kv", {"k": 8})],
+                            commit=True)
+        # committed server-side before the reply: nothing left to send
+        assert tx.state.name == "COMMITTED" and tx._conn is None
+        assert _open_txs(server) == 0 and locks.lock_table_size() == 0
+        return got
+
+    rows, scanned = session.run(fn)
+    assert rows == [{"k": 3, "v": 30}, None]
+    assert scanned == [[{"k": 1, "v": 10}], []]
+    assert sent == {"waits": 1, "one_way": 0}
+    after = _requests(server)
+    assert {m: n - before.get(m, 0) for m, n in after.items()
+            if n != before.get(m, 0)} == {"tx.read_batch": 1}
+    [event] = session.stats.events
+    assert event.kind is AccessKind.BATCH_PK and event.table == "kv"
+    assert event.rows == 2 and len(event.partitions) == 4 and event.locked
+    assert session.stats.round_trips == 1
+    assert not driver._pool[-1].closed  # the connection is pooled again
+
+
+def test_riding_commit_fires_both_commit_fault_sites(server, driver):
+    from repro import faults
+    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+    _fill(driver)
+    injector = faults.install(FaultInjector(FaultPlan(specs=[
+        FaultSpec(site="rpc.server.commit.*", action="delay", delay=0.0,
+                  max_fires=None)])))
+    try:
+        tx = driver.session().begin()
+        tx.read_batch("kv", [(1,)], lock=LockMode.SHARED, commit=True)
+        tx = driver.session().begin()
+        tx.read_batch("kv", [(1,)], lock=LockMode.SHARED)  # no commit
+        tx.abort()
+    finally:
+        faults.uninstall()
+    assert [f.site for f in injector.fired] == [
+        "rpc.server.commit.before", "rpc.server.commit.after"]
+
+
+@pytest.mark.parametrize("failure", ["scan", "commit.before"])
+def test_failing_riding_request_leaves_nothing_and_is_retried(
+        server, driver, monkeypatch, failure):
+    """An error reply to a ``tx.read_batch`` that carried scans and the
+    commit — thrown by a rode scan after the locks were taken, or by the
+    fault site in front of the commit — ends the transaction under the
+    one failure rule, and being abort-class is retried by the session."""
+    from repro import faults
+    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+    from repro.ndb.transaction import Transaction
+
+    session = _fill(driver)
+    locks = server.driver.cluster._locks
+    attempts = []
+    if failure == "scan":
+        real = Transaction._scan_planned
+
+        def scan_once(tx, plan, merge=True):
+            if not attempts:
+                attempts.append(locks.lock_table_size())
+                raise TransactionAbortedError("induced: scan failed")
+            return real(tx, plan, merge)
+
+        monkeypatch.setattr(Transaction, "_scan_planned", scan_once)
+    else:
+        faults.install(FaultInjector(FaultPlan(specs=[FaultSpec(
+            site="rpc.server.commit.before", action="error",
+            error="TransactionAbortedError", max_fires=1)])))
+    calls = []
+
+    def fn(tx):
+        calls.append(tx)
+        return tx.read_batch("kv", [(3,)], lock=LockMode.EXCLUSIVE,
+                             scans=[("kv", {"k": 1})], commit=True)
+
+    try:
+        assert session.run(fn) == ([{"k": 3, "v": 30}], [[{"k": 1, "v": 10}]])
+    finally:
+        faults.uninstall()
+    assert len(calls) == 2 and session.retries_used == 1
+    assert [tx.state.name for tx in calls] == ["ABORTED", "COMMITTED"]
+    if failure == "scan":
+        assert attempts == [1]  # the scan ran with the key's X lock held
+    assert _open_txs(server) == 0 and locks.lock_table_size() == 0
+    # the failed attempt's connection answered, so it is still good
+    assert len(driver._pool) == 1 and not driver._pool[0].closed
+
+
+def test_conn_loss_under_a_riding_commit_is_a_retryable_abort(server, driver):
+    """Nothing was written, so there is nothing ambiguous about a commit
+    that may or may not have happened: it is retried like any read."""
+    session = _fill(driver)
+    calls = []
+
+    def fn(tx):
+        calls.append(tx)
+        if len(calls) == 1:
+            tx._conn._conn._sock.close()  # the request hits a dead socket
+        return tx.read_batch("kv", [(3,)], lock=LockMode.SHARED, commit=True)
+
+    assert session.run(fn) == [{"k": 3, "v": 30}]
+    assert session.retries_used == 1
+    assert calls[0].state.name == "ABORTED"
+    assert _wait_until(lambda: _open_txs(server) == 0)
+
+
+def test_riding_commit_is_never_sent_for_a_transaction_that_wrote(
+        server, driver):
+    from repro.errors import TransactionError
+
+    _fill(driver)
+    before = _requests(server)
+    tx = driver.session().begin()
+    tx.update("kv", (1,), {"v": 11})
+    with pytest.raises(TransactionError, match="read-only"):
+        tx.read_batch("kv", [(1,)], commit=True)
+    assert _requests(server) == before  # refused client-side
+    assert tx.state.name == "ACTIVE"
+    tx.commit()
+    assert driver.session().run(lambda t: t.read("kv", (1,)))["v"] == 11
 
 
 def test_ppis_batch_is_one_request_and_one_event(server):

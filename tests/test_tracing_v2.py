@@ -617,6 +617,42 @@ class TestDistributedTracing:
         assert one_way.start == one_way.end and not one_way.children
         assert one_way.start > waited.end  # the reader ran second
 
+    def test_a_riding_commit_is_a_label_not_an_event_and_no_phase(self):
+        """A warm read's one request says what it carried (``scans=N
+        commit=true``); there is no one-way ``rpc.tx.commit`` event, no
+        ``commit`` span, and the op observes no ``commit`` phase."""
+        fs, driver, server, _pid = self.make_remote_fs()
+        try:
+            nn = fs.namenodes[0]
+            nn.mkdirs("/ride/d")
+            nn.create("/ride/d/f")
+            nn.get_block_locations("/ride/d/f")  # warm: the next one rides
+            before = {phase: nn.metrics.histogram(
+                "hopsfs_phase_seconds", op="read", phase=phase).count
+                for phase in ("resolve", "commit")}
+            nn.get_block_locations("/ride/d/f")
+            trace = nn.tracer.recent()[-1]
+            after = {phase: nn.metrics.histogram(
+                "hopsfs_phase_seconds", op="read", phase=phase).count
+                for phase in before}
+        finally:
+            driver.close()
+            server.stop()
+        assert trace.name == "read"
+        spans = list(self._walk(trace))
+        [carrier] = [s for s in spans if s.name == "rpc.tx.read_batch"
+                     and "writes" in s.labels]
+        assert carrier.labels["scans"] == "2"
+        assert carrier.labels["commit"] == "true"
+        assert self.spans_by_name(carrier, "rpc.server")
+        assert not [s for s in spans if s.name in ("rpc.tx.commit", "commit")]
+        # one database round trip (seen on both sides of the wire)
+        assert {(s.name, s.labels["table"]) for s in spans
+                if s.name.startswith("db.")} == {
+            ("db.batched_pk", "inodes+blocks+replicas")}
+        assert after["resolve"] - before["resolve"] == 1
+        assert after["commit"] == before["commit"]
+
     def test_multiprocess_chrome_export(self, tmp_path):
         from repro.metrics.traceexport import to_chrome
 
