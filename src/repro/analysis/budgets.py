@@ -48,29 +48,29 @@ BUDGET_SCOPE_SUFFIXES = (
 OP_BUDGETS: dict[str, str] = {
     # -- ops_inode ------------------------------------------------------------
     "stat": "1",
-    "mkdirs": "5",
-    "create": "5",
+    "mkdirs": "4",
+    "create": "4",
     "read": "1",
     "ls": "1",
     "content_summary": "2 + dir",
-    "add_block": "5",
+    "add_block": "4",
     "block_received": "8",
-    "complete": "5 + 2*block + 2*block*extra",
-    "append": "5",
+    "complete": "3 + 2*block + 2*block*extra",
+    "append": "3",
     "delete": "5 + block*replica",
-    "rename": "8",
+    "rename": "7",
     "chmod": "4",
     "chown": "4",
-    "set_replication": "5 + 2*block + 2*block*extra",
+    "set_replication": "4 + 2*block + 2*block*extra",
     "renew_lease": "3",
     "lease_scan": "1",
     "lease_recovery": "5",
     "set_xattr": "3",
-    "get_xattrs": "2",
+    "get_xattrs": "1",
     "remove_xattr": "3",
     "report_bad_block": "9 + 2*extra",
     # -- ops_subtree ----------------------------------------------------------
-    "move_subtree": "8",
+    "move_subtree": "7",
     "set_quota": "4",
     "{op}_subtree_lock": "4",
     "subtree_quiesce": "1",

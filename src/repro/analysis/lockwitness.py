@@ -259,13 +259,6 @@ class LockWitness:
         with self._mutex:
             return sum(len(succ) for succ in self._edges.values())
 
-    def node_count(self) -> int:
-        with self._mutex:
-            nodes = set(self._edges)
-            for successors in self._edges.values():
-                nodes.update(successors)
-            return len(nodes)
-
     def report(self) -> WitnessReport:
         with self._mutex:
             edges = {src: dict(dst) for src, dst in self._edges.items()}

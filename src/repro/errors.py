@@ -187,10 +187,6 @@ class LeaseConflictError(FileSystemError):
     """File is under construction by another client."""
 
 
-class LeaseExpiredError(FileSystemError):
-    """Client lease no longer valid (recovered or expired)."""
-
-
 class RetriableError(FileSystemError):
     """Operation must be retried by the client.
 

@@ -45,10 +45,6 @@ class JournalNode:
         with self._mutex:
             return [e for e in self._entries if e.txid >= txid]
 
-    def last_txid(self) -> int:
-        with self._mutex:
-            return self._entries[-1].txid if self._entries else 0
-
     def truncate_before(self, txid: int) -> None:
         """Discard entries below ``txid`` (after a checkpoint)."""
         with self._mutex:

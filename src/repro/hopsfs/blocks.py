@@ -70,12 +70,6 @@ def complete_block(tx: DALTransaction, inode_id: int, block_id: int) -> None:
               {"state": BLOCK_STATE_COMPLETE})
 
 
-def live_replica_count(tx: DALTransaction, inode_id: int, block_id: int) -> int:
-    replicas = tx.ppis("replicas", {"inode_id": inode_id},
-                       predicate=lambda r: r["block_id"] == block_id)
-    return len(replicas)
-
-
 def check_replication(tx: DALTransaction, inode_id: int, block_id: int,
                       wanted: int) -> None:
     """Reconcile URB/ER state of one block against its live replicas."""

@@ -148,13 +148,6 @@ class HopsFSCluster:
         if dn is not None:
             dn.kill(lose_data=lose_data)
 
-    def restart_datanode(self, dn_id: int) -> None:
-        dn = self.datanode(dn_id)
-        if dn is not None:
-            dn.restart()
-            for nn in self.live_namenodes():
-                nn.datanode_heartbeat(dn_id)
-
     # -- decommissioning ---------------------------------------------------------------
 
     def start_decommission(self, dn_id: int) -> int:

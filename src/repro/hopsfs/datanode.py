@@ -42,7 +42,6 @@ class DataNode:
         self.alive = True  # guarded_by: GIL
         self._blocks: dict[int, bytes] = {}  # guarded_by: _mutex
         self._mutex = threading.Lock()
-        self._pending: list[Command] = []  # guarded_by: _mutex
 
     # -- storage ------------------------------------------------------------------
 
@@ -82,15 +81,6 @@ class DataNode:
         self.alive = True
 
     # -- namenode interaction -----------------------------------------------------------
-
-    def enqueue_command(self, command: Command) -> None:
-        with self._mutex:
-            self._pending.append(command)
-
-    def take_commands(self) -> list[Command]:
-        with self._mutex:
-            commands, self._pending = self._pending, []
-            return commands
 
     def block_report(self) -> list[tuple[int, int]]:
         """(block_id, length) for every stored replica."""

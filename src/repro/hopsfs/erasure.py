@@ -26,7 +26,6 @@ encode/decode arithmetic, not the metadata design the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import FileNotFoundError_, FileSystemError, IsDirectoryError_
@@ -46,13 +45,6 @@ def xor_blocks(chunks: list[bytes]) -> bytes:
         for i, byte in enumerate(chunk):
             out[i] ^= byte
     return bytes(out)
-
-
-@dataclass(frozen=True)
-class StripeInfo:
-    group_idx: int
-    data_block_ids: tuple[int, ...]
-    parity_block_id: int
 
 
 class ErasureCodingManager:
@@ -139,7 +131,8 @@ class ErasureCodingManager:
                 blk.check_replication(tx, inode_id, block["block_id"], 1)
             return stripes
 
-        stripes = nn._fs_op("ec_convert", fn, hint=nn._hint_for_file(path))
+        stripes = nn._fs_op(
+            "ec_convert", fn, hint=nn.resolver.tx_hint(path, file_rows=True))
         # push parity payloads through the normal write path
         for dn_id, block_id, payload in parity_targets:
             dn = self._cluster.datanode(dn_id)

@@ -420,9 +420,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
     def _is_namenode_dead(self, nn_id: int) -> bool:
         return self.leader_election.is_dead(nn_id)
 
-    def alive_namenode_ids(self) -> set[int]:
-        return self.leader_election.alive_ids()
-
     # -- datanode soft state -------------------------------------------------------------
 
     def datanode_heartbeat(self, dn_id: int) -> None:

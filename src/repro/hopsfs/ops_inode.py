@@ -23,7 +23,6 @@ from repro.errors import (
     InvalidPathError,
     IsDirectoryError_,
     LeaseConflictError,
-    NotDirectoryError,
     ParentNotDirectoryError,
     PermissionDeniedError,
 )
@@ -33,7 +32,7 @@ from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.hintcache import InodeHint
 from repro.hopsfs.paths import join_path, split_path
-from repro.hopsfs.tx import ResolvedPath, root_row
+from repro.hopsfs.tx import ResolvedPath
 from repro.metrics.tracing import span
 from repro.hopsfs.types import (
     BlockLocation,
@@ -73,19 +72,28 @@ def _group_sub_rows(inodes: Sequence[tuple[int, bool]],
             for inode_id, is_dir in inodes}
 
 
-def _block_scans(inode_id: int) -> list[tuple]:
-    """The scans of the read path: a file's blocks and their replicas."""
-    on_shard = {"inode_id": inode_id}
-    return [("blocks", on_shard), ("replicas", on_shard)]
-
-
 # What an operation reads after its resolve, told from the last
 # component's hint (:data:`repro.hopsfs.tx.ScansFor`): these ride the
-# resolve's batched read when the whole path is hinted.
+# resolve's batched read when the namenode knows the inode, else the
+# resolver issues them. A directory has no blocks: the ops below raise
+# on one, nothing to read.
 
-def _read_scans(hint: InodeHint) -> list[tuple]:
-    # a directory has no blocks to locate: the op raises, nothing to read
-    return [] if hint.is_dir else _block_scans(hint.inode_id)
+def _block_scans(hint: InodeHint) -> list[tuple]:
+    return [] if hint.is_dir else [("blocks", {"inode_id": hint.inode_id})]
+
+
+def _block_replica_scans(hint: InodeHint) -> list[tuple]:
+    on_shard = {"inode_id": hint.inode_id}
+    return [] if hint.is_dir else [("blocks", on_shard),
+                                   ("replicas", on_shard)]
+
+
+def _xattr_scans(hint: InodeHint) -> list[tuple]:
+    return [("xattrs", {"inode_id": hint.inode_id})]
+
+
+def _own_sub_row_scans(hint: InodeHint) -> list[tuple]:
+    return _sub_row_scans([(hint.inode_id, hint.is_dir)])
 
 
 def _listing_scans(hint: InodeHint) -> Optional[list[tuple]]:
@@ -217,7 +225,7 @@ class InodeOpsMixin:
         """Create a directory and any missing ancestors. Idempotent."""
 
         def fn(tx: DALTransaction) -> bool:
-            # rt: cost(2, reason=warm mkdir resolve: hinted-prefix locked batch + locked read of the missing last component)
+            # rt: cost(1, reason=warm mkdir resolve: one batch locking the hinted parent and the computed key of the missing last component)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE)
@@ -253,7 +261,7 @@ class InodeOpsMixin:
             return True
 
         return self._fs_op("mkdirs", fn,
-                           hint=self._hint_for_parent(path),
+                           hint=self.resolver.tx_hint(path),
                            retry_duplicates=True)
 
     # ------------------------------------------------------------------ create
@@ -268,10 +276,11 @@ class InodeOpsMixin:
             self.config.default_replication)
 
         def fn(tx: DALTransaction) -> FileStatus:
-            # rt: cost(2, reason=warm create resolve: hinted-prefix locked batch + locked read of the missing last component)
+            # rt: cost(1, reason=warm create resolve: one batch locking the hinted parent and the computed key of the missing last component)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                lock_parent=LockMode.EXCLUSIVE)
+                lock_parent=LockMode.EXCLUSIVE,
+                scans_for=_own_sub_row_scans if overwrite else None)
             if not resolved.components:
                 raise InvalidPathError("cannot create the root")
             if resolved.exists:
@@ -307,7 +316,7 @@ class InodeOpsMixin:
             return self._status(path, row)
 
         try:
-            return self._fs_op("create", fn, hint=self._hint_for_parent(path))
+            return self._fs_op("create", fn, hint=self.resolver.tx_hint(path))
         except FileNotFoundError_:
             if not create_parents:
                 raise
@@ -315,7 +324,7 @@ class InodeOpsMixin:
             if len(components) > 1:
                 self.mkdirs(join_path(components[:-1]), owner=owner,
                             group=group)
-            return self._fs_op("create", fn, hint=self._hint_for_parent(path))
+            return self._fs_op("create", fn, hint=self.resolver.tx_hint(path))
 
     # ------------------------------------------------------------------ reads
 
@@ -329,7 +338,7 @@ class InodeOpsMixin:
             row = resolved.last
             return self._status(path, row) if row is not None else None
 
-        return self._fs_op("stat", fn, hint=self._hint_for_parent(path))
+        return self._fs_op("stat", fn, hint=self.resolver.tx_hint(path))
 
     def exists(self, path: str) -> bool:
         return self.get_file_info(path) is not None
@@ -340,15 +349,11 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> LocatedBlocks:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans and the commit)
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
-                scans_for=_read_scans)
+                scans_for=_block_replica_scans)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
-            if resolved.scanned is not None:
-                file_blocks, replicas = resolved.scanned
-            else:
-                # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
-                file_blocks, replicas = tx.ppis_batch(_block_scans(row["id"]))
+            file_blocks, replicas = resolved.scanned
             by_block: dict[int, list[int]] = {}
             for replica in replicas:
                 by_block.setdefault(replica["block_id"], []).append(
@@ -366,7 +371,8 @@ class InodeOpsMixin:
                                  under_construction=bool(
                                      row["under_construction"]))
 
-        return self._fs_op("read", fn, hint=self._hint_for_file(path))
+        return self._fs_op("read", fn,
+                           hint=self.resolver.tx_hint(path, file_rows=True))
 
     def list_status(self, path: str) -> DirectoryListing:
         """Directory listing; shared lock on the directory (§5.2.1)."""
@@ -385,7 +391,7 @@ class InodeOpsMixin:
                 children = [r for r in resolved.scanned[0]
                             if r["parent_id"] == row["id"]]
             else:
-                # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
+                # rt: offpath(reason=hash-partitioned directory: an all-shard scan no hint can prune)
                 children = self._list_children(tx, row)
             base = path.rstrip("/")
             listing = DirectoryListing(path=path)
@@ -394,7 +400,7 @@ class InodeOpsMixin:
                     self._status(f"{base}/{child['name']}", child))
             return listing
 
-        return self._fs_op("ls", fn, hint=self._hint_for_parent(path))
+        return self._fs_op("ls", fn, hint=self.resolver.tx_hint(path))
 
     def content_summary(self, path: str) -> ContentSummary:
         """Recursive usage of a directory (read-committed traversal)."""
@@ -426,7 +432,7 @@ class InodeOpsMixin:
                 ds_quota=quota_row["ds_quota"] if quota_row else None)
 
         return self._fs_op("content_summary", fn,
-                           hint=self._hint_for_parent(path))
+                           hint=self.resolver.tx_hint(path))
 
     # ------------------------------------------------------------------ blocks
 
@@ -434,12 +440,13 @@ class InodeOpsMixin:
         """Allocate the next block of a file under construction."""
 
         def fn(tx: DALTransaction) -> BlockLocation:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the blocks scan)
+                tx, path, lock_last=LockMode.EXCLUSIVE,
+                scans_for=_block_scans)
             row = self._require(resolved)
             self._check_lease(row, client)
             inode_id = row["id"]
-            file_blocks = tx.ppis("blocks", {"inode_id": inode_id})
+            (file_blocks,) = resolved.scanned
             for block in sorted(file_blocks, key=lambda b: b["block_id"]):
                 if block["state"] == blk.BLOCK_STATE_UNDER_CONSTRUCTION:
                     blk.complete_block(tx, inode_id, block["block_id"])
@@ -459,7 +466,8 @@ class InodeOpsMixin:
                                  state=block["state"],
                                  datanodes=tuple(targets))
 
-        return self._fs_op("add_block", fn, hint=self._hint_for_file(path))
+        return self._fs_op("add_block", fn,
+                           hint=self.resolver.tx_hint(path, file_rows=True))
 
     def block_received(self, dn_id: int, block_id: int, size: int) -> None:
         """A datanode finalized a replica (blockReceived RPC)."""
@@ -480,13 +488,13 @@ class InodeOpsMixin:
         """Close a file under construction."""
 
         def fn(tx: DALTransaction) -> bool:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans)
+                tx, path, lock_last=LockMode.EXCLUSIVE,
+                scans_for=_block_replica_scans)
             row = self._require(resolved)
             self._check_lease(row, client)
             inode_id = row["id"]
-            file_blocks = tx.ppis("blocks", {"inode_id": inode_id})
-            replicas = tx.ppis("replicas", {"inode_id": inode_id})
+            file_blocks, replicas = resolved.scanned
             finalized = {r["block_id"] for r in replicas}
             size = 0
             for block in sorted(file_blocks, key=lambda b: b["block_id"]):
@@ -504,14 +512,16 @@ class InodeOpsMixin:
             tx.delete("leases", (inode_id,), must_exist=False)
             return True
 
-        return self._fs_op("complete", fn, hint=self._hint_for_file(path))
+        return self._fs_op("complete", fn,
+                           hint=self.resolver.tx_hint(path, file_rows=True))
 
     def append_file(self, path: str, client: str) -> Optional[BlockLocation]:
         """Reopen a file for append; returns the last partial block."""
 
         def fn(tx: DALTransaction) -> Optional[BlockLocation]:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans)
+                tx, path, lock_last=LockMode.EXCLUSIVE,
+                scans_for=_block_replica_scans)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
@@ -523,21 +533,20 @@ class InodeOpsMixin:
                                      "client": client})
             tx.write("leases", {"inode_id": row["id"], "holder": client,
                                 "last_renewed": self.clock.now()})
-            file_blocks = sorted(tx.ppis("blocks", {"inode_id": row["id"]}),
-                                 key=lambda b: b["idx"])
+            file_blocks, replicas = resolved.scanned
             if not file_blocks:
                 return None
-            last = file_blocks[-1]
-            replicas = tx.ppis(
-                "replicas", {"inode_id": row["id"]},
-                predicate=lambda r: r["block_id"] == last["block_id"])
+            last = max(file_blocks, key=lambda b: b["idx"])
             return BlockLocation(
                 block_id=last["block_id"], index=last["idx"],
                 size=last["size"], gen_stamp=last["gen_stamp"],
                 state=last["state"],
-                datanodes=tuple(sorted(r["dn_id"] for r in replicas)))
+                datanodes=tuple(sorted(
+                    r["dn_id"] for r in replicas
+                    if r["block_id"] == last["block_id"])))
 
-        return self._fs_op("append", fn, hint=self._hint_for_file(path))
+        return self._fs_op("append", fn,
+                           hint=self.resolver.tx_hint(path, file_rows=True))
 
     # ------------------------------------------------------------------ delete
 
@@ -554,8 +563,7 @@ class InodeOpsMixin:
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE,
-                scans_for=lambda hint: _sub_row_scans(
-                    [(hint.inode_id, hint.is_dir)]))
+                scans_for=_own_sub_row_scans)
             if not resolved.components:
                 raise PermissionDeniedError("cannot delete the root")
             row = resolved.last
@@ -569,7 +577,7 @@ class InodeOpsMixin:
             self._touch_parent(tx, resolved.parent)
             return True
 
-        result = self._fs_op("delete", fn, hint=self._hint_for_parent(path))
+        result = self._fs_op("delete", fn, hint=self.resolver.tx_hint(path))
         if result == "subtree":
             return self.delete_subtree(path)
         return result
@@ -602,16 +610,12 @@ class InodeOpsMixin:
     def _delete_file_rows(self, tx: DALTransaction, resolved: ResolvedPath,
                           row: dict) -> None:
         """Remove one inode (file or empty dir) and its dependent rows,
-        found by the scans that rode ``resolved``'s batch (``delete``
-        ships them) or else scanned for here."""
+        found by the resolve's ``_own_sub_row_scans``."""
         inode_id = row["id"]
         inode = [(inode_id, row["is_dir"])]
-        scanned = resolved.scanned
-        if scanned is None:
-            # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
-            scanned = tx.ppis_batch(_sub_row_scans(inode))
-        self._delete_sub_rows(tx, inode_id, row["is_dir"],
-                              _group_sub_rows(inode, scanned)[inode_id])
+        self._delete_sub_rows(
+            tx, inode_id, row["is_dir"],
+            _group_sub_rows(inode, resolved.scanned)[inode_id])
         tx.delete("inodes", (row["part_key"], row["parent_id"], row["name"]))
         quota_mod.enforce_and_queue(
             tx, self._ancestor_ids(resolved,
@@ -642,7 +646,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction):
             return self._rename_in_tx(tx, src, dst, subtree_root_id=None)
 
-        result = self._fs_op("rename", fn, hint=self._hint_for_parent(src))
+        result = self._fs_op("rename", fn, hint=self.resolver.tx_hint(src))
         if result == "subtree":
             return self.move_subtree(src, dst)
         return result
@@ -658,23 +662,19 @@ class InodeOpsMixin:
         """
         src_components = split_path(src)
         dst_components = split_path(dst)
-        # Resolve both paths read-committed first (no locks), then lock the
-        # four interesting rows in path order.
+        check_flags = subtree_root_id is None
+        # Resolve both paths read-committed first (no locks): that names
+        # the keys. What the move relies on is read by the lock batch.
         # rt: cost(1, reason=warm RC resolve of the existing source: one batched read)
         src_resolved = self.resolver.resolve(
-            tx, src, check_subtree_locks=subtree_root_id is None)
-        # rt: cost(2, reason=warm RC resolve of the missing destination: prefix batch + parent child lookup)
+            tx, src, check_subtree_locks=check_flags)
+        # rt: cost(1, reason=warm RC resolve of the missing destination: one batched read, the last key computed)
         dst_resolved = self.resolver.resolve(
-            tx, dst, check_subtree_locks=subtree_root_id is None)
-        src_row = src_resolved.last
-        if src_row is None:
+            tx, dst, check_subtree_locks=check_flags)
+        if src_resolved.last is None:
             raise FileNotFoundError_(src)
-        if src_resolved.parent is None:
-            raise FileNotFoundError_(f"parent of {src}")
         dst_parent = dst_resolved.parent
-        if dst_parent is None or (dst_parent["id"] != fs_schema.ROOT_ID and
-                                  dst_resolved.rows[len(dst_components) - 2]
-                                  is None):
+        if dst_parent is None:
             raise FileNotFoundError_(f"parent of {dst} does not exist")
         if not dst_parent["is_dir"]:
             raise ParentNotDirectoryError(f"parent of {dst}")
@@ -682,32 +682,49 @@ class InodeOpsMixin:
                                                dst_parent["id"],
                                                dst_components[-1]),
                   dst_parent["id"], dst_components[-1])
-        # total order: lock paths in lexicographic component order
-        lock_plan = sorted(
-            {
-                self._row_pk(src_resolved.parent): tuple(src_components[:-1]),
-                self._row_pk(src_row): tuple(src_components),
-                self._row_pk(dst_parent): tuple(dst_components[:-1]),
-                dst_pk: tuple(dst_components),
-            }.items(),
-            key=lambda item: item[1],
-        )
-        # one locked batched read: the lock phase walks the pks in the
-        # same path order, one stripe-grouped acquisition pass and one
-        # round trip instead of four
+        exclusive = {
+            self._row_pk(src_resolved.parent): tuple(src_components[:-1]),
+            self._row_pk(src_resolved.last): tuple(src_components),
+            self._row_pk(dst_parent): tuple(dst_components[:-1]),
+            dst_pk: tuple(dst_components),
+        }
+        # One locked batched read over EVERY component of both paths in
+        # component-tuple order — ancestor before descendant, the total
+        # order: X on the two parents, the source and the destination
+        # key, read-committed above them. The engine locks first and
+        # reads after, so the ancestors come back as of the moment the
+        # locks landed: a subtree operation that got past the locked rows
+        # before us flagged (or removed) one of them before that moment.
+        above = ((src_resolved, src_resolved.rows),
+                 (dst_resolved, dst_resolved.rows[:len(dst_components) - 1]))
+        paths = dict(exclusive)
+        for resolved, rows in above:
+            for depth, row in enumerate(rows, start=1):
+                paths[self._row_pk(row)] = tuple(resolved.components[:depth])
+        lock_plan = sorted(paths.items(), key=lambda item: item[1])
         plan_pks = [pk for pk, _order_key in lock_plan]
         with span("lock", rows=len(plan_pks)):
-            plan_rows = tx.read_batch("inodes", plan_pks,
-                                      lock=LockMode.EXCLUSIVE)
-        locked: dict[tuple, Optional[dict]] = dict(zip(plan_pks, plan_rows))
-        src_row = locked[self._row_pk(src_row)]
-        if src_row is None or src_row["id"] != src_resolved.last["id"]:
-            raise FileNotFoundError_(src)  # raced; client may retry
+            plan_rows = tx.read_batch(
+                "inodes", plan_pks,
+                locks=[LockMode.EXCLUSIVE if pk in exclusive
+                       else LockMode.READ_COMMITTED for pk in plan_pks])
+        fresh: dict[tuple, Optional[dict]] = dict(zip(plan_pks, plan_rows))
+        for resolved, rows in above:
+            for i, row in enumerate(rows):
+                now = fresh[self._row_pk(row)]
+                if now is None or now["id"] != row["id"]:
+                    # moved or deleted under us; the client may retry
+                    raise FileNotFoundError_(resolved.path)
+                resolved.rows[i] = now
+            if check_flags:
+                self.resolver.check_subtree_locks(resolved)
+        src_row = src_resolved.last
+        dst_parent = dst_resolved.parent
         if subtree_root_id is None and src_row["is_dir"]:
             # rt: offpath(reason=directory rename probes for children; the pinned warm budget is the file rename)
             if self._has_children(tx, src_row):
                 return "subtree"
-        if locked.get(dst_pk) is not None:
+        if fresh[dst_pk] is not None:
             raise FileAlreadyExistsError(dst)
         # move = delete + insert (the primary key changes, §5.1.1)
         moved = dict(src_row)
@@ -721,11 +738,9 @@ class InodeOpsMixin:
             moved["subtree_op"] = None
         tx.delete("inodes", self._row_pk(src_row))
         tx.insert("inodes", moved)
-        self._touch_parent(tx, locked[self._row_pk(src_resolved.parent)]
-                           or src_resolved.parent)
+        self._touch_parent(tx, src_resolved.parent)
         if dst_parent["id"] != src_resolved.parent["id"]:
-            self._touch_parent(tx, locked[self._row_pk(dst_parent)]
-                               or dst_parent)
+            self._touch_parent(tx, dst_parent)
         # quota deltas move between the two ancestor chains
         ns = 1
         ds = src_row["size"] * max(1, src_row["replication"])
@@ -760,7 +775,7 @@ class InodeOpsMixin:
             tx.update("inodes", self._row_pk(row), {"perm": perm})
             return None
 
-        result = self._fs_op("chmod", fn, hint=self._hint_for_parent(path))
+        result = self._fs_op("chmod", fn, hint=self.resolver.tx_hint(path))
         if result == "subtree":
             self.chmod_subtree(path, perm)
 
@@ -777,7 +792,7 @@ class InodeOpsMixin:
                       {"owner": owner, "group": group})
             return None
 
-        result = self._fs_op("chown", fn, hint=self._hint_for_parent(path))
+        result = self._fs_op("chown", fn, hint=self.resolver.tx_hint(path))
         if result == "subtree":
             self.chown_subtree(path, owner, group)
 
@@ -787,16 +802,17 @@ class InodeOpsMixin:
             raise InvalidPathError("replication must be >= 1")
 
         def fn(tx: DALTransaction) -> bool:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the blocks scan)
+                tx, path, lock_last=LockMode.EXCLUSIVE,
+                scans_for=_block_scans)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
             old = row["replication"]
             tx.update("inodes", self._row_pk(row),
                       {"replication": replication})
-            for block in sorted(tx.ppis("blocks", {"inode_id": row["id"]}),
-                                key=lambda b: b["block_id"]):
+            (file_blocks,) = resolved.scanned
+            for block in sorted(file_blocks, key=lambda b: b["block_id"]):
                 blk.check_replication(tx, row["id"], block["block_id"],
                                       replication)
             quota_mod.enforce_and_queue(
@@ -807,7 +823,7 @@ class InodeOpsMixin:
             return True
 
         return self._fs_op("set_replication", fn,
-                           hint=self._hint_for_parent(path))
+                           hint=self.resolver.tx_hint(path))
 
     # ------------------------------------------------------------------ leases
 
@@ -885,39 +901,37 @@ class InodeOpsMixin:
             tx.write("xattrs", {"inode_id": row["id"], "name": name,
                                 "value": value})
 
-        self._fs_op("set_xattr", fn, hint=self._hint_for_file(path))
+        self._fs_op("set_xattr", fn,
+                    hint=self.resolver.tx_hint(path, file_rows=True))
 
     def get_xattrs(self, path: str) -> dict:
         """All extended attributes of a path (one partition-pruned scan)."""
 
         def fn(tx: DALTransaction) -> dict:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.SHARED)
-            row = self._require(resolved)
-            rows = tx.ppis("xattrs", {"inode_id": row["id"]})
-            return {r["name"]: r["value"] for r in rows}
+            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan and the commit)
+                tx, path, lock_last=LockMode.SHARED, last_access=True,
+                scans_for=_xattr_scans)
+            self._require(resolved)
+            (xattrs,) = resolved.scanned
+            return {xattr["name"]: xattr["value"] for xattr in xattrs}
 
-        return self._fs_op("get_xattrs", fn, hint=self._hint_for_file(path))
+        return self._fs_op("get_xattrs", fn,
+                           hint=self.resolver.tx_hint(path, file_rows=True))
 
     def remove_xattr(self, path: str, name: str) -> bool:
         def fn(tx: DALTransaction) -> bool:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan)
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                scans_for=lambda hint: [("xattrs",
-                                         {"inode_id": hint.inode_id})])
+                scans_for=_xattr_scans)
             row = self._require(resolved)
-            if resolved.scanned is not None:
-                (xattrs,) = resolved.scanned
-            else:
-                # rt: offpath(reason=cold or unprovable hint: the scans could not ride)
-                xattrs = tx.ppis("xattrs", {"inode_id": row["id"]})
+            (xattrs,) = resolved.scanned
             if not any(xattr["name"] == name for xattr in xattrs):
                 return False
             tx.delete("xattrs", (row["id"], name))
             return True
 
         return self._fs_op("remove_xattr", fn,
-                           hint=self._hint_for_file(path))
+                           hint=self.resolver.tx_hint(path, file_rows=True))
 
     # ------------------------------------------------------------------ misc
 
@@ -945,44 +959,3 @@ class InodeOpsMixin:
             return []
         count = min(replication, len(candidates))
         return self._rng.sample(candidates, count)
-
-    def _hint_for_parent(self, path: str) -> Optional[tuple[str, dict]]:
-        """Partition-key hint: start the transaction on the shard that
-        holds the last path component (paper Fig. 4, line 2)."""
-        components = split_path(path)
-        if not components:
-            return None
-        root = self.resolver.root_row()
-        parent_id = root["id"]
-        parent_random = root["children_random"]
-        for name in components[:-1]:
-            hint = self.hint_cache.get(parent_id, name)
-            if hint is None:
-                return None
-            parent_id = hint.inode_id
-            parent_random = hint.children_random
-        part_key = self.resolver.child_part_key(parent_random, parent_id,
-                                                components[-1])
-        return ("inodes", {"part_key": part_key})
-
-    def _hint_for_file(self, path: str) -> Optional[tuple[str, dict]]:
-        """Partition-key hint for file-metadata operations.
-
-        Blocks/replicas are partitioned by the file's inode id; when the
-        hint cache knows the file, starting the transaction on that shard
-        makes the file-metadata scans coordinator-local (Figure 3: read
-        ``/user/foo.txt`` on the shard holding foo.txt's blocks).
-        """
-        components = split_path(path)
-        if not components:
-            return None
-        parent_id = fs_schema.ROOT_ID
-        for name in components[:-1]:
-            hint = self.hint_cache.get(parent_id, name)
-            if hint is None:
-                return self._hint_for_parent(path)
-            parent_id = hint.inode_id
-        last = self.hint_cache.get(parent_id, components[-1])
-        if last is None:
-            return self._hint_for_parent(path)
-        return ("blocks", {"inode_id": last.inode_id})

@@ -122,7 +122,7 @@ class SubtreeOpsMixin:
                           must_exist=False)
                 return result
 
-            self._fs_op("move_subtree", fn, hint=self._hint_for_parent(src))
+            self._fs_op("move_subtree", fn, hint=self.resolver.tx_hint(src))
             self._subtree_op_done("move", started, ctx)
             return True
         except Exception:
@@ -172,7 +172,7 @@ class SubtreeOpsMixin:
                 quota_mod.set_quota_row(tx, ctx.root_row["id"], ns_quota,
                                         ds_quota, ns_used, ds_used)
 
-            self._fs_op("set_quota", fn, hint=self._hint_for_parent(path))
+            self._fs_op("set_quota", fn, hint=self.resolver.tx_hint(path))
         except Exception:
             self._subtree_release(ctx)
             raise
@@ -217,7 +217,7 @@ class SubtreeOpsMixin:
             return row
 
         root = self._fs_op(f"{op}_subtree_lock", fn,
-                           hint=self._hint_for_parent(path))
+                           hint=self.resolver.tx_hint(path))
         return SubtreeContext(path=path, op=op, root_row=root)
 
     # ------------------------------------------------------------- phase 2
@@ -329,8 +329,8 @@ class SubtreeOpsMixin:
                 self.hint_cache.invalidate(row["parent_id"], row["name"])
             tx.delete("active_subtree_ops", (root["id"],), must_exist=False)
 
-        self._fs_op("delete_subtree_root", fn,
-                    hint=self._hint_for_parent(parent if parent != "/" else ctx.path))
+        self._fs_op("delete_subtree_root", fn, hint=self.resolver.tx_hint(
+            parent if parent != "/" else ctx.path))
 
     def _delete_batch(self, nodes: list[SubtreeNode]) -> None:
         """Delete a batch of already-quiesced inodes in one transaction."""
@@ -376,7 +376,7 @@ class SubtreeOpsMixin:
                               changes)
                 self._subtree_clear_in_tx(tx, ctx, row)
 
-            self._fs_op(f"{op}_subtree", fn, hint=self._hint_for_parent(path))
+            self._fs_op(f"{op}_subtree", fn, hint=self.resolver.tx_hint(path))
         except Exception:
             self._subtree_release(ctx)
             raise
@@ -408,7 +408,7 @@ class SubtreeOpsMixin:
                 self._subtree_clear_in_tx(tx, ctx)
 
             self._fs_op("subtree_release", fn,
-                        hint=self._hint_for_parent(ctx.path))
+                        hint=self.resolver.tx_hint(ctx.path))
         except Exception:
             pass  # the lazy reclaim path owns cleanup from here
 

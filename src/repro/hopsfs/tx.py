@@ -2,25 +2,33 @@
 
 Every inode operation is one DAL transaction with three phases:
 
-1. **Lock phase** — primary keys for the path components come from the
-   inode hint cache; one *batched* primary-key read fetches every
-   component, the intermediate ones at read-committed (no locks) and,
-   in the same read, the last component (and, for mutating/listing
-   operations, its parent) with the strongest lock the operation will
-   need — never upgraded later, never re-read — in root-down order,
-   which is the global total order that keeps lock acquisition deadlock
-   free. There is one resolver: on a cache miss the resolver falls back
-   to component-by-component reads, repairs the cache and takes the
-   parent/last locks with one locked re-read; a hint found stale under
-   a lock aborts and retries (:class:`StalePathHintError`). File-inode
-   related rows are read with partition-pruned index scans in a fixed
-   table order. When every component is hinted the hint also names the
-   partition those scans are pruned to (the last inode's id), so the
-   batched read ships them with it (``read_batch(scans=...)``: one
-   ``execute()``), and an operation whose resolve is its last database
-   access has it carry the commit too (``commit=True``:
+1. **Lock phase** — ONE read. The resolver walks the inode hint cache
+   root-down into the primary key of every path component; the last
+   component's key comes from its hint or, when the namenode does not
+   know it (or it does not exist yet — every create), is *computed* from
+   its parent's hinted id and partition rule. One *batched* primary-key
+   read then fetches every component, the intermediate ones at
+   read-committed (no locks) and, in the same read, the last component
+   (and, for mutating/listing operations, its parent) with the strongest
+   lock the operation will need — never upgraded later, never re-read —
+   in root-down order, which is the global total order that keeps lock
+   acquisition deadlock free. File-inode related rows are read with
+   partition-pruned index scans in a fixed table order: the operation
+   names them (``scans_for``) and, the last hint naming the partition
+   they are pruned to (the inode's id), the batched read ships them too
+   (``scans=``: one ``execute()``); an operation whose resolve is its
+   last database access has it carry the commit as well (``commit=True``:
    ``execute(Commit)``) — a warm ``stat``/``read``/``ls`` is one round
-   trip and, over the wire, one request.
+   trip and, over the wire, one request. Every hinted row is validated
+   by id; a hint found stale under a lock or a ridden commit aborts and
+   retries (:class:`StalePathHintError`), stale with nothing held walks
+   again. There is one resolver and one fallback: when the walk does
+   not reach the parent (a cold or invalidated prefix) the resolver reads
+   component by component at read-committed, repairing the cache, and
+   then issues **the same** batched read over the rows it just found.
+   A last component that exists but was not hinted has its scans issued
+   by the resolver right after the read — the only place a scan that
+   could not ride is issued.
 2. **Execute phase** — pure computation on the rows (the per-transaction
    cache: rows are plain dicts held by the operation; the DAL transaction
    additionally buffers writes and serves read-your-writes).
@@ -80,10 +88,21 @@ class StalePathHintError(TransactionAbortedError):
 
 
 #: what an operation reads right after its resolve, told from the last
-#: component's hint alone: the pruned scans to ship with the batched
-#: read, ``[]`` for "nothing more", None for "cannot tell" (e.g. the
-#: listing of a ``children_random`` directory is an all-shard scan)
+#: component's hint alone — the cached one, in which case the scans ship
+#: with the batched read, or one made from the row just read, in which
+#: case the resolver issues them itself: the pruned scans, ``[]`` for
+#: "nothing more", None for "cannot tell" (e.g. the listing of a
+#: ``children_random`` directory is an all-shard scan)
 ScansFor = Callable[[InodeHint], Optional[list[tuple[str, Mapping[str, Any]]]]]
+
+#: the keys of one batched path read, root-down, and per key the hint it
+#: came from — None for a last component whose key was computed
+Plan = tuple[list[tuple], list[Optional[InodeHint]]]
+
+
+def _hint_of(row: Mapping[str, Any]) -> InodeHint:
+    return InodeHint(row["id"], row["part_key"], row["is_dir"],
+                     row["children_random"])
 
 
 def root_row(children_random: bool = True) -> dict:
@@ -123,9 +142,10 @@ class ResolvedPath:
     components: list[str]
     rows: list[Optional[dict]] = field(default_factory=list)
     root: dict = field(default_factory=root_row)
-    #: results of the scans that rode the batched read, in the order the
-    #: operation's ``scans_for`` listed them; None when none rode (cold,
-    #: partial or unprovable hints) and the operation scans for itself
+    #: what the operation's ``scans_for`` scans found, in the order it
+    #: listed them, whether they rode the batched read or the resolver
+    #: issued them after it; None when the operation named none, the path
+    #: does not exist or ``scans_for`` itself could not tell
     scanned: Optional[list[list[dict]]] = None  # guarded_by: owner-thread
 
     @property
@@ -190,6 +210,73 @@ class PathResolver:
         (at ``depth+1``) are name-hashed iff they fall in the top levels."""
         return depth + 1 <= self._random_depth
 
+    # -- the hint walk ---------------------------------------------------------------
+
+    def _hinted_plan(self, components: list[str], probe_last: bool = True,
+                     ) -> Optional[Plan]:
+        """Walk the hint cache root-down into the keys of one batched read.
+
+        Every component but the last must be hinted; the last one's key
+        comes from its hint or — unhinted, not existing yet, or not asked
+        for (``probe_last``) — is *computed* from the parent's hinted id
+        and partition rule, both immutable per inode id. None when the
+        walk does not reach the parent.
+        """
+        keys: list[tuple] = []
+        hints: list[Optional[InodeHint]] = []
+        parent_id = fs_schema.ROOT_ID
+        parent_random = self._random_depth >= 1
+        last = len(components) - 1
+        for i, name in enumerate(components):
+            hint = (self._cache.get(parent_id, name)
+                    if i < last or probe_last else None)
+            if hint is not None:
+                keys.append((hint.part_key, parent_id, name))
+                parent_id = hint.inode_id
+                parent_random = hint.children_random
+            elif i == last:
+                keys.append((self.child_part_key(parent_random, parent_id,
+                                                 name), parent_id, name))
+            else:
+                return None
+            hints.append(hint)
+        return keys, hints
+
+    def _plan_of_rows(self, components: list[str],
+                      rows: list[dict]) -> Optional[Plan]:
+        """The same plan, built from the rows a recursive walk just read;
+        None when the path stops existing above the parent (nothing to
+        lock, nothing to scan)."""
+        if len(rows) < len(components) - 1:
+            return None
+        keys = [(row["part_key"], row["parent_id"], row["name"])
+                for row in rows]
+        hints: list[Optional[InodeHint]] = [_hint_of(row) for row in rows]
+        if len(rows) < len(components):
+            parent = rows[-1] if rows else self.root_row()
+            keys.append((self.child_part_key(parent["children_random"],
+                                             parent["id"], components[-1]),
+                         parent["id"], components[-1]))
+            hints.append(None)
+        return keys, hints
+
+    def tx_hint(self, path: str,
+                file_rows: bool = False) -> Optional[tuple[str, dict]]:
+        """Partition-key hint: start the transaction on the shard that
+        holds the last path component (paper Fig. 4, line 2) or, with
+        ``file_rows`` and the file known to the cache, on the shard its
+        blocks and replicas are partitioned to (Figure 3: read
+        ``/user/foo.txt`` on the shard holding foo.txt's blocks)."""
+        components = split_path(path)
+        plan = (self._hinted_plan(components, probe_last=file_rows)
+                if components else None)
+        if plan is None:
+            return None
+        keys, hints = plan
+        if hints[-1] is not None:
+            return ("blocks", {"inode_id": hints[-1].inode_id})
+        return ("inodes", {"part_key": keys[-1][0]})
+
     # -- resolution ----------------------------------------------------------------
 
     def resolve(self, tx: DALTransaction, path: str,
@@ -198,180 +285,123 @@ class PathResolver:
                 check_subtree_locks: bool = True,
                 scans_for: Optional[ScansFor] = None,
                 last_access: bool = False) -> ResolvedPath:
-        """Resolve ``path``, locking the parent and last components.
+        """Resolve ``path``, locking the parent and last components — the
+        lock phase of the module docstring: the hint walk, then
+        :meth:`_read_plan`; a walk that does not reach the parent is first
+        repaired by :meth:`_recursive_resolve`, and the same read then
+        runs over the rows just found if there is anything to lock, scan
+        or commit.
 
-        Lock order is parent before child (root-down), matching the global
-        total order. Intermediate components are read at read-committed.
-
-        ``scans_for`` names the scans the operation runs next and
-        ``last_access`` says the resolve (with those scans) is the
-        transaction's last database access. Both are used only when every
-        component is hinted: the scans then ride the batched read
-        (:attr:`ResolvedPath.scanned`) and, if nothing is left to read,
-        so does the commit — the transaction comes back ``COMMITTED``.
-        Otherwise ``scanned`` is None, the transaction stays open and the
-        operation reads and commits as if it had passed neither.
+        ``scans_for`` names the scans the operation runs next: they ride
+        the batched read when the last component is hinted, else the
+        resolver issues them once it knows the row
+        (:attr:`ResolvedPath.scanned`). ``last_access`` says the resolve
+        (with those scans) is the transaction's last database access:
+        when nothing is left to read the commit rides too and the
+        transaction comes back ``COMMITTED``; otherwise it stays open and
+        the operation commits as if it had not said so.
         """
         components = split_path(path)
         resolved = ResolvedPath(path=path, components=components,
                                 root=self.root_row())
         if not components:
             return resolved
+        want_batch = (lock_last is not LockMode.READ_COMMITTED
+                      or lock_parent is not LockMode.READ_COMMITTED
+                      or scans_for is not None or last_access)
         with span("resolve", depth=len(components)) as resolve_span:
-            rows, batched, resolved.scanned = self._resolve_prefix(
-                tx, components, lock_last, lock_parent, scans_for,
-                last_access)
+            rows = None
+            while rows is None:
+                plan = self._hinted_plan(components)
+                recursive = plan is None
+                if recursive:
+                    rows = self._recursive_resolve(tx, components)
+                    plan = (self._plan_of_rows(components, rows)
+                            if want_batch else None)
+                if plan is not None:
+                    # (None, None): a hint was stale, nothing held — re-walk
+                    rows, resolved.scanned = self._read_plan(
+                        tx, plan, lock_last, lock_parent, scans_for,
+                        last_access)
+            resolved.rows = rows
+            if recursive:
+                self.recursive_resolutions += 1
+            else:
+                self.batched_resolutions += 1
             if resolve_span is not None:
                 resolve_span.set_label(
-                    "method", "batched" if batched else "recursive")
-        if not batched and (lock_last is not LockMode.READ_COMMITTED
-                            or lock_parent is not LockMode.READ_COMMITTED):
-            # The recursive resolve reads lock-free: re-read the
-            # components that need locks at the required strength, in
-            # root-down order (parent first, then last).
-            with span("lock", last=lock_last.value, parent=lock_parent.value):
-                self._lock_resolved(tx, components, rows, lock_last,
-                                    lock_parent)
-        resolved.rows = rows
+                    "method", "recursive" if recursive else "batched")
+        last = resolved.last
+        if (scans_for is not None and resolved.scanned is None
+                and last is not None):
+            scans = scans_for(_hint_of(last))
+            if scans is not None:
+                # rt: offpath(reason=the last component was not hinted: its scans could not ride)
+                resolved.scanned = tx.ppis_batch(scans)
         if check_subtree_locks:
-            self._check_subtree_locks(resolved)
+            self.check_subtree_locks(resolved)
         # intermediate components must be directories
-        for i, row in enumerate(resolved.rows[:-1] if resolved.rows else []):
+        for i, row in enumerate(resolved.rows[:-1]):
             if row is not None and not row["is_dir"]:
                 raise ParentNotDirectoryError(
                     f"{join_path(components[: i + 1])} is not a directory"
                 )
         return resolved
 
-    def _resolve_prefix(self, tx: DALTransaction, components: list[str],
-                        lock_last: LockMode, lock_parent: LockMode,
-                        scans_for: Optional[ScansFor], last_access: bool,
-                        ) -> tuple[list[Optional[dict]], bool,
-                                   Optional[list[list[dict]]]]:
-        """Resolve every component, batched if possible.
+    def _read_plan(self, tx: DALTransaction, plan: Plan,
+                   lock_last: LockMode, lock_parent: LockMode,
+                   scans_for: Optional[ScansFor], last_access: bool,
+                   ) -> tuple[Optional[list[Optional[dict]]],
+                              Optional[list[list[dict]]]]:
+        """The lock phase: ONE batched PK read for a whole plan, taking
+        the parent/last locks and carrying the operation's scans (the
+        last hint names the id they are pruned to) and, with nothing left
+        to read, its commit.
 
-        A path whose components are all hinted costs one batched read.
-        When only the *last* component is unhinted — the normal case for
-        creates, whose target does not exist yet — the hinted prefix is
-        still fetched in one batch ("up to the penultimate inode",
-        Fig. 4 line 3) and the last component costs one extra PK read.
-
-        The batch itself locks the parent/last keys — root-down key
-        order, so the lock phase follows the global total order. The
-        second element of the returned tuple says whether the batched
-        path served the resolve (every requested lock is then held);
-        False means the lock-free recursive fallback did. A hint found
-        stale by a *locked* batch raises :class:`StalePathHintError`
-        (retry with the hint repaired); the lock-free batch keeps
-        falling back in-transaction.
-
-        Only the fully hinted batch carries the operation's scans and
-        commit (see :meth:`resolve`); the third element is what the scans
-        found, None when they did not ride.
+        Every hinted row is validated by id. A hint found stale under a
+        lock or a ridden commit raises :class:`StalePathHintError` — a
+        lock sits on a key the path no longer maps to, or the transaction
+        is over; stale with nothing held returns ``(None, None)``. An
+        unhinted last row is learned into the cache.
         """
-        hints = []
-        parent_id = fs_schema.ROOT_ID
-        for depth, name in enumerate(components, start=1):
-            hint = self._cache.get(parent_id, name)
-            if hint is None:
-                break
-            hints.append((depth, parent_id, name, hint))
-            parent_id = hint.inode_id
-        n = len(components)
-        want_locks = (lock_last is not LockMode.READ_COMMITTED
-                      or lock_parent is not LockMode.READ_COMMITTED)
-        if len(hints) >= n - 1:
-            locks = None
-            if want_locks and hints:
-                locks = [LockMode.READ_COMMITTED] * len(hints)
-                if n >= 2:
-                    locks[n - 2] = lock_parent
-                if len(hints) == n:
-                    locks[n - 1] = lock_last
-            scans, commit = None, False
-            if len(hints) == n:
-                # the last hint holds the id every follow-up scan is
-                # pruned to; with nothing left to read the commit rides
-                if scans_for is not None:
-                    scans = scans_for(hints[-1][3])
-                    commit = last_access and scans is not None
-                else:
-                    commit = last_access
-            rows, scanned = self._batched_resolve(
-                tx, components, hints, locks=locks, scans=scans,
-                commit=commit)
-            if rows is not None:
-                if len(rows) == n - 1:
-                    parent = rows[-1] if rows else self.root_row()
-                    if parent is None:
-                        pass
-                    elif lock_last is not LockMode.READ_COMMITTED:
-                        # Lock the last key (existing or future) in the
-                        # same read that fetches it: serializes raced
-                        # creates of the same name without a re-read.
-                        last = self.lookup_child(tx, parent, components[-1],
-                                                 lock=lock_last)
-                        rows.append(last)
-                        if last is not None:
-                            self._cache.put(parent["id"], components[-1],
-                                            last["id"], last["part_key"],
-                                            last["is_dir"],
-                                            last["children_random"])
-                    elif parent["is_dir"]:
-                        last = self.lookup_child(tx, parent, components[-1])
-                        if last is not None:
-                            rows.append(last)
-                            self._cache.put(parent["id"], components[-1],
-                                            last["id"], last["part_key"],
-                                            last["is_dir"],
-                                            last["children_random"])
-                self.batched_resolutions += 1
-                return rows, True, scanned
-        self.recursive_resolutions += 1
-        return self._recursive_resolve(tx, components), False, None
-
-    def _batched_resolve(self, tx: DALTransaction, components: list[str],
-                         hints: list,
-                         locks: Optional[list[LockMode]] = None,
-                         scans: Optional[list] = None,
-                         commit: bool = False,
-                         ) -> tuple[Optional[list[Optional[dict]]],
-                                    Optional[list[list[dict]]]]:
-        """One batched PK read for the hinted prefix, with what the scans
-        that rode it found; ``(None, None)`` on stale hints.
-
-        With ``locks`` the batch also acquires the per-key locks; a stale
-        hint then raises :class:`StalePathHintError` instead of returning
-        None, because a lock already sits on a hint-derived key — and so
-        it does when the commit rode, because the transaction is over.
-        """
-        if not hints:
-            return [], None
-        keys = [
-            (hint.part_key, parent_id, name)
-            for (_depth, parent_id, name, hint) in hints
-        ]
+        keys, hints = plan
+        locks = None
+        if (lock_last is not LockMode.READ_COMMITTED
+                or lock_parent is not LockMode.READ_COMMITTED):
+            locks = [LockMode.READ_COMMITTED] * len(keys)
+            if len(keys) >= 2:
+                locks[-2] = lock_parent
+            locks[-1] = lock_last
+        scans, commit = None, last_access
+        if scans_for is not None:
+            if hints[-1] is not None:
+                scans = scans_for(hints[-1])
+            commit = last_access and scans is not None
         # hfs: allow(HFS106, reason=keys are path-component pks in root-down depth order; the paper's hierarchical total order (section 3.4))
         rows = tx.read_batch("inodes", keys, locks=locks, scans=scans,
                              commit=commit)
         scanned = None
         if scans is not None:
             rows, scanned = rows
-        for (_depth, parent_id, name, hint), row in zip(hints, rows,
-                                                        strict=True):
-            if row is None or row["id"] != hint.inode_id:
+        for (_part_key, parent_id, name), hint, row in zip(keys, hints, rows,
+                                                           strict=True):
+            if hint is None:
+                if row is not None:
+                    self._cache.put(parent_id, name, row["id"],
+                                    row["part_key"], row["is_dir"],
+                                    row["children_random"])
+            elif row is None or row["id"] != hint.inode_id:
                 self._cache.invalidate(parent_id, name)
-                if commit or (locks is not None and any(
-                        m is not LockMode.READ_COMMITTED for m in locks)):
+                if commit or locks is not None:
                     raise StalePathHintError(
                         f"stale inode hint for {name!r} under lock; retrying")
                 return None, None  # what rode was keyed by the stale id
         return list(rows), scanned
 
     def _recursive_resolve(self, tx: DALTransaction,
-                           components: list[str]) -> list[Optional[dict]]:
+                           components: list[str]) -> list[dict]:
         """Component-by-component lookup; repairs the hint cache."""
-        rows: list[Optional[dict]] = []
+        rows: list[dict] = []
         parent = self.root_row()
         for name in components:
             row = self.lookup_child(tx, parent, name)
@@ -383,8 +413,8 @@ class PathResolver:
             parent = row
         return rows
 
-    def lookup_child(self, tx: DALTransaction, parent_row: dict, name: str,
-                     lock: LockMode = LockMode.READ_COMMITTED) -> Optional[dict]:
+    def lookup_child(self, tx: DALTransaction, parent_row: dict,
+                     name: str) -> Optional[dict]:
         """PK read using the parent's persistent partition rule.
 
         The rule (``children_random``) is fixed when the parent directory
@@ -395,59 +425,10 @@ class PathResolver:
         """
         part_key = self.child_part_key(parent_row["children_random"],
                                        parent_row["id"], name)
-        return tx.read("inodes", (part_key, parent_row["id"], name), lock=lock)
+        return tx.read("inodes", (part_key, parent_row["id"], name))
 
-    def _lock_resolved(self, tx: DALTransaction, components: list[str],
-                       rows: list[Optional[dict]], lock_last: LockMode,
-                       lock_parent: LockMode) -> None:
-        """Re-read the parent/last components at lock strength, root-down.
-
-        Mutates ``rows`` in place. Only the recursive (cold or
-        stale-hint) resolve gets here; two locked re-reads fold into one
-        batched read, a single one stays a PK read.
-        """
-        n = len(components)
-        want: list[tuple[int, tuple, LockMode]] = []
-        if (n >= 2 and lock_parent is not LockMode.READ_COMMITTED
-                and len(rows) >= n - 1 and rows[n - 2] is not None):
-            parent_row = rows[n - 2]
-            want.append((n - 2, (parent_row["part_key"],
-                                 parent_row["parent_id"],
-                                 parent_row["name"]), lock_parent))
-        if lock_last is not LockMode.READ_COMMITTED:
-            if len(rows) == n and rows[n - 1] is not None:
-                last_row = rows[n - 1]
-                want.append((n - 1, (last_row["part_key"],
-                                     last_row["parent_id"],
-                                     last_row["name"]), lock_last))
-            elif len(rows) == n - 1:
-                # Path missing only its last component: lock the (future)
-                # pk so concurrent creates of the same name serialize.
-                # The pk is derived from the parent's immutable partition
-                # rule and id, so it is valid even before the parent lock
-                # lands.
-                parent_row = rows[n - 2] if n >= 2 else self.root_row()
-                if parent_row is not None:
-                    part_key = self.child_part_key(
-                        parent_row["children_random"], parent_row["id"],
-                        components[-1])
-                    want.append((n - 1, (part_key, parent_row["id"],
-                                         components[-1]), lock_last))
-        if not want:
-            return
-        if len(want) > 1:
-            # hfs: allow(HFS106, reason=want is built walking the resolved path root-down; depth order is the hierarchical total order (section 3.4))
-            fresh = tx.read_batch("inodes", [pk for _i, pk, _m in want],
-                                  locks=[m for _i, _pk, m in want])
-        else:
-            fresh = [tx.read("inodes", pk, lock=m) for _i, pk, m in want]
-        for (index, _pk, _m), row in zip(want, fresh):
-            if index < len(rows):
-                rows[index] = row
-            else:
-                rows.append(row)  # may now exist (raced create)
-
-    def _check_subtree_locks(self, resolved: ResolvedPath) -> None:
+    def check_subtree_locks(self, resolved: ResolvedPath) -> None:
+        """Abort on a subtree-lock flag anywhere along ``resolved``."""
         for i, row in enumerate(resolved.rows):
             if row is None:
                 return

@@ -143,10 +143,3 @@ def write_chrome(traces: Iterable[TraceLike], path: str,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_chrome(traces, meta), fh)
     return path
-
-
-def flight_dump_to_chrome(dump: dict[str, Any]) -> dict[str, Any]:
-    """Re-export a flight-recorder dump (its kept traces) as a timeline."""
-    return to_chrome(dump.get("traces", ()),
-                     meta={"recorder": dump.get("recorder", ""),
-                           "reason": dump.get("reason", "")})

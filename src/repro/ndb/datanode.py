@@ -163,13 +163,6 @@ class NDBDatanode:
         for frag in self.fragments.values():
             frag.load({})
 
-    def copy_fragments_from(self, other: "NDBDatanode") -> None:
-        """Node recovery: re-populate replicas from a live peer."""
-        for key, frag in self.fragments.items():
-            source = other.fragments.get(key)
-            if source is not None:
-                frag.load(source.snapshot())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
         return f"NDBDatanode(id={self.node_id}, {state}, fragments={len(self.fragments)})"

@@ -293,19 +293,3 @@ class ServerPool:
 
     def __len__(self) -> int:
         return len(self.handles)
-
-
-def wait_for_port_close(host: str, port: int,
-                        timeout: float = 5.0) -> bool:  # pragma: no cover
-    """Poll until nothing accepts on (host, port); True if it closed."""
-    import socket
-
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=0.2):
-                pass
-        except OSError:
-            return True
-        time.sleep(0.05)
-    return False

@@ -8,6 +8,12 @@ reads (§5.2.1), rows that rode a hint found stale are never used, a
 directory whose listing cannot be pruned ships nothing, and an error
 found after the commit rode is still the operation's error — on the
 embedded engine and behind an ndb-server alike.
+
+The lock phase is that ONE read for every operation, not only the warm
+reads: a create locks the *computed* key of the name it is about to
+insert in the same batch as its hinted parent, a file this namenode has
+not seen yet gets its scans from the resolver right after the batch, and
+every operation that scans a file's rows takes them from the resolve.
 """
 
 import threading
@@ -15,7 +21,8 @@ import time
 
 import pytest
 
-from repro.errors import SubtreeLockedError
+from repro.analysis.budgets import budget_for
+from repro.errors import FileAlreadyExistsError, SubtreeLockedError
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.tx import StalePathHintError
@@ -305,3 +312,200 @@ def test_memory_driver_rides_the_same_way():
         assert not fs.driver._mutex._is_owned(), name
     assert nn.delete("/d/e/f")
     assert nn.list_status("/d/e").entries == []
+
+
+# -- one lock phase: the computed last key --------------------------------------
+
+
+def _kinds(stats):
+    return [(e.kind, e.table) for e in stats.events]
+
+
+def test_a_warm_create_or_mkdirs_reads_once_before_it_writes(deploy):
+    """Parent hinted, name unknown: ONE locked BATCH_PK over the hinted
+    prefix and the computed key of the name — no PK read of the missing
+    component — then the quota read and the writes."""
+    fs, cluster, open_txs = deploy
+    nn = fs.namenodes[0]
+    nn.mkdirs("/a/b")
+    nn.create("/a/b/f0", client="c")  # id leases, hints: warm
+    for op in (lambda: nn.create("/a/b/f1", client="c"),
+               lambda: nn.mkdirs("/a/b/d1")):
+        _result, stats = _op_stats(nn, op)
+        resolve, *rest = stats.events
+        assert (resolve.kind, resolve.table) == (AccessKind.BATCH_PK,
+                                                 "inodes")
+        assert resolve.locked and len(resolve.partitions) == 3
+        assert resolve.rows == 2  # /a, /a/b; the third key is a future row
+        assert stats.count(AccessKind.PK) == 0
+        assert [e.table for e in rest if e.table != "*"] == ["quotas"]
+    assert nn.get_file_info("/a/b/f1") is not None
+    assert nn.get_file_info("/a/b/d1").is_dir
+    assert _nothing_left(cluster, open_txs)
+
+
+def test_two_namenodes_racing_one_name_yield_one_winner(deploy):
+    """Both X-lock the same computed key before either row exists: the
+    loser reads the winner's row under its lock — ``FileAlreadyExists``,
+    never a duplicate key found at commit."""
+    fs, cluster, open_txs = deploy
+    nn1, nn2 = fs.namenodes
+    nn1.mkdirs("/r")
+    nn2.get_file_info("/r")
+    for i in range(6):
+        barrier = threading.Barrier(2)
+        outcomes = []
+
+        def racer(nn, path=f"/r/f{i}", barrier=barrier, outcomes=outcomes):
+            barrier.wait()
+            try:
+                outcomes.append(nn.create(path, client=f"c{nn.nn_id}",
+                                          overwrite=False).inode_id)
+            except Exception as exc:  # noqa: BLE001 - judged below
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=racer, args=(nn,))
+                   for nn in (nn1, nn2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        won = [o for o in outcomes if isinstance(o, int)]
+        lost = [o for o in outcomes if not isinstance(o, int)]
+        assert len(won) == 1 and len(lost) == 1, outcomes
+        assert isinstance(lost[0], FileAlreadyExistsError), outcomes
+        assert nn1.get_file_info(f"/r/f{i}").inode_id == won[0]
+    assert _nothing_left(cluster, open_txs)
+
+
+def test_a_parent_hint_stale_under_a_computed_last_key_retries_once(deploy):
+    """nn1 knows ``/d`` by an id that no longer exists: the key it
+    computes for ``/d/f`` hangs off the dead id and is X-locked in the
+    same batch that finds ``/d`` changed — abort, repair, retry once."""
+    fs, cluster, open_txs = deploy
+    nn1, nn2 = fs.namenodes
+    nn2.mkdirs("/d")
+    old_id = nn1.get_file_info("/d").inode_id  # nn1 caches /d
+    assert nn2.delete("/d")
+    nn2.mkdirs("/d")
+    new_id = nn2.get_file_info("/d").inode_id
+    assert new_id != old_id
+    assert nn1.hint_cache.get(fs_schema.ROOT_ID, "d").inode_id == old_id
+    retries = _retries(fs)
+
+    created = nn1.create("/d/f", client="c", create_parents=False)
+
+    assert _retries(fs) - retries == 1
+    row = fs.driver.session().run(lambda tx: tx.index_scan(
+        "inodes", "by_id", (created.inode_id,)))[0]
+    assert (row["parent_id"], row["name"]) == (new_id, "f")
+    assert nn1.hint_cache.get(fs_schema.ROOT_ID, "d").inode_id == new_id
+    assert nn2.get_file_info("/d/f").inode_id == created.inode_id
+    assert _nothing_left(cluster, open_txs)
+
+
+def test_a_file_this_namenode_has_not_seen_is_scanned_by_the_resolver(deploy):
+    """Prefix hinted, last not: one BATCH_PK on the computed key, then the
+    file's scans in one PPIS batch — issued by the resolver, the op has
+    no fallback of its own — and the row is learned: the next read rides."""
+    fs, cluster, open_txs = deploy
+    nn1, nn2 = fs.namenodes
+    _file_with_blocks(fs, "/d/f")
+    parent_id = nn1.get_file_info("/d").inode_id
+    nn2.get_file_info("/d")
+    nn2.hint_cache.invalidate(parent_id, "f")
+
+    first, stats = _op_stats(nn2, lambda: nn2.get_block_locations("/d/f"))
+
+    assert _kinds(stats) == [(AccessKind.BATCH_PK, "inodes"),
+                             (AccessKind.PPIS, "blocks+replicas")]
+    assert stats.events[0].locked and not stats.events[1].locked
+    assert len(first.blocks) == 1 and first.blocks[0].datanodes
+    again, stats = _op_stats(nn2, lambda: nn2.get_block_locations("/d/f"))
+    assert _kinds(stats) == [(AccessKind.BATCH_PK, "inodes+blocks+replicas")]
+    assert again == first == nn1.get_block_locations("/d/f")
+    assert _nothing_left(cluster, open_txs)
+
+
+# -- every op that scans a file's rows takes them from the resolve ---------------
+
+
+@pytest.fixture(params=["ndb", "memory", "process"])
+def any_driver(request):
+    config = HopsFSConfig(clock=ManualClock())
+    if request.param == "ndb":
+        yield HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
+                            ndb_config=NDB)
+    elif request.param == "memory":
+        from repro.dal import MemoryDriver
+
+        yield HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
+                            driver=MemoryDriver())
+    else:
+        from repro.dal import RemoteDriver
+        from repro.rpc import NDBServer
+
+        with NDBServer(config=NDB) as server:
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
+            try:
+                yield HopsFSCluster(num_namenodes=2, num_datanodes=3,
+                                    driver=driver, config=config)
+            finally:
+                driver.close()
+
+
+def test_the_joined_ops_return_what_they_returned(any_driver):
+    """``add_block``, ``complete``, ``append_file``, ``set_replication``
+    and ``get_xattrs`` read their block/replica/xattr rows off the
+    resolve: same results, no scan of their own when the file is known,
+    one resolver-issued scan batch when it is not."""
+    fs = any_driver
+    nn, other = fs.namenodes
+
+    def warm(op_name, fn):
+        result, stats = _op_stats(nn, fn)
+        assert stats.count(AccessKind.PPIS) == 0, op_name
+        assert stats.round_trips == budget_for(op_name).cost.evaluate(), (
+            op_name)
+        return result
+
+    nn.mkdirs("/d")
+    nn.create("/d/f", client="c", replication=2)
+    nn.set_xattr("/d/f", "user.k", "v")
+    b0 = warm("add_block", lambda: nn.add_block("/d/f", "c"))
+    assert b0.index == 0 and len(b0.datanodes) == 2
+    # an allocated block no datanode has reported: not closable yet
+    closed, stats = _op_stats(nn, lambda: nn.complete("/d/f", "c"))
+    assert closed is False and stats.round_trips == 1  # the resolve alone
+    for dn_id in b0.datanodes:
+        nn.block_received(dn_id, b0.block_id, 5)
+    b1 = warm("add_block", lambda: nn.add_block("/d/f", "c"))
+    assert b1.index == 1 and b1.block_id != b0.block_id
+    nn.block_received(b1.datanodes[0], b1.block_id, 3)
+    assert nn.complete("/d/f", "c") is True
+    status = nn.get_file_info("/d/f")
+    assert status.size == 8 and not status.under_construction
+
+    reopened = warm("append", lambda: nn.append_file("/d/f", "c2"))
+    # the last block, with its replicas only — b0's two are filtered out
+    assert (reopened.block_id, reopened.index, reopened.size) == (
+        b1.block_id, 1, 3)
+    assert reopened.datanodes == (b1.datanodes[0],)
+    assert nn.complete("/d/f", "c2") is True
+
+    assert nn.set_replication("/d/f", 3) is True
+    assert nn.get_file_info("/d/f").replication == 3
+    assert warm("get_xattrs", lambda: nn.get_xattrs("/d/f")) == {
+        "user.k": "v"}
+
+    # the other namenode knows the directory but not the file
+    other.get_file_info("/d")
+    xattrs, stats = _op_stats(other, lambda: other.get_xattrs("/d/f"))
+    assert xattrs == {"user.k": "v"}
+    assert _kinds(stats) == [(AccessKind.BATCH_PK, "inodes"),
+                             (AccessKind.PPIS, "xattrs")]
+    assert other.append_file("/d/f", "c3").block_id == b1.block_id
+    # an empty file reopens with no block to hand back
+    nn.create("/d/empty", client="c")
+    assert nn.complete("/d/empty", "c") is True
+    assert nn.append_file("/d/empty", "c") is None

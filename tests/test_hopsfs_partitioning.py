@@ -134,11 +134,16 @@ class TestAccessPathDiscipline:
         assert event.kind is AccessKind.BATCH_PK and event.table == "inodes"
         assert len(event.partitions) == 2 + 1
         assert not stats.uses_expensive_scans
-        # a cold listing scans for itself: the same rows, one PPIS
+        # a cold listing walks the two components, then issues the same
+        # batched read over the rows it found — the children scan rides
+        # it, the resolver never scans on its own: the same rows
         warm = nn.list_status("/proj/data")
         nn.hint_cache.clear()
         cold = op_stats(nn, lambda: nn.list_status("/proj/data"))
-        assert cold.count(AccessKind.PPIS) == 1
+        assert [e.kind for e in cold.events] == [
+            AccessKind.PK, AccessKind.PK, AccessKind.BATCH_PK]
+        assert len(cold.events[-1].partitions) == 2 + 1
+        assert cold.count(AccessKind.PPIS) == 0
         assert not cold.uses_expensive_scans
         assert nn.list_status("/proj/data") == warm
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro import faults
 from repro.errors import (
+    FileNotFoundError_,
     InjectedFaultError,
     LockTimeoutError,
     NameNodeUnavailableError,
@@ -460,3 +461,89 @@ class TestSetQuota:
         client.set_quota("/q", 5, None)
         client.set_quota("/q", None, None)
         assert client.content_summary("/q").ns_quota is None
+
+
+class TestRenameIntoASubtreeBeingDeleted:
+    """§6.1: a subtree delete never orphans an inode — not even one that a
+    rename on another namenode moves into the subtree between the
+    rename's path resolution and its lock batch. The lock batch re-reads
+    every ancestor of both paths once its X locks landed, so the
+    subtree-lock flag (or the hole) the delete left above them is seen.
+    """
+
+    @staticmethod
+    def racing_rename(victim, park):
+        """``nn1`` renames ``/p/q/other/f0`` to ``/p/q/tree/d5/moved``;
+        right after it resolved the destination ``nn0`` deletes ``victim``
+        recursively — parked after the quiesce until the rename returned
+        (``park``) or run to completion. Returns the cluster and what the
+        rename returned or raised."""
+        fs = make_hopsfs(num_namenodes=2)
+        nn0, nn1 = fs.namenodes
+        for path in ("/p", "/p/q", "/p/q/other", "/p/q/tree",
+                     "/p/q/tree/d5"):
+            nn0.mkdirs(path)
+        nn0.create("/p/q/other/f0", client="c")
+        nn0.create("/p/q/tree/d5/x", client="c")
+        nn1.get_file_info("/p/q/other/f0")
+        nn1.get_file_info("/p/q/tree/d5/x")  # nn1's hints are warm
+        quiesced, renamed = threading.Event(), threading.Event()
+
+        def parked():
+            quiesced.set()
+            assert renamed.wait(10)
+
+        if park:
+            nn0.failpoints["after_quiesce"] = parked
+        deleter = threading.Thread(
+            target=nn0.delete, args=(victim,), kwargs={"recursive": True})
+        real_resolve = nn1.resolver.resolve
+
+        def resolve(tx, path, *args, **kwargs):
+            resolved = real_resolve(tx, path, *args, **kwargs)
+            if path == "/p/q/tree/d5/moved" and not deleter.ident:
+                deleter.start()
+                if park:
+                    assert quiesced.wait(10)
+                else:
+                    deleter.join(10)
+            return resolved
+
+        nn1.resolver.resolve = resolve
+        try:
+            try:
+                outcome = nn1.rename("/p/q/other/f0", "/p/q/tree/d5/moved")
+            except Exception as exc:  # noqa: BLE001 - the test judges it
+                outcome = exc
+        finally:
+            renamed.set()
+            deleter.join(10)
+            nn1.resolver.resolve = real_resolve
+        assert not deleter.is_alive()
+        return fs, outcome
+
+    @pytest.mark.parametrize("victim", ["/p/q/tree", "/p/q/tree/d5"])
+    def test_rename_sees_the_flag_set_above_its_locks(self, victim):
+        fs, outcome = self.racing_rename(victim, park=True)
+        nn0, nn1 = fs.namenodes
+        assert isinstance(outcome, SubtreeLockedError)
+        assert Fsck(nn0).run().healthy
+        assert nn0.get_file_info(victim) is None
+        # the file stayed where it was; the client's retry now finds no
+        # destination directory
+        assert nn1.get_file_info("/p/q/other/f0") is not None
+        with pytest.raises(FileNotFoundError_):
+            nn1.rename("/p/q/other/f0", "/p/q/tree/d5/moved")
+        assert fs.driver.cluster._locks.lock_table_size() == 0
+
+    @pytest.mark.parametrize("victim", ["/p/q/tree", "/p/q/tree/d5"])
+    def test_destination_directory_gone_is_file_not_found(self, victim):
+        """The delete finished before the lock batch: the destination's
+        parent is a hole — ``FileNotFoundError_``, never the engine's
+        ``NoSuchRowError`` from touching a row that is not there."""
+        fs, outcome = self.racing_rename(victim, park=False)
+        nn0, nn1 = fs.namenodes
+        assert isinstance(outcome, FileNotFoundError_)
+        assert Fsck(nn0).run().healthy
+        assert nn1.get_file_info("/p/q/other/f0") is not None
+        assert fs.driver.cluster._locks.lock_table_size() == 0

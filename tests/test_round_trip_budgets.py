@@ -27,8 +27,9 @@ an ndb-server, how many frames a warm operation sends and how many of
 them it *waits for*.
 
 The cold cell pins the one fallback the resolver has (hint-cache miss →
-recursive PK reads, then a single batched lock re-read); its count lives
-here, not in the table — the analyzer only models the warm path.
+recursive PK reads, then the same batched lock read the warm path issues);
+its count lives here, not in the table — the analyzer only models the
+warm path.
 """
 
 import pytest
@@ -91,10 +92,10 @@ def test_optimized_budgets_match_shared_table():
 
 
 def test_cold_create_is_recursive_reads_plus_one_batched_lock_reread():
-    """Hint-cache miss: the batched resolve (one BATCH_PK + the locked PK
-    read of the missing last component) becomes one PK read per component
-    plus ONE BATCH_PK re-reading parent+last at lock strength — never a
-    PK read per locked component."""
+    """Hint-cache miss: the warm lock phase (ONE locked BATCH_PK, the
+    missing last component's key computed) is preceded by one PK read
+    per component — N PK reads, then the SAME locked BATCH_PK over the
+    rows just read; never a PK read per locked component."""
     nn = _warm_namenode()
     kinds = (AccessKind.PK, AccessKind.BATCH_PK)
 
@@ -110,10 +111,10 @@ def test_cold_create_is_recursive_reads_plus_one_batched_lock_reread():
     warm_pk, warm_batched, warm_total = accesses("/a/b/warm")
     nn.hint_cache.clear()
     cold_pk, cold_batched, cold_total = accesses("/a/b/cold")
-    assert (warm_pk, warm_total) == (1, _budget("create"))
+    assert (warm_pk, warm_total) == (0, _budget("create"))
     assert cold_pk == 3                  # a, b, and the missing last
-    assert cold_batched == warm_batched  # lock re-read replaces the resolve
-    assert cold_total == _budget("create") + 2
+    assert cold_batched == warm_batched  # the same lock batch (+ quota's)
+    assert cold_total == _budget("create") + 3 == 7
 
 
 def test_warm_stat_is_one_batched_read():
@@ -341,8 +342,8 @@ class TestWireBudget:
 
     #: op -> (frames, waits); the literal table of docs/performance.md
     PINNED = {"stat": (1, 1), "read": (1, 1), "ls": (1, 1),
-              "ls_hashed": (3, 2), "create": (4, 4), "mkdirs": (4, 4),
-              "set_permission": (2, 2), "rename": (7, 7), "delete": (3, 3)}
+              "ls_hashed": (3, 2), "create": (3, 3), "mkdirs": (3, 3),
+              "set_permission": (2, 2), "rename": (6, 6), "delete": (3, 3)}
 
     @pytest.fixture
     def remote_nn(self):
