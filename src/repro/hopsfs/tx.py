@@ -26,9 +26,9 @@ Every inode operation is one DAL transaction with three phases:
    not reach the parent (a cold or invalidated prefix) the resolver reads
    component by component at read-committed, repairing the cache, and
    then issues **the same** batched read over the rows it just found.
-   A last component that exists but was not hinted has its scans issued
-   by the resolver right after the read — the only place a scan that
-   could not ride is issued.
+   A last component that exists but was not hinted — or the root, which
+   no hint names — has its scans issued by the resolver right after the
+   read: the only place a scan that could not ride is issued.
 2. **Execute phase** — pure computation on the rows (the per-transaction
    cache: rows are plain dicts held by the operation; the DAL transaction
    additionally buffers writes and serves read-your-writes).
@@ -304,36 +304,36 @@ class PathResolver:
         components = split_path(path)
         resolved = ResolvedPath(path=path, components=components,
                                 root=self.root_row())
-        if not components:
-            return resolved
         want_batch = (lock_last is not LockMode.READ_COMMITTED
                       or lock_parent is not LockMode.READ_COMMITTED
                       or scans_for is not None or last_access)
-        with span("resolve", depth=len(components)) as resolve_span:
-            rows = None
-            while rows is None:
-                plan = self._hinted_plan(components)
-                recursive = plan is None
+        hinted_last = False  # "/" is no cache entry: its scans follow too
+        if components:
+            with span("resolve", depth=len(components)) as resolve_span:
+                rows, recursive = None, False
+                while rows is None:
+                    plan = self._hinted_plan(components)
+                    if plan is None:
+                        recursive = True  # sticky: the walk that found the rows
+                        rows = self._recursive_resolve(tx, components)
+                        if want_batch:
+                            plan = self._plan_of_rows(components, rows)
+                    if plan is not None:
+                        # (None, None): a hint was stale, nothing held — re-walk
+                        rows, resolved.scanned = self._read_plan(
+                            tx, plan, lock_last, lock_parent, scans_for,
+                            last_access)
+                        hinted_last = plan[1][-1] is not None
+                resolved.rows = rows
                 if recursive:
-                    rows = self._recursive_resolve(tx, components)
-                    plan = (self._plan_of_rows(components, rows)
-                            if want_batch else None)
-                if plan is not None:
-                    # (None, None): a hint was stale, nothing held — re-walk
-                    rows, resolved.scanned = self._read_plan(
-                        tx, plan, lock_last, lock_parent, scans_for,
-                        last_access)
-            resolved.rows = rows
-            if recursive:
-                self.recursive_resolutions += 1
-            else:
-                self.batched_resolutions += 1
-            if resolve_span is not None:
-                resolve_span.set_label(
-                    "method", "recursive" if recursive else "batched")
+                    self.recursive_resolutions += 1
+                else:
+                    self.batched_resolutions += 1
+                if resolve_span is not None:
+                    resolve_span.set_label(
+                        "method", "recursive" if recursive else "batched")
         last = resolved.last
-        if (scans_for is not None and resolved.scanned is None
-                and last is not None):
+        if scans_for is not None and not hinted_last and last is not None:
             scans = scans_for(_hint_of(last))
             if scans is not None:
                 # rt: offpath(reason=the last component was not hinted: its scans could not ride)

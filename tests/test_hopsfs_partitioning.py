@@ -183,6 +183,28 @@ class TestInodeHintCacheEffect:
         nn.get_file_info("/w/x/y/z")
         assert nn.resolver.recursive_resolutions == before + 1
 
+    def test_cold_walk_then_stale_reread_still_counts_recursive(self):
+        """The gauges name the walk that served the op: a cold walk whose
+        batched re-read finds a row moved walks the (now repaired) hints
+        next, but the op was served by the recursive resolve."""
+        fs = make_hopsfs(num_namenodes=1)
+        fs.client().mkdirs("/w/x/y")
+        nn = fs.namenodes[0]
+        nn.hint_cache.clear()
+        read_plan, calls = nn.resolver._read_plan, []
+
+        def stale_once(*args):
+            calls.append(args)
+            return (None, None) if len(calls) == 1 else read_plan(*args)
+
+        nn.resolver._read_plan = stale_once
+        before = (nn.resolver.recursive_resolutions,
+                  nn.resolver.batched_resolutions)
+        assert nn.get_file_info("/w/x/y") is not None
+        assert len(calls) == 2
+        assert (nn.resolver.recursive_resolutions,
+                nn.resolver.batched_resolutions) == (before[0] + 1, before[1])
+
     def test_warm_cache_uses_single_batch(self):
         fs = make_hopsfs(num_namenodes=1)
         client = fs.client()

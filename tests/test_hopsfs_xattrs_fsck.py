@@ -34,6 +34,15 @@ class TestXattrs:
         assert client.remove_xattr("/f", "k") is False
         assert client.get_xattrs("/f") == {}
 
+    def test_root_roundtrip(self, fs, client):
+        # "/" has no path component and so no hint to carry its scan: the
+        # resolver issues it, as for any last row it was not hinted
+        client.set_xattr("/", "user.cluster", "prod")
+        assert client.get_xattrs("/") == {"user.cluster": "prod"}
+        assert client.remove_xattr("/", "user.cluster") is True
+        assert client.remove_xattr("/", "user.cluster") is False
+        assert client.get_xattrs("/") == {}
+
     def test_missing_path(self, fs, client):
         with pytest.raises(FileNotFoundError_):
             client.set_xattr("/ghost", "k", "v")
