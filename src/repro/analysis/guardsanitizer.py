@@ -4,9 +4,9 @@ HFS104 statically checks that a guarded attribute is only touched inside
 a ``with self.<lock>`` block *within its own class*. This module is the
 dynamic complement: opt-in (``REPRO_GUARD_SANITIZER=1``), it instruments
 every annotated attribute of the concurrent core (the same ``ndb/`` +
-``hopsfs/`` scope as HFS104) and records a violation whenever one is
-read or written without its guard held — including from *other* modules
-and tests, which the static rule cannot see.
+``hopsfs/`` + ``rpc/`` scope as HFS104) and records a violation whenever
+one is read or written without its guard held — including from *other*
+modules and tests, which the static rule cannot see.
 
 How a guard is judged "held":
 

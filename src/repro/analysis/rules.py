@@ -17,10 +17,11 @@ the tree follows only by convention:
   transaction callback run by ``Session.run`` (which retries on lock
   conflicts and merges statistics); never on a raw session, and never on
   a transaction obtained from a bare ``begin()``.
-* **HFS104** — shared mutable attributes of classes in ``ndb/`` and
-  ``hopsfs/`` that own a lock must carry a ``# guarded_by: <lock>``
-  annotation, and annotated attributes must only be touched inside a
-  ``with self.<lock>`` block (a lightweight static race detector).
+* **HFS104** — shared mutable attributes of classes in ``ndb/``,
+  ``hopsfs/`` and ``rpc/`` that own a lock must carry a
+  ``# guarded_by: <lock>`` annotation, and annotated attributes must only
+  be touched inside a ``with self.<lock>`` block (a lightweight static
+  race detector).
 * **HFS105** (§3.3, interprocedural) — every ``_fs_op`` transaction
   callback in the budget scope must have a statically derived warm
   round-trip bound that exactly matches its declared entry in the shared
@@ -79,8 +80,9 @@ DAL_ACCESS_METHODS: frozenset[str] = frozenset({
 #: receiver names that identify a raw session object
 SESSION_NAME_HINTS: tuple[str, ...] = ("session", "sess")
 
-#: path fragments delimiting HFS104's scope (the concurrent core)
-GUARDED_SCOPE_FRAGMENTS: tuple[str, ...] = ("ndb/", "hopsfs/")
+#: path fragments delimiting HFS104's scope (the concurrent core: the
+#: engine, the namenode, and the ndb-server's loop and connection state)
+GUARDED_SCOPE_FRAGMENTS: tuple[str, ...] = ("ndb/", "hopsfs/", "rpc/")
 
 #: constructor names that make an attribute a lock (``self.x = Lock()``)
 LOCK_FACTORY_NAMES: frozenset[str] = frozenset({

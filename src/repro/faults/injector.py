@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from repro import errors as _errors
 from repro.faults.plan import FaultPlan, FaultSpec, FiredFault
+from repro.util.park import park
 
 
 class DropConnection(Exception):
@@ -141,6 +142,7 @@ class FaultInjector:
             return True
         if spec.action == "delay":
             if spec.delay > 0:
+                park()
                 self._sleep(spec.delay)
             return False
         if spec.action == "call":

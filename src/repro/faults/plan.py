@@ -32,7 +32,7 @@ from typing import Any, Mapping, Optional
 #: ``call``       invoke a callback registered on the injector
 #:                (datanode kills, partition churn, leader loss);
 #: ``drop_conn``  raise :class:`~repro.faults.injector.DropConnection`,
-#:                which the RPC server's connection loop turns into a
+#:                which the RPC server's loop turns into a
 #:                silent socket close (crash simulation).
 ACTIONS = ("error", "delay", "veto", "call", "drop_conn")
 

@@ -49,6 +49,7 @@ from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap
 from repro.ndb.schema import TableSchema
 from repro.ndb.transaction import Transaction, TxState
+from repro.util.park import park
 from repro.util.rwlock import ReadWriteLock
 
 T = TypeVar("T")
@@ -284,6 +285,7 @@ class NDBCluster:
         ctx = TraceContext.capture()
         futures = [self._shard_executor().submit(ctx.wrap(task))
                    for task in tasks]
+        park()
         results: list[T] = []
         first_exc: Optional[BaseException] = None
         for future in futures:
@@ -300,6 +302,7 @@ class NDBCluster:
     def _round_trip(self) -> None:
         """One simulated network round trip (no-op at zero delay)."""
         if self.config.network_delay:
+            park()
             time.sleep(self.config.network_delay)
 
     # -- sessions / transactions ------------------------------------------------------
@@ -403,9 +406,14 @@ class NDBCluster:
             write_pids = []
             rows_written = 0
             with ExitStack() as stack:
-                # fragment-level locks, in pid order (deadlock-free)
+                # fragment-level locks, in pid order (deadlock-free); a
+                # holder keeps one across its participants' round trips
                 for pid in sorted(set(touched.values())):
-                    stack.enter_context(self._partition_locks[pid])
+                    lock = self._partition_locks[pid]
+                    if not lock.acquire(blocking=False):
+                        park()
+                        lock.acquire()
+                    stack.callback(lock.release)
                 # before-images + per-participant batches, in write order
                 node_batches: dict[int, list[tuple[Any, Optional[dict],
                                                    WriteRecord]]] = {}

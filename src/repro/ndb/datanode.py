@@ -26,6 +26,7 @@ from repro.faults import fault_point
 from repro.metrics.tracing import span
 from repro.ndb.fragment import Fragment
 from repro.ndb.schema import TableSchema
+from repro.util.park import park
 
 
 @dataclass
@@ -112,6 +113,7 @@ class GroupCommitLog:
                     return self.last_batch_size
                 if not self._flushing:
                     break  # become the flush leader
+                park()
                 self._cond.wait()
             batch = self._staged
             self._staged = []
@@ -120,6 +122,7 @@ class GroupCommitLog:
         # batch size label shows how many followers rode along
         with span("log_flush", batch=len(batch)):
             if self.flush_delay:
+                park()
                 time.sleep(self.flush_delay)  # the simulated log-device flush
         with self._cond:
             self.records.extend(rec for _seq, rec in batch)

@@ -44,6 +44,7 @@ from repro.errors import DeadlockError, LockTimeoutError, TransactionAbortedErro
 from repro.faults import fault_point
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import span as trace_span
+from repro.util.park import park
 
 
 class LockMode(enum.Enum):
@@ -456,4 +457,5 @@ class LockManager:
             if remaining <= 0:
                 stripe.timeouts += 1
                 raise LockTimeoutError(f"lock wait timeout on {key!r}")
+            park()
             stripe.cond.wait(timeout=min(remaining, 0.05))

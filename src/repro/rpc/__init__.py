@@ -11,7 +11,8 @@ database servers as separate processes reached over the network:
   client connection;
 * :mod:`repro.rpc.server` — ``ndb-server``: hosts an
   :class:`repro.ndb.NDBCluster` and serves the full ``DALTransaction``
-  contract thread-per-connection (``python -m repro serve``);
+  contract from one loop over every connection (``python -m repro
+  serve``);
 * :mod:`repro.rpc.supervisor` — spawns/monitors/stops server processes.
 
 The client half lives in :class:`repro.dal.remote_driver.RemoteDriver`,

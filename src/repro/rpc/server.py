@@ -9,8 +9,20 @@ reply-bearing request and are applied before that request's own
 operation, a ``tx.read_batch`` may carry the scans that follow it and
 the commit of its read-only transaction (both kinds of commit run
 through :meth:`NDBServer._commit`), and frames without an ``id`` get no
-reply. The loop is thread-per-connection: each connection gets its own
-DAL session and its frames are handled strictly in order.
+reply. Each connection has its own DAL session and its frames are
+handled strictly in order.
+
+One loop serves every connection: a selector accepts, reads the frames
+of whichever connection is ready and answers each one inline, so with no
+waits the whole server runs on one thread and never hands the GIL to
+another. A request that must wait — a row lock, the group-commit flush,
+a simulated round trip or shard fan-out, a contended partition lock, an
+injected delay: every such site calls :func:`repro.util.park.park` first
+— hands the loop to a standby thread before it blocks (leader/follower,
+a standby is promoted only on a wait), and its connection leaves the
+selector until the request's reply is sent, so the connection's later
+frames wait for it while every other connection is served — a lock
+holder's commit among them.
 
 Connection death is transaction death: every transaction opened on a
 connection is aborted when the connection goes away, so a crashed or
@@ -35,29 +47,38 @@ configured.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
+import selectors
 import signal
 import socket
 import sys
 import threading
 import time
+import traceback
+from collections import deque
 from typing import Any, Mapping, Optional
 
 from repro import faults
 from repro.dal.driver import DALDriver
 from repro.dal.ndb_driver import NDBDriver
-from repro.errors import RPCError, ServerShutdownError, TransactionAbortedError
+from repro.errors import (
+    ConnectionClosedError,
+    RPCError,
+    ServerShutdownError,
+    TransactionAbortedError,
+)
 from repro.faults import DropConnection, FaultInjector, FaultPlan, fault_point
 from repro.metrics import export
 from repro.metrics.flightrecorder import FlightRecorder
+from repro.metrics.registry import CounterMetric, HistogramMetric
 from repro.metrics.tracing import Span, Trace
 from repro.ndb.config import NDBConfig
 from repro.ndb.locks import LockMode
 from repro.rpc import protocol
 from repro.rpc.conn import FrameConn
 from repro.rpc.protocol import StatsCursor
+from repro.util import park
 
 #: stdout handshake line prefix the supervisor waits for
 READY_PREFIX = "REPRO-NDB-SERVE READY"
@@ -66,6 +87,15 @@ READY_PREFIX = "REPRO-NDB-SERVE READY"
 #: the buffered writes a request may carry: every write method of the
 #: DAL contract (none of them returns anything)
 _BUFFERED_WRITES = frozenset({"insert", "update", "write", "delete"})
+
+#: selector payloads of the two sockets that are not connections
+_ACCEPT = "accept"
+_WAKE = "wake"
+
+#: bytes read from a ready connection at a time (a larger frame spans
+#: several ready events); above glibc's 128 KiB mmap threshold every read
+#: would allocate its buffer with mmap and free it with munmap
+_READ_SIZE = 64 * 1024
 
 
 def _lock_mode(name: Optional[str]) -> LockMode:
@@ -77,14 +107,69 @@ def _lock_mode(name: Optional[str]) -> LockMode:
         raise protocol.ProtocolError(f"unknown lock mode {name!r}") from None
 
 
-class _ConnState:
-    """Per-connection server state: one DAL session, its open txs."""
+class _ServerConn(FrameConn):
+    """The server's side of one connection, read when it is ready.
 
-    def __init__(self, session: Any) -> None:
+    The loop reads what a readable socket holds (:meth:`read_ready`) and
+    takes complete frames out of the buffer (:meth:`next_frame`); replies
+    go out through the blocking :meth:`FrameConn.send`. :meth:`close` may
+    come from any thread and only shuts the socket down: the loop reads
+    end-of-stream, and the connection's owner tears it down and closes
+    the descriptor (:meth:`release`), so the selector never watches a
+    closed one.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__(sock)
+        self._buf = bytearray()  # guarded_by: owner-thread
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def read_ready(self) -> None:
+        """Append what the (readable) socket holds to the buffer."""
+        try:
+            chunk = self._sock.recv(_READ_SIZE)
+        except OSError as exc:
+            raise ConnectionClosedError(f"recv failed: {exc}") from None
+        if not chunk:
+            raise ConnectionClosedError("peer closed the connection")
+        self._buf += chunk
+
+    def next_frame(self) -> Optional[dict[str, Any]]:
+        """Take the next complete frame out of the buffer (None: none yet)."""
+        buf = self._buf
+        if len(buf) < 4:
+            return None
+        end = 4 + protocol.decode_length(buf[:4])
+        if len(buf) < end:
+            return None
+        payload = buf[4:end]
+        del buf[:end]
+        return protocol.decode_payload(payload)
+
+    def close(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def release(self) -> None:
+        """Close the descriptor (the connection's owner, once it is out of
+        the selector)."""
+        super().close()
+
+
+class _ConnState:
+    """Per-connection server state: its connection, one DAL session and
+    the session's open transactions."""
+
+    def __init__(self, conn: _ServerConn, session: Any) -> None:
+        self.conn = conn
         self.session = session
         #: handle -> (transaction, stats cursor)
         self.txs: dict[int, tuple[Any, StatsCursor]] = {}  # guarded_by: lock
-        self.lock = threading.Lock()  # conn thread vs shutdown-time abort
+        self.lock = threading.Lock()  # the serving thread vs shutdown's abort
 
     def abort_all(self) -> int:
         """Abort every open transaction; returns how many were aborted."""
@@ -120,7 +205,7 @@ class NDBServer:
         self.driver = driver if driver is not None else NDBDriver(config=config)
         self.name = name
         self.host = host
-        self.port = port
+        self.port = port  # guarded_by: owner-thread -- set by start()
         #: listen on an AF_UNIX socket at this path instead of TCP
         self.unix_path = unix_path
         #: the engine's own registry, served as this process's: ``rpc_*``
@@ -131,19 +216,34 @@ class NDBServer:
         #: serve the registry over HTTP (Prometheus + JSON) when set
         #: (0 picks a free port; the bound port lands on the READY line)
         self.metrics_port = metrics_port
-        self.metrics_http_port = 0
-        self._metrics_http: Optional["_MetricsHTTP"] = None
+        self.metrics_http_port = 0  # guarded_by: owner-thread
+        self._metrics_http: Optional["_MetricsHTTP"] = None  # guarded_by: owner-thread
         self.flight = FlightRecorder(name=f"rpc-{name}", dump_dir=flight_dir)
         #: open server-side transactions across all connections — the
         #: queue-depth signal the autoscaler/`repro top` consume
         self._open_txs = self.registry.gauge("rpc_open_txs")
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: list[threading.Thread] = []  # guarded_by: _mutex
-        self._states: set[_ConnState] = set()            # guarded_by: _mutex
+        #: ``rpc_requests_total`` / ``rpc_request_seconds`` handles by method
+        # guarded_by: GIL -- racing fillers store the registry's own metrics
+        self._method_metrics: dict[str, tuple[CounterMetric,
+                                              HistogramMetric]] = {}
+        # the loop: the leader thread alone touches the selector, the
+        # listener and the connection being answered
+        self._selector: Optional[selectors.BaseSelector] = None  # guarded_by: owner-thread
+        self._listener: Optional[socket.socket] = None  # guarded_by: owner-thread
+        self._current: Optional[_ConnState] = None  # guarded_by: owner-thread
+        #: rings the leader out of ``select`` (handed-back connections,
+        #: the end of accepting, the halt)
+        self._waker: Optional[socket.socket] = None  # guarded_by: GIL
+        #: connections a parked request hands back to the loop
+        self._returning: deque[_ConnState] = deque()  # guarded_by: GIL
+        #: one release hands the loop to one standby
+        self._baton = threading.Semaphore(0)
+        self._idle = 0  # guarded_by: _mutex -- standbys waiting for the baton
+        self._threads: list[threading.Thread] = []  # guarded_by: _mutex
+        self._states: set[_ConnState] = set()       # guarded_by: _mutex
         self._mutex = threading.Lock()
-        self._handles = itertools.count(1)
         self._draining = False   # guarded_by: GIL -- one flag flip
+        self._halt = False       # guarded_by: GIL -- one flag flip
         self._stopped = False    # guarded_by: _mutex [writes]
         #: set when something (signal, shutdown RPC) asks the server to stop
         self.stop_requested = threading.Event()
@@ -173,7 +273,7 @@ class NDBServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the listener and start accepting in a background thread."""
+        """Bind the listener and start the loop on a background thread."""
         if self.unix_path is not None:
             try:  # a stale socket file from a dead server blocks bind()
                 os.unlink(self.unix_path)
@@ -185,7 +285,7 @@ class NDBServer:
         else:
             listener = socket.create_server((self.host, self.port),
                                             backlog=64)
-        listener.settimeout(0.25)  # poll the stop flag between accepts
+        listener.setblocking(False)
         self._listener = listener
         if self.unix_path is None:
             self.port = listener.getsockname()[1]
@@ -193,10 +293,13 @@ class NDBServer:
             self._metrics_http = _MetricsHTTP(self)
             self.metrics_http_port = self._metrics_http.start(
                 self.host, self.metrics_port)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"rpc-accept-{self.name}",
-            daemon=True)
-        self._accept_thread.start()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ, _ACCEPT)
+        wake, self._waker = socket.socketpair()
+        wake.setblocking(False)
+        self._waker.setblocking(False)
+        self._selector.register(wake, selectors.EVENT_READ, _WAKE)
+        self._spawn()
 
     def request_stop(self) -> None:
         """Ask the serving loop to stop (signal-handler safe)."""
@@ -210,15 +313,12 @@ class NDBServer:
             self._stopped = True
         self._draining = True
         self.stop_requested.set()
-        if self._listener is not None:
-            self._listener.close()
+        self._wake()  # the loop closes the listener
         if self.unix_path is not None:
             try:
                 os.unlink(self.unix_path)
             except OSError:
                 pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
         # drain: give in-flight transactions a chance to finish cleanly
         deadline = time.monotonic() + self.drain_timeout
         while time.monotonic() < deadline:
@@ -232,7 +332,6 @@ class NDBServer:
         # shutdown metrics snapshot must admit to
         with self._mutex:
             states = list(self._states)
-            threads = list(self._conn_threads)
         drain_aborted = sum(state.abort_all() for state in states)
         if drain_aborted:
             self.registry.inc("rpc_drain_aborted_total", drain_aborted)
@@ -241,11 +340,8 @@ class NDBServer:
             self._metrics_http.stop()
             self._metrics_http = None
         for state in states:
-            conn = getattr(state, "conn", None)
-            if conn is not None:
-                conn.close()
-        for thread in threads:
-            thread.join(timeout=2.0)
+            state.conn.close()  # the loop reads end-of-stream and drops it
+        self._halt_loop()
         self._persist_observability()
         cluster = getattr(self.driver, "cluster", None)
         if cluster is not None and hasattr(cluster, "close"):
@@ -284,63 +380,217 @@ class NDBServer:
             except OSError:  # pragma: no cover
                 pass
 
-    # -- accept / serve loops --------------------------------------------------
+    # -- the loop: leader, standbys, hand-off ------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self.stop_requested.is_set():
+    def _spawn(self) -> None:
+        """Start a loop thread that takes the loop at once."""
+        thread = threading.Thread(target=self._run, args=(True,),
+                                  name=f"rpc-loop-{self.name}", daemon=True)
+        with self._mutex:
+            self._threads.append(thread)
+        thread.start()
+
+    def _run(self, leading: bool) -> None:
+        """A loop thread: lead when handed the loop, stand by in between."""
+        while True:
+            if not leading:
+                with self._mutex:
+                    self._idle += 1
+                self._baton.acquire()
+            if self._halt or not self._lead():
+                return
+            leading = False
+
+    def _promote(self) -> None:
+        """Hand the loop to an idle standby, or to a new thread."""
+        with self._mutex:
+            standby = self._idle > 0
+            if standby:
+                self._idle -= 1
+        if standby:
+            self._baton.release()
+        else:
+            self._spawn()
+
+    def _hand_off(self) -> None:
+        """The park hook of a request answered on the loop: its connection
+        leaves the selector (its next frames wait for this reply) and a
+        standby takes the loop."""
+        self._selector.unregister(self._current.conn)
+        self._promote()
+
+    def _halt_loop(self) -> None:
+        """Stop every loop thread; drop what none of them got to."""
+        self._halt = True
+        with self._mutex:
+            threads = list(self._threads)
+        for _ in threads:
+            self._baton.release()  # a standby wakes to the halt and exits
+        self._wake()               # so does the leader
+        for thread in threads:
+            thread.join(timeout=2.0)
+        with self._mutex:
+            leftover = list(self._states)
+        for state in leftover:  # handed back after the leader left
+            self._drop(state, registered=False)
+        if self._waker is not None:
+            self._waker.close()
+
+    def _wake(self) -> None:
+        """Ring the leader out of ``select``."""
+        waker = self._waker
+        if waker is None:
+            return
+        try:
+            waker.send(b"\0")
+        except OSError:  # full (a wake is pending anyway) or closed (halted)
+            pass
+
+    def _lead(self) -> bool:
+        """Run the loop on this thread: True once a request handed it to a
+        standby (this thread then stands by itself), False on the halt."""
+        select = self._selector.select
+        while True:
+            for key, _events in select():
+                state = key.data
+                if state is _WAKE:
+                    if not self._on_wake(key.fileobj):
+                        return False
+                elif state is _ACCEPT:
+                    self._accept()
+                elif not self._on_ready(state):
+                    return True
+
+    def _on_wake(self, wake: socket.socket) -> bool:
+        """Act on a wake: close the loop on the halt (False), the listener
+        once stopping, and take handed-back connections in again."""
+        try:
+            wake.recv(4096)
+        except OSError:
+            pass
+        if self._halt:
+            self._close_loop()
+            return False
+        if self._stopped and self._listener is not None:
+            self._selector.unregister(self._listener)
+            self._listener.close()
+            self._listener = None
+        while self._returning:
+            state = self._returning.popleft()
+            self._selector.register(state.conn, selectors.EVENT_READ, state)
+        return True
+
+    def _close_loop(self) -> None:
+        """The halting leader's last act: drop the connections still in
+        the selector, close the listener, the wake socket, the selector."""
+        for key in list(self._selector.get_map().values()):
+            if key.data is _ACCEPT or key.data is _WAKE:
+                key.fileobj.close()
+            else:
+                self._drop(key.data, registered=True)
+        self._listener = None
+        self._selector.close()
+
+    def _accept(self) -> None:
+        while True:
             try:
                 sock, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # listener closed by stop()
+            except OSError:  # nobody else is waiting to connect
+                return
+            sock.setblocking(True)
             if sock.family == socket.AF_INET:  # no Nagle on AF_UNIX
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_conn, args=(sock,),
-                name=f"rpc-conn-{self.name}", daemon=True)
+            state = _ConnState(_ServerConn(sock), self.driver.session())
             with self._mutex:
-                self._conn_threads.append(thread)
-            thread.start()
+                self._states.add(state)
+            self.registry.inc("rpc_connections_total")
+            self.registry.gauge("rpc_open_connections").inc(1)
+            self._selector.register(state.conn, selectors.EVENT_READ, state)
 
-    def _serve_conn(self, sock: socket.socket) -> None:
-        conn = FrameConn(sock)
-        state = _ConnState(self.driver.session())
-        state.conn = conn
-        with self._mutex:
-            self._states.add(state)
-        self.registry.inc("rpc_connections_total")
-        self.registry.gauge("rpc_open_connections").inc(1)
+    def _on_ready(self, state: _ConnState) -> bool:
+        """Read a ready connection and answer its complete frames; whether
+        this thread still leads the loop."""
         try:
-            while True:
-                try:
-                    message = conn.recv()
-                except RPCError:
-                    break  # peer went away (or sent garbage)
-                try:
-                    response = self._dispatch(state, message)
-                except DropConnection:
-                    # injected crash: close the socket without a
-                    # response, exactly like the process dying here
-                    self.registry.inc("rpc_injected_conn_drops_total")
+            state.conn.read_ready()
+        except RPCError:  # peer went away
+            self._drop(state, registered=True)
+            return True
+        return self._serve(state)
+
+    def _serve(self, state: _ConnState) -> bool:
+        """Answer every complete frame buffered on ``state``'s connection,
+        in order; returns whether this thread still leads the loop.
+
+        On the loop a frame is answered under the park hook. Once a
+        request parked, the loop is gone to a standby: this thread answers
+        the connection's remaining buffered frames itself (off the loop
+        park is a no-op — they block in place) and hands the connection
+        back to the loop.
+        """
+        hook = park.HOOK
+        leading = True
+        while True:
+            try:
+                message = state.conn.next_frame()
+            except RPCError:  # garbage on the stream
+                alive = False
+            else:
+                if message is None:
                     break
-                if "id" not in message:
-                    continue  # a one-way frame is never answered
+                if leading:
+                    self._current = state
+                    hook.fn = self._hand_off
                 try:
-                    conn.send(response)
-                    if fault_point("rpc.server.duplicate_response",
-                                   method=message.get("method", "")):
-                        conn.send(response)  # veto = send it twice
-                except RPCError:
-                    break
-        finally:
-            aborted = state.abort_all()
-            if aborted:
-                self._open_txs.inc(-aborted)
-            conn.close()
-            with self._mutex:
-                self._states.discard(state)
-            self.registry.gauge("rpc_open_connections").inc(-1)
+                    alive = self._answer(state, message)
+                finally:
+                    if leading:
+                        leading = hook.fn is not None
+                        hook.fn = None
+            if not alive:
+                self._drop(state, registered=leading)
+                return leading
+        if not leading:
+            self._returning.append(state)
+            self._wake()
+        return leading
+
+    def _answer(self, state: _ConnState, message: Mapping[str, Any]) -> bool:
+        """Dispatch one frame and send its reply; False when the
+        connection must go."""
+        try:
+            response = self._dispatch(state, message)
+            if "id" in message:  # a one-way frame is never answered
+                state.conn.send(response)
+                if fault_point("rpc.server.duplicate_response",
+                               method=message.get("method", "")):
+                    state.conn.send(response)  # veto = send it twice
+        except DropConnection:
+            # injected crash: close the socket without a response,
+            # exactly like the process dying here
+            self.registry.inc("rpc_injected_conn_drops_total")
+            return False
+        except RPCError:  # the peer is gone, or the reply cannot be encoded
+            return False
+        except Exception:  # noqa: BLE001 - e.g. an injected error at the reply; the loop must go on
+            traceback.print_exc()
+            return False
+        return True
+
+    def _drop(self, state: _ConnState, registered: bool) -> None:
+        """Tear a connection down, once, whoever gets here first: abort its
+        transactions, free its socket. ``registered``: it is in the
+        selector (only the leader knows that)."""
+        if registered:
+            self._selector.unregister(state.conn)
+        with self._mutex:
+            if state not in self._states:
+                return
+            self._states.discard(state)
+        aborted = state.abort_all()
+        if aborted:
+            self._open_txs.inc(-aborted)
+        state.conn.release()
+        self.registry.gauge("rpc_open_connections").inc(-1)
 
     def _dispatch(self, state: _ConnState,
                   message: Mapping[str, Any]) -> dict[str, Any]:
@@ -364,7 +614,7 @@ class NDBServer:
                                          handler, wire_trace, started)
         except DropConnection as exc:
             # injected transport kill: must never be serialized — the
-            # conn loop closes the socket instead of answering
+            # loop closes the socket instead of answering
             error = exc
             raise
         except Exception as exc:  # noqa: BLE001 - every error goes on the wire
@@ -377,10 +627,14 @@ class NDBServer:
                 self._abort_tx(state, handle)
             return protocol.error(req_id, exc)
         finally:
-            self.registry.inc("rpc_requests_total", method=method)
-            self.registry.observe("rpc_request_seconds",
-                                  time.perf_counter() - started,
-                                  method=method)
+            metrics = self._method_metrics.get(method)
+            if metrics is None:
+                metrics = self._method_metrics[method] = (
+                    self.registry.counter("rpc_requests_total", method=method),
+                    self.registry.histogram("rpc_request_seconds",
+                                            method=method))
+            metrics[0].inc()
+            metrics[1].observe(time.perf_counter() - started)
             self.flight.end(record, error=error)
 
     def _dispatch_traced(self, state: _ConnState, params: Mapping[str, Any],
@@ -496,6 +750,7 @@ class NDBServer:
                 params: Mapping[str, Any]) -> str:
         delay = params.get("delay")
         if delay:  # test hook: simulate a slow server for timeout coverage
+            park.park()
             time.sleep(float(delay))
         return "pong"
 
@@ -517,8 +772,8 @@ class NDBServer:
 
     def _h_shutdown(self, state: _ConnState,
                     params: Mapping[str, Any]) -> dict[str, Any]:
-        # reply first, stop after: the conn loop sends this response and
-        # the main thread (or a background stopper) runs the actual stop
+        # reply first, stop after: the loop sends this response and the
+        # main thread (or a background stopper) runs the actual stop
         threading.Thread(target=self._delayed_stop, daemon=True).start()
         return {"stopping": True}
 

@@ -7,8 +7,7 @@ server bound, keeps draining the child's output so it can never block on
 a full pipe, and tears everything down on exit — SIGTERM first (the
 server drains in-flight transactions), SIGKILL if the child ignores it.
 Context-manager use guarantees no leaked server processes on test
-teardown, which is exactly the failure mode the thread-per-connection
-server would otherwise make easy.
+teardown.
 """
 
 from __future__ import annotations

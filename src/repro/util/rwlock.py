@@ -13,6 +13,8 @@ import threading
 from contextlib import contextmanager
 from typing import Optional
 
+from repro.util.park import park
+
 
 class ReadWriteLock:
     #: optionally installed repro.analysis.lockwitness.LockWitness; class
@@ -35,6 +37,7 @@ class ReadWriteLock:
             witness.rw_requested(self, "read")
         with self._cond:
             while self._writer or self._writers_waiting:
+                park()
                 self._cond.wait()
             self._readers += 1
             self.read_acquisitions += 1
@@ -60,6 +63,7 @@ class ReadWriteLock:
             self._writers_waiting += 1
             try:
                 while self._writer or self._readers:
+                    park()
                     self._cond.wait()
             finally:
                 self._writers_waiting -= 1

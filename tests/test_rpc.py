@@ -727,12 +727,16 @@ def test_commit_time_conn_loss_is_ambiguous_and_not_retried(driver):
 def test_idempotent_reads_retry_across_reconnect(server, driver):
     _fill(driver)
     assert driver.table_size("kv") == 8
-    # sever every server-side connection under the client's pool
-    for state in list(server._states):
-        state.conn.close()
+
+    def sever_every_server_side_connection():
+        with server._mutex:
+            states = list(server._states)
+        for state in states:
+            state.conn.close()
+
+    sever_every_server_side_connection()  # under the client's pool
     assert driver.table_size("kv") == 8  # idempotent: redialed silently
-    for state in list(server._states):
-        state.conn.close()
+    sever_every_server_side_connection()
     with pytest.raises(ConnectionClosedError):
         driver.complete_epoch()  # non-idempotent: fails fast
 
