@@ -74,8 +74,8 @@ OP_BUDGETS: dict[str, str] = {
     "set_quota": "4",
     "{op}_subtree_lock": "4",
     "subtree_quiesce": "1",
-    "delete_subtree_root": "5",
-    "subtree_delete_batch": "4 + node*block*replica",
+    "delete_subtree_root": "4",
+    "subtree_delete_batch": "3 + node*block*replica",
     "{op}_subtree": "4",
     "subtree_release": "3",
     # -- blockreport ----------------------------------------------------------

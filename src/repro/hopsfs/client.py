@@ -27,10 +27,16 @@ from repro.hopsfs.types import (
     FileStatus,
     LocatedBlocks,
 )
+from repro.util.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hopsfs.cluster import HopsFSCluster
     from repro.hopsfs.namenode import NameNode
+
+#: backoff before re-trying an operation a subtree operation held up
+#: (§6.3): full jitter, drawn from the client's own seeded RNG so that a
+#: seed replays, growing from 2 ms
+SUBTREE_LOCKED_BACKOFF = RetryPolicy(base_delay=0.002, max_delay=0.1)
 
 
 class NamenodeSelectionPolicy(enum.Enum):
@@ -48,6 +54,7 @@ class DFSClient:
         self.policy = policy
         self._max_retries = max_retries
         self._rng = random.Random(seed if seed is not None else hash(name) & 0xFFFF)
+        self._sleep = time.sleep
         self._namenodes: list["NameNode"] = []
         self._rr_index = 0
         self._sticky: Optional["NameNode"] = None
@@ -83,6 +90,7 @@ class DFSClient:
     def _call(self, fn: Callable[["NameNode"], Any]) -> Any:
         """Invoke an operation with transparent failover (§7.6.1)."""
         last_exc: FileSystemError = NameNodeUnavailableError("no attempts")
+        locked = 0  # retries so far behind a subtree lock
         for _attempt in range(self._max_retries):
             nn = self._pick()
             try:
@@ -96,7 +104,8 @@ class DFSClient:
             except SubtreeLockedError as exc:
                 # wait for the subtree operation to finish, then retry.
                 # Real-time backoff: the injected clock may be manual.
-                time.sleep(0.002)
+                locked += 1
+                self._sleep(SUBTREE_LOCKED_BACKOFF.backoff(locked, self._rng))
                 self.operations_retried += 1
                 last_exc = exc
             except RetriableError as exc:

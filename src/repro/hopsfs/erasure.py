@@ -31,6 +31,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import FileNotFoundError_, FileSystemError, IsDirectoryError_
 from repro.dal.driver import DALTransaction
 from repro.hopsfs import blocks as blk
+from repro.hopsfs import schema as fs_schema
 from repro.ndb.locks import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,9 +125,13 @@ class ErasureCodingManager:
                                   "block_id": parity_id, "dn_id": target})
                 parity_targets.append((target, parity_id, parity))
                 stripes += 1
-            # the erasure-coding payoff: single-replica data blocks
+            # the erasure-coding payoff: single-replica data blocks; the
+            # inode now has EC rows (and parity blocks) for a delete to find
             pk = (row["part_key"], row["parent_id"], row["name"])
-            tx.update("inodes", pk, {"replication": 1})
+            tx.update("inodes", pk, {
+                "replication": 1,
+                "sub_tables": (row["sub_tables"] | fs_schema.SUB_BLOCKS
+                               | fs_schema.SUB_EC)})
             for block in data_blocks:
                 blk.check_replication(tx, inode_id, block["block_id"], 1)
             return stripes

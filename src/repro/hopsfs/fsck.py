@@ -11,11 +11,13 @@ one declarative query over the metadata tables —
 * every block has a ``block_lookup`` entry and vice versa;
 * under-replicated blocks are enqueued in ``urb``;
 * files under construction hold leases (and only those do);
+* every row keyed by an inode id is covered by the inode's
+  ``sub_tables`` bits;
 * subtree lock flags belong to live namenodes.
 
-``repair=True`` removes dangling dependent rows and re-queues missing
-replication work; structural problems (orphaned inodes) are reported,
-never auto-deleted.
+``repair=True`` removes dangling dependent rows, re-queues missing
+replication work and sets missing ``sub_tables`` bits; structural
+problems (orphaned inodes) are reported, never auto-deleted.
 """
 
 from __future__ import annotations
@@ -196,7 +198,30 @@ class Fsck:
                                "leases", (inode_id,),
                                "file is not under construction")
 
-            # 7. subtree locks owned by dead namenodes (sorted by pk so the
+            # 7. every row keyed by a live inode's id is covered by that
+            #    inode's sub_tables bit, else a delete would leave it
+            #    behind; repair sets the bit (inode rows in pk order)
+            by_id = {r["id"]: r for r in inodes}
+            schemas = {s.name: s for s in fs_schema.ALL_TABLES}
+            unflagged: dict[int, int] = {}
+            for table, bit in fs_schema.SUB_TABLE_BITS.items():
+                schema = schemas[table]
+                for row in sorted(tx.full_scan(table), key=schema.pk_of):
+                    inode = by_id.get(row["inode_id"])
+                    if inode is None or inode["sub_tables"] & bit:
+                        continue  # dangling rows are checks 2 and 3
+                    report.issues.append(FsckIssue(
+                        "unflagged-sub-row", table, schema.pk_of(row),
+                        f"inode {inode['id']} has sub_tables bit {bit} clear"))
+                    unflagged[inode["id"]] = unflagged.get(inode["id"], 0) | bit
+            if repair:
+                for inode_id in sorted(unflagged, key=lambda i:
+                                       fs_schema.INODES.pk_of(by_id[i])):
+                    fs_schema.flag_sub_tables(tx, by_id[inode_id],
+                                              unflagged[inode_id])
+                    report.repaired += 1
+
+            # 8. subtree locks owned by dead namenodes (sorted by pk so the
             # repair writes follow the global lock order, §3.4)
             for row in sorted(inodes, key=lambda r: (r["part_key"],
                                                      r["parent_id"],

@@ -44,32 +44,41 @@ from repro.hopsfs.types import (
 from repro.ndb.locks import LockMode
 
 
-_INODE_SUB_TABLES = ("xattrs", "ec_groups")
+def _sub_tables(bits: int) -> tuple[str, ...]:
+    """The ``inode_id``-partitioned tables an inode's ``sub_tables``
+    bits say can hold its rows and a delete must scan (``ec_files`` and
+    ``quotas`` are deleted by primary key, unscanned)."""
+    tables = blk.FILE_BLOCK_TABLES if bits & fs_schema.SUB_BLOCKS else ()
+    if bits & fs_schema.SUB_XATTRS:
+        tables += ("xattrs",)
+    if bits & fs_schema.SUB_EC:
+        tables += ("ec_groups",)
+    return tables
 
 
-def _sub_tables(is_dir: bool) -> tuple[str, ...]:
-    """The ``inode_id``-partitioned tables that can hold rows of an inode."""
-    if is_dir:  # a directory has no blocks
-        return _INODE_SUB_TABLES
-    return blk.FILE_BLOCK_TABLES + _INODE_SUB_TABLES
+def _hint_bits(is_dir: bool) -> int:
+    """The ``sub_tables`` bits a hint cannot rule out, before the row is
+    read: every one but blocks on a directory, but quota on a file."""
+    return (fs_schema.SUB_XATTRS | fs_schema.SUB_EC
+            | (fs_schema.SUB_QUOTA if is_dir else fs_schema.SUB_BLOCKS))
 
 
-def _sub_row_scans(inodes: Sequence[tuple[int, bool]]) -> list[tuple]:
+def _sub_row_scans(inodes: Sequence[tuple[int, int]]) -> list[tuple]:
     """The scans finding everything that hangs off each ``(inode_id,
-    is_dir)`` — one ``ppis_batch``, or riding the resolve of the one
-    inode a hint names."""
+    sub_tables bits)`` — one ``ppis_batch``, or riding the resolve of
+    the one inode a hint names."""
     return [(table, {"inode_id": inode_id})
-            for inode_id, is_dir in inodes
-            for table in _sub_tables(is_dir)]
+            for inode_id, bits in inodes
+            for table in _sub_tables(bits)]
 
 
-def _group_sub_rows(inodes: Sequence[tuple[int, bool]],
+def _group_sub_rows(inodes: Sequence[tuple[int, int]],
                     scanned: Sequence[list[dict]],
                     ) -> dict[int, dict[str, list[dict]]]:
     """Results of :func:`_sub_row_scans` as ``{inode_id: {table: rows}}``."""
     found = iter(scanned)
-    return {inode_id: {table: next(found) for table in _sub_tables(is_dir)}
-            for inode_id, is_dir in inodes}
+    return {inode_id: {table: next(found) for table in _sub_tables(bits)}
+            for inode_id, bits in inodes}
 
 
 # What an operation reads after its resolve, told from the last
@@ -93,7 +102,7 @@ def _xattr_scans(hint: InodeHint) -> list[tuple]:
 
 
 def _own_sub_row_scans(hint: InodeHint) -> list[tuple]:
-    return _sub_row_scans([(hint.inode_id, hint.is_dir)])
+    return _sub_row_scans([(hint.inode_id, _hint_bits(hint.is_dir))])
 
 
 def _listing_scans(hint: InodeHint) -> Optional[list[tuple]]:
@@ -135,6 +144,7 @@ class InodeOpsMixin:
             "depth": depth,
             "children_random": (
                 is_dir and self.resolver.children_random_for_new_dir(depth)),
+            "sub_tables": 0,
         }
 
     def _status(self, path: str, row: dict) -> FileStatus:
@@ -452,6 +462,7 @@ class InodeOpsMixin:
                     blk.complete_block(tx, inode_id, block["block_id"])
             targets = self._choose_datanodes(row["replication"])
             block_id = self.block_alloc.next()
+            fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_BLOCKS)
             block = blk.allocate_block(
                 tx, inode_id, block_id, index=len(file_blocks),
                 gen_stamp=self.gen_stamp_alloc.next(), target_dns=targets)
@@ -583,39 +594,48 @@ class InodeOpsMixin:
         return result
 
     def _scan_sub_rows(self, tx: DALTransaction,
-                       inodes: Sequence[tuple[int, bool]],
+                       inodes: Sequence[tuple[int, int]],
                        ) -> dict[int, dict[str, list[dict]]]:
-        """Everything hanging off each ``(inode_id, is_dir)``, as
-        ``{inode_id: {table: rows}}`` — one batched scan for all of them.
-        The rows live on their inode's shard so that they can be fetched
-        together (§4.2), and the inode X lock the caller holds covers
-        them (§5.2.1), so read-committed suffices."""
-        return _group_sub_rows(inodes,
-                               tx.ppis_batch(_sub_row_scans(inodes)))
+        """Everything hanging off each ``(inode_id, sub_tables bits)``,
+        as ``{inode_id: {table: rows}}`` — one batched scan for all of
+        them, none when no bit asks for one. The rows live on their
+        inode's shard so that they can be fetched together (§4.2), and
+        the inode X lock the caller holds covers them (§5.2.1), so
+        read-committed suffices."""
+        scans = _sub_row_scans(inodes)
+        return _group_sub_rows(inodes, tx.ppis_batch(scans) if scans else [])
 
     def _delete_sub_rows(self, tx: DALTransaction, inode_id: int,
-                         is_dir: bool, rows: dict[str, list[dict]]) -> None:
-        """Delete what :meth:`_scan_sub_rows` found for one inode."""
-        if not is_dir:
+                         is_dir: bool, bits: int,
+                         rows: dict[str, list[dict]]) -> None:
+        """Delete what :meth:`_scan_sub_rows` found for one inode with
+        these ``sub_tables`` bits, and the point rows they allow."""
+        if bits & fs_schema.SUB_BLOCKS:
             blk.remove_file_blocks(tx, inode_id, rows)
+        if not is_dir:
             tx.delete("leases", (inode_id,), must_exist=False)
-        else:
+        if bits & fs_schema.SUB_QUOTA:
             tx.delete("quotas", (inode_id,), must_exist=False)
-        for name in sorted(xattr["name"] for xattr in rows["xattrs"]):
-            tx.delete("xattrs", (inode_id, name), must_exist=False)
-        tx.delete("ec_files", (inode_id,), must_exist=False)
-        for group_idx in sorted(g["group_idx"] for g in rows["ec_groups"]):
-            tx.delete("ec_groups", (inode_id, group_idx), must_exist=False)
+        if bits & fs_schema.SUB_XATTRS:
+            for name in sorted(xattr["name"] for xattr in rows["xattrs"]):
+                tx.delete("xattrs", (inode_id, name), must_exist=False)
+        if bits & fs_schema.SUB_EC:
+            tx.delete("ec_files", (inode_id,), must_exist=False)
+            for group_idx in sorted(g["group_idx"]
+                                    for g in rows["ec_groups"]):
+                tx.delete("ec_groups", (inode_id, group_idx),
+                          must_exist=False)
 
     def _delete_file_rows(self, tx: DALTransaction, resolved: ResolvedPath,
                           row: dict) -> None:
         """Remove one inode (file or empty dir) and its dependent rows,
-        found by the resolve's ``_own_sub_row_scans``."""
+        found by the resolve's ``_own_sub_row_scans`` — keyed from the
+        hint before the row was read, so by :func:`_hint_bits`."""
         inode_id = row["id"]
-        inode = [(inode_id, row["is_dir"])]
+        bits = _hint_bits(row["is_dir"])
         self._delete_sub_rows(
-            tx, inode_id, row["is_dir"],
-            _group_sub_rows(inode, resolved.scanned)[inode_id])
+            tx, inode_id, row["is_dir"], bits,
+            _group_sub_rows([(inode_id, bits)], resolved.scanned)[inode_id])
         tx.delete("inodes", (row["part_key"], row["parent_id"], row["name"]))
         quota_mod.enforce_and_queue(
             tx, self._ancestor_ids(resolved,
@@ -898,6 +918,8 @@ class InodeOpsMixin:
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
                                              lock_last=LockMode.EXCLUSIVE)
             row = self._require(resolved)
+            if resolved.components:  # the cached root is never deleted
+                fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_XATTRS)
             tx.write("xattrs", {"inode_id": row["id"], "name": name,
                                 "value": value})
 

@@ -27,7 +27,11 @@ run in one database transaction. HopsFS instead:
   - *delete* runs bottom-up in parallel batched transactions, so a
     namenode crash mid-way never orphans inodes (the undeleted remainder
     is still connected to the namespace and a re-submitted delete
-    finishes the job — stronger semantics than HDFS, §6.1);
+    finishes the job — stronger semantics than HDFS, §6.1). A batch
+    X-locks its inode rows first; their ``sub_tables`` bits then say
+    which of the ``inode_id`` tables can hold rows of each, and the
+    batch scans (one ``ppis_batch``) and deletes only those — nothing
+    beyond the leases of its files when no inode is flagged;
   - *move*, *chmod*, *chown* and *set-quota* update only the subtree root
     in one small transaction, leaving inner inodes intact (§6.2).
 """
@@ -89,32 +93,13 @@ class SubtreeOpsMixin:
 
     def delete_subtree(self, path: str) -> bool:
         """Recursive delete of a non-empty directory."""
-        started = time.perf_counter()
-        # every inner transaction of the protocol — including the batch
-        # deletes on worker threads — parents under the phase-1 trace
-        with link_scope():
-            ctx = self._subtree_begin(path, "delete")
-            try:
-                self._subtree_quiesce(ctx)
-                self._subtree_delete_phase3(ctx)
-                self._subtree_op_done("delete", started, ctx)
-                return True
-            except Exception:
-                self._subtree_release(ctx)
-                raise
+        self._subtree_op(path, "delete", self._subtree_delete_phase3)
+        return True
 
     def move_subtree(self, src: str, dst: str) -> bool:
         """Move of a non-empty directory."""
-        started = time.perf_counter()
-        with link_scope():
-            return self._move_subtree_linked(src, dst, started)
 
-    def _move_subtree_linked(self, src: str, dst: str,
-                             started: float) -> bool:
-        ctx = self._subtree_begin(src, "move")
-        try:
-            self._subtree_quiesce(ctx)
-
+        def phase3(ctx: SubtreeContext) -> None:
             def fn(tx: DALTransaction):
                 result = self._rename_in_tx(tx, src, dst,
                                             subtree_root_id=ctx.root_row["id"])
@@ -123,20 +108,9 @@ class SubtreeOpsMixin:
                 return result
 
             self._fs_op("move_subtree", fn, hint=self.resolver.tx_hint(src))
-            self._subtree_op_done("move", started, ctx)
-            return True
-        except Exception:
-            self._subtree_release(ctx)
-            raise
 
-    def _subtree_op_done(self, op: str, started: float,
-                         ctx: "SubtreeContext") -> None:
-        """End-to-end metrics for a multi-transaction subtree operation
-        (the inner phases record their own per-transaction metrics)."""
-        inodes, _ = _tree_usage(ctx.tree)
-        self.metrics.observe("subtree_op_seconds",
-                             time.perf_counter() - started, op=op)
-        self.metrics.inc("subtree_op_inodes_total", inodes, op=op)
+        self._subtree_op(src, "move", phase3)
+        return True
 
     def chmod_subtree(self, path: str, perm: int) -> None:
         """chmod of a non-empty directory (updates the root inode only)."""
@@ -155,27 +129,43 @@ class SubtreeOpsMixin:
         usage, so it runs under the subtree protocol even though phase 3
         only writes the quota row and the root inode.
         """
-        with link_scope():
-            self._set_quota_linked(path, ns_quota, ds_quota)
 
-    def _set_quota_linked(self, path: str, ns_quota: Optional[int],
-                          ds_quota: Optional[int]) -> None:
-        ctx = self._subtree_begin(path, "set_quota")
-        try:
-            self._subtree_quiesce(ctx)
+        def phase3(ctx: SubtreeContext) -> None:
             ns_used, ds_used = _tree_usage(ctx.tree)
 
             def fn(tx: DALTransaction) -> None:
                 # lock the root inode before the quota row: inode rows
                 # come first in the global acquisition order (§3.4)
-                self._subtree_clear_in_tx(tx, ctx)
+                row = self._subtree_clear_in_tx(tx, ctx)
+                if row is not None:
+                    fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_QUOTA)
                 quota_mod.set_quota_row(tx, ctx.root_row["id"], ns_quota,
                                         ds_quota, ns_used, ds_used)
 
             self._fs_op("set_quota", fn, hint=self.resolver.tx_hint(path))
-        except Exception:
-            self._subtree_release(ctx)
-            raise
+
+        self._subtree_op(path, "set_quota", phase3)
+
+    def _subtree_op(self, path: str, op: str,
+                    phase3: Callable[[SubtreeContext], None]) -> None:
+        """The three phases of one subtree operation, and its end-to-end
+        metrics (the inner transactions record their own). A failure
+        releases the subtree lock."""
+        started = time.perf_counter()
+        # every inner transaction of the protocol — including the batch
+        # deletes on worker threads — parents under the phase-1 trace
+        with link_scope():
+            ctx = self._subtree_begin(path, op)
+            try:
+                self._subtree_quiesce(ctx)
+                phase3(ctx)
+            except Exception:
+                self._subtree_release(ctx)
+                raise
+        inodes, _ = _tree_usage(ctx.tree)
+        self.metrics.observe("subtree_op_seconds",
+                             time.perf_counter() - started, op=op)
+        self.metrics.inc("subtree_op_inodes_total", inodes, op=op)
 
     # ------------------------------------------------------------- phase 1
 
@@ -314,9 +304,12 @@ class SubtreeOpsMixin:
                 lock_parent=LockMode.EXCLUSIVE, check_subtree_locks=False)
             row = resolved.last
             if row is not None and row["id"] == root["id"]:
-                sub_rows = self._scan_sub_rows(tx, [(row["id"], True)])
+                inode = [(row["id"], row["sub_tables"])]
+                # rt: cost(0, reason=warm root without xattrs: its sub_tables bits ask for no scan)
+                sub_rows = self._scan_sub_rows(tx, inode)
                 # rt: cost(0, reason=the subtree root is a directory: no block rows, so none of remove_file_blocks' per-replica reads)
-                self._delete_sub_rows(tx, row["id"], True, sub_rows[row["id"]])
+                self._delete_sub_rows(tx, row["id"], True, row["sub_tables"],
+                                      sub_rows[row["id"]])
                 tx.delete("inodes",
                           (row["part_key"], row["parent_id"], row["name"]))
                 quota_mod.enforce_and_queue(
@@ -342,13 +335,17 @@ class SubtreeOpsMixin:
             # lock is the hierarchical guard covering the block/lease/
             # quota/xattr rows deleted below (§5.2.1), so once the first
             # pass completes no other transaction can contend on them.
+            # The rows come back as of the lock, so their sub_tables bits
+            # are final: no writer can set one while the X lock is held.
             ordered = sorted(nodes, key=lambda n: n.pk)
-            tx.read_batch("inodes", [node.pk for node in ordered],
-                          lock=LockMode.EXCLUSIVE)
-            sub_rows = self._scan_sub_rows(
-                tx, [(node.id, node.is_dir) for node in ordered])
+            rows = tx.read_batch("inodes", [node.pk for node in ordered],
+                                 lock=LockMode.EXCLUSIVE)
+            bits = {node.id: row["sub_tables"] if row is not None else 0
+                    for node, row in zip(ordered, rows, strict=True)}
+            # rt: cost(0, reason=warm batch of files without blocks, xattrs or EC: no sub_tables bit asks for a scan)
+            sub_rows = self._scan_sub_rows(tx, list(bits.items()))
             for node in ordered:
-                self._delete_sub_rows(tx, node.id, node.is_dir,
+                self._delete_sub_rows(tx, node.id, node.is_dir, bits[node.id],
                                       sub_rows[node.id])
                 tx.delete("inodes", node.pk, must_exist=False)
                 self.hint_cache.invalidate(node.parent_id, node.name)
@@ -356,16 +353,9 @@ class SubtreeOpsMixin:
         self._fs_op("subtree_delete_batch", fn)
 
     def _subtree_root_update(self, path: str, op: str, changes: dict) -> None:
-        """Shared phase-3 body for chmod/chown: update the root row only."""
-        with link_scope():
-            self._subtree_root_update_linked(path, op, changes)
+        """Shared body for chmod/chown: phase 3 updates the root row only."""
 
-    def _subtree_root_update_linked(self, path: str, op: str,
-                                    changes: dict) -> None:
-        ctx = self._subtree_begin(path, op)
-        try:
-            self._subtree_quiesce(ctx)
-
+        def phase3(ctx: SubtreeContext) -> None:
             def fn(tx: DALTransaction) -> None:
                 row = tx.read("inodes", tuple(ctx.root_row[c] for c in
                                               ("part_key", "parent_id", "name")),
@@ -377,25 +367,28 @@ class SubtreeOpsMixin:
                 self._subtree_clear_in_tx(tx, ctx, row)
 
             self._fs_op(f"{op}_subtree", fn, hint=self.resolver.tx_hint(path))
-        except Exception:
-            self._subtree_release(ctx)
-            raise
+
+        self._subtree_op(path, op, phase3)
 
     # ------------------------------------------------------------- cleanup
 
     def _subtree_clear_in_tx(self, tx: DALTransaction, ctx: SubtreeContext,
-                             row: Optional[dict] = None) -> None:
-        """Clear the lock flag and the active-op row inside a transaction."""
+                             row: Optional[dict] = None) -> Optional[dict]:
+        """Clear the lock flag and the active-op row inside a transaction;
+        returns the X-locked root row, None if it is no longer there."""
         if row is None:
             row = tx.read("inodes", tuple(ctx.root_row[c] for c in
                                           ("part_key", "parent_id", "name")),
                           lock=LockMode.EXCLUSIVE)
-        if row is not None and row["id"] == ctx.root_row["id"]:
+        if row is not None and row["id"] != ctx.root_row["id"]:
+            row = None
+        if row is not None:
             tx.update("inodes", (row["part_key"], row["parent_id"], row["name"]),
                       {"subtree_lock_owner": fs_schema.NO_LOCK,
                        "subtree_op": None})
         tx.delete("active_subtree_ops", (ctx.root_row["id"],),
                   must_exist=False)
+        return row
 
     def _subtree_release(self, ctx: SubtreeContext) -> None:
         """Best-effort unlock after a failed subtree operation.

@@ -11,7 +11,9 @@ The entity-relation model of Figure 3, fully normalized:
 * file-inode-related tables (``blocks``, ``replicas``, ``urb``, ``prb``,
   ``cr``, ``ruc``, ``er``, ``inv``, ``leases``) are all partitioned on the
   file's inode id, so reading one file's metadata is a handful of
-  partition-pruned scans on a single shard.
+  partition-pruned scans on a single shard. The inode row's
+  ``sub_tables`` bits say which of them (and of ``xattrs``, ``ec_*``,
+  ``quotas``) can hold its rows, so a delete skips the rest.
 * ``block_lookup`` maps a bare block id to its inode id (block reports
   only carry block ids).
 * housekeeping tables: ``quotas``/``quota_updates`` (asynchronous quota
@@ -22,7 +24,9 @@ The entity-relation model of Figure 3, fully normalized:
 
 from __future__ import annotations
 
-from repro.dal.driver import DALDriver
+from typing import Any, Mapping
+
+from repro.dal.driver import DALDriver, DALTransaction
 from repro.ndb.partition import stable_hash
 from repro.ndb.schema import TableSchema
 
@@ -30,6 +34,30 @@ ROOT_ID = 1
 ROOT_PART_KEY = 0
 #: value of subtree_lock_owner when no subtree lock is held
 NO_LOCK = -1
+
+#: bits of ``inodes.sub_tables``. Blocks covers the block-state tables
+#: too: they only ever hold rows of an existing block of the file.
+SUB_BLOCKS = 1
+SUB_XATTRS = 2
+SUB_EC = 4
+SUB_QUOTA = 8
+
+#: the ``sub_tables`` bit an inode has set whenever a table holds a row
+#: keyed by its ``inode_id`` (``leases`` and ``inv`` need none: every
+#: file has its lease deleted, and ``inv`` outlives the file by design)
+SUB_TABLE_BITS = {
+    "blocks": SUB_BLOCKS,
+    "replicas": SUB_BLOCKS,
+    "urb": SUB_BLOCKS,
+    "prb": SUB_BLOCKS,
+    "cr": SUB_BLOCKS,
+    "ruc": SUB_BLOCKS,
+    "er": SUB_BLOCKS,
+    "xattrs": SUB_XATTRS,
+    "ec_files": SUB_EC,
+    "ec_groups": SUB_EC,
+    "quotas": SUB_QUOTA,
+}
 
 INODES = TableSchema(
     name="inodes",
@@ -54,6 +82,12 @@ INODES = TableSchema(
         #: True if this directory's children are pseudo-randomly
         #: partitioned by name hash (fixed at creation; §4.2.1)
         "children_random",
+        #: which ``inode_id`` tables can hold rows of this inode, as
+        #: ``SUB_*`` bits: 0 at creation, a bit set by the transaction
+        #: that writes the first such row (under the inode's X lock) and
+        #: never cleared, so always a superset of what exists — a delete
+        #: scans and deletes only what the bits allow
+        "sub_tables",
     ),
     primary_key=("part_key", "parent_id", "name"),
     partition_key=("part_key",),
@@ -226,6 +260,16 @@ ALL_TABLES = (
 def create_all_tables(driver: DALDriver) -> None:
     for schema in ALL_TABLES:
         driver.create_table(schema)
+
+
+def flag_sub_tables(tx: DALTransaction, row: Mapping[str, Any],
+                    bits: int) -> None:
+    """Set ``bits`` in the ``sub_tables`` of an inode row the caller
+    holds X-locked, in the transaction that writes its first row of
+    those tables; a no-op once they are set."""
+    if row["sub_tables"] & bits != bits:
+        tx.update("inodes", (row["part_key"], row["parent_id"], row["name"]),
+                  {"sub_tables": row["sub_tables"] | bits})
 
 
 def name_hash_partition_key(name: str) -> int:

@@ -126,6 +126,7 @@ def root_row(children_random: bool = True) -> dict:
         "subtree_op": None,
         "depth": 0,
         "children_random": children_random,
+        "sub_tables": 0,
     }
 
 

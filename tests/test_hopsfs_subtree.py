@@ -102,6 +102,38 @@ class TestSubtreeDelete:
         nn._subtree_release(ctx)
 
 
+class TestSubtreeLockedBackoff:
+    """§6.3: a client held up by a subtree lock retries after a jittered
+    exponential backoff drawn from its own seeded RNG."""
+
+    @staticmethod
+    def delays(seed):
+        fs = make_hopsfs()
+        client = fs.client("c", seed=seed)
+        client.create("/locked/f")
+        nn = fs.namenodes[0]
+        ctx = nn._subtree_begin("/locked", "delete")
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            if len(slept) == 6:
+                nn._subtree_release(ctx)
+
+        client._sleep = sleep
+        assert client.stat("/locked/f") is not None
+        return slept
+
+    def test_backoff_grows_from_two_ms_and_a_seed_replays(self):
+        slept = self.delays(seed=7)
+        assert len(slept) == 6
+        for retry, delay in enumerate(slept):
+            assert 0.0 <= delay <= 0.002 * 2 ** retry
+        assert len(set(slept)) == 6  # jittered, not a fixed sleep
+        assert self.delays(seed=7) == slept
+        assert self.delays(seed=8) != slept
+
+
 class TestSubtreeFailureHandling:
     def test_crash_mid_delete_keeps_namespace_connected(self, fs):
         """Post-order delete: a crash never orphans inodes (§6.2)."""

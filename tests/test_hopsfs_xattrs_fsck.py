@@ -158,6 +158,23 @@ class TestFsck:
         assert "dangling-xattrs" in report.by_check()
         assert Fsck(fs.any_namenode()).run().healthy
 
+    def test_detects_and_repairs_unflagged_sub_row(self, fs, client):
+        """A row the inode's ``sub_tables`` bits do not cover would be
+        left behind by a subtree delete; repair sets the bit."""
+        client.write_file("/d/f", b"")
+        client.write_file("/d/g", b"")
+        inode_id = client.stat("/d/f").inode_id
+        self._raw(fs, lambda tx: tx.insert("xattrs", {
+            "inode_id": inode_id, "name": "k", "value": "v"}))
+        report = Fsck(fs.any_namenode()).run(repair=True)
+        [issue] = report.issues
+        assert (issue.check, issue.table, issue.key) == (
+            "unflagged-sub-row", "xattrs", (inode_id, "k"))
+        assert report.repaired == 1
+        assert Fsck(fs.any_namenode()).run().healthy
+        assert client.delete("/d", recursive=True)
+        assert fs.driver.table_size("xattrs") == 0
+
     def test_detects_and_repairs_stale_subtree_lock(self, fs, client):
         client.create("/stuck/f")
         victim = fs.namenodes[0]
@@ -178,7 +195,7 @@ class TestFsck:
             "group": "x", "mtime": 0.0, "atime": 0.0, "size": 0,
             "replication": 1, "under_construction": False, "client": None,
             "subtree_lock_owner": -1, "subtree_op": None, "depth": 1,
-            "children_random": False}))
+            "children_random": False, "sub_tables": 0}))
         report = Fsck(fs.any_namenode()).run(repair=True)
         issues = [i for i in report.issues if i.check == "orphaned-inode"]
         assert issues and not issues[0].repairable

@@ -276,6 +276,24 @@ def test_subtree_delete_records_size_and_latency_metrics():
     assert nn.metrics.get_counter("subtree_op_inodes_total", op="delete") == 4
 
 
+def test_every_subtree_op_records_size_and_latency_metrics():
+    """chmod, chown, set-quota and move run the same three phases as a
+    recursive delete and record the same family, labelled by op."""
+    fs = make_memory_fs()
+    nn = fs.namenodes[0]
+    nn.mkdirs("/big/sub")
+    nn.create("/big/f1")
+    nn.create("/big/sub/f2")
+    nn.set_permission("/big", 0o700)  # non-empty: escalates to §6
+    nn.set_owner("/big", "u", "g")
+    nn.set_quota("/big", 100, None)
+    assert nn.rename("/big", "/moved")
+    for op in ("chmod", "chown", "set_quota", "move"):
+        hist = nn.metrics.get_histogram("subtree_op_seconds", op=op)
+        assert hist is not None and hist.count == 1, op
+        assert nn.metrics.get_counter("subtree_op_inodes_total", op=op) == 4
+
+
 def test_sampling_disables_traces_but_keeps_metrics():
     fs = make_memory_fs(trace_sample_every=0)
     nn = fs.namenodes[0]

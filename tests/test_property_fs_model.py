@@ -2,7 +2,9 @@
 
 Hypothesis drives random sequences of namespace operations against a
 real HopsFS cluster and a trivial in-memory oracle; after every step the
-observable namespace must match exactly. A small name pool forces
+observable namespace must match exactly, and every row keyed by an inode
+id (blocks, xattrs, quotas) must be covered by that inode's
+``sub_tables`` bits. A small name pool forces
 collisions, duplicate creates, deletes of ancestors, and renames into
 occupied targets.
 """
@@ -18,6 +20,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import FileSystemError
+from repro.hopsfs import schema as fs_schema
 from tests.conftest import make_hopsfs
 
 NAMES = ["a", "b", "c", "dd"]
@@ -128,6 +131,38 @@ class HopsFSStateMachine(RuleBasedStateMachine):
         assert actual == expected, f"create {path}"
 
     @rule(path=paths)
+    def add_block(self, path):
+        """A file left under construction, with one block."""
+        expected = self.oracle.create(path)
+        try:
+            self.nn.create(path, client="pbt", create_parents=False)
+            self.nn.add_block(path, "pbt")
+            actual = True
+        except FileSystemError:
+            actual = False
+        assert actual == expected, f"add_block {path}"
+
+    @rule(path=paths)
+    def set_xattr(self, path):
+        expected = path in self.oracle.entries
+        try:
+            self.nn.set_xattr(path, "user.k", "v")
+            actual = True
+        except FileSystemError:
+            actual = False
+        assert actual == expected, f"set_xattr {path}"
+
+    @rule(path=paths)
+    def set_quota(self, path):
+        expected = self.oracle.entries.get(path) == "dir"
+        try:
+            self.nn.set_quota(path, 1000, None)
+            actual = True
+        except FileSystemError:
+            actual = False
+        assert actual == expected, f"set_quota {path}"
+
+    @rule(path=paths)
     def delete(self, path):
         expected = self.oracle.delete(path)
         try:
@@ -187,8 +222,28 @@ class HopsFSStateMachine(RuleBasedStateMachine):
         ids = {r["id"] for r in inodes} | {1}
         assert all(r["parent_id"] in ids for r in inodes)
 
+    @invariant()
+    def sub_rows_are_flagged(self):
+        """Every row keyed by an inode id belongs to a live inode whose
+        ``sub_tables`` bit covers it — what lets a delete skip the
+        tables whose bit is clear."""
+        if not hasattr(self, "fs"):
+            return
+
+        def scan(tx):
+            bits = {r["id"]: r["sub_tables"] for r in tx.full_scan("inodes")}
+            return bits, {table: tx.full_scan(table)
+                          for table in fs_schema.SUB_TABLE_BITS}
+
+        bits, rows = self.fs.driver.session().run(scan)
+        for table, bit in fs_schema.SUB_TABLE_BITS.items():
+            for row in rows[table]:
+                inode_id = row["inode_id"]
+                assert inode_id in bits, f"{table} row of gone inode {inode_id}"
+                assert bits[inode_id] & bit, f"{table} row of {inode_id} unflagged"
+
 
 HopsFSStateMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=20, deadline=None)
+    max_examples=25, stateful_step_count=20, deadline=None)
 
 TestHopsFSModel = HopsFSStateMachine.TestCase

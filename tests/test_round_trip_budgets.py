@@ -168,25 +168,29 @@ class TestSubtreeBudgets:
         assert used == expected
 
 
-    def test_a_delete_batch_is_four_round_trips_whatever_its_size(self):
-        """Lock batch, scan batch, flush, commit: the per-node scans of
-        a batch ride one ``ppis_batch`` (zero-block files: no per-replica
-        invalidation reads either)."""
+    def test_delete_batch_trips_do_not_grow_with_size(self):
+        """Lock batch, flush, commit: a batch whose inodes' ``sub_tables``
+        bits are all clear scans nothing (zero-block files: no
+        per-replica invalidation reads either). One flagged inode adds
+        the one ``ppis_batch`` that scans for the whole batch."""
         assert (_budget("subtree_delete_batch", node=1, block=0, replica=0)
                 == _budget("subtree_delete_batch", node=64, block=0,
-                           replica=0) == 4)
+                           replica=0) == 3)
         fs = make_hopsfs(num_namenodes=1)  # subtree_batch_size=8
         nn = fs.namenodes[0]
         used = []
-        for size in (2, 8):
+        for size, flagged in ((2, False), (8, False), (8, True)):
             nn.mkdirs("/t")
             for i in range(size):
                 nn.create(f"/t/f{i}", client="c")
+            if flagged:
+                nn.set_xattr("/t/f3", "user.k", "v")
             counter = nn.metrics.counter("db_round_trips_total")
             before = counter.value
             assert nn.delete_subtree("/t")
             used.append(int(counter.value - before))
-        assert used[0] == used[1]
+        assert used[0] == used[1] == used[2] - 1
+        assert fs.driver.table_size("xattrs") == 0
 
 
 def _create_level_by_level(nn, path: str) -> None:
