@@ -16,6 +16,7 @@ import pytest
 from benchmarks.conftest import DURATION, SCALE, print_table
 from repro.perfmodel.hdfs_model import simulate_hdfs
 from repro.perfmodel.hopsfs_model import simulate_hopsfs
+from repro.util.stats import percentile
 
 #: client counts chosen to put each system at ~50 % of its saturation
 #: throughput (closed-loop clients have no think time, so the counts are
@@ -68,7 +69,8 @@ def test_fig9_median_vs_tail(figure9, benchmark):
     """Percentile sanity: p50 < p99 for every op on both systems."""
     hopsfs, hdfs = benchmark.pedantic(lambda: figure9, rounds=1, iterations=1)
     for result in (hopsfs, hdfs):
-        for op, reservoir in result.latency_by_op.items():
-            if reservoir.count < 50:
+        for op, latencies in result.latencies.items():
+            if len(latencies) < 50:
                 continue
-            assert reservoir.percentile(50) < reservoir.percentile(99), op
+            ordered = sorted(latencies)
+            assert percentile(ordered, 50) < percentile(ordered, 99), op

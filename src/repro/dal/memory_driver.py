@@ -8,7 +8,9 @@ to scans of the single shard.
 
 Isolation here is trivially serializable: a global re-entrant mutex is
 held from ``begin`` to ``commit``/``abort``. That is far stronger (and far
-less concurrent) than NDB; correctness-only.
+less concurrent) than NDB; correctness-only. ``rows_locked`` still counts
+the row locks NDB would take, at the same calls: one per key a locking
+read names, per committed candidate of a locking scan, and per write.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class MemoryTransaction:
         schema = self._driver.schema(table)
         pk = schema.pk_tuple(key)
         row = self._current(table, pk)
-        self._record(AccessKind.PK, table, 1 if row else 0,
-                     locked=lock is not LockMode.READ_COMMITTED)
+        locked = lock is not LockMode.READ_COMMITTED
+        self.stats.rows_locked += locked
+        self._record(AccessKind.PK, table, 1 if row else 0, locked=locked)
         return row
 
     def read_batch(self, table: str, keys: Sequence[Any],
@@ -157,28 +160,32 @@ class MemoryTransaction:
         rows = [self._current(table, schema.pk_tuple(key)) for key in keys]
         scanned = [self._pruned(t, values) for t, values in scans or ()]
         if locks is not None:
-            locked = any(m is not LockMode.READ_COMMITTED for m in locks)
+            wanted = sum(1 for m in locks if m is not LockMode.READ_COMMITTED)
+            locked = wanted > 0
         else:
             locked = lock is not LockMode.READ_COMMITTED
-        scan_rows = sum(map(len, scanned))
+            wanted = len(keys) if locked else 0
+        self.stats.rows_locked += wanted
         self._record(AccessKind.BATCH_PK,
                      "+".join(dict.fromkeys(
                          [table, *(t for t, _ in scans or ())])),
-                     sum(1 for r in rows if r is not None) + scan_rows,
+                     sum(1 for r in rows if r is not None)
+                     + sum(map(len, scanned)),
                      locked=locked)
-        if locked:  # one flag per event; the scans' rows were not locked
-            self.stats.rows_locked -= scan_rows
         if commit:  # nothing buffered: nothing to flush, nothing to time
             self._finish(TxState.COMMITTED)
         return rows if scans is None else (rows, scanned)
 
-    def _scan(self, table: str, predicate: Predicate) -> list[dict]:
+    def _scan(self, table: str, predicate: Predicate,
+              locked: bool = False) -> list[dict]:
         self._driver.schema(table)  # validate the table exists
         merged = {
             pk: dict(row)
             for pk, row in self._driver._tables[table].items()
             if predicate is None or predicate(row)
         }
+        if locked:  # NDB locks the committed candidates, then overlays
+            self.stats.rows_locked += len(merged)
         for (wtable, pk), (op, row) in self._writes.items():
             if wtable != table:
                 continue
@@ -191,7 +198,8 @@ class MemoryTransaction:
         return list(merged.values())
 
     def _pruned(self, table: str, partition_values: Mapping[str, Any],
-                predicate: Predicate = None) -> list[dict]:
+                predicate: Predicate = None,
+                locked: bool = False) -> list[dict]:
         schema = self._driver.schema(table)
         schema.scan_partition_values(partition_values)  # validate the columns
 
@@ -200,16 +208,16 @@ class MemoryTransaction:
                 return False
             return predicate is None or predicate(row)
 
-        return self._scan(table, matches)
+        return self._scan(table, matches, locked)
 
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Predicate = None,
              lock: LockMode = LockMode.READ_COMMITTED,
              columns: Optional[Sequence[str]] = None) -> list[dict]:
         self._check()
-        rows = self._pruned(table, partition_values, predicate)
-        self._record(AccessKind.PPIS, table, len(rows),
-                     locked=lock is not LockMode.READ_COMMITTED)
+        locked = lock is not LockMode.READ_COMMITTED
+        rows = self._pruned(table, partition_values, predicate, locked)
+        self._record(AccessKind.PPIS, table, len(rows), locked=locked)
         if columns is not None:
             rows = [{c: row[c] for c in columns} for row in rows]
         return rows
@@ -221,12 +229,13 @@ class MemoryTransaction:
         if not scans:
             return []
         # the global mutex is every row lock at once: ``lock`` only
-        # shows in the access event, as for ``ppis``
-        results = [self._pruned(table, values) for table, values in scans]
+        # shows in the access event and the count, as for ``ppis``
+        locked = lock is not LockMode.READ_COMMITTED
+        results = [self._pruned(table, values, locked=locked)
+                   for table, values in scans]
         self._record(AccessKind.PPIS,
                      "+".join(dict.fromkeys(table for table, _ in scans)),
-                     sum(map(len, results)),
-                     locked=lock is not LockMode.READ_COMMITTED)
+                     sum(map(len, results)), locked=locked)
         return results
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
@@ -242,9 +251,9 @@ class MemoryTransaction:
                 return False
             return predicate is None or predicate(row)
 
-        rows = self._scan(table, matches)
-        self._record(AccessKind.INDEX_SCAN, table, len(rows),
-                     locked=lock is not LockMode.READ_COMMITTED)
+        locked = lock is not LockMode.READ_COMMITTED
+        rows = self._scan(table, matches, locked)
+        self._record(AccessKind.INDEX_SCAN, table, len(rows), locked=locked)
         return rows
 
     def full_scan(self, table: str, predicate: Predicate = None) -> list[dict]:
@@ -260,6 +269,7 @@ class MemoryTransaction:
         schema = self._driver.schema(table)
         schema.validate_row(row)
         pk = schema.pk_of(row)
+        self.stats.rows_locked += 1
         if self._current(table, pk) is not None:
             raise DuplicateKeyError(f"{table}:{pk}")
         self._writes[(table, pk)] = ("insert", dict(row))
@@ -271,6 +281,7 @@ class MemoryTransaction:
         for col in changes:
             if col in schema.primary_key:
                 raise SchemaError(f"cannot update pk column {col!r}")
+        self.stats.rows_locked += 1
         current = self._current(table, pk)
         if current is None:
             raise NoSuchRowError(f"{table}:{pk}")
@@ -282,12 +293,14 @@ class MemoryTransaction:
         schema = self._driver.schema(table)
         schema.validate_row(row)
         pk = schema.pk_of(row)
+        self.stats.rows_locked += 1
         self._writes[(table, pk)] = ("update", dict(row))
 
     def delete(self, table: str, key: Any, must_exist: bool = True) -> None:
         self._check()
         schema = self._driver.schema(table)
         pk = schema.pk_tuple(key)
+        self.stats.rows_locked += 1
         if self._current(table, pk) is None:
             if must_exist:
                 raise NoSuchRowError(f"{table}:{pk}")

@@ -1,9 +1,11 @@
 """Unified observability: metrics registry, per-operation tracing, exporters.
 
-The subsystem is dependency-light (stdlib + :mod:`repro.util.stats`) and
-safe to leave on in hot paths: untraced code pays one thread-local read
-per instrumentation point, and tracing itself can be sampled
-(``HopsFSConfig.trace_sample_every``).
+The subsystem is dependency-light (stdlib plus
+:func:`repro.util.stats.percentile`) and safe to leave on in hot paths:
+untraced code pays one thread-local read per instrumentation point, and
+tracing itself can be sampled (``HopsFSConfig.trace_sample_every``). A
+histogram keeps exact totals, per-second counts and one ring of its
+newest observations (:class:`~repro.metrics.registry.HistogramMetric`).
 
 Typical use::
 

@@ -5,7 +5,8 @@ One registry, three views:
 * :func:`snapshot` / :func:`to_json` / :func:`from_json` — a structured,
   machine-readable dict (what ``--metrics-json`` writes next to benchmark
   results); the JSON round trip is lossless for counters/gauges and keeps
-  histogram headline stats (count/sum/max/mean + percentiles);
+  histogram headline stats (count/sum/max/mean + percentiles), and a
+  sample-carrying snapshot is lossless for histograms too;
 * :func:`prometheus_text` — the Prometheus text exposition format
   (histograms become summaries with ``quantile`` labels), so a real
   scraper could be pointed at a deployment with no code changes;
@@ -18,9 +19,10 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import MetricsRegistry, sample_percentiles
 
-SNAPSHOT_VERSION = 1
+#: 2: a histogram ships one ``samples: [[t, v], ...]`` list
+SNAPSHOT_VERSION = 2
 
 #: percentiles exported for every histogram
 PERCENTILES = (50.0, 90.0, 99.0)
@@ -30,29 +32,33 @@ def _nan_safe(value: float) -> Optional[float]:
     return None if value != value else value  # NaN -> null in JSON
 
 
+def _str_keys(buckets: dict[int, float]) -> dict[str, float]:
+    return {str(sec): n for sec, n in buckets.items()}  # JSON object keys
+
+
 def snapshot(registry: MetricsRegistry, meta: Optional[dict] = None,
              include_samples: bool = False) -> dict:
     """Structured snapshot of every metric in ``registry``.
 
-    With ``include_samples`` each histogram additionally carries its raw
-    reservoir samples, which makes the snapshot *mergeable*: percentiles
-    of a merged snapshot are recomputed from the pooled samples instead
-    of being averaged (see :func:`merge_snapshots`). Server processes
-    emit sample-carrying snapshots on exit for exactly this reason.
-    Sample-carrying snapshots also ship the sliding-window state —
-    counters' per-second ``buckets`` and histograms' timestamped
-    ``recent`` observations — so windowed views (:func:`windows`,
+    Histogram percentiles are those of the newest
+    :data:`~repro.metrics.registry.RECENT_SAMPLES` observations, as a
+    Prometheus summary reports. With ``include_samples`` each histogram
+    additionally carries those observations as ``samples: [[t, v], ...]``
+    and every counter and histogram its per-second ``buckets``, which
+    makes the snapshot *mergeable*: percentiles of a merged snapshot are
+    recomputed from the pooled samples instead of being averaged (see
+    :func:`merge_snapshots`), and windowed views (:func:`windows`,
     ``repro top``) survive the snapshot → registry round trip and merge
-    across processes (the buckets are wall-clock stamped).
+    across processes (samples and buckets are wall-clock stamped).
+    Server processes emit sample-carrying snapshots on exit for exactly
+    this reason.
     """
     counters = []
     for c in registry.counters():
-        entry = {"name": c.name, "labels": dict(c.labels),
-                 "value": c.value}
-        if include_samples:
-            buckets = c.window_buckets()
-            if buckets:
-                entry["buckets"] = buckets
+        value, buckets = c.state()
+        entry = {"name": c.name, "labels": dict(c.labels), "value": value}
+        if include_samples and buckets:
+            entry["buckets"] = _str_keys(buckets)
         counters.append(entry)
     gauges = [
         {"name": g.name, "labels": dict(g.labels), "value": g.value}
@@ -60,25 +66,22 @@ def snapshot(registry: MetricsRegistry, meta: Optional[dict] = None,
     ]
     histograms = []
     for h in registry.histograms():
-        ps = h.percentiles(PERCENTILES)
+        count, total, max_value, samples, buckets = h.state()
+        ps = sample_percentiles(samples, PERCENTILES)
         entry = {
             "name": h.name,
             "labels": dict(h.labels),
-            "count": h.count,
-            "sum": h.total,
-            "max": h.max,
-            "mean": _nan_safe(h.mean),
+            "count": count,
+            "sum": total,
+            "max": max_value,
+            "mean": total / count if count else None,
             "percentiles": {f"p{int(p)}": _nan_safe(v)
                             for p, v in ps.items()},
         }
         if include_samples:
-            entry["samples"] = h.sample_values()
-            recent = h.recent_samples()
-            if recent:
-                entry["recent"] = [[t, v] for t, v in recent]
-            buckets = h.window_buckets()
+            entry["samples"] = [[t, v] for t, v in samples]
             if buckets:
-                entry["buckets"] = buckets
+                entry["buckets"] = _str_keys(buckets)
         histograms.append(entry)
     key = lambda m: (m["name"], sorted(m["labels"].items()))  # noqa: E731
     result = {
@@ -119,28 +122,24 @@ def snapshot_counters(data: dict) -> dict[tuple, float]:
 def registry_from_snapshot(data: dict) -> MetricsRegistry:
     """Rebuild a registry from a parsed snapshot.
 
-    Counters and gauges round-trip exactly. Histograms rebuild from the
-    snapshot's reservoir ``samples`` when present (sample-carrying
-    snapshots, the mergeable kind); count/sum/max stay exact either way,
-    but a sample-less snapshot yields empty percentiles. Window state
-    (``buckets``/``recent``) restores through the window-safe merge
-    paths, so rebuilding never replays old traffic as new.
+    Counters and gauges round-trip exactly. Histograms rebuild their
+    exact count/sum/max, and from a sample-carrying snapshot (the
+    mergeable kind) their samples and buckets too, so percentiles and
+    windows come back exactly; a sample-less snapshot yields empty
+    percentiles. State folds in the way :meth:`MetricsRegistry.merge`
+    folds it, so rebuilding never replays old traffic as new.
     """
     registry = MetricsRegistry()
     for c in data.get("counters", ()):
-        metric = registry.counter(c["name"], **c["labels"])
-        metric.add_total(c["value"])
-        if c.get("buckets"):
-            metric.merge_window_parts(c["buckets"])
+        registry.counter(c["name"], **c["labels"]).fold(
+            c["value"], c.get("buckets", {}))
     for g in data.get("gauges", ()):
         registry.gauge(g["name"], **g["labels"]).set(g["value"])
     for h in data.get("histograms", ()):
-        metric = registry.histogram(h["name"], **h["labels"])
-        metric.merge_parts(h["count"], h["sum"], h["max"],
-                           list(h.get("samples", ())))
-        if h.get("recent") or h.get("buckets"):
-            metric.merge_window_parts(list(h.get("recent", ())),
-                                      dict(h.get("buckets", {})))
+        registry.histogram(h["name"], **h["labels"]).fold(
+            h["count"], h["sum"], h["max"],
+            [(t, v) for t, v in h.get("samples", ())],  # JSON made lists
+            h.get("buckets", {}))
     return registry
 
 
@@ -149,8 +148,8 @@ def merge_snapshots(snapshots: list[dict],
                     include_samples: bool = True) -> dict:
     """Merge many snapshots (one per process) into one cluster-wide view.
 
-    Counters and gauges sum; histograms pool their reservoir samples so
-    the merged percentiles are recomputed over the union, exactly as
+    Counters and gauges sum; histograms pool their samples so the merged
+    percentiles are recomputed over the newest of the union, exactly as
     :meth:`MetricsRegistry.merge` does for in-process registries. Each
     input's ``meta`` is preserved under ``meta.sources``.
     """
@@ -257,15 +256,16 @@ def prometheus_text(registry: MetricsRegistry,
     for name in sorted(by_name):
         lines.append(f"# TYPE {prefix}{name} summary")
         for h in sorted(by_name[name], key=lambda m: m.labels):
-            for p, value in h.percentiles(PERCENTILES).items():
+            count, total, _max, samples, _buckets = h.state()
+            for p, value in sample_percentiles(samples, PERCENTILES).items():
                 quantile = {"quantile": f"{p / 100.0:g}"}
                 lines.append(
                     f"{prefix}{name}{_label_str(h.labels, quantile)} "
                     f"{_fmt(value)}")
             lines.append(f"{prefix}{name}_sum{_label_str(h.labels)} "
-                         f"{_fmt(h.total)}")
+                         f"{_fmt(total)}")
             lines.append(f"{prefix}{name}_count{_label_str(h.labels)} "
-                         f"{_fmt(h.count)}")
+                         f"{_fmt(count)}")
     return "\n".join(lines) + "\n"
 
 
@@ -297,14 +297,15 @@ def summary(registry: MetricsRegistry) -> str:
     hist_rows = []
     for h in sorted(registry.histograms(),
                     key=lambda m: (m.name, m.labels)):
-        ps = h.percentiles(PERCENTILES)
+        count, total, max_value, samples, _buckets = h.state()
+        ps = sample_percentiles(samples, PERCENTILES)
         hist_rows.append([
-            f"{h.name}{_label_suffix(h.labels)}", str(h.count),
-            f"{h.mean * 1e3:.3f}" if h.count else "-",
-            f"{ps[50.0] * 1e3:.3f}" if h.count else "-",
-            f"{ps[90.0] * 1e3:.3f}" if h.count else "-",
-            f"{ps[99.0] * 1e3:.3f}" if h.count else "-",
-            f"{h.max * 1e3:.3f}" if h.count else "-",
+            f"{h.name}{_label_suffix(h.labels)}", str(count),
+            f"{total / count * 1e3:.3f}" if count else "-",
+            f"{ps[50.0] * 1e3:.3f}" if count else "-",
+            f"{ps[90.0] * 1e3:.3f}" if count else "-",
+            f"{ps[99.0] * 1e3:.3f}" if count else "-",
+            f"{max_value * 1e3:.3f}" if count else "-",
         ])
     if hist_rows:
         sections.append(_table(

@@ -7,9 +7,10 @@ external dependencies:
   counts, retries, database round trips);
 * :class:`GaugeMetric` — point-in-time values (hint-cache size, hit
   rate, lock-table size);
-* :class:`HistogramMetric` — latency distributions backed by the
-  existing :class:`repro.util.stats.LatencyReservoir` sampler, so p50/p99
-  stay cheap even for millions of observations.
+* :class:`HistogramMetric` — latency/size distributions: exact
+  count/sum/max, per-second counts, and one bounded ring of the newest
+  :data:`RECENT_SAMPLES` timestamped observations that every percentile
+  is read from, so memory stays flat over millions of observations.
 
 Metrics are identified by ``(name, labels)``; labels are free-form
 keyword arguments (``op="mkdir"``, ``table="inodes"``). Conventions used
@@ -24,9 +25,10 @@ which an ndb-server serves as its own), one per remote driver
 whatever it records on a hot path; nothing finds a registry through a
 thread-local. Registries are cheap to create and mergeable —
 :meth:`MetricsRegistry.merge` sums counters and gauges and folds
-histogram reservoirs together, which is how
-:meth:`repro.hopsfs.cluster.HopsFSCluster.metrics_registry` produces one
-cluster-wide view from the namenodes' registries and the driver's.
+histograms together (exact totals, the newest samples of both), which
+is how :meth:`repro.hopsfs.cluster.HopsFSCluster.metrics_registry`
+produces one cluster-wide view from the namenodes' registries and the
+driver's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import time
 from collections import deque
 from typing import Iterator, Optional
 
-from repro.util.stats import LatencyReservoir, percentile
+from repro.util.stats import percentile
 
 #: label sets are stored canonically as sorted (key, value) tuples
 LabelItems = tuple[tuple[str, str], ...]
@@ -45,8 +47,14 @@ LabelItems = tuple[tuple[str, str], ...]
 #: pruned; windows wider than the horizon silently clamp to it
 WINDOW_HORIZON = 600.0
 
-#: recent-sample memory per histogram for windowed percentiles
+#: observations per histogram that percentiles are computed over: the
+#: newest ones, as a Prometheus summary reports
 RECENT_SAMPLES = 2048
+
+#: a histogram's whole state, as :meth:`HistogramMetric.state` exports it:
+#: ``(count, total, max, [(wall time, value), ...], {second: events})``
+HistogramState = tuple[int, float, float, list[tuple[float, float]],
+                       dict[int, float]]
 
 
 def _label_items(labels: dict[str, object]) -> LabelItems:
@@ -89,9 +97,6 @@ class _WindowBuckets:
         cutoff = now - min(seconds, WINDOW_HORIZON)
         return sum(n for sec, n in self.buckets.items() if sec > cutoff)
 
-    def to_dict(self) -> dict[str, float]:
-        return {str(sec): n for sec, n in self.buckets.items()}
-
 
 class CounterMetric:
     """A monotonically increasing value."""
@@ -112,33 +117,24 @@ class CounterMetric:
             self._value += n
             self._window.add(n)
 
-    def add_total(self, n: float) -> None:
-        """Raise the total *without* recording window traffic.
+    def state(self) -> tuple[float, dict[int, float]]:
+        """``(total, per-second buckets)``, read under one lock."""
+        with self._lock:
+            return self._value, dict(self._window.buckets)
 
-        Merge/restore paths use this: ``cluster.metrics_registry()``
-        re-merges per-namenode registries into a fresh one on every
-        call, and folding those totals through :meth:`inc` would make
-        old traffic look like a burst of activity *now*. Window state
-        travels separately via :meth:`merge_window_parts`.
+    def fold(self, value: float, buckets: dict) -> None:
+        """Add another counter's :meth:`state` *without* recording
+        window traffic now.
+
+        Merge and snapshot-restore paths use this:
+        ``cluster.metrics_registry()`` re-merges per-namenode registries
+        into a fresh one on every call, and folding those totals through
+        :meth:`inc` would make old traffic look like a burst of activity
+        *now*; the buckets keep their original timestamps.
         """
         with self._lock:
-            self._value += n
-
-    def merge_window(self, other: "CounterMetric") -> None:
-        with other._lock:
-            parts = dict(other._window.buckets)
-        with self._lock:
-            self._window.merge(parts)
-
-    def merge_window_parts(self, buckets: dict) -> None:
-        """Fold exported per-second buckets in (snapshot restoring)."""
-        with self._lock:
+            self._value += value
             self._window.merge(buckets)
-
-    def window_buckets(self) -> dict[str, float]:
-        """Exported per-second buckets (mergeable snapshot payload)."""
-        with self._lock:
-            return self._window.to_dict()
 
     def window(self, seconds: float,
                now: Optional[float] = None) -> dict[str, float]:
@@ -179,28 +175,38 @@ class GaugeMetric:
             return self._value
 
 
-class HistogramMetric:
-    """A latency/size distribution (reservoir-sampled percentiles).
+def sample_percentiles(samples: list[tuple[float, float]],
+                       ps: tuple[float, ...]) -> dict[float, float]:
+    """Percentiles ``ps`` of the values of ``(wall time, value)`` samples
+    (``nan`` each when there are none)."""
+    ordered = sorted(v for _, v in samples)
+    return {p: percentile(ordered, p) for p in ps}
 
-    Besides the lifetime reservoir, every histogram remembers its most
-    recent timestamped observations (bounded deque) plus exact
-    per-second counts, so :meth:`window` can answer "p99 over the last
-    30 seconds" — the live view ``repro top`` and the SLO burn-rate
-    math consume. When more than :data:`RECENT_SAMPLES` observations
-    land inside the window, percentiles are computed over the newest
-    ones (a sample), while ``count``/``rate`` stay exact from the
-    buckets.
+
+class HistogramMetric:
+    """A latency/size distribution.
+
+    One store: exact ``count``/``total``/``max``, exact per-second
+    counts, and a ring of the newest :data:`RECENT_SAMPLES`
+    ``(wall time, value)`` observations. Every percentile comes from the
+    ring — lifetime ones (:meth:`percentiles`, snapshots, Prometheus)
+    over all of it, as a Prometheus summary reports the newest
+    observations, and :meth:`window` ones ("p99 over the last 30
+    seconds", the live view ``repro top`` and the SLO burn-rate math
+    consume) over the part inside the window. ``count``/``rate`` stay
+    exact from the buckets whatever the ring has dropped.
     """
 
-    __slots__ = ("name", "labels", "_reservoir", "_recent", "_window",
-                 "_lock")
+    __slots__ = ("name", "labels", "_count", "_total", "_max", "_samples",
+                 "_window", "_lock")
 
-    def __init__(self, name: str, labels: LabelItems,
-                 capacity: int = 4096) -> None:
+    def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
-        self._reservoir = LatencyReservoir(capacity=capacity)
-        self._recent: deque[tuple[float, float]] = deque(
+        self._count = 0
+        self._total = 0.0
+        self._max = 0.0
+        self._samples: deque[tuple[float, float]] = deque(
             maxlen=RECENT_SAMPLES)
         self._window = _WindowBuckets()
         self._lock = threading.Lock()
@@ -208,62 +214,47 @@ class HistogramMetric:
     def observe(self, value: float) -> None:
         now = time.time()
         with self._lock:
-            self._reservoir.record(value)
-            self._recent.append((now, value))
+            self._count += 1
+            self._total += value
+            if value > self._max:
+                self._max = value
+            self._samples.append((now, value))
             self._window.add(1.0, now=now)
 
+    def state(self) -> HistogramState:
+        """The whole histogram, read under one lock acquisition."""
+        with self._lock:
+            return (self._count, self._total, self._max, list(self._samples),
+                    dict(self._window.buckets))
+
+    def fold(self, count: int, total: float, max_value: float,
+             samples: list[tuple[float, float]], buckets: dict) -> None:
+        """Add another histogram's :meth:`state` (merging, and restoring
+        a snapshot): totals add, buckets keep their timestamps, and the
+        ring keeps the newest samples of both sides — the same ones
+        whichever side folds into which."""
+        with self._lock:
+            self._count += count
+            self._total += total
+            if max_value > self._max:
+                self._max = max_value
+            if samples:
+                merged = sorted([*self._samples, *samples])
+                self._samples.clear()
+                self._samples.extend(merged)  # the deque keeps the newest
+            self._window.merge(buckets)
+
     def merge(self, other: "HistogramMetric") -> None:
-        with other._lock:
-            snapshot = other._reservoir
-            count, total, mx = snapshot.count, snapshot.total, snapshot.max
-            samples = list(snapshot._samples)
-            recent = list(other._recent)
-            buckets = dict(other._window.buckets)
-        with self._lock:
-            self._reservoir.merge_parts(count, total, mx, samples)
-            self._merge_recent(recent)
-            self._window.merge(buckets)
+        self.fold(*other.state())
 
-    def merge_parts(self, count: int, total: float, max_value: float,
-                    samples: list[float]) -> None:
-        """Fold externally-supplied reservoir state in (snapshot merging)."""
+    def samples(self) -> list[tuple[float, float]]:
+        """The ring's ``(wall time, value)`` observations, oldest first."""
         with self._lock:
-            self._reservoir.merge_parts(count, total, max_value, samples)
-
-    def merge_window_parts(self, recent: list, buckets: dict) -> None:
-        """Fold exported window state in (snapshot restoring)."""
-        with self._lock:
-            self._merge_recent([(float(t), float(v)) for t, v in recent])
-            self._window.merge(buckets)
-
-    def _merge_recent(self, recent: list[tuple[float, float]]) -> None:
-        # keep the newest observations across both sides; the deque cap
-        # bounds memory, so merge order must not silently drop the
-        # *newer* side's samples  (guarded_by: _lock)
-        if not recent:
-            return
-        merged = sorted(list(self._recent) + recent)
-        self._recent.clear()
-        self._recent.extend(merged[-RECENT_SAMPLES:])
-
-    def sample_values(self) -> list[float]:
-        """The raw reservoir samples (exported for mergeable snapshots)."""
-        with self._lock:
-            return list(self._reservoir._samples)
-
-    def recent_samples(self) -> list[tuple[float, float]]:
-        """Timestamped recent observations (mergeable snapshot payload)."""
-        with self._lock:
-            return list(self._recent)
-
-    def window_buckets(self) -> dict[str, float]:
-        """Exported per-second counts (mergeable snapshot payload)."""
-        with self._lock:
-            return self._window.to_dict()
+            return list(self._samples)
 
     def window(self, seconds: float,
                now: Optional[float] = None) -> dict[str, float]:
-        """Windowed view: exact count/rate, sampled percentiles.
+        """Windowed view: exact count/rate, percentiles from the ring.
 
         Returns ``{"count", "rate", "p50", "p99", "mean", "max"}`` over
         the trailing ``seconds`` (clamped to :data:`WINDOW_HORIZON`).
@@ -273,7 +264,7 @@ class HistogramMetric:
         cutoff = now - min(seconds, WINDOW_HORIZON)
         with self._lock:
             count = self._window.count(seconds, now=now)
-            values = sorted(v for t, v in self._recent if t > cutoff)
+            values = sorted(v for t, v in self._samples if t > cutoff)
         span = max(min(seconds, WINDOW_HORIZON), 1e-9)
         out = {"count": count, "rate": count / span,
                "p50": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
@@ -287,31 +278,29 @@ class HistogramMetric:
     @property
     def count(self) -> int:
         with self._lock:
-            return self._reservoir.count
+            return self._count
 
     @property
     def total(self) -> float:
         with self._lock:
-            return self._reservoir.total
+            return self._total
 
     @property
     def max(self) -> float:
         with self._lock:
-            return self._reservoir.max
+            return self._max
 
     @property
     def mean(self) -> float:
         with self._lock:
-            return self._reservoir.mean
+            return self._total / self._count if self._count else float("nan")
 
     def percentile(self, p: float) -> float:
-        with self._lock:
-            return self._reservoir.percentile(p)
+        return self.percentiles((p,))[p]
 
     def percentiles(self, ps: tuple[float, ...] = (50.0, 90.0, 99.0)
                     ) -> dict[float, float]:
-        with self._lock:
-            return self._reservoir.percentiles(list(ps))
+        return sample_percentiles(self.samples(), ps)
 
 
 class MetricsRegistry:
@@ -323,8 +312,7 @@ class MetricsRegistry:
     paths.
     """
 
-    def __init__(self, histogram_capacity: int = 4096) -> None:
-        self._histogram_capacity = histogram_capacity
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelItems], CounterMetric] = {}
         self._gauges: dict[tuple[str, LabelItems], GaugeMetric] = {}
@@ -353,8 +341,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._histograms.get(key)
             if metric is None:
-                metric = self._histograms[key] = HistogramMetric(
-                    *key, capacity=self._histogram_capacity)
+                metric = self._histograms[key] = HistogramMetric(*key)
             return metric
 
     # -- convenience recording -------------------------------------------------
@@ -410,19 +397,18 @@ class MetricsRegistry:
     # -- aggregation -----------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (sums and reservoir unions).
+        """Fold ``other`` into this registry (sums and sample unions).
 
         Counters and gauges add; gauges that are *rates* rather than
         levels (e.g. ``hint_cache_hit_rate``) should be recomputed by the
         aggregator from their underlying totals after merging. Counter
-        totals fold via :meth:`CounterMetric.add_total` (not ``inc``) so
+        and histogram state folds in (not through ``inc``/``observe``) so
         a re-merge never replays old traffic into the sliding windows;
         window buckets carry over with their original timestamps.
         """
         for counter in other.counters():
-            mine = self.counter(counter.name, **dict(counter.labels))
-            mine.add_total(counter.value)
-            mine.merge_window(counter)
+            self.counter(counter.name,
+                         **dict(counter.labels)).fold(*counter.state())
         for gauge in other.gauges():
             self.gauge(gauge.name, **dict(gauge.labels)).inc(gauge.value)
         for histogram in other.histograms():

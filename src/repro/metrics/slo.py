@@ -16,9 +16,9 @@ Two kinds:
   ``bad``, matched by name across every label set). The SLI is
   ``1 - bad/total`` over the window;
 * **latency** — a histogram family plus a threshold; the SLI is the
-  fraction of windowed observations at or under the threshold
-  (computed over the histogram's recent-sample memory, so it is a
-  sampled quantity exactly like the windowed percentiles).
+  fraction of windowed observations at or under the threshold,
+  computed over the histogram's ring of newest samples, the same
+  observations the windowed percentiles are read from.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class SLO:
         for h in registry.histograms():
             if h.name != self.latency:
                 continue
-            for t, value in h.recent_samples():
+            for t, value in h.samples():
                 if t > cutoff:
                     events += 1
                     if value <= self.threshold:

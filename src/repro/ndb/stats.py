@@ -100,6 +100,9 @@ class AccessStats:
     by_kind: dict[AccessKind, int] = field(default_factory=dict)
     rows_read: int = 0
     rows_written: int = 0
+    #: row locks requested: one per key a locking read names, per
+    #: candidate a locking scan locks, and per write — counted by the
+    #: driver where it takes the lock, never from an event's rows
     rows_locked: int = 0
     remote_partition_hops: int = 0
     partitions_touched: int = 0
@@ -120,8 +123,6 @@ class AccessStats:
             self.rows_written += event.rows
         else:
             self.rows_read += event.rows
-        if event.locked:
-            self.rows_locked += event.rows
         self.remote_partition_hops += sum(
             1 for node in event.nodes if node != event.coordinator
         )

@@ -260,15 +260,12 @@ class Transaction:
             [shard_fetch(pid, indexes) for pid, indexes in by_shard.items()])
         found = sum(1 for r in rows if r is not None)
         if plans:
-            scan_rows = sum(map(len, scanned))
             self._record(AccessKind.BATCH_PK,
                          "+".join(dict.fromkeys(
                              [table, *(plan[0] for plan in plans)])),
                          pids + [plan[3] for plan in plans],
-                         rows=found + scan_rows, locked=any_locked)
-            if any_locked:
-                # the event has one ``locked`` flag; the scans read committed
-                self.stats.rows_locked -= scan_rows
+                         rows=found + sum(map(len, scanned)),
+                         locked=any_locked)
         else:
             self._record(AccessKind.BATCH_PK, table, pids, rows=found,
                          locked=any_locked)

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.perfmodel.costs import CostModel
 from repro.perfmodel.results import RunResult
 from repro.sim import Environment, Resource
-from repro.util.stats import LatencyReservoir, ThroughputWindow
 from repro.workload.spec import WRITE_OPS, WorkloadSpec
 
 
@@ -42,7 +41,6 @@ class HDFSModelConfig:
     jitter: bool = True
     #: times at which the active namenode is killed (Figure 10)
     kill_times: tuple[float, ...] = ()
-    timeline_bucket: float = 0.0
 
 
 class HDFSPerfModel:
@@ -61,10 +59,7 @@ class HDFSPerfModel:
         self.namesystem = Resource(self.env, 1, name="hdfs-namesystem")
         self.result = RunResult(
             system="hdfs", duration=config.duration, scale=1.0,
-            clients=config.clients,
-            timeline=(ThroughputWindow(config.timeline_bucket)
-                      if config.timeline_bucket else None))
-        self.result.latency = LatencyReservoir(seed=config.seed)
+            clients=config.clients)
         self._rng = random.Random(config.seed)
         self._op_names = list(self.workload.mix.keys())
         self._op_weights = [self.workload.mix[op] for op in self._op_names]
@@ -109,16 +104,8 @@ class HDFSPerfModel:
 
     def _record(self, op: str, start: float) -> None:
         now = self.env.now
-        if now < self.config.warmup:
-            return
-        self.result.operations += 1
-        self.result.ops_by_type[op] = self.result.ops_by_type.get(op, 0) + 1
-        latency = now - start
-        self.result.latency.record(latency)
-        self.result.latency_by_op.setdefault(
-            op, LatencyReservoir(seed=1)).record(latency)
-        if self.result.timeline is not None:
-            self.result.timeline.record(now, 1)
+        if now >= self.config.warmup:
+            self.result.record(op, now, now - start)
 
     def _failover_proc(self):
         for kill_at in self.config.kill_times:

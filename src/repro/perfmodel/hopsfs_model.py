@@ -34,7 +34,6 @@ from repro.perfmodel.costs import CostModel
 from repro.perfmodel.profiles import OpProfile, spotify_profile_table
 from repro.perfmodel.results import RunResult
 from repro.sim import AllOf, Environment, Resource
-from repro.util.stats import LatencyReservoir, ThroughputWindow
 from repro.workload.spec import WorkloadSpec
 
 
@@ -55,7 +54,6 @@ class HopsFSModelConfig:
     jitter: bool = True
     #: optional namenode kill schedule: list of times (for Figure 10)
     kill_times: tuple[float, ...] = ()
-    timeline_bucket: float = 0.0
 
 
 #: operations whose transaction X-locks the parent directory row (§5.2.1)
@@ -123,10 +121,7 @@ class HopsFSPerfModel:
         self._hot_speedup = (self.cost.hot_row_replicas * scale) / hot_capacity
         self.result = RunResult(
             system="hopsfs", duration=config.duration, scale=scale,
-            clients=config.clients,
-            timeline=(ThroughputWindow(config.timeline_bucket)
-                      if config.timeline_bucket else None))
-        self.result.latency = LatencyReservoir(seed=config.seed)
+            clients=config.clients)
         self._rng = random.Random(config.seed)
         self._num_clients = max(1, round(config.clients * scale))
         self._op_names = list(self.workload.mix.keys())
@@ -229,17 +224,8 @@ class HopsFSPerfModel:
 
     def _record(self, op: str, start: float) -> None:
         now = self.env.now
-        if now < self.config.warmup:
-            return
-        self.result.operations += 1
-        self.result.ops_by_type[op] = self.result.ops_by_type.get(op, 0) + 1
-        latency = now - start
-        self.result.latency.record(latency)
-        reservoir = self.result.latency_by_op.setdefault(
-            op, LatencyReservoir(seed=1))
-        reservoir.record(latency)
-        if self.result.timeline is not None:
-            self.result.timeline.record(now, 1)
+        if now >= self.config.warmup:
+            self.result.record(op, now, now - start)
 
     def _killer_proc(self):
         for idx, kill_at in enumerate(self.config.kill_times):

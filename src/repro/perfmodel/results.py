@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.util.stats import LatencyReservoir, ThroughputWindow
+from repro.util.stats import percentile
 
 
 @dataclass
@@ -15,15 +15,22 @@ class RunResult:
     system: str
     duration: float
     scale: float
-    operations: int = 0
-    #: overall latency reservoir (seconds)
-    latency: LatencyReservoir = field(default_factory=LatencyReservoir)
-    #: per-operation latency reservoirs
-    latency_by_op: dict[str, LatencyReservoir] = field(default_factory=dict)
-    ops_by_type: dict[str, int] = field(default_factory=dict)
-    #: completions per time bucket (for failover timelines)
-    timeline: Optional[ThroughputWindow] = None
     clients: int = 0
+    #: every recorded latency (seconds) by operation, so percentiles are
+    #: exact
+    latencies: dict[str, list[float]] = field(default_factory=dict)
+    #: completions per simulated second (the failover timelines of Fig. 10)
+    completions: dict[int, int] = field(default_factory=dict)
+
+    def record(self, op: str, now: float, latency: float) -> None:
+        """One operation ``op`` completed at simulated time ``now``."""
+        self.latencies.setdefault(op, []).append(latency)
+        second = int(now)
+        self.completions[second] = self.completions.get(second, 0) + 1
+
+    @property
+    def operations(self) -> int:
+        return sum(map(len, self.latencies.values()))
 
     @property
     def throughput(self) -> float:
@@ -37,8 +44,11 @@ class RunResult:
         return self.operations / self.duration if self.duration else 0.0
 
     def mean_latency(self) -> float:
-        return self.latency.mean
+        count = self.operations
+        total = sum(map(sum, self.latencies.values()))
+        return total / count if count else float("nan")
 
     def p99_latency(self, op: Optional[str] = None) -> float:
-        reservoir = self.latency if op is None else self.latency_by_op[op]
-        return reservoir.percentile(99.0)
+        values = (self.latencies[op] if op is not None
+                  else [v for vs in self.latencies.values() for v in vs])
+        return percentile(sorted(values), 99.0)

@@ -345,8 +345,8 @@ def apply_stats_delta(stats: AccessStats, delta: Mapping[str, Any]) -> None:
     """Fold a server-produced stats delta into a client-side AccessStats.
 
     Scalars are applied directly (not via :meth:`AccessStats.record`) so
-    the client mirrors the server's counters exactly — including the
-    double-incremented ``rows_locked`` semantics of the native engine.
+    the client mirrors the server's counters exactly — ``rows_locked``,
+    which only the engine's lock sites count, included.
     New events are appended and also announced to the active per-op trace,
     so a namenode tracing an operation over a remote DAL still sees its
     ``db.*`` round-trip events.

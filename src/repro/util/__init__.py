@@ -1,13 +1,11 @@
-"""Small shared utilities: clocks, statistics helpers, id generation."""
+"""Small shared utilities: clocks, the percentile helper, id generation."""
 
 from repro.util.clock import Clock, ManualClock, SystemClock
-from repro.util.stats import LatencyReservoir, ThroughputWindow, percentile
+from repro.util.stats import percentile
 
 __all__ = [
     "Clock",
     "ManualClock",
     "SystemClock",
-    "LatencyReservoir",
-    "ThroughputWindow",
     "percentile",
 ]

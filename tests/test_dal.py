@@ -264,8 +264,40 @@ def test_locked_ppis_batch_drops_rows_that_vanish_before_the_grant(driver):
     # four candidates were locked — the vanished one included — and the
     # three rows found under the locks are what the event counts
     assert session.stats.rows_read == 3
-    assert session.stats.rows_locked == 4 + 3
+    assert session.stats.rows_locked == 4
     assert session.run(lambda tx: tx.ppis_batch(scans)) == [items, tags]
+
+
+@pytest.mark.lock_witness_exempt  # locks rows in the sequence's order
+def test_rows_locked_counts_the_same_locks_on_every_driver(driver):
+    """One per key a locking read names, per committed candidate a
+    locking scan locks, per write; unlocked reads and an event's rows
+    count nothing."""
+    session = driver.session()
+    _fill_items_and_tags(session)
+    session.reset_stats()
+
+    def sequence(tx):
+        tx.read("items", (1, "n0"), lock=LockMode.SHARED)             # 1
+        tx.read("items", (9, "none"), lock=LockMode.EXCLUSIVE)        # 1
+        tx.read("items", (2, "n0"))                                   # 0
+        tx.read_batch("items", [(2, "n0"), (2, "n1"), (2, "x")],
+                      lock=LockMode.SHARED)                           # 3
+        tx.read_batch("items", [(3, "n0"), (3, "n1")],
+                      locks=[LockMode.READ_COMMITTED, LockMode.SHARED],
+                      scans=[("tags", {"pid": 3})])                   # 1
+        tx.ppis("items", {"pid": 3}, lock=LockMode.SHARED)            # 3
+        tx.ppis_batch([("items", {"pid": 2}), ("tags", {"pid": 1})],
+                      lock=LockMode.SHARED)                           # 3
+        tx.index_scan("items", "by_value", [0], lock=LockMode.SHARED)  # 3
+        tx.ppis("tags", {"pid": 2})                                   # 0
+        tx.insert("items", {"pid": 4, "name": "a", "value": 1})       # 1
+        tx.update("items", (4, "a"), {"value": 2})                    # 1
+        tx.write("tags", {"pid": 4, "tag": "u"})                      # 1
+        tx.delete("items", (9, "none"), must_exist=False)             # 1
+
+    session.run(sequence)
+    assert session.stats.rows_locked == 19
 
 
 def test_ppis_batch_rejects_non_partition_key_columns(driver):

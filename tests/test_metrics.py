@@ -9,10 +9,10 @@ from repro.dal.memory_driver import MemoryDriver
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.hopsfs.hintcache import InodeHintCache
 from repro.metrics import export
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import RECENT_SAMPLES, MetricsRegistry
 from repro.metrics.tracing import Tracer, add_event, span
 from repro.util.clock import ManualClock
-from repro.util.stats import LatencyReservoir, ThroughputWindow
+from repro.util.stats import percentile
 
 from tests.conftest import make_hopsfs
 
@@ -107,20 +107,59 @@ def test_registry_merge_sums_and_folds():
     assert hist.max == pytest.approx(0.4)
 
 
-def test_reservoir_merge_parts_is_exact_on_totals():
-    a, b = LatencyReservoir(capacity=8), LatencyReservoir(capacity=8)
-    for v in range(20):
-        a.record(float(v))
+def test_histogram_totals_exact_beyond_the_ring():
+    hist = MetricsRegistry().histogram("h")
+    for i in range(5000):
+        hist.observe(float(i))
+    assert hist.count == 5000
+    assert hist.total == sum(range(5000))
+    assert hist.max == 4999.0
+    assert hist.mean == pytest.approx(2499.5)
+    assert len(hist.samples()) == RECENT_SAMPLES  # memory stays bounded
+
+
+def test_histogram_percentiles_of_a_known_list():
+    hist = MetricsRegistry().histogram("h")
+    for i in range(100):
+        hist.observe(float(i))
+    assert hist.percentile(50) == pytest.approx(49.5)
+    assert hist.percentiles((50.0, 99.0))[99.0] == pytest.approx(98.01)
+
+
+def test_histogram_percentiles_are_those_of_the_newest_observations():
+    hist = MetricsRegistry().histogram("h")
+    values = [float((i * 7919) % 5000) for i in range(5000)]
+    for value in values:
+        hist.observe(value)
+    newest = sorted(values[-RECENT_SAMPLES:])
+    for p in (0.0, 50.0, 90.0, 99.0, 100.0):
+        assert hist.percentile(p) == percentile(newest, p)
+
+
+def test_histogram_merge_is_exact_and_order_independent():
+    a, b = MetricsRegistry(), MetricsRegistry()
+    for v in range(3000):
+        a.observe("h", float(v))
     for v in range(50, 80):
-        b.record(float(v))
-    a.merge(b)
-    assert a.count == 50
-    assert a.total == pytest.approx(sum(range(20)) + sum(range(50, 80)))
-    assert a.max == 79.0
-    assert len(a._samples) <= 8  # pool stays bounded
+        b.observe("h", float(v))
+    ab, ba = MetricsRegistry(), MetricsRegistry()
+    ab.merge(a)
+    ab.merge(b)
+    ba.merge(b)
+    ba.merge(a)
+    for merged in (ab, ba):
+        hist = merged.get_histogram("h")
+        assert hist.count == 3030
+        assert hist.total == sum(range(3000)) + sum(range(50, 80))
+        assert hist.max == 2999.0
+        assert len(hist.samples()) == RECENT_SAMPLES  # stays bounded
+    # the newest samples of both sides, whichever folded first: no RNG
+    assert ab.get_histogram("h").samples() == ba.get_histogram("h").samples()
+    assert (ab.get_histogram("h").percentiles()
+            == ba.get_histogram("h").percentiles())
 
 
-# -- satellite fixes: hint cache and throughput window -------------------------
+# -- satellite fixes: hint cache -----------------------------------------------
 
 
 def test_hintcache_clear_resets_counters_and_snapshot_is_consistent():
@@ -139,17 +178,6 @@ def test_hintcache_clear_resets_counters_and_snapshot_is_consistent():
     snap = cache.snapshot()
     assert snap == {"size": 0, "capacity": 2, "hits": 0, "misses": 0,
                     "invalidations": 0, "evictions": 0, "hit_rate": 0.0}
-
-
-def test_throughput_window_empty_series_contract():
-    window = ThroughputWindow(width=1.0)
-    assert window.series() == []
-    assert window.series(end_time=5.0) == []  # still empty: nothing recorded
-    window.record(2.5)
-    window.record(2.6)
-    assert window.series() == [(2.0, 2.0)]
-    # zero-count buckets are filled up to end_time
-    assert window.series(end_time=4.2) == [(2.0, 2.0), (3.0, 0.0), (4.0, 0.0)]
 
 
 # -- tracing -------------------------------------------------------------------

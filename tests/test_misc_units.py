@@ -6,7 +6,6 @@ import pytest
 from repro.hopsfs.types import DirectoryListing, FileStatus
 from repro.perfmodel.results import RunResult
 from repro.sim import Environment, SimError
-from repro.util.stats import LatencyReservoir
 
 
 class TestIdAllocator:
@@ -81,7 +80,9 @@ class TestResultTypes:
 class TestRunResult:
     def test_throughput_descaled(self):
         result = RunResult(system="x", duration=2.0, scale=0.1)
-        result.operations = 100
+        for i in range(100):
+            result.record("stat", i / 50, 0.001)
+        assert result.operations == 100
         assert result.raw_throughput == 50.0
         assert result.throughput == 500.0
 
@@ -91,11 +92,39 @@ class TestRunResult:
 
     def test_p99_by_op(self):
         result = RunResult(system="x", duration=1.0, scale=1.0)
-        reservoir = LatencyReservoir()
         for i in range(100):
-            reservoir.record(i / 1000)
-        result.latency_by_op["read"] = reservoir
-        assert 0.09 < result.p99_latency("read") < 0.1
+            result.record("read", 0.5, i / 1000)
+        for _ in range(10):
+            result.record("create", 0.5, 1.0)
+        # exact: every latency is kept
+        assert result.p99_latency("read") == pytest.approx(0.09801)
+        assert result.p99_latency() == 1.0  # over every op
+
+    def test_completions_per_simulated_second(self):
+        result = RunResult(system="x", duration=3.0, scale=1.0)
+        for now in (0.5, 0.9, 2.1, 2.5, 2.9):
+            result.record("stat", now, 0.01)
+        result.record("create", 2.0, 0.1)
+        assert result.completions == {0: 2, 2: 4}
+        assert result.operations == 6
+        assert result.mean_latency() == pytest.approx(0.15 / 6)
+
+    def test_completions_missing_second_reads_zero(self):
+        result = RunResult(system="x", duration=4.0, scale=1.0)
+        for _ in range(4):
+            result.record("stat", 1.0, 0.01)
+        # a second with no completion has no entry: ``.get(s, 0)`` is 0
+        assert result.completions.get(1, 0) == 4
+        assert result.completions.get(0, 0) == 0
+        assert result.completions.get(3, 0) == 0
+
+    def test_completions_empty_run(self):
+        result = RunResult(system="x", duration=5.0, scale=1.0)
+        assert result.completions == {} and result.operations == 0
+        result.record("stat", 2.5, 0.01)
+        result.record("stat", 2.6, 0.01)
+        # no zero-count seconds are filled in around the recorded one
+        assert result.completions == {2: 2}
 
 
 class TestSimKernelErrorPaths:

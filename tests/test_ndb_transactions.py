@@ -301,9 +301,9 @@ class TestScans:
         assert keys == sorted(set(keys)) and len(keys) == 7
         assert keys[0][0] == "blocks" and keys[-1] == ("inodes", (2, "f1"))
         assert set(keys) == set(cluster._locks.held_keys(tx))
-        # rows locked: the per-scan candidates (parent 2 twice) plus the
-        # locked event's rows, as the same four single scans would count
-        assert tx.stats.rows_locked == 9 + 9
+        # rows locked: the per-scan candidates (parent 2 twice), as the
+        # same four single scans would count
+        assert tx.stats.rows_locked == 9
         tx.commit()
         assert cluster._locks.lock_table_size() == 0
 

@@ -96,8 +96,8 @@ class TestHopsFSModel:
     def test_latency_recorded_per_op(self, profiles):
         result = simulate_hopsfs(num_namenodes=5, ndb_nodes=12, clients=500,
                                  profiles=profiles, **FAST)
-        assert result.latency.count > 0
-        assert "read" in result.latency_by_op
+        assert result.operations > 0
+        assert "read" in result.latencies
 
     def test_kill_schedule_reduces_capacity(self, profiles):
         steady = simulate_hopsfs(num_namenodes=4, ndb_nodes=12, clients=4000,
@@ -125,12 +125,12 @@ class TestHDFSModel:
 
     def test_failover_causes_downtime_window(self):
         result = simulate_hdfs(clients=500, duration=20.0, warmup=1.0,
-                               kill_times=(5.0,), timeline_bucket=1.0)
-        series = dict(result.timeline.series())
-        during = min(series.get(t, 0.0) for t in (6.0, 7.0, 8.0, 9.0))
-        after = series.get(18.0, 0.0)
-        assert during == 0.0  # total outage while the standby promotes
-        assert after > 0.0
+                               kill_times=(5.0,))
+        series = result.completions
+        during = min(series.get(t, 0) for t in (6, 7, 8, 9))
+        after = series.get(18, 0)
+        assert during == 0  # total outage while the standby promotes
+        assert after > 0
 
     def test_hopsfs_beats_hdfs_by_order_of_magnitude(self):
         hdfs = simulate_hdfs(clients=2000, duration=0.2)

@@ -157,11 +157,11 @@ class TestDeterminism:
         a = simulate_hdfs(clients=100, duration=0.1, seed=3)
         b = simulate_hdfs(clients=100, duration=0.1, seed=3)
         assert a.operations == b.operations
-        assert a.latency.mean == b.latency.mean
+        assert a.mean_latency() == b.mean_latency()
 
     def test_different_seed_different_result(self):
         from repro.perfmodel.hdfs_model import simulate_hdfs
 
         a = simulate_hdfs(clients=100, duration=0.1, seed=3)
         b = simulate_hdfs(clients=100, duration=0.1, seed=4)
-        assert a.latency.mean != b.latency.mean
+        assert a.mean_latency() != b.mean_latency()

@@ -10,10 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from repro.errors import DuplicateKeyError, NoSuchRowError
 from repro.hopsfs.hintcache import InodeHintCache
 from repro.hopsfs.paths import join_path, normalize, split_path
+from repro.metrics.registry import HistogramMetric
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema
 from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap, stable_hash
-from repro.util.stats import LatencyReservoir, percentile
+from repro.util.stats import percentile
 from tests.test_ndb_failures import assert_indexes_match_rows
 
 FAST = settings(max_examples=60, deadline=None,
@@ -302,8 +303,9 @@ def test_ppis_batch_agrees_across_drivers(_three_drivers, steps):
     shared and exclusive — against the ndb, memory and remote drivers:
     every batch returns the same rows in one event with the same locked
     flag and costs the same round trips and rows read on all three, and
-    the same rows locked wherever rows are locked (the memory driver's
-    one mutex locks none: it counts the event's rows only)."""
+    every committed transaction counts the same rows locked (the memory
+    driver's one mutex takes no row lock; it counts the ones NDB
+    takes)."""
     suffix = f"_{next(_example_ids)}"  # tables cannot be dropped
     observed = {}
     for name, driver in _three_drivers.items():
@@ -333,16 +335,14 @@ def test_ppis_batch_agrees_across_drivers(_three_drivers, steps):
                              [e.locked for e in tx.stats.events[events:]]))
             else:
                 getattr(tx, op)()
-                if op == "commit" and name != "memory":
+                if op == "commit":
                     # remote ships buffered writes (and counts their
                     # locks) with the next request: totals agree once
                     # the commit has carried the last of them
                     seen.append(tx.stats.rows_locked)
                 tx = session.begin()
         tx.abort()
-    assert observed["ndb"] == observed["remote"]
-    assert observed["memory"] == [seen for seen in observed["ndb"]
-                                  if not isinstance(seen, int)]
+    assert observed["ndb"] == observed["remote"] == observed["memory"]
 
 
 _ride_steps = st.lists(
@@ -564,14 +564,14 @@ def test_percentile_bounded_and_monotone(values, p):
 @FAST
 @given(st.lists(st.floats(min_value=0, max_value=1e3, allow_nan=False),
                 min_size=1, max_size=500))
-def test_latency_reservoir_exact_aggregates(values):
-    reservoir = LatencyReservoir(capacity=64)
+def test_histogram_exact_aggregates(values):
+    hist = HistogramMetric("h", ())
     for value in values:
-        reservoir.record(value)
-    assert reservoir.count == len(values)
-    assert reservoir.max == max(values)
-    assert reservoir.mean == pytest.approx(sum(values) / len(values))
-    p50 = reservoir.percentile(50)
+        hist.observe(value)
+    assert hist.count == len(values)
+    assert hist.max == max(values)
+    assert hist.mean == pytest.approx(sum(values) / len(values))
+    p50 = hist.percentile(50)
     assert min(values) <= p50 <= max(values)
 
 

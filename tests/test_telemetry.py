@@ -70,15 +70,20 @@ class TestWindows:
     def test_snapshot_round_trip_preserves_windows(self):
         registry = MetricsRegistry()
         registry.inc("ops_total", 4)
-        registry.observe("op_seconds", 0.02)
-        registry.observe("op_seconds", 0.04)
+        hist = registry.histogram("op_seconds")
+        for i in range(3000):  # more than the ring holds
+            hist.observe((i * 37 % 1000) / 1e4)
         data = json.loads(json.dumps(
             export.snapshot(registry, include_samples=True)))
         rebuilt = export.registry_from_snapshot(data)
         assert rebuilt.counter("ops_total").window(60)["count"] == 4
-        view = rebuilt.get_histogram("op_seconds").window(60)
-        assert view["count"] == 2
-        assert view["p99"] == pytest.approx(0.04, rel=0.05)
+        now = time.time()
+        back = rebuilt.get_histogram("op_seconds")
+        assert (back.count, back.total, back.max) == (
+            hist.count, hist.total, hist.max)
+        assert back.percentiles() == hist.percentiles()
+        assert back.window(60, now=now) == hist.window(60, now=now)
+        assert back.window(60, now=now)["count"] == 3000
 
     def test_sampleless_snapshot_has_no_window_state(self):
         registry = MetricsRegistry()
@@ -86,7 +91,7 @@ class TestWindows:
         registry.observe("op_seconds", 0.02)
         data = export.snapshot(registry, include_samples=False)
         assert "buckets" not in data["counters"][0]
-        assert "recent" not in data["histograms"][0]
+        assert "samples" not in data["histograms"][0]
         rebuilt = export.registry_from_snapshot(data)
         assert rebuilt.get_counter("ops_total") == 4  # totals still exact
         assert rebuilt.counter("ops_total").window(60)["count"] == 0
@@ -184,7 +189,7 @@ class TestMetricsEndpoint:
             assert any(c["name"] == "rpc_requests_total"
                        for c in windows["counters"])
             # sample-carrying: the snapshot merges into top correctly
-            assert any("recent" in h for h in data["histograms"])
+            assert any("samples" in h for h in data["histograms"])
             with urllib.request.urlopen(base + "/healthz", timeout=5) as r:
                 health = json.loads(r.read())
             assert health["ok"] is True

@@ -7,7 +7,7 @@ import pytest
 
 from repro.util.clock import ManualClock, SystemClock
 from repro.util.rwlock import ReadWriteLock
-from repro.util.stats import LatencyReservoir, ThroughputWindow, percentile
+from repro.util.stats import percentile
 
 
 class TestManualClock:
@@ -74,42 +74,6 @@ class TestPercentile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-
-class TestLatencyReservoir:
-    def test_exact_stats_beyond_capacity(self):
-        reservoir = LatencyReservoir(capacity=10)
-        for i in range(1000):
-            reservoir.record(float(i))
-        assert reservoir.count == 1000
-        assert reservoir.max == 999.0
-        assert reservoir.mean == pytest.approx(499.5)
-
-    def test_percentile_from_samples(self):
-        reservoir = LatencyReservoir(capacity=1000)
-        for i in range(100):
-            reservoir.record(float(i))
-        assert reservoir.percentile(50) == pytest.approx(49.5)
-        assert reservoir.percentiles([50, 99])[99] == pytest.approx(98.01)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-
-
-class TestThroughputWindow:
-    def test_series_buckets(self):
-        window = ThroughputWindow(width=1.0)
-        window.record(0.5)
-        window.record(0.9)
-        window.record(2.1, n=3)
-        assert window.series() == [(0.0, 2.0), (2.0, 3.0)]
-
-    def test_rate_at(self):
-        window = ThroughputWindow(width=2.0)
-        window.record(1.0, n=4)
-        assert window.rate_at(0.5) == 2.0
-        assert window.rate_at(3.0) == 0.0
 
 
 class TestReadWriteLock:
