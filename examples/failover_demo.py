@@ -51,7 +51,7 @@ def hopsfs_demo() -> None:
 def hdfs_demo() -> None:
     print("\n== HDFS: failover means downtime ==")
     clock = ManualClock()
-    cluster = HDFSCluster(num_datanodes=3, clock=clock, failover_timeout=9.0)
+    cluster = HDFSCluster(num_datanodes=3, clock=clock)
     client = cluster.client("user")
     client.write_file("/critical/data.bin", b"precious bytes")
     cluster.tick()  # the standby tails the edit log

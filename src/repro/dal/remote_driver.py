@@ -81,7 +81,7 @@ from repro.ndb.stats import AccessStats
 from repro.ndb.transaction import Predicate, TxState
 from repro.rpc import protocol
 from repro.rpc.conn import ClientConn, dial
-from repro.util.retry import Deadline, RetryPolicy
+from repro.util.retry import RetryPolicy
 
 T = TypeVar("T")
 
@@ -95,6 +95,11 @@ RPC_PHASES = ("send", "wire", "server_queue", "engine")
 #: the engine's gauges (:meth:`repro.ndb.NDBCluster.metrics_registry`),
 #: readable only through the server's snapshot
 _ENGINE_GAUGES = ("ndb_lock_", "ndb_group_commit_")
+
+#: idle connections a driver keeps for reuse; more are closed on checkin
+POOL_SIZE = 16
+#: cap of one reconnect backoff, in seconds
+RECONNECT_BACKOFF_MAX = 2.0
 
 
 class RemoteTransaction:
@@ -391,9 +396,6 @@ class RemoteDriver(DALDriver):
                  connect_timeout: float = 5.0,
                  max_reconnect_attempts: int = 5,
                  reconnect_backoff: float = 0.05,
-                 reconnect_backoff_max: float = 2.0,
-                 op_deadline: Optional[float] = None,
-                 pool_size: int = 16,
                  client_name: str = "remote-dal") -> None:
         self.host = host
         self.port = port
@@ -403,18 +405,11 @@ class RemoteDriver(DALDriver):
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self.max_reconnect_attempts = max_reconnect_attempts
-        self.reconnect_backoff = reconnect_backoff
-        self.pool_size = pool_size
         self.client_name = client_name
-        #: wall-clock budget for one driver-level call *including* its
-        #: reconnect retries; propagated into each request's socket
-        #: timeout so the last attempt shrinks instead of overshooting
-        self.op_deadline = op_deadline
         #: the shared jittered policy drives every reconnect cycle
         self.dial_policy = RetryPolicy(
             max_attempts=max(1, max_reconnect_attempts),
-            base_delay=reconnect_backoff, max_delay=reconnect_backoff_max,
-            jitter=True)
+            base_delay=reconnect_backoff, max_delay=RECONNECT_BACKOFF_MAX)
         self._dial_rng = random.Random()  # guarded_by: GIL
         #: what the client side of the wire measures (module docstring)
         self.metrics = MetricsRegistry()
@@ -432,13 +427,12 @@ class RemoteDriver(DALDriver):
 
     # -- connection pool -------------------------------------------------------
 
-    def _dial(self, deadline: Optional[Deadline] = None) -> ClientConn:
+    def _dial(self) -> ClientConn:
         """One connection attempt cycle: the shared jittered policy
         (full-jitter exponential backoff, a supervisor may be respawning
-        the server), bounded by attempts and an optional deadline."""
+        the server), bounded by attempts."""
         last_exc: Optional[Exception] = None
-        for attempt in self.dial_policy.attempts(rng=self._dial_rng,
-                                                 deadline=deadline):
+        for attempt in self.dial_policy.attempts(rng=self._dial_rng):
             if attempt or self._dialed_once:
                 # every dial after the first-ever connection (or after a
                 # failed attempt) is a reconnect
@@ -447,13 +441,10 @@ class RemoteDriver(DALDriver):
             if fault_point("dal.remote.dial", attempt=attempt):
                 last_exc = ConnectionClosedError("injected dial failure")
                 continue
-            connect_timeout = self.connect_timeout
-            if deadline is not None:
-                connect_timeout = deadline.clamp(connect_timeout)
             try:
                 sock = dial(self.host, self.port, unix_path=self.unix_path,
                             timeout=self.timeout,
-                            connect_timeout=connect_timeout)
+                            connect_timeout=self.connect_timeout)
             except OSError as exc:
                 last_exc = exc
                 continue
@@ -474,7 +465,7 @@ class RemoteDriver(DALDriver):
             f"cannot reach server at {where} after "
             f"{self.max_reconnect_attempts} attempts: {last_exc}")
 
-    def _checkout(self, deadline: Optional[Deadline] = None) -> ClientConn:
+    def _checkout(self) -> ClientConn:
         while True:
             with self._pool_lock:
                 if not self._pool:
@@ -488,14 +479,14 @@ class RemoteDriver(DALDriver):
                 conn.close()
                 continue
             return conn
-        return self._dial(deadline=deadline)
+        return self._dial()
 
     def _checkin(self, conn: ClientConn, reusable: bool = True) -> None:
         if not reusable or conn.closed or self._closed:
             conn.close()
             return
         with self._pool_lock:
-            if len(self._pool) < self.pool_size:
+            if len(self._pool) < POOL_SIZE:
                 self._pool.append(conn)
                 return
         conn.close()
@@ -522,37 +513,19 @@ class RemoteDriver(DALDriver):
         Idempotent reads retry across a reconnect (each retry cycle
         itself dials with backoff); non-idempotent calls fail fast on
         connection loss — the caller cannot know whether they applied.
-        The driver's ``op_deadline`` bounds the whole cycle and is
-        clamped into each request's socket timeout.
         """
         attempts = self.max_reconnect_attempts if idempotent else 1
-        deadline = Deadline(self.op_deadline)
         last_exc: Exception = ConnectionClosedError("no attempts made")
         for _attempt in range(max(1, attempts)):
-            if _attempt and deadline.expired():
-                break
-            conn = self._checkout(deadline=deadline)
+            conn = self._checkout()
             try:
-                result = self._timed_call(conn, deadline, method,
-                                          params or {})
+                result = self._traced_call(conn, method, dict(params or {}))
             except _CONN_ERRORS as exc:
                 last_exc = exc
                 continue  # conn is closed; next checkout redials
             self._checkin(conn)
             return result
         raise last_exc
-
-    def _timed_call(self, conn: ClientConn, deadline: Deadline,
-                    method: str, params: Mapping[str, Any]) -> Any:
-        """One request with its socket timeout clamped to the deadline."""
-        if deadline.unbounded:
-            return self._traced_call(conn, method, dict(params))
-        conn.settimeout(deadline.clamp(self.timeout))
-        try:
-            return self._traced_call(conn, method, dict(params))
-        finally:
-            if not conn.closed:
-                conn.settimeout(self.timeout)
 
     def _traced_call(self, conn: ClientConn, method: str,
                      params: Optional[dict[str, Any]] = None,

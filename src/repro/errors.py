@@ -210,13 +210,3 @@ class SafeModeError(RetriableError):
 
 class StandbyError(RetriableError):
     """Operation sent to an HDFS standby namenode; retry on the active."""
-
-
-class DegradedModeError(RetriableError):
-    """The namenode is in read-only degraded mode and rejects mutations.
-
-    Entered when the commit failure rate trips the configured threshold
-    (the database is sick); reads keep being served. Retriable: another
-    namenode may still be healthy, and this one exits degraded mode as
-    soon as a write probe succeeds.
-    """

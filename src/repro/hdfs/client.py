@@ -17,6 +17,9 @@ from repro.hopsfs.types import BlockLocation, FileStatus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hdfs.cluster import HDFSCluster
 
+#: attempts of one operation while the pair fails over, and of a close
+MAX_RETRIES = 30
+
 
 class HDFSClient:
     """Mirrors :class:`repro.hopsfs.client.DFSClient` against HDFS.
@@ -27,17 +30,15 @@ class HDFSClient:
     paper measures (Figure 10).
     """
 
-    def __init__(self, cluster: "HDFSCluster", name: str = "client",
-                 max_retries: int = 30) -> None:
+    def __init__(self, cluster: "HDFSCluster", name: str = "client") -> None:
         self._cluster = cluster
         self.name = name
-        self._max_retries = max_retries
         self._rng = random.Random(hash(name) & 0xFFFF)
         self.operations_retried = 0
 
     def _call(self, fn: Callable[[Any], Any]) -> Any:
         last_exc: FileSystemError = NameNodeUnavailableError("no attempts")
-        for _attempt in range(self._max_retries):
+        for _attempt in range(MAX_RETRIES):
             nn = self._cluster.active_or_any()
             if nn is not None:
                 try:
@@ -109,10 +110,10 @@ class HDFSClient:
                    overwrite: bool = False) -> FileStatus:
         self.create(path, replication=replication, overwrite=overwrite)
         if data:
-            block_size = self._cluster.block_size
+            block_size = self._cluster.BLOCK_SIZE
             for offset in range(0, len(data), block_size):
                 self._write_block(path, data[offset: offset + block_size])
-        for _attempt in range(self._max_retries):
+        for _attempt in range(MAX_RETRIES):
             if self._call(lambda nn: nn.complete(path, self.name)):
                 return self.stat(path)
         raise FileSystemError(f"could not complete {path}")
@@ -121,7 +122,7 @@ class HDFSClient:
         self._call(lambda nn: nn.append_file(path, self.name))
         if data:
             self._write_block(path, data)
-        for _attempt in range(self._max_retries):
+        for _attempt in range(MAX_RETRIES):
             if self._call(lambda nn: nn.complete(path, self.name)):
                 return self.stat(path)
         raise FileSystemError(f"could not complete {path}")

@@ -20,24 +20,23 @@ from repro.util.clock import Clock, SystemClock
 
 
 class HDFSCluster:
-    def __init__(self, num_datanodes: int = 3, num_journal_nodes: int = 3,
-                 clock: Optional[Clock] = None,
-                 default_replication: int = 3,
-                 block_size: int = 128 * 1024 * 1024,
-                 failover_timeout: float = 9.0) -> None:
+    #: journal nodes in the quorum (the paper's deployment, §7.1)
+    NUM_JOURNAL_NODES = 3
+    #: block size in bytes
+    BLOCK_SIZE = 128 * 1024 * 1024
+
+    def __init__(self, num_datanodes: int = 3,
+                 clock: Optional[Clock] = None) -> None:
         self.config_clock = clock or SystemClock()
-        self.block_size = block_size
-        self.journal_nodes = [JournalNode(i) for i in range(num_journal_nodes)]
+        self.journal_nodes = [JournalNode(i)
+                              for i in range(self.NUM_JOURNAL_NODES)]
         self.journal = QuorumJournalManager(self.journal_nodes)
-        self.coordinator = FailoverCoordinator(
-            self.config_clock, failover_timeout=failover_timeout)
+        self.coordinator = FailoverCoordinator(self.config_clock)
         self._nn_ids = itertools.count(1)
         self.active = HDFSNameNode(next(self._nn_ids), self.journal,
-                                   self.config_clock, default_replication,
-                                   role="active")
+                                   self.config_clock, role="active")
         self.standby = HDFSNameNode(next(self._nn_ids), self.journal,
-                                    self.config_clock, default_replication,
-                                    role="standby")
+                                    self.config_clock, role="standby")
         self.coordinator.renew(self.active.nn_id)
         self.datanodes: list[DataNode] = []
         self._dn_ids = itertools.count(1)

@@ -2,7 +2,7 @@
 
 A quorum of coordinator nodes holds an exclusive "active" lease. The
 active namenode renews the lease on every tick; when renewals stop, the
-lease expires after ``failover_timeout`` seconds and the standby is
+lease expires after ``FAILOVER_TIMEOUT`` seconds and the standby is
 promoted. Exactly one namenode can hold the lease — the split-brain
 protection ZooKeeper provides. Like ZooKeeper, the ensemble only works
 while a majority of its nodes is up.
@@ -30,11 +30,15 @@ class CoordinatorNode:
 
 
 class FailoverCoordinator:
-    def __init__(self, clock: Clock, ensemble_size: int = 3,
-                 failover_timeout: float = 9.0) -> None:
+    #: coordination nodes in the ensemble
+    ENSEMBLE_SIZE = 3
+    #: seconds without a renewal before the lease expires (the paper
+    #: measures 8-10 s of HDFS failover downtime, §7.6)
+    FAILOVER_TIMEOUT = 9.0
+
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.nodes = [CoordinatorNode(i) for i in range(ensemble_size)]
-        self.failover_timeout = failover_timeout
+        self.nodes = [CoordinatorNode(i) for i in range(self.ENSEMBLE_SIZE)]
         self._holder: Optional[int] = None
         self._lease_renewed = 0.0
         self.failovers = 0
@@ -63,7 +67,7 @@ class FailoverCoordinator:
     def lease_expired(self) -> bool:
         if self._holder is None:
             return True
-        return self.clock.now() - self._lease_renewed > self.failover_timeout
+        return self.clock.now() - self._lease_renewed > self.FAILOVER_TIMEOUT
 
     def try_takeover(self, nn_id: int) -> bool:
         """A standby attempts to grab the lease (fencing the old active)."""

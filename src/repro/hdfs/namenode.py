@@ -23,25 +23,24 @@ from repro.hdfs.namesystem import FSNamesystem
 from repro.hopsfs.types import BlockLocation, FileStatus
 from repro.util.clock import Clock
 
+#: seconds without a heartbeat before a datanode is considered dead
+DN_HEARTBEAT_TIMEOUT = 10.0
+
 
 class HDFSNameNode:
     def __init__(self, nn_id: int, journal: QuorumJournalManager,
-                 clock: Clock, default_replication: int = 3,
-                 role: str = "standby",
-                 dn_heartbeat_timeout: float = 10.0) -> None:
+                 clock: Clock, role: str = "standby") -> None:
         self.nn_id = nn_id
         self.journal = journal
         self.clock = clock
         self.role = role
         self.alive = True
         self.ns = FSNamesystem(clock=clock,
-                               default_replication=default_replication,
                                edit_sink=self._edit_sink if role == "active"
                                else None)
         self._applied_txid = 0
         self._rng = random.Random(nn_id)
         self._dn_heartbeats: dict[int, float] = {}
-        self._dn_timeout = dn_heartbeat_timeout
         self.checkpoints_taken = 0
 
     # -- role & liveness ---------------------------------------------------------------
@@ -113,7 +112,7 @@ class HDFSNameNode:
         self._dn_heartbeats[dn_id] = self.clock.now()
 
     def alive_datanode_ids(self) -> list[int]:
-        deadline = self.clock.now() - self._dn_timeout
+        deadline = self.clock.now() - DN_HEARTBEAT_TIMEOUT
         return sorted(dn_id for dn_id, t in self._dn_heartbeats.items()
                       if t >= deadline)
 

@@ -75,11 +75,12 @@ class BlockMeta:
 class FSNamesystem:
     """The namespace + block map, all in memory, one global lock."""
 
+    #: replication factor of a file created without one
+    DEFAULT_REPLICATION = 3
+
     def __init__(self, clock: Optional[Clock] = None,
-                 default_replication: int = 3,
                  edit_sink: Optional[Callable[[str, tuple], None]] = None) -> None:
         self.clock = clock or SystemClock()
-        self.default_replication = default_replication
         self.lock = ReadWriteLock()
         self.root = INode(id=1, name="", is_dir=True, perm=0o755,
                           owner="hdfs", group="hdfs", mtime=0.0, atime=0.0)
@@ -202,7 +203,7 @@ class FSNamesystem:
                replication: Optional[int] = None, overwrite: bool = False,
                _id: Optional[int] = None,
                _now: Optional[float] = None) -> FileStatus:
-        repl = replication if replication is not None else self.default_replication
+        repl = replication if replication is not None else self.DEFAULT_REPLICATION
         with self.lock.write_locked():
             now = _now if _now is not None else self.clock.now()
             parent, name = self._lookup_parent(path)

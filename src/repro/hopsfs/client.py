@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: seed replays, growing from 2 ms
 SUBTREE_LOCKED_BACKOFF = RetryPolicy(base_delay=0.002, max_delay=0.1)
 
+#: attempts of one operation (failovers and retries included), and of
+#: the close that waits for a file's write pipeline
+MAX_RETRIES = 20
+
 
 class NamenodeSelectionPolicy(enum.Enum):
     RANDOM = "random"
@@ -48,11 +52,10 @@ class NamenodeSelectionPolicy(enum.Enum):
 class DFSClient:
     def __init__(self, cluster: "HopsFSCluster", name: str = "client",
                  policy: NamenodeSelectionPolicy = NamenodeSelectionPolicy.STICKY,
-                 max_retries: int = 20, seed: Optional[int] = None) -> None:
+                 seed: Optional[int] = None) -> None:
         self._cluster = cluster
         self.name = name
         self.policy = policy
-        self._max_retries = max_retries
         self._rng = random.Random(seed if seed is not None else hash(name) & 0xFFFF)
         self._sleep = time.sleep
         self._namenodes: list["NameNode"] = []
@@ -91,7 +94,7 @@ class DFSClient:
         """Invoke an operation with transparent failover (§7.6.1)."""
         last_exc: FileSystemError = NameNodeUnavailableError("no attempts")
         locked = 0  # retries so far behind a subtree lock
-        for _attempt in range(self._max_retries):
+        for _attempt in range(MAX_RETRIES):
             nn = self._pick()
             try:
                 return fn(nn)
@@ -227,7 +230,7 @@ class DFSClient:
         return block
 
     def _complete(self, path: str) -> None:
-        for _attempt in range(self._max_retries):
+        for _attempt in range(MAX_RETRIES):
             if self._call(lambda nn: nn.complete(path, self.name)):
                 return
         raise FileSystemError(f"could not complete {path}: pipeline unfinished")

@@ -4,7 +4,7 @@ HopsFS has no ZooKeeper: namenodes coordinate through the
 ``le_descriptors`` table (paper §3, [56]). Each namenode periodically runs
 a small transaction that increments its own counter and reads everyone
 else's. A namenode whose counter has not changed for
-``nn_missed_heartbeats`` of *our* rounds — or whose row is gone — is
+:data:`MISSED_HEARTBEATS` of *our* rounds — or whose row is gone — is
 considered dead. The alive namenode with the smallest id is the leader;
 the leader evicts dead namenodes' rows and performs cluster housekeeping
 (replication monitor, lease recovery, block-report balancing).
@@ -20,14 +20,16 @@ from typing import Optional
 from repro.dal.driver import DALSession, DALTransaction
 from repro.ndb.locks import LockMode
 
+#: our heartbeat rounds a peer's counter may stay still before it is dead
+MISSED_HEARTBEATS = 2
+
 
 class LeaderElection:
-    def __init__(self, session: DALSession, nn_id: int, location: str,
-                 missed_heartbeats: int = 2) -> None:
+    def __init__(self, session: DALSession, nn_id: int,
+                 location: str) -> None:
         self._session = session
         self.nn_id = nn_id
         self.location = location
-        self._missed = max(1, missed_heartbeats)
         self._round = 0
         #: nn_id -> (last counter seen, our round when it last changed)
         self._seen: dict[int, tuple[int, int]] = {}
@@ -98,7 +100,7 @@ class LeaderElection:
     def alive_ids(self) -> set[int]:
         alive = {self.nn_id}
         for nn_id, (_counter, last_change) in self._seen.items():
-            if self._round - last_change < self._missed:
+            if self._round - last_change < MISSED_HEARTBEATS:
                 alive.add(nn_id)
         return alive
 
@@ -115,7 +117,7 @@ class LeaderElection:
         if nn_id not in self._seen:
             return True  # row missing: evicted or never registered
         _counter, last_change = self._seen[nn_id]
-        return self._round - last_change >= self._missed
+        return self._round - last_change >= MISSED_HEARTBEATS
 
     def leader_id(self) -> Optional[int]:
         alive = self.alive_ids()

@@ -13,18 +13,11 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import (
-    ClusterDownError,
-    CommitAmbiguousError,
-    DeadlockError,
-    DegradedModeError,
     DuplicateKeyError,
-    LockTimeoutError,
     NameNodeUnavailableError,
-    NodeFailureError,
     TransactionAbortedError,
 )
 from repro.dal.driver import DALDriver, DALTransaction
@@ -43,19 +36,8 @@ from repro.metrics.tracing import Trace, Tracer
 from repro.ndb.locks import LockMode
 from repro.ndb.stats import AccessKind, AccessStats
 
-
-#: operations served even in read-only degraded mode (the paper's
-#: availability floor: stats and reads straight from the database)
-READ_OPS = frozenset({
-    "stat", "read", "ls", "get_xattrs", "content_summary", "fsck",
-    "block_report_lookup", "block_report_dbview",
-})
-
-#: failure classes that count toward the degraded-mode trip: the
-#: database could not commit (or we cannot know whether it did)
-COMMIT_FAILURE_ERRORS = (TransactionAbortedError, DeadlockError,
-                         LockTimeoutError, ClusterDownError,
-                         NodeFailureError, CommitAmbiguousError)
+#: seconds without a heartbeat before a datanode is considered dead
+DN_HEARTBEAT_TIMEOUT = 10.0
 
 
 class NameNode(InodeOpsMixin, SubtreeOpsMixin):
@@ -71,17 +53,13 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self.alive = True  # guarded_by: GIL
         self.hint_cache = InodeHintCache()
         self.leader_election = LeaderElection(
-            driver.session(), nn_id, self.location,
-            missed_heartbeats=config.nn_missed_heartbeats)
+            driver.session(), nn_id, self.location)
         self.resolver = PathResolver(
             self.hint_cache, config.random_partition_depth,
             is_namenode_dead=self._is_namenode_dead)
-        self.id_alloc = IdAllocator(driver.session(), "inodes",
-                                    batch=config.id_batch_size)
-        self.block_alloc = IdAllocator(driver.session(), "blocks",
-                                       batch=config.id_batch_size)
-        self.gen_stamp_alloc = IdAllocator(driver.session(), "genstamps",
-                                           batch=config.id_batch_size)
+        self.id_alloc = IdAllocator(driver.session(), "inodes")
+        self.block_alloc = IdAllocator(driver.session(), "blocks")
+        self.gen_stamp_alloc = IdAllocator(driver.session(), "genstamps")
         self._rng = random.Random(nn_id)
         self.stats = AccessStats(keep_events=False)
         self.op_count: dict[str, int] = {}  # guarded_by: _stats_mutex
@@ -114,14 +92,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self.decommissioning: set[int] = set()
         #: test hooks: tag -> callable, invoked at subtree-protocol stages
         self.failpoints: dict[str, Callable[[], None]] = {}
-        # graceful degradation state (docs/robustness.md): a sliding
-        # window of recent op outcomes; tripping flips the namenode
-        # read-only until a write probe succeeds
-        self._degraded = False  # guarded_by: _degraded_lock
-        self._degraded_lock = threading.Lock()
-        self._recent_outcomes: "deque[bool]" = deque(  # guarded_by: _degraded_lock
-            maxlen=config.degraded_window)
-        self._last_probe = float("-inf")  # guarded_by: _degraded_lock
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -170,7 +140,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         # namenodes deterministically mid-workload, and error-action
         # plans use to simulate a namenode dying as the request arrives
         fault_point("hopsfs.op", op=op_name, nn=self.nn_id)
-        self._degraded_gate(op_name)
         record = self.flight.begin(op_name)
         started = time.perf_counter()
         trace = None
@@ -187,7 +156,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
     def _account(self, op_name: str, record: Any, started: float,
                  trace: Optional[Trace], error: Optional[Exception]) -> None:
         """The one epilogue of :meth:`_fs_op`: latency, outcome counter,
-        flight record, degraded-mode window."""
+        flight record."""
         elapsed = time.perf_counter() - started
         seconds, total, _round_trips = self._hot_op_metrics(op_name)
         seconds.observe(elapsed)
@@ -198,12 +167,11 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
                              error=type(error).__name__)
         self.flight.end(record, error=error,
                         trace_id=trace.trace_id if trace else None)
-        self._record_outcome(isinstance(error, COMMIT_FAILURE_ERRORS))
 
     def _on_trace_finish(self, trace: Trace) -> None:
         """Keep failed, retried and slow traces in the flight recorder."""
         if (trace.error is not None
-                or trace.duration >= self.tracer.slow_threshold
+                or trace.duration >= self.tracer.SLOW_THRESHOLD
                 or trace.execute_attempts > 1
                 or trace.retry_events):
             self.flight.keep_trace(trace)
@@ -305,87 +273,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         session.run(fn, hint=("inodes", {"part_key": exc.inode_pk[0]}))
         self._merge_stats("reclaim_subtree_lock", session)
 
-    # -- graceful degradation (docs/robustness.md) --------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        """True while this namenode is in read-only degraded mode."""
-        with self._degraded_lock:
-            return self._degraded
-
-    def _degraded_gate(self, op_name: str) -> None:
-        """Reject mutations while degraded; reads always pass.
-
-        The gate is lazy-probing: once per probe interval a write probe
-        runs inline before the rejection, so a recovered database lifts
-        degraded mode without needing a background thread.
-        """
-        if not self.config.degraded_mode_enabled:
-            return
-        with self._degraded_lock:
-            if not self._degraded or op_name in READ_OPS:
-                return
-            now = self.clock.now()
-            probe_due = (now - self._last_probe
-                         >= self.config.degraded_probe_interval)
-            if probe_due:
-                self._last_probe = now
-        if probe_due and self._probe_write():
-            return
-        self.metrics.inc("fs_op_rejected_degraded_total", op=op_name)
-        raise DegradedModeError(
-            f"namenode {self.nn_id} is in read-only degraded mode; "
-            f"rejecting {op_name!r} (reads are still served)")
-
-    def _probe_write(self) -> bool:
-        """One write probe: EXCLUSIVE-lock our election row and commit.
-
-        The paper defines an alive namenode as one that can write to
-        the database in bounded time — a successful probe commit is
-        exactly that evidence, so it clears degraded mode.
-        """
-        session = self.driver.session()
-
-        def fn(tx: DALTransaction) -> None:
-            row = tx.read("le_descriptors", (self.nn_id,),
-                          lock=LockMode.EXCLUSIVE)
-            if row is not None:
-                tx.update("le_descriptors", (self.nn_id,),
-                          {"counter": row["counter"]})
-
-        try:
-            session.run(fn, retries=1)
-        except Exception:
-            return False
-        with self._degraded_lock:
-            self._degraded = False
-            self._recent_outcomes.clear()
-        self.metrics.inc("degraded_mode_exits_total")
-        self.metrics.set_gauge("degraded_mode", 0)
-        return True
-
-    def _record_outcome(self, commit_failure: bool) -> None:
-        """Feed the sliding failure window; trip degraded mode on storms."""
-        config = self.config
-        if not config.degraded_mode_enabled:
-            return
-        with self._degraded_lock:
-            self._recent_outcomes.append(commit_failure)
-            if self._degraded:
-                return
-            if len(self._recent_outcomes) < config.degraded_min_samples:
-                return
-            rate = (sum(self._recent_outcomes)
-                    / len(self._recent_outcomes))
-            if rate < config.degraded_failure_threshold:
-                return
-            self._degraded = True
-            # hold the mode for at least one probe interval before the
-            # first probe — tripping must have an observable effect
-            self._last_probe = self.clock.now()
-        self.metrics.inc("degraded_mode_entries_total")
-        self.metrics.set_gauge("degraded_mode", 1)
-
     # -- observability ------------------------------------------------------------------
 
     def metrics_registry(self) -> "MetricsRegistry":
@@ -404,7 +291,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
                           self.resolver.batched_resolutions)
         metrics.set_gauge("resolver_recursive_resolutions",
                           self.resolver.recursive_resolutions)
-        metrics.set_gauge("degraded_mode", int(self.degraded))
         return metrics
 
     def metrics_snapshot(self) -> dict:
@@ -427,7 +313,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
 
     def alive_datanode_ids(self, include_decommissioning: bool = True
                            ) -> list[int]:
-        deadline = self.clock.now() - self.config.dn_heartbeat_timeout
+        deadline = self.clock.now() - DN_HEARTBEAT_TIMEOUT
         alive = sorted(dn_id for dn_id, t in self._dn_heartbeats.items()
                        if t >= deadline)
         if include_decommissioning:

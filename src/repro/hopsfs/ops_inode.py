@@ -43,6 +43,11 @@ from repro.hopsfs.types import (
 )
 from repro.ndb.locks import LockMode
 
+#: replication factor of a file created without one
+DEFAULT_REPLICATION = 3
+#: seconds without renewal before a lease may be recovered
+LEASE_TIMEOUT = 60.0
+
 
 def _sub_tables(bits: int) -> tuple[str, ...]:
     """The ``inode_id``-partitioned tables an inode's ``sub_tables``
@@ -282,8 +287,7 @@ class InodeOpsMixin:
                create_parents: bool = True,
                overwrite: bool = False) -> FileStatus:
         """Create a file under construction (an HDFS ``create``)."""
-        repl = replication if replication is not None else (
-            self.config.default_replication)
+        repl = replication if replication is not None else DEFAULT_REPLICATION
 
         def fn(tx: DALTransaction) -> FileStatus:
             # rt: cost(1, reason=warm create resolve: one batch locking the hinted parent and the computed key of the missing last component)
@@ -872,7 +876,7 @@ class InodeOpsMixin:
 
     def recover_expired_leases(self) -> int:
         """Leader housekeeping: close files whose lease expired."""
-        deadline = self.clock.now() - self.config.lease_timeout
+        deadline = self.clock.now() - LEASE_TIMEOUT
 
         def find(tx: DALTransaction) -> list[int]:
             # hfs: allow(HFS101, reason=leader-only housekeeping sweep; runs off the client hot path)

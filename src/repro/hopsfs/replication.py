@@ -29,11 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hopsfs.namenode import NameNode
 
 
+#: seconds a scheduled replication may stay pending before it is retried
+PENDING_TIMEOUT = 30.0
+
+
 class ReplicationManager:
-    def __init__(self, namenode: "NameNode",
-                 pending_timeout: float = 30.0) -> None:
+    def __init__(self, namenode: "NameNode") -> None:
         self._nn = namenode
-        self._pending_timeout = pending_timeout
         self.commands_issued = 0
 
     def run_round(self) -> list[Command]:
@@ -186,7 +188,7 @@ class ReplicationManager:
 
     def _expire_stale_pending(self) -> list[Command]:
         nn = self._nn
-        deadline = nn.clock.now() - self._pending_timeout
+        deadline = nn.clock.now() - PENDING_TIMEOUT
         alive = set(nn.alive_datanode_ids())
 
         def fn(tx: DALTransaction) -> None:

@@ -14,9 +14,9 @@ It keeps two bounded buffers per namenode:
 
 ``dump()`` serializes both to a JSON file. Dumps are triggered:
 
-* automatically on a **transaction abort storm** — ``storm_threshold``
+* automatically on a **transaction abort storm** — ``STORM_THRESHOLD``
   aborted-class failures (deadlock/lock-timeout/tx-abort/cluster-down)
-  within the last ``storm_window`` completed ops (only when a dump
+  within the last ``STORM_WINDOW`` completed ops (only when a dump
   directory is configured via ``dump_dir`` or ``$REPRO_FLIGHT_DIR``;
   otherwise the storm is only counted, keeping tests side-effect free);
 * by the pytest hooks in ``tests/conftest.py`` on test failure or a
@@ -79,20 +79,23 @@ class OpRecord:
 class FlightRecorder:
     """Bounded per-namenode recorder of recent operations and traces."""
 
+    #: full span trees kept, newest last
+    TRACE_KEEP = 64
+    #: aborted-class failures within the window that make a storm
+    STORM_THRESHOLD = 8
+    #: completed ops the storm detector looks back over
+    STORM_WINDOW = 64
+
     def __init__(self, name: str = "", ring_size: int = 512,
-                 trace_keep: int = 64, storm_threshold: int = 8,
-                 storm_window: int = 64,
                  dump_dir: Optional[str] = None) -> None:
         if ring_size < 1:
             raise ValueError("ring_size must be >= 1")
         self.name = name
         self.dump_dir = dump_dir
-        self.storm_threshold = storm_threshold
-        self.storm_window = storm_window
         self._lock = threading.Lock()
         self._ops: deque[OpRecord] = deque(maxlen=ring_size)
-        self._traces: deque[Trace] = deque(maxlen=trace_keep)
-        self._recent_errors: deque[bool] = deque(maxlen=storm_window)
+        self._traces: deque[Trace] = deque(maxlen=self.TRACE_KEEP)
+        self._recent_errors: deque[bool] = deque(maxlen=self.STORM_WINDOW)
         self._storm_active = False
         self._seq = 0
         self.storms = 0
@@ -122,7 +125,7 @@ class FlightRecorder:
             self._recent_errors.append(aborted)
             if aborted:
                 errors = sum(1 for e in self._recent_errors if e)
-                if errors >= self.storm_threshold and not self._storm_active:
+                if errors >= self.STORM_THRESHOLD and not self._storm_active:
                     self._storm_active = True
                     self.storms += 1
                     storm = True

@@ -31,11 +31,12 @@ wrap their phases in :func:`link_scope` so every inner trace records a
 ``parent_id`` pointing at the operation's root trace.
 
 The :class:`Tracer` keeps a bounded ring of recent traces plus a
-slow-operation log (traces above ``slow_threshold`` seconds) and, when
-given a registry, folds every finished trace's per-phase durations into
-``hopsfs_phase_seconds{phase,op}`` histograms. ``sample_every=N`` traces
-every Nth call *per operation name* (round-robin within each op, so rare
-ops like ``set_quota`` are not starved by hot ones; 1 = all, 0 = none).
+slow-operation log (traces of ``Tracer.SLOW_THRESHOLD`` seconds or more)
+and, when given a registry, folds every finished trace's per-phase
+durations into ``hopsfs_phase_seconds{phase,op}`` histograms.
+``sample_every=N`` traces every Nth call *per operation name*
+(round-robin within each op, so rare ops like ``set_quota`` are not
+starved by hot ones; 1 = all, 0 = none).
 
 The binding carries spans and the link, nothing else: an unsampled
 operation binds nothing at all, and no metric is found through it — a
@@ -681,28 +682,32 @@ class Tracer:
       sampled so operation groups stay complete. An unsampled call binds
       nothing.
     * ``ring_size``: completed traces kept for inspection (FIFO);
-    * ``slow_threshold``: seconds above which a trace also lands in the
-      slow-operation log (kept separately so bursts of fast traces cannot
-      evict the interesting ones);
     * ``registry``: when set, per-phase durations of every finished trace
       are folded into ``hopsfs_phase_seconds{phase,op}`` histograms and
       slow ops counted as ``hopsfs_slow_ops_total{op=...}``.
+
+    A trace of :attr:`SLOW_THRESHOLD` seconds or more also lands in the
+    slow-operation log, kept separately so bursts of fast traces cannot
+    evict the interesting ones.
     """
 
+    #: seconds at or above which a finished trace is slow
+    SLOW_THRESHOLD = 0.5
+    #: slow traces kept, newest last
+    SLOW_LOG_SIZE = 64
+
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 ring_size: int = 256, slow_log_size: int = 64,
-                 slow_threshold: float = 0.5, sample_every: int = 1,
+                 ring_size: int = 256, sample_every: int = 1,
                  on_finish: Optional[Callable[[Trace], None]] = None) -> None:
         if ring_size < 1:
             raise ValueError("ring_size must be >= 1")
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0 (0 disables)")
         self.registry = registry
-        self.slow_threshold = slow_threshold
         self.sample_every = sample_every
         self.on_finish = on_finish
         self._ring: deque[Trace] = deque(maxlen=ring_size)
-        self._slow: deque[Trace] = deque(maxlen=slow_log_size)
+        self._slow: deque[Trace] = deque(maxlen=self.SLOW_LOG_SIZE)
         #: per-op monotonic sequence; itertools.count() advances without
         #: a lock (``next`` on a count is atomic under the GIL), so the
         #: sampling decision costs no lock round on the hot path
@@ -747,7 +752,7 @@ class Tracer:
         # deque.append is atomic under the GIL (maxlen eviction included),
         # so the ring and slow log need no lock round here
         self._ring.append(trace)
-        slow = trace.duration >= self.slow_threshold
+        slow = trace.duration >= self.SLOW_THRESHOLD
         if slow:
             self._slow.append(trace)
         registry = self.registry

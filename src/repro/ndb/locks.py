@@ -105,12 +105,10 @@ class LockManager:
     #: level so tests can hook every manager without monkeypatching
     _witness = None
 
-    def __init__(self, timeout: float = 1.2, deadlock_detection: bool = True,
-                 stripes: int = 16,
+    def __init__(self, timeout: float = 1.2, stripes: int = 16,
                  shard_of: Optional[Callable[[Any], Optional[int]]] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self._timeout = timeout
-        self._deadlock_detection = deadlock_detection
         #: the owning cluster's metrics registry; a bare manager has none
         #: and records its waits in the stripe counters only
         self._registry = registry
@@ -444,15 +442,14 @@ class LockManager:
                 return
             if owner in self._aborted:
                 raise TransactionAbortedError("transaction was aborted while waiting")
-            if self._deadlock_detection:
-                self._wait_edges[owner] = tuple(self._blockers(row, request))
-                if self._detect_deadlock(owner) and not request.granted:
-                    # edges can be stale for a beat after a grant elsewhere;
-                    # confirm the cycle still exists before aborting
-                    if self._detect_deadlock(owner):
-                        stripe.deadlocks += 1
-                        raise DeadlockError(
-                            f"deadlock detected while locking {key!r}")
+            self._wait_edges[owner] = tuple(self._blockers(row, request))
+            if self._detect_deadlock(owner) and not request.granted:
+                # edges can be stale for a beat after a grant elsewhere;
+                # confirm the cycle still exists before aborting
+                if self._detect_deadlock(owner):
+                    stripe.deadlocks += 1
+                    raise DeadlockError(
+                        f"deadlock detected while locking {key!r}")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 stripe.timeouts += 1

@@ -10,7 +10,7 @@ session (:class:`repro.dal.remote_driver.RemoteSession`) runs the exact
 same code, so embedded and process-based deployments retry identically.
 The retry set is the standard NDB client pattern — deadlock, lock
 timeout, transaction abort (which is also what mid-transaction connection
-loss maps to) — and the policy's non-retryable set guarantees
+loss maps to) — and the policies' shared never-retry set guarantees
 :class:`~repro.errors.CommitAmbiguousError` never re-enters the loop.
 """
 

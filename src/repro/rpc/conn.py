@@ -78,9 +78,6 @@ class FrameConn:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def settimeout(self, timeout: Optional[float]) -> None:
-        self._sock.settimeout(timeout)
-
     def close(self) -> None:
         if self._closed:
             return
@@ -151,10 +148,6 @@ class ClientConn:
         self._conn.close()
 
     # -- internals -------------------------------------------------------------
-
-    def settimeout(self, timeout: Optional[float]) -> None:
-        """Adjust the per-request socket deadline (deadline clamping)."""
-        self._conn.settimeout(timeout)
 
     def _send(self, method: str,
               params: Optional[Mapping[str, Any]],

@@ -62,16 +62,24 @@ def _serve_args(options: dict[str, Any]) -> list[str]:
 class ServerHandle:
     """One supervised ndb-server process."""
 
-    def __init__(self, name: str, options: dict[str, Any],
-                 ready_timeout: float = 15.0,
-                 output_keep: int = 200,
-                 respawn_backoff: float = 0.1,
-                 respawn_backoff_max: float = 5.0,
-                 crash_loop_window: float = 5.0,
-                 crash_loop_limit: int = 5) -> None:
+    #: seconds a spawn may take to report READY
+    READY_TIMEOUT = 15.0
+    #: lines of the child's output kept for error messages
+    OUTPUT_KEEP = 200
+    #: a respawned server dying again within this many seconds of its
+    #: spawn counts as a *rapid* death (crash-loop evidence)
+    CRASH_LOOP_WINDOW = 5.0
+    #: rapid deaths tolerated before :class:`CrashLoopError`
+    CRASH_LOOP_LIMIT = 5
+    #: the shared jittered policy paces respawns: the first respawn
+    #: after a healthy run is immediate, repeated rapid deaths back off
+    #: exponentially from 0.1 s up to 5 s instead of hot-spinning the
+    #: fork loop
+    RESPAWN_POLICY = RetryPolicy(base_delay=0.1, max_delay=5.0)
+
+    def __init__(self, name: str, options: dict[str, Any]) -> None:
         self.name = name
         self.options = dict(options)
-        self.ready_timeout = ready_timeout
         self.host = ""
         self.port = 0
         self.unix_path: Optional[str] = None
@@ -79,21 +87,9 @@ class ServerHandle:
         self.metrics_port = 0
         self.pid = 0
         self.restarts = 0
-        #: a respawned server dying again within this many seconds of
-        #: its spawn counts as a *rapid* death (crash-loop evidence)
-        self.crash_loop_window = crash_loop_window
-        #: rapid deaths tolerated before :class:`CrashLoopError`
-        self.crash_loop_limit = crash_loop_limit
-        #: the shared jittered policy paces respawns: the first respawn
-        #: after a healthy run is immediate, repeated rapid deaths back
-        #: off exponentially instead of hot-spinning the fork loop
-        self.respawn_policy = RetryPolicy(
-            max_attempts=max(1, crash_loop_limit),
-            base_delay=respawn_backoff, max_delay=respawn_backoff_max,
-            jitter=True)
         self._rapid_respawns = 0  # guarded_by: GIL
         self._spawned_at = 0.0    # guarded_by: GIL
-        self._output: deque[str] = deque(maxlen=output_keep)  # guarded_by: GIL
+        self._output: deque[str] = deque(maxlen=self.OUTPUT_KEEP)  # guarded_by: GIL
         self._ready = threading.Event()
         self._process: Optional[subprocess.Popen] = None
         self._drainer: Optional[threading.Thread] = None
@@ -115,7 +111,7 @@ class ServerHandle:
             name=f"supervise-{self.name}", daemon=True)
         self._drainer.start()
         self._spawned_at = time.monotonic()
-        if not self._ready.wait(timeout=self.ready_timeout):
+        if not self._ready.wait(timeout=self.READY_TIMEOUT):
             self.kill()
             tail = "\n".join(self.output_tail())
             raise RuntimeError(
@@ -152,23 +148,23 @@ class ServerHandle:
         """Respawn the process if it died. Returns True if a respawn ran.
 
         The first respawn after a healthy run is immediate; a server
-        that keeps dying within :attr:`crash_loop_window` seconds of its
+        that keeps dying within :attr:`CRASH_LOOP_WINDOW` seconds of its
         spawn is respawned with exponential jittered backoff, and after
-        :attr:`crash_loop_limit` rapid deaths the supervisor raises
+        :attr:`CRASH_LOOP_LIMIT` rapid deaths the supervisor raises
         :class:`~repro.errors.CrashLoopError` instead of spinning.
         """
         if self.alive:
             return False
         uptime = time.monotonic() - self._spawned_at
-        if uptime >= self.crash_loop_window:
+        if uptime >= self.CRASH_LOOP_WINDOW:
             self._rapid_respawns = 0  # it ran healthy for a while; re-arm
-        if self._rapid_respawns >= self.crash_loop_limit:
+        if self._rapid_respawns >= self.CRASH_LOOP_LIMIT:
             tail = "\n".join(self.output_tail(5))
             raise CrashLoopError(
                 f"server {self.name!r} died {self._rapid_respawns} times "
-                f"within {self.crash_loop_window:.1f}s of spawning "
+                f"within {self.CRASH_LOOP_WINDOW:.1f}s of spawning "
                 f"(exit={self.returncode})\n{tail}")
-        delay = self.respawn_policy.backoff(self._rapid_respawns)
+        delay = self.RESPAWN_POLICY.backoff(self._rapid_respawns)
         if delay > 0:
             time.sleep(delay)
         self._rapid_respawns += 1
@@ -217,8 +213,7 @@ class ServerHandle:
 class Supervisor:
     """Spawns and owns a set of server processes; context-managed."""
 
-    def __init__(self, ready_timeout: float = 15.0) -> None:
-        self.ready_timeout = ready_timeout
+    def __init__(self) -> None:
         self.servers: dict[str, ServerHandle] = {}  # guarded_by: GIL
 
     def spawn(self, name: str, **options: Any) -> ServerHandle:
@@ -229,8 +224,7 @@ class Supervisor:
         """
         if name in self.servers:
             raise ValueError(f"server {name!r} already supervised")
-        handle = ServerHandle(name, options,
-                              ready_timeout=self.ready_timeout)
+        handle = ServerHandle(name, options)
         self.servers[name] = handle
         return handle
 
@@ -257,8 +251,8 @@ class ServerPool:
     """Convenience: N identically-configured servers (benchmark fan-out)."""
 
     def __init__(self, n: int, name_prefix: str = "ndb",
-                 ready_timeout: float = 15.0, **options: Any) -> None:
-        self.supervisor = Supervisor(ready_timeout=ready_timeout)
+                 **options: Any) -> None:
+        self.supervisor = Supervisor()
         self.handles: list[ServerHandle] = []
         try:
             for i in range(n):

@@ -6,17 +6,13 @@ deterministic exponential backoff, the supervisor respawned crashed
 servers with *no* backoff at all. :class:`RetryPolicy` unifies them:
 
 * **exponential backoff with full jitter** — delays are drawn uniformly
-  from ``[0, min(max_delay, base_delay * multiplier**(attempt-1))]``
-  (AWS-style full jitter), so synchronized clients do not retry in
-  lockstep after a shared failure;
-* **retry budgets** — ``max_attempts`` bounds work, and an optional
-  ``deadline`` bounds wall-clock time across *all* attempts;
-* **deadline propagation** — :class:`Deadline` clamps per-request
-  timeouts (e.g. the RPC socket timeout) to the time remaining, so a
-  caller-level budget shortens the last request instead of overshooting;
-* an explicit **non-retryable set**: :class:`CommitAmbiguousError` is
-  never transparently retried anywhere in the stack — retrying an
-  ambiguous commit can double-apply (docs/robustness.md).
+  from ``[0, min(max_delay, base_delay * 2**(attempt-1))]`` (AWS-style
+  full jitter), so synchronized clients do not retry in lockstep after a
+  shared failure;
+* **a retry budget** — ``max_attempts`` bounds the work;
+* a fixed **never-retry set**: :class:`CommitAmbiguousError` is never
+  transparently retried anywhere in the stack — retrying an ambiguous
+  commit can double-apply (docs/robustness.md).
 
 The jitter RNG is injectable so tests (and the deterministic fault
 harness) can replay exact delay sequences from a seed.
@@ -26,54 +22,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from repro.errors import CommitAmbiguousError
-
-T = TypeVar("T")
 
 #: errors that must never be transparently retried, at any layer: an
 #: ambiguous commit may already have applied (double-apply hazard)
 NEVER_RETRY: tuple[type[BaseException], ...] = (CommitAmbiguousError,)
-
-
-class Deadline:
-    """A wall-clock budget shared across retry attempts and requests."""
-
-    __slots__ = ("_expires", "_monotonic")
-
-    def __init__(self, seconds: Optional[float],
-                 monotonic: Callable[[], float] = time.monotonic) -> None:
-        self._monotonic = monotonic
-        self._expires = None if seconds is None else monotonic() + seconds
-
-    @property
-    def unbounded(self) -> bool:
-        return self._expires is None
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left (>= 0.0), or None when unbounded."""
-        if self._expires is None:
-            return None
-        return max(0.0, self._expires - self._monotonic())
-
-    def expired(self) -> bool:
-        return self._expires is not None and self.remaining() <= 0.0
-
-    def clamp(self, timeout: Optional[float]) -> Optional[float]:
-        """Clamp a per-request timeout to the remaining budget.
-
-        ``None`` timeouts become the remaining budget (a deadline must
-        not be defeated by an infinite request); unbounded deadlines
-        leave the timeout alone.
-        """
-        left = self.remaining()
-        if left is None:
-            return timeout
-        if timeout is None:
-            return left
-        return min(timeout, left)
 
 
 @dataclass(frozen=True)
@@ -86,94 +42,42 @@ class RetryPolicy:
     base_delay: float = 0.0
     #: upper bound any single backoff can reach
     max_delay: float = 2.0
-    #: exponential growth factor between retries
-    multiplier: float = 2.0
-    #: full jitter (uniform in [0, cap]) vs. deterministic cap delays
-    jitter: bool = True
-    #: wall-clock budget across all attempts (None = unbounded)
-    deadline: Optional[float] = None
-    #: errors worth retrying; empty means "caller decides" (attempt
-    #: iteration only) and :meth:`run` retries any Exception
+    #: errors worth retrying; empty means any Exception
     retryable: tuple[type[BaseException], ...] = ()
-    #: errors never retried even when matched by ``retryable``
-    non_retryable: tuple[type[BaseException], ...] = field(
-        default=NEVER_RETRY)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
-
-    # -- building blocks ---------------------------------------------------------
 
     def backoff(self, attempt: int,
                 rng: Optional[random.Random] = None) -> float:
-        """Backoff before attempt ``attempt`` (attempt 0 never sleeps)."""
+        """Backoff before attempt ``attempt`` (attempt 0 never sleeps):
+        uniform in ``[0, cap]``, the cap doubling per attempt."""
         if attempt <= 0 or self.base_delay <= 0:
             return 0.0
-        cap = min(self.max_delay,
-                  self.base_delay * self.multiplier ** (attempt - 1))
-        if not self.jitter:
-            return cap
+        cap = min(self.max_delay, self.base_delay * 2 ** (attempt - 1))
         return (rng or random).uniform(0.0, cap)
 
     def is_retryable(self, exc: BaseException) -> bool:
-        if isinstance(exc, self.non_retryable):
+        if isinstance(exc, NEVER_RETRY):
             return False
         if not self.retryable:
             return isinstance(exc, Exception)
         return isinstance(exc, self.retryable)
 
     def attempts(self, *, rng: Optional[random.Random] = None,
-                 sleep: Callable[[float], None] = time.sleep,
-                 deadline: Optional[Deadline] = None) -> Iterator[int]:
+                 sleep: Callable[[float], None] = time.sleep
+                 ) -> Iterator[int]:
         """Yield attempt indices, sleeping with backoff before retries.
 
-        Iteration stops early when the deadline expires; the caller's
-        loop falling through means the budget is exhausted and it should
-        raise its last error.
+        The caller's loop falling through means the budget is exhausted
+        and it should raise its last error.
         """
-        if deadline is None:
-            deadline = Deadline(self.deadline)
         for attempt in range(self.max_attempts):
             if attempt:
                 delay = self.backoff(attempt, rng)
-                left = deadline.remaining()
-                if left is not None:
-                    if left <= 0.0:
-                        return
-                    delay = min(delay, left)
                 if delay > 0.0:
                     sleep(delay)
-            if attempt and deadline.expired():
-                return
             yield attempt
-
-    # -- the common loop ---------------------------------------------------------
-
-    def run(self, fn: Callable[[int], T], *,
-            rng: Optional[random.Random] = None,
-            sleep: Callable[[float], None] = time.sleep,
-            on_retry: Optional[Callable[[int, BaseException], None]] = None,
-            ) -> T:
-        """Call ``fn(attempt)`` until it succeeds or the budget runs out.
-
-        Non-retryable errors propagate immediately. When attempts or the
-        deadline run out, the last retryable error is re-raised.
-        """
-        last_exc: Optional[BaseException] = None
-        for attempt in self.attempts(rng=rng, sleep=sleep):
-            try:
-                return fn(attempt)
-            except BaseException as exc:
-                if not self.is_retryable(exc):
-                    raise
-                last_exc = exc
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-        if last_exc is None:  # pragma: no cover - attempts() yields >= once
-            raise RuntimeError("retry budget empty before any attempt")
-        raise last_exc

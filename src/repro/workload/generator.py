@@ -33,17 +33,21 @@ class FileSystemOp:
         return self.op in WRITE_OPS
 
 
+#: share of the files that is hot, and the share of accesses they get
+HOT_FRACTION = 0.03
+HOT_ACCESS_SHARE = 0.80
+
+
 class OperationGenerator:
     """Seeded operation stream over a namespace.
 
-    Popularity: a fraction ``hot_fraction`` of files receives
-    ``hot_access_share`` of the accesses. Directory-targeting operations
-    honour the Table-1 per-op directory shares.
+    Popularity: a fraction :data:`HOT_FRACTION` of files receives
+    :data:`HOT_ACCESS_SHARE` of the accesses. Directory-targeting
+    operations honour the Table-1 per-op directory shares.
     """
 
     def __init__(self, spec: WorkloadSpec, namespace: NamespaceModel,
-                 seed: int = 7, hot_fraction: float = 0.03,
-                 hot_access_share: float = 0.80) -> None:
+                 seed: int = 7) -> None:
         if not namespace.files or not namespace.directories:
             raise ValueError("namespace must contain files and directories")
         self.spec = spec
@@ -51,16 +55,15 @@ class OperationGenerator:
         self._rng = random.Random(seed)
         self._ops = list(spec.mix.keys())
         self._weights = [spec.mix[op] for op in self._ops]
-        n_hot = max(1, int(len(namespace.files) * hot_fraction))
+        n_hot = max(1, int(len(namespace.files) * HOT_FRACTION))
         self._hot_files = namespace.files[:n_hot]
         self._cold_files = namespace.files[n_hot:] or namespace.files
-        self._hot_share = hot_access_share
         self._rename_counter = 0
 
     # -- path sampling -------------------------------------------------------------
 
     def _sample_file(self) -> str:
-        if self._rng.random() < self._hot_share:
+        if self._rng.random() < HOT_ACCESS_SHARE:
             return self._rng.choice(self._hot_files)
         return self._rng.choice(self._cold_files)
 

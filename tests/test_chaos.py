@@ -36,6 +36,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, installed
 from repro.hopsfs.fsck import Fsck
+from repro.hopsfs.leader import MISSED_HEARTBEATS
 from repro.metrics.registry import MetricsRegistry
 from repro.util.clock import ManualClock
 
@@ -140,8 +141,7 @@ def recover(fs, clock):
         fs.restart_namenode()
     # enough missed-heartbeat windows for dead namenodes to be declared
     # dead (stale subtree locks are only reclaimable afterwards)
-    config = fs.namenodes[0].config
-    for _ in range(config.nn_missed_heartbeats + 2):
+    for _ in range(MISSED_HEARTBEATS + 2):
         clock.advance(1.0)
         fs.tick_heartbeats()
 
@@ -472,18 +472,15 @@ def test_drain_aborted_transactions_are_counted(tmp_path):
 
 
 def test_supervisor_crash_loop_backs_off_then_raises():
-    """Satellite: rapid child deaths respawn with backoff and surface a
-    typed CrashLoopError at the cap instead of spinning forever."""
+    """Rapid child deaths respawn with backoff and surface a typed
+    CrashLoopError at the cap instead of spinning forever."""
     from repro.rpc.supervisor import ServerHandle
 
-    handle = ServerHandle("ndb-loop",
-                          {"datanodes": 4, "replication": 2},
-                          respawn_backoff=0.01, respawn_backoff_max=0.05,
-                          crash_loop_window=3600.0, crash_loop_limit=2)
+    handle = ServerHandle("ndb-loop", {"datanodes": 4, "replication": 2})
     try:
-        for _ in range(2):
+        for _ in range(ServerHandle.CRASH_LOOP_LIMIT):
             handle.kill()
-            assert handle.ensure_alive()  # respawned (rapid death 1, 2)
+            assert handle.ensure_alive()  # respawned (rapid death 1..5)
         handle.kill()
         with pytest.raises(CrashLoopError, match="ndb-loop"):
             handle.ensure_alive()

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import NameNodeUnavailableError, RetriableError
 from repro.hdfs import HDFSCluster
+from repro.hdfs.coordinator import FailoverCoordinator
 from repro.util.clock import ManualClock
 
 
 @pytest.fixture
 def hdfs():
-    return HDFSCluster(num_datanodes=3, clock=ManualClock(),
-                       failover_timeout=2.0)
+    return HDFSCluster(num_datanodes=3, clock=ManualClock())
 
 
 class TestEndToEnd:
@@ -82,7 +82,7 @@ class TestFailover:
         hdfs.tick()
         old_active = hdfs.active_namenode()
         hdfs.kill_active_namenode()
-        clock.advance(3.0)
+        clock.advance(FailoverCoordinator.FAILOVER_TIMEOUT + 1.0)
         assert hdfs.tick_failover() is True
         new_active = hdfs.active_namenode()
         assert new_active.nn_id != old_active.nn_id
@@ -94,7 +94,7 @@ class TestFailover:
         client.write_file("/f", b"pre")
         hdfs.tick()
         hdfs.kill_active_namenode()
-        clock.advance(3.0)
+        clock.advance(FailoverCoordinator.FAILOVER_TIMEOUT + 1.0)
         hdfs.tick_failover()
         client.write_file("/g", b"post")
         assert client.read_file("/f") == b"pre"
@@ -105,7 +105,7 @@ class TestFailover:
         client = hdfs.client("c")
         client.write_file("/f", b"data")
         hdfs.kill_active_namenode()
-        clock.advance(3.0)
+        clock.advance(FailoverCoordinator.FAILOVER_TIMEOUT + 1.0)
         hdfs.tick_failover()
         located = client.get_block_locations("/f")
         assert located.blocks[0].datanodes  # standby kept the block map hot
@@ -115,7 +115,7 @@ class TestFailover:
         client = hdfs.client("c")
         client.write_file("/f", b"data")
         hdfs.kill_active_namenode()
-        clock.advance(3.0)
+        clock.advance(FailoverCoordinator.FAILOVER_TIMEOUT + 1.0)
         hdfs.tick_failover()
         standby = hdfs.restart_standby()
         assert standby.ns.get_file_info("/f") is not None
@@ -139,7 +139,7 @@ class TestFailover:
         # the active shut down on quorum loss; repair the quorum & fail over
         hdfs.restart_journal_node(0)
         hdfs.restart_journal_node(1)
-        clock.advance(3.0)
+        clock.advance(FailoverCoordinator.FAILOVER_TIMEOUT + 1.0)
         hdfs.tick_failover()
         assert client.exists("/kept")
         assert not client.exists("/lost")  # applied in memory, never durable

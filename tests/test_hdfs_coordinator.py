@@ -13,7 +13,7 @@ def clock():
 
 @pytest.fixture
 def coordinator(clock):
-    return FailoverCoordinator(clock, ensemble_size=3, failover_timeout=5.0)
+    return FailoverCoordinator(clock)
 
 
 def test_first_renewer_becomes_holder(coordinator):
@@ -35,7 +35,7 @@ def test_takeover_blocked_while_lease_fresh(coordinator, clock):
 
 def test_takeover_after_lease_expiry(coordinator, clock):
     coordinator.renew(1)
-    clock.advance(6.0)
+    clock.advance(FailoverCoordinator.FAILOVER_TIMEOUT + 1.0)
     assert coordinator.lease_expired()
     assert coordinator.try_takeover(2)
     assert coordinator.holder() == 2

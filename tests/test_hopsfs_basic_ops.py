@@ -12,6 +12,7 @@ from repro.errors import (
     ParentNotDirectoryError,
     PermissionDeniedError,
 )
+from repro.hopsfs.ops_inode import LEASE_TIMEOUT
 
 
 class TestMkdirs:
@@ -314,13 +315,13 @@ class TestLeases:
     def test_lease_recovery_closes_expired_file(self, fs, client):
         client.create("/f")
         assert client.stat("/f").under_construction
-        fs.config.clock.advance(fs.config.lease_timeout + 1)
+        fs.config.clock.advance(LEASE_TIMEOUT + 1)
         fs.tick()  # leader housekeeping recovers the lease
         assert not client.stat("/f").under_construction
 
     def test_renew_lease_prevents_recovery(self, fs, client):
         client.create("/f")
-        fs.config.clock.advance(fs.config.lease_timeout - 1)
+        fs.config.clock.advance(LEASE_TIMEOUT - 1)
         client.renew_lease()
         fs.config.clock.advance(2)
         fs.tick()

@@ -9,8 +9,14 @@ per deployment, an unsampled operation binds nothing, and the cluster
 views still export every family they exported before.
 """
 
+import ast
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.dal import NDBDriver, RemoteDriver
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.metrics import tracing
@@ -30,7 +36,7 @@ NAMENODE_FAMILIES = {
     "db_round_trips_total", "db_rows_read_total", "db_rows_written_total",
     "db_rows_locked_total", "db_remote_partition_hops_total",
     "db_op_round_trips", "subtree_op_inodes_total", "subtree_op_seconds",
-    "hopsfs_phase_seconds", "degraded_mode", "hint_cache_size",
+    "hopsfs_phase_seconds", "hint_cache_size",
     "hint_cache_hits", "hint_cache_misses", "hint_cache_invalidations",
     "hint_cache_evictions", "hint_cache_hit_rate",
     "resolver_batched_resolutions", "resolver_recursive_resolutions",
@@ -183,3 +189,82 @@ def test_two_namenodes_on_one_engine_do_not_split_the_engines_histograms():
     for nn in (nn1, nn2):
         assert not [h for h in nn.metrics.histograms()
                     if h.name.startswith("ndb_")]
+
+
+# -- the catalogue: docs/observability.md §1 against the code ------------------
+
+#: the modules whose code records into a namenode's registry: the
+#: namenode and its two op mixins, and the tracer it hands the registry
+NAMENODE_MODULES = ("hopsfs/namenode.py", "hopsfs/ops_inode.py",
+                    "hopsfs/ops_subtree.py", "metrics/tracing.py")
+#: the registry methods that take a family name first
+_RECORDING = {"inc", "observe", "counter", "histogram", "gauge", "set_gauge"}
+
+
+def _expand_braces(text):
+    """``db_rows_{read,written}_total`` -> both names."""
+    parts = re.split(r"\{([^}]*)\}", text)
+    choices = [part.split(",") if i % 2 else [part]
+               for i, part in enumerate(parts)]
+    return {"".join(pick) for pick in itertools.product(*choices)}
+
+
+def _documented_families(owner):
+    """Every family a §1 row of ``owner`` names, braces expanded."""
+    doc = Path(__file__).parents[1] / "docs" / "observability.md"
+    section = doc.read_text(encoding="utf-8").split("## 1.")[1]
+    section = section.split("\n## ")[0]
+    names = set()
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and cells[-1] == owner:
+            for quoted in re.findall(r"`([^`]+)`", cells[0]):
+                names |= _expand_braces(quoted)
+    return names
+
+
+def _recorded_families(module):
+    """Every literal family name ``module`` passes to a registry method;
+    an f-string name inside ``for key in (<literals>)`` expands over
+    the literals."""
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    loops = {}  # id(JoinedStr) -> (loop variable, its values)
+    for loop in ast.walk(tree):
+        if (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, (ast.Tuple, ast.List))):
+            values = [elt.value for elt in loop.iter.elts]
+            for node in ast.walk(loop):
+                if isinstance(node, ast.JoinedStr):
+                    loops[id(node)] = (loop.target.id, values)
+    names = set()
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in _RECORDING and call.args):
+            continue
+        first = call.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            names.add(first.value)
+        elif isinstance(first, ast.JoinedStr):
+            var, values = loops[id(first)]
+            template = "".join(
+                "{}" if isinstance(part, ast.FormattedValue)
+                and isinstance(part.value, ast.Name) and part.value.id == var
+                else part.value for part in first.values)
+            names |= {template.format(value) for value in values}
+    return names
+
+
+def test_the_catalogue_names_exactly_the_namenodes_families():
+    """A doc row cannot outlive its metric, nor a metric go undocumented:
+    the ``namenode`` rows of docs/observability.md §1 name exactly what
+    the namenode's code can register — error-path-only families like
+    ``fs_op_errors_total`` and ``hopsfs_slow_ops_total`` included, which
+    no workload test reaches."""
+    src = Path(repro.__file__).parent
+    recorded = set().union(*(_recorded_families(src / module)
+                             for module in NAMENODE_MODULES))
+    assert _documented_families("namenode") == recorded
+    assert {"fs_op_errors_total", "fs_op_stale_subtree_locks_total",
+            "hopsfs_slow_ops_total"} <= recorded
+    assert NAMENODE_FAMILIES <= recorded

@@ -214,9 +214,10 @@ def test_tracer_sampling_and_ring_bound():
     assert len(Tracer(sample_every=0).trace("op").__enter__() or []) == 0
 
 
-def test_tracer_slow_log_and_registry_fold():
+def test_tracer_slow_log_and_registry_fold(monkeypatch):
     reg = MetricsRegistry()
-    tracer = Tracer(registry=reg, slow_threshold=0.0)  # everything is slow
+    monkeypatch.setattr(Tracer, "SLOW_THRESHOLD", 0.0)  # everything is slow
+    tracer = Tracer(registry=reg)
     with tracer.trace("mkdir"):
         with span("execute"):
             pass

@@ -39,6 +39,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             NDBConfig(**kwargs)
 
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_hopsfs_block_size_must_be_positive(self, block_size):
+        # a negative size used to make write_file store no blocks and
+        # report success: range(0, len(data), -n) is empty
+        with pytest.raises(ValueError, match="block_size"):
+            HopsFSConfig(block_size=block_size)
+
     def test_docs_configuration_table_lists_exactly_the_fields(self):
         doc = Path(__file__).parents[1] / "docs" / "architecture.md"
         documented = set(re.findall(

@@ -21,7 +21,7 @@ class Owner:
 
 @pytest.fixture
 def mgr():
-    return LockManager(timeout=0.5, deadlock_detection=True)
+    return LockManager(timeout=0.5)
 
 
 def test_shared_locks_coexist(mgr):

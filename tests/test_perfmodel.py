@@ -63,6 +63,60 @@ class TestProfiles:
         assert profiles["read"].trips[0].hot_rows  # the riding one too
 
 
+#: profile -> (its ``_fs_op`` budget key, the budget's symbols bound to
+#: the profiled namespace, round trips of the budget's worst branch the
+#: profiled call does not take). The profiled directory holds 16 empty
+#: files and, by the time ``content_summary`` runs, three empty
+#: subdirectories: the summary lists 4 directories (``dir``), and no
+#: profiled file has a block (``block``).
+PROFILED_BUDGETS = {
+    "stat": ("stat", {}, 0),
+    "stat_dir": ("stat", {}, 0),
+    "read": ("read", {}, 0),
+    "ls": ("ls", {}, 0),
+    "ls_file": ("ls", {}, 0),
+    "mkdirs": ("mkdirs", {}, 0),
+    "create": ("create", {}, 0),
+    "add_block": ("add_block", {}, 0),
+    "append": ("append", {}, 0),
+    "rename": ("rename", {}, 0),
+    "content_summary": ("content_summary", {"dir": 4}, 0),
+    "set_permission_dir": ("chmod", {}, 0),
+    "set_owner_dir": ("chown", {}, 0),
+    # a file has no children to probe for, which the budget's directory
+    # branch pays one read for
+    "set_permission": ("chmod", {}, 1),
+    "set_owner": ("chown", {}, 1),
+    "delete": ("delete", {"block": 0, "replica": 3}, 1),
+    # an empty file's replication change moves no quota: no quota read
+    "set_replication": ("set_replication", {"block": 0, "extra": 0}, 1),
+}
+#: profiles with no budget to tie to, and why
+UNBUDGETED_PROFILES = {
+    # a top-level directory is hash-partitioned: its listing is an
+    # all-shard index scan, outside the warm budget (``rt: offpath``)
+    "ls_top",
+    # recorded before its block has a finalized replica, so the call
+    # returns False after its read; the budget prices the close
+    "complete",
+}
+
+
+def test_profiles_cost_what_the_budget_table_says(profiles):
+    """The perf model replays these profiles, so they must not drift from
+    the round-trip budgets the linter and the runtime pins hold the code
+    to: an extra round trip in an op fails here too."""
+    from repro.analysis.budgets import OP_BUDGETS, Cost
+
+    assert set(profiles) == set(PROFILED_BUDGETS) | UNBUDGETED_PROFILES
+    measured, budgeted = {}, {}
+    for name, (key, shape, skipped) in PROFILED_BUDGETS.items():
+        measured[name] = profiles[name].round_trips
+        budgeted[name] = Cost.parse(OP_BUDGETS[key]).evaluate(**shape) \
+            - skipped
+    assert measured == budgeted
+
+
 class TestHopsFSModel:
     def test_throughput_scales_with_namenodes(self, profiles):
         small = simulate_hopsfs(num_namenodes=5, ndb_nodes=12, clients=2000,

@@ -445,7 +445,7 @@ def test_lock_manager_compatibility_invariant(ops):
     an exclusive holder coexisting with another holder."""
     from repro.errors import DeadlockError, LockTimeoutError
 
-    mgr = LockManager(timeout=0.02, deadlock_detection=True)
+    mgr = LockManager(timeout=0.02)
     owners = [object() for _ in range(5)]
     keys = set()
     for owner_idx, key, mode, release in ops:

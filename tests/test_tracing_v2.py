@@ -341,8 +341,8 @@ class TestFlightRecorder:
         assert all(not r.to_dict()["in_flight"] for r in nn.flight.ops())
 
     def test_abort_storm_detection_and_auto_dump(self, tmp_path):
-        recorder = FlightRecorder(name="stormy", storm_threshold=3,
-                                  storm_window=8, dump_dir=str(tmp_path))
+        recorder = FlightRecorder(name="stormy", dump_dir=str(tmp_path))
+        threshold = FlightRecorder.STORM_THRESHOLD
 
         def fail(n):
             for _ in range(n):
@@ -353,14 +353,14 @@ class TestFlightRecorder:
             for _ in range(n):
                 recorder.end(recorder.begin("op"))
 
-        fail(2)
+        fail(threshold - 1)
         assert recorder.storms == 0
         fail(1)
         assert recorder.storms == 1
         fail(5)  # still inside the same storm: no double counting
         assert recorder.storms == 1
-        succeed(8)  # window fully healthy again: re-arm
-        fail(3)
+        succeed(FlightRecorder.STORM_WINDOW)  # window healthy again: re-arm
+        fail(threshold)
         assert recorder.storms == 2
         dumps = list(tmp_path.glob("flight-stormy-*.json"))
         assert len(dumps) == 2
@@ -368,9 +368,8 @@ class TestFlightRecorder:
             assert json.load(fh)["reason"] == "abort_storm"
 
     def test_storm_not_triggered_by_user_errors(self):
-        recorder = FlightRecorder(name="calm", storm_threshold=2,
-                                  storm_window=8)
-        for _ in range(6):
+        recorder = FlightRecorder(name="calm")
+        for _ in range(2 * FlightRecorder.STORM_THRESHOLD):
             rec = recorder.begin("stat")
             recorder.end(rec, error=FileNotFoundError_("/x"))
         assert recorder.storms == 0
