@@ -13,7 +13,9 @@ database servers as separate processes reached over the network:
   :class:`repro.ndb.NDBCluster` and serves the full ``DALTransaction``
   contract from one loop over every connection (``python -m repro
   serve``);
-* :mod:`repro.rpc.supervisor` — spawns/monitors/stops server processes.
+* :mod:`repro.rpc.supervisor` — spawns/monitors/stops server processes,
+  each on a CPU of its own that the supervising process then keeps off,
+  when the host has one to spare.
 
 The client half lives in :class:`repro.dal.remote_driver.RemoteDriver`,
 which implements the same ``DALDriver`` interface as the embedded

@@ -6,9 +6,10 @@ connection. JSON stays debuggable with ``tcpdump``/``socat`` and needs
 no third-party codec. Measured on a 2-vCPU VM over AF_UNIX, a warm
 4-row ``stat`` round trip (a 277-byte request, a 960-byte reply) spends
 ≈ 48 µs in the codec, counting both ends encoding and decoding; a hot
-``ping`` round trip is 60–80 µs; and the server's whole CPU for the
-``stat`` is 190–230 µs. So the protocol is built to wait less, not to
-encode faster (docs/performance.md)::
+``ping`` round trip is 50–75 µs; and the server's whole CPU for the
+``stat`` is 170–180 µs, or 150–173 µs with the server on a CPU of its
+own. So the protocol is built to wait less, not to encode faster
+(docs/performance.md)::
 
     {"id": 7, "method": "tx.read", "params": {...}, "trace": {"id": "41"}}
     {"id": 7, "ok": true,  "result": {...}, "trace": {...}}

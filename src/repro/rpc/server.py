@@ -50,6 +50,7 @@ import argparse
 import json
 import os
 import selectors
+import shlex
 import signal
 import socket
 import sys
@@ -1154,7 +1155,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ready = f"{READY_PREFIX} host={server.host} port={server.port} " \
             f"pid={os.getpid()}"
     if server.unix_path is not None:
-        ready += f" unix={server.unix_path}"
+        ready += f" unix={shlex.quote(server.unix_path)}"
     if server.metrics_port is not None:
         ready += f" metrics={server.metrics_http_port}"
     print(ready, flush=True)

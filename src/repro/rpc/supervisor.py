@@ -8,10 +8,22 @@ a full pipe, and tears everything down on exit — SIGTERM first (the
 server drains in-flight transactions), SIGKILL if the child ignores it.
 Context-manager use guarantees no leaked server processes on test
 teardown.
+
+Each server gets a CPU of its own when the host has one to spare
+(:func:`pick_cpu`) and keeps it across respawns: the child is forked by
+a thread bound to that CPU, so it starts there and every thread it
+starts inherits it. The supervising process keeps off the CPUs its
+servers hold until it stops them. Otherwise a reply's wakeup runs the
+client on the server's CPU while the other sits idle, so the two run one
+after the other; apart, the server answers the next frame while the
+client works. This is NDB's thread-to-CPU locking for a process
+deployment. Affinity belongs to the process, so the CPUs held are
+counted across every Supervisor in it (:class:`_Placement`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import signal
@@ -20,7 +32,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import repro
 from repro.errors import CrashLoopError
@@ -59,6 +71,82 @@ def _serve_args(options: dict[str, Any]) -> list[str]:
     return argv
 
 
+def pick_cpu(allowed: Iterable[int], taken: Iterable[int]) -> Optional[int]:
+    """The CPU a new server is pinned to: the highest of ``allowed`` that
+    no server holds yet. The lowest is never taken, it stays with the
+    parent; None when no CPU is to spare."""
+    held = set(taken)
+    free = [cpu for cpu in sorted(allowed)[1:] if cpu not in held]
+    return free[-1] if free else None
+
+
+def _allowed_cpus() -> frozenset[int]:
+    """CPUs this process may run on; none where affinity is unsupported."""
+    if not hasattr(os, "sched_setaffinity"):
+        return frozenset()
+    return frozenset(os.sched_getaffinity(0))
+
+
+def _process_on(cpus: frozenset[int]) -> None:
+    """Allow every thread of this process ``cpus``; a thread started
+    later inherits the mask of the thread that starts it."""
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            os.sched_setaffinity(int(tid), cpus)
+        except ProcessLookupError:
+            pass  # the thread ended since the listing
+
+
+@contextlib.contextmanager
+def _thread_on(cpus: frozenset[int]) -> Iterator[None]:
+    """Run the block with the calling thread allowed ``cpus``, so a child
+    forked in it starts with them; no change for an empty set."""
+    if not cpus:
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+class _Placement:
+    """The CPUs the servers of every Supervisor in this process hold, and
+    the set the process may run on while none is held."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held: set[int] = set()  # guarded_by: _lock
+        self._cpus: frozenset[int] = frozenset()  # guarded_by: _lock
+
+    def take(self) -> tuple[Optional[int], frozenset[int]]:
+        """A CPU for a new server (None: none to spare) and the full set,
+        which an unpinned server starts with; this process keeps off the
+        CPU from now on."""
+        with self._lock:
+            if not self._held:
+                self._cpus = _allowed_cpus()
+            cpu = pick_cpu(self._cpus, self._held)
+            if cpu is not None:
+                self._held.add(cpu)
+                _process_on(self._cpus - self._held)
+            return cpu, self._cpus
+
+    def release(self, cpus: Iterable[Optional[int]]) -> None:
+        """Give back the CPUs of stopped servers (None: held none)."""
+        freed = set(cpus) - {None}
+        if not freed:
+            return
+        with self._lock:
+            self._held -= freed
+            _process_on(self._cpus - self._held)
+
+
+_PLACEMENT = _Placement()
+
+
 class ServerHandle:
     """One supervised ndb-server process."""
 
@@ -77,9 +165,15 @@ class ServerHandle:
     #: fork loop
     RESPAWN_POLICY = RetryPolicy(base_delay=0.1, max_delay=5.0)
 
-    def __init__(self, name: str, options: dict[str, Any]) -> None:
+    def __init__(self, name: str, options: dict[str, Any],
+                 cpu: Optional[int] = None,
+                 start_cpus: frozenset[int] = frozenset()) -> None:
         self.name = name
         self.options = dict(options)
+        #: the CPU every spawn of this server is pinned to (None: unpinned)
+        self.cpu = cpu
+        #: the CPUs the child starts with (empty: the spawning thread's)
+        self._start_cpus = start_cpus
         self.host = ""
         self.port = 0
         self.unix_path: Optional[str] = None
@@ -101,10 +195,15 @@ class ServerHandle:
         argv = [sys.executable, "-m", "repro", "serve",
                 "--name", self.name, *_serve_args(self.options)]
         self._ready = threading.Event()
-        self._process = subprocess.Popen(
-            argv, env=_child_env(),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, bufsize=1)
+        # the child inherits the forking thread's mask, from its first
+        # instruction; neither a preexec_fn (unsafe in a threaded parent)
+        # nor a sched_setaffinity(pid) after Popen (races its threads)
+        with _thread_on(frozenset({self.cpu}) if self.cpu is not None
+                        else self._start_cpus):
+            self._process = subprocess.Popen(
+                argv, env=_child_env(),
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True, bufsize=1)
         self.pid = self._process.pid
         self._drainer = threading.Thread(
             target=self._drain_output, args=(self._process,),
@@ -124,8 +223,8 @@ class ServerHandle:
             line = line.rstrip("\n")
             self._output.append(line)
             if line.startswith(READY_PREFIX):
-                fields = dict(part.split("=", 1)
-                              for part in line[len(READY_PREFIX):].split())
+                fields = dict(part.split("=", 1) for part
+                              in shlex.split(line[len(READY_PREFIX):]))
                 self.host = fields.get("host", "127.0.0.1")
                 self.port = int(fields.get("port", 0))
                 self.unix_path = fields.get("unix")
@@ -220,11 +319,18 @@ class Supervisor:
         """Launch ``python -m repro serve`` with kwargs as CLI flags.
 
         Keyword names map to flags (``network_delay=0.003`` becomes
-        ``--network-delay 0.003``); booleans become bare flags.
+        ``--network-delay 0.003``); booleans become bare flags. The
+        server is pinned to the CPU :func:`pick_cpu` gives it, if any,
+        and this process then keeps off that CPU.
         """
         if name in self.servers:
             raise ValueError(f"server {name!r} already supervised")
-        handle = ServerHandle(name, options)
+        cpu, cpus = _PLACEMENT.take()
+        try:
+            handle = ServerHandle(name, options, cpu=cpu, start_cpus=cpus)
+        except BaseException:
+            _PLACEMENT.release([cpu])
+            raise
         self.servers[name] = handle
         return handle
 
@@ -237,6 +343,7 @@ class Supervisor:
         codes = {}
         for name, handle in self.servers.items():
             codes[name] = handle.stop(timeout=timeout)
+        _PLACEMENT.release(h.cpu for h in self.servers.values())
         self.servers.clear()
         return codes
 

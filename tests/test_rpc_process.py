@@ -16,7 +16,8 @@ import pytest
 
 from repro.dal import RemoteDriver
 from repro.ndb import TableSchema
-from repro.rpc import ServerPool, Supervisor
+from repro.rpc import ServerHandle, ServerPool, Supervisor
+from repro.rpc.supervisor import _Placement, pick_cpu
 
 KV = TableSchema(name="kv", columns=("k", "v"), primary_key=("k",))
 
@@ -105,6 +106,122 @@ def test_server_pool_no_leaked_processes():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)  # exited and reaped: no leaked children
+
+
+def test_ready_line_with_a_space_in_the_unix_path(tmp_path, monkeypatch):
+    # split on blanks, the unquoted path raised in the output drainer and
+    # the spawn waited out READY_TIMEOUT
+    monkeypatch.setattr(ServerHandle, "READY_TIMEOUT", 5.0)
+    directory = tmp_path / "a b"
+    directory.mkdir()
+    path = str(directory / "ndb.sock")
+    with Supervisor() as sup:
+        handle = sup.spawn("ndb-space", unix=path, **SERVER_OPTIONS)
+        assert handle.unix_path == path
+        with _driver(handle, unix_path=handle.unix_path) as drv:
+            assert drv.is_available()
+
+
+def test_pick_cpu_takes_the_highest_free_cpu_and_never_the_lowest():
+    assert pick_cpu({0}, []) is None
+    assert pick_cpu({0, 1}, []) == 1
+    assert pick_cpu({0, 1}, [1]) is None
+    taken = []
+    for _ in range(4):
+        taken.append(pick_cpu(range(4), taken))
+    assert taken == [3, 2, 1, None]
+    assert pick_cpu(set(), []) is None  # no affinity support
+
+
+def test_supervisor_places_each_server_and_a_respawn_keeps_its_cpu(
+        monkeypatch):
+    spawned, parent = [], []
+    monkeypatch.setattr("repro.rpc.supervisor._PLACEMENT", _Placement())
+    monkeypatch.setattr("repro.rpc.supervisor._allowed_cpus",
+                        lambda: frozenset(range(4)))
+    monkeypatch.setattr("repro.rpc.supervisor._process_on", parent.append)
+    monkeypatch.setattr(ServerHandle, "_spawn",
+                        lambda self: spawned.append((self.name, self.cpu)))
+    sup = Supervisor()
+    handles = [sup.spawn(f"s{i}") for i in range(4)]
+    assert [h.cpu for h in handles] == [3, 2, 1, None]
+    assert parent == [{0, 1, 2}, {0, 1}, {0}]  # off every server's CPU
+    assert handles[1].ensure_alive()  # never started, so never alive
+    assert spawned[-1] == ("s1", 2)
+    sup.stop_all()
+    assert parent[-1] == {0, 1, 2, 3}
+
+
+def test_supervisors_in_one_process_share_the_placement(monkeypatch):
+    parent = []
+    monkeypatch.setattr("repro.rpc.supervisor._PLACEMENT", _Placement())
+    monkeypatch.setattr("repro.rpc.supervisor._allowed_cpus",
+                        lambda: frozenset(range(4)))
+    monkeypatch.setattr("repro.rpc.supervisor._process_on", parent.append)
+    monkeypatch.setattr(ServerHandle, "_spawn", lambda self: None)
+    first, second = Supervisor(), Supervisor()
+    assert first.spawn("a").cpu == 3
+    assert second.spawn("b").cpu == 2  # not the CPU the first one holds
+    first.stop_all()
+    assert parent[-1] == {0, 1, 3}  # the second's server keeps its CPU
+    assert second.spawn("c").cpu == 3
+    second.stop_all()
+    assert parent[-1] == {0, 1, 2, 3}
+
+
+def test_a_failed_spawn_gives_its_cpu_back(monkeypatch):
+    def never_ready(self):
+        raise RuntimeError("never reported READY")
+
+    monkeypatch.setattr("repro.rpc.supervisor._PLACEMENT", _Placement())
+    monkeypatch.setattr("repro.rpc.supervisor._allowed_cpus",
+                        lambda: frozenset(range(2)))
+    monkeypatch.setattr("repro.rpc.supervisor._process_on", lambda cpus: None)
+    monkeypatch.setattr(ServerHandle, "_spawn", never_ready)
+    sup = Supervisor()
+    with pytest.raises(RuntimeError):
+        sup.spawn("a")
+    monkeypatch.setattr(ServerHandle, "_spawn", lambda self: None)
+    assert sup.spawn("a").cpu == 1
+
+
+def _thread_cpus(pid: int) -> list[set[int]]:
+    masks = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        try:
+            masks.append(os.sched_getaffinity(int(tid)))
+        except ProcessLookupError:
+            pass  # the thread ended between the listing and the read
+    return masks
+
+
+_AFFINITY = hasattr(os, "sched_getaffinity")
+
+
+@pytest.mark.skipif(not _AFFINITY or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and at least 2 CPUs")
+def test_every_thread_of_a_spawned_server_runs_on_its_cpu():
+    allowed = os.sched_getaffinity(0)
+    with Supervisor() as sup:
+        handle = sup.spawn("ndb-pin", metrics_port=0, **SERVER_OPTIONS)
+        assert handle.cpu == max(allowed)
+        assert all(mask == allowed - {handle.cpu}
+                   for mask in _thread_cpus(os.getpid()))
+        for respawn in (False, True):
+            if respawn:
+                handle.kill()
+                assert handle.ensure_alive()
+            with _driver(handle) as drv:
+                drv.create_table(KV)
+                drv.session().run(lambda tx: tx.insert("kv", {"k": 1, "v": 1}))
+            masks = _thread_cpus(handle.pid)
+            assert len(masks) > 1
+            assert all(mask == {handle.cpu} for mask in masks), masks
+        second = sup.spawn("ndb-pin2", **SERVER_OPTIONS)
+        if len(allowed) == 2:
+            assert second.cpu is None
+            assert all(mask == allowed for mask in _thread_cpus(second.pid))
+    assert all(mask == allowed for mask in _thread_cpus(os.getpid()))
 
 
 def test_kill_datanode_mid_commit_storm_in_process_mode():
