@@ -42,9 +42,10 @@ lives in-process or behind a socket. What changes under the hood:
   predicate, preserving embedded semantics).
 
 Access statistics stay exact: every transaction RPC response carries the
-scalar counter deltas and new :class:`AccessEvent` records produced
-server-side, and the client folds them into ``tx.stats`` — access-path
-verification and the performance model see embedded-identical numbers.
+:class:`AccessEvent` records produced server-side (and the row locks
+taken), and the client records them into ``tx.stats`` through
+:meth:`AccessStats.record` — access-path verification and the
+performance model see embedded-identical numbers.
 
 Metrics: what the client side of the wire produces — the per-phase
 ``rpc_request_seconds{phase,method}`` of traced calls,
@@ -150,16 +151,17 @@ class RemoteTransaction:
         try:
             result = self._driver._traced_call(self._conn, method, params,
                                                writes=carried, **labels)
+            protocol.apply_stats_delta(self.stats, result["stats"])
         except Exception as exc:
             # a dead connection takes its transactions with it; a live
             # one answered with an error, and an error reply ends the
-            # transaction server-side (protocol rule)
+            # transaction server-side (protocol rule); a malformed reply
+            # drops the connection, which aborts it server-side
             self._end(TxState.ABORTED,
                       reusable=not isinstance(exc, _CONN_POISON))
             raise
         self._begun = True
         self.coordinator = result.get("coordinator", self.coordinator)
-        protocol.apply_stats_delta(self.stats, result["stats"])
         return result
 
     def _call(self, method: str, params: dict[str, Any],
@@ -523,6 +525,11 @@ class RemoteDriver(DALDriver):
             except _CONN_ERRORS as exc:
                 last_exc = exc
                 continue  # conn is closed; next checkout redials
+            except Exception as exc:
+                # an error reply leaves the stream in sync: pool the conn
+                self._checkin(conn,
+                              reusable=not isinstance(exc, _CONN_POISON))
+                raise
             self._checkin(conn)
             return result
         raise last_exc

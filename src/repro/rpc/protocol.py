@@ -1,15 +1,15 @@
-"""Wire protocol (version 4) for the DAL RPC subsystem.
+"""Wire protocol (version 5) for the DAL RPC subsystem.
 
 Frames are length-prefixed JSON: a 4-byte big-endian payload length
 followed by the UTF-8 JSON payload, handled strictly in order per
 connection. JSON stays debuggable with ``tcpdump``/``socat`` and needs
-no third-party codec. Measured on a 2-vCPU VM over AF_UNIX, a warm
-4-row ``stat`` round trip (a 277-byte request, a 960-byte reply) spends
-≈ 48 µs in the codec, counting both ends encoding and decoding; a hot
-``ping`` round trip is 50–75 µs; and the server's whole CPU for the
-``stat`` is 170–180 µs, or 150–173 µs with the server on a CPU of its
-own. So the protocol is built to wait less, not to encode faster
-(docs/performance.md)::
+no third-party codec; one encoder and one decoder are built at import
+and serve every frame. Measured on a 2-vCPU VM (medians of five runs),
+a warm 4-row ``stat`` round trip (a 271-byte request, a 757-byte reply)
+spends ≈ 42 µs in the codec, counting both ends encoding and decoding
+(≈ 56 µs in version 4, whose reply was 975 bytes), and the client's
+stats fold ≈ 2 µs (≈ 6 µs). The protocol is built to wait less first,
+then to spend less CPU per round trip (docs/performance.md)::
 
     {"id": 7, "method": "tx.read", "params": {...}, "trace": {"id": "41"}}
     {"id": 7, "ok": true,  "result": {...}, "trace": {...}}
@@ -53,11 +53,15 @@ object through the JSON encoder/decoder hooks; tuples become lists
 (every DAL entry point accepts sequences). Also here, because both ends
 need them: :func:`encode_schema` / :func:`decode_schema` for
 ``create_table``, and :class:`StatsCursor` /
-:func:`apply_stats_delta` — every transaction reply carries the
-:class:`AccessStats` diff the request produced *server-side* (scalar
-counters plus the new :class:`AccessEvent` records) and the client folds
-it into its own, so access-path verification and the performance model
-see exactly what an embedded driver would.
+:func:`apply_stats_delta` — every transaction reply carries ``"stats":
+[rows_locked, [[kind, table, partitions, nodes, coordinator, rows,
+locked, write, node_groups], ...]]``, the row locks the request took
+*server-side* and the :class:`AccessEvent` records it produced. The
+client records each event through :meth:`AccessStats.record`, the call
+that counted it on the server, so every other counter (``round_trips``,
+``by_kind``, rows, hops, partitions) is recounted, not shipped, and
+access-path verification and the performance model see exactly what an
+embedded driver would.
 
 The ``trace`` fields are optional (absent means unsampled). A
 request-side envelope carries the client's ``trace_id``; the server then
@@ -86,13 +90,14 @@ from repro.errors import ProtocolError, RemoteCallError
 from repro.ndb.schema import TableSchema
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
-#: bump when the frame or message layout changes incompatibly — or, as
+#: bump when the frame or message layout changes incompatibly (5: a
+#: reply's ``"stats"`` became ``[rows_locked, [event, ...]]``) — or, as
 #: for 3 and 4, when a request grows a field an older server would
 #: silently ignore to the caller's harm (3: ``tx.ppis_batch``'s
 #: ``"lock"`` — unlocked rows handed back; 4: ``tx.read_batch``'s
 #: ``"commit"`` — a client believing it committed while the server holds
 #: its locks — and ``delete`` among the buffered writes)
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: refuse frames larger than this (corrupt peer / length desync guard)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -106,7 +111,7 @@ _BYTES_TAG = "__bytes_b64__"
 
 
 def _bytes_to_json(value: Any) -> dict[str, str]:
-    """``json.dumps`` hook: the only non-JSON type a message may hold."""
+    """Encoder hook: the only non-JSON type a message may hold."""
     if isinstance(value, (bytes, bytearray)):
         return {_BYTES_TAG: base64.b64encode(bytes(value)).decode("ascii")}
     raise ProtocolError(f"cannot encode {type(value).__name__} value "
@@ -114,7 +119,7 @@ def _bytes_to_json(value: Any) -> dict[str, str]:
 
 
 def _bytes_from_json(obj: dict[str, Any]) -> Any:
-    """``json.loads`` hook: turn a tagged base64 object back into bytes."""
+    """Decoder hook: turn a tagged base64 object back into bytes."""
     if len(obj) == 1 and _BYTES_TAG in obj:
         try:
             return base64.b64decode(obj[_BYTES_TAG], validate=True)
@@ -123,12 +128,20 @@ def _bytes_from_json(obj: dict[str, Any]) -> Any:
     return obj
 
 
+#: built once: ``json.dumps``/``json.loads`` with arguments build a new
+#: encoder and a new C scanner for every frame. A message is a tree the
+#: codec builds, so the encoder skips the circular-reference check.
+_encode = json.JSONEncoder(separators=(",", ":"), default=_bytes_to_json,
+                           check_circular=False).encode
+_decode = json.JSONDecoder(object_hook=_bytes_from_json).decode
+
+
 def encode_frame(message: Mapping[str, Any]) -> bytes:
     """Serialize one message to its on-wire bytes (length prefix + JSON)."""
     try:
-        payload = json.dumps(message, separators=(",", ":"),
-                             default=_bytes_to_json).encode("utf-8")
-    except (TypeError, ValueError) as exc:  # e.g. a non-string mapping key
+        payload = _encode(message).encode("utf-8")
+    # e.g. a non-string mapping key; a cycle (a bug) as a recursion error
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"cannot encode message for the wire: {exc}"
                             ) from None
     if len(payload) > MAX_FRAME_BYTES:
@@ -148,9 +161,9 @@ def decode_length(header: bytes) -> int:
 
 def decode_payload(payload: bytes) -> dict[str, Any]:
     try:
-        message = json.loads(payload.decode("utf-8"),
-                             object_hook=_bytes_from_json)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        message = _decode(payload.decode("utf-8"))
+    # a hostile peer's deep nesting must not escape as a RecursionError
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"frame payload is {type(message).__name__}, "
@@ -275,95 +288,56 @@ def decode_schema(raw: Mapping[str, Any]) -> TableSchema:
 
 # -- access-stats codec --------------------------------------------------------
 
-
-def encode_event(event: AccessEvent) -> dict[str, Any]:
-    return {
-        "kind": event.kind.value,
-        "table": event.table,
-        "partitions": list(event.partitions),
-        "nodes": list(event.nodes),
-        "coordinator": event.coordinator,
-        "rows": event.rows,
-        "locked": event.locked,
-        "write": event.write,
-        "node_groups": list(event.node_groups),
-    }
-
-
-def decode_event(raw: Mapping[str, Any]) -> AccessEvent:
-    return AccessEvent(
-        kind=AccessKind(raw["kind"]),
-        table=raw["table"],
-        partitions=tuple(raw["partitions"]),
-        nodes=tuple(raw["nodes"]),
-        coordinator=raw["coordinator"],
-        rows=raw["rows"],
-        locked=raw["locked"],
-        write=raw["write"],
-        node_groups=tuple(raw.get("node_groups", ())),
-    )
+#: an event's ``kind`` on the wire -> its AccessKind
+_KINDS = {kind.value: kind for kind in AccessKind}
 
 
 class StatsCursor:
     """Server-side bookmark into one transaction's growing stats.
 
-    :meth:`delta` returns everything recorded since the previous call —
-    scalar counter diffs plus the new events — and advances the bookmark,
-    so each RPC response ships only its own call's statistics.
+    :meth:`delta` returns what was recorded since the previous call —
+    ``[rows_locked, [event, ...]]``, each event ``[kind, table,
+    partitions, nodes, coordinator, rows, locked, write, node_groups]``
+    (:class:`AccessEvent`'s fields, in order) — and advances the
+    bookmark, so each reply ships only its own request's statistics.
+    The client recounts every other counter from the events.
     """
 
-    _SCALARS = ("round_trips", "rows_read", "rows_written", "rows_locked",
-                "remote_partition_hops", "partitions_touched")
+    __slots__ = ("_rows_locked", "_events_sent")
 
     def __init__(self) -> None:
-        self._scalars = dict.fromkeys(self._SCALARS, 0)
-        self._by_kind: dict[str, int] = {}
+        self._rows_locked = 0
         self._events_sent = 0
 
-    def delta(self, stats: AccessStats) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for name in self._SCALARS:
-            value = getattr(stats, name)
-            if value != self._scalars[name]:
-                out[name] = value - self._scalars[name]
-                self._scalars[name] = value
-        by_kind = {}
-        for kind, count in stats.by_kind.items():
-            sent = self._by_kind.get(kind.value, 0)
-            if count != sent:
-                by_kind[kind.value] = count - sent
-                self._by_kind[kind.value] = count
-        if by_kind:
-            out["by_kind"] = by_kind
+    def delta(self, stats: AccessStats) -> list[Any]:
+        rows_locked = stats.rows_locked - self._rows_locked
+        self._rows_locked = stats.rows_locked
         events = stats.events[self._events_sent:]
-        if events:
-            out["events"] = [encode_event(e) for e in events]
-            self._events_sent = len(stats.events)
-        return out
+        self._events_sent += len(events)
+        return [rows_locked,
+                [(e.kind.value, e.table, e.partitions, e.nodes, e.coordinator,
+                  e.rows, e.locked, e.write, e.node_groups) for e in events]]
 
 
-def apply_stats_delta(stats: AccessStats, delta: Mapping[str, Any]) -> None:
+def apply_stats_delta(stats: AccessStats, delta: Any) -> None:
     """Fold a server-produced stats delta into a client-side AccessStats.
 
-    Scalars are applied directly (not via :meth:`AccessStats.record`) so
-    the client mirrors the server's counters exactly — ``rows_locked``,
-    which only the engine's lock sites count, included.
-    New events are appended and also announced to the active per-op trace,
-    so a namenode tracing an operation over a remote DAL still sees its
-    ``db.*`` round-trip events.
+    Each event goes through :meth:`AccessStats.record`, the call that
+    counted it server-side, so the client recounts every counter the
+    server has — and announces the round trip to the active per-op
+    trace, so a namenode tracing an operation over a remote DAL still
+    sees its ``db.*`` events. ``rows_locked``, which only the engine's
+    lock sites count, is the one shipped number.
     """
-    from repro.metrics.tracing import _ACTIVE, record_access
-
-    for name in StatsCursor._SCALARS:
-        if name in delta:
-            setattr(stats, name, getattr(stats, name) + delta[name])
-    for kind_value, count in delta.get("by_kind", {}).items():
-        kind = AccessKind(kind_value)
-        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + count
-    for raw in delta.get("events", ()):
-        event = decode_event(raw)
-        if _ACTIVE.bind[1] is not None:
-            record_access(event.kind.value, event.table,
-                          event.partitions, event.node_groups)
-        if stats.keep_events:
-            stats.events.append(event)
+    try:
+        rows_locked, events = delta
+        if not isinstance(rows_locked, int):
+            raise TypeError(f"rows_locked is {rows_locked!r}")
+        for (kind, table, partitions, nodes, coordinator, rows, locked, write,
+             node_groups) in events:
+            stats.record(AccessEvent(_KINDS[kind], table, tuple(partitions),
+                                     tuple(nodes), coordinator, rows, locked,
+                                     write, tuple(node_groups)))
+        stats.rows_locked += rows_locked
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed stats delta: {exc!r}") from None

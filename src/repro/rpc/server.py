@@ -3,7 +3,7 @@
 One server process owns one :class:`repro.ndb.NDBCluster` (through its
 DAL driver) and exposes the full ``DALTransaction`` contract plus
 admin/failure-injection and observability endpoints, in protocol
-version 4 (:mod:`repro.rpc.protocol`): a transaction begins on its first
+version 5 (:mod:`repro.rpc.protocol`): a transaction begins on its first
 request, buffered writes (``delete`` among them) arrive on the next
 reply-bearing request and are applied before that request's own
 operation, a ``tx.read_batch`` may carry the scans that follow it and

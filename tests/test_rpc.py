@@ -7,8 +7,11 @@ supervisor spawn, SIGTERM, kill -9 — is covered by
 ``test_rpc_process.py``.
 """
 
+import gc
 import threading
 import time
+import warnings
+from dataclasses import asdict
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.errors import (
     ConnectionClosedError,
     DuplicateKeyError,
     NoSuchRowError,
+    NoSuchTableError,
     ProtocolError,
     RemoteCallError,
     RequestTimeoutError,
@@ -91,6 +95,8 @@ def test_codec_rejects_hostile_input():
         protocol.decode_payload(b"[1, 2]")
     with pytest.raises(ProtocolError, match="undecodable"):
         protocol.decode_payload(b"\xff{")
+    with pytest.raises(ProtocolError, match="undecodable"):
+        protocol.decode_payload(b"[" * 100_000)
     with pytest.raises(ProtocolError, match="base64"):
         protocol.decode_payload(b'{"x": {"__bytes_b64__": "@@@"}}')
     with pytest.raises(ProtocolError, match="cannot encode"):
@@ -117,27 +123,32 @@ def test_unknown_error_type_degrades_to_remote_call_error():
                                "message": "exotic failure"})
 
 
-def test_stats_cursor_ships_only_the_delta():
+def test_stats_delta_ships_events_and_rows_locked():
+    """A v5 reply's ``stats`` is ``[rows_locked, [event, ...]]``; the
+    client recounts every other counter by recording the events."""
     stats = AccessStats(keep_events=True)
     cursor = protocol.StatsCursor()
     stats.record(AccessEvent(kind=AccessKind.PK, table="kv",
-                             partitions=(1,), nodes=(0,), coordinator=0,
-                             rows=1, locked=False, write=False,
+                             partitions=(1,), nodes=(0, 2), coordinator=0,
+                             rows=1, locked=True, write=False,
                              node_groups=(0,)))
-    first = cursor.delta(stats)
-    assert first["round_trips"] == 1 and first["rows_read"] == 1
-    assert len(first["events"]) == 1
+    stats.rows_locked += 1
+    first = _over_the_wire({"stats": cursor.delta(stats)})["stats"]
+    assert first == [1, [["pk", "kv", [1], [0, 2], 0, 1, True, False, [0]]]]
 
-    # nothing new happened: the next delta is empty-ish
-    second = cursor.delta(stats)
-    assert second.get("round_trips", 0) == 0
-    assert not second.get("events")
+    # nothing new happened: the next delta is empty
+    assert cursor.delta(stats) == [0, []]
 
     mirror = AccessStats(keep_events=True)
     protocol.apply_stats_delta(mirror, first)
-    assert mirror.round_trips == stats.round_trips
-    assert mirror.rows_read == stats.rows_read
+    assert mirror == stats
+    assert mirror.remote_partition_hops == 1
     assert mirror.count(AccessKind.PK) == 1
+    for garbage in (None, [0], [0, [["no_such_kind", "kv", [], [], 0, 0,
+                                     False, False, []]]], [0, [[1, 2]]],
+                    ["x", []]):
+        with pytest.raises(ProtocolError, match="stats"):
+            protocol.apply_stats_delta(AccessStats(), garbage)
 
 
 # -- in-thread server integration ----------------------------------------------
@@ -176,6 +187,19 @@ def test_hello_rejects_protocol_mismatch(server):
             conn.call("hello", {"protocol": 99})
     finally:
         conn.close()
+
+
+def test_a_deeply_nested_frame_drops_only_its_connection(server, driver):
+    """Nesting past the decoder's recursion limit is the peer's garbage,
+    not the loop's crash: that connection goes, the others are served."""
+    sock = dial(server.host, server.port, timeout=5.0)
+    try:
+        payload = b"[" * 100_000
+        sock.sendall(len(payload).to_bytes(4, "big") + payload)
+        assert sock.recv(1) == b""  # the server closed it
+    finally:
+        sock.close()
+    assert driver.ping() == "pong"
 
 
 def test_request_timeout_poisons_only_that_connection(server):
@@ -244,15 +268,17 @@ def test_version_2_hello_is_refused(server):
         conn.close()
 
 
-def test_version_3_hello_is_refused(server):
-    """Version 3 had neither ``"scans"`` nor ``"commit"`` on
-    ``tx.read_batch``: a server that ignored the second would keep the
-    locks of a transaction its client believes committed."""
+def test_version_4_hello_is_refused(server):
+    """Version 4 shipped a reply's statistics as counter diffs plus event
+    objects, which a v5 client cannot read (and version 3 had no
+    ``"commit"`` on ``tx.read_batch``: a server that ignored it would
+    keep the locks of a transaction its client believes committed)."""
     conn = ClientConn(dial(server.host, server.port, timeout=5.0))
     try:
-        with pytest.raises(ProtocolError, match="protocol"):
-            conn.call("hello", {"protocol": 3})
-        assert protocol.PROTOCOL_VERSION == 4
+        for version in (3, 4):
+            with pytest.raises(ProtocolError, match="protocol"):
+                conn.call("hello", {"protocol": version})
+        assert protocol.PROTOCOL_VERSION == 5
     finally:
         conn.close()
 
@@ -741,6 +767,42 @@ def test_idempotent_reads_retry_across_reconnect(server, driver):
         driver.complete_epoch()  # non-idempotent: fails fast
 
 
+def test_error_reply_to_a_driver_call_keeps_its_connection(driver):
+    """The stream is in sync after an error reply: the connection goes
+    back to the pool instead of leaking (an unclosed socket, and a redial
+    counted as a reconnect by the next call)."""
+    assert driver.reconnects == 0 and len(driver._pool) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for _ in range(3):
+            with pytest.raises(NoSuchTableError):
+                driver.table_size("no_such_table")
+        gc.collect()
+    assert driver.reconnects == 0 and len(driver._pool) == 1
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert driver.table_size("kv") == 0  # the pooled connection still works
+
+
+def test_malformed_stats_end_the_transaction_and_drop_its_connection(
+        server, driver, monkeypatch):
+    """A reply whose stats do not decode is a ProtocolError like any
+    other: the transaction ends, and the connection (whose stream can no
+    longer be trusted) is closed, which aborts the server's side too."""
+    _fill(driver)
+    monkeypatch.setattr(protocol.StatsCursor, "delta",
+                        lambda cursor, stats: ["x", []])
+    tx = driver.session().begin()
+    conn = tx._conn
+    with pytest.raises(ProtocolError, match="stats"):
+        tx.read("kv", (3,), lock=LockMode.EXCLUSIVE)
+    assert tx._conn is None and conn.closed
+    assert conn not in driver._pool
+    monkeypatch.undo()
+    assert _wait_until(lambda: _open_txs(server) == 0)  # the X-lock is gone
+    assert driver.session().run(
+        lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))["v"] == 30
+
+
 def test_draining_server_rejects_new_transactions(server, driver):
     _fill(driver)
     server._draining = True
@@ -873,3 +935,74 @@ def test_unix_socket_roundtrip(tmp_path):
         assert srv.unix_path == path
     import os
     assert not os.path.exists(path)  # stop() unlinks the socket file
+
+
+# -- protocol v5: the client recounts the server's statistics ------------------
+
+IX = TableSchema(name="ix", columns=("k", "g", "v"), primary_key=("k",),
+                 indexes={"by_g": ("g",)})
+
+
+def _writes(tx):
+    tx.read("kv", (1,), lock=LockMode.EXCLUSIVE)
+    tx.insert("kv", {"k": 20, "v": 0})
+    tx.update("kv", (1,), {"v": 11})
+    tx.write("kv", {"k": 21, "v": 0})
+    tx.delete("kv", (2,))
+    tx.delete("kv", (30,), must_exist=False)
+    tx.commit()
+
+
+def _error_mid_transaction(tx):
+    tx.read_batch("kv", [(1,), (5,)], lock=LockMode.SHARED)
+    with pytest.raises(NoSuchTableError):
+        tx.read("no_such_table", (1,))
+    assert tx.state.name == "ABORTED"
+
+
+STATS_SCENARIOS = {
+    "read": lambda tx: (tx.read("kv", (3,), lock=LockMode.SHARED),
+                        tx.read("kv", (9,))),
+    "read_batch": lambda tx: tx.read_batch(
+        "kv", [(1,), (2,), (9,)],
+        locks=[LockMode.EXCLUSIVE, LockMode.READ_COMMITTED, LockMode.SHARED],
+        scans=[("kv", {"k": 4}), ("kv", {"k": 40})], commit=True),
+    "ppis": lambda tx: tx.ppis("kv", {"k": 2}, lock=LockMode.SHARED),
+    "ppis_batch": lambda tx: tx.ppis_batch(
+        [("kv", {"k": 1}), ("kv", {"k": 5})], lock=LockMode.EXCLUSIVE),
+    "index_scan": lambda tx: tx.index_scan("ix", "by_g", [1],
+                                           lock=LockMode.SHARED),
+    "full_scan": lambda tx: tx.full_scan("kv"),
+    "writes": _writes,
+    "error": _error_mid_transaction,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(STATS_SCENARIOS))
+def test_client_stats_equal_the_servers_field_by_field(server, driver,
+                                                       monkeypatch, scenario):
+    """Every counter the engine keeps for a transaction — the scalars,
+    ``by_kind`` and the events — reads the same in the client's
+    ``tx.stats``: recounted from the shipped events, ``rows_locked``
+    shipped as is. An error reply ships nothing, and the request that
+    failed (an unknown table) counted nothing server-side either."""
+    _fill(driver)
+    driver.create_table(IX)
+    driver.session().run(lambda tx: [tx.insert("ix", {"k": k, "g": k % 2,
+                                                      "v": k})
+                                     for k in range(4)])
+    begun = []
+    real = server._begin
+
+    def begin(state, handle, hint):
+        entry = real(state, handle, hint)
+        begun.append(entry[0])
+        return entry
+
+    monkeypatch.setattr(server, "_begin", begin)
+    tx = driver.session().begin(("kv", {"k": 3}))
+    STATS_SCENARIOS[scenario](tx)
+    [served] = begun
+    assert tx.stats.events
+    assert asdict(tx.stats) == asdict(served.stats)
+    tx.abort()
