@@ -2,7 +2,7 @@
 
 Measures wall-clock throughput of a mixed read-batch + multi-row-update
 workload at 1/2/4/8 client threads on the engine as it ships (the
-``parallel`` cell): 16 lock stripes, a shard executor, and
+``parallel`` cell): one row-lock table, a shard executor, and
 group-committed 2PC that holds only the touched fragments' locks.
 
 It runs with a simulated per-round-trip network delay
@@ -11,7 +11,7 @@ latency it is GIL-bound pure Python and thread counts change nothing;
 with it, the engine overlaps the delays of a fan-out, which is exactly
 what the paper's NDB deployment gets from real network I/O.
 
-The one-stripe, inline, globally-exclusive-commit engine this replaced
+The inline, globally-exclusive-commit engine this replaced
 is gone from the code; its last measured numbers (617 vs 1455 ops/s at 8
 threads, 2.36x) are kept under ``"history"`` in
 ``BENCH_engine_parallelism.json`` and are not re-run.

@@ -6,7 +6,7 @@ the full namenode stack, in three deployment cells:
 
 * ``embedded-optimized`` — engine and namenode defaults: the batched
   resolve takes the strongest locks itself (a warm stat is one database
-  round trip) through per-stripe grouped lock acquisition.
+  round trip) through one batched lock acquisition.
 * ``process-tcp`` / ``process-unix`` — the same configuration behind
   one ``ndb-server`` process, with the namenode's DAL speaking the RPC
   protocol over loopback TCP and over an AF_UNIX socket respectively.

@@ -17,7 +17,7 @@ only in real comments (never inside string literals):
 * ``guarded_by`` annotations declare the lock protecting a shared
   mutable attribute, on (or directly above) its ``__init__`` assignment::
 
-      self._aborted = set()  # guarded_by: _abort_mutex [writes]
+      self._held = {}  # guarded_by: _mutex [writes]
 
   The optional ``[writes]`` suffix means only writes take the lock and
   lock-free reads are part of the design (e.g. a hot-path membership

@@ -187,7 +187,7 @@ class ErasureCodingManager:
         nn = self._cluster.any_namenode()
 
         def load(tx: DALTransaction) -> Optional[dict]:
-            stripe = self._stripe_of(tx, inode_id, block_id, k)
+            stripe = self._find_stripe(tx, inode_id, block_id, k)
             if stripe is None:
                 return None
             members = [b for b in stripe["blocks"]
@@ -228,8 +228,8 @@ class ErasureCodingManager:
 
     # -- helpers -----------------------------------------------------------------------------
 
-    def _stripe_of(self, tx: DALTransaction, inode_id: int, block_id: int,
-                   k: int) -> Optional[dict]:
+    def _find_stripe(self, tx: DALTransaction, inode_id: int, block_id: int,
+                     k: int) -> Optional[dict]:
         """All blocks (data + parity) of the stripe containing block_id."""
         all_blocks = tx.ppis("blocks", {"inode_id": inode_id})
         data = sorted((b for b in all_blocks if b["idx"] >= 0),

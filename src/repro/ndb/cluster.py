@@ -2,7 +2,7 @@
 
 Responsibilities:
 
-* owns datanodes, the partition map, the striped row-lock manager, the
+* owns datanodes, the partition map, the row-lock manager, the
   shard executor and the group-committed commit (redo/undo) log;
 * applies committed write batches to every live replica of each touched
   partition (the effect of NDB's two-phase commit across node groups) —
@@ -218,12 +218,9 @@ class NDBCluster:
         registry.set_gauge("ndb_lock_timeouts", locks.timeouts)
         registry.set_gauge("ndb_lock_wait_seconds", locks.wait_seconds)
         registry.set_gauge("ndb_lock_table_size", locks.lock_table_size())
-        registry.set_gauge("ndb_lock_stripes", locks.num_stripes)
-        for idx, waits in enumerate(locks.stripe_wait_counts()):
-            if waits:
-                registry.set_gauge("ndb_lock_stripe_waits", waits, stripe=idx)
-        for key, value in self.group_commit_stats.items():
-            registry.set_gauge(f"ndb_group_commit_{key}", value)
+        stats = self.group_commit_stats
+        for key in ("flushes", "records", "max_batch"):
+            registry.set_gauge(f"ndb_group_commit_{key}", stats[key])
         return registry
 
     def _shard_op_seconds(self, shard: Any, kind: str) -> HistogramMetric:

@@ -97,7 +97,7 @@ class Transaction:
         """Lock a batch of pks in the given (deadlock-free) order.
 
         With ``modes`` each pk gets its own mode; READ_COMMITTED entries
-        take no lock. One stripe-grouped ``LockManager.acquire_many``.
+        take no lock. One ``LockManager.acquire_many``.
         """
         if modes is None:
             wanted = 0 if mode is LockMode.READ_COMMITTED else len(pks)

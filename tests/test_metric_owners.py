@@ -43,7 +43,7 @@ NAMENODE_FAMILIES = {
 }
 ENGINE_GAUGES = {
     "ndb_lock_waits", "ndb_lock_deadlocks", "ndb_lock_timeouts",
-    "ndb_lock_wait_seconds", "ndb_lock_table_size", "ndb_lock_stripes",
+    "ndb_lock_wait_seconds", "ndb_lock_table_size",
     "ndb_group_commit_flushes", "ndb_group_commit_records",
     "ndb_group_commit_max_batch",
 }
@@ -286,3 +286,25 @@ def test_the_catalogue_names_exactly_the_rpc_families(owner, module, rare):
     recorded = _recorded_families(Path(repro.__file__).parent / module)
     assert _documented_families(owner) == recorded
     assert rare <= recorded
+
+
+#: the owner cell of the one ``ndb_*`` row the engine does not own
+#: outright: a session's retries count wherever that session runs
+SESSION_OWNER = ("whoever owns the session: engine (embedded), "
+                 "remote driver (process)")
+
+
+def test_the_catalogue_names_exactly_the_engine_families():
+    """As for the namenode: the ``engine`` rows of docs/observability.md
+    §1 name exactly what ``repro/ndb`` can register — the lock manager's
+    counters, the cluster's histograms and its refreshed gauges — and
+    the session's retry counter is the one ``ndb_*`` family documented
+    under its session's owner."""
+    ndb = Path(repro.__file__).parent / "ndb"
+    recorded = set().union(*(_recorded_families(module)
+                             for module in sorted(ndb.glob("*.py"))))
+    session = _recorded_families(ndb / "session.py")
+    assert session == _documented_families(SESSION_OWNER) \
+        == {"ndb_tx_retries_total"}
+    assert _documented_families("engine") == recorded - session
+    assert ENGINE_GAUGES | ENGINE_RECORDED <= recorded

@@ -133,6 +133,46 @@ class TestCoordinatorFailover:
             row = tx2.read("kv", (1,), lock=LockMode.EXCLUSIVE)
         assert row["v"] == "x"
 
+    @pytest.mark.parametrize("failover", ["kill_node", "crash_and_recover"])
+    def test_a_victim_waiting_on_a_lock_is_not_granted_it_later(self,
+                                                                failover):
+        """A failover victim blocked on a row lock raises out of its wait
+        and ends up holding nothing. The failover aborts it right after
+        marking it, before its thread has run again; the abort withdraws
+        its queued request, so the holder's release grants it to no one
+        and the next writer gets the row."""
+        cluster = make_cluster()
+        put(cluster, 1, "x")
+        victim = cluster.begin()
+        holder = cluster.begin()
+        assert victim.coordinator != holder.coordinator
+        holder.read("kv", (1,), lock=LockMode.EXCLUSIVE)
+        raised = []
+
+        def wait():
+            try:
+                victim.read("kv", (1,), lock=LockMode.EXCLUSIVE)
+            except TransactionAbortedError as exc:
+                raised.append(exc)
+
+        waiter = threading.Thread(target=wait)
+        waiter.start()
+        deadline = time.monotonic() + 2.0
+        while cluster._locks.waits < 1:  # queued behind the holder
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        if failover == "kill_node":
+            cluster.kill_node(victim.coordinator)
+            holder.commit()
+        else:
+            # aborts both, the victim (begun first) before the holder
+            cluster.crash_and_recover()
+        waiter.join(timeout=2.0)
+        assert raised
+        assert cluster._locks.holders(("kv", (1,))) == {}
+        put(cluster, 1, "y")
+        assert get(cluster, 1) == "y"
+
     def test_transactions_on_surviving_coordinators_unaffected(self):
         cluster = make_cluster()
         tx = cluster.begin()

@@ -1,4 +1,4 @@
-"""Tests for the shard-parallel engine: striped locks, per-shard
+"""Tests for the shard-parallel engine: the lock table, per-shard
 dispatch, group-committed 2PC, bulk id allocation and the primary-table
 cache.
 
@@ -8,6 +8,7 @@ lost grants, byte-identical replicas) rather than wall-clock speed —
 timing claims live in ``benchmarks/bench_engine_parallelism.py``.
 """
 
+import sys
 import threading
 
 import pytest
@@ -42,28 +43,16 @@ def seed(cluster, n):
             tx.insert("kv", {"k": i, "v": f"v{i}"})
 
 
-# -- striped lock manager ---------------------------------------------------------
+# -- the lock table ---------------------------------------------------------------
 
 
 class TestStripedLocks:
-    def test_stripe_count_and_distribution(self):
-        mgr = LockManager(stripes=8)
-        assert mgr.num_stripes == 8
-        used = {mgr._stripe_of(("kv", (i,))).index for i in range(200)}
-        assert len(used) > 1  # keys spread over stripes
-
-    def test_single_stripe_still_works(self):
-        mgr = LockManager(stripes=1)
-        mgr.acquire("t1", "a", LockMode.EXCLUSIVE)
-        mgr.acquire("t1", "b", LockMode.EXCLUSIVE)
-        mgr.release_all("t1")
-        assert mgr.lock_table_size() == 0
-
     def test_stress_no_lost_grants(self):
         """Many threads doing read-modify-write on overlapping keys under
-        X locks: every increment must land (the lock is actually mutual
-        exclusion) and the table must drain afterwards."""
-        mgr = LockManager(timeout=5.0, stripes=8)
+        X locks, switching every few bytecodes: every increment must land
+        (the lock is actually mutual exclusion) and the table must drain
+        afterwards."""
+        mgr = LockManager(timeout=5.0)
         keys = [("kv", (i,)) for i in range(10)]
         counters = {key: 0 for key in keys}
         increments_per_thread = 40
@@ -84,17 +73,22 @@ class TestStripedLocks:
 
         threads = [threading.Thread(target=worker, args=(tid,))
                    for tid in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert sum(counters.values()) == 8 * increments_per_thread
         assert mgr.lock_table_size() == 0
-        assert mgr.waits == sum(mgr.stripe_wait_counts())
 
-    def test_shared_locks_coexist_across_stripes(self):
-        mgr = LockManager(stripes=4)
+    def test_shared_locks_coexist_on_many_rows(self):
+        mgr = LockManager()
         for owner in ("a", "b", "c"):
             for i in range(8):
                 mgr.acquire(owner, ("kv", (i,)), LockMode.SHARED)
@@ -105,15 +99,13 @@ class TestStripedLocks:
         assert mgr.lock_table_size() == 0
 
     @pytest.mark.lock_witness_exempt
-    def test_cross_stripe_deadlock_resolves(self):
-        """A cycle whose two rows hash to *different* stripes must still
-        be broken — the wait-for registry is global, not per stripe."""
-        mgr = LockManager(timeout=2.0, stripes=8)
-        key_a = ("kv", (0,))
-        stripe_a = mgr._stripe_of(key_a).index
-        key_b = next(("kv", (i,)) for i in range(1, 200)
-                     if mgr._stripe_of(("kv", (i,))).index != stripe_a)
-
+    def test_two_row_deadlock_raises_exactly_once(self):
+        """The whole wait-for graph is under the table's one mutex, so
+        the cycle is seen by the waiter that closes it, and by no one
+        else: one DeadlockError, no timeout, and the survivor is granted
+        once the victim releases."""
+        mgr = LockManager(timeout=2.0)
+        key_a, key_b = ("kv", (0,)), ("kv", (1,))
         mgr.acquire("t1", key_a, LockMode.EXCLUSIVE)
         mgr.acquire("t2", key_b, LockMode.EXCLUSIVE)
         failures = []
@@ -134,14 +126,16 @@ class TestStripedLocks:
         t1.join(timeout=10)
         t2.join(timeout=10)
         assert not t1.is_alive() and not t2.is_alive()
-        assert failures, "deadlock was never broken"
-        assert mgr.deadlocks + mgr.timeouts >= 1
-        mgr.release_all("t1")
-        mgr.release_all("t2")
+        assert len(failures) == 1
+        [(victim, exc)] = failures
+        assert isinstance(exc, DeadlockError)
+        assert mgr.deadlocks == 1 and mgr.timeouts == 0
+        survivor = "t2" if victim == "t1" else "t1"
+        assert mgr.held_keys(survivor) == {key_a, key_b}
+        mgr.release_all(survivor)
         assert mgr.lock_table_size() == 0
 
     def test_config_validation(self):
-        assert LockManager(stripes=0).num_stripes == 1  # clamped, not broken
         with pytest.raises(ValueError):
             NDBConfig(executor_threads=-1)
         with pytest.raises(ValueError):

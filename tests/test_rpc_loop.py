@@ -91,7 +91,7 @@ def test_with_no_waits_one_thread_serves_every_connection(server, driver):
 
 def test_a_lock_holders_commit_is_served_while_another_connection_waits(
         server, driver):
-    """Relies on the ``park()`` in ``LockManager._wait``: the waiter's
+    """Relies on the ``park()`` in ``LockManager.acquire``: the waiter's
     request parks, so the holder's commit reaches the engine at once and
     the waiter gets the committed row, well inside the lock timeout."""
     locks = server.driver.cluster._locks

@@ -241,8 +241,7 @@ class TestEngineGaugeParity:
 
     GAUGES = ("ndb_lock_waits", "ndb_lock_deadlocks", "ndb_lock_timeouts",
               "ndb_lock_wait_seconds", "ndb_lock_table_size",
-              "ndb_lock_stripes", "ndb_group_commit_flushes",
-              "ndb_group_commit_records")
+              "ndb_group_commit_flushes", "ndb_group_commit_records")
 
     @pytest.fixture(params=["embedded", "process"])
     def deployed(self, request):
