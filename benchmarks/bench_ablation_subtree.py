@@ -7,6 +7,12 @@ transaction". This ablation measures the real implementation deleting
 the same directory tree with different batch sizes and worker counts,
 plus the pluggable-engine comparison (NDB driver vs the single-node
 memory driver) the DAL makes possible (§8).
+
+The worker-count ablation runs on an engine with a simulated round trip
+(``NETWORK_DELAY``, the in-memory profile of
+``bench_engine_parallelism.py``): the namenode runs a level's units on
+worker threads only when the DAL's round trips wait, so on a zero-delay
+engine every worker count would run the same inline code.
 """
 
 import time
@@ -19,12 +25,14 @@ from tests.conftest import make_hopsfs
 
 FILES = 80 if QUICK else 200
 DIRS = 8
+NETWORK_DELAY = 0.0003  # 0.3 ms simulated round trip
 
 
 def build_and_delete(batch_size: int, parallelism: int,
-                     driver=None) -> float:
+                     driver=None, network_delay: float = 0.0) -> float:
     kwargs = dict(num_namenodes=1, subtree_batch_size=batch_size,
-                  subtree_parallelism=parallelism)
+                  subtree_parallelism=parallelism,
+                  network_delay=network_delay)
     fs = make_hopsfs(**kwargs)
     if driver is not None:
         # swap the engine: proves the namenode code is engine agnostic
@@ -66,13 +74,18 @@ def test_batch_size_ablation(capsys, benchmark):
 
 
 def test_parallelism_ablation(capsys, benchmark):
+    """Where the pool runs — round trips that wait — its workers overlap
+    the waits of a level's transactions."""
+
     def run():
-        return {workers: build_and_delete(16, parallelism=workers)
+        return {workers: build_and_delete(16, parallelism=workers,
+                                          network_delay=NETWORK_DELAY)
                 for workers in (1, 4)}
 
     times = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
-        "Ablation — subtree delete vs phase-2/3 worker threads",
+        "Ablation — subtree delete vs phase-2/3 worker threads "
+        f"({NETWORK_DELAY * 1000:.1f} ms round trip)",
         ["workers", "ms"],
         [[str(w), f"{t * 1000:.0f}"] for w, t in sorted(times.items())],
         capsys)

@@ -131,6 +131,15 @@ class DALDriver(abc.ABC):
     def engine_name(self) -> str:
         """Human-readable engine identifier."""
 
+    @property
+    @abc.abstractmethod
+    def round_trips_wait(self) -> bool:
+        """Whether a round trip blocks its caller on something other than
+        this process's CPU (a network, a server process, a simulated
+        delay). Only then do concurrent transactions overlap their
+        waits; otherwise threads would only take turns on one GIL, and
+        independent work runs faster on the calling thread."""
+
     @abc.abstractmethod
     def metrics_registry(self) -> MetricsRegistry:
         """The live registry this driver (and the engine behind it, when

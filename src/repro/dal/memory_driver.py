@@ -70,6 +70,10 @@ class MemoryDriver(DALDriver):
     def engine_name(self) -> str:
         return "memory(single-node)"
 
+    @property
+    def round_trips_wait(self) -> bool:
+        return False
+
     def metrics_registry(self) -> MetricsRegistry:
         return self.metrics
 

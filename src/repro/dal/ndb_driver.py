@@ -38,5 +38,9 @@ class NDBDriver(DALDriver):
         return (f"ndb(nodes={cfg.num_datanodes}, r={cfg.replication}, "
                 f"partitions={cfg.num_partitions}, dispatch={dispatch})")
 
+    @property
+    def round_trips_wait(self) -> bool:
+        return self.cluster.round_trips_wait
+
     def metrics_registry(self) -> MetricsRegistry:
         return self.cluster.metrics_registry()

@@ -590,6 +590,10 @@ class RemoteDriver(DALDriver):
                 f"server={info.get('server', '?')}, "
                 f"engine={info.get('engine', '?')})")
 
+    @property
+    def round_trips_wait(self) -> bool:
+        return True  # every reply crosses a socket from another process
+
     def metrics_registry(self) -> MetricsRegistry:
         """This driver's registry, with the engine's gauges copied out of
         the server's snapshot; a server that cannot be reached leaves

@@ -27,7 +27,10 @@ class HopsFSConfig:
     block_size: int = 128 * 1024 * 1024
     #: inodes deleted/updated per transaction in subtree operations
     subtree_batch_size: int = 64
-    #: worker threads quiescing / executing subtree operations in parallel
+    #: worker threads quiescing / executing a level of a subtree
+    #: operation in parallel; a pool is built only where the DAL's round
+    #: trips wait (``DALDriver.round_trips_wait``), elsewhere the units
+    #: run on the calling thread
     subtree_parallelism: int = 4
     #: clock used for leases, heartbeats and leader election
     clock: Clock = field(default_factory=SystemClock)

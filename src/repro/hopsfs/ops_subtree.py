@@ -17,27 +17,32 @@ run in one database transaction. HopsFS instead:
   ``(table, pk)``-ordered lock batch, the total order of inode
   operations — waiting out any in-flight transactions. So a transaction
   holds the child locks of up to ``subtree_batch_size`` directories at
-  once, and a lock timeout or deadlock abort retries a group. A level of
-  one group runs on the calling thread; several groups run on worker
-  threads. A directory whose children are hash-partitioned (the top
-  levels, §4.2.1) is an all-shard locked index scan in a transaction of
-  its own. The scans return full rows (the batched scan has no
+  once, and a lock timeout or deadlock abort retries a group. The
+  groups of a level run on worker threads only when the DAL's round
+  trips wait (:attr:`repro.dal.driver.DALDriver.round_trips_wait`), so
+  that their waits overlap; against the in-process engine they would
+  only take turns on one GIL, and run on the calling thread instead. A
+  directory whose children are hash-partitioned (the top levels,
+  §4.2.1) is an all-shard locked index scan in a transaction of its
+  own. The scans return full rows (the batched scan has no
   projection), from which the in-memory tree of the subtree is built.
 * **Phase 3** — the actual operation:
-  - *delete* runs bottom-up in parallel batched transactions, so a
-    namenode crash mid-way never orphans inodes (the undeleted remainder
-    is still connected to the namespace and a re-submitted delete
-    finishes the job — stronger semantics than HDFS, §6.1). A batch
-    X-locks its inode rows first; their ``sub_tables`` bits then say
-    which of the ``inode_id`` tables can hold rows of each, and the
-    batch scans (one ``ppis_batch``) and deletes only those — nothing
-    beyond the leases of its files when no inode is flagged;
+  - *delete* runs bottom-up in batched transactions (on worker threads
+    by the same rule as the quiesce groups), so a namenode crash mid-way
+    never orphans inodes (the undeleted remainder is still connected to
+    the namespace and a re-submitted delete finishes the job — stronger
+    semantics than HDFS, §6.1). A batch X-locks its inode rows first;
+    their ``sub_tables`` bits then say which of the ``inode_id`` tables
+    can hold rows of each, and the batch scans (one ``ppis_batch``) and
+    deletes only those — nothing beyond the leases of its files when no
+    inode is flagged;
   - *move*, *chmod*, *chown* and *set-quota* update only the subtree root
     in one small transaction, leaving inner inodes intact (§6.2).
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -223,8 +228,7 @@ class SubtreeOpsMixin:
             children_random=root["children_random"])
         frontier = [ctx.tree]
         size = self.config.subtree_batch_size
-        with ThreadPoolExecutor(
-                max_workers=self.config.subtree_parallelism) as pool:
+        with self._unit_pool() as pool:
             while frontier:
                 plain = [n for n in frontier if not n.children_random]
                 groups = [plain[i: i + size]
@@ -267,10 +271,20 @@ class SubtreeOpsMixin:
                 for r in rows if r["parent_id"] == node.id
             ]
 
+    def _unit_pool(self) -> contextlib.AbstractContextManager[
+            Optional[ThreadPoolExecutor]]:
+        """The worker pool a subtree op's levels run on, or ``None`` (the
+        calling thread) when the DAL's round trips do not wait: then
+        there is no wait to overlap."""
+        if not self.driver.round_trips_wait:
+            return contextlib.nullcontext()
+        return ThreadPoolExecutor(
+            max_workers=self.config.subtree_parallelism)
+
     # ------------------------------------------------------------- phase 3
 
     def _subtree_delete_phase3(self, ctx: SubtreeContext) -> None:
-        """Bottom-up batched parallel delete (Figure 5)."""
+        """Bottom-up batched delete (Figure 5)."""
         assert ctx.tree is not None
         by_level: dict[int, list[SubtreeNode]] = {}
         stack = [ctx.tree]
@@ -283,8 +297,7 @@ class SubtreeOpsMixin:
                        for nodes in by_level.values() for n in nodes
                        if not n.is_dir)
         batch = self.config.subtree_batch_size
-        with ThreadPoolExecutor(
-                max_workers=self.config.subtree_parallelism) as pool:
+        with self._unit_pool() as pool:
             for level in sorted(by_level, reverse=True):
                 if level == 0:
                     continue  # the root is deleted last, below
@@ -406,20 +419,22 @@ class SubtreeOpsMixin:
             pass  # the lazy reclaim path owns cleanup from here
 
 
-def _run_level(pool: ThreadPoolExecutor,
+def _run_level(pool: Optional[ThreadPoolExecutor],
                fn: Callable[[list[SubtreeNode]], None],
                units: list[list[SubtreeNode]]) -> None:
     """Run ``fn`` on each unit (quiesce group, delete batch) of one level.
 
-    One unit has nothing to overlap with: it runs on the calling thread
-    and starts no pool thread. Several go to the pool, under the
-    caller's trace binding. After the first failure no further unit
-    starts — the caller is about to be told the operation failed, so
-    nothing more is locked or deleted on its behalf; the units already
-    running finish, then the first failure in submission order is raised.
+    After the first failure no further unit starts — the caller is about
+    to be told the operation failed, so nothing more is locked or
+    deleted on its behalf. Without a pool, or with one unit (nothing to
+    overlap with), the units run on the calling thread in order and the
+    first failure propagates. Otherwise they go to the pool under the
+    caller's trace binding; the units already running finish, then the
+    first failure in submission order is raised.
     """
-    if len(units) == 1:
-        fn(units[0])
+    if pool is None or len(units) == 1:
+        for unit in units:
+            fn(unit)
         return
     failed = threading.Event()
 

@@ -235,16 +235,20 @@ class NDBCluster:
     # -- shard executor ---------------------------------------------------------------
 
     @property
-    def parallel_dispatch_enabled(self) -> bool:
-        """Whether multi-shard work fans out on the executor.
+    def round_trips_wait(self) -> bool:
+        """Whether a round trip waits (simulated latency). With
+        zero-latency in-memory shards every round trip is pure Python
+        compute, which the GIL runs no faster on more threads, so work
+        that could fan out runs faster inline. The one rule for both the
+        engine's fan-out and the namenode's subtree units
+        (:attr:`repro.dal.driver.DALDriver.round_trips_wait`)."""
+        return self.config.network_delay > 0
 
-        Only when there is an executor and round trips carry simulated
-        latency: with zero-latency in-memory shards the fan-out is pure
-        Python compute, which the GIL runs no faster on more threads, so
-        inline execution wins.
-        """
-        return (self.config.executor_threads > 0
-                and self.config.network_delay > 0)
+    @property
+    def parallel_dispatch_enabled(self) -> bool:
+        """Whether multi-shard work fans out on the executor: only when
+        there is one and round trips wait."""
+        return self.config.executor_threads > 0 and self.round_trips_wait
 
     def _shard_executor(self) -> ThreadPoolExecutor:
         executor = self._executor

@@ -85,11 +85,21 @@ class Transaction:
         if self.state is TxState.COMMITTED:
             raise TransactionAbortedError(f"tx {self.tx_id} already committed")
 
+    def _check_granted(self) -> None:
+        """:meth:`_check_active` after a lock acquire. An abort (a
+        coordinator failover, from another thread) that ran while this
+        thread was on its way into the lock manager has already released
+        what the transaction held, so a lock granted after it would be
+        kept forever: release it here before raising."""
+        if self.state is not TxState.ACTIVE:
+            self._cluster._locks.release_all(self)
+            self._check_active()
+
     def _lock(self, table: str, pk: tuple[Any, ...], mode: LockMode) -> None:
-        if mode is LockMode.READ_COMMITTED:
-            return
-        self._cluster._locks.acquire(self, (table, pk), mode)
-        self.stats.rows_locked += 1
+        if mode is not LockMode.READ_COMMITTED:
+            self._cluster._locks.acquire(self, (table, pk), mode)
+            self.stats.rows_locked += 1
+        self._check_granted()
 
     def _lock_many(self, table: str, pks: Sequence[tuple[Any, ...]],
                    mode: LockMode,
@@ -110,7 +120,7 @@ class Transaction:
         self._cluster._locks.acquire_many(
             self, [(table, pk) for pk in pks], mode, modes=modes)
         self.stats.rows_locked += wanted
-        self._check_active()
+        self._check_granted()
 
     def _buffered(self, table: str, pk: tuple[Any, ...]) -> Optional[_Write]:
         return self._writes.get((table, pk))
@@ -165,7 +175,6 @@ class Transaction:
         pk = schema.pk_tuple(key)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, lock)
-        self._check_active()
         started = time.perf_counter()
         self._cluster._round_trip()
         row = self._committed_or_buffered(table, pid, pk)
@@ -525,7 +534,6 @@ class Transaction:
         pk = schema.pk_of(row)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        self._check_active()
         pending = self._buffered(table, pk)
         if pending is not None and pending.op != "delete":
             raise DuplicateKeyError(f"{table}:{pk} already written in this tx")
@@ -549,7 +557,6 @@ class Transaction:
                 )
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        self._check_active()
         current = self._committed_or_buffered(table, pid, pk)
         if current is None:
             raise NoSuchRowError(f"{table}:{pk}")
@@ -567,7 +574,6 @@ class Transaction:
         pk = schema.pk_of(row)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        self._check_active()
         exists = self._committed_or_buffered(table, pid, pk) is not None
         pending = self._buffered(table, pk)
         if exists:
@@ -585,7 +591,6 @@ class Transaction:
         pk = schema.pk_tuple(key)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        self._check_active()
         current = self._committed_or_buffered(table, pid, pk)
         if current is None:
             if must_exist:

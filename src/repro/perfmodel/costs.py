@@ -32,7 +32,10 @@ E5-2620 v3, 10 GbE; NDB 7.5.3 on 12 nodes with 22 threads each; HDFS
 * **Subtree constants** derive from the database constants: quiescing
   write-locks rows in pipelined scans (two overlapping scan streams);
   deleting one file removes ≈4 rows (inode, block, lookup, replicas)
-  across ``subtree_parallelism`` parallel transactions.
+  across ``subtree_parallelism`` parallel transactions. That divisor
+  models the paper's networked deployment, where the transactions'
+  waits overlap; the in-process engine's round trips do not wait, and
+  there the namenode runs them one at a time on the calling thread.
 """
 
 from __future__ import annotations

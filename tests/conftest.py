@@ -146,8 +146,11 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def make_hopsfs(num_namenodes=2, num_datanodes=3, clock=None,
-                ndb_nodes=4, ndb_replication=2, **config_overrides):
-    """Build a small HopsFS cluster with fast lock timeouts for tests."""
+                ndb_nodes=4, ndb_replication=2, network_delay=0.0,
+                **config_overrides):
+    """Build a small HopsFS cluster with fast lock timeouts for tests.
+    A ``network_delay`` > 0 makes the engine's round trips wait, which
+    puts the subtree protocol's units on worker threads."""
     config_kwargs = dict(subtree_batch_size=8, subtree_parallelism=2)
     config_kwargs.update(config_overrides)
     config = HopsFSConfig(clock=clock or ManualClock(), **config_kwargs)
@@ -156,7 +159,8 @@ def make_hopsfs(num_namenodes=2, num_datanodes=3, clock=None,
         config=config,
         ndb_config=NDBConfig(num_datanodes=ndb_nodes,
                              replication=ndb_replication,
-                             lock_timeout=1.0))
+                             lock_timeout=1.0,
+                             network_delay=network_delay))
 
 
 @pytest.fixture

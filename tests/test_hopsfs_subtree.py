@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
 from repro.errors import (
     FileNotFoundError_,
     InjectedFaultError,
@@ -19,9 +20,10 @@ from repro.errors import (
     SubtreeLockedError,
 )
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
+from repro.hopsfs import ops_subtree
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.fsck import Fsck
-from repro.ndb import LockMode, NDBConfig
+from repro.ndb import LockMode, NDBCluster, NDBConfig
 from repro.util.clock import ManualClock
 from tests.conftest import make_hopsfs
 
@@ -330,19 +332,88 @@ class TestLevelQuiesce:
         assert client.exists("/" + self.FOREIGN)
 
 
-class TestFailedLevelStops:
-    """Once one unit of a level has failed no further one starts: the
-    caller is about to be told the operation failed."""
+#: the engine's simulated round trip on the pooled path: a level's units
+#: run on worker threads only when the DAL's round trips wait
+WAITING = 0.0005
+
+
+def wide_tree(**kwargs):
+    """One namenode and ``/x/y/wide`` of 20 directories of one file: 3
+    quiesce groups and 3 + 3 delete batches at batch size 8."""
+    fs = make_hopsfs(num_namenodes=1, **kwargs)
+    nn = fs.namenodes[0]
+    for d in range(20):
+        nn.create(f"/x/y/wide/d{d:02}/f", client="c")
+    return fs, nn
+
+
+class TestUnitsRunWhereWaitsOverlap:
+    """A level's units run on worker threads only when the DAL's round
+    trips wait, so that their waits overlap; otherwise threads would
+    only take turns on the GIL, and the units run on the calling thread
+    without a pool being built."""
 
     @staticmethod
-    def one_worker_fs():
-        # one pool thread: whatever is queued behind the failing unit
-        # would run after it, deterministically
-        fs = make_hopsfs(num_namenodes=1, subtree_parallelism=1)
-        nn = fs.namenodes[0]
-        for d in range(20):  # 3 quiesce groups; 3 + 3 delete batches
-            nn.create(f"/x/y/wide/d{d:02}/f", client="c")
-        return fs, nn
+    def delete_threads(monkeypatch, **kwargs):
+        """Delete the wide tree; returns the thread each delete batch
+        transaction began on, and the pools built."""
+        _, nn = wide_tree(**kwargs)
+        pools = []
+        real = ops_subtree.ThreadPoolExecutor
+
+        def build_pool(*args, **kw):
+            pools.append(real(*args, **kw))
+            return pools[-1]
+
+        monkeypatch.setattr(ops_subtree, "ThreadPoolExecutor", build_pool)
+        threads = []
+        plan = faults.FaultPlan(seed=1)
+        plan.add("hopsfs.op", match={"op": "subtree_delete_batch"},
+                 action="call", callback="where", max_fires=None)
+        with faults.installed(plan) as injector:
+            injector.register("where",
+                              lambda: threads.append(threading.get_ident()))
+            assert nn.delete_subtree("/x/y/wide")
+        assert len(threads) == 6
+        return threads, pools
+
+    def test_without_waits_every_unit_runs_on_the_caller(self, monkeypatch):
+        threads, pools = self.delete_threads(monkeypatch)
+        assert set(threads) == {threading.get_ident()}
+        assert pools == []
+
+    def test_with_waits_a_level_spreads_over_the_pool(self, monkeypatch):
+        threads, pools = self.delete_threads(
+            monkeypatch, network_delay=WAITING, subtree_parallelism=2)
+        assert threading.get_ident() not in threads
+        assert len(set(threads)) > 1
+        assert len(pools) == 2  # phase 2's and phase 3's
+
+    def test_each_driver_says_whether_its_round_trips_wait(self):
+        assert not NDBDriver(config=NDBConfig()).round_trips_wait
+        assert NDBDriver(
+            config=NDBConfig(network_delay=WAITING)).round_trips_wait
+        assert not MemoryDriver().round_trips_wait
+        assert RemoteDriver().round_trips_wait  # built, never dialled
+
+    def test_the_engine_fans_out_by_the_same_rule(self):
+        for delay in (0.0, WAITING):
+            cluster = NDBCluster(NDBConfig(network_delay=delay))
+            assert (cluster.parallel_dispatch_enabled
+                    == cluster.round_trips_wait == (delay > 0))
+        cluster = NDBCluster(NDBConfig(network_delay=WAITING,
+                                       executor_threads=0))
+        assert cluster.round_trips_wait
+        assert not cluster.parallel_dispatch_enabled
+
+
+class TestFailedLevelStops:
+    """Once one unit of a level has failed no further one starts: the
+    caller is about to be told the operation failed. The engine's round
+    trips do not wait, so the units run on the calling thread, in
+    order."""
+
+    network_delay = 0.0
 
     @staticmethod
     def delete_failing(nn, op, skip):
@@ -361,7 +432,8 @@ class TestFailedLevelStops:
         return [fired.action for fired in injector.fired]
 
     def test_quiesce_stops_after_the_first_failed_group(self):
-        fs, nn = self.one_worker_fs()
+        fs, nn = wide_tree(subtree_parallelism=1,
+                           network_delay=self.network_delay)
         # the root's group, then the first of the level of 20 fails: the
         # two groups queued behind it never begin
         assert self.delete_failing(nn, "subtree_quiesce", skip=1) == [
@@ -370,7 +442,8 @@ class TestFailedLevelStops:
         self.assert_released_and_resumable(fs, nn)
 
     def test_delete_stops_after_the_first_failed_batch(self):
-        fs, nn = self.one_worker_fs()
+        fs, nn = wide_tree(subtree_parallelism=1,
+                           network_delay=self.network_delay)
         assert self.delete_failing(nn, "subtree_delete_batch", skip=0) == [
             "call", "error"]
         assert fs.driver.table_size("inodes") == 2 + 1 + 20 + 20
@@ -380,7 +453,8 @@ class TestFailedLevelStops:
         """Groups write nothing: a namenode that dies between two of
         them leaves the subtree flag (lazily reclaimed, §6.2), every
         inode, and no row lock."""
-        fs = make_hopsfs(num_namenodes=2, subtree_parallelism=1)
+        fs = make_hopsfs(num_namenodes=2, subtree_parallelism=1,
+                         network_delay=self.network_delay)
         victim, survivor = fs.namenodes
         for d in range(20):
             victim.create(f"/x/y/wide/d{d:02}/f", client="c")
@@ -414,6 +488,15 @@ class TestFailedLevelStops:
         assert nn.delete_subtree("/x/y/wide")  # a re-submit finishes
         assert fs.driver.table_size("inodes") == 2
         assert Fsck(nn).run().healthy
+
+
+class TestFailedLevelStopsOnThePool(TestFailedLevelStops):
+    """The same where the engine's round trips wait: the units go to a
+    pool of one worker thread, which runs them in order too, so whatever
+    is queued behind the failing unit would run after it,
+    deterministically."""
+
+    network_delay = WAITING
 
 
 class TestSubtreeMove:

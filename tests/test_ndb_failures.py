@@ -173,6 +173,39 @@ class TestCoordinatorFailover:
         put(cluster, 1, "y")
         assert get(cluster, 1) == "y"
 
+    @pytest.mark.parametrize("call", ["read", "delete", "read_batch"])
+    def test_a_victim_granted_a_lock_after_its_abort_does_not_keep_it(
+            self, call, monkeypatch):
+        """A victim that passed its last state check just before the
+        failover reaches the lock manager after the abort's release: the
+        lock is free and granted to it. It raises and holds nothing, and
+        the next writer gets the row. The failover runs right before the
+        real acquire, which is where that thread would be."""
+        cluster = make_cluster()
+        put(cluster, 1, "x")
+        victim = cluster.begin()
+        locks = cluster._locks
+        method = "acquire_many" if call == "read_batch" else "acquire"
+        real = getattr(locks, method)
+
+        def failover_first(*args, **kwargs):
+            cluster.kill_node(victim.coordinator)  # once: then a no-op
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(locks, method, failover_first)
+        calls = {
+            "read": lambda: victim.read("kv", (1,), lock=LockMode.EXCLUSIVE),
+            "delete": lambda: victim.delete("kv", (1,)),
+            "read_batch": lambda: victim.read_batch(
+                "kv", [(1,)], lock=LockMode.EXCLUSIVE),
+        }
+        with pytest.raises(TransactionAbortedError):
+            calls[call]()
+        assert locks.holders(("kv", (1,))) == {}
+        assert locks.lock_table_size() == 0
+        put(cluster, 1, "y")
+        assert get(cluster, 1) == "y"
+
     def test_transactions_on_surviving_coordinators_unaffected(self):
         cluster = make_cluster()
         tx = cluster.begin()

@@ -10,7 +10,14 @@ the middle of deleting it: after each bottom-up level
 A second namenode then re-submits the delete. Afterwards fsck is
 healthy, no row keyed by a deleted inode's id is left, and no inode is
 orphaned.
+
+Each crash runs on both paths a level's units take: on the calling
+thread (the engine's round trips do not wait), and, in the
+``..._on_the_pool`` tests, on two worker threads (they do,
+``network_delay`` > 0).
 """
+
+import threading
 
 import pytest
 
@@ -25,12 +32,16 @@ TREE = "/p/tree"
 #: of a and q: two batches of at most 8), 3 (the files of b)
 LEVELS = (1, 2, 3)
 
+#: the engine's simulated round trip on the pooled path
+POOLED = 0.0005
 
-def build():
-    """Two namenodes (one batch-deleting thread for a replayable commit
-    order) and the tree, made one directory level per ``mkdirs``."""
+
+def build(network_delay):
+    """Two namenodes and the tree, made one directory level per
+    ``mkdirs``. The engine's round trips then take ``network_delay``:
+    when that is > 0, a level's units run on two worker threads."""
     fs = make_hopsfs(num_namenodes=2, num_datanodes=4, block_size=8,
-                     subtree_parallelism=1)
+                     subtree_parallelism=2)
     client = fs.client("setup", seed=1)
     for path in ("/p", TREE, f"{TREE}/a", f"{TREE}/q", f"{TREE}/a/b"):
         client.mkdirs(path)
@@ -46,6 +57,8 @@ def build():
     fs.ec.convert(f"{TREE}/q/h2", k=2)
     client.set_quota(f"{TREE}/q", 1000, None)
     client.set_quota(TREE, 1000, None)
+    # built without the delay, which would only slow the setup down
+    fs.driver.cluster.config.network_delay = network_delay
     return fs
 
 
@@ -81,7 +94,7 @@ def resubmit_and_check(fs):
 
 
 def test_the_tree_flags_every_kind_of_sub_row():
-    fs = build()
+    fs = build(0.0)
     rows = fs.driver.session().run(
         lambda tx: {t: tx.full_scan(t) for t in fs_schema.SUB_TABLE_BITS})
     for table in ("blocks", "replicas", "xattrs", "ec_files", "ec_groups",
@@ -90,9 +103,8 @@ def test_the_tree_flags_every_kind_of_sub_row():
     assert Fsck(fs.namenodes[0]).run().healthy
 
 
-@pytest.mark.parametrize("level", LEVELS)
-def test_crash_after_a_level(level):
-    fs = build()
+def crash_after_a_level(level, network_delay):
+    fs = build(network_delay)
     victim = fs.namenodes[0]
     victim.failpoints[f"after_delete_level_{level}"] = crash_of(victim)
     with pytest.raises(NameNodeUnavailableError):
@@ -100,25 +112,39 @@ def test_crash_after_a_level(level):
     resubmit_and_check(fs)
 
 
-def commits_of_a_delete() -> int:
-    """How many commits an undisturbed delete of the tree reaches."""
-    fs = build()
+@pytest.mark.parametrize("level", LEVELS)
+def test_crash_after_a_level(level):
+    crash_after_a_level(level, 0.0)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_crash_after_a_level_on_the_pool(level):
+    crash_after_a_level(level, POOLED)
+
+
+def commits_of_a_delete(network_delay) -> int:
+    """How many commits an undisturbed delete of the tree reaches; they
+    run on worker threads as well as the caller's only on the pooled
+    path."""
+    fs = build(network_delay)
+    threads = set()
     plan = faults.FaultPlan(seed=1)
     plan.add("ndb.commit.before_apply", action="call", callback="count",
              max_fires=None)
     with faults.installed(plan) as injector:
-        injector.register("count", lambda: None)
+        injector.register("count", lambda: threads.add(threading.get_ident()))
         assert fs.namenodes[0].delete(TREE, recursive=True)
+    assert (len(threads) > 1) == (network_delay > 0)
     return len(injector.fired)
 
 
-def test_crash_at_each_commit_of_the_delete():
-    commits = commits_of_a_delete()
+def crash_at_each_commit(network_delay):
+    commits = commits_of_a_delete(network_delay)
     # the probe that finds children, phase 1, three quiesce groups (one
     # per level with a directory), four delete batches, the root
     assert commits == 1 + 1 + 3 + 4 + 1
     for skip in range(commits):
-        fs = build()
+        fs = build(network_delay)
         victim = fs.namenodes[0]
         plan = faults.FaultPlan(seed=1)
         plan.add("ndb.commit.before_apply", action="call", callback="crash",
@@ -129,3 +155,11 @@ def test_crash_at_each_commit_of_the_delete():
                 victim.delete(TREE, recursive=True)
         assert len(injector.fired) == 1, skip
         resubmit_and_check(fs)
+
+
+def test_crash_at_each_commit_of_the_delete():
+    crash_at_each_commit(0.0)
+
+
+def test_crash_at_each_commit_of_the_delete_on_the_pool():
+    crash_at_each_commit(POOLED)
