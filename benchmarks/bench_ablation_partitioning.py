@@ -66,7 +66,7 @@ def test_top_level_spread_ablation(capsys, benchmark):
         client = fs.client("ab")
         for i in range(32):
             client.mkdirs(f"/top{i:02d}")
-        cluster = fs.driver.cluster
+        cluster = fs.driver
         session = fs.driver.session()
         rows = session.run(lambda tx: tx.full_scan(
             "inodes", predicate=lambda r: r["parent_id"] == 1))

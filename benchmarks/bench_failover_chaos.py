@@ -125,10 +125,10 @@ def _chaos_scenario(kill_site: str, callback_name: str, ops: int,
 
 def scenario_datanode_kill(ops: int) -> dict:
     def callbacks(fs, _client):
-        return {"kill_dn": lambda: fs.driver.cluster.kill_node(2)}
+        return {"kill_dn": lambda: fs.driver.kill_node(2)}
 
     def restart(fs):
-        fs.driver.cluster.restart_node(2)
+        fs.driver.restart_node(2)
 
     return _chaos_scenario("ndb.commit.before_apply", "kill_dn", ops,
                            callbacks, restart)

@@ -137,13 +137,13 @@ def _run_cell(make_driver: Callable[[], object],
 
 
 def run_benchmark(total_ops: int, skip_process: bool = False) -> dict:
-    from repro.dal.ndb_driver import NDBDriver
+    from repro.ndb import NDBCluster
 
     ops: dict[str, dict[str, float]] = {}
     round_trips: dict[str, float] = {}
 
     ops["embedded-optimized"], round_trips["embedded-optimized"] = _run_cell(
-        lambda: NDBDriver(config=NDBConfig(**ENGINE_PROFILE)), total_ops)
+        lambda: NDBCluster(NDBConfig(**ENGINE_PROFILE)), total_ops)
 
     if not skip_process:
         from repro.dal import RemoteDriver

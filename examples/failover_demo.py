@@ -40,7 +40,7 @@ def hopsfs_demo() -> None:
           len(client.list_status("/critical").entries) - 1)
 
     print("\n== NDB datanode failure: metadata survives in the node group ==")
-    db = cluster.driver.cluster
+    db = cluster.driver
     db.kill_node(0)
     print(f"  killed NDB datanode 0; cluster available: {db.is_available()}")
     assert client.stat("/critical/data.bin") is not None

@@ -39,7 +39,7 @@ def main() -> None:
         client.set_owner(path, owner, owner)
 
     print("== change-capture export from the commit log ==")
-    exporter = MetadataExporter(cluster.driver.cluster)
+    exporter = MetadataExporter(cluster.driver)
     applied = exporter.sync()
     replica = exporter.replica
     print(f"  applied {applied} commit-log records; replica holds "

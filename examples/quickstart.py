@@ -48,7 +48,7 @@ def main() -> None:
     session = cluster.driver.session()
     inodes = session.run(lambda tx: tx.full_scan("inodes"))
     print(f"  {len(inodes)} inode rows across "
-          f"{cluster.driver.cluster.config.num_partitions} database "
+          f"{cluster.driver.config.num_partitions} database "
           "partitions")
 
     print("\n== namenodes are stateless: kill one, nothing is lost ==")

@@ -207,7 +207,7 @@ class HopsShell:
     def _report(self, args: list[str]) -> str:
         live_nns = [nn.nn_id for nn in self.cluster.live_namenodes()]
         leader = self.cluster.leader()
-        db = self.cluster.driver.cluster
+        db = self.cluster.driver
         return "\n".join([
             f"namenodes : {live_nns} (leader: "
             f"{leader.nn_id if leader else '?'})",

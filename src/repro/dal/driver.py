@@ -1,4 +1,4 @@
-"""Abstract DAL driver interface.
+"""The DAL driver interface.
 
 The interface is the contract HopsFS code is written against. It is the
 union of what the namenode transaction template needs:
@@ -15,15 +15,17 @@ union of what the namenode transaction template needs:
   it);
 * per-session access statistics (:class:`repro.ndb.AccessStats`).
 
-:class:`repro.ndb.transaction.Transaction` satisfies
-:class:`DALTransaction` structurally; :class:`MemoryDriver` provides an
-independent implementation, demonstrating that namenode code really is
-engine agnostic.
+:class:`repro.ndb.NDBCluster`, its :class:`~repro.ndb.session.Session`
+and :class:`~repro.ndb.transaction.Transaction` satisfy the three
+protocols structurally, with no adapter; :class:`MemoryDriver` provides
+an independent implementation, demonstrating that namenode code really
+is engine agnostic, and :class:`RemoteDriver` speaks the same contract
+to an ``ndb-server`` over a socket. ``tests/test_dal_conformance.py``
+checks every member of every protocol on all three.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Any, Callable, Mapping, Optional, Protocol, Sequence, TypeVar
 
 from repro.metrics.registry import MetricsRegistry
@@ -111,36 +113,37 @@ class DALSession(Protocol):
     def reset_stats(self) -> AccessStats: ...
 
 
-class DALDriver(abc.ABC):
-    """Factory for sessions against one storage engine instance."""
+class DALDriver(Protocol):
+    """Structural protocol for the factory of sessions against one
+    storage engine instance."""
 
-    @abc.abstractmethod
     def create_table(self, schema: TableSchema) -> None:
         """Create a table; raises if it already exists."""
+        ...
 
-    @abc.abstractmethod
     def session(self) -> DALSession:
         """Open a new session (one per client thread)."""
+        ...
 
-    @abc.abstractmethod
     def table_size(self, table: str) -> int:
         """Committed row count (for tests and admin tooling)."""
+        ...
 
     @property
-    @abc.abstractmethod
     def engine_name(self) -> str:
         """Human-readable engine identifier."""
+        ...
 
     @property
-    @abc.abstractmethod
     def round_trips_wait(self) -> bool:
         """Whether a round trip blocks its caller on something other than
         this process's CPU (a network, a server process, a simulated
         delay). Only then do concurrent transactions overlap their
         waits; otherwise threads would only take turns on one GIL, and
         independent work runs faster on the calling thread."""
+        ...
 
-    @abc.abstractmethod
     def metrics_registry(self) -> MetricsRegistry:
         """The live registry this driver (and the engine behind it, when
         in-process) records into, its point-in-time gauges refreshed."""
+        ...

@@ -26,7 +26,6 @@ from repro.errors import (
     TransactionAbortedError,
     TransactionError,
 )
-from repro.dal.driver import DALDriver
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import span
 from repro.ndb.locks import LockMode
@@ -39,7 +38,7 @@ T = TypeVar("T")
 Predicate = Optional[Callable[[Mapping[str, Any]], bool]]
 
 
-class MemoryDriver(DALDriver):
+class MemoryDriver:
     def __init__(self) -> None:
         self._schemas: dict[str, TableSchema] = {}
         self._tables: dict[str, dict[tuple[Any, ...], dict[str, Any]]] = {}

@@ -61,7 +61,6 @@ import random
 import threading
 from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
-from repro.dal.driver import DALDriver
 from repro.errors import (
     CommitAmbiguousError,
     ConnectionClosedError,
@@ -389,7 +388,7 @@ class RemoteSession:
         return stats
 
 
-class RemoteDriver(DALDriver):
+class RemoteDriver:
     """DAL driver speaking the RPC protocol to one ndb-server process."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,

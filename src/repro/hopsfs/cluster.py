@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dal.driver import DALDriver, DALTransaction
-from repro.dal.ndb_driver import NDBDriver
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.blockreport import BlockReportProcessor
 from repro.hopsfs.client import DFSClient, NamenodeSelectionPolicy
@@ -24,6 +23,7 @@ from repro.hopsfs.datanode import (
 from repro.hopsfs.namenode import NameNode
 from repro.hopsfs.quota import QuotaManager
 from repro.hopsfs.replication import ReplicationManager
+from repro.ndb.cluster import NDBCluster
 from repro.ndb.config import NDBConfig
 from repro.errors import NameNodeUnavailableError
 
@@ -34,8 +34,7 @@ class HopsFSCluster:
                  driver: Optional[DALDriver] = None,
                  ndb_config: Optional[NDBConfig] = None) -> None:
         self.config = config or HopsFSConfig()
-        self.driver = driver if driver is not None else NDBDriver(
-            config=ndb_config or NDBConfig())
+        self.driver = driver if driver is not None else NDBCluster(ndb_config)
         self.namenodes: list[NameNode] = []
         self.datanodes: list[DataNode] = []
         self._format()

@@ -30,7 +30,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import replace
 from typing import Any, Callable, Mapping, Optional, TypeVar
 
 from repro.errors import (
@@ -78,23 +77,16 @@ class NDBCluster:
             for path in ("inline", "parallel")}
         self._commit_participants = self.metrics.histogram(
             "ndb_commit_participants")
-        self._group_commit_batch = self.metrics.histogram(
-            "ndb_group_commit_batch")
         #: ``ndb_shard_op_seconds`` handles by (shard, kind)
         # guarded_by: GIL -- racing fillers store the registry's one metric
         self._shard_op_hists: dict[tuple[Any, str], HistogramMetric] = {}
         self._locks = LockManager(timeout=self.config.lock_timeout,
                                   shard_of=self._lock_key_shard,
                                   registry=self.metrics)
-        #: current primary node per partition (same for all tables)
+        #: current primary node per partition (same for all tables),
+        #: replaced whole whenever placement changes
         # guarded_by: _structure_gate [writes]
-        self._primaries: dict[int, int] = {
-            pid: self._pmap.replica_nodes(pid)[0]
-            for pid in range((self.config.num_partitions))
-        }
-        #: cached pid→primary table for stats recording; rebuilt lazily,
-        #: invalidated whenever placement changes (kill/restart/recovery)
-        self._primary_cache: Optional[tuple[int, ...]] = None  # guarded_by: GIL
+        self._primaries = self._preferred_primaries()
         self._tx_counter = itertools.count(1)
         self._active_txs: dict[int, Transaction] = {}  # guarded_by: _registry_lock
         self._registry_lock = threading.Lock()
@@ -112,7 +104,9 @@ class NDBCluster:
         self.epoch = 1            # guarded_by: _structure_gate [writes]
         self.completed_epoch = 0  # guarded_by: _structure_gate [writes]
         # guarded_by: GIL -- the GroupCommitLog synchronizes internally
-        self._commit_log = GroupCommitLog(flush_delay=self.config.log_flush_delay)
+        self._commit_log = GroupCommitLog(
+            flush_delay=self.config.log_flush_delay,
+            batch_sizes=self.metrics.histogram("ndb_group_commit_batch"))
         self._lcp_snapshot: Optional[dict[tuple[str, int], dict]] = None  # guarded_by: _structure_gate
         self._lcp_watermark = 0  # guarded_by: _structure_gate
         self._coordinator_rr = itertools.count()
@@ -169,23 +163,20 @@ class NDBCluster:
         return self.datanodes[self._primary_node(pid)].fragment(table, pid)
 
     def primary_table(self) -> tuple[int, ...]:
-        """The pid→primary-node table, cached until placement changes.
+        """The pid→primary-node table.
 
-        Stats recording reads this on every access event; rebuilding the
-        mapping per event was a measurable per-round-trip cost. Entries
-        are not liveness-checked — a concurrent failover invalidates the
-        cache and actual data access still goes through
-        :meth:`_primary_node`, which does check.
+        Stats recording reads this on every access event. Entries are not
+        liveness-checked — a concurrent failover replaces the table, and
+        actual data access still goes through :meth:`_primary_node`,
+        which does check.
         """
-        cache = self._primary_cache
-        if cache is None:
-            cache = tuple(self._primaries[pid]
-                          for pid in range(self.config.num_partitions))
-            self._primary_cache = cache
-        return cache
+        return self._primaries
 
-    def _invalidate_primary_cache(self) -> None:
-        self._primary_cache = None
+    def _preferred_primaries(self) -> tuple[int, ...]:
+        """The first replica of every partition (the layout at start-up
+        and after crash recovery)."""
+        return tuple(self._pmap.replica_nodes(pid)[0]
+                     for pid in range(self.config.num_partitions))
 
     def live_replicas(self, pid: int) -> list[int]:
         return [n for n in self._pmap.replica_nodes(pid) if self.datanodes[n].alive]
@@ -203,7 +194,9 @@ class NDBCluster:
 
     @property
     def group_commit_stats(self) -> dict[str, int]:
-        """Flush counters of the group-committed log (observability)."""
+        """Flush counters of the group-committed log (observability):
+        flushes and the largest batch from ``ndb_group_commit_batch``,
+        records from the log."""
         return self._commit_log.stats()
 
     def metrics_registry(self) -> MetricsRegistry:
@@ -233,6 +226,14 @@ class NDBCluster:
         return hist
 
     # -- shard executor ---------------------------------------------------------------
+
+    @property
+    def engine_name(self) -> str:
+        """Human-readable engine identifier (the DAL driver's)."""
+        cfg = self.config
+        dispatch = "parallel" if self.parallel_dispatch_enabled else "inline"
+        return (f"ndb(nodes={cfg.num_datanodes}, r={cfg.replication}, "
+                f"partitions={cfg.num_partitions}, dispatch={dispatch})")
 
     @property
     def round_trips_wait(self) -> bool:
@@ -344,32 +345,6 @@ class NDBCluster:
         with self._registry_lock:
             self._active_txs.pop(tx.tx_id, None)
 
-    def run_in_transaction(self, fn: Callable[[Transaction], T],
-                           hint: Optional[tuple[str, Mapping[str, Any]]] = None,
-                           retries: int = 5) -> T:
-        """Run ``fn`` in a transaction, retrying on lock conflicts.
-
-        Retries per the shared transaction policy (deadlock, lock
-        timeout, transaction abort — the standard NDB client pattern).
-        """
-        from repro.ndb.session import TX_RETRY_POLICY
-
-        policy = replace(TX_RETRY_POLICY, max_attempts=max(1, retries))
-        last_exc: Exception = TransactionAbortedError("no attempts made")
-        for _attempt in policy.attempts():
-            tx = self.begin(hint)
-            try:
-                result = fn(tx)
-                if tx.state is TxState.ACTIVE:
-                    tx.commit()
-                return result
-            except Exception as exc:
-                tx.abort()
-                if not policy.is_retryable(exc):
-                    raise
-                last_exc = exc
-        raise last_exc
-
     # -- commit application --------------------------------------------------------------
 
     def _apply_commit(self, tx: Transaction) -> None:
@@ -379,9 +354,9 @@ class NDBCluster:
         completion and recovery never observe a half-applied batch) plus
         the fragment locks of the touched partitions only — commits on
         disjoint partitions proceed concurrently. Each participant node
-        applies its slice of the batch in parallel on the shard executor
-        and appends its own redo records; the cluster-level commit record
-        goes through the group-committed log afterwards.
+        applies its slice of the batch in parallel on the shard executor;
+        the commit record (redo and undo images) goes through the
+        group-committed log afterwards.
         """
         # abortable site: fires before any replica applied anything, so an
         # injected error is a clean abort the standard retry loop handles
@@ -461,8 +436,6 @@ class NDBCluster:
                                     frag.apply_insert(pending.row)
                                 else:
                                     frag.apply_update(wrec.pk, pending.row)
-                                node.redo_log.append(
-                                    (record.tx_id, record.epoch, wrec))
                         seconds.observe(time.perf_counter() - started)
                     return apply_batch
 
@@ -470,10 +443,9 @@ class NDBCluster:
                                      node_id, batch in sorted(node_batches.items())])
             # group-committed redo append: outside the fragment locks so a
             # slow log flush never serializes unrelated partition applies
-            batch_size = self._commit_log.append(record)
+            self._commit_log.append(record)
             tx.state = TxState.COMMITTED
             self._commit_participants.observe(len(node_batches))
-            self._group_commit_batch.observe(batch_size)
             # account the flushed write batch + the commit round
             from repro.ndb.stats import AccessEvent, AccessKind
 
@@ -508,7 +480,6 @@ class NDBCluster:
         if not node.alive:
             return
         with self._structure_gate.write_locked():
-            self._invalidate_primary_cache()
             node.kill()
             victims = []
             with self._registry_lock:
@@ -518,13 +489,14 @@ class NDBCluster:
             # the abort mark fences the gap until the real abort below:
             # lock acquires and _apply_commit both refuse marked owners
             self._locks.abort_waiters(victims)
-            for pid, primary in list(self._primaries.items()):
+            primaries = list(self._primaries)
+            for pid, primary in enumerate(primaries):
                 if primary == node_id:
                     survivors = self.live_replicas(pid)
                     if survivors:
-                        self._primaries[pid] = survivors[0]
+                        primaries[pid] = survivors[0]
                     # else: node group down; reads will raise ClusterDownError
-            self._invalidate_primary_cache()
+            self._primaries = tuple(primaries)
         # abort() takes each victim's commit mutex, which a commit blocked
         # on the structure gate may hold — deadlock if done under the gate
         for tx in victims:
@@ -546,7 +518,6 @@ class NDBCluster:
                 source = self.datanodes[survivors[0]].fragment(table, pid)
                 frag.load(source.snapshot())
             node.alive = True
-            self._invalidate_primary_cache()
 
     def is_available(self) -> bool:
         """True if every partition has at least one live replica."""
@@ -612,12 +583,7 @@ class NDBCluster:
             self.commit_log = [r for r in self.commit_log if r.epoch <= target]
             self._lcp_watermark = min(self._lcp_watermark, len(self.commit_log))
             self.epoch = target + 1
-            # primaries reset to preferred layout
-            self._primaries = {
-                pid: self._pmap.replica_nodes(pid)[0]
-                for pid in range(self.config.num_partitions)
-            }
-            self._invalidate_primary_cache()
+            self._primaries = self._preferred_primaries()
         for tx in victims:
             tx.abort()
         return target

@@ -1,15 +1,12 @@
-"""NDB datanodes and the commit logs used for recovery.
+"""NDB datanodes and the commit log used for recovery.
 
 Each datanode stores fragment replicas for the partitions of its node
-group, plus a volatile per-node redo log appended by the node's own
-commit-apply work (modelling NDB's per-LDM redo logging — the append
-happens inside the participant's parallel apply, never under a cluster
-mutex). The cluster additionally keeps one logical, GCP-ordered commit
-log of committed transactions (redo records with before-images serving as
-undo records), stamped with the epoch they committed in; appends to it are
-*group committed* (:class:`GroupCommitLog`): concurrent commits stage
-their records and a single flush leader makes the whole batch durable in
-one flush. Cluster-level recovery restores the last local checkpoint and
+group. The cluster keeps one logical, GCP-ordered commit log of committed
+transactions (redo records with before-images serving as undo records),
+stamped with the epoch they committed in; appends to it are *group
+committed* (:class:`GroupCommitLog`): concurrent commits stage their
+records and a single flush leader makes the whole batch durable in one
+flush. Cluster-level recovery restores the last local checkpoint and
 rolls that log forward to the last *completed* epoch — transactions that
 committed in the in-flight epoch are lost, which is exactly NDB's
 global-checkpoint semantics (paper §2.2).
@@ -23,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.faults import fault_point
+from repro.metrics.registry import HistogramMetric
 from repro.metrics.tracing import span
 from repro.ndb.fragment import Fragment
 from repro.ndb.schema import TableSchema
@@ -63,11 +61,15 @@ class GroupCommitLog:
     (``flush_delay`` seconds of simulated device latency, slept outside
     the mutex so followers can keep staging). Records land in staging
     order, so the log stays sequential; conflicting transactions are
-    already ordered by their row locks.
+    already ordered by their row locks. The leader observes each flush's
+    batch size once in ``batch_sizes``, so its count is flushes and its
+    sum is records.
     """
 
-    def __init__(self, flush_delay: float = 0.0) -> None:
+    def __init__(self, flush_delay: float,
+                 batch_sizes: HistogramMetric) -> None:
         self.flush_delay = flush_delay
+        self._batch_sizes = batch_sizes
         #: the durable, GCP-ordered log (replayed by cluster recovery)
         self.records: list[CommitRecord] = []  # guarded_by: _cond
         self._cond = threading.Condition()
@@ -75,10 +77,6 @@ class GroupCommitLog:
         self._flushing = False  # guarded_by: _cond
         self._next_seq = 0      # guarded_by: _cond
         self._flushed_seq = -1  # guarded_by: _cond
-        # monitoring
-        self.flushes = 0         # guarded_by: _cond
-        self.max_batch = 0       # guarded_by: _cond
-        self.last_batch_size = 0  # guarded_by: _cond
 
     def snapshot(self) -> list[CommitRecord]:
         """A point-in-time copy of the durable log."""
@@ -92,13 +90,13 @@ class GroupCommitLog:
 
     def stats(self) -> dict[str, int]:
         with self._cond:
-            return {"flushes": self.flushes,
-                    "records": len(self.records),
-                    "max_batch": self.max_batch}
+            records = len(self.records)
+        return {"flushes": self._batch_sizes.count,
+                "records": records,
+                "max_batch": int(self._batch_sizes.max)}
 
-    def append(self, record: CommitRecord) -> int:
-        """Stage ``record``, wait until flushed; returns the batch size
-        the record was flushed in (1 when it flushed alone)."""
+    def append(self, record: CommitRecord) -> None:
+        """Stage ``record`` and return once it is flushed."""
         # stall-only site (slow log device / flush hiccup): fires before
         # staging, so a delay here exercises group-commit batching under
         # back-pressure; an injected error would strand already-applied
@@ -110,7 +108,7 @@ class GroupCommitLog:
             self._staged.append((seq, record))
             while True:
                 if self._flushed_seq >= seq:
-                    return self.last_batch_size
+                    return
                 if not self._flushing:
                     break  # become the flush leader
                 park()
@@ -124,17 +122,13 @@ class GroupCommitLog:
             if self.flush_delay:
                 park()
                 time.sleep(self.flush_delay)  # the simulated log-device flush
+        self._batch_sizes.observe(len(batch))
         with self._cond:
             self.records.extend(rec for _seq, rec in batch)
             self._flushed_seq = max(self._flushed_seq,
                                     max(s for s, _rec in batch))
             self._flushing = False
-            self.flushes += 1
-            self.last_batch_size = len(batch)
-            if len(batch) > self.max_batch:
-                self.max_batch = len(batch)
             self._cond.notify_all()
-            return len(batch)
 
 
 class NDBDatanode:
@@ -145,10 +139,6 @@ class NDBDatanode:
         self.alive = True
         #: (table_name, partition_id) -> Fragment
         self.fragments: dict[tuple[str, int], Fragment] = {}
-        self.failures = 0
-        #: volatile per-node redo: (tx_id, epoch, WriteRecord) appended by
-        #: this node's commit-apply task; lost (cleared) when the node dies
-        self.redo_log: list[tuple[int, int, WriteRecord]] = []
 
     def add_fragment(self, schema: TableSchema, partition_id: int) -> Fragment:
         frag = Fragment(schema, partition_id)
@@ -161,8 +151,6 @@ class NDBDatanode:
     def kill(self) -> None:
         """Simulate a crash: volatile (in-memory) fragment data is lost."""
         self.alive = False
-        self.failures += 1
-        self.redo_log = []
         for frag in self.fragments.values():
             frag.load({})
 

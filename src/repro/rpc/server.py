@@ -1,7 +1,7 @@
 """``ndb-server``: hosts an NDB cluster and serves the DAL over a socket.
 
-One server process owns one :class:`repro.ndb.NDBCluster` (through its
-DAL driver) and exposes the full ``DALTransaction`` contract plus
+One server process owns one :class:`repro.ndb.NDBCluster` (the DAL
+driver itself) and exposes the full ``DALTransaction`` contract plus
 admin/failure-injection and observability endpoints, in protocol
 version 5 (:mod:`repro.rpc.protocol`): a transaction begins on its first
 request, buffered writes (``delete`` among them) arrive on the next
@@ -61,8 +61,6 @@ from collections import deque
 from typing import Any, Mapping, Optional
 
 from repro import faults
-from repro.dal.driver import DALDriver
-from repro.dal.ndb_driver import NDBDriver
 from repro.errors import (
     ConnectionClosedError,
     RPCError,
@@ -74,6 +72,7 @@ from repro.metrics import export
 from repro.metrics.flightrecorder import FlightRecorder
 from repro.metrics.registry import CounterMetric, HistogramMetric
 from repro.metrics.tracing import Span, Trace
+from repro.ndb.cluster import NDBCluster
 from repro.ndb.config import NDBConfig
 from repro.ndb.locks import LockMode
 from repro.rpc import protocol
@@ -190,10 +189,9 @@ class _ConnState:
 
 
 class NDBServer:
-    """Serves one DAL driver (normally an NDB cluster) over a socket."""
+    """Serves one NDB cluster over a socket."""
 
-    def __init__(self, driver: Optional[DALDriver] = None,
-                 config: Optional[NDBConfig] = None,
+    def __init__(self, config: Optional[NDBConfig] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  unix_path: Optional[str] = None,
                  name: str = "ndb0",
@@ -201,9 +199,7 @@ class NDBServer:
                  metrics_path: Optional[str] = None,
                  metrics_port: Optional[int] = None,
                  flight_dir: Optional[str] = None) -> None:
-        if driver is not None and config is not None:
-            raise ValueError("pass either a driver or a config, not both")
-        self.driver = driver if driver is not None else NDBDriver(config=config)
+        self.cluster = NDBCluster(config)
         self.name = name
         self.host = host
         self.port = port  # guarded_by: owner-thread -- set by start()
@@ -211,7 +207,7 @@ class NDBServer:
         self.unix_path = unix_path
         #: the engine's own registry, served as this process's: ``rpc_*``
         #: lands next to the ``ndb_*`` the engine records itself
-        self.registry = self.driver.metrics_registry()
+        self.registry = self.cluster.metrics_registry()
         self.drain_timeout = drain_timeout
         self.metrics_path = metrics_path
         #: serve the registry over HTTP (Prometheus + JSON) when set
@@ -344,9 +340,7 @@ class NDBServer:
             state.conn.close()  # the loop reads end-of-stream and drops it
         self._halt_loop()
         self._persist_observability()
-        cluster = getattr(self.driver, "cluster", None)
-        if cluster is not None and hasattr(cluster, "close"):
-            cluster.close()
+        self.cluster.close()
 
     def serve_until_stopped(self) -> None:
         """Block until a stop is requested, then shut down gracefully."""
@@ -365,10 +359,10 @@ class NDBServer:
         self.stop()
 
     def _persist_observability(self) -> None:
-        registry = self.driver.metrics_registry()  # gauges refreshed
+        registry = self.cluster.metrics_registry()  # gauges refreshed
         if self.metrics_path:
             meta = {"server": self.name, "pid": os.getpid(),
-                    "engine": self.driver.engine_name, "reason": "shutdown"}
+                    "engine": self.cluster.engine_name, "reason": "shutdown"}
             try:
                 with open(self.metrics_path, "w", encoding="utf-8") as fh:
                     fh.write(export.to_json(registry, meta=meta,
@@ -501,7 +495,7 @@ class NDBServer:
             sock.setblocking(True)
             if sock.family == socket.AF_INET:  # no Nagle on AF_UNIX
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            state = _ConnState(_ServerConn(sock), self.driver.session())
+            state = _ConnState(_ServerConn(sock), self.cluster.session())
             with self._mutex:
                 self._states.add(state)
             self.registry.inc("rpc_connections_total")
@@ -744,7 +738,7 @@ class NDBServer:
                 f"client speaks protocol {theirs!r}, server speaks "
                 f"{protocol.PROTOCOL_VERSION}")
         return {"protocol": protocol.PROTOCOL_VERSION,
-                "engine": self.driver.engine_name,
+                "engine": self.cluster.engine_name,
                 "server": self.name, "pid": os.getpid()}
 
     def _h_ping(self, state: _ConnState,
@@ -757,19 +751,16 @@ class NDBServer:
 
     def _h_create_table(self, state: _ConnState,
                         params: Mapping[str, Any]) -> bool:
-        self.driver.create_table(protocol.decode_schema(params["schema"]))
+        self.cluster.create_table(protocol.decode_schema(params["schema"]))
         return True
 
     def _h_table_size(self, state: _ConnState,
                       params: Mapping[str, Any]) -> int:
-        return self.driver.table_size(params["table"])
+        return self.cluster.table_size(params["table"])
 
     def _h_tables(self, state: _ConnState,
                   params: Mapping[str, Any]) -> list[str]:
-        cluster = getattr(self.driver, "cluster", None)
-        if cluster is not None and hasattr(cluster, "tables"):
-            return cluster.tables()
-        return []
+        return self.cluster.tables()
 
     def _h_shutdown(self, state: _ConnState,
                     params: Mapping[str, Any]) -> dict[str, Any]:
@@ -894,8 +885,8 @@ class NDBServer:
     def _h_metrics(self, state: _ConnState,
                    params: Mapping[str, Any]) -> dict[str, Any]:
         meta = {"server": self.name, "pid": os.getpid(),
-                "engine": self.driver.engine_name}
-        registry = self.driver.metrics_registry()  # gauges refreshed
+                "engine": self.cluster.engine_name}
+        registry = self.cluster.metrics_registry()  # gauges refreshed
         data = export.snapshot(
             registry, meta=meta,
             include_samples=params.get("include_samples", True))
@@ -914,14 +905,9 @@ class NDBServer:
 
     def _fault_callbacks(self) -> dict[str, Any]:
         """Callbacks ``action="call"`` specs may name on this server."""
-        cluster = getattr(self.driver, "cluster", None)
-        callbacks: dict[str, Any] = {}
-        if cluster is not None:
-            callbacks["kill_node"] = \
-                lambda node: cluster.kill_node(int(node))
-            callbacks["restart_node"] = \
-                lambda node: cluster.restart_node(int(node))
-        return callbacks
+        cluster = self.cluster
+        return {"kill_node": lambda node: cluster.kill_node(int(node)),
+                "restart_node": lambda node: cluster.restart_node(int(node))}
 
     def install_fault_plan(self, plan: FaultPlan) -> FaultInjector:
         """Install a plan process-wide, wired to this server's metrics,
@@ -956,10 +942,7 @@ class NDBServer:
     # -- handlers: admin / failure injection -------------------------------------
 
     def _h_admin(self, state: _ConnState, params: Mapping[str, Any]) -> Any:
-        cluster = getattr(self.driver, "cluster", None)
-        if cluster is None:
-            raise RuntimeError(
-                f"engine {self.driver.engine_name!r} has no admin surface")
+        cluster = self.cluster
         op = params["op"]
         if op == "kill_node":
             cluster.kill_node(int(params["node"]))
@@ -988,7 +971,7 @@ class NDBServer:
         raise protocol.ProtocolError(f"unknown admin op {op!r}")
 
     @staticmethod
-    def _replica_snapshots(cluster: Any, table: str) -> dict[str, Any]:
+    def _replica_snapshots(cluster: NDBCluster, table: str) -> dict[str, Any]:
         """Per-partition row snapshots of every live replica (tests)."""
         schema = cluster.schema(table)
         out: dict[str, Any] = {}
@@ -1034,7 +1017,7 @@ class _MetricsHTTP:
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 parsed = urlparse(self.path)
                 if parsed.path in ("/", "/metrics", "/metrics.json"):
-                    registry = ndb.driver.metrics_registry()  # gauges fresh
+                    registry = ndb.cluster.metrics_registry()  # gauges fresh
                 if parsed.path in ("/", "/metrics"):
                     body = export.prometheus_text(registry)
                     ctype = "text/plain; version=0.0.4"
@@ -1047,7 +1030,7 @@ class _MetricsHTTP:
                     data = export.snapshot(
                         registry, include_samples=True,
                         meta={"server": ndb.name, "pid": os.getpid(),
-                              "engine": ndb.driver.engine_name})
+                              "engine": ndb.cluster.engine_name})
                     data["windows"] = export.windows(registry, window)
                     body = json.dumps(data, sort_keys=True)
                     ctype = "application/json"

@@ -21,7 +21,7 @@ def populated():
 class TestExporter:
     def test_sync_builds_replica(self, populated):
         fs, _client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         applied = exporter.sync()
         assert applied > 0
         files = exporter.replica.files()
@@ -29,14 +29,14 @@ class TestExporter:
 
     def test_path_reconstruction(self, populated):
         fs, client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         exporter.sync()
         inode_id = client.stat("/projects/ml/model.bin").inode_id
         assert exporter.replica.path_of(inode_id) == "/projects/ml/model.bin"
 
     def test_incremental_sync(self, populated):
         fs, client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         exporter.sync()
         assert exporter.sync() == 0  # nothing new
         client.create("/projects/new.txt")
@@ -47,7 +47,7 @@ class TestExporter:
 
     def test_deletes_propagate(self, populated):
         fs, client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         exporter.sync()
         client.delete("/projects/genomics/index.dat")
         exporter.sync()
@@ -57,7 +57,7 @@ class TestExporter:
 
     def test_renames_propagate(self, populated):
         fs, client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         client.rename("/projects/ml/model.bin", "/projects/ml/model_v2.bin")
         exporter.sync()
         paths = {exporter.replica.path_of(r["id"])
@@ -67,7 +67,7 @@ class TestExporter:
 
     def test_analytics_queries(self, populated):
         fs, _client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         exporter.sync()
         replica = exporter.replica
         assert replica.total_size() == 160
@@ -79,7 +79,7 @@ class TestExporter:
 class TestSearchIndex:
     def make_index(self, populated):
         fs, _client = populated
-        exporter = MetadataExporter(fs.driver.cluster)
+        exporter = MetadataExporter(fs.driver)
         exporter.sync()
         index = NamespaceSearchIndex()
         index.index_replica(exporter.replica)

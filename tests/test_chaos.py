@@ -133,7 +133,7 @@ def run_workload(fs, client, seed, n_ops=40):
 
 def recover(fs, clock):
     """Bring every component back and let membership converge."""
-    cluster = fs.driver.cluster
+    cluster = fs.driver
     for node in range(cluster.config.num_datanodes):
         if node not in cluster.live_nodes():
             cluster.restart_node(node)
@@ -272,8 +272,8 @@ def _chaos_run(build_plan, seed):
     injector = FaultInjector(
         build_plan(seed), registry=registry,
         callbacks={
-            "kill_dn": lambda node: fs.driver.cluster.kill_node(node),
-            "restart_dn": lambda node: fs.driver.cluster.restart_node(node),
+            "kill_dn": lambda node: fs.driver.kill_node(node),
+            "restart_dn": lambda node: fs.driver.restart_node(node),
             "kill_leader": lambda: (
                 fs.kill_namenode(fs.leader())
                 if fs.leader() is not None

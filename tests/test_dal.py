@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
+from repro.dal import MemoryDriver, NDBCluster, RemoteDriver
 from repro.errors import (
     CommitAmbiguousError,
     DuplicateKeyError,
@@ -44,7 +44,7 @@ CONFIG = NDBConfig(num_datanodes=2, replication=2, lock_timeout=0.4)
 @pytest.fixture(params=["ndb", "memory", "process"])
 def driver(request):
     if request.param == "ndb":
-        drv = NDBDriver(config=CONFIG)
+        drv = NDBCluster(CONFIG)
         drv.create_table(SCHEMA)
         drv.create_table(TAGS)
         yield drv
@@ -344,10 +344,10 @@ def _locks_held(driver) -> int:
     """Row locks (ndb) or open server transactions (process) left behind."""
     if isinstance(driver, MemoryDriver):  # its one lock: the global mutex
         return int(driver._mutex._is_owned())
-    cluster = (driver.cluster if isinstance(driver, NDBDriver)
-               else driver._test_server.driver.cluster)
+    cluster = (driver if isinstance(driver, NDBCluster)
+               else driver._test_server.cluster)
     held = cluster._locks.lock_table_size()
-    if not isinstance(driver, NDBDriver):
+    if not isinstance(driver, NDBCluster):
         held += int(driver._test_server.registry.get_gauge("rpc_open_txs"))
     return held
 

@@ -242,7 +242,7 @@ def test_lock_manager_sees_no_deadlocks_under_normal_workload():
     fs.client("setup").mkdirs("/shared/dir1")
     fs.client("setup").mkdirs("/shared/dir2")
     run_threads([lambda i=i: worker(i) for i in range(4)])
-    assert fs.driver.cluster._locks.deadlocks == 0
+    assert fs.driver._locks.deadlocks == 0
 
 
 def test_batched_quiesce_vs_inode_ops_keeps_one_lock_order():
@@ -307,5 +307,5 @@ def test_batched_quiesce_vs_inode_ops_keeps_one_lock_order():
     report = witness.report()
     assert report.ok, report.render()
     assert witness.edge_count() > 0
-    assert fs.driver.cluster._locks.lock_table_size() == 0
+    assert fs.driver._locks.lock_table_size() == 0
     assert Fsck(fs.namenodes[0]).run().healthy

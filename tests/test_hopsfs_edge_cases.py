@@ -128,7 +128,7 @@ class TestQuotaDiskSpace:
 class TestDatabaseFailuresDuringOps:
     def test_ops_survive_single_ndb_node_failure(self, fs, client):
         client.write_file("/pre", b"before")
-        fs.driver.cluster.kill_node(0)
+        fs.driver.kill_node(0)
         # metadata service continues: replicas cover the partitions
         assert client.read_file("/pre") == b"before"
         client.write_file("/post", b"after")
@@ -136,8 +136,8 @@ class TestDatabaseFailuresDuringOps:
 
     def test_cluster_down_surfaces_cleanly(self, fs, client):
         client.mkdirs("/d")
-        fs.driver.cluster.kill_node(0)
-        fs.driver.cluster.kill_node(1)  # whole node group gone
+        fs.driver.kill_node(0)
+        fs.driver.kill_node(1)  # whole node group gone
         with pytest.raises(ClusterDownError):
             for i in range(50):
                 client.create(f"/d/f{i}")
@@ -145,7 +145,7 @@ class TestDatabaseFailuresDuringOps:
     def test_ndb_recovery_preserves_namespace(self, fs, client):
         for i in range(10):
             client.create(f"/keep/f{i}")
-        db = fs.driver.cluster
+        db = fs.driver
         db.complete_epoch()
         db.crash_and_recover()
         assert len(client.list_status("/keep").entries) == 10

@@ -41,7 +41,7 @@ def deploy(request):
     if request.param == "ndb":
         fs = HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
                            ndb_config=NDB)
-        yield fs, fs.driver.cluster, lambda: 0
+        yield fs, fs.driver, lambda: 0
         return
     from repro.dal import RemoteDriver
     from repro.rpc import NDBServer
@@ -51,7 +51,7 @@ def deploy(request):
         try:
             fs = HopsFSCluster(num_namenodes=2, num_datanodes=3,
                                driver=driver, config=config)
-            yield (fs, server.driver.cluster,
+            yield (fs, server.cluster,
                    lambda: int(server.registry.get_gauge("rpc_open_txs")))
         finally:
             driver.close()

@@ -33,7 +33,7 @@ class TestPartitionPlacement:
         client.mkdirs("/a/b/dir")  # depth 3: below the random boundary
         for i in range(10):
             client.create(f"/a/b/dir/f{i}")
-        cluster = fs.driver.cluster
+        cluster = fs.driver
         session = fs.driver.session()
         rows = session.run(lambda tx: tx.full_scan(
             "inodes", predicate=lambda r: r["parent_id"] != 1))
@@ -50,7 +50,7 @@ class TestPartitionPlacement:
         client = fs.client()
         for i in range(24):
             client.mkdirs(f"/top{i}")
-        cluster = fs.driver.cluster
+        cluster = fs.driver
         session = fs.driver.session()
         rows = session.run(lambda tx: tx.full_scan(
             "inodes", predicate=lambda r: r["parent_id"] == 1))
@@ -66,7 +66,7 @@ class TestPartitionPlacement:
         client = fs.client()
         for i in range(10):
             client.mkdirs(f"/top{i}")
-        cluster = fs.driver.cluster
+        cluster = fs.driver
         session = fs.driver.session()
         rows = session.run(lambda tx: tx.full_scan(
             "inodes", predicate=lambda r: r["parent_id"] == 1))
@@ -81,7 +81,7 @@ class TestPartitionPlacement:
         client = fs.client()
         client.write_file("/a/b/f", b"x" * 10, replication=3)
         inode_id = client.stat("/a/b/f").inode_id
-        cluster = fs.driver.cluster
+        cluster = fs.driver
         expected = cluster._pmap.partition_of((inode_id,))
         session = fs.driver.session()
         for table in ("blocks", "replicas"):
@@ -255,7 +255,7 @@ class TestInodeHintCacheEffect:
         lock on the stale key, repair the hint and retry transparently."""
         fs = make_hopsfs(num_namenodes=2)
         self._stale_hint_under_lock(fs)
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0
 
     def test_stale_hint_under_lock_retries_once_on_the_memory_driver(self):
         """Clients never see StalePathHintError, whatever the driver: the
@@ -314,6 +314,6 @@ class TestDistributionAwareTransactions:
         # two partitions of the event) is the coordinator's own
         [event] = stats.events
         assert event.table == "inodes+blocks+replicas"
-        primary = fs.driver.cluster.primary_table()
+        primary = fs.driver.primary_table()
         assert {primary[pid] for pid in event.partitions[-2:]} == {
             event.coordinator}

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
+from repro.dal import MemoryDriver, RemoteDriver
 from repro.errors import (
     FileNotFoundError_,
     InjectedFaultError,
@@ -244,7 +244,7 @@ class TestLevelQuiesce:
         names = tree_names(ctx.tree)
         assert names.pop("wide") == [f"d{d:02}" for d in range(20)]
         assert names == {f"d{d:02}": ["f", "g"] for d in range(20)}
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0
         nn._subtree_release(ctx)
 
     def test_group_waits_out_an_in_flight_transaction(self, fs, client):
@@ -269,7 +269,7 @@ class TestLevelQuiesce:
         [f] = [c for d in ctx.tree.children for c in d.children
                if c.name == "f"]
         assert f.size == 42
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0
         nn._subtree_release(ctx)
 
     def test_group_times_out_retries_and_holds_nothing(self):
@@ -281,7 +281,7 @@ class TestLevelQuiesce:
         nn = fs.namenodes[0]
         nn.create("/x/y/t/a/f", client="c")
         nn.create("/x/y/t/b/g", client="c")
-        locks = fs.driver.cluster._locks
+        locks = fs.driver._locks
         holder = fs.driver.session().begin()
         assert holder.read("inodes", inode_pk(fs, "f"),
                            lock=LockMode.EXCLUSIVE)
@@ -313,7 +313,7 @@ class TestLevelQuiesce:
         a_id = nn.get_file_info("/t/a").inode_id
         foreign_pk = inode_pk(fs, self.FOREIGN)
         assert foreign_pk[:2] == (a_id, fs_schema.ROOT_ID)
-        locks = fs.driver.cluster._locks
+        locks = fs.driver._locks
         batches = []
         real = locks.acquire_many
 
@@ -390,9 +390,8 @@ class TestUnitsRunWhereWaitsOverlap:
         assert len(pools) == 2  # phase 2's and phase 3's
 
     def test_each_driver_says_whether_its_round_trips_wait(self):
-        assert not NDBDriver(config=NDBConfig()).round_trips_wait
-        assert NDBDriver(
-            config=NDBConfig(network_delay=WAITING)).round_trips_wait
+        assert not NDBCluster(NDBConfig()).round_trips_wait
+        assert NDBCluster(NDBConfig(network_delay=WAITING)).round_trips_wait
         assert not MemoryDriver().round_trips_wait
         assert RemoteDriver().round_trips_wait  # built, never dialled
 
@@ -469,7 +468,7 @@ class TestFailedLevelStops:
         assert committed(victim, "subtree_quiesce") == 2  # root, one group
         assert fs.driver.table_size("inodes") == inodes
         assert [r["path"] for r in subtree_rows(fs)] == ["/x/y/wide"]
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0
         with pytest.raises(SubtreeLockedError):  # the owner looks alive
             survivor.get_file_info("/x/y/wide/d00/f")
         for _ in range(3):
@@ -484,7 +483,7 @@ class TestFailedLevelStops:
         assert subtree_rows(fs) == []
         assert all(r["subtree_lock_owner"] == fs_schema.NO_LOCK
                    for r in subtree_rows(fs, "inodes"))
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0
         assert nn.delete_subtree("/x/y/wide")  # a re-submit finishes
         assert fs.driver.table_size("inodes") == 2
         assert Fsck(nn).run().healthy
@@ -649,7 +648,7 @@ class TestRenameIntoASubtreeBeingDeleted:
         assert nn1.get_file_info("/p/q/other/f0") is not None
         with pytest.raises(FileNotFoundError_):
             nn1.rename("/p/q/other/f0", "/p/q/tree/d5/moved")
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0
 
     @pytest.mark.parametrize("victim", ["/p/q/tree", "/p/q/tree/d5"])
     def test_destination_directory_gone_is_file_not_found(self, victim):
@@ -661,4 +660,4 @@ class TestRenameIntoASubtreeBeingDeleted:
         assert isinstance(outcome, FileNotFoundError_)
         assert Fsck(nn0).run().healthy
         assert nn1.get_file_info("/p/q/other/f0") is not None
-        assert fs.driver.cluster._locks.lock_table_size() == 0
+        assert fs.driver._locks.lock_table_size() == 0

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.dal import NDBDriver, RemoteDriver
+from repro.dal import NDBCluster, RemoteDriver
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.metrics import tracing
 from repro.metrics.tracing import TraceContext
@@ -89,10 +89,10 @@ def test_engine_counts_work_done_with_no_operation_on_the_stack():
     """A bare session — no namenode, no ``_fs_op``, no trace — is still
     engine work, and the engine counts it (it used to record only under
     a registry somebody had bound to the calling thread)."""
-    driver = NDBDriver(config=NDB)
+    driver = NDBCluster(NDB)
     driver.create_table(TableSchema(name="t", columns=("pk", "v"),
                                     primary_key=("pk",)))
-    metrics = driver.cluster.metrics
+    metrics = driver.metrics
     families = ("ndb_shard_op_seconds", "ndb_shard_fanout",
                 "ndb_commit_participants")
     before = {name: _observations(metrics, name) for name in families}
@@ -119,7 +119,7 @@ def test_ndb_families_have_one_home_on_each_deployment():
     """The engine owns the same ``ndb_*`` families in-process and behind
     an ndb-server, and each cluster view exports every family it did
     before the registries moved to their owners."""
-    embedded = _fs(NDBDriver(config=NDB))
+    embedded = _fs(NDBCluster(NDB))
     _workload(embedded.namenodes[0])
     engine = {m.name for kind in ("counters", "gauges", "histograms")
               for m in getattr(embedded.driver.metrics_registry(), kind)()}
@@ -176,7 +176,7 @@ def test_two_namenodes_on_one_engine_do_not_split_the_engines_histograms():
     nn2.mkdirs("/x/b")
     nn1.create("/x/b/f")
     nn2.get_file_info("/x/b/f")
-    engine = _observations(fs.driver.cluster.metrics, "ndb_shard_op_seconds")
+    engine = _observations(fs.driver.metrics, "ndb_shard_op_seconds")
     assert engine > 0
     entries = [h for h in fs.metrics_snapshot()["histograms"]
                if h["name"] == "ndb_shard_op_seconds"]

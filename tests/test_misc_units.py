@@ -173,7 +173,7 @@ class TestClusterTransactionHelper:
         cluster = NDBCluster(NDBConfig(num_datanodes=2, replication=2))
         cluster.create_table(TableSchema(name="kv", columns=("k", "v"),
                                          primary_key=("k",)))
-        result = cluster.run_in_transaction(
+        result = cluster.session().run(
             lambda tx: tx.insert("kv", {"k": 1, "v": 2}) or "done")
         assert result == "done"
         with cluster.begin() as tx:
@@ -191,6 +191,6 @@ class TestClusterTransactionHelper:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            cluster.run_in_transaction(fn)
+            cluster.session().run(fn)
         with cluster.begin() as tx:
             assert tx.read("kv", (1,)) is None

@@ -1,6 +1,6 @@
 """Tests for the shard-parallel engine: the lock table, per-shard
-dispatch, group-committed 2PC, bulk id allocation and the primary-table
-cache.
+dispatch, group-committed 2PC, bulk id allocation and the primary
+table.
 
 The stress tests use real threads; they keep iteration counts small so
 the suite stays fast, and every assertion is about *correctness* (no
@@ -10,12 +10,14 @@ timing claims live in ``benchmarks/bench_engine_parallelism.py``.
 
 import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.hopsfs.tx import IdAllocator
-from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema
+from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema, datanode
 from repro.ndb.locks import LockManager
 from repro.ndb.stats import AccessKind
 
@@ -266,18 +268,65 @@ class TestGroupCommit:
         finally:
             cluster.close()
 
-    def test_datanode_redo_logs_populated(self):
+    def test_the_flush_leader_observes_each_flush_once(self, monkeypatch):
+        """Two commits that stage while a third one's flush sleeps share
+        the next flush: ``ndb_group_commit_batch`` sees one observation
+        per flush (count = flushes, sum = records), not one per commit."""
+        cluster = make_cluster(log_flush_delay=0.001)
+        log = cluster._commit_log
+        flushes = []
+        followers = []
+
+        def commit(k):
+            with cluster.begin() as tx:
+                tx.write("kv", {"k": k, "v": k})
+
+        def flush(seconds):
+            flushes.append(seconds)
+            if len(flushes) > 1:
+                return
+            # the first leader's flush: two more commits stage behind it
+            followers.extend(threading.Thread(target=commit, args=(k,))
+                             for k in (1, 2))
+            for t in followers:
+                t.start()
+            deadline = time.monotonic() + 5.0
+            while True:
+                with log._cond:
+                    if len(log._staged) == 2:
+                        return
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        monkeypatch.setattr(datanode, "time", SimpleNamespace(sleep=flush))
+        commit(0)
+        for t in followers:
+            t.join()
+        batches = cluster.metrics.histogram("ndb_group_commit_batch")
+        assert len(flushes) == 2
+        assert batches.count == len(flushes)
+        assert batches.total == len(cluster.commit_log) == 3
+        assert cluster.group_commit_stats == {
+            "flushes": 2, "records": 3, "max_batch": 2}
+
+    def test_commit_log_holds_each_write_once(self):
         cluster = make_cluster()
         with cluster.begin() as tx:
             tx.write("kv", {"k": 1, "v": "x"})
-        assert any(node.redo_log for node in cluster.datanodes)
+            tx.write("kv", {"k": 2, "v": "y"})
+        with cluster.begin() as tx:
+            tx.write("kv", {"k": 1, "v": "z"})
+        afters = [w.after for rec in cluster.commit_log for w in rec.writes]
+        for row in ({"k": 1, "v": "x"}, {"k": 2, "v": "y"},
+                    {"k": 1, "v": "z"}):
+            assert afters.count(row) == 1
 
 
-# -- primary-table cache ----------------------------------------------------------
+# -- the primary table ------------------------------------------------------------
 
 
-class TestPrimaryCache:
-    def test_cache_invalidated_by_kill(self):
+class TestPrimaryTable:
+    def test_kill_moves_the_primaries(self):
         cluster = make_cluster()
         before = cluster.primary_table()
         cluster.kill_node(before[0])
@@ -285,13 +334,12 @@ class TestPrimaryCache:
         assert after != before
         assert before[0] not in after
 
-    def test_cache_invalidated_by_restart(self):
+    def test_restart_keeps_the_table(self):
         cluster = make_cluster()
         first = cluster.primary_table()[0]
         cluster.kill_node(first)
         cluster.restart_node(first)
-        # restarted node is a replica again; table must be rebuilt, not
-        # served stale from before the kill
+        # a restart moves no primary: the restarted node is a replica
         assert cluster.primary_table() == cluster.primary_table()
 
     def test_stats_nodes_follow_failover(self):

@@ -277,14 +277,14 @@ _driver_steps = st.lists(
 
 @pytest.fixture(scope="module")
 def _three_drivers():
-    from repro.dal import MemoryDriver, NDBDriver, RemoteDriver
+    from repro.dal import MemoryDriver, NDBCluster, RemoteDriver
     from repro.rpc import NDBServer
 
     config = NDBConfig(num_datanodes=2, replication=2, lock_timeout=0.5)
     with NDBServer(config=config) as server:
         remote = RemoteDriver(server.host, server.port, timeout=10.0)
         try:
-            yield {"ndb": NDBDriver(config=config), "memory": MemoryDriver(),
+            yield {"ndb": NDBCluster(config), "memory": MemoryDriver(),
                    "remote": remote}
         finally:
             remote.close()

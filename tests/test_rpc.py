@@ -354,7 +354,7 @@ def test_deferred_write_error_surfaces_on_the_carrying_request(
     # needed to abort it, its locks are free, nothing was applied
     assert tx.state.name == "ABORTED"
     assert _open_txs(server) == 0
-    assert server.driver.cluster._locks.lock_table_size() == 0
+    assert server.cluster._locks.lock_table_size() == 0
     before = _requests(server)
     tx.abort()
     assert _requests(server) == before
@@ -371,7 +371,7 @@ def test_deferred_delete_of_a_missing_row_fails_the_carrying_request(
     taken and its ``NoSuchRowError`` raised by the request that carries
     it; with ``must_exist=False`` a missing row is a no-op there too."""
     _fill(driver, n=2)
-    locks = server.driver.cluster._locks
+    locks = server.cluster._locks
     before = _requests(server)
     tx = driver.session().begin()
     tx.delete("kv", (0,))
@@ -429,7 +429,7 @@ def test_buffered_writes_are_applied_before_the_carrying_read(
     """Lock order is call order: the X locks of the writes a read
     carries are taken before the read's own lock."""
     _fill(driver, n=4)
-    locks = server.driver.cluster._locks
+    locks = server.cluster._locks
     acquired = []
     real = locks.acquire
     monkeypatch.setattr(
@@ -525,7 +525,7 @@ def test_failed_commit_request_does_not_leak_the_transaction(server, driver):
         faults.uninstall()
     tx.abort()  # what every retry loop does next: must have nothing to do
     assert _open_txs(server) == 0
-    assert server.driver.cluster._locks.lock_table_size() == 0
+    assert server.cluster._locks.lock_table_size() == 0
     started = time.monotonic()
     row = session.run(lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))
     assert row["v"] == 30  # the failed commit applied nothing
@@ -556,7 +556,7 @@ def _frames(monkeypatch):
 def test_read_batch_carrying_scans_and_commit_is_the_only_frame(
         server, driver, monkeypatch):
     session = _fill(driver, n=4)
-    locks = server.driver.cluster._locks
+    locks = server.cluster._locks
     before = _requests(server)
     sent = _frames(monkeypatch)
     session.reset_stats()
@@ -616,7 +616,7 @@ def test_failing_riding_request_leaves_nothing_and_is_retried(
     from repro.ndb.transaction import Transaction
 
     session = _fill(driver)
-    locks = server.driver.cluster._locks
+    locks = server.cluster._locks
     attempts = []
     if failure == "scan":
         real = Transaction._scan_planned
@@ -712,7 +712,7 @@ def test_ppis_batch_is_one_request_and_one_event(server):
 
 def test_locked_ppis_batch_holds_its_locks_on_the_server(server, driver):
     session = _fill(driver, n=4)
-    locks = server.driver.cluster._locks
+    locks = server.cluster._locks
     tx = session.begin()
     got = tx.ppis_batch([("kv", {"k": 3}), ("kv", {"k": 9}), ("kv", {"k": 0})],
                         lock=LockMode.EXCLUSIVE)

@@ -94,7 +94,7 @@ def test_a_lock_holders_commit_is_served_while_another_connection_waits(
     """Relies on the ``park()`` in ``LockManager.acquire``: the waiter's
     request parks, so the holder's commit reaches the engine at once and
     the waiter gets the committed row, well inside the lock timeout."""
-    locks = server.driver.cluster._locks
+    locks = server.cluster._locks
     holder = driver.session().begin()
     holder.read("kv", (3,), lock=LockMode.EXCLUSIVE)
     holder.update("kv", (3,), {"v": 31})

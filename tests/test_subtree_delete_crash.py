@@ -58,7 +58,7 @@ def build(network_delay):
     client.set_quota(f"{TREE}/q", 1000, None)
     client.set_quota(TREE, 1000, None)
     # built without the delay, which would only slow the setup down
-    fs.driver.cluster.config.network_delay = network_delay
+    fs.driver.config.network_delay = network_delay
     return fs
 
 
@@ -90,7 +90,7 @@ def resubmit_and_check(fs):
     left = {table: [r for r in found if r["inode_id"] not in live]
             for table, found in rows.items()}
     assert not any(left.values()), left
-    assert fs.driver.cluster._locks.lock_table_size() == 0
+    assert fs.driver._locks.lock_table_size() == 0
 
 
 def test_the_tree_flags_every_kind_of_sub_row():

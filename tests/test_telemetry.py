@@ -245,14 +245,14 @@ class TestEngineGaugeParity:
 
     @pytest.fixture(params=["embedded", "process"])
     def deployed(self, request):
-        from repro.dal import NDBDriver, RemoteDriver
+        from repro.dal import NDBCluster, RemoteDriver
         from repro.hopsfs import HopsFSCluster
         from repro.ndb import NDBConfig
         from repro.rpc import NDBServer
 
         config = NDBConfig(num_datanodes=4, replication=2, lock_timeout=2.0)
         if request.param == "embedded":
-            driver = NDBDriver(config=config)
+            driver = NDBCluster(config)
             yield HopsFSCluster(num_namenodes=1, driver=driver), driver
             return
         with NDBServer(config=config) as server:
