@@ -69,7 +69,13 @@ class DALTransaction(Protocol):
 
     def ppis(self, table: str, partition_values: Mapping[str, Any],
              predicate: Any = ..., lock: LockMode = ...,
-             columns: Optional[Sequence[str]] = ...) -> list[dict]: ...
+             columns: Optional[Sequence[str]] = ...) -> list[dict]:
+        """The rows of one partition value that pass ``predicate``, from
+        one shard. A locking scan locks its candidates in pk order and
+        re-reads them under the locks. Over the wire the predicate runs
+        client-side, so a locking scan with a predicate locks every
+        candidate there, but only the matching ones embedded."""
+        ...
 
     def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
                    lock: LockMode = ...) -> list[list[dict]]:
@@ -82,7 +88,13 @@ class DALTransaction(Protocol):
         ...
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
-                   predicate: Any = ..., lock: LockMode = ...) -> list[dict]: ...
+                   predicate: Any = ..., lock: LockMode = ...) -> list[dict]:
+        """The rows whose index columns equal ``values`` and that pass
+        ``predicate``, from every shard. Locks as :meth:`ppis` does, with
+        the same deviation: over the wire the predicate runs
+        client-side, so a locking scan locks every candidate of the
+        index key, embedded only the matching ones."""
+        ...
 
     def full_scan(self, table: str, predicate: Any = ...) -> list[dict]: ...
 

@@ -47,6 +47,7 @@ from repro.ndb.fragment import Fragment
 from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap
 from repro.ndb.schema import TableSchema
+from repro.ndb.stats import AccessEvent, AccessKind
 from repro.ndb.transaction import Transaction, TxState
 from repro.util.park import park
 from repro.util.rwlock import ReadWriteLock
@@ -447,8 +448,6 @@ class NDBCluster:
             tx.state = TxState.COMMITTED
             self._commit_participants.observe(len(node_batches))
             # account the flushed write batch + the commit round
-            from repro.ndb.stats import AccessEvent, AccessKind
-
             nodes = tuple(sorted({self._primaries[pid] for pid in write_pids}))
             groups = tuple(sorted({self._pmap.node_group_of(pid)
                                    for pid in write_pids}))

@@ -19,11 +19,13 @@ can verify access-path usage and feed the performance model.
 
 from __future__ import annotations
 
-import contextlib
 import enum
+import functools
+import itertools
+import operator
 import threading
 import time
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import (
     DuplicateKeyError,
@@ -33,13 +35,11 @@ from repro.errors import (
     TransactionError,
 )
 from repro.metrics.tracing import span
+from repro.ndb.fragment import Fragment
 from repro.ndb.locks import LockMode
 from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
 Predicate = Optional[Callable[[Mapping[str, Any]], bool]]
-
-#: stands in for a worker-side span where none is recorded
-_UNTRACED = contextlib.nullcontext()
 
 
 class TxState(enum.Enum):
@@ -56,6 +56,33 @@ class _Write:
     def __init__(self, op: str, row: Optional[dict[str, Any]]) -> None:
         self.op = op
         self.row = row
+
+
+class _ScanPlan(NamedTuple):
+    """One scan's part on one shard: the table, the shard, how the shard
+    hands over its candidates (the :class:`Fragment` method ``lookup``
+    called with ``args``, predicate applied), the predicate, and the
+    scan's range — ``shard_of(pk)`` is the shard a row of the table lies
+    on when the scan covers it, else None — over which buffered writes
+    merge. A pruned scan is one plan, an all-shard scan one plan per
+    shard."""
+
+    table: str
+    schema: Any
+    shard: int
+    lookup: Callable[..., list[dict[str, Any]]]
+    args: tuple[Any, ...]
+    predicate: Predicate
+    shard_of: Callable[[tuple[Any, ...]], Optional[int]]
+
+
+def _traced(visit: Callable[[int, list[int]], None], name: str,
+            tables: str) -> Callable[[int, list[int]], None]:
+    """``visit`` inside a ``name`` span labelled with its shard."""
+    def run(pid: int, indexes: list[int]) -> None:
+        with span(name, shard=pid, table=tables):
+            visit(pid, indexes)
+    return run
 
 
 class Transaction:
@@ -101,24 +128,23 @@ class Transaction:
             self.stats.rows_locked += 1
         self._check_granted()
 
-    def _lock_many(self, table: str, pks: Sequence[tuple[Any, ...]],
-                   mode: LockMode,
+    def _lock_many(self, mode: LockMode, keys: Sequence[tuple[str, Any]],
                    modes: Optional[Sequence[LockMode]] = None) -> None:
-        """Lock a batch of pks in the given (deadlock-free) order.
+        """Lock a batch of ``(table, pk)`` keys in the given
+        (deadlock-free) order.
 
-        With ``modes`` each pk gets its own mode; READ_COMMITTED entries
-        take no lock. One ``LockManager.acquire_many``.
+        With ``modes`` each key gets its own mode; READ_COMMITTED entries
+        take no lock. One ``LockManager.acquire_many`` — the only one.
         """
         if modes is None:
-            wanted = 0 if mode is LockMode.READ_COMMITTED else len(pks)
+            wanted = 0 if mode is LockMode.READ_COMMITTED else len(keys)
         else:
             wanted = sum(1 for m in modes
                          if m is not LockMode.READ_COMMITTED)
         if not wanted:
             return
         # hfs: allow(HFS106, reason=DAL primitive; acquire_many's docstring contract requires keys already in the deadlock-free total order, linted at caller sites)
-        self._cluster._locks.acquire_many(
-            self, [(table, pk) for pk in pks], mode, modes=modes)
+        self._cluster._locks.acquire_many(self, keys, mode, modes=modes)
         self.stats.rows_locked += wanted
         self._check_granted()
 
@@ -137,28 +163,18 @@ class Transaction:
         self._participants.add(self._cluster._primary_node(pid))
 
     def _record(self, kind: AccessKind, table: str, partitions: Sequence[int],
-                rows: int, locked: bool, write: bool = False) -> None:
-        # the pid→primary table is cached cluster-side and invalidated on
-        # placement changes; rebuilding it per event was a per-round-trip
-        # cost on the hottest stats path
-        primary_table = self._cluster.primary_table()
-        pid_set = set(partitions)
-        nodes = tuple(sorted({primary_table[pid] for pid in pid_set}))
-        groups = tuple(sorted({self._cluster.node_group_of(pid)
-                               for pid in pid_set}))
-        self.stats.record(
-            AccessEvent(
-                kind=kind,
-                table=table,
-                partitions=tuple(partitions),
-                nodes=nodes,
-                coordinator=self.coordinator,
-                rows=rows,
-                locked=locked,
-                write=write,
-                node_groups=groups,
-            )
-        )
+                rows: int, locked: bool) -> None:
+        """Record one read round trip as an :class:`AccessEvent`."""
+        # the pid→primary table is one tuple the cluster replaces whole on
+        # a placement change, so one read of it serves the whole event
+        primaries = self._cluster.primary_table()
+        pids = set(partitions)
+        self.stats.record(AccessEvent(
+            kind=kind, table=table, partitions=tuple(partitions),
+            nodes=tuple(sorted(set(map(primaries.__getitem__, pids)))),
+            coordinator=self.coordinator, rows=rows, locked=locked,
+            node_groups=tuple(sorted(set(
+                map(self._cluster._pmap.node_group_of, pids))))))
 
     def _observe_shard(self, kind: str, shard: Any, started: float) -> None:
         """Fold one shard-local round trip into ndb_shard_op_seconds."""
@@ -220,64 +236,39 @@ class Transaction:
         schema = self._cluster.schema(table)
         pks = [schema.pk_tuple(key) for key in keys]
         pids = [self._cluster.partition_of(table, pk) for pk in pks]
-        plans = self._plan_scans(scans) if scans else []
+        plans = [self._plan_pruned(t, values) for t, values in scans or ()]
         if locks is not None:
             if len(locks) != len(pks):
                 raise SchemaError(
                     f"locks must parallel keys: {len(locks)} != {len(pks)}")
             any_locked = any(m is not LockMode.READ_COMMITTED for m in locks)
-            # hfs: allow(HFS106, reason=DAL primitive; read_batch callers own the pk sort contract (resolver passes root-down path order))
-            self._lock_many(table, pks, lock, modes=locks)
         else:
             any_locked = lock is not LockMode.READ_COMMITTED
+        if any_locked:
             # hfs: allow(HFS106, reason=DAL primitive; read_batch callers own the pk sort contract (resolver passes root-down path order))
-            self._lock_many(table, pks, lock)
+            self._lock_many(lock, [(table, pk) for pk in pks], modes=locks)
         rows: list[Optional[dict[str, Any]]] = [None] * len(pks)
-        scanned: list[list[dict[str, Any]]] = [[] for _ in plans]
         by_shard: dict[int, list[int]] = {}
         for i, pid in enumerate(pids):
             by_shard.setdefault(pid, []).append(i)
-        scans_by_shard: dict[int, list[int]] = {}
-        for i, plan in enumerate(plans):
-            scans_by_shard.setdefault(plan[3], []).append(i)
-            by_shard.setdefault(plan[3], [])
 
-        # Worker-side ``shard_fetch`` spans exist to attribute executor-
-        # thread work back to the submitting operation; when the fan-out
-        # runs inline the enclosing span plus the BATCH_PK event's shard
-        # label already cover it, so the hot serial path skips the span
-        # allocations (per-shard timing still lands in
-        # ``ndb_shard_op_seconds`` either way).
-        traced_workers = (len(by_shard) > 1
-                          and self._cluster.parallel_dispatch_enabled)
-
-        def shard_fetch(pid: int, indexes: list[int]):
+        def pk_fetch(pid: int, indexes: list[int]):
             def fetch() -> None:
-                started = time.perf_counter()
-                with (span("shard_fetch", shard=pid, table=table)
-                      if traced_workers else _UNTRACED):
-                    self._cluster._round_trip()
-                    for i in indexes:
-                        rows[i] = self._committed_or_buffered(table, pid,
-                                                              pks[i])
-                    for i in scans_by_shard.get(pid, ()):
-                        scanned[i] = self._scan_planned(plans[i])
-                self._observe_shard(AccessKind.BATCH_PK.value, pid, started)
+                for i in indexes:
+                    rows[i] = self._committed_or_buffered(table, pid, pks[i])
             return fetch
 
-        self._cluster._run_on_shards(
-            [shard_fetch(pid, indexes) for pid, indexes in by_shard.items()])
+        tables = ("+".join(dict.fromkeys([table, *(p.table for p in plans)]))
+                  if plans else table)
+        # the riding scans merge their writes like an unlocked ppis_batch
+        scanned = self._visit_shards(
+            AccessKind.BATCH_PK, tables, plans, merge=True,
+            fetches={pid: pk_fetch(pid, indexes)
+                     for pid, indexes in by_shard.items()})
         found = sum(1 for r in rows if r is not None)
-        if plans:
-            self._record(AccessKind.BATCH_PK,
-                         "+".join(dict.fromkeys(
-                             [table, *(plan[0] for plan in plans)])),
-                         pids + [plan[3] for plan in plans],
-                         rows=found + sum(map(len, scanned)),
-                         locked=any_locked)
-        else:
-            self._record(AccessKind.BATCH_PK, table, pids, rows=found,
-                         locked=any_locked)
+        self._record(AccessKind.BATCH_PK, tables,
+                     pids + [plan.shard for plan in plans],
+                     rows=found + sum(map(len, scanned)), locked=any_locked)
         if commit:
             self.commit()
         return rows if scans is None else (rows, scanned)
@@ -301,25 +292,8 @@ class Transaction:
         batch and re-reads the batch once.
         """
         self._check_active()
-        schema = self._cluster.schema(table)
-        pvals = schema.scan_partition_values(partition_values)
-        pid = self._cluster._pmap.partition_of(pvals)
-        started = time.perf_counter()
-        self._cluster._round_trip()
-        frag = self._cluster._primary_fragment(table, pid)
-        rows = frag.partition_lookup(pvals, predicate)
-        if lock is not LockMode.READ_COMMITTED:
-            # pk order keeps concurrent locking scans deadlock-free (§3.4)
-            pks = sorted(map(schema.pk_of, rows))
-            self._lock_many(table, pks, lock)
-            # re-read: a row may have changed or gone before its lock
-            rows = [fresh for fresh in frag.get_many(pks)
-                    if fresh is not None
-                    and (predicate is None or predicate(fresh))]
-        rows = self._merge_pruned(table, schema, pvals, rows, predicate)
-        self._observe_shard(AccessKind.PPIS.value, pid, started)
-        self._record(AccessKind.PPIS, table, [pid], rows=len(rows),
-                     locked=lock is not LockMode.READ_COMMITTED)
+        [rows] = self._scan(AccessKind.PPIS, table, [self._plan_pruned(
+            table, partition_values, predicate)], lock)
         return self._project(rows, columns)
 
     def ppis_batch(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
@@ -343,85 +317,17 @@ class Transaction:
         self._check_active()
         if not scans:
             return []
-        locked = lock is not LockMode.READ_COMMITTED
-        plans = self._plan_scans(scans)
-        by_shard: dict[int, list[int]] = {}
-        for i, plan in enumerate(plans):
-            by_shard.setdefault(plan[3], []).append(i)
-        results: list[list[dict[str, Any]]] = [[] for _ in plans]
-
-        def shard_scan(pid: int, indexes: list[int]):
-            def scan() -> None:
-                started = time.perf_counter()
-                self._cluster._round_trip()
-                for i in indexes:
-                    # a locking batch merges after its re-read under lock
-                    results[i] = self._scan_planned(plans[i],
-                                                    merge=not locked)
-                self._observe_shard(AccessKind.PPIS.value, pid, started)
-            return scan
-
-        self._cluster._run_on_shards(
-            [shard_scan(pid, indexes) for pid, indexes in by_shard.items()])
-        if locked:
-            self._lock_scanned(plans, results, lock)
-        self._record(AccessKind.PPIS,
-                     "+".join(dict.fromkeys(plan[0] for plan in plans)),
-                     [plan[3] for plan in plans],
-                     rows=sum(map(len, results)), locked=locked)
-        return results
-
-    def _plan_scans(self, scans: Sequence[tuple[str, Mapping[str, Any]]],
-                    ) -> list[tuple]:
-        """``(table, schema, partition values, shard)`` of each pruned
-        scan of a batch; a scan that is not pruned raises here, before
-        the batch locks or reads anything."""
-        plans = []
-        for table, partition_values in scans:
-            schema = self._cluster.schema(table)
-            pvals = schema.scan_partition_values(partition_values)
-            plans.append((table, schema, pvals,
-                          self._cluster._pmap.partition_of(pvals)))
-        return plans
-
-    def _scan_planned(self, plan: tuple,
-                      merge: bool = True) -> list[dict[str, Any]]:
-        """The committed rows of one planned scan, with (``merge``) this
-        transaction's buffered writes overlaid."""
-        table, schema, pvals, pid = plan
-        rows = self._cluster._primary_fragment(table, pid).partition_lookup(
-            pvals)
-        return self._merge_pruned(table, schema, pvals, rows) if merge \
-            else rows
-
-    def _lock_scanned(self, plans: list[tuple],
-                      results: list[list[dict[str, Any]]],
-                      lock: LockMode) -> None:
-        """The locking half of :meth:`ppis_batch`: lock the candidate
-        rows in ``results`` and replace them with what is there under
-        the locks (each scan in pk order, as a locking ``ppis``)."""
-        scan_pks = [sorted(map(plan[1].pk_of, rows))
-                    for plan, rows in zip(plans, results, strict=True)]
-        # one (table, pk) order over the whole batch — the order every
-        # multi-row transaction locks in (§3.4) — whatever the request
-        # order of the scans; a row two scans share is locked once
-        keys = sorted(dict.fromkeys(
-            (plan[0], pk)
-            for plan, pks in zip(plans, scan_pks, strict=True) for pk in pks))
-        self._cluster._locks.acquire_many(self, keys, lock)
-        self.stats.rows_locked += sum(map(len, scan_pks))
-        self._check_active()
-        for i, ((table, schema, pvals, pid), pks) in enumerate(
-                zip(plans, scan_pks, strict=True)):
-            frag = self._cluster._primary_fragment(table, pid)
-            # re-read: a row may have changed or gone before its lock
-            fresh = [row for row in frag.get_many(pks) if row is not None]
-            results[i] = self._merge_pruned(table, schema, pvals, fresh)
+        return self._scan(
+            AccessKind.PPIS, "+".join(dict.fromkeys(t for t, _ in scans)),
+            [self._plan_pruned(table, values) for table, values in scans],
+            lock)
 
     def index_scan(self, table: str, index_name: str, values: Sequence[Any],
                    predicate: Predicate = None,
                    lock: LockMode = LockMode.READ_COMMITTED) -> list[dict[str, Any]]:
-        """Index scan in which *all* shards participate (expensive)."""
+        """Index scan in which *all* shards participate (expensive); the
+        partition's hash index narrows each shard's candidates, so it is
+        cheaper than a full scan *per shard*."""
         self._check_active()
         schema = self._cluster.schema(table)
         cols = schema.index_columns(index_name)
@@ -436,93 +342,146 @@ class Transaction:
                 return False
             return predicate is None or predicate(row)
 
-        all_pids = range(self._cluster.config.num_partitions)
-        rows = self._scan_shards(table, all_pids, matches, lock,
-                                 index=(index_name, key),
-                                 kind=AccessKind.INDEX_SCAN.value)
-        self._record(AccessKind.INDEX_SCAN, table, list(all_pids), rows=len(rows),
-                     locked=lock is not LockMode.READ_COMMITTED)
+        [rows] = self._scan(AccessKind.INDEX_SCAN, table, self._plan_all_shards(
+            table, Fragment.index_lookup, (index_name, key, matches),
+            matches), lock, whole=True)
         return rows
 
     def full_scan(self, table: str, predicate: Predicate = None) -> list[dict[str, Any]]:
         """Full table scan across every shard (most expensive access path)."""
         self._check_active()
-        all_pids = range(self._cluster.config.num_partitions)
-        rows = self._scan_shards(table, all_pids,
-                                 predicate if predicate else lambda _row: True,
-                                 LockMode.READ_COMMITTED,
-                                 kind=AccessKind.FULL_SCAN.value)
-        self._record(AccessKind.FULL_SCAN, table, list(all_pids), rows=len(rows),
-                     locked=False)
+        [rows] = self._scan(AccessKind.FULL_SCAN, table, self._plan_all_shards(
+            table, Fragment.scan, (predicate,), predicate),
+            LockMode.READ_COMMITTED, whole=True)
         return rows
 
-    def _scan_shards(self, table: str, pids: Sequence[int],
-                     predicate: Callable[[Mapping[str, Any]], bool],
-                     lock: LockMode,
-                     index: Optional[tuple[str, tuple[Any, ...]]] = None,
-                     kind: str = AccessKind.INDEX_SCAN.value,
-                     ) -> list[dict[str, Any]]:
-        """Visit every shard of an all-shard scan, in parallel when unlocked.
+    # -- the scan pipeline: plan, one shard visit, one lock-then-re-read ----------
 
-        Locking scans run in two phases: an unlocked candidate gather over
-        every shard, then per-row lock acquisition in global pk order —
-        the one acquisition order every locking code path uses (§3.4).
-        Locking shard-by-shard instead would order rows by (shard, pk)
-        and deadlock against pk-ordered transactions.
-        """
-
-        def shard_visit(pid: int):
-            def visit() -> list[dict[str, Any]]:
-                started = time.perf_counter()
-                with span("shard_scan", shard=pid, table=table):
-                    self._cluster._round_trip()
-                    result = self._scan_partition(table, pid, predicate,
-                                                  index=index)
-                self._observe_shard(kind, pid, started)
-                return result
-            return visit
-
-        if lock is not LockMode.READ_COMMITTED:
-            return self._locked_shard_scan(table, pids, predicate, lock,
-                                           index=index, kind=kind)
-        chunks = self._cluster._run_on_shards(
-            [shard_visit(pid) for pid in pids])
-        return [row for chunk in chunks for row in chunk]
-
-    def _locked_shard_scan(self, table: str, pids: Sequence[int],
-                           predicate: Callable[[Mapping[str, Any]], bool],
-                           lock: LockMode,
-                           index: Optional[tuple[str, tuple[Any, ...]]] = None,
-                           kind: str = AccessKind.INDEX_SCAN.value,
-                           ) -> list[dict[str, Any]]:
-        """Locking all-shard scan: gather unlocked, then lock in pk order."""
+    def _plan_pruned(self, table: str, partition_values: Mapping[str, Any],
+                     predicate: Predicate = None) -> _ScanPlan:
+        """A scan pruned to one shard by its partition-key values; one
+        that is not pruned raises here, before anything is locked or
+        read."""
         schema = self._cluster.schema(table)
-        candidates: list[dict[str, Any]] = []
-        for pid in pids:
+        pvals = schema.scan_partition_values(partition_values)
+        pid = self._cluster._pmap.partition_of(pvals)
+        from_pk = schema.partition_values_from_pk
+        return _ScanPlan(
+            table, schema, pid, Fragment.partition_lookup, (pvals, predicate),
+            predicate, lambda pk: pid if from_pk(pk) == pvals else None)
+
+    def _plan_all_shards(self, table: str,
+                         lookup: Callable[..., list[dict[str, Any]]],
+                         args: tuple[Any, ...],
+                         predicate: Predicate) -> list[_ScanPlan]:
+        """A scan every shard takes part in: one plan per shard."""
+        schema = self._cluster.schema(table)
+        shard_of = functools.partial(self._cluster.partition_of, table)
+        return [_ScanPlan(table, schema, pid, lookup, args, predicate,
+                          shard_of)
+                for pid in range(self._cluster.config.num_partitions)]
+
+    def _scan(self, kind: AccessKind, tables: str, plans: Sequence[_ScanPlan],
+              lock: LockMode, whole: bool = False,
+              ) -> list[list[dict[str, Any]]]:
+        """Run scan plans as one access — one visit of their shards, then,
+        for a locking scan, one lock-then-re-read — and record its one
+        event naming ``tables`` (``+``-joined) and every shard. Returns
+        each plan's rows, or with ``whole`` (the plans are the shards of
+        one scan) the scan's."""
+        locked = lock is not LockMode.READ_COMMITTED
+        # a locking scan merges its buffered writes after the re-read
+        results = self._visit_shards(kind, tables, plans, merge=not locked)
+        if locked:
+            results = self._lock_and_reread(plans, results, lock, whole)
+        elif whole:
+            results = [list(itertools.chain.from_iterable(results))]
+        self._record(kind, tables, [plan.shard for plan in plans],
+                     rows=sum(map(len, results)), locked=locked)
+        return results
+
+    def _visit_shards(self, kind: AccessKind, tables: str,
+                      plans: Sequence[_ScanPlan], merge: bool,
+                      fetches: Optional[Mapping[int, Callable[[], None]]] = None,
+                      ) -> list[list[dict[str, Any]]]:
+        """One round trip to every shard the plans (and ``fetches``, a
+        batch's primary-key reads by shard, run first on their shard)
+        name, the shards visited concurrently on the cluster's shard
+        executor. Returns each plan's rows.
+
+        A worker-side span exists to attribute executor-thread work back
+        to the submitting operation; when the visit runs inline the
+        enclosing span and the event's shard labels already cover it, so
+        the serial path records none (per-shard timing still lands in
+        ``ndb_shard_op_seconds`` either way).
+        """
+        fetches = fetches or {}
+        work: dict[int, list[int]] = {}
+        for pid in fetches:
+            work[pid] = []
+        for i, plan in enumerate(plans):
+            work.setdefault(plan.shard, []).append(i)
+        found: list[Any] = [None] * len(plans)
+        label = kind.value
+
+        def visit(pid: int, indexes: list[int]) -> None:
             started = time.perf_counter()
             self._cluster._round_trip()
-            frag = self._cluster._primary_fragment(table, pid)
-            if index is not None:
-                index_name, key = index
-                candidates.extend(frag.index_lookup(index_name, key,
-                                                    predicate))
-            else:
-                candidates.extend(frag.scan(predicate))
-            self._observe_shard(kind, pid, started)
-        # pk order keeps concurrent locking scans deadlock-free (§3.4)
-        pks = sorted(map(schema.pk_of, candidates))
-        self._lock_many(table, pks, lock)
-        partition_of = self._cluster.partition_of
-        rows = []
-        for pk in pks:
-            # re-read: a row may have changed or gone before its lock
-            fresh = self._committed_row(table, partition_of(table, pk), pk)
-            if fresh is not None and predicate(fresh):
-                rows.append(fresh)
-        pid_set = set(pids)
-        return self._merge_writes(
-            table, rows, predicate,
-            lambda pk: partition_of(table, pk) in pid_set)
+            fetch = fetches.get(pid)
+            if fetch is not None:
+                fetch()
+            for i in indexes:
+                found[i] = self._plan_rows(plans[i], merge)
+            self._observe_shard(label, pid, started)
+
+        if len(work) > 1 and self._cluster.parallel_dispatch_enabled:
+            visit = _traced(visit, "shard_fetch" if kind is AccessKind.BATCH_PK
+                            else "shard_scan", tables)
+        tasks = []
+        for pid, indexes in work.items():
+            tasks.append(functools.partial(visit, pid, indexes))
+        self._cluster._run_on_shards(tasks)
+        return found
+
+    def _plan_rows(self, plan: _ScanPlan, merge: bool) -> list[dict[str, Any]]:
+        """One plan's candidates, predicate applied; with ``merge`` this
+        transaction's buffered writes of the plan's shard overlaid."""
+        rows = plan.lookup(
+            self._cluster._primary_fragment(plan.table, plan.shard),
+            *plan.args)
+        return self._merge_writes(plan, rows, plan.shard) if merge else rows
+
+    def _lock_and_reread(self, plans: Sequence[_ScanPlan],
+                         found: list[list[dict[str, Any]]], lock: LockMode,
+                         whole: bool) -> list[list[dict[str, Any]]]:
+        """Lock every plan's candidates and replace them with what is
+        there under the locks: each scan's rows in pk order, then its
+        buffered writes merged."""
+        plan_pks = [sorted(map(plan.schema.pk_of, rows))
+                    for plan, rows in zip(plans, found, strict=True)]
+        # one (table, pk) order over the whole batch — the order every
+        # multi-row transaction locks in (§3.4) — whatever the request
+        # order of the scans or the shards their rows live on; a row two
+        # scans share is locked once but counted for each, as the same
+        # scans one by one would count it
+        keys = sorted({(plan.table, pk)
+                       for plan, pks in zip(plans, plan_pks) for pk in pks})
+        self._lock_many(lock, keys)
+        self.stats.rows_locked += sum(map(len, plan_pks)) - len(keys)
+        # re-read: a row may have changed or gone before its lock
+        fresh = [self._cluster._primary_fragment(plan.table, plan.shard)
+                 .get_many(pks) for plan, pks in zip(plans, plan_pks)]
+        if whole:  # the shards' rows, merged into one pk order
+            fresh = [[row for _, row in sorted(
+                zip(itertools.chain(*plan_pks), itertools.chain(*fresh)),
+                key=operator.itemgetter(0))]]
+        results = []
+        for plan, rows in zip(plans, fresh):
+            predicate = plan.predicate
+            rows = [row for row in rows if row is not None
+                    and (predicate is None or predicate(row))]
+            results.append(self._merge_writes(plan, rows, None))
+        return results
 
     # -- writes -----------------------------------------------------------------
 
@@ -665,53 +624,28 @@ class Transaction:
             return dict(pending.row) if pending.row is not None else None
         return self._committed_row(table, pid, pk)
 
-    def _scan_partition(self, table: str, pid: int,
-                        predicate: Callable[[Mapping[str, Any]], bool],
-                        index: Optional[tuple[str, tuple[Any, ...]]] = None,
-                        ) -> list[dict[str, Any]]:
-        """One shard's part of an unlocked all-shard scan.
+    def _merge_writes(self, plan: _ScanPlan, rows: list[dict[str, Any]],
+                      shard: Optional[int]) -> list[dict[str, Any]]:
+        """Overlay this transaction's buffered writes of the plan's table
+        on the committed ``rows`` of a scan (read-your-writes).
 
-        With ``index`` the partition's hash index narrows the candidate
-        rows (an index scan is cheaper than a full scan *per shard*, even
-        though both touch every shard).
+        Only writes in the plan's range count, and with ``shard`` only
+        those on that shard; a scan with none of them gets ``rows`` back
+        untouched. Updated rows keep their place, inserted rows follow in
+        write order, deleted rows and rows that stopped matching the
+        plan's predicate drop out.
         """
-        frag = self._cluster._primary_fragment(table, pid)
-        if index is not None:
-            index_name, key = index
-            rows = frag.index_lookup(index_name, key, predicate)
-        else:
-            rows = frag.scan(predicate)
-        partition_of = self._cluster.partition_of
-        return self._merge_writes(
-            table, rows, predicate,
-            lambda pk: partition_of(table, pk) == pid)
-
-    def _merge_pruned(self, table: str, schema: Any, pvals: tuple[Any, ...],
-                      rows: list[dict[str, Any]],
-                      predicate: Predicate = None) -> list[dict[str, Any]]:
-        """:meth:`_merge_writes` for a scan pruned to ``pvals``."""
-        return self._merge_writes(
-            table, rows, predicate,
-            lambda pk: schema.partition_values_from_pk(pk) == pvals)
-
-    def _merge_writes(self, table: str, rows: list[dict[str, Any]],
-                      predicate: Predicate,
-                      in_scope: Callable[[tuple[Any, ...]], bool],
-                      ) -> list[dict[str, Any]]:
-        """Overlay this transaction's buffered writes of ``table`` on the
-        committed ``rows`` of a scan (read-your-writes).
-
-        ``in_scope(pk)`` says whether a pk lies in the scanned range; a
-        scan with no buffered write in range gets ``rows`` back untouched.
-        Updated rows keep their place, inserted rows follow in write
-        order, deleted rows and rows that stopped matching drop out.
-        """
-        pendings = [(pk, pending)
-                    for pk, pending in self._table_writes.get(table, {}).items()
-                    if in_scope(pk)]
+        writes = self._table_writes.get(plan.table)
+        if not writes:
+            return rows
+        shard_of = plan.shard_of
+        pendings = [(pk, pending) for pk, pending in writes.items()
+                    if (on := shard_of(pk)) is not None
+                    and (shard is None or on == shard)]
         if not pendings:
             return rows
-        pk_of = self._cluster.schema(table).pk_of
+        pk_of = plan.schema.pk_of
+        predicate = plan.predicate
         merged = {pk_of(row): row for row in rows}
         for pk, pending in pendings:
             if pending.op != "delete" and (
@@ -720,3 +654,4 @@ class Transaction:
             else:
                 merged.pop(pk, None)
         return list(merged.values())
+

@@ -24,6 +24,7 @@ KV = TableSchema(
     name="kv",
     columns=("k", "v"),
     primary_key=("k",),
+    indexes={"by_v": ("v",)},
 )
 
 
@@ -173,7 +174,8 @@ class TestCoordinatorFailover:
         put(cluster, 1, "y")
         assert get(cluster, 1) == "y"
 
-    @pytest.mark.parametrize("call", ["read", "delete", "read_batch"])
+    @pytest.mark.parametrize("call", ["read", "delete", "read_batch", "ppis",
+                                      "ppis_batch", "index_scan"])
     def test_a_victim_granted_a_lock_after_its_abort_does_not_keep_it(
             self, call, monkeypatch):
         """A victim that passed its last state check just before the
@@ -185,7 +187,7 @@ class TestCoordinatorFailover:
         put(cluster, 1, "x")
         victim = cluster.begin()
         locks = cluster._locks
-        method = "acquire_many" if call == "read_batch" else "acquire"
+        method = "acquire" if call in ("read", "delete") else "acquire_many"
         real = getattr(locks, method)
 
         def failover_first(*args, **kwargs):
@@ -198,6 +200,12 @@ class TestCoordinatorFailover:
             "delete": lambda: victim.delete("kv", (1,)),
             "read_batch": lambda: victim.read_batch(
                 "kv", [(1,)], lock=LockMode.EXCLUSIVE),
+            "ppis": lambda: victim.ppis(
+                "kv", {"k": 1}, lock=LockMode.EXCLUSIVE),
+            "ppis_batch": lambda: victim.ppis_batch(
+                [("kv", {"k": 1})], lock=LockMode.EXCLUSIVE),
+            "index_scan": lambda: victim.index_scan(
+                "kv", "by_v", ("x",), lock=LockMode.EXCLUSIVE),
         }
         with pytest.raises(TransactionAbortedError):
             calls[call]()

@@ -307,6 +307,55 @@ class TestScans:
         tx.commit()
         assert cluster._locks.lock_table_size() == 0
 
+    @pytest.mark.parametrize("lock,even,expected,locked", [
+        # unlocked: shard by shard, each shard's committed rows in index
+        # order, then that shard's buffered rows in write order
+        (LockMode.READ_COMMITTED, False,
+         [(0, 0), (3, 3), (8, 8), (7, 7), (21, 7), (2, 102), (9, 9),
+          (6, 6), (20, 20), (1, 1), (10, 10)], 0),
+        (LockMode.READ_COMMITTED, True,
+         [(0, 0), (8, 8), (2, 102), (6, 6), (20, 20), (10, 10)], 0),
+        # locked: every committed candidate in pk order, then the
+        # buffered rows in write order; only candidates are locked
+        (LockMode.SHARED, False,
+         [(0, 0), (1, 1), (2, 102), (3, 3), (6, 6), (7, 7), (8, 8),
+          (9, 9), (10, 10), (20, 20), (21, 7)], 10),
+        (LockMode.SHARED, True,
+         [(0, 0), (2, 102), (6, 6), (8, 8), (10, 10), (20, 20)], 5),
+    ])
+    def test_all_shard_index_scan_merges_buffered_writes(
+            self, cluster, lock, even, expected, locked):
+        """An index scan over every shard inside a transaction that has
+        inserted, updated (in and out of the index key) and deleted rows
+        of the table: the exact rows, their order and the rows locked."""
+        cluster.create_table(TableSchema(
+            name="tagged", columns=("k", "tag", "v"), primary_key=("k",),
+            indexes={"by_tag": ("tag",)}))
+        for k in range(12):  # one row per transaction: no lock order
+            with cluster.begin() as tx:
+                tx.insert("tagged", {"k": k, "tag": "a" if k < 10 else "b",
+                                     "v": k})
+        tx = cluster.begin()  # writes in pk order, then the scan's locks
+        tx.update("tagged", (2,), {"v": 102})
+        tx.update("tagged", (4,), {"tag": "b"})  # leaves the index key
+        tx.delete("tagged", (5,))
+        tx.update("tagged", (10,), {"tag": "a"})  # joins it
+        tx.insert("tagged", {"k": 20, "tag": "a", "v": 20})
+        tx.insert("tagged", {"k": 21, "tag": "a", "v": 7})
+        tx.insert("tagged", {"k": 22, "tag": "b", "v": 22})
+        before = tx.stats.rows_locked
+        rows = tx.index_scan(
+            "tagged", "by_tag", ("a",), lock=lock,
+            predicate=(lambda row: row["v"] % 2 == 0) if even else None)
+        assert [(row["k"], row["v"]) for row in rows] == expected
+        assert tx.stats.rows_locked - before == locked
+        event = tx.stats.events[-1]
+        assert event.kind is AccessKind.INDEX_SCAN
+        assert event.rows == len(expected)
+        assert event.locked is (lock is not LockMode.READ_COMMITTED)
+        tx.abort()
+        assert cluster._locks.lock_table_size() == 0
+
 
 class TestAccessStats:
     def test_pk_read_is_one_round_trip(self, cluster):

@@ -619,15 +619,15 @@ def test_failing_riding_request_leaves_nothing_and_is_retried(
     locks = server.cluster._locks
     attempts = []
     if failure == "scan":
-        real = Transaction._scan_planned
+        real = Transaction._plan_rows
 
-        def scan_once(tx, plan, merge=True):
+        def scan_once(tx, plan, merge):
             if not attempts:
                 attempts.append(locks.lock_table_size())
                 raise TransactionAbortedError("induced: scan failed")
             return real(tx, plan, merge)
 
-        monkeypatch.setattr(Transaction, "_scan_planned", scan_once)
+        monkeypatch.setattr(Transaction, "_plan_rows", scan_once)
     else:
         faults.install(FaultInjector(FaultPlan(specs=[FaultSpec(
             site="rpc.server.commit.before", action="error",
