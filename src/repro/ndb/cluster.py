@@ -29,8 +29,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
-from typing import Any, Callable, Mapping, Optional, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Optional, TypeVar
 
 from repro.errors import (
     ClusterDownError,
@@ -188,10 +187,6 @@ class NDBCluster:
     def commit_log(self) -> list[CommitRecord]:
         """A point-in-time copy of the durable commit log."""
         return self._commit_log.snapshot()
-
-    @commit_log.setter
-    def commit_log(self, records: list[CommitRecord]) -> None:
-        self._commit_log.replace(records)
 
     @property
     def group_commit_stats(self) -> dict[str, int]:
@@ -374,96 +369,92 @@ class NDBCluster:
                 tx.state = TxState.COMMITTED
                 return
             # prepare: every touched partition must have a live primary
-            touched: dict[tuple[str, tuple[Any, ...]], int] = {}
-            for (table, pk) in writes:
-                pid = self.partition_of(table, pk)
+            pids = sorted({pending.pid for pending in writes.values()})
+            for pid in pids:
                 self._primary_node(pid)  # raises ClusterDownError if group dead
-                touched[(table, pk)] = pid
             record = CommitRecord(tx_id=tx.tx_id, epoch=self.epoch)
-            write_pids = []
-            rows_written = 0
-            with ExitStack() as stack:
+            node_batches: dict[int, list[WriteRecord]] = {}
+            held: list[threading.Lock] = []
+            try:
                 # fragment-level locks, in pid order (deadlock-free); a
                 # holder keeps one across its participants' round trips
-                for pid in sorted(set(touched.values())):
+                for pid in pids:
                     lock = self._partition_locks[pid]
                     if not lock.acquire(blocking=False):
                         park()
                         lock.acquire()
-                    stack.callback(lock.release)
-                # before-images + per-participant batches, in write order
-                node_batches: dict[int, list[tuple[Any, Optional[dict],
-                                                   WriteRecord]]] = {}
+                    held.append(lock)
+                # one record per write, in write order, is its redo/undo
+                # entry and every live replica's batch entry; its images
+                # are the stored row and the buffered row, uncopied
                 for (table, pk), pending in writes.items():
-                    pid = touched[(table, pk)]
-                    write_pids.append(pid)
-                    before = self._primary_fragment(table, pid).get(pk)
-                    write_record = WriteRecord(
-                        table=table, partition_id=pid, pk=pk, before=before,
-                        after=dict(pending.row) if pending.row else None)
-                    record.writes.append(write_record)
-                    rows_written += 1
+                    pid = pending.pid
+                    wrec = WriteRecord(
+                        table=table, partition_id=pid, pk=pk,
+                        before=self._primary_fragment(table, pid).peek(pk),
+                        after=pending.row)
+                    record.writes.append(wrec)
                     for node_id in self.live_replicas(pid):
-                        node_batches.setdefault(node_id, []).append(
-                            (pending, before, write_record))
-
-                def participant(node_id: int, batch) -> Callable[[], None]:
-                    group = self._pmap.node_group_of(
-                        batch[0][2].partition_id) if batch else 0
-                    shards = {wrec.partition_id for _p, _b, wrec in batch}
-                    shard = shards.pop() if len(shards) == 1 else "multi"
-                    seconds = self._shard_op_seconds(shard, "commit")
-
-                    def apply_batch() -> None:
-                        # stall-only site (a datanode pausing mid-2PC):
-                        # replicas may already hold this batch partially,
-                        # so plans must not inject errors here
-                        fault_point("ndb.commit.participant", node=node_id)
-                        started = time.perf_counter()
-                        with span("commit.participant", node=node_id,
-                                  node_group=group, shard=shard):
-                            self._round_trip()  # one commit round per participant
-                            node = self.datanodes[node_id]
-                            for pending, before, wrec in batch:
-                                frag = node.fragment(wrec.table,
-                                                     wrec.partition_id)
-                                if pending.op == "delete":
-                                    frag.apply_delete(wrec.pk)
-                                elif before is None:
-                                    # a delete+insert on the same pk inside one
-                                    # tx nets out to an update of the committed
-                                    # row, so pick the physical operation from
-                                    # the before-image
-                                    frag.apply_insert(pending.row)
-                                else:
-                                    frag.apply_update(wrec.pk, pending.row)
-                        seconds.observe(time.perf_counter() - started)
-                    return apply_batch
-
-                self._run_on_shards([participant(node_id, batch) for
+                        node_batches.setdefault(node_id, []).append(wrec)
+                self._run_on_shards([self._participant(node_id, batch) for
                                      node_id, batch in sorted(node_batches.items())])
+            finally:
+                for lock in held:
+                    lock.release()
             # group-committed redo append: outside the fragment locks so a
             # slow log flush never serializes unrelated partition applies
             self._commit_log.append(record)
             tx.state = TxState.COMMITTED
             self._commit_participants.observe(len(node_batches))
             # account the flushed write batch + the commit round
-            nodes = tuple(sorted({self._primaries[pid] for pid in write_pids}))
+            write_pids = tuple(pending.pid for pending in writes.values())
+            nodes = tuple(sorted({self._primaries[pid] for pid in pids}))
             groups = tuple(sorted({self._pmap.node_group_of(pid)
-                                   for pid in write_pids}))
+                                   for pid in pids}))
             tx.stats.record(
                 AccessEvent(kind=AccessKind.BATCH_PK, table="*",
-                            partitions=tuple(write_pids), nodes=nodes,
-                            coordinator=tx.coordinator, rows=rows_written,
+                            partitions=write_pids, nodes=nodes,
+                            coordinator=tx.coordinator, rows=len(write_pids),
                             locked=False, write=True, node_groups=groups)
             )
             tx.stats.record(
                 AccessEvent(kind=AccessKind.COMMIT, table="*",
-                            partitions=tuple(sorted(set(write_pids))),
+                            partitions=tuple(pids),
                             nodes=tuple(sorted(tx._participants)),
                             coordinator=tx.coordinator, rows=0, locked=False,
                             write=False, node_groups=groups)
             )
+
+    def _participant(self, node_id: int,
+                     batch: list[WriteRecord]) -> Callable[[], None]:
+        """One participant node's apply of its commit batch."""
+        group = self._pmap.node_group_of(batch[0].partition_id)
+        shards = {wrec.partition_id for wrec in batch}
+        shard = shards.pop() if len(shards) == 1 else "multi"
+        seconds = self._shard_op_seconds(shard, "commit")
+
+        def apply_batch() -> None:
+            # stall-only site (a datanode pausing mid-2PC): replicas may
+            # already hold this batch partially, so plans must not inject
+            # errors here
+            fault_point("ndb.commit.participant", node=node_id)
+            started = time.perf_counter()
+            with span("commit.participant", node=node_id, node_group=group,
+                      shard=shard):
+                self._round_trip()  # one commit round per participant
+                node = self.datanodes[node_id]
+                for wrec in batch:
+                    frag = node.fragment(wrec.table, wrec.partition_id)
+                    # the images pick the operation: a delete+insert of one
+                    # pk inside a tx nets out to an update
+                    if wrec.after is None:
+                        frag.apply_delete(wrec.pk)
+                    elif wrec.before is None:
+                        frag.apply_insert(wrec.after)
+                    else:
+                        frag.apply_update(wrec.pk, wrec.after)
+            seconds.observe(time.perf_counter() - started)
+        return apply_batch
 
     # -- failures ----------------------------------------------------------------------
 
@@ -538,13 +529,11 @@ class NDBCluster:
     def local_checkpoint(self) -> None:
         """Snapshot fragment state (bounds redo-log replay at recovery)."""
         with self._structure_gate.write_locked():
-            snapshot: dict[tuple[str, int], dict] = {}
-            for table, schema in self._schemas.items():
-                for pid in range(self.config.num_partitions):
-                    frag = self._primary_fragment(table, pid)
-                    snapshot[(table, pid)] = frag.snapshot()
-            self._lcp_snapshot = snapshot
-            self._lcp_watermark = len(self.commit_log)
+            self._lcp_snapshot = {
+                (table, pid): self._primary_fragment(table, pid).snapshot()
+                for table in self._schemas
+                for pid in range(self.config.num_partitions)}
+            self._lcp_watermark = len(self._commit_log)
 
     def crash_and_recover(self) -> int:
         """Whole-cluster crash + recovery to the last completed epoch.
@@ -571,33 +560,33 @@ class NDBCluster:
                         node = self.datanodes[node_id]
                         node.alive = True
                         node.fragment(table, pid).load(rows)
+            log = self._commit_log.snapshot()
             # 2. undo checkpointed transactions from incomplete epochs
-            for record in reversed(self.commit_log[: self._lcp_watermark]):
+            for record in reversed(log[: self._lcp_watermark]):
                 if record.epoch > target:
-                    self._undo(record)
+                    self._restore(reversed(record.writes), undo=True)
             # 3. redo post-checkpoint transactions up to the target epoch
-            for record in self.commit_log[self._lcp_watermark:]:
+            for record in log[self._lcp_watermark:]:
                 if record.epoch <= target:
-                    self._redo(record)
-            self.commit_log = [r for r in self.commit_log if r.epoch <= target]
-            self._lcp_watermark = min(self._lcp_watermark, len(self.commit_log))
+                    self._restore(record.writes, undo=False)
+            self._commit_log.replace([r for r in log if r.epoch <= target])
+            # the checkpoint may hold undone writes: replay from empty next
+            self._lcp_snapshot = None
+            self._lcp_watermark = 0
             self.epoch = target + 1
             self._primaries = self._preferred_primaries()
         for tx in victims:
             tx.abort()
         return target
 
-    def _undo(self, record: CommitRecord) -> None:
-        for write in reversed(record.writes):
+    def _restore(self, writes: Iterable[WriteRecord], undo: bool) -> None:
+        """Force every replica of each write's row to its before (undo)
+        or after (redo) image, which all of them then share."""
+        for write in writes:
+            image = write.before if undo else write.after
             for node_id in self._pmap.replica_nodes(write.partition_id):
                 frag = self.datanodes[node_id].fragment(write.table, write.partition_id)
-                frag.apply_restore(write.pk, write.before)
-
-    def _redo(self, record: CommitRecord) -> None:
-        for write in record.writes:
-            for node_id in self._pmap.replica_nodes(write.partition_id):
-                frag = self.datanodes[node_id].fragment(write.table, write.partition_id)
-                frag.apply_restore(write.pk, write.after)
+                frag.apply_restore(write.pk, image)
 
     # -- introspection ---------------------------------------------------------------------
 

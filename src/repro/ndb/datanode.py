@@ -27,13 +27,14 @@ from repro.ndb.schema import TableSchema
 from repro.util.park import park
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteRecord:
     """One row mutation inside a committed transaction.
 
     ``before`` is the committed row image prior to the write (undo);
     ``after`` is the image after it (redo). Inserts have ``before=None``;
-    deletes have ``after=None``.
+    deletes have ``after=None``. Both are the very row objects the
+    replicas store (never mutated), so a consumer copies what it keeps.
     """
 
     table: str
@@ -43,7 +44,7 @@ class WriteRecord:
     after: Optional[dict[str, Any]]
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """Redo/undo log entry for one committed transaction."""
 
@@ -88,11 +89,13 @@ class GroupCommitLog:
         with self._cond:
             self.records = list(records)
 
-    def stats(self) -> dict[str, int]:
+    def __len__(self) -> int:
         with self._cond:
-            records = len(self.records)
+            return len(self.records)
+
+    def stats(self) -> dict[str, int]:
         return {"flushes": self._batch_sizes.count,
-                "records": records,
+                "records": len(self),
                 "max_batch": int(self._batch_sizes.max)}
 
     def append(self, record: CommitRecord) -> None:

@@ -8,6 +8,13 @@ row+index mutation atomic with respect to concurrent readers
 (transaction-level isolation is the job of the row-lock manager, not the
 fragment).
 
+Row ownership: a stored row is never mutated — a write replaces it
+whole — so a fragment keeps the row object it is given, and one
+committed image is shared by every replica and by the commit log's
+redo/undo record. Rows leave the engine only as copies (``get``,
+``get_many``, the lookups and ``snapshot``); ``peek`` hands the engine's
+own write path the stored object to check, never to change.
+
 Access paths and what they cost here:
 
 * ``get`` / ``get_many`` — primary-key lookups, O(1) per key;
@@ -28,7 +35,7 @@ yields them — independent of ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import DuplicateKeyError, NoSuchRowError
 from repro.ndb.schema import TableSchema
@@ -65,6 +72,12 @@ class Fragment:
             row = self._rows.get(pk)
             return dict(row) if row is not None else None
 
+    def peek(self, pk: Pk) -> Optional[dict[str, Any]]:
+        """The stored row itself, uncopied: for the engine's checks and
+        undo images only, never to mutate or hand out."""
+        with self._lock:
+            return self._rows.get(pk)
+
     def get_many(self, pks: Sequence[Pk]) -> list[Optional[dict[str, Any]]]:
         """``get`` for a batch of pks under one acquisition of the lock."""
         with self._lock:
@@ -98,29 +111,24 @@ class Fragment:
             return [dict(row) for row in rows]
         return [dict(row) for row in rows if predicate(row)]
 
-    def pks(self) -> Iterator[Pk]:
-        with self._lock:
-            return iter(list(self._rows.keys()))
-
     # -- writes (called only with the row X-locked at the lock manager) --------
 
-    def apply_insert(self, row: Mapping[str, Any]) -> None:
+    def apply_insert(self, row: dict[str, Any]) -> None:
         pk = self.schema.pk_of(row)
         with self._lock:
             if pk in self._rows:
                 raise DuplicateKeyError(f"{self.schema.name}:{pk}")
             self.apply_restore(pk, row)
 
-    def apply_update(self, pk: Pk, row: Mapping[str, Any]) -> None:
+    def apply_update(self, pk: Pk, row: dict[str, Any]) -> None:
         with self._lock:
             old = self._rows.get(pk)
             if old is None:
                 raise NoSuchRowError(f"{self.schema.name}:{pk}")
-            stored = dict(row)
-            self._rows[pk] = stored  # keeps the row's position
+            self._rows[pk] = row  # keeps the row's position
             for name, cols in self.schema.indexes.items():
                 old_key = tuple(old[col] for col in cols)
-                new_key = tuple(stored[col] for col in cols)
+                new_key = tuple(row[col] for col in cols)
                 if old_key != new_key:
                     self._bucket_remove(self._indexes[name], old_key, pk)
                     self._indexes[name].setdefault(new_key, {})[pk] = None
@@ -131,7 +139,7 @@ class Fragment:
                 raise NoSuchRowError(f"{self.schema.name}:{pk}")
             self.apply_restore(pk, None)
 
-    def apply_restore(self, pk: Pk, row: Optional[Mapping[str, Any]]) -> None:
+    def apply_restore(self, pk: Pk, row: Optional[dict[str, Any]]) -> None:
         """Force a row to a given state (undo/redo recovery; also the one
         place rows enter and leave the indexes): drop the row if present,
         then append the new image, if any, at the end."""
@@ -144,11 +152,10 @@ class Fragment:
                     self._bucket_remove(self._indexes[name],
                                         tuple(old[col] for col in cols), pk)
             if row is not None:
-                stored = dict(row)
-                self._rows[pk] = stored
+                self._rows[pk] = row
                 self._partition_index.setdefault(pvals, {})[pk] = None
                 for name, cols in self.schema.indexes.items():
-                    key = tuple(stored[col] for col in cols)
+                    key = tuple(row[col] for col in cols)
                     self._indexes[name].setdefault(key, {})[pk] = None
 
     # -- snapshot / clone -------------------------------------------------------
@@ -157,7 +164,7 @@ class Fragment:
         with self._lock:
             return {pk: dict(row) for pk, row in self._rows.items()}
 
-    def load(self, rows: Mapping[Pk, Mapping[str, Any]]) -> None:
+    def load(self, rows: Mapping[Pk, dict[str, Any]]) -> None:
         with self._lock:
             self._rows = {}
             self._partition_index = {}

@@ -48,14 +48,15 @@ class TxState(enum.Enum):
     ABORTED = "aborted"
 
 
-class _Write:
-    """A buffered row mutation ('insert' | 'update' | 'delete')."""
+class _Write(NamedTuple):
+    """A buffered row mutation of a row on shard ``pid``: 'insert' (the
+    row is not committed, so a delete cancels it), 'update' or 'delete'.
+    ``row`` is this transaction's own dict, which the commit stores as
+    is."""
 
-    __slots__ = ("op", "row")
-
-    def __init__(self, op: str, row: Optional[dict[str, Any]]) -> None:
-        self.op = op
-        self.row = row
+    op: str
+    row: Optional[dict[str, Any]]
+    pid: int
 
 
 class _ScanPlan(NamedTuple):
@@ -148,17 +149,14 @@ class Transaction:
         self.stats.rows_locked += wanted
         self._check_granted()
 
-    def _buffered(self, table: str, pk: tuple[Any, ...]) -> Optional[_Write]:
-        return self._writes.get((table, pk))
-
     def _buffer(self, table: str, pk: tuple[Any, ...], pid: int,
-                write: Optional[_Write]) -> None:
-        """Set (or with ``None`` cancel) the pending write of one row."""
-        if write is None:
+                op: Optional[str], row: Optional[dict[str, Any]] = None) -> None:
+        """Set (or with ``op=None`` cancel) the pending write of one row."""
+        if op is None:
             del self._writes[(table, pk)]
             del self._table_writes[table][pk]
         else:
-            self._writes[(table, pk)] = write
+            write = self._writes[(table, pk)] = _Write(op, row, pid)
             self._table_writes.setdefault(table, {})[pk] = write
         self._participants.add(self._cluster._primary_node(pid))
 
@@ -493,12 +491,14 @@ class Transaction:
         pk = schema.pk_of(row)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        pending = self._buffered(table, pk)
+        pending = self._writes.get((table, pk))
         if pending is not None and pending.op != "delete":
             raise DuplicateKeyError(f"{table}:{pk} already written in this tx")
-        if pending is None and self._committed_row(table, pid, pk) is not None:
+        if pending is None and self._current(table, pid, pk) is not None:
             raise DuplicateKeyError(f"{table}:{pk} already exists")
-        self._buffer(table, pk, pid, _Write("insert", dict(row)))
+        # after a buffered delete the row is committed
+        self._buffer(table, pk, pid, "insert" if pending is None else "update",
+                     dict(row))
 
     def update(self, table: str, key: Mapping[str, Any] | Sequence[Any],
                changes: Mapping[str, Any]) -> None:
@@ -516,14 +516,12 @@ class Transaction:
                 )
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        current = self._committed_or_buffered(table, pid, pk)
+        current = self._current(table, pid, pk)
         if current is None:
             raise NoSuchRowError(f"{table}:{pk}")
-        merged = dict(current)
-        merged.update(changes)
-        pending = self._buffered(table, pk)
+        pending = self._writes.get((table, pk))
         op = "insert" if pending is not None and pending.op == "insert" else "update"
-        self._buffer(table, pk, pid, _Write(op, merged))
+        self._buffer(table, pk, pid, op, {**current, **changes})
 
     def write(self, table: str, row: Mapping[str, Any]) -> None:
         """Upsert a full row (insert if absent, overwrite if present)."""
@@ -533,13 +531,12 @@ class Transaction:
         pk = schema.pk_of(row)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        exists = self._committed_or_buffered(table, pid, pk) is not None
-        pending = self._buffered(table, pk)
-        if exists:
-            op = "insert" if pending is not None and pending.op == "insert" else "update"
+        pending = self._writes.get((table, pk))
+        if pending is not None:  # a buffered delete's row is committed
+            op = "insert" if pending.op == "insert" else "update"
         else:
-            op = "insert"
-        self._buffer(table, pk, pid, _Write(op, dict(row)))
+            op = "insert" if self._current(table, pid, pk) is None else "update"
+        self._buffer(table, pk, pid, op, dict(row))
 
     def delete(self, table: str, key: Mapping[str, Any] | Sequence[Any],
                must_exist: bool = True) -> None:
@@ -550,15 +547,14 @@ class Transaction:
         pk = schema.pk_tuple(key)
         pid = self._cluster.partition_of(table, pk)
         self._lock(table, pk, LockMode.EXCLUSIVE)
-        current = self._committed_or_buffered(table, pid, pk)
-        if current is None:
+        if self._current(table, pid, pk) is None:
             if must_exist:
                 raise NoSuchRowError(f"{table}:{pk}")
             return
-        pending = self._buffered(table, pk)
+        pending = self._writes.get((table, pk))
         # insert+delete inside one tx cancels out
         cancels = pending is not None and pending.op == "insert"
-        self._buffer(table, pk, pid, None if cancels else _Write("delete", None))
+        self._buffer(table, pk, pid, None if cancels else "delete")
 
     # -- transaction end -----------------------------------------------------------
 
@@ -612,17 +608,20 @@ class Transaction:
             return rows
         return [{col: row[col] for col in columns} for row in rows]
 
-    def _committed_row(self, table: str, pid: int,
-                       pk: tuple[Any, ...]) -> Optional[dict[str, Any]]:
-        frag = self._cluster._primary_fragment(table, pid)
-        return frag.get(pk)
+    def _current(self, table: str, pid: int,
+                 pk: tuple[Any, ...]) -> Optional[dict[str, Any]]:
+        """The row as this transaction sees it — its buffered write, else
+        the committed row — uncopied, so only to check or to copy."""
+        pending = self._writes.get((table, pk))
+        if pending is not None:
+            return pending.row
+        return self._cluster._primary_fragment(table, pid).peek(pk)
 
     def _committed_or_buffered(self, table: str, pid: int,
                                pk: tuple[Any, ...]) -> Optional[dict[str, Any]]:
-        pending = self._buffered(table, pk)
-        if pending is not None:
-            return dict(pending.row) if pending.row is not None else None
-        return self._committed_row(table, pid, pk)
+        """A copy of :meth:`_current` (what a read hands out)."""
+        row = self._current(table, pid, pk)
+        return dict(row) if row is not None else None
 
     def _merge_writes(self, plan: _ScanPlan, rows: list[dict[str, Any]],
                       shard: Optional[int]) -> list[dict[str, Any]]:

@@ -169,6 +169,20 @@ class TestTransactionSemantics:
         with cluster.begin() as tx:
             assert tx.read("inodes", (0, "f"))["inode_id"] == 99
 
+    @pytest.mark.parametrize("reinsert", ["insert", "write"])
+    def test_delete_reinsert_delete_deletes(self, cluster, reinsert):
+        """A re-insert after a delete updates the committed row, so a
+        second delete deletes it rather than cancelling the re-insert."""
+        with cluster.begin() as tx:
+            tx.insert("inodes", inode(0, "f", 1))
+        with cluster.begin() as tx:
+            tx.delete("inodes", (0, "f"))
+            getattr(tx, reinsert)("inodes", inode(0, "f", 99))
+            tx.delete("inodes", (0, "f"))
+            assert tx.read("inodes", (0, "f")) is None
+        with cluster.begin() as tx:
+            assert tx.read("inodes", (0, "f")) is None
+
     def test_update_after_insert_stays_insert(self, cluster):
         with cluster.begin() as tx:
             tx.insert("inodes", inode(0, "f", 1))
@@ -419,3 +433,117 @@ class TestAccessStats:
         stats = session.reset_stats()
         assert stats.round_trips > 0
         assert session.stats.round_trips == 0
+
+
+def stored(cluster, table, pk):
+    """Each live replica's stored row object for ``pk``."""
+    pid = cluster.partition_of(table, pk)
+    return [cluster.datanodes[node].fragment(table, pid).peek(pk)
+            for node in cluster.live_replicas(pid)]
+
+
+class TestRowOwnership:
+    """A committed row is one object, shared by every live replica and
+    the commit log's record; rows cross the engine's edge only as
+    copies."""
+
+    def test_replicas_store_the_logged_image(self, cluster):
+        with cluster.begin() as tx:
+            tx.insert("inodes", inode(0, "f", 1))
+        [insert] = cluster.commit_log[-1].writes
+        replicas = stored(cluster, "inodes", (0, "f"))
+        assert len(replicas) == 2
+        assert all(row is insert.after for row in replicas)
+        with cluster.begin() as tx:
+            tx.update("inodes", (0, "f"), {"perm": 0o600})
+        [update] = cluster.commit_log[-1].writes
+        assert update.before is insert.after
+        assert all(row is update.after
+                   for row in stored(cluster, "inodes", (0, "f")))
+        with cluster.begin() as tx:
+            tx.delete("inodes", (0, "f"))
+        [delete] = cluster.commit_log[-1].writes
+        assert delete.before is update.after and delete.after is None
+        assert stored(cluster, "inodes", (0, "f")) == [None, None]
+
+    def test_rows_handed_out_are_copies(self, cluster):
+        with cluster.begin() as tx:
+            tx.insert("inodes", inode(0, "f", 1))
+        [logged] = cluster.commit_log[-1].writes
+        image = dict(logged.after)
+        with cluster.begin() as tx:
+            handed_out = [tx.read("inodes", (0, "f")),
+                          *tx.read_batch("inodes", [(0, "f")]),
+                          *tx.ppis("inodes", {"parent_id": 0}),
+                          *tx.ppis("inodes", {"parent_id": 0},
+                                   lock=LockMode.SHARED),
+                          *tx.index_scan("inodes", "by_inode", [1]),
+                          *tx.full_scan("inodes")]
+            for row in handed_out:
+                row["perm"] = 0
+        assert len(handed_out) == 6
+        assert logged.after == image
+        assert stored(cluster, "inodes", (0, "f")) == [image, image]
+
+    def test_callers_dicts_are_copied(self, cluster):
+        row, upsert, changes = inode(0, "f", 1), inode(0, "g", 2), {"perm": 1}
+        with cluster.begin() as tx:
+            tx.insert("inodes", row)
+            tx.write("inodes", upsert)
+            row["perm"] = upsert["perm"] = 0
+            tx.read("inodes", (0, "f"))["perm"] = 0   # the buffered row's copy
+            tx.ppis("inodes", {"parent_id": 0})[1]["perm"] = 0
+        assert ([w.after for w in cluster.commit_log[-1].writes]
+                == [inode(0, "f", 1), inode(0, "g", 2)])
+        with cluster.begin() as tx:
+            tx.update("inodes", (0, "f"), changes)
+            changes["perm"] = 0
+        assert cluster.commit_log[-1].writes[0].after == inode(0, "f", 1, perm=1)
+        assert stored(cluster, "inodes", (0, "f")) == [inode(0, "f", 1, perm=1)] * 2
+        assert stored(cluster, "inodes", (0, "g")) == [inode(0, "g", 2)] * 2
+
+
+class TestRowHistory:
+    """Undo, redo and replica restore over images the log shares with
+    the replicas."""
+
+    def perms(self, cluster):
+        return [row and row["perm"]
+                for row in stored(cluster, "inodes", (0, "f"))]
+
+    def test_log_images_survive_recovery_and_restart(self, cluster):
+        with cluster.begin() as tx:
+            tx.insert("inodes", inode(0, "f", 1, perm=1))
+        cluster.complete_epoch()                     # epoch 1 is durable
+        with cluster.begin() as tx:
+            tx.update("inodes", (0, "f"), {"perm": 2})
+        cluster.local_checkpoint()                   # holds perm=2
+        with cluster.begin() as tx:
+            tx.delete("inodes", (0, "f"))
+        writes = [rec.writes[0] for rec in cluster.commit_log]
+        assert [w.before and w.before["perm"] for w in writes] == [None, 1, 2]
+        assert [w.after and w.after["perm"] for w in writes] == [1, 2, None]
+        # the checkpointed update is undone, the delete is lost
+        assert cluster.crash_and_recover() == 1
+        assert self.perms(cluster) == [1, 1]
+        # a second crash must not bring the undone update back from the
+        # checkpoint
+        assert cluster.crash_and_recover() == 1
+        assert self.perms(cluster) == [1, 1]
+        with cluster.begin() as tx:
+            tx.update("inodes", (0, "f"), {"perm": 3})
+        cluster.complete_epoch()
+        assert cluster.crash_and_recover() == 2      # redo
+        assert self.perms(cluster) == [3, 3]
+        pid = cluster.partition_of("inodes", (0, "f"))
+        primary = cluster.live_replicas(pid)[0]
+        cluster.kill_node(primary)
+        cluster.restart_node(primary)                # copies from the peer
+        assert self.perms(cluster) == [3, 3]
+        with cluster.begin() as tx:
+            tx.update("inodes", (0, "f"), {"perm": 4})
+        [update] = cluster.commit_log[-1].writes
+        assert update.before["perm"] == 3
+        assert all(row is update.after
+                   for row in stored(cluster, "inodes", (0, "f")))
+        assert self.perms(cluster) == [4, 4]
