@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from array import array
 from typing import Iterator, Optional
 
 from repro.util.stats import percentile
@@ -61,66 +61,64 @@ def _label_items(labels: dict[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class _WindowBuckets:
-    """Per-second event buckets for sliding-window rates.
+# Per-second event buckets (``{second: events}``) for sliding-window
+# rates. Seconds are *wall clock* (``time.time()``) so buckets from
+# different processes merge meaningfully — the whole point of windowed
+# snapshots is aggregating a ServerPool's view. A metric's buckets are
+# guarded by that metric's ``_lock``.
 
-    Timestamps are *wall clock* (``time.time()``) so buckets from
-    different processes merge meaningfully — the whole point of windowed
-    snapshots is aggregating a ServerPool's view. Not internally locked;
-    the owning metric's lock guards every access (guarded_by: owner
-    metric ``_lock``).
-    """
 
-    __slots__ = ("buckets",)
+def _prune_buckets(buckets: dict[int, float], sec: int) -> None:
+    """Drop the buckets more than :data:`WINDOW_HORIZON` before ``sec``."""
+    cutoff = sec - WINDOW_HORIZON
+    for old in [s for s in buckets if s < cutoff]:
+        del buckets[old]
 
-    def __init__(self) -> None:
-        self.buckets: dict[int, float] = {}
 
-    def add(self, n: float, now: Optional[float] = None) -> None:
-        sec = int(now if now is not None else time.time())
-        buckets = self.buckets
+def _merge_buckets(buckets: dict[int, float], parts: dict) -> None:
+    for sec, n in parts.items():
+        sec = int(sec)  # JSON round trips turn keys into strings
         buckets[sec] = buckets.get(sec, 0.0) + n
-        if len(buckets) > WINDOW_HORIZON:
-            cutoff = sec - WINDOW_HORIZON
-            for old in [s for s in buckets if s < cutoff]:
-                del buckets[old]
 
-    def merge(self, parts: dict) -> None:
-        buckets = self.buckets
-        for sec, n in parts.items():
-            sec = int(sec)  # JSON round trips turn keys into strings
-            buckets[sec] = buckets.get(sec, 0.0) + n
 
-    def count(self, seconds: float, now: Optional[float] = None) -> float:
-        if now is None:
-            now = time.time()
-        cutoff = now - min(seconds, WINDOW_HORIZON)
-        return sum(n for sec, n in self.buckets.items() if sec > cutoff)
+def _count_buckets(buckets: dict[int, float], seconds: float,
+                   now: Optional[float]) -> float:
+    if now is None:
+        now = time.time()
+    cutoff = now - min(seconds, WINDOW_HORIZON)
+    return sum(n for sec, n in buckets.items() if sec > cutoff)
 
 
 class CounterMetric:
     """A monotonically increasing value."""
 
-    __slots__ = ("name", "labels", "_value", "_window", "_lock")
+    __slots__ = ("name", "labels", "_value", "_buckets", "_lock")
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
         self._value = 0.0
-        self._window = _WindowBuckets()
+        self._buckets: dict[int, float] = {}
         self._lock = threading.Lock()
 
     def inc(self, n: float = 1.0) -> None:
         if n < 0:
             raise ValueError("counters only go up; use a gauge")
+        sec = int(time.time())
         with self._lock:
             self._value += n
-            self._window.add(n)
+            buckets = self._buckets
+            try:
+                buckets[sec] += n
+            except KeyError:  # the first event of this second
+                buckets[sec] = float(n)
+                if len(buckets) > WINDOW_HORIZON:
+                    _prune_buckets(buckets, sec)
 
     def state(self) -> tuple[float, dict[int, float]]:
         """``(total, per-second buckets)``, read under one lock."""
         with self._lock:
-            return self._value, dict(self._window.buckets)
+            return self._value, dict(self._buckets)
 
     def fold(self, value: float, buckets: dict) -> None:
         """Add another counter's :meth:`state` *without* recording
@@ -134,13 +132,13 @@ class CounterMetric:
         """
         with self._lock:
             self._value += value
-            self._window.merge(buckets)
+            _merge_buckets(self._buckets, buckets)
 
     def window(self, seconds: float,
                now: Optional[float] = None) -> dict[str, float]:
         """Events and rate over the trailing ``seconds`` of wall clock."""
         with self._lock:
-            count = self._window.count(seconds, now=now)
+            count = _count_buckets(self._buckets, seconds, now)
         span = max(min(seconds, WINDOW_HORIZON), 1e-9)
         return {"count": count, "rate": count / span}
 
@@ -195,10 +193,16 @@ class HistogramMetric:
     seconds", the live view ``repro top`` and the SLO burn-rate math
     consume) over the part inside the window. ``count``/``rate`` stay
     exact from the buckets whatever the ring has dropped.
+
+    The ring is two ``array("d")`` of C doubles, wall times and values,
+    16 B a sample (≈ 32 KiB full, where a ring of tuples cost ≈ 195
+    KiB). It grows by ``append`` until it holds :data:`RECENT_SAMPLES`;
+    after that ``_next`` is the oldest slot, which the next observation
+    overwrites. While it grows, ``_next`` is its length.
     """
 
-    __slots__ = ("name", "labels", "_count", "_total", "_max", "_samples",
-                 "_window", "_lock")
+    __slots__ = ("name", "labels", "_count", "_total", "_max", "_times",
+                 "_values", "_next", "_buckets", "_lock")
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
@@ -206,26 +210,48 @@ class HistogramMetric:
         self._count = 0
         self._total = 0.0
         self._max = 0.0
-        self._samples: deque[tuple[float, float]] = deque(
-            maxlen=RECENT_SAMPLES)
-        self._window = _WindowBuckets()
+        self._times = array("d")
+        self._values = array("d")
+        self._next = 0
+        self._buckets: dict[int, float] = {}
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         now = time.time()
+        sec = int(now)
         with self._lock:
             self._count += 1
             self._total += value
             if value > self._max:
                 self._max = value
-            self._samples.append((now, value))
-            self._window.add(1.0, now=now)
+            i = self._next
+            if i == len(self._times):  # the ring is still growing
+                self._times.append(now)
+                self._values.append(value)
+            else:
+                self._times[i] = now
+                self._values[i] = value
+            i += 1
+            self._next = i if i < RECENT_SAMPLES else 0
+            buckets = self._buckets
+            try:
+                buckets[sec] += 1.0
+            except KeyError:  # the first event of this second
+                buckets[sec] = 1.0
+                if len(buckets) > WINDOW_HORIZON:
+                    _prune_buckets(buckets, sec)
+
+    def _ring(self) -> list[tuple[float, float]]:
+        """The ring's ``(wall time, value)`` samples, oldest first
+        (``_lock`` held)."""
+        i, times, values = self._next, self._times, self._values
+        return list(zip(times[i:] + times[:i], values[i:] + values[:i]))
 
     def state(self) -> HistogramState:
         """The whole histogram, read under one lock acquisition."""
         with self._lock:
-            return (self._count, self._total, self._max, list(self._samples),
-                    dict(self._window.buckets))
+            return (self._count, self._total, self._max, self._ring(),
+                    dict(self._buckets))
 
     def fold(self, count: int, total: float, max_value: float,
              samples: list[tuple[float, float]], buckets: dict) -> None:
@@ -239,10 +265,13 @@ class HistogramMetric:
             if max_value > self._max:
                 self._max = max_value
             if samples:
-                merged = sorted([*self._samples, *samples])
-                self._samples.clear()
-                self._samples.extend(merged)  # the deque keeps the newest
-            self._window.merge(buckets)
+                merged = sorted([*self._ring(), *samples])[-RECENT_SAMPLES:]
+                self._times = array("d", [t for t, _ in merged])
+                self._values = array("d", [v for _, v in merged])
+                # a partly filled ring grows from its end, a full one
+                # overwrites slot 0, its oldest
+                self._next = len(merged) % RECENT_SAMPLES
+            _merge_buckets(self._buckets, buckets)
 
     def merge(self, other: "HistogramMetric") -> None:
         self.fold(*other.state())
@@ -250,7 +279,7 @@ class HistogramMetric:
     def samples(self) -> list[tuple[float, float]]:
         """The ring's ``(wall time, value)`` observations, oldest first."""
         with self._lock:
-            return list(self._samples)
+            return self._ring()
 
     def window(self, seconds: float,
                now: Optional[float] = None) -> dict[str, float]:
@@ -263,8 +292,9 @@ class HistogramMetric:
             now = time.time()
         cutoff = now - min(seconds, WINDOW_HORIZON)
         with self._lock:
-            count = self._window.count(seconds, now=now)
-            values = sorted(v for t, v in self._samples if t > cutoff)
+            count = _count_buckets(self._buckets, seconds, now)
+            values = sorted(v for t, v in zip(self._times, self._values)
+                            if t > cutoff)
         span = max(min(seconds, WINDOW_HORIZON), 1e-9)
         out = {"count": count, "rate": count / span,
                "p50": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}

@@ -16,8 +16,9 @@ the file's blocks, not the shard's other rows.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional
 
 from repro.errors import SchemaError
 

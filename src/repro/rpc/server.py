@@ -58,7 +58,8 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Any, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Optional
 
 from repro import faults
 from repro.errors import (

@@ -2,6 +2,8 @@
 
 import json
 import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -157,6 +159,74 @@ def test_histogram_merge_is_exact_and_order_independent():
     assert ab.get_histogram("h").samples() == ba.get_histogram("h").samples()
     assert (ab.get_histogram("h").percentiles()
             == ba.get_histogram("h").percentiles())
+
+
+def test_an_observation_after_folding_a_partial_ring_is_the_newest():
+    src = MetricsRegistry().histogram("h")
+    for v in range(10):
+        src.observe(float(v))
+    hist = MetricsRegistry().histogram("h")
+    hist.merge(src)
+    hist.observe(99.0)
+    samples = hist.samples()
+    assert samples[:-1] == src.samples()  # nothing folded was overwritten
+    assert samples[-1][1] == 99.0
+    assert [v for _, v in samples] == [*map(float, range(10)), 99.0]
+
+
+def test_a_wrapped_ring_keeps_the_newest_in_observation_order():
+    hist = MetricsRegistry().histogram("h")
+    for v in range(RECENT_SAMPLES + 5):
+        hist.observe(float(v))
+    values = [v for _, v in hist.samples()]
+    assert values == [float(v) for v in range(5, RECENT_SAMPLES + 5)]
+    times = [t for t, _ in hist.samples()]
+    assert times == sorted(times)
+
+
+def test_a_wrapped_ring_windows_only_the_samples_inside_the_window():
+    hist = MetricsRegistry().histogram("h")
+    base = time.time() - 100.0
+    old = [(base + i / 100, 1.0) for i in range(RECENT_SAMPLES)]
+    hist.fold(len(old), float(len(old)), 1.0, old, {})
+    for v in range(5):  # wraps: overwrites the five oldest slots
+        hist.observe(100.0 + v)
+    now = time.time()
+    recent = hist.window(60.0, now=now)
+    assert (recent["p50"], recent["max"]) == (102.0, 104.0)
+    assert recent["mean"] == pytest.approx(102.0)
+    # reaching back into the folded samples: the ones after the window's
+    # start, none of the overwritten ones, and the new ones
+    kept = [v for t, v in old[5:] if t > now - 90.0]
+    assert 0 < len(kept) < RECENT_SAMPLES - 5
+    wide = hist.window(90.0, now=now)
+    assert wide["mean"] == pytest.approx((sum(kept) + 510.0) / (len(kept) + 5))
+
+
+def test_a_sample_snapshot_round_trips_through_a_registry():
+    reg = MetricsRegistry()
+    reg.inc("c_total", 3, op="x")
+    for v in range(RECENT_SAMPLES + 7):
+        reg.observe("h_seconds", v / 1000.0, op="x")
+    reg.observe("h_seconds", 0.5, op="y")
+    first = export.snapshot(reg, include_samples=True)
+    again = export.snapshot(export.registry_from_snapshot(
+        json.loads(json.dumps(first))), include_samples=True)
+    assert again == first
+
+
+def test_a_full_ring_costs_about_its_sixteen_bytes_a_sample():
+    hist = MetricsRegistry().histogram("h")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for v in range(5000):
+            hist.observe(v / 1000.0)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(hist.samples()) == RECENT_SAMPLES
+    assert allocated <= 48 * 1024, allocated  # a tuple ring is ~195 KiB
 
 
 # -- satellite fixes: hint cache -----------------------------------------------
