@@ -12,6 +12,16 @@ external dependencies:
   :data:`RECENT_SAMPLES` timestamped observations that every percentile
   is read from, so memory stays flat over millions of observations.
 
+Recording is one list append: :meth:`CounterMetric.inc` and
+:meth:`HistogramMetric.observe` add a ``(wall time, value)`` pair to the
+metric's pending list and take no lock. The metric folds its pending
+records into its state in bulk, under its lock, before every read and
+once :data:`PENDING_LIMIT` entries are waiting. That relies on the GIL
+(:func:`_take_pending` says how). A fold adds values to a total one
+``+`` at a time, so totals round as recording one by one did, on every
+Python version (3.12's ``sum()`` of floats is compensated and would
+not).
+
 Metrics are identified by ``(name, labels)``; labels are free-form
 keyword arguments (``op="mkdir"``, ``table="inodes"``). Conventions used
 across the tree are documented in ``docs/architecture.md`` §Observability:
@@ -36,6 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from array import array
+from itertools import repeat
 from typing import Iterator, Optional
 
 from repro.util.stats import percentile
@@ -50,6 +61,10 @@ WINDOW_HORIZON = 600.0
 #: observations per histogram that percentiles are computed over: the
 #: newest ones, as a Prometheus summary reports
 RECENT_SAMPLES = 2048
+
+#: pending-list entries (two per record) at which a record folds the
+#: pending ones into its metric inline; bounds each metric's pending list
+PENDING_LIMIT = 128
 
 #: a histogram's whole state, as :meth:`HistogramMetric.state` exports it:
 #: ``(count, total, max, [(wall time, value), ...], {second: events})``
@@ -81,6 +96,37 @@ def _merge_buckets(buckets: dict[int, float], parts: dict) -> None:
         buckets[sec] = buckets.get(sec, 0.0) + n
 
 
+def _add_to_buckets(buckets: dict[int, float], times: list[float],
+                    amounts: Optional[list[float]] = None) -> None:
+    """Add ``amounts[i]`` (one event each when ``amounts`` is None) to the
+    bucket of the second of ``times[i]``, in order, as recording them one
+    at a time would."""
+    for sec, n in zip(map(int, times),
+                      repeat(1.0) if amounts is None else amounts):
+        try:
+            buckets[sec] += n
+        except KeyError:  # the first event of this second
+            buckets[sec] = float(n)
+            if len(buckets) > WINDOW_HORIZON:
+                _prune_buckets(buckets, sec)
+
+
+def _take_pending(pending: list) -> list:
+    """Remove and return the records ``pending`` holds now (the metric's
+    ``_lock`` held, so no other fold takes them too).
+
+    A record is one ``pending += (t, v)``: a single list extend, which
+    the GIL makes atomic, so the list never holds half a pair. A writer
+    may extend the list during the fold, so the fold takes the first
+    ``k`` entries and deletes exactly those; it never swaps in a fresh
+    list, as a writer still holding the old one would lose its record.
+    """
+    k = len(pending)
+    batch = pending[:k]
+    del pending[:k]
+    return batch
+
+
 def _count_buckets(buckets: dict[int, float], seconds: float,
                    now: Optional[float]) -> float:
     if now is None:
@@ -90,34 +136,49 @@ def _count_buckets(buckets: dict[int, float], seconds: float,
 
 
 class CounterMetric:
-    """A monotonically increasing value."""
+    """A monotonically increasing value.
 
-    __slots__ = ("name", "labels", "_value", "_buckets", "_lock")
+    :meth:`inc` appends ``(wall time, n)`` to ``_pending`` and nothing
+    else; :meth:`_fold_pending` adds the pending records to the total
+    and to the buckets of the seconds they were made in, in record
+    order, before every read and once :data:`PENDING_LIMIT` entries
+    wait.
+    """
+
+    __slots__ = ("name", "labels", "_value", "_buckets", "_pending", "_lock")
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
         self._value = 0.0
         self._buckets: dict[int, float] = {}
+        self._pending: list[float] = []
         self._lock = threading.Lock()
 
     def inc(self, n: float = 1.0) -> None:
         if n < 0:
             raise ValueError("counters only go up; use a gauge")
-        sec = int(time.time())
-        with self._lock:
-            self._value += n
-            buckets = self._buckets
-            try:
-                buckets[sec] += n
-            except KeyError:  # the first event of this second
-                buckets[sec] = float(n)
-                if len(buckets) > WINDOW_HORIZON:
-                    _prune_buckets(buckets, sec)
+        pending = self._pending
+        pending += (time.time(), n)
+        if len(pending) >= PENDING_LIMIT:
+            with self._lock:
+                self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        """Apply the pending records (``_lock`` held)."""
+        batch = _take_pending(self._pending)
+        if batch:
+            amounts = batch[1::2]
+            value = self._value
+            for n in amounts:
+                value += n
+            self._value = value
+            _add_to_buckets(self._buckets, batch[0::2], amounts)
 
     def state(self) -> tuple[float, dict[int, float]]:
         """``(total, per-second buckets)``, read under one lock."""
         with self._lock:
+            self._fold_pending()
             return self._value, dict(self._buckets)
 
     def fold(self, value: float, buckets: dict) -> None:
@@ -131,6 +192,7 @@ class CounterMetric:
         *now*; the buckets keep their original timestamps.
         """
         with self._lock:
+            self._fold_pending()
             self._value += value
             _merge_buckets(self._buckets, buckets)
 
@@ -138,6 +200,7 @@ class CounterMetric:
                now: Optional[float] = None) -> dict[str, float]:
         """Events and rate over the trailing ``seconds`` of wall clock."""
         with self._lock:
+            self._fold_pending()
             count = _count_buckets(self._buckets, seconds, now)
         span = max(min(seconds, WINDOW_HORIZON), 1e-9)
         return {"count": count, "rate": count / span}
@@ -145,6 +208,7 @@ class CounterMetric:
     @property
     def value(self) -> float:
         with self._lock:
+            self._fold_pending()
             return self._value
 
 
@@ -199,10 +263,17 @@ class HistogramMetric:
     KiB). It grows by ``append`` until it holds :data:`RECENT_SAMPLES`;
     after that ``_next`` is the oldest slot, which the next observation
     overwrites. While it grows, ``_next`` is its length.
+
+    :meth:`observe` appends ``(wall time, value)`` to ``_pending`` and
+    nothing else. :meth:`_fold_pending` applies the pending records in
+    bulk, in record order, under ``_lock``: count, total, max, ring
+    slots and the buckets of the seconds they were made in. It runs
+    before every read and inline once :data:`PENDING_LIMIT` entries
+    wait.
     """
 
     __slots__ = ("name", "labels", "_count", "_total", "_max", "_times",
-                 "_values", "_next", "_buckets", "_lock")
+                 "_values", "_next", "_buckets", "_pending", "_lock")
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
@@ -214,32 +285,50 @@ class HistogramMetric:
         self._values = array("d")
         self._next = 0
         self._buckets: dict[int, float] = {}
+        self._pending: list[float] = []
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        now = time.time()
-        sec = int(now)
-        with self._lock:
-            self._count += 1
-            self._total += value
-            if value > self._max:
-                self._max = value
-            i = self._next
-            if i == len(self._times):  # the ring is still growing
-                self._times.append(now)
-                self._values.append(value)
-            else:
-                self._times[i] = now
-                self._values[i] = value
-            i += 1
-            self._next = i if i < RECENT_SAMPLES else 0
-            buckets = self._buckets
-            try:
-                buckets[sec] += 1.0
-            except KeyError:  # the first event of this second
-                buckets[sec] = 1.0
-                if len(buckets) > WINDOW_HORIZON:
-                    _prune_buckets(buckets, sec)
+        pending = self._pending
+        pending += (time.time(), value)
+        if len(pending) >= PENDING_LIMIT:
+            with self._lock:
+                self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        """Apply the pending records (``_lock`` held)."""
+        batch = _take_pending(self._pending)
+        if not batch:
+            return
+        times, values = batch[0::2], batch[1::2]
+        self._count += len(values)
+        total, top = self._total, self._max
+        for value in values:
+            total += value
+            if value > top:
+                top = value
+        self._total, self._max = total, top
+        self._write_ring(times, values)
+        _add_to_buckets(self._buckets, times)
+
+    def _write_ring(self, times: list[float], values: list[float]) -> None:
+        """Put new samples in the ring in order, as one ``observe`` each
+        would (``_lock`` held)."""
+        ring_times, ring_values = self._times, self._values
+        grow = RECENT_SAMPLES - len(ring_times)
+        if grow > 0:  # the ring is still growing: append up to full
+            ring_times.extend(times[:grow])
+            ring_values.extend(values[:grow])
+            times, values = times[grow:], values[grow:]
+            self._next = len(ring_times) % RECENT_SAMPLES
+        i = self._next
+        while times:  # overwrite the oldest slots, wrapping at the end
+            n = min(len(times), RECENT_SAMPLES - i)
+            ring_times[i:i + n] = array("d", times[:n])
+            ring_values[i:i + n] = array("d", values[:n])
+            times, values = times[n:], values[n:]
+            i = (i + n) % RECENT_SAMPLES
+        self._next = i
 
     def _ring(self) -> list[tuple[float, float]]:
         """The ring's ``(wall time, value)`` samples, oldest first
@@ -250,6 +339,7 @@ class HistogramMetric:
     def state(self) -> HistogramState:
         """The whole histogram, read under one lock acquisition."""
         with self._lock:
+            self._fold_pending()
             return (self._count, self._total, self._max, self._ring(),
                     dict(self._buckets))
 
@@ -260,6 +350,7 @@ class HistogramMetric:
         ring keeps the newest samples of both sides — the same ones
         whichever side folds into which."""
         with self._lock:
+            self._fold_pending()
             self._count += count
             self._total += total
             if max_value > self._max:
@@ -279,6 +370,7 @@ class HistogramMetric:
     def samples(self) -> list[tuple[float, float]]:
         """The ring's ``(wall time, value)`` observations, oldest first."""
         with self._lock:
+            self._fold_pending()
             return self._ring()
 
     def window(self, seconds: float,
@@ -292,6 +384,7 @@ class HistogramMetric:
             now = time.time()
         cutoff = now - min(seconds, WINDOW_HORIZON)
         with self._lock:
+            self._fold_pending()
             count = _count_buckets(self._buckets, seconds, now)
             values = sorted(v for t, v in zip(self._times, self._values)
                             if t > cutoff)
@@ -308,21 +401,25 @@ class HistogramMetric:
     @property
     def count(self) -> int:
         with self._lock:
+            self._fold_pending()
             return self._count
 
     @property
     def total(self) -> float:
         with self._lock:
+            self._fold_pending()
             return self._total
 
     @property
     def max(self) -> float:
         with self._lock:
+            self._fold_pending()
             return self._max
 
     @property
     def mean(self) -> float:
         with self._lock:
+            self._fold_pending()
             return self._total / self._count if self._count else float("nan")
 
     def percentile(self, p: float) -> float:

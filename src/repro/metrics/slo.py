@@ -32,10 +32,12 @@ from repro.metrics.registry import WINDOW_HORIZON, MetricsRegistry
 class SLO:
     """One objective over one registry's metric families.
 
-    Availability::
+    Availability, over an ndb-server's requests (``rpc_requests_total``
+    counts every request, errors included, and ``rpc_errors_total`` the
+    errors)::
 
-        SLO("op-success", objective=0.999,
-            total="fs_ops_total", bad="fs_op_failures_total")
+        SLO("rpc-success", objective=0.999,
+            total="rpc_requests_total", bad="rpc_errors_total")
 
     Latency::
 

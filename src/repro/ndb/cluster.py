@@ -82,7 +82,8 @@ class NDBCluster:
         self._shard_op_hists: dict[tuple[Any, str], HistogramMetric] = {}
         self._locks = LockManager(timeout=self.config.lock_timeout,
                                   shard_of=self._lock_key_shard,
-                                  registry=self.metrics)
+                                  registry=self.metrics,
+                                  shard_op_seconds=self._shard_op_seconds)
         #: current primary node per partition (same for all tables),
         #: replaced whole whenever placement changes
         # guarded_by: _structure_gate [writes]

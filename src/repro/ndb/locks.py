@@ -38,7 +38,8 @@ from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import DeadlockError, LockTimeoutError, TransactionAbortedError
 from repro.faults import fault_point
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import (CounterMetric, HistogramMetric,
+                                    MetricsRegistry)
 from repro.metrics.tracing import span as trace_span
 from repro.util.park import park
 
@@ -149,11 +150,20 @@ class LockManager:
 
     def __init__(self, timeout: float = 1.2,
                  shard_of: Optional[Callable[[Any], Optional[int]]] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None,
+                 shard_op_seconds: Optional[
+                     Callable[[Any, str], HistogramMetric]] = None) -> None:
         self._timeout = timeout
         #: the owning cluster's metrics registry; a bare manager has none
         #: and records its waits in the counters below only
         self._registry = registry
+        #: ``(ndb_lock_wait_seconds_total, ndb_lock_waits_total)``, made on
+        #: the first wait so an idle engine exports neither
+        # guarded_by: GIL -- racing fillers store the registry's one pair
+        self._wait_counters: Optional[tuple[CounterMetric, CounterMetric]] = None
+        #: the owner's ``ndb_shard_op_seconds{shard,kind}`` handle cache
+        #: (``NDBCluster._shard_op_seconds``), for a wait's ``lock_wait``
+        self._shard_op_seconds = shard_op_seconds
         #: optional (table, pk) -> partition id resolver, so lock_wait
         #: spans and ndb_shard_op_seconds carry the shard being waited on
         self._shard_of = shard_of
@@ -188,69 +198,69 @@ class LockManager:
         witness = LockManager._witness
         if witness is not None:
             witness.row_requested(self, owner, key, mode.value)
-        with self._cond:
-            if owner in self._aborted:
-                raise TransactionAbortedError("transaction was aborted")
-            row = self._rows.get(key)
-            if row is None:
-                row = self._rows[key] = _RowLock(key)
-            if row.grantable(owner, mode):
-                # uncontended fast path: grant without touching the queue
-                self._grant(row, owner, mode)
+        # the wait's metrics record after _cond is left: every grant and
+        # release in the engine takes it
+        waited = None
+        try:
+            with self._cond:
+                if owner in self._aborted:
+                    raise TransactionAbortedError("transaction was aborted")
+                row = self._rows.get(key)
+                if row is None:
+                    row = self._rows[key] = _RowLock(key)
+                if row.grantable(owner, mode):
+                    # uncontended fast path: grant without touching the queue
+                    self._grant(row, owner, mode)
+                    if witness is not None:
+                        witness.row_granted(self, owner, key, mode.value)
+                    return
+                request = _Request(owner, mode)
+                if owner in row.owners:
+                    # lock upgrade: jump ahead of ordinary waiters, behind other
+                    # upgrades already queued at the front.
+                    insert_at = 0
+                    while insert_at < len(row.queue) and row.queue[insert_at].owner in row.owners:
+                        insert_at += 1
+                    row.queue.insert(insert_at, request)
+                else:
+                    row.queue.append(request)
+                self._waiting[owner] = (row, request)
+                self.waits += 1
+                deadline = time.monotonic() + (timeout if timeout is not None
+                                               else self._timeout)
+                table = key[0] if isinstance(key, tuple) and key else "?"
+                shard = self._shard_of(key) if self._shard_of is not None else None
+                started = time.monotonic()
+                try:
+                    with trace_span("lock_wait", mode=mode.value, table=table,
+                                    shard="-" if shard is None else shard):
+                        # once is enough: a queued request's blockers only
+                        # shrink (a new holder comes from the queue ahead of
+                        # it), so only a new request can close a cycle, and
+                        # its owner finds it here
+                        if _in_cycle(self._waiting, owner):
+                            self.deadlocks += 1
+                            raise DeadlockError(
+                                f"deadlock detected while locking {key!r}")
+                        while not request.granted:
+                            if request.cancelled or owner in self._aborted:
+                                raise TransactionAbortedError(
+                                    "transaction was aborted while waiting")
+                            remaining = deadline - time.monotonic()
+                            if remaining <= 0:
+                                self.timeouts += 1
+                                raise LockTimeoutError(f"lock wait timeout on {key!r}")
+                            park()
+                            self._cond.wait(remaining)
+                finally:
+                    waited = time.monotonic() - started
+                    self.wait_seconds += waited
+                    self._withdraw(row, request)
                 if witness is not None:
                     witness.row_granted(self, owner, key, mode.value)
-                return
-            request = _Request(owner, mode)
-            if owner in row.owners:
-                # lock upgrade: jump ahead of ordinary waiters, behind other
-                # upgrades already queued at the front.
-                insert_at = 0
-                while insert_at < len(row.queue) and row.queue[insert_at].owner in row.owners:
-                    insert_at += 1
-                row.queue.insert(insert_at, request)
-            else:
-                row.queue.append(request)
-            self._waiting[owner] = (row, request)
-            self.waits += 1
-            deadline = time.monotonic() + (timeout if timeout is not None
-                                           else self._timeout)
-            table = key[0] if isinstance(key, tuple) and key else "?"
-            shard = self._shard_of(key) if self._shard_of is not None else None
-            started = time.monotonic()
-            try:
-                with trace_span("lock_wait", mode=mode.value, table=table,
-                                shard="-" if shard is None else shard):
-                    # once is enough: a queued request's blockers only
-                    # shrink (a new holder comes from the queue ahead of
-                    # it), so only a new request can close a cycle, and
-                    # its owner finds it here
-                    if _in_cycle(self._waiting, owner):
-                        self.deadlocks += 1
-                        raise DeadlockError(
-                            f"deadlock detected while locking {key!r}")
-                    while not request.granted:
-                        if request.cancelled or owner in self._aborted:
-                            raise TransactionAbortedError(
-                                "transaction was aborted while waiting")
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            self.timeouts += 1
-                            raise LockTimeoutError(f"lock wait timeout on {key!r}")
-                        park()
-                        self._cond.wait(remaining)
-            finally:
-                waited = time.monotonic() - started
-                self.wait_seconds += waited
-                registry = self._registry
-                if registry is not None:
-                    registry.inc("ndb_lock_wait_seconds_total", waited)
-                    registry.inc("ndb_lock_waits_total")
-                    if shard is not None:
-                        registry.observe("ndb_shard_op_seconds", waited,
-                                         shard=shard, kind="lock_wait")
-                self._withdraw(row, request)
-            if witness is not None:
-                witness.row_granted(self, owner, key, mode.value)
+        finally:
+            if waited is not None:
+                self._record_wait(shard, waited)
 
     def acquire_many(self, owner: Hashable, keys: Iterable[Any], mode: LockMode,
                      timeout: Optional[float] = None,
@@ -345,6 +355,21 @@ class LockManager:
     def lock_table_size(self) -> int:
         with self._cond:
             return len(self._rows)
+
+    def _record_wait(self, shard: Optional[int], waited: float) -> None:
+        """Record one finished wait in the owning cluster's registry."""
+        registry = self._registry
+        if registry is None:
+            return
+        counters = self._wait_counters
+        if counters is None:
+            counters = self._wait_counters = (
+                registry.counter("ndb_lock_wait_seconds_total"),
+                registry.counter("ndb_lock_waits_total"))
+        counters[0].inc(waited)
+        counters[1].inc()
+        if shard is not None and self._shard_op_seconds is not None:
+            self._shard_op_seconds(shard, "lock_wait").observe(waited)
 
     # -- internals (the caller holds _cond) -------------------------------------
 

@@ -1,6 +1,7 @@
 """The observability subsystem: registry, tracing, exporters, wiring."""
 
 import json
+import sys
 import threading
 import time
 import tracemalloc
@@ -227,6 +228,130 @@ def test_a_full_ring_costs_about_its_sixteen_bytes_a_sample():
         tracemalloc.stop()
     assert len(hist.samples()) == RECENT_SAMPLES
     assert allocated <= 48 * 1024, allocated  # a tuple ring is ~195 KiB
+
+
+@pytest.mark.parametrize("attempt", range(5))
+def test_records_stay_exact_while_other_threads_read_and_fold(attempt):
+    """Eight writers record lock-free while a ninth thread keeps folding
+    through reads, with the interpreter switching threads every
+    microsecond: no record is lost or counted twice (a fold that swapped
+    in a fresh pending list would drop the records of writers still
+    holding the old one). One run may interleave too little to lose a
+    record, so it runs five times."""
+    reg = MetricsRegistry()
+    hist, counter = reg.histogram("h_seconds"), reg.counter("c_total")
+    writers, per_writer = 8, 5000
+    start, done = threading.Barrier(writers + 1), threading.Event()
+
+    def write():
+        start.wait()
+        for n in range(per_writer):
+            hist.observe(n % 7)
+            counter.inc(n % 3)
+
+    def read():
+        start.wait()
+        while not done.is_set():
+            hist.window(60.0)
+            counter.window(60.0)
+            hist.state()
+            counter.state()
+            export.snapshot(reg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(target=read)
+        threads = [threading.Thread(target=write) for _ in range(writers)]
+        reader.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        done.set()
+        reader.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [reader, *threads])
+    count, total, _max, samples, buckets = hist.state()
+    assert count == writers * per_writer
+    assert total == writers * sum(n % 7 for n in range(per_writer))
+    assert sum(buckets.values()) == writers * per_writer
+    assert len(samples) == RECENT_SAMPLES
+    value, buckets = counter.state()
+    assert value == writers * sum(n % 3 for n in range(per_writer))
+    assert sum(buckets.values()) == value
+
+
+def test_a_record_keeps_the_second_it_was_made_in(monkeypatch):
+    """A record folded five seconds after it was made lands in the bucket
+    of its own second, and the ring keeps its own wall time."""
+    made = 1_000_000.25
+    clock = [made]
+    monkeypatch.setattr(time, "time", lambda: clock[0])
+    reg = MetricsRegistry()
+    hist, counter = reg.histogram("h_seconds"), reg.counter("c_total")
+    hist.observe(0.5)
+    counter.inc(2)
+    clock[0] = made + 5.0
+    assert hist.samples() == [(made, 0.5)]
+    assert hist.state()[4] == {int(made): 1.0}
+    assert counter.state() == (2.0, {int(made): 2.0})
+    assert hist.window(3.0)["count"] == counter.window(3.0)["count"] == 0
+    assert hist.window(10.0)["count"] == 1
+    assert counter.window(10.0)["count"] == 2
+
+
+COUNTER_READS = {
+    "value": (lambda c: c.value, 2.0),
+    "state": (lambda c: c.state()[0], 2.0),
+    "window": (lambda c: c.window(60.0)["count"], 2.0),
+    "fold": (lambda c: c.fold(0.0, {}), None),
+}
+
+HISTOGRAM_READS = {
+    "count": (lambda h: h.count, 1),
+    "total": (lambda h: h.total, 0.25),
+    "max": (lambda h: h.max, 0.25),
+    "mean": (lambda h: h.mean, 0.25),
+    "percentiles": (lambda h: h.percentiles()[50.0], 0.25),
+    "samples": (lambda h: h.samples()[-1][1], 0.25),
+    "state": (lambda h: h.state()[0], 1),
+    "window": (lambda h: h.window(60.0)["p50"], 0.25),
+    "fold": (lambda h: h.fold(0, 0.0, 0.0, [], {}), None),
+    "merge": (lambda h: h.merge(MetricsRegistry().histogram("h")), None),
+}
+
+
+@pytest.mark.parametrize("read, expected", COUNTER_READS.values(),
+                         ids=COUNTER_READS)
+def test_every_counter_read_folds_the_pending_records_first(read, expected):
+    counter = MetricsRegistry().counter("c_total")
+    counter.inc(2)
+    assert read(counter) == expected
+    assert counter._pending == []
+
+
+@pytest.mark.parametrize("read, expected", HISTOGRAM_READS.values(),
+                         ids=HISTOGRAM_READS)
+def test_every_histogram_read_folds_the_pending_records_first(read,
+                                                              expected):
+    hist = MetricsRegistry().histogram("h_seconds")
+    hist.observe(0.25)
+    assert read(hist) == expected
+    assert hist._pending == []
+
+
+def test_a_merge_reads_the_pending_records_of_its_source():
+    src = MetricsRegistry()
+    src.inc("c_total", 2)
+    src.observe("h_seconds", 0.25)
+    dst = MetricsRegistry()
+    dst.merge(src)
+    assert dst.get_counter("c_total") == 2
+    assert dst.get_histogram("h_seconds").samples()[-1][1] == 0.25
+    snap = export.snapshot(src)
+    assert [c["value"] for c in snap["counters"]] == [2]
 
 
 # -- satellite fixes: hint cache -----------------------------------------------

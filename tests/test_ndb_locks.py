@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError, TransactionAbortedError
+from repro.metrics.registry import CounterMetric, MetricsRegistry
 from repro.ndb.locks import LockManager, LockMode
 
 
@@ -413,3 +414,42 @@ def test_a_hand_off_wakes_its_waiter_at_once(mgr, hand_off):
             mgr.release_all(owner)
         assert mgr.lock_table_size() == 0
     assert statistics.median(latencies) < 0.025
+
+
+def test_a_contended_acquire_records_one_wait_outside_the_table_lock(
+        monkeypatch):
+    """A wait that ends in a grant records, in the owning registry, one
+    ``ndb_lock_waits_total``, its seconds in ``ndb_lock_wait_seconds_total``
+    and one ``ndb_shard_op_seconds{kind=lock_wait}`` on the key's shard —
+    after leaving ``_cond``, which every grant and release takes. The
+    uncontended acquire before it records nothing."""
+    registry = MetricsRegistry()
+    mgr = LockManager(
+        timeout=2.0, shard_of=lambda key: 3, registry=registry,
+        shard_op_seconds=lambda shard, kind: registry.histogram(
+            "ndb_shard_op_seconds", shard=shard, kind=kind))
+    holder, waiter = Owner("holder"), Owner("waiter")
+    mgr.acquire(holder, ("inodes", 1), LockMode.EXCLUSIVE)
+    owned = []
+    inc = CounterMetric.inc
+
+    def probe(counter, n=1.0):
+        owned.append(mgr._cond._is_owned())
+        inc(counter, n)
+
+    monkeypatch.setattr(CounterMetric, "inc", probe)
+    t = threading.Thread(target=mgr.acquire,
+                         args=(waiter, ("inodes", 1), LockMode.EXCLUSIVE))
+    t.start()
+    _until(lambda: mgr.waits == 1)
+    time.sleep(0.02)
+    mgr.release_all(holder)
+    t.join(timeout=3)
+    assert not t.is_alive()
+    assert owned == [False, False]
+    assert registry.get_counter("ndb_lock_waits_total") == 1
+    seconds = registry.get_counter("ndb_lock_wait_seconds_total")
+    assert seconds == mgr.wait_seconds >= 0.02
+    hists = [(dict(h.labels), h.count, h.total) for h in registry.histograms()]
+    assert hists == [({"shard": "3", "kind": "lock_wait"}, 1, seconds)]
+    mgr.release_all(waiter)

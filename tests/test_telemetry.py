@@ -14,11 +14,14 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.metrics import export
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.slo import SLO
 from repro.metrics.top import main as top_main
 from repro.metrics.top import render_top
+from repro.ndb import NDBConfig
+from repro.rpc import ClientConn, NDBServer, dial
 
 
 # -- sliding windows -----------------------------------------------------------
@@ -136,6 +139,27 @@ class TestSLO:
         tight = SLO("tight", objective=0.99,
                     latency="fs_op_seconds", threshold=0.050)
         assert not tight.status(registry)["healthy"]
+
+    def test_the_docstring_example_reads_an_ndb_servers_errors(self):
+        """The availability example in ``SLO``'s docstring names families
+        an ndb-server registers: after N good requests and one that
+        fails, it reads ``1 - 1/(N+1)``."""
+        good = 5
+        with NDBServer(config=NDBConfig(num_datanodes=2, replication=1)
+                       ) as server:
+            conn = ClientConn(dial(server.host, server.port, timeout=5.0))
+            try:
+                for _ in range(good):
+                    conn.call("ping", {})
+                with pytest.raises(ProtocolError, match="unknown method"):
+                    conn.call("no.such.method", {})
+            finally:
+                conn.close()
+            slo = SLO("rpc-success", objective=0.999,
+                      total="rpc_requests_total", bad="rpc_errors_total")
+            status = slo.status(server.registry)
+        assert status["events"] == good + 1
+        assert status["sli"] == pytest.approx(1 - 1 / (good + 1))
 
     def test_no_traffic_is_healthy_with_null_sli(self):
         slo = SLO("quiet", objective=0.99,
