@@ -48,20 +48,20 @@ BUDGET_SCOPE_SUFFIXES = (
 OP_BUDGETS: dict[str, str] = {
     # -- ops_inode ------------------------------------------------------------
     "stat": "1",
-    "mkdirs": "4",
-    "create": "4",
+    "mkdirs": "3",
+    "create": "3",
     "read": "1",
     "ls": "1",
     "content_summary": "2 + dir",
-    "add_block": "4",
+    "add_block": "3",
     "block_received": "8",
     "complete": "3 + 2*block + 2*block*extra",
     "append": "3",
-    "delete": "5 + block*replica",
-    "rename": "7",
+    "delete": "4 + block*replica",
+    "rename": "5",
     "chmod": "4",
     "chown": "4",
-    "set_replication": "4 + 2*block + 2*block*extra",
+    "set_replication": "3 + 2*block + 2*block*extra",
     "renew_lease": "3",
     "lease_scan": "1",
     "lease_recovery": "5",
@@ -70,11 +70,11 @@ OP_BUDGETS: dict[str, str] = {
     "remove_xattr": "3",
     "report_bad_block": "9 + 2*extra",
     # -- ops_subtree ----------------------------------------------------------
-    "move_subtree": "7",
+    "move_subtree": "5",
     "set_quota": "4",
     "{op}_subtree_lock": "4",
     "subtree_quiesce": "1",
-    "delete_subtree_root": "4",
+    "delete_subtree_root": "3",
     "subtree_delete_batch": "3 + node*block*replica",
     "{op}_subtree": "4",
     "subtree_release": "3",

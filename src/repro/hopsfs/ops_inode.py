@@ -182,15 +182,19 @@ class InodeOpsMixin:
                    parent_row["name"]),
                   {"mtime": self.clock.now()})
 
-    def _ancestor_ids(self, resolved: ResolvedPath,
-                      upto: Optional[int] = None) -> list[int]:
-        """Inode ids of the existing ancestors (root included)."""
-        ids = [fs_schema.ROOT_ID]
-        rows = resolved.rows if upto is None else resolved.rows[:upto]
-        for row in rows:
+    def _quota_ancestors(self, resolved: ResolvedPath,
+                         upto: int) -> list[int]:
+        """Ids of the existing ancestors among the first ``upto`` path
+        components whose row's ``sub_tables`` bits say a quota row can
+        hang off it: the only quotas a mutation must read (see
+        :mod:`repro.hopsfs.quota` for why the resolve's rows suffice).
+        The root is never one: ``set_quota`` refuses it."""
+        ids = []
+        for row in resolved.rows[:upto]:
             if row is None:
                 break
-            ids.append(row["id"])
+            if row["sub_tables"] & fs_schema.SUB_QUOTA:
+                ids.append(row["id"])
         return ids
 
     def _list_children(self, tx: DALTransaction, dir_row: dict,
@@ -269,7 +273,7 @@ class InodeOpsMixin:
                 parent_row = row
                 created += 1
             quota_mod.enforce_and_queue(
-                tx, self._ancestor_ids(resolved, upto=depth),
+                tx, self._quota_ancestors(resolved, upto=depth),
                 ns_delta=created, ds_delta=0, nn_id=self.nn_id)
             if depth > 0:
                 self._touch_parent(tx, resolved.rows[depth - 1])
@@ -321,8 +325,8 @@ class InodeOpsMixin:
             tx.write("leases", {"inode_id": row["id"], "holder": client,
                                 "last_renewed": self.clock.now()})
             quota_mod.enforce_and_queue(
-                tx, self._ancestor_ids(resolved,
-                                       upto=len(resolved.components) - 1),
+                tx, self._quota_ancestors(resolved,
+                                          upto=len(resolved.components) - 1),
                 ns_delta=1, ds_delta=0, nn_id=self.nn_id)
             self._touch_parent(tx, parent_row)
             self.hint_cache.put(parent_row["id"], name, row["id"],
@@ -471,8 +475,8 @@ class InodeOpsMixin:
                 tx, inode_id, block_id, index=len(file_blocks),
                 gen_stamp=self.gen_stamp_alloc.next(), target_dns=targets)
             quota_mod.enforce_and_queue(
-                tx, self._ancestor_ids(resolved,
-                                       upto=len(resolved.components) - 1),
+                tx, self._quota_ancestors(resolved,
+                                          upto=len(resolved.components) - 1),
                 ns_delta=0,
                 ds_delta=self.config.block_size * row["replication"],
                 nn_id=self.nn_id)
@@ -642,8 +646,8 @@ class InodeOpsMixin:
             _group_sub_rows([(inode_id, bits)], resolved.scanned)[inode_id])
         tx.delete("inodes", (row["part_key"], row["parent_id"], row["name"]))
         quota_mod.enforce_and_queue(
-            tx, self._ancestor_ids(resolved,
-                                   upto=len(resolved.components) - 1),
+            tx, self._quota_ancestors(resolved,
+                                      upto=len(resolved.components) - 1),
             ns_delta=-1,
             ds_delta=-(row["size"] * max(1, row["replication"])),
             nn_id=self.nn_id)
@@ -769,12 +773,12 @@ class InodeOpsMixin:
         ns = 1
         ds = src_row["size"] * max(1, src_row["replication"])
         quota_mod.enforce_and_queue(
-            tx, self._ancestor_ids(dst_resolved,
-                                   upto=len(dst_components) - 1),
+            tx, self._quota_ancestors(dst_resolved,
+                                      upto=len(dst_components) - 1),
             ns_delta=ns, ds_delta=ds, nn_id=self.nn_id)
         quota_mod.enforce_and_queue(
-            tx, self._ancestor_ids(src_resolved,
-                                   upto=len(src_components) - 1),
+            tx, self._quota_ancestors(src_resolved,
+                                      upto=len(src_components) - 1),
             ns_delta=-ns, ds_delta=-ds, nn_id=self.nn_id)
         self.hint_cache.invalidate(src_row["parent_id"], src_row["name"])
         self.hint_cache.put(moved["parent_id"], moved["name"], moved["id"],
@@ -840,8 +844,8 @@ class InodeOpsMixin:
                 blk.check_replication(tx, row["id"], block["block_id"],
                                       replication)
             quota_mod.enforce_and_queue(
-                tx, self._ancestor_ids(resolved,
-                                       upto=len(resolved.components) - 1),
+                tx, self._quota_ancestors(resolved,
+                                          upto=len(resolved.components) - 1),
                 ns_delta=0, ds_delta=row["size"] * (replication - old),
                 nn_id=self.nn_id)
             return True

@@ -142,8 +142,11 @@ class SubtreeOpsMixin:
                 # lock the root inode before the quota row: inode rows
                 # come first in the global acquisition order (§3.4)
                 row = self._subtree_clear_in_tx(tx, ctx)
-                if row is not None:
-                    fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_QUOTA)
+                if row is None:
+                    # moved or gone since phase 1: a quota row needs the
+                    # bit on its inode, or no mutation would read it
+                    raise FileNotFoundError_(path)
+                fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_QUOTA)
                 quota_mod.set_quota_row(tx, ctx.root_row["id"], ns_quota,
                                         ds_quota, ns_used, ds_used)
 
@@ -326,7 +329,7 @@ class SubtreeOpsMixin:
                 tx.delete("inodes",
                           (row["part_key"], row["parent_id"], row["name"]))
                 quota_mod.enforce_and_queue(
-                    tx, self._ancestor_ids(
+                    tx, self._quota_ancestors(
                         resolved, upto=len(resolved.components) - 1),
                     ns_delta=-total_ns, ds_delta=-total_ds,
                     nn_id=self.nn_id)

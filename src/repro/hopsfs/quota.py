@@ -7,6 +7,22 @@ asynchronously: the mutating transaction enforces quotas against the
 current (slightly stale) usage and appends delta rows to the
 ``quota_updates`` table; the leader namenode's quota manager folds deltas
 into the ``quotas`` table in the background.
+
+A mutation reads the quota rows of only those ancestors whose inode row
+carries the ``SUB_QUOTA`` bit of ``sub_tables`` — the rows its resolve
+already read — and nothing at all when none does. That misses no quota:
+
+* ``set_quota`` sets the bit in its phase 3, in the same transaction
+  that writes the quota row, under the subtree root's X lock and after
+  the phase-2 quiesce;
+* a mutation below that root either resolved before phase 1, so the
+  quiesce waits for its locks and it commits before any quota exists,
+  or it resolves after phase 3 committed, so its batched read returns
+  the flagged row;
+* the bits come from rows read in the mutation's own transaction,
+  never from the hint cache, so every namenode sees a bit set by any
+  other;
+* a quota row whose inode has no bit is fsck's ``unflagged-sub-row``.
 """
 
 from __future__ import annotations
@@ -41,15 +57,18 @@ def set_quota_row(tx: DALTransaction, inode_id: int,
 
 def enforce_and_queue(tx: DALTransaction, ancestor_ids: Iterable[int],
                       ns_delta: int, ds_delta: int, nn_id: int) -> None:
-    """Check quotas of every ancestor and queue usage deltas.
+    """Check the quotas of the ancestors that can have one and queue
+    usage deltas.
 
-    One batched PK read covers all ancestors; directories without a quota
-    row cost nothing further. Raises :class:`QuotaExceededError` if any
-    quota would be exceeded by a positive delta.
+    ``ancestor_ids`` are the ancestors whose ``SUB_QUOTA`` bit is set
+    (see the module docstring): one batched PK read covers them, and no
+    id is no read. Raises :class:`QuotaExceededError` if any quota would
+    be exceeded by a positive delta.
     """
     ids = list(ancestor_ids)
     if not ids or (ns_delta == 0 and ds_delta == 0):
         return
+    # rt: cost(0, reason=warm path under no quota: the ancestors' sub_tables bits ask for no quotas read)
     rows = tx.read_batch("quotas", [(i,) for i in ids])
     for inode_id, row in zip(ids, rows, strict=True):
         if row is None:

@@ -22,8 +22,13 @@ import time
 import pytest
 
 from repro.analysis.budgets import budget_for
-from repro.errors import FileAlreadyExistsError, SubtreeLockedError
+from repro.errors import (
+    FileAlreadyExistsError,
+    QuotaExceededError,
+    SubtreeLockedError,
+)
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
+from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.tx import StalePathHintError
 from repro.ndb import AccessKind, LockMode, NDBConfig
@@ -324,7 +329,8 @@ def _kinds(stats):
 def test_a_warm_create_or_mkdirs_reads_once_before_it_writes(deploy):
     """Parent hinted, name unknown: ONE locked BATCH_PK over the hinted
     prefix and the computed key of the name — no PK read of the missing
-    component — then the quota read and the writes."""
+    component — then the writes: no ancestor's ``sub_tables`` bits ask
+    for a quota read."""
     fs, cluster, open_txs = deploy
     nn = fs.namenodes[0]
     nn.mkdirs("/a/b")
@@ -338,7 +344,7 @@ def test_a_warm_create_or_mkdirs_reads_once_before_it_writes(deploy):
         assert resolve.locked and len(resolve.partitions) == 3
         assert resolve.rows == 2  # /a, /a/b; the third key is a future row
         assert stats.count(AccessKind.PK) == 0
-        assert [e.table for e in rest if e.table != "*"] == ["quotas"]
+        assert [e.table for e in rest if e.table != "*"] == []
     assert nn.get_file_info("/a/b/f1") is not None
     assert nn.get_file_info("/a/b/d1").is_dir
     assert _nothing_left(cluster, open_txs)
@@ -509,3 +515,70 @@ def test_the_joined_ops_return_what_they_returned(any_driver):
     nn.create("/d/empty", client="c")
     assert nn.complete("/d/empty", "c") is True
     assert nn.append_file("/d/empty", "c") is None
+
+
+# -- the quota read: only the ancestors whose SUB_QUOTA bit is set --------------
+
+
+def _quota_reads(stats):
+    return [e for e in stats.events if "quotas" in e.table.split("+")]
+
+
+def test_no_quota_anywhere_is_no_quota_read(any_driver):
+    """No ancestor's ``sub_tables`` bits say a quota row can exist: a
+    warm create, mkdirs, file delete and rename read no ``quotas``."""
+    nn = any_driver.namenodes[0]
+    nn.mkdirs("/a/b")
+    for i in range(3):
+        nn.create(f"/a/b/f{i}", client="c")
+    nn.rename("/a/b/f0", "/a/b/g0")
+    nn.delete("/a/b/g0")  # every op (+ id leases, hints) warm
+    ops = {"create": lambda: nn.create("/a/b/new", client="c"),
+           "mkdirs": lambda: nn.mkdirs("/a/b/dir"),
+           "delete": lambda: nn.delete("/a/b/f1"),
+           "rename": lambda: nn.rename("/a/b/f2", "/a/b/g2")}
+    for name, op in ops.items():
+        _result, stats = _op_stats(nn, op)
+        assert _quota_reads(stats) == [], name
+        if name != "delete":  # its budget bounds a directory's probe too
+            assert stats.round_trips == budget_for(name).cost.evaluate(), name
+
+
+def test_a_create_reads_the_quotas_of_its_flagged_ancestors_only(
+        any_driver, monkeypatch):
+    """Under ``/outer`` and ``/outer/inner``, both with a quota, a create
+    of ``/outer/inner/x/f`` reads one ``quotas`` batch keyed by exactly
+    the two flagged ids — not the root's, not ``x``'s — and is refused
+    over the quota, on the namenode that set it and on the other one,
+    whose hints predate the bits: its resolve reads the rows that carry
+    them."""
+    fs = any_driver
+    nn0, nn1 = fs.namenodes
+    for path in ("/outer", "/outer/inner", "/outer/inner/x"):
+        nn0.mkdirs(path)
+    nn1.get_file_info("/outer/inner/x")
+    nn0.set_quota("/outer", 100, None)
+    nn0.set_quota("/outer/inner", 4, None)  # inner, x and two files
+    flagged = [nn0.get_file_info(p).inode_id
+               for p in ("/outer", "/outer/inner")]
+    keyed = []
+    real = quota_mod.enforce_and_queue
+
+    def spy(tx, ancestor_ids, *args, **kwargs):
+        keyed.append(list(ancestor_ids))
+        return real(tx, keyed[-1], *args, **kwargs)
+
+    monkeypatch.setattr(quota_mod, "enforce_and_queue", spy)
+    for nn in (nn1, nn0):
+        keyed.clear()
+        _status, stats = _op_stats(
+            nn, lambda nn=nn: nn.create(f"/outer/inner/x/f{nn.nn_id}",
+                                        client="c"))
+        assert keyed == [flagged]
+        assert [(e.kind, e.rows) for e in _quota_reads(stats)] == [
+            (AccessKind.BATCH_PK, 2)]
+    fs.tick()  # the leader folds the two creates into the usage
+    for nn in (nn1, nn0):
+        with pytest.raises(QuotaExceededError):
+            nn.create("/outer/inner/x/over", client="c")
+    assert nn0.get_file_info("/outer/inner/x/over") is None

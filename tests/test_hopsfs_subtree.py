@@ -576,6 +576,28 @@ class TestSetQuota:
         client.set_quota("/q", None, None)
         assert client.content_summary("/q").ns_quota is None
 
+    def test_a_root_moved_after_the_quiesce_gets_no_quota(self, fs, client):
+        """The root moves between phases 2 and 3 (here under the lock
+        owner's own hand): set_quota fails and writes no quota row, which
+        no mutation would read with the inode's ``SUB_QUOTA`` bit clear,
+        and its subtree lock is released."""
+        client.create("/q/f")
+        nn = fs.namenodes[0]
+        q_id = nn.get_file_info("/q").inode_id
+        nn.failpoints["after_quiesce"] = lambda: fs.driver.session().run(
+            lambda tx: nn._rename_in_tx(tx, "/q", "/moved",
+                                        subtree_root_id=q_id))
+        with pytest.raises(FileNotFoundError_):
+            nn.set_quota("/q", 5, None)
+        nn.failpoints.clear()
+        assert nn.get_file_info("/moved").inode_id == q_id
+        assert subtree_rows(fs, "quotas") == []
+        assert subtree_rows(fs) == []
+        report = Fsck(nn).run()
+        assert report.healthy, report.issues
+        nn.set_quota("/moved", 5, None)
+        assert client.content_summary("/moved").ns_quota == 5
+
 
 class TestRenameIntoASubtreeBeingDeleted:
     """§6.1: a subtree delete never orphans an inode — not even one that a

@@ -88,8 +88,7 @@ PROFILED_BUDGETS = {
     "set_permission": ("chmod", {}, 1),
     "set_owner": ("chown", {}, 1),
     "delete": ("delete", {"block": 0, "replica": 3}, 1),
-    # an empty file's replication change moves no quota: no quota read
-    "set_replication": ("set_replication", {"block": 0, "extra": 0}, 1),
+    "set_replication": ("set_replication", {"block": 0, "extra": 0}, 0),
 }
 #: profiles with no budget to tie to, and why
 UNBUDGETED_PROFILES = {

@@ -113,8 +113,8 @@ def test_cold_create_is_recursive_reads_plus_one_batched_lock_reread():
     cold_pk, cold_batched, cold_total = accesses("/a/b/cold")
     assert (warm_pk, warm_total) == (0, _budget("create"))
     assert cold_pk == 3                  # a, b, and the missing last
-    assert cold_batched == warm_batched  # the same lock batch (+ quota's)
-    assert cold_total == _budget("create") + 3 == 7
+    assert cold_batched == warm_batched  # the same lock batch
+    assert cold_total == _budget("create") + 3 == 6
 
 
 def test_warm_stat_is_one_batched_read():
@@ -346,8 +346,8 @@ class TestWireBudget:
 
     #: op -> (frames, waits); the literal table of docs/performance.md
     PINNED = {"stat": (1, 1), "read": (1, 1), "ls": (1, 1),
-              "ls_hashed": (3, 2), "create": (3, 3), "mkdirs": (3, 3),
-              "set_permission": (2, 2), "rename": (6, 6), "delete": (3, 3)}
+              "ls_hashed": (3, 2), "create": (2, 2), "mkdirs": (2, 2),
+              "set_permission": (2, 2), "rename": (4, 4), "delete": (2, 2)}
 
     @pytest.fixture
     def remote_nn(self):
