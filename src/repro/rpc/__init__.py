@@ -1,25 +1,23 @@
 """RPC subsystem: serve the DAL over sockets (process-based deployment).
 
-The embedded deployment runs namenodes and the NDB engine in one Python
-process, where the GIL caps throughput once enough client threads pile
-on (ROADMAP item 2). This package provides the paper's actual shape —
-database servers as separate processes reached over the network:
+The paper's shape — database servers as separate processes reached over
+the network, each with its own GIL:
 
 * :mod:`repro.rpc.protocol` — length-prefixed JSON wire protocol, typed
-  error propagation, access-stats delta shipping;
-* :mod:`repro.rpc.conn` — framed socket transport and the pipelining
-  client connection;
-* :mod:`repro.rpc.server` — ``ndb-server``: hosts an
-  :class:`repro.ndb.NDBCluster` and serves the full ``DALTransaction``
-  contract from one loop over every connection (``python -m repro
-  serve``);
+  error propagation, access-stats shipping;
+* :mod:`repro.rpc.conn` — framed socket transport (one frame reader at
+  both ends) and the client connection;
+* :mod:`repro.rpc.loop` — one leader/follower loop serving a handler
+  table over every connection;
+* :mod:`repro.rpc.server` — ``ndb-server``: the handler table and
+  transaction registry that serve an :class:`repro.ndb.NDBCluster`'s
+  full ``DALTransaction`` contract (``python -m repro serve``);
 * :mod:`repro.rpc.supervisor` — spawns/monitors/stops server processes,
-  each on a CPU of its own that the supervising process then keeps off,
-  when the host has one to spare.
+  each on a CPU of its own when the host has one to spare.
 
-The client half lives in :class:`repro.dal.remote_driver.RemoteDriver`,
-which implements the same ``DALDriver`` interface as the embedded
-drivers — namenode code cannot tell the deployments apart.
+The client half is :class:`repro.dal.remote_driver.RemoteDriver`, which
+implements the same ``DALDriver`` interface as the embedded drivers —
+namenode code cannot tell the deployments apart.
 """
 
 from repro.rpc.conn import ClientConn, FrameConn, dial

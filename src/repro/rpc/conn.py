@@ -1,8 +1,13 @@
-"""Framed socket connections: blocking transport plus the client side.
+"""Framed socket connections: the transport both ends share, plus the
+client side.
 
-:class:`FrameConn` is the symmetric transport both ends share — blocking
-reads of exactly one frame, write-locked sends so concurrent senders
-never interleave a frame.
+:class:`FrameConn` is the symmetric transport. It has one frame reader:
+:meth:`~FrameConn.read_ready` appends what the socket holds to a buffer
+and :meth:`~FrameConn.next_frame` cuts the next complete frame out of
+it. The server's loop calls the two when a connection is readable; the
+client's blocking :meth:`~FrameConn.recv` calls them until a frame is
+complete. Sends are write-locked, so concurrent senders never interleave
+a frame.
 
 :class:`ClientConn` adds the client-side request plumbing: request-id
 allocation, the synchronous ``call()``, the one-way ``notify()`` (a
@@ -29,18 +34,27 @@ from repro.errors import (
 from repro.faults import fault_point
 from repro.rpc import protocol
 
+#: bytes read from the socket at a time (a larger frame takes several
+#: reads); above glibc's 128 KiB mmap threshold every read would allocate
+#: its buffer with mmap and free it with munmap
+_READ_SIZE = 64 * 1024
+
 
 class FrameConn:
-    """One framed, blocking socket connection."""
+    """One framed socket connection."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        self._buf = bytearray()  # guarded_by: owner-thread
         self._send_mutex = threading.Lock()  # a frame is sent atomically
         self._closed = False  # guarded_by: GIL
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def send(self, message: Mapping[str, Any]) -> None:
         data = protocol.encode_frame(message)
@@ -52,40 +66,57 @@ class FrameConn:
             raise ConnectionClosedError(f"send failed: {exc}") from None
 
     def recv(self) -> dict[str, Any]:
-        header = self._recv_exact(4)
-        length = protocol.decode_length(header)
-        return protocol.decode_payload(self._recv_exact(length))
+        """The next frame, read as it arrives (blocking)."""
+        while True:
+            frame = self.next_frame()
+            if frame is not None:
+                return frame
+            self.read_ready()
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks: list[bytes] = []
-        remaining = n
-        while remaining:
-            try:
-                chunk = self._sock.recv(remaining)
-            except socket.timeout:
-                # a late response would desync id matching; poison the conn
-                self.close()
-                raise RequestTimeoutError(
-                    f"no data within the request timeout ({n - remaining}"
-                    f"/{n} bytes read)") from None
-            except OSError as exc:
-                self.close()
-                raise ConnectionClosedError(f"recv failed: {exc}") from None
-            if not chunk:
-                self.close()
-                raise ConnectionClosedError("peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def read_ready(self) -> None:
+        """Append what the socket holds to the buffer (waiting for some
+        on a blocking socket)."""
+        try:
+            chunk = self._sock.recv(_READ_SIZE)
+        except socket.timeout:
+            # a late response would desync id matching; poison the conn
+            self.close()
+            raise RequestTimeoutError(
+                f"no data within the request timeout ({len(self._buf)} "
+                "bytes of a frame read)") from None
+        except OSError as exc:
+            self.close()
+            raise ConnectionClosedError(f"recv failed: {exc}") from None
+        if not chunk:
+            self.close()
+            raise ConnectionClosedError("peer closed the connection")
+        self._buf += chunk
+
+    def next_frame(self) -> Optional[dict[str, Any]]:
+        """Take the next complete frame out of the buffer (None: none yet)."""
+        buf = self._buf
+        if len(buf) < 4:
+            return None
+        end = 4 + protocol.decode_length(buf[:4])
+        if len(buf) < end:
+            return None
+        payload = buf[4:end]
+        del buf[:end]
+        return protocol.decode_payload(payload)
+
+    def shutdown(self) -> None:
+        """Shut the socket down, from any thread: its reader sees
+        end-of-stream, and the descriptor stays open."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        self.shutdown()
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - close really should not fail
@@ -121,16 +152,11 @@ class ClientConn:
                     trace: Optional[Mapping[str, Any]] = None
                     ) -> tuple[Any, Optional[dict[str, Any]],
                                float, float, float]:
-        """A ``call`` that propagates a trace envelope and times itself.
-
-        Returns ``(result, server_trace_payload, t_send, t_sent,
-        t_recv)`` — ``perf_counter`` marks taken before the send, after
-        ``sendall`` returned, and after the response arrived, which is
-        exactly what :func:`repro.metrics.tracing.graft_remote_call`
-        needs to align the server's window into the client clock. The
-        payload is ``None`` when the server attached no spans (error
-        responses, unsampled requests).
-        """
+        """A ``call`` that propagates a trace envelope and times itself:
+        ``(result, server_trace_payload, t_send, t_sent, t_recv)``, the
+        ``perf_counter`` marks the client's ``graft_remote_call`` aligns
+        the server's window with. The payload is ``None`` when the
+        server attached no spans (error replies, unsampled requests)."""
         t_send = time.perf_counter()
         req_id = self._send(method, params, trace=trace)
         t_sent = time.perf_counter()

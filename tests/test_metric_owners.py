@@ -270,20 +270,22 @@ def test_the_catalogue_names_exactly_the_namenodes_families():
     assert NAMENODE_FAMILIES <= recorded
 
 
-@pytest.mark.parametrize("owner, module, rare", [
-    pytest.param("ndb-server", "rpc/server.py",
+@pytest.mark.parametrize("owner, modules, rare", [
+    pytest.param("ndb-server", ("rpc/server.py", "rpc/loop.py"),
                  {"rpc_errors_total", "rpc_drain_aborted_total",
                   "rpc_injected_conn_drops_total"}, id="ndb-server"),
-    pytest.param("remote driver", "dal/remote_driver.py",
+    pytest.param("remote driver", ("dal/remote_driver.py",),
                  {"rpc_client_reconnects_total"}, id="remote-driver"),
 ])
-def test_the_catalogue_names_exactly_the_rpc_families(owner, module, rare):
+def test_the_catalogue_names_exactly_the_rpc_families(owner, modules, rare):
     """As for the namenode: the ``ndb-server`` and ``remote driver`` rows
-    of docs/observability.md §1 name exactly what the server's loop and
-    the client side of the wire can register — the ``rare`` families,
-    which only an error, a shutdown, an injected fault or a redial
-    records, included."""
-    recorded = _recorded_families(Path(repro.__file__).parent / module)
+    of docs/observability.md §1 name exactly what the server (its frame
+    loop and its transaction registry) and the client side of the wire
+    can register — the ``rare`` families, which only an error, a
+    shutdown, an injected fault or a redial records, included."""
+    src = Path(repro.__file__).parent
+    recorded = set().union(*(_recorded_families(src / module)
+                             for module in modules))
     assert _documented_families(owner) == recorded
     assert rare <= recorded
 

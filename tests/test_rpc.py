@@ -8,6 +8,7 @@ supervisor spawn, SIGTERM, kill -9 — is covered by
 """
 
 import gc
+import socket
 import threading
 import time
 import warnings
@@ -31,7 +32,7 @@ from repro.errors import (
 from repro.metrics import export
 from repro.ndb import AccessKind, LockMode, NDBConfig, TableSchema
 from repro.ndb.stats import AccessEvent, AccessStats
-from repro.rpc import ClientConn, NDBServer, dial, protocol
+from repro.rpc import ClientConn, FrameConn, NDBServer, dial, protocol
 
 KV = TableSchema(name="kv", columns=("k", "v"), primary_key=("k",))
 
@@ -103,6 +104,50 @@ def test_codec_rejects_hostile_input():
         protocol.encode_frame({"value": object()})
     with pytest.raises(ProtocolError, match="cannot encode"):
         protocol.encode_frame({"row": {(1, 2): "tuple key"}})
+
+
+def _one_byte_at_a_time(data):
+    return [data[i:i + 1] for i in range(len(data))]
+
+
+@pytest.mark.parametrize("segments", [
+    _one_byte_at_a_time,
+    lambda data: [data],  # both frames in one segment
+], ids=["one-byte-at-a-time", "two-frames-in-one-segment"])
+def test_a_frame_is_read_however_its_bytes_arrive(segments):
+    """``FrameConn.recv`` cuts frames out of whatever the socket hands
+    over: a frame split into single bytes, or two frames in one read."""
+    ours, theirs = socket.socketpair()
+    conn = FrameConn(ours)
+    replies = [{"id": 1, "ok": True, "result": "pong"},
+               {"id": 2, "ok": True, "result": [1, "two"]}]
+    data = b"".join(protocol.encode_frame(reply) for reply in replies)
+    sender = threading.Thread(
+        target=lambda: [theirs.sendall(part) for part in segments(data)])
+    sender.start()
+    try:
+        assert [conn.recv(), conn.recv()] == replies
+    finally:
+        sender.join()
+        conn.close()
+        theirs.close()
+
+
+def test_a_timeout_mid_frame_poisons_the_connection():
+    """Half a frame, then silence: the read times out as a
+    ``RequestTimeoutError`` and the connection is closed (a late rest of
+    the frame would desynchronize the stream)."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(0.1)
+    conn = FrameConn(ours)
+    try:
+        theirs.sendall(protocol.encode_frame({"id": 1, "ok": True})[:6])
+        with pytest.raises(RequestTimeoutError):
+            conn.recv()
+        assert conn.closed
+    finally:
+        conn.close()
+        theirs.close()
 
 
 def test_oversized_frame_is_refused_before_it_is_sent(monkeypatch):
@@ -292,6 +337,31 @@ def test_retired_knob_and_begin_rpc_are_gone(server, driver):
                                           "table": "kv", "key": [1]})):
         with pytest.raises(ProtocolError, match="unknown method"):
             driver._call(method, params)
+
+
+def _registry_size(registry):
+    return len(list(registry.counters())), len(list(registry.histograms()))
+
+
+def test_unknown_methods_share_one_metric_label(server):
+    """A peer's made-up method names are refused, and they do not grow
+    the registry: every one is counted and timed as ``unknown``."""
+    conn = ClientConn(dial(server.host, server.port, timeout=5.0))
+    registry = server.registry
+    try:
+        with pytest.raises(ProtocolError, match="unknown method"):
+            conn.call("bogus")  # the first one makes the metrics ...
+        before = _registry_size(registry)
+        for i in range(200):
+            with pytest.raises(ProtocolError, match="unknown method"):
+                conn.call(f"bogus{i}")
+    finally:
+        conn.close()
+    # ... and the next 200 make none
+    assert _registry_size(registry) == before
+    assert _requests(server)["unknown"] == 201
+    assert registry.get_counter("rpc_errors_total", method="unknown",
+                                type="ProtocolError") == 201
 
 
 def test_begin_is_local_and_an_unused_transaction_costs_nothing(server,
@@ -755,9 +825,7 @@ def test_idempotent_reads_retry_across_reconnect(server, driver):
     assert driver.table_size("kv") == 8
 
     def sever_every_server_side_connection():
-        with server._mutex:
-            states = list(server._states)
-        for state in states:
+        for state in server.loop.peers():
             state.conn.close()
 
     sever_every_server_side_connection()  # under the client's pool

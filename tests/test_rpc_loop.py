@@ -1,22 +1,34 @@
-"""The ndb-server's loop: one thread answers every connection's frames,
-and a request that must wait hands the loop to a standby first.
+"""The frame loop: one thread answers every connection's frames, and a
+request that must wait hands the loop to a standby first.
+
+The loop is tested on its own, behind a toy handler table (``hello``, and
+a ``ping`` with a parked delay) that imports nothing from the engine: a
+second table needs no loop code. The tests that need a row lock or a
+commit run it behind ``NDBServer``'s table.
 
 Each hand-off test names the ``park()`` call it relies on: delete that
 call and the test fails, because the loop then waits inside the request
 and every other connection waits behind it.
 """
 
+import ast
+import itertools
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.rpc.loop
 from repro import faults
 from repro.dal import RemoteDriver
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.metrics.flightrecorder import FlightRecorder
+from repro.metrics.registry import MetricsRegistry
 from repro.ndb import LockMode, NDBConfig, TableSchema
 from repro.rpc import ClientConn, FrameConn, NDBServer, dial, protocol
+from repro.rpc.loop import FrameLoop
 from repro.util import park
 
 KV = TableSchema(name="kv", columns=("k", "v"), primary_key=("k",))
@@ -38,6 +50,40 @@ def driver(server):
         lambda tx: [tx.insert("kv", {"k": i, "v": i * 10}) for i in range(4)])
     yield drv
     drv.close()
+
+
+class _Toy:
+    """A second server for the loop: two handlers, and every connection's
+    peer a number, so a test can see which ones were dropped."""
+
+    def __init__(self):
+        self.host = "127.0.0.1"
+        self.dropped = []
+        numbers = itertools.count(1)
+        self.loop = FrameLoop(
+            {"hello": lambda peer, params: {"peer": peer},
+             "ping": self._ping},
+            on_connect=lambda conn: next(numbers),
+            on_drop=self.dropped.append,
+            registry=MetricsRegistry(), flight=FlightRecorder(name="toy"),
+            name="toy")
+        self.port = self.loop.start(self.host, 0)
+
+    @staticmethod
+    def _ping(peer, params):
+        delay = params.get("delay")
+        if delay:
+            park.park()
+            time.sleep(float(delay))
+        return "pong"
+
+
+@pytest.fixture
+def toy():
+    server = _Toy()
+    yield server
+    server.loop.stop_accepting()
+    server.loop.halt()
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -85,8 +131,8 @@ def test_with_no_waits_one_thread_serves_every_connection(server, driver):
     finally:
         other.close()
     assert server.registry.get_counter("rpc_connections_total") >= 2
-    with server._mutex:
-        assert len(server._threads) == 1
+    with server.loop._mutex:
+        assert len(server.loop._threads) == 1
 
 
 def test_a_lock_holders_commit_is_served_while_another_connection_waits(
@@ -119,24 +165,24 @@ def test_a_lock_holders_commit_is_served_while_another_connection_waits(
     assert got["waited"] < CONFIG.lock_timeout / 2
 
 
-def test_an_injected_delay_does_not_hold_up_another_connection(server):
+def test_an_injected_delay_does_not_hold_up_another_connection(toy):
     """Relies on the ``park()`` before the fault injector's ``delay``."""
     injector = faults.install(FaultInjector(FaultPlan(specs=[FaultSpec(
         site="rpc.server.request", action="delay", delay=0.6,
-        match={"method": "tables"})])))
-    slow = ClientConn(dial(server.host, server.port, timeout=10.0))
+        match={"method": "hello"})])))
+    slow = ClientConn(dial(toy.host, toy.port, timeout=10.0))
     answered = []
 
     def slow_call():
         started = time.monotonic()
-        slow.call("tables")
+        slow.call("hello")
         answered.append(time.monotonic() - started)
 
     thread = threading.Thread(target=slow_call)
     thread.start()
     try:
         assert _wait_until(lambda: injector.fired)  # the delay has begun
-        assert _ping_seconds(server) < 0.3
+        assert _ping_seconds(toy) < 0.3
     finally:
         thread.join(timeout=10)
         faults.uninstall()
@@ -144,19 +190,19 @@ def test_an_injected_delay_does_not_hold_up_another_connection(server):
     assert answered and answered[0] >= 0.6
 
 
-def test_frames_of_a_parked_connection_are_answered_in_order(server):
+def test_frames_of_a_parked_connection_are_answered_in_order(toy):
     """Relies on the ``park()`` before ``ping``'s test delay. The first
     frame parks; one frame already buffered behind it and one that
     arrives while it waits are answered after it, in order, while another
     connection is served in the meantime."""
-    sock = dial(server.host, server.port, timeout=10.0)
+    sock = dial(toy.host, toy.port, timeout=10.0)
     conn = FrameConn(sock)
     try:
         sock.sendall(
             protocol.encode_frame(protocol.request(1, "ping", {"delay": 0.5}))
             + protocol.encode_frame(protocol.request(2, "ping"))
             + protocol.encode_frame(protocol.request(None, "ping")))
-        assert _ping_seconds(server) < 0.25  # the loop went on without it
+        assert _ping_seconds(toy) < 0.25  # the loop went on without it
         sock.sendall(protocol.encode_frame(protocol.request(3, "ping")))
         replies = [conn.recv() for _ in range(3)]
     finally:
@@ -206,8 +252,43 @@ def test_contending_connections_lose_no_update_and_every_thread_returns(
         lambda tx: tx.read("kv", (0,)))["v"] == workers * rounds
 
     def all_standing_by():
-        with server._mutex:
-            return len(server._threads) > 1 and \
-                server._idle == len(server._threads) - 1
+        with server.loop._mutex:
+            return len(server.loop._threads) > 1 and \
+                server.loop._idle == len(server.loop._threads) - 1
 
     assert _wait_until(all_standing_by)  # requests parked, threads came back
+
+
+def test_each_connection_is_dropped_once_whoever_ends_it(toy):
+    """A peer that hangs up, a peer that sends garbage (while the others
+    are still served) and a connection still open at the halt: each
+    one's peer goes to ``on_drop`` exactly once."""
+    hangs_up, garbles, stays = (
+        ClientConn(dial(toy.host, toy.port, timeout=5.0)) for _ in range(3))
+    numbers = [conn.call("hello")["peer"] for conn in (hangs_up, garbles,
+                                                        stays)]
+    hangs_up.close()
+    assert _wait_until(lambda: toy.dropped == numbers[:1])
+    garbles._conn._sock.sendall(b"\x00\x00\x00\x02{x")
+    assert _wait_until(lambda: toy.dropped == numbers[:2])
+    assert stays.call("ping") == "pong"
+    gauge = toy.loop.registry.gauge("rpc_open_connections")
+    assert gauge.value == 1
+    toy.loop.halt()
+    assert toy.dropped == numbers and gauge.value == 0
+    garbles.close()
+    stays.close()
+
+
+def test_the_loop_knows_nothing_of_the_engine():
+    """The loop serves whatever table it is given: it imports nothing
+    from ``repro.ndb`` and names no ``tx.*`` request."""
+    source = Path(repro.rpc.loop.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any(name.startswith("repro.ndb") for name in imported)
+    assert '"tx.' not in source

@@ -257,6 +257,29 @@ class TestMetricsEndpoint:
             driver.close()
         assert data["windows"]["window_seconds"] == 45
 
+    def test_a_window_that_is_not_a_positive_number_is_refused(self):
+        """A NaN window used to come back as ``"window_seconds": NaN``
+        (not JSON) and a negative one as an empty view: over RPC it is a
+        ProtocolError, over HTTP a 400, and the server serves on."""
+        from repro.dal import RemoteDriver
+
+        with _ndb_server_with_http() as server:
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
+            base = f"http://{server.host}:{server.metrics_http_port}"
+            try:
+                for window in (float("nan"), float("inf"), -5, 0):
+                    with pytest.raises(ProtocolError, match="window"):
+                        driver.metrics_snapshot(window=window)
+                for window in ("nan", "inf", "-5", "0", "soon"):
+                    with pytest.raises(urllib.error.HTTPError) as caught:
+                        urllib.request.urlopen(
+                            f"{base}/metrics.json?window={window}", timeout=5)
+                    assert caught.value.code == 400
+                assert driver.metrics_snapshot(
+                    window=0.5)["windows"]["window_seconds"] == 0.5
+            finally:
+                driver.close()
+
 
 class TestEngineGaugeParity:
     """The cluster snapshot has the same database columns whether the
