@@ -58,10 +58,10 @@ def test_hint_cache_round_trips(warm_cluster, capsys, benchmark):
           str(warm.count(AccessKind.BATCH_PK)),
           str(warm.count(AccessKind.PK))]],
         capsys)
-    # §5.1: N round trips -> 1 batched read (+ the locked read of the
-    # last component)
+    # §5.1: N round trips -> 1 batched read, which also takes the last
+    # component's shared lock and carries the commit
     assert cold.round_trips >= DEPTH
-    assert warm.round_trips <= 2
+    assert warm.round_trips == 1
     assert warm.count(AccessKind.BATCH_PK) == 1
 
 

@@ -74,7 +74,8 @@ class ErasureCodingManager:
 
         def fn(tx: DALTransaction) -> int:
             resolved = nn.resolver.resolve(tx, path,
-                                           lock_last=LockMode.EXCLUSIVE)
+                                           lock_last=LockMode.EXCLUSIVE,
+                                           plan=plan)
             row = resolved.last
             if row is None:
                 raise FileNotFoundError_(path)
@@ -136,8 +137,8 @@ class ErasureCodingManager:
                 blk.check_replication(tx, inode_id, block["block_id"], 1)
             return stripes
 
-        stripes = nn._fs_op(
-            "ec_convert", fn, hint=nn.resolver.tx_hint(path, file_rows=True))
+        hint, plan = nn.resolver.tx_hint(path, file_rows=True)
+        stripes = nn._fs_op("ec_convert", fn, hint=hint)
         # push parity payloads through the normal write path
         for dn_id, block_id, payload in parity_targets:
             dn = self._cluster.datanode(dn_id)

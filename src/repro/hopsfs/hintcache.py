@@ -9,7 +9,9 @@ trips. Entries go stale only when a move changes an inode's primary key
 read miss, path resolution falls back to the recursive method and repairs
 the cache.
 
-The cache is a bounded LRU; thread safe.
+The cache is a bounded LRU; thread safe. :meth:`InodeHintCache.walk`
+probes a whole path under one hold of its mutex — what :meth:`get`
+would do per component, hits, misses and LRU order included.
 """
 
 from __future__ import annotations
@@ -70,6 +72,37 @@ class InodeHintCache:
             self._entries.move_to_end(key)
             self._hits += 1
             return hint
+
+    def walk(self, parent_id: int, names: list[str],
+             ) -> tuple[list[tuple], list[Optional[InodeHint]]]:
+        """:meth:`get` each of ``names`` in turn, the first under
+        ``parent_id`` and each next one under the inode the previous one
+        names, under one hold of the mutex; the walk stops at the first
+        miss. Returns the primary keys ``(part_key, parent_id, name)``
+        and the hints of the hits.
+
+        The ``hopsfs.hintcache.get`` site fires once per probed name,
+        with the mutex held: a ``call`` fault there must not use this
+        cache.
+        """
+        keys: list[tuple] = []
+        hints: list[Optional[InodeHint]] = []
+        with self._mutex:
+            entries = self._entries
+            for name in names:
+                key = (parent_id, name)
+                hint = (None if fault_point("hopsfs.hintcache.get",
+                                            parent_id=parent_id, name=name)
+                        else entries.get(key))
+                if hint is None:
+                    self._misses += 1
+                    break
+                entries.move_to_end(key)
+                self._hits += 1
+                keys.append((hint.part_key, parent_id, name))
+                hints.append(hint)
+                parent_id = hint.inode_id
+        return keys, hints
 
     def put(self, parent_id: int, name: str, inode_id: int, part_key: int,
             is_dir: bool, children_random: bool = False) -> None:

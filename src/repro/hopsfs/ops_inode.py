@@ -32,7 +32,7 @@ from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.hintcache import InodeHint
 from repro.hopsfs.paths import join_path, split_path
-from repro.hopsfs.tx import ResolvedPath
+from repro.hopsfs.tx import Handoff, ResolvedPath
 from repro.metrics.tracing import span
 from repro.hopsfs.types import (
     BlockLocation,
@@ -247,7 +247,7 @@ class InodeOpsMixin:
             # rt: cost(1, reason=warm mkdir resolve: one batch locking the hinted parent and the computed key of the missing last component)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                lock_parent=LockMode.EXCLUSIVE)
+                lock_parent=LockMode.EXCLUSIVE, plan=plan)
             if resolved.exists:
                 if not resolved.last["is_dir"]:
                     raise FileAlreadyExistsError(f"{path} exists and is a file")
@@ -279,9 +279,8 @@ class InodeOpsMixin:
                 self._touch_parent(tx, resolved.rows[depth - 1])
             return True
 
-        return self._fs_op("mkdirs", fn,
-                           hint=self.resolver.tx_hint(path),
-                           retry_duplicates=True)
+        hint, plan = self.resolver.tx_hint(path)
+        return self._fs_op("mkdirs", fn, hint=hint, retry_duplicates=True)
 
     # ------------------------------------------------------------------ create
 
@@ -298,7 +297,8 @@ class InodeOpsMixin:
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE,
-                scans_for=_own_sub_row_scans if overwrite else None)
+                scans_for=_own_sub_row_scans if overwrite else None,
+                plan=plan)
             if not resolved.components:
                 raise InvalidPathError("cannot create the root")
             if resolved.exists:
@@ -334,7 +334,8 @@ class InodeOpsMixin:
             return self._status(path, row)
 
         try:
-            return self._fs_op("create", fn, hint=self.resolver.tx_hint(path))
+            hint, plan = self.resolver.tx_hint(path)
+            return self._fs_op("create", fn, hint=hint)
         except FileNotFoundError_:
             if not create_parents:
                 raise
@@ -342,7 +343,8 @@ class InodeOpsMixin:
             if len(components) > 1:
                 self.mkdirs(join_path(components[:-1]), owner=owner,
                             group=group)
-            return self._fs_op("create", fn, hint=self.resolver.tx_hint(path))
+            hint, plan = self.resolver.tx_hint(path)
+            return self._fs_op("create", fn, hint=hint)
 
     # ------------------------------------------------------------------ reads
 
@@ -352,11 +354,12 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> Optional[FileStatus]:
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
                                              lock_last=LockMode.SHARED,
-                                             last_access=True)
+                                             last_access=True, plan=plan)
             row = resolved.last
             return self._status(path, row) if row is not None else None
 
-        return self._fs_op("stat", fn, hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        return self._fs_op("stat", fn, hint=hint)
 
     def exists(self, path: str) -> bool:
         return self.get_file_info(path) is not None
@@ -367,7 +370,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> LocatedBlocks:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans and the commit)
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
-                scans_for=_block_replica_scans)
+                scans_for=_block_replica_scans, plan=plan)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
@@ -389,8 +392,8 @@ class InodeOpsMixin:
                                  under_construction=bool(
                                      row["under_construction"]))
 
-        return self._fs_op("read", fn,
-                           hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        return self._fs_op("read", fn, hint=hint)
 
     def list_status(self, path: str) -> DirectoryListing:
         """Directory listing; shared lock on the directory (§5.2.1)."""
@@ -398,7 +401,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> DirectoryListing:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the children scan and the commit)
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
-                scans_for=_listing_scans)
+                scans_for=_listing_scans, plan=plan)
             row = self._require(resolved)
             if not row["is_dir"]:
                 return DirectoryListing(path=path,
@@ -418,14 +421,16 @@ class InodeOpsMixin:
                     self._status(f"{base}/{child['name']}", child))
             return listing
 
-        return self._fs_op("ls", fn, hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        return self._fs_op("ls", fn, hint=hint)
 
     def content_summary(self, path: str) -> ContentSummary:
         """Recursive usage of a directory (read-committed traversal)."""
 
         def fn(tx: DALTransaction) -> ContentSummary:
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.SHARED)
+                                             lock_last=LockMode.SHARED,
+                                             plan=plan)
             row = self._require(resolved)
             if not row["is_dir"]:
                 return ContentSummary(path=path, file_count=1,
@@ -449,8 +454,8 @@ class InodeOpsMixin:
                 ns_quota=quota_row["ns_quota"] if quota_row else None,
                 ds_quota=quota_row["ds_quota"] if quota_row else None)
 
-        return self._fs_op("content_summary", fn,
-                           hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        return self._fs_op("content_summary", fn, hint=hint)
 
     # ------------------------------------------------------------------ blocks
 
@@ -460,7 +465,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> BlockLocation:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the blocks scan)
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                scans_for=_block_scans)
+                scans_for=_block_scans, plan=plan)
             row = self._require(resolved)
             self._check_lease(row, client)
             inode_id = row["id"]
@@ -485,8 +490,8 @@ class InodeOpsMixin:
                                  state=block["state"],
                                  datanodes=tuple(targets))
 
-        return self._fs_op("add_block", fn,
-                           hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        return self._fs_op("add_block", fn, hint=hint)
 
     def block_received(self, dn_id: int, block_id: int, size: int) -> None:
         """A datanode finalized a replica (blockReceived RPC)."""
@@ -509,7 +514,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> bool:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans)
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                scans_for=_block_replica_scans)
+                scans_for=_block_replica_scans, plan=plan)
             row = self._require(resolved)
             self._check_lease(row, client)
             inode_id = row["id"]
@@ -531,8 +536,8 @@ class InodeOpsMixin:
             tx.delete("leases", (inode_id,), must_exist=False)
             return True
 
-        return self._fs_op("complete", fn,
-                           hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        return self._fs_op("complete", fn, hint=hint)
 
     def append_file(self, path: str, client: str) -> Optional[BlockLocation]:
         """Reopen a file for append; returns the last partial block."""
@@ -540,7 +545,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> Optional[BlockLocation]:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans)
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                scans_for=_block_replica_scans)
+                scans_for=_block_replica_scans, plan=plan)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
@@ -564,8 +569,8 @@ class InodeOpsMixin:
                     r["dn_id"] for r in replicas
                     if r["block_id"] == last["block_id"])))
 
-        return self._fs_op("append", fn,
-                           hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        return self._fs_op("append", fn, hint=hint)
 
     # ------------------------------------------------------------------ delete
 
@@ -582,7 +587,7 @@ class InodeOpsMixin:
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE,
-                scans_for=_own_sub_row_scans)
+                scans_for=_own_sub_row_scans, plan=plan)
             if not resolved.components:
                 raise PermissionDeniedError("cannot delete the root")
             row = resolved.last
@@ -596,7 +601,8 @@ class InodeOpsMixin:
             self._touch_parent(tx, resolved.parent)
             return True
 
-        result = self._fs_op("delete", fn, hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        result = self._fs_op("delete", fn, hint=hint)
         if result == "subtree":
             return self.delete_subtree(path)
         return result
@@ -672,21 +678,25 @@ class InodeOpsMixin:
             raise InvalidPathError(f"cannot move {src} under itself")
 
         def fn(tx: DALTransaction):
-            return self._rename_in_tx(tx, src, dst, subtree_root_id=None)
+            return self._rename_in_tx(tx, src, dst, subtree_root_id=None,
+                                      plan=plan)
 
-        result = self._fs_op("rename", fn, hint=self.resolver.tx_hint(src))
+        hint, plan = self.resolver.tx_hint(src)
+        result = self._fs_op("rename", fn, hint=hint)
         if result == "subtree":
             return self.move_subtree(src, dst)
         return result
 
     def _rename_in_tx(self, tx: DALTransaction, src: str, dst: str,
-                      subtree_root_id: Optional[int]):
+                      subtree_root_id: Optional[int],
+                      plan: Optional[Handoff] = None):
         """Shared by plain rename and subtree-move phase 3.
 
         ``subtree_root_id`` is set when called under a subtree lock: the
         source row is then expected to carry this namenode's lock flag,
         which travels away with the move (the flag is cleared on the
-        re-inserted row).
+        re-inserted row). ``plan`` is the source's, from
+        :meth:`~repro.hopsfs.tx.PathResolver.tx_hint`.
         """
         src_components = split_path(src)
         dst_components = split_path(dst)
@@ -695,7 +705,7 @@ class InodeOpsMixin:
         # the keys. What the move relies on is read by the lock batch.
         # rt: cost(1, reason=warm RC resolve of the existing source: one batched read)
         src_resolved = self.resolver.resolve(
-            tx, src, check_subtree_locks=check_flags)
+            tx, src, check_subtree_locks=check_flags, plan=plan)
         # rt: cost(1, reason=warm RC resolve of the missing destination: one batched read, the last key computed)
         dst_resolved = self.resolver.resolve(
             tx, dst, check_subtree_locks=check_flags)
@@ -796,14 +806,16 @@ class InodeOpsMixin:
 
         def fn(tx: DALTransaction):
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+                                             lock_last=LockMode.EXCLUSIVE,
+                                             plan=plan)
             row = self._require(resolved)
             if row["is_dir"] and self._has_children(tx, row):
                 return "subtree"
             tx.update("inodes", self._row_pk(row), {"perm": perm})
             return None
 
-        result = self._fs_op("chmod", fn, hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        result = self._fs_op("chmod", fn, hint=hint)
         if result == "subtree":
             self.chmod_subtree(path, perm)
 
@@ -812,7 +824,8 @@ class InodeOpsMixin:
 
         def fn(tx: DALTransaction):
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+                                             lock_last=LockMode.EXCLUSIVE,
+                                             plan=plan)
             row = self._require(resolved)
             if row["is_dir"] and self._has_children(tx, row):
                 return "subtree"
@@ -820,7 +833,8 @@ class InodeOpsMixin:
                       {"owner": owner, "group": group})
             return None
 
-        result = self._fs_op("chown", fn, hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        result = self._fs_op("chown", fn, hint=hint)
         if result == "subtree":
             self.chown_subtree(path, owner, group)
 
@@ -832,7 +846,7 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> bool:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the blocks scan)
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                scans_for=_block_scans)
+                scans_for=_block_scans, plan=plan)
             row = self._require(resolved)
             if row["is_dir"]:
                 raise IsDirectoryError_(path)
@@ -850,8 +864,8 @@ class InodeOpsMixin:
                 nn_id=self.nn_id)
             return True
 
-        return self._fs_op("set_replication", fn,
-                           hint=self.resolver.tx_hint(path))
+        hint, plan = self.resolver.tx_hint(path)
+        return self._fs_op("set_replication", fn, hint=hint)
 
     # ------------------------------------------------------------------ leases
 
@@ -924,15 +938,16 @@ class InodeOpsMixin:
 
         def fn(tx: DALTransaction) -> None:
             resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
-                                             lock_last=LockMode.EXCLUSIVE)
+                                             lock_last=LockMode.EXCLUSIVE,
+                                             plan=plan)
             row = self._require(resolved)
             if resolved.components:  # the cached root is never deleted
                 fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_XATTRS)
             tx.write("xattrs", {"inode_id": row["id"], "name": name,
                                 "value": value})
 
-        self._fs_op("set_xattr", fn,
-                    hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        self._fs_op("set_xattr", fn, hint=hint)
 
     def get_xattrs(self, path: str) -> dict:
         """All extended attributes of a path (one partition-pruned scan)."""
@@ -940,19 +955,19 @@ class InodeOpsMixin:
         def fn(tx: DALTransaction) -> dict:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan and the commit)
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
-                scans_for=_xattr_scans)
+                scans_for=_xattr_scans, plan=plan)
             self._require(resolved)
             (xattrs,) = resolved.scanned
             return {xattr["name"]: xattr["value"] for xattr in xattrs}
 
-        return self._fs_op("get_xattrs", fn,
-                           hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        return self._fs_op("get_xattrs", fn, hint=hint)
 
     def remove_xattr(self, path: str, name: str) -> bool:
         def fn(tx: DALTransaction) -> bool:
             resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan)
                 tx, path, lock_last=LockMode.EXCLUSIVE,
-                scans_for=_xattr_scans)
+                scans_for=_xattr_scans, plan=plan)
             row = self._require(resolved)
             (xattrs,) = resolved.scanned
             if not any(xattr["name"] == name for xattr in xattrs):
@@ -960,8 +975,8 @@ class InodeOpsMixin:
             tx.delete("xattrs", (row["id"], name))
             return True
 
-        return self._fs_op("remove_xattr", fn,
-                           hint=self.resolver.tx_hint(path, file_rows=True))
+        hint, plan = self.resolver.tx_hint(path, file_rows=True)
+        return self._fs_op("remove_xattr", fn, hint=hint)
 
     # ------------------------------------------------------------------ misc
 

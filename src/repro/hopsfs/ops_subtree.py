@@ -112,7 +112,7 @@ class SubtreeOpsMixin:
                           must_exist=False)
                 return result
 
-            self._fs_op("move_subtree", fn, hint=self.resolver.tx_hint(src))
+            self._fs_op("move_subtree", fn, hint=self.resolver.tx_hint(src)[0])
 
         self._subtree_op(src, "move", phase3)
         return True
@@ -150,7 +150,7 @@ class SubtreeOpsMixin:
                 quota_mod.set_quota_row(tx, ctx.root_row["id"], ns_quota,
                                         ds_quota, ns_used, ds_used)
 
-            self._fs_op("set_quota", fn, hint=self.resolver.tx_hint(path))
+            self._fs_op("set_quota", fn, hint=self.resolver.tx_hint(path)[0])
 
         self._subtree_op(path, "set_quota", phase3)
 
@@ -215,7 +215,7 @@ class SubtreeOpsMixin:
             return row
 
         root = self._fs_op(f"{op}_subtree_lock", fn,
-                           hint=self.resolver.tx_hint(path))
+                           hint=self.resolver.tx_hint(path)[0])
         return SubtreeContext(path=path, op=op, root_row=root)
 
     # ------------------------------------------------------------- phase 2
@@ -339,7 +339,7 @@ class SubtreeOpsMixin:
             tx.delete("active_subtree_ops", (root["id"],), must_exist=False)
 
         self._fs_op("delete_subtree_root", fn, hint=self.resolver.tx_hint(
-            parent if parent != "/" else ctx.path))
+            parent if parent != "/" else ctx.path)[0])
 
     def _delete_batch(self, nodes: list[SubtreeNode]) -> None:
         """Delete a batch of already-quiesced inodes in one transaction."""
@@ -382,7 +382,8 @@ class SubtreeOpsMixin:
                               changes)
                 self._subtree_clear_in_tx(tx, ctx, row)
 
-            self._fs_op(f"{op}_subtree", fn, hint=self.resolver.tx_hint(path))
+            self._fs_op(f"{op}_subtree", fn,
+                        hint=self.resolver.tx_hint(path)[0])
 
         self._subtree_op(path, op, phase3)
 
@@ -417,7 +418,7 @@ class SubtreeOpsMixin:
                 self._subtree_clear_in_tx(tx, ctx)
 
             self._fs_op("subtree_release", fn,
-                        hint=self.resolver.tx_hint(ctx.path))
+                        hint=self.resolver.tx_hint(ctx.path)[0])
         except Exception:
             pass  # the lazy reclaim path owns cleanup from here
 

@@ -3,7 +3,10 @@
 Every inode operation is one DAL transaction with three phases:
 
 1. **Lock phase** — ONE read. The resolver walks the inode hint cache
-   root-down into the primary key of every path component; the last
+   root-down, once per attempt, into the primary key of every path
+   component — :meth:`PathResolver.tx_hint` walks it to start the
+   transaction on the right shard and hands the plan to the operation's
+   resolve, which takes it on the first attempt only; the last
    component's key comes from its hint or, when the namenode does not
    know it (or it does not exist yet — every create), is *computed* from
    its parent's hinted id and partition rule. One *batched* primary-key
@@ -98,6 +101,10 @@ ScansFor = Callable[[InodeHint], Optional[list[tuple[str, Mapping[str, Any]]]]]
 #: the keys of one batched path read, root-down, and per key the hint it
 #: came from — None for a last component whose key was computed
 Plan = tuple[list[tuple], list[Optional[InodeHint]]]
+
+#: the plan :meth:`PathResolver.tx_hint` built, with the path's
+#: components: the first resolve of that path pops it, a retry walks anew
+Handoff = list[tuple[list[str], Plan]]
 
 
 def _hint_of(row: Mapping[str, Any]) -> InodeHint:
@@ -213,70 +220,55 @@ class PathResolver:
 
     # -- the hint walk ---------------------------------------------------------------
 
-    def _hinted_plan(self, components: list[str], probe_last: bool = True,
-                     ) -> Optional[Plan]:
-        """Walk the hint cache root-down into the keys of one batched read.
-
-        Every component but the last must be hinted; the last one's key
-        comes from its hint or — unhinted, not existing yet, or not asked
-        for (``probe_last``) — is *computed* from the parent's hinted id
-        and partition rule, both immutable per inode id. None when the
-        walk does not reach the parent.
-        """
-        keys: list[tuple] = []
-        hints: list[Optional[InodeHint]] = []
-        parent_id = fs_schema.ROOT_ID
-        parent_random = self._random_depth >= 1
-        last = len(components) - 1
-        for i, name in enumerate(components):
-            hint = (self._cache.get(parent_id, name)
-                    if i < last or probe_last else None)
-            if hint is not None:
-                keys.append((hint.part_key, parent_id, name))
-                parent_id = hint.inode_id
-                parent_random = hint.children_random
-            elif i == last:
-                keys.append((self.child_part_key(parent_random, parent_id,
-                                                 name), parent_id, name))
-            else:
-                return None
-            hints.append(hint)
-        return keys, hints
+    def _hinted_plan(self, components: list[str]) -> Optional[Plan]:
+        """Walk the hint cache root-down, under one hold of its mutex,
+        into the keys of one batched read; every component but the last
+        must be hinted."""
+        return self._plan(components,
+                          *self._cache.walk(fs_schema.ROOT_ID, components))
 
     def _plan_of_rows(self, components: list[str],
                       rows: list[dict]) -> Optional[Plan]:
-        """The same plan, built from the rows a recursive walk just read;
-        None when the path stops existing above the parent (nothing to
-        lock, nothing to scan)."""
-        if len(rows) < len(components) - 1:
-            return None
-        keys = [(row["part_key"], row["parent_id"], row["name"])
-                for row in rows]
-        hints: list[Optional[InodeHint]] = [_hint_of(row) for row in rows]
-        if len(rows) < len(components):
-            parent = rows[-1] if rows else self.root_row()
-            keys.append((self.child_part_key(parent["children_random"],
-                                             parent["id"], components[-1]),
-                         parent["id"], components[-1]))
-            hints.append(None)
-        return keys, hints
+        """The same plan, built from the rows a recursive walk just read."""
+        return self._plan(components, [(row["part_key"], row["parent_id"],
+                                        row["name"]) for row in rows],
+                          [_hint_of(row) for row in rows])
 
-    def tx_hint(self, path: str,
-                file_rows: bool = False) -> Optional[tuple[str, dict]]:
+    def _plan(self, components: list[str], keys: list[tuple],
+              hints: list[Optional[InodeHint]]) -> Optional[Plan]:
+        """The plan of a path whose leading components have these keys:
+        a last one unhinted or not existing yet gets its key *computed*
+        from the parent's id and partition rule, both immutable per
+        inode id. None when the path stops above the parent (nothing to
+        lock, nothing to scan)."""
+        missing = len(components) - len(keys)
+        if missing == 1:
+            parent = hints[-1] if hints else None
+            parent_id = parent.inode_id if parent else fs_schema.ROOT_ID
+            keys.append((self.child_part_key(
+                parent.children_random if parent else self._random_depth >= 1,
+                parent_id, components[-1]), parent_id, components[-1]))
+            hints.append(None)
+        return (keys, hints) if missing <= 1 else None
+
+    def tx_hint(self, path: str, file_rows: bool = False,
+                ) -> tuple[Optional[tuple[str, dict]], Handoff]:
         """Partition-key hint: start the transaction on the shard that
         holds the last path component (paper Fig. 4, line 2) or, with
         ``file_rows`` and the file known to the cache, on the shard its
         blocks and replicas are partitioned to (Figure 3: read
-        ``/user/foo.txt`` on the shard holding foo.txt's blocks)."""
+        ``/user/foo.txt`` on the shard holding foo.txt's blocks) — and
+        the plan the walk built, for the operation's resolve of
+        ``path`` to take."""
         components = split_path(path)
-        plan = (self._hinted_plan(components, probe_last=file_rows)
-                if components else None)
+        plan = self._hinted_plan(components) if components else None
         if plan is None:
-            return None
+            return None, []
         keys, hints = plan
-        if hints[-1] is not None:
-            return ("blocks", {"inode_id": hints[-1].inode_id})
-        return ("inodes", {"part_key": keys[-1][0]})
+        hint = (("blocks", {"inode_id": hints[-1].inode_id})
+                if file_rows and hints[-1] is not None
+                else ("inodes", {"part_key": keys[-1][0]}))
+        return hint, [(components, plan)]
 
     # -- resolution ----------------------------------------------------------------
 
@@ -285,7 +277,8 @@ class PathResolver:
                 lock_parent: LockMode = LockMode.READ_COMMITTED,
                 check_subtree_locks: bool = True,
                 scans_for: Optional[ScansFor] = None,
-                last_access: bool = False) -> ResolvedPath:
+                last_access: bool = False,
+                plan: Optional[Handoff] = None) -> ResolvedPath:
         """Resolve ``path``, locking the parent and last components — the
         lock phase of the module docstring: the hint walk, then
         :meth:`_read_plan`; a walk that does not reach the parent is first
@@ -300,9 +293,12 @@ class PathResolver:
         (with those scans) is the transaction's last database access:
         when nothing is left to read the commit rides too and the
         transaction comes back ``COMMITTED``; otherwise it stays open and
-        the operation commits as if it had not said so.
+        the operation commits as if it had not said so. ``plan`` is what
+        :meth:`tx_hint` handed the operation for ``path``: taken once, so
+        a retry walks the cache again, past the hint found stale.
         """
-        components = split_path(path)
+        components, handed = plan.pop() if plan else (split_path(path),
+                                                      None)
         resolved = ResolvedPath(path=path, components=components,
                                 root=self.root_row())
         want_batch = (lock_last is not LockMode.READ_COMMITTED
@@ -313,18 +309,19 @@ class PathResolver:
             with span("resolve", depth=len(components)) as resolve_span:
                 rows, recursive = None, False
                 while rows is None:
-                    plan = self._hinted_plan(components)
-                    if plan is None:
+                    walked = handed or self._hinted_plan(components)
+                    handed = None
+                    if walked is None:
                         recursive = True  # sticky: the walk that found the rows
                         rows = self._recursive_resolve(tx, components)
                         if want_batch:
-                            plan = self._plan_of_rows(components, rows)
-                    if plan is not None:
+                            walked = self._plan_of_rows(components, rows)
+                    if walked is not None:
                         # (None, None): a hint was stale, nothing held — re-walk
                         rows, resolved.scanned = self._read_plan(
-                            tx, plan, lock_last, lock_parent, scans_for,
+                            tx, walked, lock_last, lock_parent, scans_for,
                             last_access)
-                        hinted_last = plan[1][-1] is not None
+                        hinted_last = walked[1][-1] is not None
                 resolved.rows = rows
                 if recursive:
                     self.recursive_resolutions += 1

@@ -327,15 +327,14 @@ class NDBCluster:
         return tx
 
     def _pick_coordinator(self, hint: Optional[tuple[str, Mapping[str, Any]]]) -> int:
+        if hint is not None:
+            table, values = hint
+            node_id = self._primaries[self.partition_for_values(table, values)]
+            if self.datanodes[node_id].alive:
+                return node_id
         live = [n.node_id for n in self.datanodes if n.alive]
         if not live:
             raise ClusterDownError("no live datanodes")
-        if hint is not None:
-            table, values = hint
-            pid = self.partition_for_values(table, values)
-            node_id = self._primaries[pid]
-            if self.datanodes[node_id].alive:
-                return node_id
         return live[next(self._coordinator_rr) % len(live)]
 
     def _forget_tx(self, tx: Transaction) -> None:
@@ -343,6 +342,28 @@ class NDBCluster:
             self._active_txs.pop(tx.tx_id, None)
 
     # -- commit application --------------------------------------------------------------
+
+    def _end_read_only(self, tx: Transaction) -> None:
+        """A commit with nothing to apply: :meth:`_apply_commit`'s fault
+        site, then its failover-mark check and COMMITTED under the
+        structure gate's read side. The gate stays because
+        :meth:`kill_node` picks its victims by ``state is ACTIVE`` under
+        the write side and marks them after: without it, an end could
+        pass the mark check before the mark and turn COMMITTED after the
+        pick — a victim reporting success. The caller holds ``tx``'s
+        commit mutex, so its state cannot change meanwhile.
+        """
+        fault_point("ndb.commit.before_apply", tx_id=tx.tx_id,
+                    coordinator=tx.coordinator)
+        gate = self._structure_gate
+        gate.acquire_read()
+        try:
+            if self._locks.is_aborted(tx):
+                raise TransactionAbortedError(
+                    f"tx {tx.tx_id} aborted by coordinator failover")
+            tx.state = TxState.COMMITTED
+        finally:
+            gate.release_read()
 
     def _apply_commit(self, tx: Transaction) -> None:
         """Validate participants, apply the write batch, log redo/undo.
@@ -366,9 +387,6 @@ class NDBCluster:
                 raise TransactionAbortedError(
                     f"tx {tx.tx_id} aborted by coordinator failover")
             writes = tx._writes
-            if not writes:
-                tx.state = TxState.COMMITTED
-                return
             # prepare: every touched partition must have a live primary
             pids = sorted({pending.pid for pending in writes.values()})
             for pid in pids:

@@ -41,7 +41,7 @@ class TableSchema:
     indexes: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     #: pk positions of the partition-key columns (derived): projecting a pk
     #: onto the partition key runs once per row access
-    _partition_positions: tuple[int, ...] = field(
+    partition_positions: tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
@@ -63,7 +63,7 @@ class TableSchema:
                     f"partition-key column {col!r} of table {self.name!r} must "
                     "be part of the primary key (NDB restriction)"
                 )
-        object.__setattr__(self, "_partition_positions", tuple(
+        object.__setattr__(self, "partition_positions", tuple(
             self.primary_key.index(col) for col in self.partition_key))  # type: ignore[union-attr]
         for idx_name, idx_cols in self.indexes.items():
             for col in idx_cols:
@@ -86,18 +86,18 @@ class TableSchema:
                 raise SchemaError(f"pk column {col!r} may not be NULL in {self.name!r}")
 
     def pk_of(self, row: Mapping[str, Any]) -> tuple[Any, ...]:
-        return tuple(row[col] for col in self.primary_key)
+        return tuple([row[col] for col in self.primary_key])
 
     def pk_tuple(self, key: Mapping[str, Any] | Sequence[Any]) -> tuple[Any, ...]:
         """Normalize a PK given as mapping or positional sequence."""
-        if isinstance(key, Mapping):
-            missing = [c for c in self.primary_key if c not in key]
-            if missing:
-                raise SchemaError(
-                    f"primary key for {self.name!r} missing columns {missing}"
-                )
-            return tuple(key[col] for col in self.primary_key)
-        key = tuple(key)
+        if type(key) is not tuple:  # most callers pass the pk tuple itself
+            if isinstance(key, Mapping):
+                missing = [c for c in self.primary_key if c not in key]
+                if missing:
+                    raise SchemaError(f"primary key for {self.name!r} "
+                                      f"missing columns {missing}")
+                return self.pk_of(key)
+            key = tuple(key)
         if len(key) != len(self.primary_key):
             raise SchemaError(
                 f"primary key for {self.name!r} needs {len(self.primary_key)} "
@@ -107,16 +107,17 @@ class TableSchema:
 
     def partition_values_from_pk(self, pk: tuple[Any, ...]) -> tuple[Any, ...]:
         """Project a PK tuple onto the partition-key columns."""
-        return tuple(pk[i] for i in self._partition_positions)
+        return tuple([pk[i] for i in self.partition_positions])
 
     def partition_values(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Extract partition-key values from a mapping (e.g. a hint)."""
-        missing = [c for c in self.partition_key if c not in values]  # type: ignore[union-attr]
-        if missing:
+        try:
+            return tuple([values[col] for col in self.partition_key])  # type: ignore[union-attr]
+        except KeyError:
+            missing = [c for c in self.partition_key if c not in values]  # type: ignore[union-attr]
             raise SchemaError(
                 f"partition key for {self.name!r} missing columns {missing}"
-            )
-        return tuple(values[col] for col in self.partition_key)  # type: ignore[union-attr]
+            ) from None
 
     def scan_partition_values(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Partition-key values of a partition-pruned scan.

@@ -140,8 +140,7 @@ class Transaction:
         if modes is None:
             wanted = 0 if mode is LockMode.READ_COMMITTED else len(keys)
         else:
-            wanted = sum(1 for m in modes
-                         if m is not LockMode.READ_COMMITTED)
+            wanted = len(modes) - modes.count(LockMode.READ_COMMITTED)
         if not wanted:
             return
         # hfs: allow(HFS106, reason=DAL primitive; acquire_many's docstring contract requires keys already in the deadlock-free total order, linted at caller sites)
@@ -233,13 +232,15 @@ class Transaction:
                 "transaction; this one has buffered writes")
         schema = self._cluster.schema(table)
         pks = [schema.pk_tuple(key) for key in keys]
-        pids = [self._cluster.partition_of(table, pk) for pk in pks]
+        positions = schema.partition_positions
+        shard_of = self._cluster._pmap.partition_of
+        pids = [shard_of([pk[i] for i in positions]) for pk in pks]
         plans = [self._plan_pruned(t, values) for t, values in scans or ()]
         if locks is not None:
             if len(locks) != len(pks):
                 raise SchemaError(
                     f"locks must parallel keys: {len(locks)} != {len(pks)}")
-            any_locked = any(m is not LockMode.READ_COMMITTED for m in locks)
+            any_locked = locks.count(LockMode.READ_COMMITTED) != len(locks)
         else:
             any_locked = lock is not LockMode.READ_COMMITTED
         if any_locked:
@@ -263,7 +264,7 @@ class Transaction:
             AccessKind.BATCH_PK, tables, plans, merge=True,
             fetches={pid: pk_fetch(pid, indexes)
                      for pid, indexes in by_shard.items()})
-        found = sum(1 for r in rows if r is not None)
+        found = len(rows) - rows.count(None)
         self._record(AccessKind.BATCH_PK, tables,
                      pids + [plan.shard for plan in plans],
                      rows=found + sum(map(len, scanned)), locked=any_locked)
@@ -559,22 +560,22 @@ class Transaction:
     # -- transaction end -----------------------------------------------------------
 
     def commit(self) -> None:
-        """Two-phase commit: flush the write batch to all replicas."""
+        """Two-phase commit: flush the write batch to all replicas. A
+        read-only transaction has nothing to flush: it only ends
+        (:meth:`NDBCluster._end_read_only`), with no phase span, which
+        would time nothing but the lock release."""
         if self._writes:
             with self._mutex, span("commit", writes=len(self._writes),
                                    participants=len(self._participants)):
-                self._commit_inner()
+                self._commit_inner(self._cluster._apply_commit)
         else:
-            # a read-only commit performs no 2PC flush round trip, so the
-            # phase span would time nothing but lock release — skip the
-            # capture on hot read paths
             with self._mutex:
-                self._commit_inner()
+                self._commit_inner(self._cluster._end_read_only)
 
-    def _commit_inner(self) -> None:
+    def _commit_inner(self, end: Callable[["Transaction"], None]) -> None:
         self._check_active()
         try:
-            self._cluster._apply_commit(self)
+            end(self)
         except Exception:
             # hfs: allow(HFS104, reason=both commit() branches call this with _mutex held; the split exists only to skip the phase span on read-only commits)
             self.state = TxState.ABORTED

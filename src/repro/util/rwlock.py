@@ -49,7 +49,8 @@ class ReadWriteLock:
             if self._readers <= 0:
                 raise RuntimeError("release_read without holder")
             self._readers -= 1
-            if self._readers == 0:
+            # only a writer waits for the readers to leave
+            if self._readers == 0 and self._writers_waiting:
                 self._cond.notify_all()
         witness = ReadWriteLock._witness
         if witness is not None:
