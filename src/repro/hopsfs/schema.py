@@ -93,7 +93,6 @@ INODES = TableSchema(
     partition_key=("part_key",),
     indexes={
         "by_id": ("id",),
-        "by_parent_name": ("parent_id", "name"),
         "by_parent": ("parent_id",),
     },
 )

@@ -25,6 +25,7 @@ commit. Row-level isolation is still the lock manager's job.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -65,6 +66,13 @@ class NDBCluster:
             num_node_groups=self.config.num_node_groups,
             replication=self.config.replication,
         )
+        #: each partition's replica nodes (preference order) and node
+        #: group, fixed by the config, so built once
+        self._replicas = tuple(
+            tuple(self._pmap.replica_nodes(pid))
+            for pid in range(self.config.num_partitions))
+        self._groups = tuple(self._pmap.node_group_of(pid)
+                             for pid in range(self.config.num_partitions))
         # guarded_by: GIL -- tables are created during single-threaded setup
         self._schemas: dict[str, TableSchema] = {}
         #: every ``ndb_*`` metric of this engine, whoever asked for the
@@ -118,8 +126,8 @@ class NDBCluster:
         if schema.name in self._schemas:
             raise SchemaError(f"table {schema.name!r} already exists")
         self._schemas[schema.name] = schema
-        for pid in range(self.config.num_partitions):
-            for node_id in self._pmap.replica_nodes(pid):
+        for pid, replicas in enumerate(self._replicas):
+            for node_id in replicas:
                 self.datanodes[node_id].add_fragment(schema, pid)
 
     def schema(self, table: str) -> TableSchema:
@@ -149,9 +157,6 @@ class NDBCluster:
         except Exception:  # noqa: BLE001 - non-(table, pk) keys have no shard
             return None
 
-    def node_group_of(self, pid: int) -> int:
-        return self._pmap.node_group_of(pid)
-
     def _primary_node(self, pid: int) -> int:
         node_id = self._primaries[pid]
         if not self.datanodes[node_id].alive:
@@ -173,14 +178,18 @@ class NDBCluster:
         """
         return self._primaries
 
+    def group_table(self) -> tuple[int, ...]:
+        """The pid→node-group table (fixed by the config)."""
+        return self._groups
+
     def _preferred_primaries(self) -> tuple[int, ...]:
         """The first replica of every partition (the layout at start-up
         and after crash recovery)."""
-        return tuple(self._pmap.replica_nodes(pid)[0]
-                     for pid in range(self.config.num_partitions))
+        return tuple(replicas[0] for replicas in self._replicas)
 
     def live_replicas(self, pid: int) -> list[int]:
-        return [n for n in self._pmap.replica_nodes(pid) if self.datanodes[n].alive]
+        datanodes = self.datanodes
+        return [n for n in self._replicas[pid] if datanodes[n].alive]
 
     # -- commit log (group committed) ------------------------------------------------
 
@@ -372,27 +381,39 @@ class NDBCluster:
         completion and recovery never observe a half-applied batch) plus
         the fragment locks of the touched partitions only — commits on
         disjoint partitions proceed concurrently. Each participant node
-        applies its slice of the batch in parallel on the shard executor;
-        the commit record (redo and undo images) goes through the
-        group-committed log afterwards.
+        applies its slice of the batch through :meth:`_participant`,
+        inline or, when round trips wait, in parallel on the shard
+        executor; the commit record (redo and undo images) goes through
+        the group-committed log afterwards. The gate is taken without a
+        context manager, as in :meth:`_end_read_only`: every write pays
+        for it.
         """
         # abortable site: fires before any replica applied anything, so an
         # injected error is a clean abort the standard retry loop handles
         fault_point("ndb.commit.before_apply", tx_id=tx.tx_id,
                     coordinator=tx.coordinator)
-        with self._structure_gate.read_locked():
+        gate = self._structure_gate
+        gate.acquire_read()
+        try:
             if tx.state is not TxState.ACTIVE:
                 raise TransactionAbortedError(f"tx {tx.tx_id} no longer active")
             if self._locks.is_aborted(tx):
                 raise TransactionAbortedError(
                     f"tx {tx.tx_id} aborted by coordinator failover")
             writes = tx._writes
-            # prepare: every touched partition must have a live primary
+            # prepare: every touched partition must have a live primary;
+            # each one's primary fragments and replica batches, once
             pids = sorted({pending.pid for pending in writes.values()})
-            for pid in pids:
-                self._primary_node(pid)  # raises ClusterDownError if group dead
-            record = CommitRecord(tx_id=tx.tx_id, epoch=self.epoch)
+            primaries = self._primaries
             node_batches: dict[int, list[WriteRecord]] = {}
+            placement = {}
+            for pid in pids:
+                # raises ClusterDownError if the node group is dead
+                primary = self.datanodes[self._primary_node(pid)].fragments
+                placement[pid] = (primary, [
+                    node_batches.setdefault(node_id, [])
+                    for node_id in self.live_replicas(pid)])
+            record = CommitRecord(tx_id=tx.tx_id, epoch=self.epoch)
             held: list[threading.Lock] = []
             try:
                 # fragment-level locks, in pid order (deadlock-free); a
@@ -406,17 +427,22 @@ class NDBCluster:
                 # one record per write, in write order, is its redo/undo
                 # entry and every live replica's batch entry; its images
                 # are the stored row and the buffered row, uncopied
+                wrecs = record.writes
+                write_pids = []
                 for (table, pk), pending in writes.items():
                     pid = pending.pid
+                    write_pids.append(pid)
+                    primary, batches = placement[pid]
                     wrec = WriteRecord(
                         table=table, partition_id=pid, pk=pk,
-                        before=self._primary_fragment(table, pid).peek(pk),
+                        before=primary[(table, pid)].peek(pk),
                         after=pending.row)
-                    record.writes.append(wrec)
-                    for node_id in self.live_replicas(pid):
-                        node_batches.setdefault(node_id, []).append(wrec)
-                self._run_on_shards([self._participant(node_id, batch) for
-                                     node_id, batch in sorted(node_batches.items())])
+                    wrecs.append(wrec)
+                    for batch in batches:
+                        batch.append(wrec)
+                self._run_on_shards([
+                    functools.partial(self._participant, node_id, batch)
+                    for node_id, batch in sorted(node_batches.items())])
             finally:
                 for lock in held:
                     lock.release()
@@ -426,10 +452,9 @@ class NDBCluster:
             tx.state = TxState.COMMITTED
             self._commit_participants.observe(len(node_batches))
             # account the flushed write batch + the commit round
-            write_pids = tuple(pending.pid for pending in writes.values())
-            nodes = tuple(sorted({self._primaries[pid] for pid in pids}))
-            groups = tuple(sorted({self._pmap.node_group_of(pid)
-                                   for pid in pids}))
+            write_pids = tuple(write_pids)
+            nodes = tuple(sorted(set(map(primaries.__getitem__, pids))))
+            groups = tuple(sorted(set(map(self._groups.__getitem__, pids))))
             tx.stats.record(
                 AccessEvent(kind=AccessKind.BATCH_PK, table="*",
                             partitions=write_pids, nodes=nodes,
@@ -443,37 +468,38 @@ class NDBCluster:
                             coordinator=tx.coordinator, rows=0, locked=False,
                             write=False, node_groups=groups)
             )
+        finally:
+            gate.release_read()
 
-    def _participant(self, node_id: int,
-                     batch: list[WriteRecord]) -> Callable[[], None]:
-        """One participant node's apply of its commit batch."""
-        group = self._pmap.node_group_of(batch[0].partition_id)
-        shards = {wrec.partition_id for wrec in batch}
-        shard = shards.pop() if len(shards) == 1 else "multi"
-        seconds = self._shard_op_seconds(shard, "commit")
-
-        def apply_batch() -> None:
-            # stall-only site (a datanode pausing mid-2PC): replicas may
-            # already hold this batch partially, so plans must not inject
-            # errors here
-            fault_point("ndb.commit.participant", node=node_id)
-            started = time.perf_counter()
-            with span("commit.participant", node=node_id, node_group=group,
-                      shard=shard):
-                self._round_trip()  # one commit round per participant
-                node = self.datanodes[node_id]
-                for wrec in batch:
-                    frag = node.fragment(wrec.table, wrec.partition_id)
-                    # the images pick the operation: a delete+insert of one
-                    # pk inside a tx nets out to an update
-                    if wrec.after is None:
-                        frag.apply_delete(wrec.pk)
-                    elif wrec.before is None:
-                        frag.apply_insert(wrec.after)
-                    else:
-                        frag.apply_update(wrec.pk, wrec.after)
-            seconds.observe(time.perf_counter() - started)
-        return apply_batch
+    def _participant(self, node_id: int, batch: list[WriteRecord]) -> None:
+        """One participant node's apply of its commit batch, inline or on
+        the shard executor: :meth:`_apply_commit` binds one per node."""
+        # stall-only site (a datanode pausing mid-2PC): replicas may
+        # already hold this batch partially, so plans must not inject
+        # errors here
+        fault_point("ndb.commit.participant", node=node_id)
+        started = time.perf_counter()
+        shard = pid = batch[0].partition_id
+        for wrec in batch:
+            if wrec.partition_id != pid:
+                shard = "multi"
+                break
+        with span("commit.participant", node=node_id,
+                  node_group=self._groups[pid], shard=shard):
+            self._round_trip()  # one commit round per participant
+            fragments = self.datanodes[node_id].fragments
+            for wrec in batch:
+                frag = fragments[(wrec.table, wrec.partition_id)]
+                # the images pick the operation: a delete+insert of one
+                # pk inside a tx nets out to an update
+                if wrec.after is None:
+                    frag.apply_delete(wrec.pk)
+                elif wrec.before is None:
+                    frag.apply_insert(wrec.after)
+                else:
+                    frag.apply_update(wrec.pk, wrec.after)
+        self._shard_op_seconds(shard, "commit").observe(
+            time.perf_counter() - started)
 
     # -- failures ----------------------------------------------------------------------
 
@@ -512,7 +538,8 @@ class NDBCluster:
             tx.abort()
 
     def restart_node(self, node_id: int) -> None:
-        """Node recovery: copy fragment replicas back from live peers."""
+        """Node recovery: load fragment replicas back from live peers,
+        sharing the row objects they store (see ``Fragment.load_from``)."""
         node = self.datanodes[node_id]
         if node.alive:
             return
@@ -524,8 +551,7 @@ class NDBCluster:
                         f"cannot recover node {node_id}: partition {pid} has no "
                         "live replica (use crash recovery)"
                     )
-                source = self.datanodes[survivors[0]].fragment(table, pid)
-                frag.load(source.snapshot())
+                frag.load_from(self.datanodes[survivors[0]].fragment(table, pid))
             node.alive = True
 
     def is_available(self) -> bool:
@@ -575,7 +601,7 @@ class NDBCluster:
             for table in self._schemas:
                 for pid in range(self.config.num_partitions):
                     rows = base.get((table, pid), {})
-                    for node_id in self._pmap.replica_nodes(pid):
+                    for node_id in self._replicas[pid]:
                         node = self.datanodes[node_id]
                         node.alive = True
                         node.fragment(table, pid).load(rows)
@@ -603,7 +629,7 @@ class NDBCluster:
         or after (redo) image, which all of them then share."""
         for write in writes:
             image = write.before if undo else write.after
-            for node_id in self._pmap.replica_nodes(write.partition_id):
+            for node_id in self._replicas[write.partition_id]:
                 frag = self.datanodes[node_id].fragment(write.table, write.partition_id)
                 frag.apply_restore(write.pk, image)
 

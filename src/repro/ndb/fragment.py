@@ -29,11 +29,14 @@ Access paths and what they cost here:
 
 Index buckets are insertion-ordered (``dict`` keys, not ``set``), so every
 lookup returns rows in the order they were inserted — the order ``scan``
-yields them — independent of ``PYTHONHASHSEED``.
+yields them — independent of ``PYTHONHASHSEED``. A bucket key is the
+tuple of the index's column values (a 1-tuple for one column), built by
+a key function each fragment makes once per index.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -44,6 +47,15 @@ Predicate = Optional[Callable[[Mapping[str, Any]], bool]]
 Pk = tuple[Any, ...]
 #: an insertion-ordered set of pks (dict keys; the values are unused)
 Bucket = dict[Pk, None]
+
+
+def _key_getter(fields: Sequence[Any]) -> Callable[[Any], tuple[Any, ...]]:
+    """The tuple of ``fields`` of a row (column names) or of a pk
+    (positions); one field gives a 1-tuple."""
+    if len(fields) == 1:
+        [only] = fields
+        return lambda item: (item[only],)
+    return operator.itemgetter(*fields)
 
 
 class Fragment:
@@ -59,6 +71,12 @@ class Fragment:
         self._indexes: dict[str, dict[tuple[Any, ...], Bucket]] = {
             name: {} for name in schema.indexes
         }
+        #: (index, its key function) per secondary index; ``load`` clears
+        #: the indexes in place, so these stay bound to them
+        self._index_keys = tuple(
+            (self._indexes[name], _key_getter(cols))
+            for name, cols in schema.indexes.items())
+        self._partition_of_pk = _key_getter(schema.partition_positions)
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -118,7 +136,7 @@ class Fragment:
         with self._lock:
             if pk in self._rows:
                 raise DuplicateKeyError(f"{self.schema.name}:{pk}")
-            self.apply_restore(pk, row)
+            self._add(pk, row)
 
     def apply_update(self, pk: Pk, row: dict[str, Any]) -> None:
         with self._lock:
@@ -126,37 +144,47 @@ class Fragment:
             if old is None:
                 raise NoSuchRowError(f"{self.schema.name}:{pk}")
             self._rows[pk] = row  # keeps the row's position
-            for name, cols in self.schema.indexes.items():
-                old_key = tuple(old[col] for col in cols)
-                new_key = tuple(row[col] for col in cols)
+            for index, key_of in self._index_keys:
+                old_key = key_of(old)
+                new_key = key_of(row)
                 if old_key != new_key:
-                    self._bucket_remove(self._indexes[name], old_key, pk)
-                    self._indexes[name].setdefault(new_key, {})[pk] = None
+                    self._bucket_remove(index, old_key, pk)
+                    index.setdefault(new_key, {})[pk] = None
 
     def apply_delete(self, pk: Pk) -> None:
         with self._lock:
-            if pk not in self._rows:
+            old = self._rows.pop(pk, None)
+            if old is None:
                 raise NoSuchRowError(f"{self.schema.name}:{pk}")
-            self.apply_restore(pk, None)
+            self._drop(pk, old)
 
     def apply_restore(self, pk: Pk, row: Optional[dict[str, Any]]) -> None:
-        """Force a row to a given state (undo/redo recovery; also the one
-        place rows enter and leave the indexes): drop the row if present,
-        then append the new image, if any, at the end."""
+        """Force a row to a given state (undo/redo recovery): drop the row
+        if present, then append the new image, if any, at the end."""
         with self._lock:
-            pvals = self.schema.partition_values_from_pk(pk)
             old = self._rows.pop(pk, None)
             if old is not None:
-                self._bucket_remove(self._partition_index, pvals, pk)
-                for name, cols in self.schema.indexes.items():
-                    self._bucket_remove(self._indexes[name],
-                                        tuple(old[col] for col in cols), pk)
+                self._drop(pk, old)
             if row is not None:
-                self._rows[pk] = row
-                self._partition_index.setdefault(pvals, {})[pk] = None
-                for name, cols in self.schema.indexes.items():
-                    key = tuple(row[col] for col in cols)
-                    self._indexes[name].setdefault(key, {})[pk] = None
+                self._add(pk, row)
+
+    # the two places rows enter and leave the indexes (``_lock`` held)
+
+    def _add(self, pk: Pk, row: dict[str, Any]) -> None:
+        # hfs: allow(HFS104, reason=private helper; every caller holds _lock)
+        rows, partition_index = self._rows, self._partition_index
+        rows[pk] = row
+        partition_index.setdefault(self._partition_of_pk(pk), {})[pk] = None
+        for index, key_of in self._index_keys:
+            index.setdefault(key_of(row), {})[pk] = None
+
+    def _drop(self, pk: Pk, old: dict[str, Any]) -> None:
+        """Unindex ``old``, which ``pk`` no longer maps to in ``_rows``."""
+        # hfs: allow(HFS104, reason=private helper; every caller holds _lock)
+        self._bucket_remove(self._partition_index, self._partition_of_pk(pk),
+                            pk)
+        for index, key_of in self._index_keys:
+            self._bucket_remove(index, key_of(old), pk)
 
     # -- snapshot / clone -------------------------------------------------------
 
@@ -165,12 +193,21 @@ class Fragment:
             return {pk: dict(row) for pk, row in self._rows.items()}
 
     def load(self, rows: Mapping[Pk, dict[str, Any]]) -> None:
+        """Replace every row with ``rows``, storing their row objects."""
         with self._lock:
             self._rows = {}
             self._partition_index = {}
-            self._indexes = {name: {} for name in self.schema.indexes}
+            for index, _key_of in self._index_keys:
+                index.clear()
             for pk, row in rows.items():
-                self.apply_restore(pk, row)
+                self._add(pk, row)
+
+    def load_from(self, source: "Fragment") -> None:
+        """Node recovery: load the rows ``source`` stores, uncopied, so
+        this replica shares them with it as it shares every commit's."""
+        with source._lock:
+            rows = dict(source._rows)
+        self.load(rows)
 
     @staticmethod
     def _bucket_remove(index: dict[tuple[Any, ...], Bucket],

@@ -43,13 +43,17 @@ class TableSchema:
     #: onto the partition key runs once per row access
     partition_positions: tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=())
+    #: the columns as a set (derived): every row write checks against it
+    column_set: frozenset[str] = field(
+        init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("table name must be non-empty")
         if len(set(self.columns)) != len(self.columns):
             raise SchemaError(f"duplicate columns in table {self.name!r}")
-        colset = set(self.columns)
+        colset = frozenset(self.columns)
+        object.__setattr__(self, "column_set", colset)
         if not self.primary_key:
             raise SchemaError(f"table {self.name!r} needs a primary key")
         for col in self.primary_key:
@@ -75,12 +79,14 @@ class TableSchema:
     # -- row helpers ---------------------------------------------------------
 
     def validate_row(self, row: Mapping[str, Any]) -> None:
-        for col in self.columns:
-            if col not in row:
-                raise SchemaError(f"row missing column {col!r} for {self.name!r}")
-        extra = set(row) - set(self.columns)
-        if extra:
-            raise SchemaError(f"row has unknown columns {sorted(extra)} for {self.name!r}")
+        if row.keys() != self.column_set:
+            for col in self.columns:
+                if col not in row:
+                    raise SchemaError(
+                        f"row missing column {col!r} for {self.name!r}")
+            extra = set(row) - self.column_set
+            raise SchemaError(
+                f"row has unknown columns {sorted(extra)} for {self.name!r}")
         for col in self.primary_key:
             if row[col] is None:
                 raise SchemaError(f"pk column {col!r} may not be NULL in {self.name!r}")

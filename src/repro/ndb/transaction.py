@@ -165,13 +165,13 @@ class Transaction:
         # the pid→primary table is one tuple the cluster replaces whole on
         # a placement change, so one read of it serves the whole event
         primaries = self._cluster.primary_table()
+        groups = self._cluster.group_table()
         pids = set(partitions)
         self.stats.record(AccessEvent(
             kind=kind, table=table, partitions=tuple(partitions),
             nodes=tuple(sorted(set(map(primaries.__getitem__, pids)))),
             coordinator=self.coordinator, rows=rows, locked=locked,
-            node_groups=tuple(sorted(set(
-                map(self._cluster._pmap.node_group_of, pids))))))
+            node_groups=tuple(sorted(set(map(groups.__getitem__, pids))))))
 
     def _observe_shard(self, kind: str, shard: Any, started: float) -> None:
         """Fold one shard-local round trip into ndb_shard_op_seconds."""
@@ -508,7 +508,7 @@ class Transaction:
         schema = self._cluster.schema(table)
         pk = schema.pk_tuple(key)
         for col in changes:
-            if col not in schema.columns:
+            if col not in schema.column_set:
                 raise SchemaError(f"unknown column {col!r} in {table!r}")
             if col in schema.primary_key:
                 raise SchemaError(

@@ -1,5 +1,7 @@
 """Unit tests for fragment storage and index maintenance."""
 
+import random
+
 import pytest
 
 from repro.errors import DuplicateKeyError, NoSuchRowError
@@ -184,3 +186,131 @@ class TestSnapshotRestore:
             fragment.apply_insert(row(i, "n", i))
         evens = fragment.scan(lambda r: r["v"] % 2 == 0)
         assert len(evens) == 5
+
+
+MIXED = TableSchema(
+    name="m", columns=("a", "b", "x", "y", "v"), primary_key=("a", "b"),
+    partition_key=("a",), indexes={"by_xy": ("x", "y"), "by_x": ("x",)})
+
+
+class TestIndexesUnderAnyApplySequence:
+    """A seeded mix of every write a fragment takes keeps its indexes
+    exact: a reference model replays each write as the ordering rules
+    state them (a bucket is insertion-ordered; an update keeps the row's
+    place in ``_rows`` and moves its pk to the end of a new bucket only
+    when an indexed column changes; a restore re-appends; ``load``
+    rebuilds in the order given)."""
+
+    @staticmethod
+    def image(rng, a, b):
+        return {"a": a, "b": b, "x": rng.randrange(3), "y": rng.randrange(2),
+                "v": rng.randrange(100)}
+
+    @staticmethod
+    def check(frag, order, buckets):
+        with frag._lock:
+            assert list(frag._rows) == order
+            rows = dict(frag._rows)
+            partition = {key: list(bucket)
+                         for key, bucket in frag._partition_index.items()}
+            indexes = {name: {key: list(bucket)
+                              for key, bucket in index.items()}
+                       for name, index in frag._indexes.items()}
+        recomputed = {}
+        for pk in order:  # the partition index lists pks in _rows order
+            recomputed.setdefault((pk[0],), []).append(pk)
+        assert partition == recomputed
+        for name, cols in MIXED.indexes.items():
+            recomputed = {}
+            for pk, row in rows.items():
+                recomputed.setdefault(tuple(row[c] for c in cols), set()).add(pk)
+            assert {key: set(pks) for key, pks in indexes[name].items()} \
+                == recomputed
+            assert indexes[name] == buckets[name]
+            assert all(indexes[name].values())  # no empty bucket is kept
+            for key in {(x, y)[:len(cols)] for x in range(4) for y in range(3)}:
+                hits = frag.index_lookup(name, key)
+                assert [MIXED.pk_of(r) for r in hits] == buckets[name].get(key, [])
+                assert sorted(hits, key=MIXED.pk_of) == sorted(
+                    (r for r in frag.scan()
+                     if tuple(r[c] for c in cols) == key), key=MIXED.pk_of)
+        for a in range(5):
+            assert frag.partition_lookup((a,)) == \
+                frag.scan(lambda r, a=a: r["a"] == a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_sequence(self, seed):
+        rng = random.Random(seed)
+        frag = Fragment(MIXED, partition_id=0)
+        rows, order = {}, []
+        buckets = {name: {} for name in MIXED.indexes}
+
+        def unindex(pk, row):
+            for name, cols in MIXED.indexes.items():
+                key = tuple(row[c] for c in cols)
+                buckets[name][key].remove(pk)
+                if not buckets[name][key]:
+                    del buckets[name][key]
+
+        def index(pk, row):
+            for name, cols in MIXED.indexes.items():
+                buckets[name].setdefault(
+                    tuple(row[c] for c in cols), []).append(pk)
+
+        def put_last(pk, row):
+            if pk in rows:
+                unindex(pk, rows[pk])
+                order.remove(pk)
+            if row is not None:
+                rows[pk] = row
+                order.append(pk)
+                index(pk, row)
+            else:
+                rows.pop(pk, None)
+
+        moved = kept = 0
+        for _ in range(300):
+            op = rng.choice(["insert", "insert", "update", "update",
+                             "delete", "restore", "load"])
+            pk = (rng.randrange(4), rng.randrange(6))
+            if op == "insert" and pk not in rows:
+                row = self.image(rng, *pk)
+                frag.apply_insert(row)
+                put_last(pk, row)
+            elif op == "update" and pk in rows:
+                old = rows[pk]
+                if rng.random() < 0.5:  # the indexed columns stay
+                    row = {**old, "v": rng.randrange(100)}
+                else:
+                    row = self.image(rng, *pk)
+                frag.apply_update(pk, row)
+                for name, cols in MIXED.indexes.items():
+                    old_key = tuple(old[c] for c in cols)
+                    new_key = tuple(row[c] for c in cols)
+                    if old_key != new_key:
+                        buckets[name][old_key].remove(pk)
+                        if not buckets[name][old_key]:
+                            del buckets[name][old_key]
+                        buckets[name].setdefault(new_key, []).append(pk)
+                moved += any(old[c] != row[c] for c in ("x", "y"))
+                kept += all(old[c] == row[c] for c in ("x", "y"))
+                rows[pk] = row
+            elif op == "delete" and pk in rows:
+                frag.apply_delete(pk)
+                put_last(pk, None)
+            elif op == "restore":
+                row = self.image(rng, *pk) if rng.random() < 0.7 else None
+                frag.apply_restore(pk, row)
+                put_last(pk, row)
+            elif op == "load":
+                pks = list(order)
+                rng.shuffle(pks)
+                given = {pk: rows[pk] for pk in pks}
+                frag.load(given)
+                rows.clear()
+                order.clear()
+                buckets = {name: {} for name in MIXED.indexes}
+                for pk, row in given.items():
+                    put_last(pk, row)
+            self.check(frag, order, buckets)
+        assert moved and kept

@@ -16,7 +16,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
+from repro.faults import FaultPlan, installed
 from repro.hopsfs.tx import IdAllocator
+from repro.metrics.tracing import Tracer
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema, datanode
 from repro.ndb.locks import LockManager
 from repro.ndb.stats import AccessKind
@@ -308,6 +310,65 @@ class TestGroupCommit:
         assert batches.total == len(cluster.commit_log) == 3
         assert cluster.group_commit_stats == {
             "flushes": 2, "records": 3, "max_batch": 2}
+
+    @pytest.mark.parametrize("dispatch", [dict(network_delay=0.0), PARALLEL],
+                             ids=["inline", "executor"])
+    def test_one_participant_apply_on_both_dispatch_paths(self, dispatch):
+        """A commit's participants run the same apply inline and on the
+        executor: the same replicas, one fault site, span and
+        ``ndb_shard_op_seconds{kind="commit"}`` observation per
+        participant, one ``ndb_commit_participants`` observation and one
+        log record with the writes in write order."""
+        def commit_three(cluster, tracer):
+            seed(cluster, 8)
+            # an update and a delete in different node groups, an insert
+            groups = cluster.group_table()
+            group_of = {k: groups[cluster.partition_of("kv", (k,))]
+                        for k in range(8)}
+            updated = min(k for k in group_of if group_of[k] == 0)
+            deleted = min(k for k in group_of if group_of[k] == 1)
+            pids = {cluster.partition_of("kv", (k,))
+                    for k in (updated, deleted, 9)}
+            k = len({node for pid in pids
+                     for node in cluster.live_replicas(pid)})
+            commit = cluster.metrics.histogram("ndb_commit_participants")
+            before = (commit.count, commit.total,
+                      observations(cluster, "commit"))
+            plan = FaultPlan()
+            plan.add("ndb.commit.participant", action="delay", delay=0.0,
+                     max_fires=None)
+            with installed(plan) as injector, tracer.trace("commit3"):
+                with cluster.begin() as tx:
+                    tx.update("kv", (updated,), {"v": "u"})
+                    tx.insert("kv", {"k": 9, "v": "i"})
+                    tx.delete("kv", (deleted,))
+            assert injector.counts() == {"ndb.commit.participant": k}
+            assert (commit.count, commit.total,
+                    observations(cluster, "commit")) == (
+                before[0] + 1, before[1] + k, before[2] + k)
+            seeding, record = cluster.commit_log
+            assert [w.pk for w in record.writes] == [(updated,), (9,),
+                                                     (deleted,)]
+            [trace] = tracer.recent()
+            assert len(trace.spans("commit.participant")) == k
+            return k, {key: frag.snapshot() for node in cluster.datanodes
+                       for key, frag in node.fragments.items()}
+
+        def observations(cluster, kind):
+            return sum(h.count for h in cluster.metrics.histograms()
+                       if h.name == "ndb_shard_op_seconds"
+                       and dict(h.labels)["kind"] == kind)
+
+        baseline = make_cluster(network_delay=0.0)
+        cluster = make_cluster(**dispatch)
+        try:
+            k, replicas = commit_three(cluster, Tracer())
+            assert k == 4  # both node groups, both replicas of each
+            assert (cluster.parallel_dispatch_enabled
+                    == (dispatch == PARALLEL))
+            assert replicas == commit_three(baseline, Tracer())[1]
+        finally:
+            cluster.close()
 
     def test_commit_log_holds_each_write_once(self):
         cluster = make_cluster()

@@ -502,6 +502,33 @@ class TestRowOwnership:
         assert stored(cluster, "inodes", (0, "f")) == [inode(0, "f", 1, perm=1)] * 2
         assert stored(cluster, "inodes", (0, "g")) == [inode(0, "g", 2)] * 2
 
+    def test_a_restarted_replica_shares_the_survivors_rows(self, cluster):
+        with cluster.begin() as tx:
+            for i in range(20):
+                tx.insert("inodes", inode(i % 4, f"f{i}", i))
+        cluster.kill_node(0)
+        with cluster.begin() as tx:  # committed while node 0 is down
+            tx.update("inodes", (1, "f1"), {"perm": 0o600})
+        cluster.restart_node(0)
+        restarted = {pid: frag for (table, pid), frag
+                     in cluster.datanodes[0].fragments.items()
+                     if table == "inodes"}
+        assert any(len(frag) for frag in restarted.values())
+        for pid, frag in restarted.items():
+            survivor = next(node for node in cluster.live_replicas(pid)
+                            if node != 0)
+            source = cluster.datanodes[survivor].fragment("inodes", pid)
+            assert list(frag.snapshot()) == list(source.snapshot())
+            for pk in source.snapshot():
+                assert frag.peek(pk) is source.peek(pk)
+        for i in range(20):
+            with cluster.begin() as tx:
+                tx.update("inodes", (i % 4, f"f{i}"), {"perm": i})
+            [update] = cluster.commit_log[-1].writes
+            replicas = stored(cluster, "inodes", (i % 4, f"f{i}"))
+            assert len(replicas) == 2
+            assert all(row is update.after for row in replicas)
+
 
 class TestRowHistory:
     """Undo, redo and replica restore over images the log shares with
