@@ -30,13 +30,9 @@ def warm_cluster():
 def _resolve_stats(nn, cold: bool) -> AccessStats:
     if cold:
         nn.hint_cache.clear()
-    saved = nn.stats
-    nn.stats = AccessStats(keep_events=True)
-    try:
+    with nn.recording() as stats:
         nn.get_file_info(PATH)
-        return nn.stats
-    finally:
-        nn.stats = saved
+    return stats
 
 
 def test_hint_cache_round_trips(warm_cluster, capsys, benchmark):

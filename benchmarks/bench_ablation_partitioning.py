@@ -21,13 +21,9 @@ from tests.conftest import make_hopsfs
 
 
 def op_stats(nn, fn) -> AccessStats:
-    saved = nn.stats
-    nn.stats = AccessStats(keep_events=True)
-    try:
+    with nn.recording() as stats:
         fn()
-        return nn.stats
-    finally:
-        nn.stats = saved
+    return stats
 
 
 def test_parent_id_partitioning_vs_ls(capsys, benchmark):

@@ -13,7 +13,8 @@ union of what the namenode transaction template needs:
 * buffered inserts/updates/deletes flushed at commit (none of them
   returns anything: a caller that must know whether a row exists reads
   it);
-* per-session access statistics (:class:`repro.ndb.AccessStats`).
+* per-session access statistics (:class:`repro.ndb.AccessStats`): a
+  session's ``stats`` are its latest ``run``'s, every attempt included.
 
 :class:`repro.ndb.NDBCluster`, its :class:`~repro.ndb.session.Session`
 and :class:`~repro.ndb.transaction.Transaction` satisfy the three
@@ -121,8 +122,6 @@ class DALSession(Protocol):
     def run(self, fn: Callable[[DALTransaction], T],
             hint: Optional[tuple[str, Mapping[str, Any]]] = ...,
             retries: int = ...) -> T: ...
-
-    def reset_stats(self) -> AccessStats: ...
 
 
 class DALDriver(Protocol):

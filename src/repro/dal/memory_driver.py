@@ -95,10 +95,6 @@ class MemorySession:
         # abort itself (a path hint found stale): same loop, same policy
         return run_in_session(self, fn, hint=hint, retries=retries)
 
-    def reset_stats(self) -> AccessStats:
-        stats, self.stats = self.stats, AccessStats()
-        return stats
-
 
 class MemoryTransaction:
     """Serializable-by-mutex transaction over the in-process tables."""
@@ -120,9 +116,7 @@ class MemoryTransaction:
     def _record(self, kind: AccessKind, table: str, rows: int,
                 locked: bool, write: bool = False) -> None:
         self.stats.record(
-            AccessEvent(kind=kind, table=table, partitions=(0,), nodes=(0,),
-                        coordinator=0, rows=rows, locked=locked, write=write)
-        )
+            AccessEvent(kind, table, (0,), (0,), 0, rows, locked, write))
 
     def _current(self, table: str, pk: tuple[Any, ...]) -> Optional[dict]:
         pending = self._writes.get((table, pk))

@@ -43,9 +43,9 @@ lives in-process or behind a socket. What changes under the hood:
 
 Access statistics stay exact: every transaction RPC response carries the
 :class:`AccessEvent` records produced server-side (and the row locks
-taken), and the client records them into ``tx.stats`` through
-:meth:`AccessStats.record` — access-path verification and the
-performance model see embedded-identical numbers.
+taken), and the client checks each one's fields and appends it to
+``tx.stats`` — the same events the engine recorded, so access-path
+verification and the performance model see embedded-identical numbers.
 
 Metrics: what the client side of the wire produces — the per-phase
 ``rpc_request_seconds{phase,method}`` of traced calls,
@@ -359,9 +359,9 @@ class RemoteSession:
     """Per-client-thread session against a remote server.
 
     Mirrors :class:`repro.ndb.session.Session`: hands out transactions,
-    accumulates their statistics, and ``run`` retries the whole callback
-    on lock conflicts *and* on mid-transaction connection loss (the
-    server aborted the transaction, so a retry is safe).
+    keeps the statistics of its latest run, and ``run`` retries the
+    whole callback on lock conflicts *and* on mid-transaction connection
+    loss (the server aborted the transaction, so a retry is safe).
     :class:`CommitAmbiguousError` deliberately escapes the retry loop.
     """
 
@@ -382,10 +382,6 @@ class RemoteSession:
         # the exact same loop as the embedded session: the shared policy
         # retries abort-class errors and refuses CommitAmbiguousError
         return run_in_session(self, fn, hint=hint, retries=retries)
-
-    def reset_stats(self) -> AccessStats:
-        stats, self.stats = self.stats, AccessStats()
-        return stats
 
 
 class RemoteDriver:

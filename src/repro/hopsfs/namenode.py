@@ -10,10 +10,10 @@ namenodes can serve any request and why killing one loses nothing
 
 from __future__ import annotations
 
+import contextlib
 import random
-import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import (
     DuplicateKeyError,
@@ -61,9 +61,8 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self.block_alloc = IdAllocator(driver.session(), "blocks")
         self.gen_stamp_alloc = IdAllocator(driver.session(), "genstamps")
         self._rng = random.Random(nn_id)
-        self.stats = AccessStats(keep_events=False)
-        self.op_count: dict[str, int] = {}  # guarded_by: _stats_mutex
-        self._stats_mutex = threading.Lock()
+        #: the runs' stats :meth:`recording` collects, while it is open
+        self._recording: Optional[list[AccessStats]] = None  # guarded_by: GIL
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(name=f"nn{nn_id}",
                                      dump_dir=config.flight_dump_dir)
@@ -200,54 +199,76 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
             session = self.driver.session()
             try:
                 result = session.run(fn, hint=hint)
-                self._merge_stats(op_name, session)
+                self._fold_stats(op_name, session)
                 return result
             except StaleSubtreeLockError as exc:
-                self._merge_stats(op_name, session)
+                self._fold_stats(op_name, session)
                 tracing.add_event("stale_subtree_lock", owner=exc.owner)
                 self.metrics.inc("fs_op_stale_subtree_locks_total",
                                  op=op_name)
                 self._clear_stale_subtree_lock(exc)
                 last_exc = exc
             except DuplicateKeyError as exc:
-                self._merge_stats(op_name, session)
+                self._fold_stats(op_name, session)
                 if not retry_duplicates:
                     raise
                 tracing.add_event("duplicate_key_retry")
                 last_exc = exc
             except Exception:
-                self._merge_stats(op_name, session)
+                self._fold_stats(op_name, session)
                 raise
         raise last_exc
 
-    def op_counts(self) -> dict[str, int]:
-        """A locked snapshot of the per-op invocation counters."""
-        with self._stats_mutex:
-            return dict(self.op_count)
+    @contextlib.contextmanager
+    def recording(self) -> Iterator[AccessStats]:
+        """Capture the access statistics of every op run inside the
+        block, on any thread: ``with nn.recording() as stats:
+        nn.create(...)``. ``stats`` is filled when the block exits; one
+        capture is open at a time."""
+        runs = self._recording = []
+        stats = AccessStats()
+        try:
+            yield stats
+        finally:
+            self._recording = None
+            for run in runs:
+                stats.merge(run)
 
-    def _merge_stats(self, op_name: str, session) -> None:
+    def _fold_stats(self, op_name: str, session) -> None:
+        """Fold one run's events into the ``db_*`` counters and the op's
+        round-trip histogram (through cached handles — once per run)."""
         stats = session.stats
-        with self._stats_mutex:
-            self.stats.merge(stats)
-            self.op_count[op_name] = self.op_count.get(op_name, 0) + 1
-        # bridge the DAL access statistics into the metrics registry
-        # (through cached counter handles — this runs once per operation)
-        for kind, n in stats.by_kind.items():
-            self._db_kind_counters[kind].inc(n)
+        recording = self._recording
+        if recording is not None:
+            recording.append(stats)  # one atomic append per run
         round_trips, read, written, locked, hops = self._db_counters
-        if stats.round_trips:
-            round_trips.inc(stats.round_trips)
-            # per-op round-trip distribution: the budget view the cost
-            # program gates on (docs/performance.md)
-            self._hot_op_metrics(op_name)[2].observe(stats.round_trips)
-        if stats.rows_read:
-            read.inc(stats.rows_read)
-        if stats.rows_written:
-            written.inc(stats.rows_written)
         if stats.rows_locked:
             locked.inc(stats.rows_locked)
-        if stats.remote_partition_hops:
-            hops.inc(stats.remote_partition_hops)
+        events = stats.events
+        if events:
+            kinds: dict[AccessKind, int] = {}
+            rows_read = rows_written = remote = 0
+            for kind, _, _, nodes, coordinator, rows, _, write, _ in events:
+                kinds[kind] = kinds.get(kind, 0) + 1
+                if write:
+                    rows_written += rows
+                else:
+                    rows_read += rows
+                for node in nodes:
+                    if node != coordinator:
+                        remote += 1
+            for kind, n in kinds.items():
+                self._db_kind_counters[kind].inc(n)
+            round_trips.inc(len(events))
+            # per-op round-trip distribution: the budget view the cost
+            # program gates on (docs/performance.md)
+            self._hot_op_metrics(op_name)[2].observe(len(events))
+            if rows_read:
+                read.inc(rows_read)
+            if rows_written:
+                written.inc(rows_written)
+            if remote:
+                hops.inc(remote)
         tx_retries = getattr(session, "retries_used", 0)
         if tx_retries:
             self.metrics.inc("fs_op_tx_retries_total", tx_retries,
@@ -271,7 +292,7 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
             tx.delete("active_subtree_ops", (row["id"],), must_exist=False)
 
         session.run(fn, hint=("inodes", {"part_key": exc.inode_pk[0]}))
-        self._merge_stats("reclaim_subtree_lock", session)
+        self._fold_stats("reclaim_subtree_lock", session)
 
     # -- observability ------------------------------------------------------------------
 

@@ -455,19 +455,13 @@ class NDBCluster:
             write_pids = tuple(write_pids)
             nodes = tuple(sorted(set(map(primaries.__getitem__, pids))))
             groups = tuple(sorted(set(map(self._groups.__getitem__, pids))))
-            tx.stats.record(
-                AccessEvent(kind=AccessKind.BATCH_PK, table="*",
-                            partitions=write_pids, nodes=nodes,
-                            coordinator=tx.coordinator, rows=len(write_pids),
-                            locked=False, write=True, node_groups=groups)
-            )
-            tx.stats.record(
-                AccessEvent(kind=AccessKind.COMMIT, table="*",
-                            partitions=tuple(pids),
-                            nodes=tuple(sorted(tx._participants)),
-                            coordinator=tx.coordinator, rows=0, locked=False,
-                            write=False, node_groups=groups)
-            )
+            tx.stats.record(AccessEvent(
+                AccessKind.BATCH_PK, "*", write_pids, nodes, tx.coordinator,
+                len(write_pids), False, True, groups))
+            tx.stats.record(AccessEvent(
+                AccessKind.COMMIT, "*", tuple(pids),
+                tuple(sorted(tx._participants)), tx.coordinator, 0, False,
+                False, groups))
         finally:
             gate.release_read()
 

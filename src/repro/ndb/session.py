@@ -1,9 +1,9 @@
-"""Client session: a thin, stat-aggregating handle onto the cluster.
+"""Client session: a thin, stat-keeping handle onto the cluster.
 
 One session per client thread. A session hands out transactions (optionally
-distribution-aware via a partition-key hint) and accumulates their access
-statistics, which is what the HopsFS DAL driver and the performance-model
-recorder consume.
+distribution-aware via a partition-key hint) and keeps the access
+statistics of its latest run, which is what the HopsFS namenode and the
+performance-model recorder consume.
 
 :func:`run_in_session` is *the* whole-transaction retry loop: the remote
 session (:class:`repro.dal.remote_driver.RemoteSession`) runs the exact
@@ -42,12 +42,14 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
 
     ``session`` provides ``begin(hint)``, ``stats``, ``retries_used`` and
     ``metrics`` — the registry of the engine or driver that owns it, where
-    ``ndb_tx_retries_total{reason}`` is counted. Statistics of every
-    attempt — including aborted ones, whose work was real — are merged
-    into ``session.stats``.
+    ``ndb_tx_retries_total{reason}`` is counted. ``session.stats`` becomes
+    this run's: the statistics of every attempt — including aborted ones,
+    whose work was real — and of no earlier run, so a session that lives
+    as long as its namenode holds one run's events, not all of them.
     """
     policy = (TX_RETRY_POLICY if retries == TX_RETRY_POLICY.max_attempts
               else replace(TX_RETRY_POLICY, max_attempts=max(1, retries)))
+    stats = session.stats = AccessStats()
     last_exc: Exception = TransactionAbortedError("no attempts made")
     for attempt in policy.attempts():
         tx = session.begin(hint)
@@ -58,11 +60,11 @@ def run_in_session(session: Any, fn: Callable[[Any], T],
                 result = fn(tx)
             if tx.state is TxState.ACTIVE:
                 tx.commit()  # emits its own "commit" span
-            session.stats.merge(tx.stats)
+            stats.merge(tx.stats)
             return result
         except Exception as exc:
             tx.abort()
-            session.stats.merge(tx.stats)
+            stats.merge(tx.stats)
             if not policy.is_retryable(exc):
                 raise
             session.retries_used += 1
@@ -88,12 +90,7 @@ class Session:
             retries: int = 5) -> T:
         """Run ``fn`` in a transaction; retry on lock conflicts.
 
-        Statistics of every attempt — including aborted ones, whose work
-        was real — are merged into :attr:`stats`.
+        :attr:`stats` becomes this run's: every attempt's — including
+        aborted ones, whose work was real.
         """
         return run_in_session(self, fn, hint=hint, retries=retries)
-
-    def reset_stats(self) -> AccessStats:
-        """Return accumulated stats and start a fresh accumulator."""
-        stats, self.stats = self.stats, AccessStats()
-        return stats

@@ -9,18 +9,28 @@ These statistics serve two purposes:
 2. **Profiling for the performance model** — :mod:`repro.perfmodel`
    records the ordered list of :class:`AccessEvent` generated by each file
    system operation and replays it in simulated time.
+
+The event list is the only record: a round trip is one append, and every
+total (round trips, rows, hops, by kind) is computed from the list when
+read. Over the wire a reply ships its events as they are and the client
+appends them (:mod:`repro.rpc.protocol`); the namenode folds an op's
+events into its ``db_*`` counters once, at the op's end.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.metrics.tracing import _ACTIVE, record_access
 
 
-class AccessKind(enum.Enum):
-    """The five database access types of paper Figure 2a, plus commit."""
+class AccessKind(str, enum.Enum):
+    """The five database access types of paper Figure 2a, plus commit.
+
+    A ``str`` enum: an event goes on the wire as it is, its kind as the
+    value's string."""
 
     PK = "pk"                      # single-row primary-key operation
     BATCH_PK = "batched_pk"        # batched primary-key operations
@@ -30,8 +40,7 @@ class AccessKind(enum.Enum):
     COMMIT = "commit"              # 2PC commit round
 
 
-@dataclass
-class AccessEvent:
+class AccessEvent(NamedTuple):
     """One client↔cluster round trip.
 
     ``nodes`` is the set of datanodes doing work for the round trip (for a
@@ -64,51 +73,14 @@ class AccessEvent:
 
 
 @dataclass
-class RoundTripBudget:
-    """A per-operation round-trip budget view over an :class:`AccessStats`.
-
-    Snapshot the counter when the operation starts (``stats.budget(n)``)
-    and ask it afterwards how many round trips the op actually used —
-    the cost program's unit of account. ``exceeded`` is the hot-path
-    regression signal: an op that should cost one batched read budgets
-    1 and trips the flag the moment someone reintroduces a redundant
-    re-read.
-    """
-
-    stats: "AccessStats"
-    limit: int
-    start: int
-
-    @property
-    def used(self) -> int:
-        return self.stats.round_trips - self.start
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.used
-
-    @property
-    def exceeded(self) -> bool:
-        return self.used > self.limit
-
-
-@dataclass
 class AccessStats:
-    """Aggregated counters; addable across transactions/sessions."""
+    """The events of a transaction or a session's run; addable."""
 
-    round_trips: int = 0
-    by_kind: dict[AccessKind, int] = field(default_factory=dict)
-    rows_read: int = 0
-    rows_written: int = 0
+    events: list[AccessEvent] = field(default_factory=list)
     #: row locks requested: one per key a locking read names, per
     #: candidate a locking scan locks, and per write — counted by the
     #: driver where it takes the lock, never from an event's rows
     rows_locked: int = 0
-    remote_partition_hops: int = 0
-    partitions_touched: int = 0
-    events: list[AccessEvent] = field(default_factory=list)
-    #: record the full event list (disable for long-running workloads)
-    keep_events: bool = True
 
     def record(self, event: AccessEvent) -> None:
         # mark the round trip on the active per-operation trace, if any
@@ -117,54 +89,39 @@ class AccessStats:
         if _ACTIVE.bind[1] is not None:
             record_access(event.kind.value, event.table,
                           event.partitions, event.node_groups)
-        self.round_trips += 1
-        self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
-        if event.write:
-            self.rows_written += event.rows
-        else:
-            self.rows_read += event.rows
-        self.remote_partition_hops += sum(
-            1 for node in event.nodes if node != event.coordinator
-        )
-        self.partitions_touched += len(event.partitions)
-        if self.keep_events:
-            self.events.append(event)
-
-    def count(self, kind: AccessKind) -> int:
-        return self.by_kind.get(kind, 0)
-
-    def budget(self, limit: int) -> RoundTripBudget:
-        """Open a :class:`RoundTripBudget` of ``limit`` round trips,
-        counting from the current value of :attr:`round_trips`."""
-        return RoundTripBudget(stats=self, limit=limit,
-                               start=self.round_trips)
+        self.events.append(event)
 
     def merge(self, other: "AccessStats") -> None:
-        self.round_trips += other.round_trips
-        for kind, n in other.by_kind.items():
-            self.by_kind[kind] = self.by_kind.get(kind, 0) + n
-        self.rows_read += other.rows_read
-        self.rows_written += other.rows_written
+        self.events += other.events
         self.rows_locked += other.rows_locked
-        self.remote_partition_hops += other.remote_partition_hops
-        self.partitions_touched += other.partitions_touched
-        if self.keep_events:
-            self.events.extend(other.events)
 
-    def clear(self) -> None:
-        self.round_trips = 0
-        self.by_kind.clear()
-        self.rows_read = 0
-        self.rows_written = 0
-        self.rows_locked = 0
-        self.remote_partition_hops = 0
-        self.partitions_touched = 0
-        self.events.clear()
+    @property
+    def round_trips(self) -> int:
+        return len(self.events)
+
+    def count(self, kind: AccessKind) -> int:
+        return sum(1 for event in self.events if event.kind is kind)
+
+    @property
+    def rows_read(self) -> int:
+        return sum(event.rows for event in self.events if not event.write)
+
+    @property
+    def rows_written(self) -> int:
+        return sum(event.rows for event in self.events if event.write)
+
+    @property
+    def remote_partition_hops(self) -> int:
+        return sum(node != event.coordinator
+                   for event in self.events for node in event.nodes)
+
+    @property
+    def partitions_touched(self) -> int:
+        return sum(len(event.partitions) for event in self.events)
 
     @property
     def uses_expensive_scans(self) -> bool:
         """True if any all-shard access (IS or FTS) was used."""
-        return (
-            self.count(AccessKind.INDEX_SCAN) > 0
-            or self.count(AccessKind.FULL_SCAN) > 0
-        )
+        return any(event.kind is AccessKind.INDEX_SCAN
+                   or event.kind is AccessKind.FULL_SCAN
+                   for event in self.events)

@@ -168,10 +168,10 @@ class Transaction:
         groups = self._cluster.group_table()
         pids = set(partitions)
         self.stats.record(AccessEvent(
-            kind=kind, table=table, partitions=tuple(partitions),
-            nodes=tuple(sorted(set(map(primaries.__getitem__, pids)))),
-            coordinator=self.coordinator, rows=rows, locked=locked,
-            node_groups=tuple(sorted(set(map(groups.__getitem__, pids))))))
+            kind, table, tuple(partitions),
+            tuple(sorted(set(map(primaries.__getitem__, pids)))),
+            self.coordinator, rows, locked, False,
+            tuple(sorted(set(map(groups.__getitem__, pids))))))
 
     def _observe_shard(self, kind: str, shard: Any, started: float) -> None:
         """Fold one shard-local round trip into ndb_shard_op_seconds."""

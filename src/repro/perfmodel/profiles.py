@@ -127,15 +127,9 @@ def _build_recording_cluster() -> tuple[HopsFSCluster, "object"]:
 
 
 def _capture(nn, fn) -> list[AccessEvent]:
-    from repro.ndb.stats import AccessStats
-
-    saved = nn.stats
-    nn.stats = AccessStats(keep_events=True)
-    try:
+    with nn.recording() as stats:
         fn()
-        return list(nn.stats.events)
-    finally:
-        nn.stats = saved
+    return stats.events
 
 
 @lru_cache(maxsize=4)

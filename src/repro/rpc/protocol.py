@@ -56,12 +56,12 @@ need them: :func:`encode_schema` / :func:`decode_schema` for
 :func:`apply_stats_delta` — every transaction reply carries ``"stats":
 [rows_locked, [[kind, table, partitions, nodes, coordinator, rows,
 locked, write, node_groups], ...]]``, the row locks the request took
-*server-side* and the :class:`AccessEvent` records it produced. The
-client records each event through :meth:`AccessStats.record`, the call
-that counted it on the server, so every other counter (``round_trips``,
-``by_kind``, rows, hops, partitions) is recounted, not shipped, and
-access-path verification and the performance model see exactly what an
-embedded driver would.
+*server-side* and the :class:`AccessEvent` records it produced, shipped
+as they are. The client checks each event's fields and appends it to its
+own list, so every total computed from the events (``round_trips``, the
+counts by kind, rows, hops, partitions) reads what the server's does,
+and access-path verification and the performance model see exactly what
+an embedded driver would.
 
 The ``trace`` fields are optional (absent means unsampled). A
 request-side envelope carries the client's ``trace_id``; the server then
@@ -290,6 +290,7 @@ def decode_schema(raw: Mapping[str, Any]) -> TableSchema:
 
 #: an event's ``kind`` on the wire -> its AccessKind
 _KINDS = {kind.value: kind for kind in AccessKind}
+_INT = {int}
 
 
 class StatsCursor:
@@ -298,9 +299,9 @@ class StatsCursor:
     :meth:`delta` returns what was recorded since the previous call —
     ``[rows_locked, [event, ...]]``, each event ``[kind, table,
     partitions, nodes, coordinator, rows, locked, write, node_groups]``
-    (:class:`AccessEvent`'s fields, in order) — and advances the
-    bookmark, so each reply ships only its own request's statistics.
-    The client recounts every other counter from the events.
+    (an :class:`AccessEvent` is that tuple, and its ``str`` kind encodes
+    as the kind's value) — and advances the bookmark, so each reply
+    ships only its own request's statistics.
     """
 
     __slots__ = ("_rows_locked", "_events_sent")
@@ -314,30 +315,39 @@ class StatsCursor:
         self._rows_locked = stats.rows_locked
         events = stats.events[self._events_sent:]
         self._events_sent += len(events)
-        return [rows_locked,
-                [(e.kind.value, e.table, e.partitions, e.nodes, e.coordinator,
-                  e.rows, e.locked, e.write, e.node_groups) for e in events]]
+        return [rows_locked, events]
 
 
 def apply_stats_delta(stats: AccessStats, delta: Any) -> None:
-    """Fold a server-produced stats delta into a client-side AccessStats.
+    """Append a server-produced stats delta to a client-side AccessStats.
 
-    Each event goes through :meth:`AccessStats.record`, the call that
-    counted it server-side, so the client recounts every counter the
-    server has — and announces the round trip to the active per-op
-    trace, so a namenode tracing an operation over a remote DAL still
-    sees its ``db.*`` events. ``rows_locked``, which only the engine's
-    lock sites count, is the one shipped number.
+    Each event's fields are checked — a known kind, a str table, int
+    lists, an int coordinator and rows, a bool locked and write — and
+    the event is recorded as the server recorded it: appended, and
+    announced to the active per-op trace, so a namenode tracing an
+    operation over a remote DAL still sees its ``db.*`` events. Every
+    total is computed from the events; ``rows_locked``, which only the
+    engine's lock sites count, is the one shipped number.
     """
     try:
         rows_locked, events = delta
-        if not isinstance(rows_locked, int):
+        if type(rows_locked) is not int:
             raise TypeError(f"rows_locked is {rows_locked!r}")
-        for (kind, table, partitions, nodes, coordinator, rows, locked, write,
-             node_groups) in events:
-            stats.record(AccessEvent(_KINDS[kind], table, tuple(partitions),
-                                     tuple(nodes), coordinator, rows, locked,
-                                     write, tuple(node_groups)))
+        record = stats.record
+        for event in events:
+            (kind, table, partitions, nodes, coordinator, rows, locked, write,
+             node_groups) = event
+            if (type(table) is not str or type(coordinator) is not int
+                    or type(rows) is not int or type(locked) is not bool
+                    or type(write) is not bool
+                    or not (type(partitions) is type(nodes)
+                            is type(node_groups) is list)
+                    or not _INT.issuperset(
+                        map(type, partitions + nodes + node_groups))):
+                raise TypeError(f"bad event field in {event!r}")
+            record(AccessEvent(_KINDS[kind], table, tuple(partitions),
+                               tuple(nodes), coordinator, rows, locked, write,
+                               tuple(node_groups)))
         stats.rows_locked += rows_locked
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed stats delta: {exc!r}") from None

@@ -148,7 +148,6 @@ def test_ppis_batch_is_the_single_scans_in_one_round_trip(driver):
 
     singles = session.run(
         lambda tx: [tx.ppis(table, values) for table, values in scans])
-    session.reset_stats()
     batched = session.run(lambda tx: tx.ppis_batch(scans))
     # results in request order, mixed tables, repeats and misses included
     assert batched == singles
@@ -185,10 +184,9 @@ def test_locked_ppis_batch_is_the_locked_single_scans(driver, lock):
              ("items", {"pid": 9}), ("items", {"pid": 1}),
              ("tags", {"pid": 1}), ("items", {"pid": 3})]
 
-    session.reset_stats()
     singles = session.run(lambda tx: [
         tx.ppis(table, values, lock=lock) for table, values in scans])
-    single_stats = session.reset_stats()
+    single_stats = session.stats
     batched = session.run(lambda tx: tx.ppis_batch(scans, lock=lock))
     assert batched == singles
     assert [len(rows) for rows in batched] == [1, 3, 0, 1, 1, 3]
@@ -250,7 +248,6 @@ def test_locked_ppis_batch_drops_rows_that_vanish_before_the_grant(driver):
         got.append(session.run(
             lambda tx: tx.ppis_batch(scans, lock=LockMode.EXCLUSIVE)))
 
-    session.reset_stats()
     waiter = threading.Thread(target=scan)
     waiter.start()
     time.sleep(0.1)  # the batch read its candidates and waits for (3, n1)
@@ -275,7 +272,6 @@ def test_rows_locked_counts_the_same_locks_on_every_driver(driver):
     count nothing."""
     session = driver.session()
     _fill_items_and_tags(session)
-    session.reset_stats()
 
     def sequence(tx):
         tx.read("items", (1, "n0"), lock=LockMode.SHARED)             # 1
@@ -363,10 +359,9 @@ def test_read_batch_with_scans_is_the_read_then_the_scans_in_one_round_trip(
     scans = [("tags", {"pid": 3}), ("items", {"pid": 3}),
              ("items", {"pid": 9}), ("tags", {"pid": 1})]
 
-    session.reset_stats()
     apart = session.run(lambda tx: (
         tx.read_batch("items", keys, locks=locks), tx.ppis_batch(scans)))
-    apart_stats = session.reset_stats()
+    apart_stats = session.stats
     together = session.run(lambda tx: tx.read_batch(
         "items", keys, locks=locks, scans=scans))
     assert together == apart
@@ -487,9 +482,9 @@ def test_index_scan(driver):
 def test_stats_recorded(driver):
     session = driver.session()
     session.run(lambda tx: tx.insert("items", {"pid": 1, "name": "a", "value": 1}))
+    assert session.stats.count(AccessKind.COMMIT) >= 1
     session.run(lambda tx: tx.read("items", (1, "a")))
     assert session.stats.count(AccessKind.PK) == 1
-    assert session.stats.count(AccessKind.COMMIT) >= 1
 
 
 def test_session_run_retries_an_abort_once_and_counts_it(driver):

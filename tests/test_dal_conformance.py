@@ -37,7 +37,7 @@ def members(protocol):
 def test_the_protocols_declare_the_contract():
     assert {"create_table", "session", "table_size", "engine_name",
             "round_trips_wait", "metrics_registry"} == set(members(DALDriver))
-    assert {"stats", "begin", "run", "reset_stats"} == set(members(DALSession))
+    assert {"stats", "begin", "run"} == set(members(DALSession))
     assert {"stats", "read", "read_batch", "ppis", "ppis_batch",
             "index_scan", "full_scan", "insert", "update", "write",
             "delete", "commit", "abort"} == set(members(DALTransaction))

@@ -31,23 +31,19 @@ class TestBatching:
 
     def test_batched_lookup_round_trips(self, loaded):
         """Report lookups are batched PK reads (§7.7), ceil(n/batch)."""
-        from repro.ndb.stats import AccessKind, AccessStats
+        from repro.ndb.stats import AccessKind
 
         fs, _client = loaded
         nn = fs.any_namenode()
         dn = max(fs.datanodes, key=lambda d: d.block_count())
-        saved = nn.stats
-        nn.stats = AccessStats(keep_events=True)
-        try:
+        with nn.recording() as stats:
             processor = BlockReportProcessor(nn, batch_size=4)
             processor.process(dn.dn_id, dn.block_report())
-            lookups = [e for e in nn.stats.events
-                       if e.kind is AccessKind.BATCH_PK
-                       and e.table == "block_lookup"]
-            expected = -(-dn.block_count() // 4)  # ceil division
-            assert len(lookups) == expected
-        finally:
-            nn.stats = saved
+        lookups = [e for e in stats.events
+                   if e.kind is AccessKind.BATCH_PK
+                   and e.table == "block_lookup"]
+        expected = -(-dn.block_count() // 4)  # ceil division
+        assert len(lookups) == expected
 
 
 class TestDivergenceRepair:
@@ -104,11 +100,11 @@ class TestReportTargets:
         fs, _client = loaded
         dn = fs.datanodes[0]
         target = fs.namenodes[1]
-        processor_counts_before = target.op_counts().get(
-            "block_report_lookup", 0)
+        lookups = target.metrics.counter("fs_op_total",
+                                         op="block_report_lookup")
+        processor_counts_before = lookups.value
         fs.send_block_report(dn.dn_id, namenode=target)
-        assert (target.op_counts().get("block_report_lookup", 0)
-                > processor_counts_before)
+        assert lookups.value > processor_counts_before
 
     def test_fresh_namenode_can_process_reports(self, loaded):
         fs, _client = loaded

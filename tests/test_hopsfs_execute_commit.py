@@ -32,7 +32,6 @@ from repro.hopsfs import quota as quota_mod
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.tx import StalePathHintError
 from repro.ndb import AccessKind, LockMode, NDBConfig
-from repro.ndb.stats import AccessStats
 from repro.util.clock import ManualClock
 
 NDB = NDBConfig(num_datanodes=4, replication=2, lock_timeout=2.0)
@@ -72,11 +71,9 @@ def _nothing_left(cluster, open_txs) -> bool:
 
 
 def _op_stats(nn, fn):
-    before, nn.stats = nn.stats, AccessStats()
-    try:
-        return fn(), nn.stats
-    finally:
-        nn.stats = before
+    with nn.recording() as stats:
+        result = fn()
+    return result, stats
 
 
 def _retries(fs) -> float:
@@ -257,13 +254,10 @@ def test_a_subtree_lock_found_after_a_riding_commit_is_still_raised(deploy):
         op()  # warm nn2's hints: the next ones ride
     ctx = nn1._subtree_begin("/locked", "delete")
     for name, op in ops.items():
-        before, nn2.stats = nn2.stats, AccessStats()
-        try:
+        with nn2.recording() as stats:
             with pytest.raises(SubtreeLockedError):
                 op()
-            assert nn2.stats.round_trips == 1, name  # it rode, then raised
-        finally:
-            nn2.stats = before
+        assert stats.round_trips == 1, name  # it rode, then raised
         assert _nothing_left(cluster, open_txs), name
     nn1._subtree_release(ctx)
     assert ops["stat"]() is not None

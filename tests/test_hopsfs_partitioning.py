@@ -15,15 +15,9 @@ from tests.conftest import make_hopsfs
 
 def op_stats(nn, fn):
     """Run one operation and return the AccessStats it generated."""
-    before = nn.stats
-    from repro.ndb.stats import AccessStats
-
-    nn.stats = AccessStats()  # keep_events defaults True here
-    try:
+    with nn.recording() as stats:
         fn()
-        return nn.stats
-    finally:
-        nn.stats = before
+    return stats
 
 
 class TestPartitionPlacement:

@@ -73,20 +73,14 @@ class TestXattrs:
         assert client.get_xattrs("/b") == {"k": "v"}
 
     def test_xattrs_use_pruned_scans(self, fs):
-        from repro.ndb.stats import AccessStats
-
         client = fs.client("x")
         client.write_file("/f", b"")
         client.set_xattr("/f", "k", "v")
         nn = fs.namenodes[0]
         nn.get_xattrs("/f")  # warm cache
-        saved = nn.stats
-        nn.stats = AccessStats(keep_events=True)
-        try:
+        with nn.recording() as stats:
             nn.get_xattrs("/f")
-            assert not nn.stats.uses_expensive_scans
-        finally:
-            nn.stats = saved
+        assert not stats.uses_expensive_scans
 
 
 class TestFsck:

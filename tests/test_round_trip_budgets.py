@@ -36,7 +36,7 @@ import pytest
 
 from repro.analysis.budgets import budget_for
 from repro.hopsfs.blockreport import BlockReportProcessor
-from repro.ndb.stats import AccessKind, AccessStats
+from repro.ndb.stats import AccessKind
 from tests.conftest import make_hopsfs
 
 #: measured client-facing op -> ``_fs_op`` name in the budget table
@@ -212,6 +212,12 @@ def _subtree_txs(levels, batch: int) -> int:
     return 2 + sum(-(-plain // batch) + hashed for plain, hashed in levels)
 
 
+def _op_totals(nn) -> dict[str, float]:
+    """``fs_op_total{op}``: the namenode's successful ops, by name."""
+    return {dict(c.labels)["op"]: c.value for c in nn.metrics.counters()
+            if c.name == "fs_op_total"}
+
+
 class TestSubtreeTransactionCount:
     """How many transactions a subtree ``set_owner`` is — exact: the
     quiesce is one ``subtree_quiesce`` transaction (budget ``"1"``) per
@@ -220,10 +226,10 @@ class TestSubtreeTransactionCount:
 
     @staticmethod
     def _chown_txs(nn, path):
-        before = nn.op_counts()
+        before = _op_totals(nn)
         nn.chown_subtree(path, "u", "g")
         spent = {op: n - before.get(op, 0)
-                 for op, n in nn.op_counts().items() if n != before.get(op, 0)}
+                 for op, n in _op_totals(nn).items() if n != before.get(op, 0)}
         assert spent.pop("chown_subtree_lock") == 1
         assert spent.pop("chown_subtree") == 1
         assert set(spent) == {"subtree_quiesce"}
@@ -310,27 +316,6 @@ class TestBlockReportBudgets:
                         + _budget("block_report_add", block=1, extra=0))
 
 
-def test_round_trip_budget_view():
-    """RoundTripBudget: the unit of account the cost program gates on."""
-    stats = AccessStats()
-    budget = stats.budget(2)
-    assert budget.used == 0 and budget.remaining == 2
-    assert not budget.exceeded
-    stats.round_trips += 2
-    assert budget.used == 2 and budget.remaining == 0
-    assert not budget.exceeded  # at the limit is within budget
-    stats.round_trips += 1
-    assert budget.exceeded and budget.remaining == -1
-
-
-def test_budget_counts_from_open_not_from_zero():
-    stats = AccessStats()
-    stats.round_trips = 7  # history before the op under measurement
-    budget = stats.budget(1)
-    stats.round_trips += 1
-    assert budget.used == 1 and not budget.exceeded
-
-
 class TestWireBudget:
     """Frames a warm operation sends over an ndb-server and how many of
     them it *waits for*, pinned with zero tolerance under one rule
@@ -412,13 +397,10 @@ class TestWireBudget:
         measured = {}
         for name, op in ops.items():
             seen.update(waits=0, one_way=0)
-            stats, nn.stats = nn.stats, AccessStats()
-            try:
+            with nn.recording() as stats:
                 op()
-                round_trips = nn.stats.round_trips
-                wrote = nn.stats.count(AccessKind.COMMIT) > 0
-            finally:
-                nn.stats = stats
+            round_trips = stats.round_trips
+            wrote = stats.count(AccessKind.COMMIT) > 0
             if wrote:
                 # flush + commit are database round trips of one request
                 assert seen["waits"] == (round_trips - 2) + 1, name

@@ -170,8 +170,9 @@ def test_unknown_error_type_degrades_to_remote_call_error():
 
 def test_stats_delta_ships_events_and_rows_locked():
     """A v5 reply's ``stats`` is ``[rows_locked, [event, ...]]``; the
-    client recounts every other counter by recording the events."""
-    stats = AccessStats(keep_events=True)
+    client appends the events, and every other total is computed from
+    them."""
+    stats = AccessStats()
     cursor = protocol.StatsCursor()
     stats.record(AccessEvent(kind=AccessKind.PK, table="kv",
                              partitions=(1,), nodes=(0, 2), coordinator=0,
@@ -184,7 +185,7 @@ def test_stats_delta_ships_events_and_rows_locked():
     # nothing new happened: the next delta is empty
     assert cursor.delta(stats) == [0, []]
 
-    mirror = AccessStats(keep_events=True)
+    mirror = AccessStats()
     protocol.apply_stats_delta(mirror, first)
     assert mirror == stats
     assert mirror.remote_partition_hops == 1
@@ -629,7 +630,6 @@ def test_read_batch_carrying_scans_and_commit_is_the_only_frame(
     locks = server.cluster._locks
     before = _requests(server)
     sent = _frames(monkeypatch)
-    session.reset_stats()
 
     def fn(tx):
         got = tx.read_batch("kv", [(3,), (9,)], lock=LockMode.EXCLUSIVE,
@@ -851,24 +851,46 @@ def test_error_reply_to_a_driver_call_keeps_its_connection(driver):
     assert driver.table_size("kv") == 0  # the pooled connection still works
 
 
+#: a well-formed event, and the fields a malformed one gets instead
+_EVENT = ["pk", "kv", [1], [0], 0, 1, True, False, [0]]
+_BAD_FIELDS = {"partitions": (2, "ab"), "rows": (5, 1.5),
+               "locked": (6, "yes"), "coordinator": (4, "c"),
+               "node_groups": (8, "zz")}
+
+
+def _bad_event(field: str) -> list:
+    position, value = _BAD_FIELDS[field]
+    event = list(_EVENT)
+    event[position] = value
+    return event
+
+
+#: stats deltas that do not decode: a bad rows_locked, then one per
+#: mistyped event field
+MALFORMED = {"rows_locked": ["x", []],
+             **{f: [1, [_bad_event(f)]] for f in _BAD_FIELDS}}
+
+
 def test_malformed_stats_end_the_transaction_and_drop_its_connection(
         server, driver, monkeypatch):
     """A reply whose stats do not decode is a ProtocolError like any
     other: the transaction ends, and the connection (whose stream can no
     longer be trusted) is closed, which aborts the server's side too."""
     _fill(driver)
-    monkeypatch.setattr(protocol.StatsCursor, "delta",
-                        lambda cursor, stats: ["x", []])
-    tx = driver.session().begin()
-    conn = tx._conn
-    with pytest.raises(ProtocolError, match="stats"):
-        tx.read("kv", (3,), lock=LockMode.EXCLUSIVE)
-    assert tx._conn is None and conn.closed
-    assert conn not in driver._pool
-    monkeypatch.undo()
-    assert _wait_until(lambda: _open_txs(server) == 0)  # the X-lock is gone
-    assert driver.session().run(
-        lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))["v"] == 30
+    for name, delta in MALFORMED.items():
+        monkeypatch.setattr(protocol.StatsCursor, "delta",
+                            lambda cursor, stats, delta=delta: delta)
+        tx = driver.session().begin()
+        conn = tx._conn
+        with pytest.raises(ProtocolError, match="stats"):
+            tx.read("kv", (3,), lock=LockMode.EXCLUSIVE)
+        assert tx._conn is None and conn.closed, name
+        assert conn not in driver._pool, name
+        monkeypatch.undo()
+        # the X-lock is gone
+        assert _wait_until(lambda: _open_txs(server) == 0), name
+        assert driver.session().run(
+            lambda t: t.read("kv", (3,), lock=LockMode.EXCLUSIVE))["v"] == 30
 
 
 def test_draining_server_rejects_new_transactions(server, driver):
