@@ -13,10 +13,8 @@ Three design choices are isolated:
    file-metadata scans are local to the transaction coordinator.
 """
 
-import pytest
-
 from benchmarks.conftest import print_table
-from repro.ndb.stats import AccessKind, AccessStats
+from repro.ndb.stats import AccessStats
 from tests.conftest import make_hopsfs
 
 
@@ -24,6 +22,11 @@ def op_stats(nn, fn) -> AccessStats:
     with nn.recording() as stats:
         fn()
     return stats
+
+
+def _rows(fs, table, predicate):
+    return fs.driver.session().run(
+        lambda tx: tx.full_scan(table, predicate=predicate))
 
 
 def test_parent_id_partitioning_vs_ls(capsys, benchmark):
@@ -37,19 +40,27 @@ def test_parent_id_partitioning_vs_ls(capsys, benchmark):
         nn = fs.namenodes[0]
         nn.list_status("/a/b/dir")  # warm cache
         stats = op_stats(nn, lambda: nn.list_status("/a/b/dir"))
-        ppis = [e for e in stats.events if e.kind is AccessKind.PPIS]
-        return stats, ppis
+        [dir_row] = _rows(fs, "inodes", lambda r: r["name"] == "dir")
+        children = _rows(fs, "inodes",
+                         lambda r: r["parent_id"] == dir_row["id"])
+        schema = fs.driver.schema("inodes")
+        shards = {fs.driver.partition_of("inodes", schema.pk_of(r))
+                  for r in children}
+        return stats, children, shards
 
-    stats, ppis = benchmark.pedantic(run, rounds=1, iterations=1)
-    shards = {p for e in ppis for p in e.partitions}
+    stats, children, shards = benchmark.pedantic(run, rounds=1, iterations=1)
+    # the warm ls carries its children's scan on the resolve's batched
+    # read: the one event that read them names their shard
+    listing = [e for e in stats.events if e.rows >= len(children)]
     print_table(
         "Ablation — ls of /a/b/dir (32 children) with parent-id partitioning",
         ["metric", "value"],
         [["round trips", str(stats.round_trips)],
-         ["shards scanned", str(len(shards))],
+         ["shards holding the children", str(len(shards))],
          ["expensive scans", str(stats.uses_expensive_scans)]],
         capsys)
-    assert len(shards) == 1
+    assert len(children) == 32 and len(shards) == 1
+    assert len(listing) == 1 and shards <= set(listing[0].partitions)
     assert not stats.uses_expensive_scans
 
 
@@ -116,15 +127,25 @@ def test_distribution_aware_reads_local(capsys, benchmark):
         client.write_file("/p/q/blob", b"x", replication=2)
         nn = fs.namenodes[0]
         nn.get_block_locations("/p/q/blob")  # warm cache
-        stats = op_stats(nn, lambda: nn.get_block_locations("/p/q/blob"))
-        return [e for e in stats.events if e.kind is AccessKind.PPIS]
+        # eight reads: a coordinator picked round-robin over the eight
+        # datanodes would be the file shard's primary at most once
+        stats = op_stats(nn, lambda: [nn.get_block_locations("/p/q/blob")
+                                      for _ in range(8)])
+        [blob] = _rows(fs, "inodes", lambda r: r["name"] == "blob")
+        shard = fs.driver.partition_for_values("blocks",
+                                               {"inode_id": blob["id"]})
+        return stats, shard, fs.driver.primary_table()[shard]
 
-    ppis = benchmark.pedantic(run, rounds=1, iterations=1)
-    local = sum(1 for e in ppis if e.coordinator_local)
+    stats, shard, primary = benchmark.pedantic(run, rounds=1, iterations=1)
+    # each warm read carries the block and replica scans on its batched
+    # read of the path; they run on the file's shard
+    reads = [e for e in stats.events if "blocks" in e.table.split("+")]
+    local = sum(1 for e in reads
+                if shard in e.partitions and e.coordinator == primary)
     print_table(
         "Ablation — distribution-aware transaction placement",
         ["metric", "value"],
-        [["file-metadata scans", str(len(ppis))],
-         ["coordinator-local", str(local)]],
+        [["reads carrying file-metadata scans", str(len(reads))],
+         ["coordinated by the scans' shard primary", str(local)]],
         capsys)
-    assert ppis and local == len(ppis)
+    assert len(reads) == 8 and local == len(reads)

@@ -17,15 +17,18 @@ Locks are logically held at the primary replica of the row's partition; we
 keep them in one manager per cluster, which is equivalent for correctness
 since there is exactly one primary per partition at any time.
 
-**One table, one condition.** The rows, the keys each owner holds, the
+**One table, one mutex.** A row's entry is its holders, and an
+uncontended row is nothing more: a new grant is one dict store plus one
+append to the owner's key list, and ``release_all`` deletes the entry. A
+row gets a FIFO wait queue at its first conflict and loses it when the
+queue drains. The rows, the queues, the keys each owner holds, the
 failover abort marks and the blocked requests all sit behind one
-``threading.Condition``, which a waiter releases while it waits. The
-uncontended path is one mutex acquire, a grant and a return; the queue
-is only entered on conflict. Because the whole wait-for graph is under
-that one mutex, deadlock detection is exact: the search follows each
-blocked owner's one pending request and reads its blockers off the row
-as it is now, so it never sees a stale edge. Timeouts remain for waits
-on a holder that is not itself blocked (a slow or stuck transaction).
+``threading.Lock``; a waiter sleeps on the ``threading.Condition`` that
+wraps it. Because the whole wait-for graph is under that one mutex,
+deadlock detection is exact: the search follows each blocked owner's one
+pending request and reads its blockers off the row as it is now, so it
+never sees a stale edge. Timeouts remain for waits on a holder that is
+not itself blocked (a slow or stuck transaction).
 """
 
 from __future__ import annotations
@@ -61,61 +64,26 @@ class _Request:
         self.cancelled = False
 
 
-class _RowLock:
-    __slots__ = ("key", "owners", "queue")
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-        self.owners: dict[Hashable, LockMode] = {}
-        self.queue: deque[_Request] = deque()
-
-    def idle(self) -> bool:
-        return not self.owners and not self.queue
-
-    def grantable(self, owner: Hashable, mode: LockMode) -> bool:
-        """Whether a new request of ``owner`` is granted without queueing."""
-        held = self.owners.get(owner)
-        if held is LockMode.EXCLUSIVE:
-            return True  # reentrant; X covers S
-        if held is LockMode.SHARED:
-            # S again, or the sole-owner upgrade
-            return mode is LockMode.SHARED or len(self.owners) == 1
-        # new acquisition: respect FIFO queue
-        if self.queue:
-            return False
-        if mode is LockMode.SHARED:
-            return all(m is LockMode.SHARED for m in self.owners.values())
-        return not self.owners
-
-    def admits(self, request: _Request) -> bool:
-        """Whether the queue's head ``request`` is compatible with the
-        row's current holders."""
-        owner = request.owner
-        if self.owners.get(owner) is LockMode.EXCLUSIVE:
-            return True
-        others = [m for o, m in self.owners.items() if o != owner]
-        return not others or (request.mode is LockMode.SHARED
-                              and LockMode.EXCLUSIVE not in others)
-
-    def blockers(self, request: _Request) -> set[Hashable]:
-        """The owners a queued ``request`` waits on: the row's other
-        holders and the owners queued ahead of it."""
-        found = set(self.owners)
-        for queued in self.queue:
-            if queued is request:
-                break
-            found.add(queued.owner)
-        found.discard(request.owner)
-        return found
+def _admits(holders: dict[Hashable, LockMode], request: _Request) -> bool:
+    """Whether a queue's head ``request`` is compatible with its row's
+    ``holders``."""
+    owner = request.owner
+    if holders.get(owner) is LockMode.EXCLUSIVE:
+        return True
+    others = [m for o, m in holders.items() if o != owner]
+    return not others or (request.mode is LockMode.SHARED
+                          and LockMode.EXCLUSIVE not in others)
 
 
-def _in_cycle(waiting: dict[Hashable, tuple[_RowLock, _Request]],
-              start: Hashable) -> bool:
+def _in_cycle(waiting: dict[Hashable, tuple[Any, _Request]],
+              rows: dict[Any, dict[Hashable, LockMode]],
+              queues: dict[Any, deque[_Request]], start: Hashable) -> bool:
     """Whether ``start``'s wait closes a cycle in the wait-for graph.
 
-    ``waiting`` maps each blocked owner to its row and pending request;
-    an owner's edges are that request's blockers as the row stands now,
-    and an owner missing from the map is running, so it has none.
+    ``waiting`` maps each blocked owner to its key and pending request;
+    an owner's edges are that request's blockers as the row stands now
+    (its other holders and the owners queued ahead of it), and an owner
+    missing from the map is running, so it has none.
     """
     stack = [start]
     seen = {start}
@@ -123,8 +91,14 @@ def _in_cycle(waiting: dict[Hashable, tuple[_RowLock, _Request]],
         entry = waiting.get(stack.pop())
         if entry is None:
             continue
-        row, request = entry
-        for blocker in row.blockers(request):
+        key, request = entry
+        blockers = set(rows[key])
+        for queued in queues[key]:
+            if queued is request:
+                break
+            blockers.add(queued.owner)
+        blockers.discard(request.owner)
+        for blocker in blockers:
             if blocker == start:
                 return True
             if blocker not in seen:
@@ -167,20 +141,25 @@ class LockManager:
         #: optional (table, pk) -> partition id resolver, so lock_wait
         #: spans and ndb_shard_op_seconds carry the shard being waited on
         self._shard_of = shard_of
-        self._cond = threading.Condition()
-        self._rows: dict[Any, _RowLock] = {}  # guarded_by: _cond
+        self._mutex = threading.Lock()
+        #: what a waiter sleeps on; it wraps ``_mutex``
+        self._cond = threading.Condition(self._mutex)
+        #: each held row's holders; a row nobody holds has no entry
+        self._rows: dict[Any, dict[Hashable, LockMode]] = {}  # guarded_by: _mutex
+        #: each contended row's FIFO queue, until it drains
+        self._queues: dict[Any, deque[_Request]] = {}  # guarded_by: _mutex
         #: the keys each owner holds, so release_all visits only those
-        self._held: dict[Hashable, set[Any]] = {}  # guarded_by: _cond
+        self._held: dict[Hashable, list[Any]] = {}  # guarded_by: _mutex
         #: owners a failover aborted, marked until their release_all
-        self._aborted: set[Hashable] = set()  # guarded_by: _cond
-        #: each blocked owner's row and pending request: the vertices of
+        self._aborted: set[Hashable] = set()  # guarded_by: _mutex
+        #: each blocked owner's key and pending request: the vertices of
         #: the wait-for graph, whose edges are read off the rows
-        self._waiting: dict[Hashable, tuple[_RowLock, _Request]] = {}  # guarded_by: _cond
+        self._waiting: dict[Hashable, tuple[Any, _Request]] = {}  # guarded_by: _mutex
         # monitoring; the engine's gauges read these without the mutex
-        self.waits = 0  # guarded_by: _cond [writes]
-        self.deadlocks = 0  # guarded_by: _cond [writes]
-        self.timeouts = 0  # guarded_by: _cond [writes]
-        self.wait_seconds = 0.0  # guarded_by: _cond [writes]
+        self.waits = 0  # guarded_by: _mutex [writes]
+        self.deadlocks = 0  # guarded_by: _mutex [writes]
+        self.timeouts = 0  # guarded_by: _mutex [writes]
+        self.wait_seconds = 0.0  # guarded_by: _mutex [writes]
 
     # -- public API -----------------------------------------------------------
 
@@ -194,37 +173,38 @@ class LockManager:
         """
         if mode is LockMode.READ_COMMITTED:
             return
-        fault_point("ndb.lock.acquire", mode=mode.value)
+        fault_point("ndb.lock.acquire", mode=mode._value_)
         witness = LockManager._witness
         if witness is not None:
             witness.row_requested(self, owner, key, mode.value)
-        # the wait's metrics record after _cond is left: every grant and
-        # release in the engine takes it
+        # the wait's metrics record after the mutex is left: every grant
+        # and release in the engine takes it
         waited = None
         try:
-            with self._cond:
+            with self._mutex:
                 if owner in self._aborted:
                     raise TransactionAbortedError("transaction was aborted")
-                row = self._rows.get(key)
-                if row is None:
-                    row = self._rows[key] = _RowLock(key)
-                if row.grantable(owner, mode):
-                    # uncontended fast path: grant without touching the queue
-                    self._grant(row, owner, mode)
+                holders = self._rows.get(key)
+                if holders is None or self._try_grant(key, holders, owner, mode):
+                    # uncontended fast path: grant without a queue
+                    if holders is None:
+                        self._rows[key] = {owner: mode}
+                        self._hold(owner, key)
                     if witness is not None:
                         witness.row_granted(self, owner, key, mode.value)
                     return
                 request = _Request(owner, mode)
-                if owner in row.owners:
+                queue = self._queues.setdefault(key, deque())
+                if owner in holders:
                     # lock upgrade: jump ahead of ordinary waiters, behind other
                     # upgrades already queued at the front.
                     insert_at = 0
-                    while insert_at < len(row.queue) and row.queue[insert_at].owner in row.owners:
+                    while insert_at < len(queue) and queue[insert_at].owner in holders:
                         insert_at += 1
-                    row.queue.insert(insert_at, request)
+                    queue.insert(insert_at, request)
                 else:
-                    row.queue.append(request)
-                self._waiting[owner] = (row, request)
+                    queue.append(request)
+                self._waiting[owner] = (key, request)
                 self.waits += 1
                 deadline = time.monotonic() + (timeout if timeout is not None
                                                else self._timeout)
@@ -238,7 +218,7 @@ class LockManager:
                         # shrink (a new holder comes from the queue ahead of
                         # it), so only a new request can close a cycle, and
                         # its owner finds it here
-                        if _in_cycle(self._waiting, owner):
+                        if _in_cycle(self._waiting, self._rows, self._queues, owner):
                             self.deadlocks += 1
                             raise DeadlockError(
                                 f"deadlock detected while locking {key!r}")
@@ -255,7 +235,7 @@ class LockManager:
                 finally:
                     waited = time.monotonic() - started
                     self.wait_seconds += waited
-                    self._withdraw(row, request)
+                    self._withdraw(key, request)
                 if witness is not None:
                     witness.row_granted(self, owner, key, mode.value)
         finally:
@@ -286,23 +266,25 @@ class LockManager:
                       if kmode is not LockMode.READ_COMMITTED]
         if not wanted:
             return
-        fault_point("ndb.lock.acquire", mode=mode.value, batch=len(wanted))
+        fault_point("ndb.lock.acquire", mode=mode._value_, batch=len(wanted))
         witness = LockManager._witness
         granted = 0
-        with self._cond:
+        with self._mutex:
             if owner in self._aborted:
                 raise TransactionAbortedError("transaction was aborted")
             rows = self._rows
+            held = self._held.get(owner)
+            if held is None:
+                held = self._held[owner] = []
             for key, kmode in wanted:
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = _RowLock(key)
-                elif not row.grantable(owner, kmode):
+                holders = rows.get(key)
+                if holders is None:
+                    rows[key] = {owner: kmode}
+                    held.append(key)
+                elif not self._try_grant(key, holders, owner, kmode):
                     break
                 if witness is not None:
                     witness.row_requested(self, owner, key, kmode.value)
-                self._grant(row, owner, kmode)
-                if witness is not None:
                     witness.row_granted(self, owner, key, kmode.value)
                 granted += 1
         # remainder: contended keys block one at a time, in caller order
@@ -318,15 +300,19 @@ class LockManager:
         failover abort reaches a victim blocked in :meth:`acquire`, even
         one that has not run since :meth:`abort_waiters` marked it.
         """
-        with self._cond:
+        with self._mutex:
             pending = self._waiting.get(owner)
             if pending is not None:
                 self._withdraw(*pending)
                 self._cond.notify_all()
+            rows, queues = self._rows, self._queues
             for key in self._held.pop(owner, ()):
-                row = self._rows[key]
-                del row.owners[owner]
-                self._dispatch(row)
+                holders = rows[key]
+                del holders[owner]
+                if key in queues:
+                    self._dispatch(key)
+                elif not holders:
+                    del rows[key]
             self._aborted.discard(owner)
         witness = LockManager._witness
         if witness is not None:
@@ -334,26 +320,25 @@ class LockManager:
 
     def abort_waiters(self, owners: Iterable[Hashable]) -> None:
         """Mark owners aborted so their pending acquires fail immediately."""
-        with self._cond:
+        with self._mutex:
             self._aborted.update(owners)
             self._cond.notify_all()
 
     def is_aborted(self, owner: Hashable) -> bool:
         """Whether ``owner`` carries a pending failover-abort mark."""
-        with self._cond:
+        with self._mutex:
             return owner in self._aborted
 
     def holders(self, key: Any) -> dict[Hashable, LockMode]:
-        with self._cond:
-            row = self._rows.get(key)
-            return dict(row.owners) if row else {}
+        with self._mutex:
+            return dict(self._rows.get(key, ()))
 
     def held_keys(self, owner: Hashable) -> set[Any]:
-        with self._cond:
+        with self._mutex:
             return set(self._held.get(owner, ()))
 
     def lock_table_size(self) -> int:
-        with self._cond:
+        with self._mutex:
             return len(self._rows)
 
     def _record_wait(self, shard: Optional[int], waited: float) -> None:
@@ -371,48 +356,73 @@ class LockManager:
         if shard is not None and self._shard_op_seconds is not None:
             self._shard_op_seconds(shard, "lock_wait").observe(waited)
 
-    # -- internals (the caller holds _cond) -------------------------------------
+    # -- internals (the caller holds _mutex) ------------------------------------
 
-    def _grant(self, row: _RowLock, owner: Hashable, mode: LockMode) -> None:
-        held = row.owners.get(owner)
+    def _hold(self, owner: Hashable, key: Any) -> None:
+        """Add ``key`` to the keys ``owner`` holds."""
+        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
+        held = self._held.get(owner)
         if held is None:
-            row.owners[owner] = mode
-            # hfs: allow(HFS104, reason=private helper; every caller holds _cond)
-            self._held.setdefault(owner, set()).add(row.key)
-        elif mode is LockMode.EXCLUSIVE:
-            row.owners[owner] = mode
+            # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
+            self._held[owner] = [key]
+        else:
+            held.append(key)
 
-    def _dispatch(self, row: _RowLock) -> None:
+    def _try_grant(self, key: Any, holders: dict[Hashable, LockMode],
+                   owner: Hashable, mode: LockMode) -> bool:
+        """Grant ``mode`` on the held row ``key`` to ``owner`` unless that
+        has to wait."""
+        held = holders.get(owner)
+        if held is LockMode.EXCLUSIVE or held is mode:
+            return True  # reentrant; X covers S
+        if held is None:
+            # a new holder: FIFO behind a queue, and S only beside S
+            # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
+            if (key in self._queues or mode is LockMode.EXCLUSIVE
+                    or LockMode.EXCLUSIVE in holders.values()):
+                return False
+            self._hold(owner, key)
+        elif len(holders) > 1:
+            return False  # the upgrade waits for the other holders
+        holders[owner] = mode
+        return True
+
+    def _dispatch(self, key: Any) -> None:
         """Grant queued requests from the front while compatible, drop
-        the row once idle, and wake the waiters if a request left the
-        queue."""
-        # hfs: allow(HFS104, reason=private helper; every caller holds _cond)
-        rows, aborted, waiting = self._rows, self._aborted, self._waiting
-        queue = row.queue
+        the queue once drained and the row once idle, and wake the
+        waiters if a request left the queue."""
+        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
+        rows, queues, aborted, waiting = self._rows, self._queues, self._aborted, self._waiting
+        holders, queue = rows[key], queues[key]
         served = False
         while queue:
             head = queue[0]
             if head.owner in aborted:
                 head.cancelled = True  # its waiter wakes to raise
-            elif row.admits(head):
-                self._grant(row, head.owner, head.mode)
+            elif _admits(holders, head):
+                if head.owner not in holders:
+                    self._hold(head.owner, key)
+                holders[head.owner] = head.mode
                 head.granted = True
             else:
                 break
             queue.popleft()
             waiting.pop(head.owner, None)
             served = True
-        if row.idle():
-            rows.pop(row.key, None)
+        if not queue:
+            del queues[key]
+            if not holders:
+                del rows[key]
         if served:
             self._cond.notify_all()
 
-    def _withdraw(self, row: _RowLock, request: _Request) -> None:
+    def _withdraw(self, key: Any, request: _Request) -> None:
         """Take a request that is still queued out of its row's queue."""
         if request.granted or request.cancelled:
             return
         request.cancelled = True
-        row.queue.remove(request)
-        # hfs: allow(HFS104, reason=private helper; every caller holds _cond)
+        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
+        self._queues[key].remove(request)
+        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
         self._waiting.pop(request.owner, None)
-        self._dispatch(row)
+        self._dispatch(key)
