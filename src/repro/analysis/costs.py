@@ -47,7 +47,8 @@ from repro.analysis.waivers import RtNote, parse_rt_notes, rt_note_for
 READ_METHODS = frozenset({"read", "read_batch", "ppis", "ppis_batch",
                           "index_scan", "full_scan"})
 #: buffered DAL writes: zero round trips now, +2 at commit
-WRITE_METHODS = frozenset({"insert", "update", "delete", "write"})
+WRITE_METHODS = frozenset({"insert", "update", "delete", "delete_batch",
+                           "write"})
 
 #: loop-target suffixes stripped when deriving a workload symbol
 _SYMBOL_SUFFIXES = ("_id", "_pk", "_row", "_key", "_name")

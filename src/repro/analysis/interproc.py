@@ -4,10 +4,11 @@ Extends HFS102's per-function lock-order checks across call boundaries,
 in three parts:
 
 1. **Batched-acquisition proof obligations.** Every call site of
-   ``acquire_many`` / ``_lock_many`` / ``read_batch(..., lock=/locks=)``
-   locks a whole key iterable at once, so the iterable itself must be
-   provably sorted (a ``sorted(...)`` call, a name assigned from one, or
-   a comprehension/slice over such a name). Sites whose order comes from
+   ``acquire_many`` / ``_lock_many`` / ``delete_batch`` /
+   ``read_batch(..., lock=/locks=)`` locks a whole key iterable at
+   once, so the iterable itself must be provably sorted (a
+   ``sorted(...)`` call, a name assigned from one, or a
+   comprehension/slice over such a name). Sites whose order comes from
    a caller contract instead (the DAL internals, the resolver's
    root-down path order) carry explicit waivers quoting that contract.
 
@@ -41,8 +42,9 @@ from repro.analysis.linter import (
     _lockmode_name,
 )
 
-#: call attrs that lock a whole key iterable in one shot
-_BATCH_LOCKERS = frozenset({"acquire_many", "_lock_many"})
+#: call attrs that lock a whole key iterable in one shot (the keys are
+#: their second argument)
+_BATCH_LOCKERS = frozenset({"acquire_many", "_lock_many", "delete_batch"})
 
 #: maximum helper-inlining depth for the replay
 _MAX_DEPTH = 3

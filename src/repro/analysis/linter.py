@@ -131,7 +131,8 @@ def _acquisition_of(call: ast.Call) -> Optional[_Acquisition]:
 
     Covers explicit modes (``lock=LockMode.X`` keywords, positional
     ``LockMode.X`` args to ``acquire``/``_lock``) and the implicitly
-    X-locking transaction writes ``tx.delete(...)`` / ``tx.update(...)``.
+    X-locking transaction writes ``tx.delete(...)`` /
+    ``tx.delete_batch(...)`` / ``tx.update(...)``.
     """
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -161,7 +162,8 @@ def _acquisition_of(call: ast.Call) -> Optional[_Acquisition]:
     else:
         receiver = _receiver_name(func.value) or ""
         is_txish = receiver == "tx" or receiver.endswith(("_tx", "txn"))
-        if func.attr == "delete" and (is_txish or len(call.args) >= 2):
+        if func.attr in ("delete", "delete_batch") and (
+                is_txish or len(call.args) >= 2):
             mode = "EXCLUSIVE"
         elif func.attr == "update" and is_txish and len(call.args) >= 2:
             mode = "EXCLUSIVE"

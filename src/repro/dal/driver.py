@@ -10,9 +10,9 @@ union of what the namenode transaction template needs:
   partition-pruned index scans (one, or a batch in one round trip;
   either optionally locked),
   index scans, full scans;
-* buffered inserts/updates/deletes flushed at commit (none of them
-  returns anything: a caller that must know whether a row exists reads
-  it);
+* buffered inserts/updates/deletes flushed at commit, and a batch of
+  deletes locked as one batch (none of them returns anything: a caller
+  that must know whether a row exists reads it);
 * per-session access statistics (:class:`repro.ndb.AccessStats`): a
   session's ``stats`` are its latest ``run``'s, every attempt included.
 
@@ -106,6 +106,14 @@ class DALTransaction(Protocol):
     def write(self, table: str, row: Mapping[str, Any]) -> None: ...
 
     def delete(self, table: str, key: Any, must_exist: bool = ...) -> None: ...
+
+    def delete_batch(self, table: str, keys: Sequence[Any]) -> None:
+        """``delete(table, key, must_exist=False)`` for every key — rows
+        that do not exist are skipped, a buffered insert is cancelled —
+        with the X locks taken as one batch in key order, so the caller
+        passes the keys sorted (the global lock order, §3.4). Like every
+        write it is buffered: no round trip until the commit."""
+        ...
 
     def commit(self) -> None: ...
 

@@ -304,6 +304,11 @@ class MemoryTransaction:
             return
         self._writes[(table, pk)] = ("delete", None)
 
+    def delete_batch(self, table: str, keys: Sequence[Any]) -> None:
+        for key in keys:
+            # hfs: allow(HFS102, reason=DAL primitive; the one global mutex is every row lock, and delete_batch callers own the key order)
+            self.delete(table, key, must_exist=False)
+
     # -- end -----------------------------------------------------------------
 
     def commit(self) -> None:

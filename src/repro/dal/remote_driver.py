@@ -297,6 +297,9 @@ class RemoteTransaction:
     def delete(self, table: str, key: Any, must_exist: bool = True) -> None:
         self._buffer("delete", table, key, must_exist)
 
+    def delete_batch(self, table: str, keys: Sequence[Any]) -> None:
+        self._buffer("delete_batch", table, list(keys))
+
     # -- transaction end -------------------------------------------------------
 
     def _notify_end(self, method: str) -> None:

@@ -619,15 +619,13 @@ class InodeOpsMixin:
         scans = _sub_row_scans(inodes)
         return _group_sub_rows(inodes, tx.ppis_batch(scans) if scans else [])
 
-    def _delete_sub_rows(self, tx: DALTransaction, inode_id: int,
-                         is_dir: bool, bits: int,
+    def _delete_sub_rows(self, tx: DALTransaction, inode_id: int, bits: int,
                          rows: dict[str, list[dict]]) -> None:
         """Delete what :meth:`_scan_sub_rows` found for one inode with
-        these ``sub_tables`` bits, and the point rows they allow."""
+        these ``sub_tables`` bits, and the point rows they allow. A
+        file's ``leases`` row has no bit: the caller deletes it."""
         if bits & fs_schema.SUB_BLOCKS:
             blk.remove_file_blocks(tx, inode_id, rows)
-        if not is_dir:
-            tx.delete("leases", (inode_id,), must_exist=False)
         if bits & fs_schema.SUB_QUOTA:
             tx.delete("quotas", (inode_id,), must_exist=False)
         if bits & fs_schema.SUB_XATTRS:
@@ -648,8 +646,10 @@ class InodeOpsMixin:
         inode_id = row["id"]
         bits = _hint_bits(row["is_dir"])
         self._delete_sub_rows(
-            tx, inode_id, row["is_dir"], bits,
+            tx, inode_id, bits,
             _group_sub_rows([(inode_id, bits)], resolved.scanned)[inode_id])
+        if not row["is_dir"]:
+            tx.delete("leases", (inode_id,), must_exist=False)
         tx.delete("inodes", (row["part_key"], row["parent_id"], row["name"]))
         quota_mod.enforce_and_queue(
             tx, self._quota_ancestors(resolved,

@@ -34,8 +34,8 @@ run in one database transaction. HopsFS instead:
     semantics than HDFS, §6.1). A batch X-locks its inode rows first;
     their ``sub_tables`` bits then say which of the ``inode_id`` tables
     can hold rows of each, and the batch scans (one ``ppis_batch``) and
-    deletes only those — nothing beyond the leases of its files when no
-    inode is flagged;
+    deletes only those; its files' leases and its inodes go as one
+    ``delete_batch`` each — nothing else when no inode is flagged;
   - *move*, *chmod*, *chown* and *set-quota* update only the subtree root
     in one small transaction, leaving inner inodes intact (§6.2).
 """
@@ -63,13 +63,11 @@ from repro.metrics.tracing import TraceContext, current_trace, link_scope
 from repro.ndb.locks import LockMode
 
 
-@dataclass
+@dataclass(slots=True)
 class SubtreeNode:
     """One inode of the in-memory tree built while quiescing (§6.1)."""
 
-    part_key: int
-    parent_id: int
-    name: str
+    pk: tuple  # (part_key, parent_id, name)
     id: int
     is_dir: bool
     size: int
@@ -79,8 +77,8 @@ class SubtreeNode:
     children: list["SubtreeNode"] = field(default_factory=list)
 
     @property
-    def pk(self) -> tuple:
-        return (self.part_key, self.parent_id, self.name)
+    def name(self) -> str:
+        return self.pk[2]
 
 
 @dataclass
@@ -89,6 +87,10 @@ class SubtreeContext:
     op: str
     root_row: dict
     tree: Optional[SubtreeNode] = None
+    #: namespace items and disk space of the subtree, which the quiesce
+    #: counts as it builds each level (the root alone until then)
+    inodes: int = 1
+    disk: int = 0
 
 
 class SubtreeOpsMixin:
@@ -136,8 +138,6 @@ class SubtreeOpsMixin:
         """
 
         def phase3(ctx: SubtreeContext) -> None:
-            ns_used, ds_used = _tree_usage(ctx.tree)
-
             def fn(tx: DALTransaction) -> None:
                 # lock the root inode before the quota row: inode rows
                 # come first in the global acquisition order (§3.4)
@@ -148,7 +148,7 @@ class SubtreeOpsMixin:
                     raise FileNotFoundError_(path)
                 fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_QUOTA)
                 quota_mod.set_quota_row(tx, ctx.root_row["id"], ns_quota,
-                                        ds_quota, ns_used, ds_used)
+                                        ds_quota, ctx.inodes, ctx.disk)
 
             self._fs_op("set_quota", fn, hint=self.resolver.tx_hint(path)[0])
 
@@ -170,10 +170,9 @@ class SubtreeOpsMixin:
             except Exception:
                 self._subtree_release(ctx)
                 raise
-        inodes, _ = _tree_usage(ctx.tree)
         self.metrics.observe("subtree_op_seconds",
                              time.perf_counter() - started, op=op)
-        self.metrics.inc("subtree_op_inodes_total", inodes, op=op)
+        self.metrics.inc("subtree_op_inodes_total", ctx.inodes, op=op)
 
     # ------------------------------------------------------------- phase 1
 
@@ -222,12 +221,13 @@ class SubtreeOpsMixin:
 
     def _subtree_quiesce(self, ctx: SubtreeContext) -> None:
         """Phase 2: write-lock (and release) every descendant, level by
-        level, building the in-memory subtree tree."""
+        level, building the in-memory subtree tree and counting its
+        usage."""
         root = ctx.root_row
         ctx.tree = SubtreeNode(
-            part_key=root["part_key"], parent_id=root["parent_id"],
-            name=root["name"], id=root["id"], is_dir=True,
-            size=root["size"], replication=root["replication"], level=0,
+            pk=(root["part_key"], root["parent_id"], root["name"]),
+            id=root["id"], is_dir=True, size=root["size"],
+            replication=root["replication"], level=0,
             children_random=root["children_random"])
         frontier = [ctx.tree]
         size = self.config.subtree_batch_size
@@ -238,8 +238,11 @@ class SubtreeOpsMixin:
                           for i in range(0, len(plain), size)]
                 groups += [[n] for n in frontier if n.children_random]
                 _run_level(pool, self._quiesce_group, groups)
-                frontier = [c for node in frontier for c in node.children
-                            if c.is_dir]
+                level = [c for node in frontier for c in node.children]
+                ctx.inodes += len(level)
+                ctx.disk += sum(c.size * max(1, c.replication)
+                                for c in level if not c.is_dir)
+                frontier = [c for c in level if c.is_dir]
         self._subtree_failpoint("after_quiesce")
 
     def _quiesce_group(self, group: list[SubtreeNode]) -> None:
@@ -263,9 +266,9 @@ class SubtreeOpsMixin:
                               hint=("inodes", {"part_key": first.id}))
         for node, rows in zip(group, scanned, strict=True):
             node.children = [
-                SubtreeNode(part_key=r["part_key"], parent_id=r["parent_id"],
-                            name=r["name"], id=r["id"], is_dir=r["is_dir"],
-                            size=r["size"], replication=r["replication"],
+                SubtreeNode(pk=(r["part_key"], r["parent_id"], r["name"]),
+                            id=r["id"], is_dir=r["is_dir"], size=r["size"],
+                            replication=r["replication"],
                             level=node.level + 1,
                             children_random=r["children_random"])
                 # the scan takes no predicate: a top-level inode whose
@@ -295,10 +298,6 @@ class SubtreeOpsMixin:
             node = stack.pop()
             by_level.setdefault(node.level, []).append(node)
             stack.extend(node.children)
-        total_ns = sum(len(nodes) for nodes in by_level.values())
-        total_ds = sum(n.size * max(1, n.replication)
-                       for nodes in by_level.values() for n in nodes
-                       if not n.is_dir)
         batch = self.config.subtree_batch_size
         with self._unit_pool() as pool:
             for level in sorted(by_level, reverse=True):
@@ -324,14 +323,14 @@ class SubtreeOpsMixin:
                 # rt: cost(0, reason=warm root without xattrs: its sub_tables bits ask for no scan)
                 sub_rows = self._scan_sub_rows(tx, inode)
                 # rt: cost(0, reason=the subtree root is a directory: no block rows, so none of remove_file_blocks' per-replica reads)
-                self._delete_sub_rows(tx, row["id"], True, row["sub_tables"],
+                self._delete_sub_rows(tx, row["id"], row["sub_tables"],
                                       sub_rows[row["id"]])
                 tx.delete("inodes",
                           (row["part_key"], row["parent_id"], row["name"]))
                 quota_mod.enforce_and_queue(
                     tx, self._quota_ancestors(
                         resolved, upto=len(resolved.components) - 1),
-                    ns_delta=-total_ns, ds_delta=-total_ds,
+                    ns_delta=-ctx.inodes, ds_delta=-ctx.disk,
                     nn_id=self.nn_id)
                 if resolved.parent is not None:
                     self._touch_parent(tx, resolved.parent)
@@ -354,17 +353,25 @@ class SubtreeOpsMixin:
             # The rows come back as of the lock, so their sub_tables bits
             # are final: no writer can set one while the X lock is held.
             ordered = sorted(nodes, key=lambda n: n.pk)
-            rows = tx.read_batch("inodes", [node.pk for node in ordered],
-                                 lock=LockMode.EXCLUSIVE)
+            pks = [node.pk for node in ordered]
+            rows = tx.read_batch("inodes", pks, lock=LockMode.EXCLUSIVE)
             bits = {node.id: row["sub_tables"] if row is not None else 0
                     for node, row in zip(ordered, rows, strict=True)}
             # rt: cost(0, reason=warm batch of files without blocks, xattrs or EC: no sub_tables bit asks for a scan)
-            sub_rows = self._scan_sub_rows(tx, list(bits.items()))
+            sub_rows = self._scan_sub_rows(
+                tx, [(inode_id, b) for inode_id, b in bits.items() if b])
             for node in ordered:
-                self._delete_sub_rows(tx, node.id, node.is_dir, bits[node.id],
-                                      sub_rows[node.id])
-                tx.delete("inodes", node.pk, must_exist=False)
-                self.hint_cache.invalidate(node.parent_id, node.name)
+                if bits[node.id]:
+                    self._delete_sub_rows(tx, node.id, bits[node.id],
+                                          sub_rows[node.id])
+            # the leases and the inodes as one batch each: the leases in
+            # their own pk order, covered by the inode X locks (§5.2.1);
+            # the inodes' locks are the ones taken above, re-granted
+            tx.delete_batch("leases", sorted((node.id,) for node in ordered
+                                             if not node.is_dir))
+            tx.delete_batch("inodes", pks)
+            for node in ordered:
+                self.hint_cache.invalidate(node.pk[1], node.pk[2])
 
         self._fs_op("subtree_delete_batch", fn)
 
@@ -456,18 +463,3 @@ def _run_level(pool: Optional[ThreadPoolExecutor],
         if exc is not None:
             raise exc
 
-
-def _tree_usage(tree: Optional[SubtreeNode]) -> tuple[int, int]:
-    """(namespace items, disk space) consumed by a quiesced subtree."""
-    if tree is None:
-        return 1, 0
-    ns = 0
-    ds = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        ns += 1
-        if not node.is_dir:
-            ds += node.size * max(1, node.replication)
-        stack.extend(node.children)
-    return ns, ds

@@ -24,6 +24,9 @@ Access paths and what they cost here:
   O(rows returned), however many other rows (other directories, other
   files' blocks) share the shard;
 * ``index_lookup`` — one secondary-index bucket, O(bucket);
+* both lookups, with ``keys``, hand over the matching pks instead of
+  copies: a locking scan's candidates, which it copies once, after the
+  lock (``get_many``);
 * ``scan`` — every row of the fragment, O(fragment); only full table
   scans and unindexed all-shard scans come here.
 
@@ -108,18 +111,25 @@ class Fragment:
             return self._copies(self._rows.values(), predicate)
 
     def partition_lookup(self, partition_values: tuple[Any, ...],
-                         predicate: Predicate = None) -> list[dict[str, Any]]:
-        """Rows whose partition-key columns equal ``partition_values``."""
+                         predicate: Predicate = None, *,
+                         keys: bool = False) -> list[Any]:
+        """Rows whose partition-key columns equal ``partition_values``;
+        with ``keys`` their pks instead of copies."""
         with self._lock:
             pks = self._partition_index.get(partition_values)
             if pks is None:
                 return []
+            if keys:
+                return self._keys(pks, predicate)
             return self._copies(map(self._rows.__getitem__, pks), predicate)
 
     def index_lookup(self, index_name: str, values: tuple[Any, ...],
-                     predicate: Predicate = None) -> list[dict[str, Any]]:
+                     predicate: Predicate = None, *,
+                     keys: bool = False) -> list[Any]:
         with self._lock:
             pks = self._indexes[index_name].get(values, ())
+            if keys:
+                return self._keys(pks, predicate)
             return self._copies(map(self._rows.__getitem__, pks), predicate)
 
     @staticmethod
@@ -128,6 +138,16 @@ class Fragment:
         if predicate is None:
             return [dict(row) for row in rows]
         return [dict(row) for row in rows if predicate(row)]
+
+    def _keys(self, pks: Iterable[Pk], predicate: Predicate) -> list[Pk]:
+        """The pks whose stored row passes ``predicate`` (``_lock`` held):
+        a locking scan's candidates, which it copies once, under the
+        row locks."""
+        if predicate is None:
+            return list(pks)
+        # hfs: allow(HFS104, reason=private helper; every caller holds _lock)
+        rows = self._rows
+        return [pk for pk in pks if predicate(rows[pk])]
 
     # -- writes (called only with the row X-locked at the lock manager) --------
 

@@ -62,16 +62,16 @@ class _Write(NamedTuple):
 class _ScanPlan(NamedTuple):
     """One scan's part on one shard: the table, the shard, how the shard
     hands over its candidates (the :class:`Fragment` method ``lookup``
-    called with ``args``, predicate applied), the predicate, and the
-    scan's range — ``shard_of(pk)`` is the shard a row of the table lies
-    on when the scan covers it, else None — over which buffered writes
-    merge. A pruned scan is one plan, an all-shard scan one plan per
-    shard."""
+    called with ``args``, predicate applied; with ``keys=True`` their
+    pks), the predicate, and the scan's range — ``shard_of(pk)`` is the
+    shard a row of the table lies on when the scan covers it, else None
+    — over which buffered writes merge. A pruned scan is one plan, an
+    all-shard scan one plan per shard."""
 
     table: str
     schema: Any
     shard: int
-    lookup: Callable[..., list[dict[str, Any]]]
+    lookup: Callable[..., list[Any]]
     args: tuple[Any, ...]
     predicate: Predicate
     shard_of: Callable[[tuple[Any, ...]], Optional[int]]
@@ -261,7 +261,7 @@ class Transaction:
                   if plans else table)
         # the riding scans merge their writes like an unlocked ppis_batch
         scanned = self._visit_shards(
-            AccessKind.BATCH_PK, tables, plans, merge=True,
+            AccessKind.BATCH_PK, tables, plans, keys=False,
             fetches={pid: pk_fetch(pid, indexes)
                      for pid, indexes in by_shard.items()})
         found = len(rows) - rows.count(None)
@@ -389,8 +389,9 @@ class Transaction:
         each plan's rows, or with ``whole`` (the plans are the shards of
         one scan) the scan's."""
         locked = lock is not LockMode.READ_COMMITTED
-        # a locking scan merges its buffered writes after the re-read
-        results = self._visit_shards(kind, tables, plans, merge=not locked)
+        # a locking scan's visit finds its candidates' keys; it copies
+        # the rows and merges its buffered writes after the lock
+        results = self._visit_shards(kind, tables, plans, keys=locked)
         if locked:
             results = self._lock_and_reread(plans, results, lock, whole)
         elif whole:
@@ -400,13 +401,14 @@ class Transaction:
         return results
 
     def _visit_shards(self, kind: AccessKind, tables: str,
-                      plans: Sequence[_ScanPlan], merge: bool,
+                      plans: Sequence[_ScanPlan], keys: bool,
                       fetches: Optional[Mapping[int, Callable[[], None]]] = None,
-                      ) -> list[list[dict[str, Any]]]:
+                      ) -> list[list[Any]]:
         """One round trip to every shard the plans (and ``fetches``, a
         batch's primary-key reads by shard, run first on their shard)
         name, the shards visited concurrently on the cluster's shard
-        executor. Returns each plan's rows.
+        executor. Returns each plan's rows, or with ``keys`` (a locking
+        scan's candidate pass) their pks.
 
         A worker-side span exists to attribute executor-thread work back
         to the submitting operation; when the visit runs inline the
@@ -430,7 +432,7 @@ class Transaction:
             if fetch is not None:
                 fetch()
             for i in indexes:
-                found[i] = self._plan_rows(plans[i], merge)
+                found[i] = self._plan_rows(plans[i], keys)
             self._observe_shard(label, pid, started)
 
         if len(work) > 1 and self._cluster.parallel_dispatch_enabled:
@@ -442,22 +444,23 @@ class Transaction:
         self._cluster._run_on_shards(tasks)
         return found
 
-    def _plan_rows(self, plan: _ScanPlan, merge: bool) -> list[dict[str, Any]]:
-        """One plan's candidates, predicate applied; with ``merge`` this
-        transaction's buffered writes of the plan's shard overlaid."""
-        rows = plan.lookup(
-            self._cluster._primary_fragment(plan.table, plan.shard),
-            *plan.args)
-        return self._merge_writes(plan, rows, plan.shard) if merge else rows
+    def _plan_rows(self, plan: _ScanPlan, keys: bool) -> list[Any]:
+        """One plan's candidates, predicate applied: with ``keys`` their
+        pks, else copies with this transaction's buffered writes of the
+        plan's shard overlaid."""
+        fragment = self._cluster._primary_fragment(plan.table, plan.shard)
+        if keys:
+            return plan.lookup(fragment, *plan.args, keys=True)
+        return self._merge_writes(plan, plan.lookup(fragment, *plan.args),
+                                  plan.shard)
 
     def _lock_and_reread(self, plans: Sequence[_ScanPlan],
-                         found: list[list[dict[str, Any]]], lock: LockMode,
+                         found: list[list[tuple[Any, ...]]], lock: LockMode,
                          whole: bool) -> list[list[dict[str, Any]]]:
-        """Lock every plan's candidates and replace them with what is
-        there under the locks: each scan's rows in pk order, then its
-        buffered writes merged."""
-        plan_pks = [sorted(map(plan.schema.pk_of, rows))
-                    for plan, rows in zip(plans, found, strict=True)]
+        """Lock every plan's candidate pks and read what is there under
+        the locks — each row copied once, here: each scan's rows in pk
+        order, then its buffered writes merged."""
+        plan_pks = [sorted(pks) for pks in found]
         # one (table, pk) order over the whole batch — the order every
         # multi-row transaction locks in (§3.4) — whatever the request
         # order of the scans or the shards their rows live on; a row two
@@ -556,6 +559,28 @@ class Transaction:
         # insert+delete inside one tx cancels out
         cancels = pending is not None and pending.op == "insert"
         self._buffer(table, pk, pid, None if cancels else "delete")
+
+    def delete_batch(self, table: str,
+                     keys: Sequence[Mapping[str, Any] | Sequence[Any]]) -> None:
+        """``delete(table, key, must_exist=False)`` for each key, the X
+        locks taken as one batch in the order given — the caller's
+        deadlock-free order, as for :meth:`read_batch`. The write analogue
+        of ``read_batch``: the deletes are defined here and shipped with
+        the commit, so the call costs no round trip."""
+        self._check_active()
+        schema = self._cluster.schema(table)
+        pks = [schema.pk_tuple(key) for key in keys]
+        # hfs: allow(HFS106, reason=DAL primitive; delete_batch callers own the pk sort contract, linted at caller sites)
+        self._lock_many(LockMode.EXCLUSIVE, [(table, pk) for pk in pks])
+        positions = schema.partition_positions
+        shard_of = self._cluster._pmap.partition_of
+        for pk in pks:
+            pid = shard_of([pk[i] for i in positions])
+            if self._current(table, pid, pk) is None:
+                continue
+            pending = self._writes.get((table, pk))
+            cancels = pending is not None and pending.op == "insert"
+            self._buffer(table, pk, pid, None if cancels else "delete")
 
     # -- transaction end -----------------------------------------------------------
 

@@ -92,12 +92,13 @@ from repro.ndb.stats import AccessEvent, AccessKind, AccessStats
 
 #: bump when the frame or message layout changes incompatibly (5: a
 #: reply's ``"stats"`` became ``[rows_locked, [event, ...]]``) — or, as
-#: for 3 and 4, when a request grows a field an older server would
-#: silently ignore to the caller's harm (3: ``tx.ppis_batch``'s
+#: for 3, 4 and 6, when a request grows a field an older server would
+#: silently ignore or refuse to the caller's harm (3: ``tx.ppis_batch``'s
 #: ``"lock"`` — unlocked rows handed back; 4: ``tx.read_batch``'s
 #: ``"commit"`` — a client believing it committed while the server holds
-#: its locks — and ``delete`` among the buffered writes)
-PROTOCOL_VERSION = 5
+#: its locks — and ``delete`` among the buffered writes; 6:
+#: ``delete_batch`` among the buffered writes)
+PROTOCOL_VERSION = 6
 
 #: refuse frames larger than this (corrupt peer / length desync guard)
 MAX_FRAME_BYTES = 64 * 1024 * 1024

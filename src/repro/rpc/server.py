@@ -61,7 +61,8 @@ READY_PREFIX = "REPRO-NDB-SERVE READY"
 
 #: the buffered writes a request may carry: every write method of the
 #: DAL contract (none of them returns anything)
-_BUFFERED_WRITES = frozenset({"insert", "update", "write", "delete"})
+_BUFFERED_WRITES = frozenset({"insert", "update", "write", "delete",
+                              "delete_batch"})
 
 
 def _lock_mode(name: Optional[str]) -> LockMode:

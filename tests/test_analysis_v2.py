@@ -102,6 +102,17 @@ class TestHFS105:
         assert costs == {"subtree_quiesce": "1"}
         assert [p for p in problems if "subtree_quiesce" in p.message] == []
 
+    def test_a_delete_batch_is_a_buffered_write(self):
+        costs, _ = derive("""
+        class Ops:
+            def drop(self, ids):
+                def fn(tx):
+                    tx.delete_batch("leases", sorted((i,) for i in ids))
+                return self._fs_op("drop_op", fn)
+        """)
+        # no round trip of its own: only the flush/commit pair (+2)
+        assert costs == {"drop_op": "2"}
+
     def test_mismatch_against_declared_budget_flagged(self):
         _, problems = derive("""
         class Ops:
@@ -237,6 +248,22 @@ class TestHFS106:
         """
         assert interproc_codes(src) == []
 
+    def test_unsorted_delete_batch_flagged(self):
+        src = """
+        def fn(tx, ids):
+            tx.delete_batch("leases", [(i,) for i in ids])
+        """
+        assert interproc_codes(src) == ["HFS106"]
+
+    def test_sorted_delete_batch_clean(self):
+        src = """
+        def fn(tx, nodes):
+            ordered = sorted(nodes)
+            tx.delete_batch("leases", sorted((n,) for n in nodes))
+            tx.delete_batch("inodes", [node.pk for node in ordered])
+        """
+        assert interproc_codes(src) == []
+
     def test_acquire_many_obligation(self):
         src = """
         def fn(mgr, tx, keys):
@@ -332,6 +359,24 @@ HOT = "src/repro/hopsfs/ops_inode.py"
 
 def lint(source: str, path: str = HOT):
     return lint_source(textwrap.dedent(source), path)
+
+
+class TestDeleteBatchIsAnXLock:
+    def test_per_item_delete_batch_in_an_unsorted_loop_flagged(self):
+        src = """
+        def fn(tx, ids):
+            for inode_id in ids:
+                tx.delete_batch("leases", [(inode_id,)])
+        """
+        assert [v.code for v in lint(src)] == ["HFS102"]
+
+    def test_shared_then_delete_batch_is_an_upgrade(self):
+        src = """
+        def fn(tx, keys):
+            tx.read_batch("inodes", keys, lock=LockMode.SHARED)
+            tx.delete_batch("inodes", keys)
+        """
+        assert "HFS102" in [v.code for v in lint(src)]
 
 
 class TestWaiverEdgeCases:

@@ -40,7 +40,8 @@ def test_the_protocols_declare_the_contract():
     assert {"stats", "begin", "run"} == set(members(DALSession))
     assert {"stats", "read", "read_batch", "ppis", "ppis_batch",
             "index_scan", "full_scan", "insert", "update", "write",
-            "delete", "commit", "abort"} == set(members(DALTransaction))
+            "delete", "delete_batch", "commit", "abort"} == set(
+                members(DALTransaction))
 
 
 @pytest.fixture(params=["ndb", "memory", "remote"])

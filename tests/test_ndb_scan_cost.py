@@ -32,21 +32,23 @@ def cluster():
 
 @pytest.fixture
 def visits(monkeypatch):
-    """Rows each fragment read path looks at, by method name."""
+    """Rows each fragment read path looks at, by method name — a locking
+    scan's candidate pass (``keys=True``: pks, the predicate run on the
+    stored rows) included."""
     key_args = {"scan": 0, "partition_lookup": 1, "index_lookup": 2}
     seen = dict.fromkeys(key_args, 0)
 
     def counted(name):
         original = getattr(Fragment, name)
 
-        def method(self, *args, predicate=None):
+        def method(self, *args, predicate=None, **keys):
             if len(args) > key_args[name]:
                 *args, predicate = args
 
             def visit(row):
                 seen[name] += 1
                 return predicate is None or predicate(row)
-            return original(self, *args, visit)
+            return original(self, *args, visit, **keys)
         return method
 
     for name in seen:

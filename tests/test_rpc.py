@@ -318,13 +318,15 @@ def test_version_4_hello_is_refused(server):
     """Version 4 shipped a reply's statistics as counter diffs plus event
     objects, which a v5 client cannot read (and version 3 had no
     ``"commit"`` on ``tx.read_batch``: a server that ignored it would
-    keep the locks of a transaction its client believes committed)."""
+    keep the locks of a transaction its client believes committed).
+    Version 5 had no ``delete_batch`` among the buffered writes: its
+    server would refuse a v6 client's commit."""
     conn = ClientConn(dial(server.host, server.port, timeout=5.0))
     try:
-        for version in (3, 4):
+        for version in (3, 4, 5):
             with pytest.raises(ProtocolError, match="protocol"):
                 conn.call("hello", {"protocol": version})
-        assert protocol.PROTOCOL_VERSION == 5
+        assert protocol.PROTOCOL_VERSION == 6
     finally:
         conn.close()
 
