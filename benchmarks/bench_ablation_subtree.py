@@ -9,15 +9,12 @@ plus the pluggable-engine comparison (NDB driver vs the single-node
 memory driver) the DAL makes possible (§8).
 
 The worker-count ablation runs on an engine with a simulated round trip
-(``NETWORK_DELAY``, the in-memory profile of
-``bench_engine_parallelism.py``): the namenode runs a level's units on
+(``NETWORK_DELAY``, 0.3 ms): the namenode runs a level's units on
 worker threads only when the DAL's round trips wait, so on a zero-delay
 engine every worker count would run the same inline code.
 """
 
 import time
-
-import pytest
 
 from benchmarks.conftest import QUICK, print_table
 from repro.dal import MemoryDriver
@@ -97,7 +94,6 @@ def test_pluggable_engine_ablation(capsys, benchmark):
     """§8: the DAL makes the storage engine pluggable. The single-node
     memory engine completes the same workload (correctness) — what it
     cannot do is scale, which the distributed benchmarks show."""
-    from repro.hopsfs import schema as fs_schema
 
     def run():
         ndb_time = build_and_delete(16, 2)

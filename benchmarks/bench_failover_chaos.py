@@ -24,8 +24,7 @@ Usage::
     PYTHONPATH=src python -m benchmarks.bench_failover_chaos \
         --json BENCH_failover_chaos.json
 
-The output is a record, not a gated baseline: do **not** feed it to
-``perf_gate.py`` (the gate only understands its four baseline shapes).
+The output is a record, not a gated baseline: no check reads it back.
 """
 
 from __future__ import annotations
@@ -232,7 +231,7 @@ def run_benchmark(ops: int, skip_process: bool = False) -> dict:
             "host_cpus": os.cpu_count(),
         },
         "scenarios": scenarios,
-        "note": "record, not a perf_gate baseline; windows are real "
+        "note": "record, not a gated baseline; windows are real "
                 "wall-clock including supervisor respawn time",
     }
 

@@ -11,7 +11,7 @@ only the left side — asserted here via the access-statistics discipline.
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.ndb import AccessKind, LockMode, NDBCluster, NDBConfig, TableSchema
+from repro.ndb import AccessKind, NDBCluster, NDBConfig, TableSchema
 
 ROWS_PER_DIR = 16
 NUM_DIRS = 64

@@ -11,8 +11,6 @@ operations reach the highest rates; early namenode increments add full
 steps, later ones shrink as the database ceiling flattens the bars.
 """
 
-import pytest
-
 from benchmarks.conftest import fmt_ops, print_table
 from repro.perfmodel.analytic import SaturationModel
 

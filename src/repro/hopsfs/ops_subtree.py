@@ -27,11 +27,12 @@ run in one database transaction. HopsFS instead:
   own. The scans return full rows (the batched scan has no
   projection), from which the in-memory tree of the subtree is built.
 * **Phase 3** — the actual operation:
-  - *delete* runs bottom-up in batched transactions (on worker threads
-    by the same rule as the quiesce groups), so a namenode crash mid-way
-    never orphans inodes (the undeleted remainder is still connected to
-    the namespace and a re-submitted delete finishes the job — stronger
-    semantics than HDFS, §6.1). A batch X-locks its inode rows first;
+  - *delete* runs bottom-up over the quiesce's levels, deepest first,
+    in batched transactions (on worker threads by the same rule as the
+    quiesce groups), so a namenode crash mid-way never orphans inodes
+    (the undeleted remainder is still connected to the namespace and a
+    re-submitted delete finishes the job — stronger semantics than
+    HDFS, §6.1). A batch X-locks its inode rows first;
     their ``sub_tables`` bits then say which of the ``inode_id`` tables
     can hold rows of each, and the batch scans (one ``ppis_batch``) and
     deletes only those; its files' leases and its inodes go as one
@@ -72,7 +73,6 @@ class SubtreeNode:
     is_dir: bool
     size: int
     replication: int
-    level: int
     children_random: bool = False
     children: list["SubtreeNode"] = field(default_factory=list)
 
@@ -87,6 +87,9 @@ class SubtreeContext:
     op: str
     root_row: dict
     tree: Optional[SubtreeNode] = None
+    #: the inodes below the root, one list per level top-down, in the
+    #: order the quiesce locked them; phase 3 deletes them bottom-up
+    levels: list[list[SubtreeNode]] = field(default_factory=list)
     #: namespace items and disk space of the subtree, which the quiesce
     #: counts as it builds each level (the root alone until then)
     inodes: int = 1
@@ -227,7 +230,7 @@ class SubtreeOpsMixin:
         ctx.tree = SubtreeNode(
             pk=(root["part_key"], root["parent_id"], root["name"]),
             id=root["id"], is_dir=True, size=root["size"],
-            replication=root["replication"], level=0,
+            replication=root["replication"],
             children_random=root["children_random"])
         frontier = [ctx.tree]
         size = self.config.subtree_batch_size
@@ -239,6 +242,8 @@ class SubtreeOpsMixin:
                 groups += [[n] for n in frontier if n.children_random]
                 _run_level(pool, self._quiesce_group, groups)
                 level = [c for node in frontier for c in node.children]
+                if level:
+                    ctx.levels.append(level)
                 ctx.inodes += len(level)
                 ctx.disk += sum(c.size * max(1, c.replication)
                                 for c in level if not c.is_dir)
@@ -269,7 +274,6 @@ class SubtreeOpsMixin:
                 SubtreeNode(pk=(r["part_key"], r["parent_id"], r["name"]),
                             id=r["id"], is_dir=r["is_dir"], size=r["size"],
                             replication=r["replication"],
-                            level=node.level + 1,
                             children_random=r["children_random"])
                 # the scan takes no predicate: a top-level inode whose
                 # hashed part_key equals this id was locked with the
@@ -291,23 +295,14 @@ class SubtreeOpsMixin:
 
     def _subtree_delete_phase3(self, ctx: SubtreeContext) -> None:
         """Bottom-up batched delete (Figure 5)."""
-        assert ctx.tree is not None
-        by_level: dict[int, list[SubtreeNode]] = {}
-        stack = [ctx.tree]
-        while stack:
-            node = stack.pop()
-            by_level.setdefault(node.level, []).append(node)
-            stack.extend(node.children)
         batch = self.config.subtree_batch_size
         with self._unit_pool() as pool:
-            for level in sorted(by_level, reverse=True):
-                if level == 0:
-                    continue  # the root is deleted last, below
-                nodes = by_level[level]
+            for depth in range(len(ctx.levels), 0, -1):
+                nodes = ctx.levels[depth - 1]
                 _run_level(pool, self._delete_batch,
                            [nodes[i: i + batch]
                             for i in range(0, len(nodes), batch)])
-                self._subtree_failpoint(f"after_delete_level_{level}")
+                self._subtree_failpoint(f"after_delete_level_{depth}")
         # final transaction: remove the root, settle quota, drop the op row
         root = ctx.root_row
         parent = "/" + "/".join(split_path(ctx.path)[:-1])

@@ -79,7 +79,7 @@ def _label_items(labels: dict[str, object]) -> LabelItems:
 # Per-second event buckets (``{second: events}``) for sliding-window
 # rates. Seconds are *wall clock* (``time.time()``) so buckets from
 # different processes merge meaningfully — the whole point of windowed
-# snapshots is aggregating a ServerPool's view. A metric's buckets are
+# snapshots is aggregating several servers' views. A metric's buckets are
 # guarded by that metric's ``_lock``.
 
 

@@ -23,7 +23,7 @@ namenode code cannot tell the deployments apart.
 from repro.rpc.conn import ClientConn, FrameConn, dial
 from repro.rpc.protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION
 from repro.rpc.server import NDBServer
-from repro.rpc.supervisor import ServerHandle, ServerPool, Supervisor
+from repro.rpc.supervisor import ServerHandle, Supervisor
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -32,7 +32,6 @@ __all__ = [
     "FrameConn",
     "NDBServer",
     "ServerHandle",
-    "ServerPool",
     "Supervisor",
     "dial",
 ]

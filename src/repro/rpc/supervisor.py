@@ -352,44 +352,3 @@ class Supervisor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop_all()
-
-
-class ServerPool:
-    """Convenience: N identically-configured servers (benchmark fan-out)."""
-
-    def __init__(self, n: int, name_prefix: str = "ndb",
-                 **options: Any) -> None:
-        self.supervisor = Supervisor()
-        self.handles: list[ServerHandle] = []
-        try:
-            for i in range(n):
-                self.handles.append(
-                    self.supervisor.spawn(f"{name_prefix}{i}", **options))
-        except Exception:
-            self.supervisor.stop_all()
-            raise
-
-    @property
-    def addresses(self) -> list[tuple[str, int]]:
-        return [(h.host, h.port) for h in self.handles]
-
-    @property
-    def metrics_addresses(self) -> list[tuple[str, int]]:
-        """(host, HTTP metrics port) per server (spawn with
-        ``metrics_port=0`` to enable the endpoint)."""
-        return [(h.host, h.metrics_port) for h in self.handles]
-
-    def stop(self, timeout: float = 10.0) -> None:
-        self.supervisor.stop_all(timeout=timeout)
-
-    def __enter__(self) -> "ServerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def __iter__(self):
-        return iter(self.handles)
-
-    def __len__(self) -> int:
-        return len(self.handles)

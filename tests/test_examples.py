@@ -6,7 +6,6 @@ what the benchmarks do.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"

@@ -5,7 +5,9 @@ table.
 The stress tests use real threads; they keep iteration counts small so
 the suite stays fast, and every assertion is about *correctness* (no
 lost grants, byte-identical replicas) rather than wall-clock speed —
-timing claims live in ``benchmarks/bench_engine_parallelism.py``.
+time is measured by the ledger (``BENCHMARK.json``), and the subtree
+ablation's worker-count cell (``benchmarks/bench_ablation_subtree.py``)
+checks that a pool is no slower than serial where round trips wait.
 """
 
 import sys

@@ -16,7 +16,7 @@ import pytest
 
 from repro.dal import RemoteDriver
 from repro.ndb import TableSchema
-from repro.rpc import ServerHandle, ServerPool, Supervisor
+from repro.rpc import ServerHandle, Supervisor
 from repro.rpc.supervisor import _Placement, pick_cpu
 
 KV = TableSchema(name="kv", columns=("k", "v"), primary_key=("k",))
@@ -97,11 +97,11 @@ def test_kill9_then_ensure_alive_respawns():
 
 
 def test_server_pool_no_leaked_processes():
-    with ServerPool(2, name_prefix="pool", **SERVER_OPTIONS) as pool:
-        assert len(pool) == 2
-        pids = [handle.pid for handle in pool]
-        for host, port in pool.addresses:
-            with _driver((host, port)) as drv:
+    with Supervisor() as sup:
+        handles = [sup.spawn(f"pool{i}", **SERVER_OPTIONS) for i in range(2)]
+        pids = [handle.pid for handle in handles]
+        for handle in handles:
+            with _driver(handle) as drv:
                 assert drv.is_available()
     for pid in pids:
         with pytest.raises(ProcessLookupError):

@@ -80,3 +80,31 @@ def test_a_delete_batch_makes_no_single_lock_call(monkeypatch):
     assert session.run(lambda tx: tx.full_scan("leases")) == []
     assert not fs.client("reader").exists("/t")
     assert fs.driver._locks.lock_table_size() == 0
+
+
+def test_phase_three_deletes_the_quiesced_levels_deepest_first(monkeypatch):
+    """Each level of the quiesce is cut into ceil(n / 64) batches at the
+    default batch size, and the levels are deleted deepest first, each
+    followed by its ``after_delete_level_{N}`` failpoint."""
+    fs = make_hopsfs(num_namenodes=1, subtree_batch_size=64)
+    nn = fs.namenodes[0]
+    _build(nn, dirs=3, files=50)  # levels of 3 directories and 150 files
+    events = []
+    real_batch = nn._delete_batch
+    real_failpoint = nn._subtree_failpoint
+
+    def delete_batch(nodes):
+        events.append(len(nodes))
+        real_batch(nodes)
+
+    def failpoint(tag):
+        events.append(tag)
+        real_failpoint(tag)
+
+    monkeypatch.setattr(nn, "_delete_batch", delete_batch)
+    monkeypatch.setattr(nn, "_subtree_failpoint", failpoint)
+    assert nn.delete("/t", recursive=True)
+    assert events == ["after_quiesce",
+                      64, 64, 22, "after_delete_level_2",
+                      3, "after_delete_level_1"]
+    assert not fs.client("reader").exists("/t")

@@ -416,16 +416,18 @@ class TestTop:
 
     def test_top_against_live_server_pool(self, tmp_path):
         """The acceptance path: windowed fs_op_seconds p99 from a live
-        pool — ndb servers polled over RPC, the namenode-side registry
-        (where fs_op_seconds lives) folded in as a snapshot file."""
+        ndb-server process — polled over RPC, the namenode-side registry
+        (where fs_op_seconds lives) folded in as a snapshot file — and
+        the windowed /metrics.json its --metrics-port serves."""
         from repro.dal import RemoteDriver
         from repro.hopsfs import HopsFSCluster, HopsFSConfig
         from repro.metrics.top import fetch_snapshots
-        from repro.rpc.supervisor import ServerPool
+        from repro.rpc import Supervisor
         from repro.util.clock import ManualClock
 
-        with ServerPool(1, metrics_port=0) as pool:
-            host, port = pool.addresses[0]
+        with Supervisor() as sup:
+            handle = sup.spawn("ndb-top", metrics_port=0)
+            host, port = handle.host, handle.port
             driver = RemoteDriver(host, port, timeout=10.0)
             fs = HopsFSCluster(
                 num_namenodes=1, num_datanodes=3,
@@ -439,7 +441,14 @@ class TestTop:
                 fs.metrics_registry(), include_samples=True))
             snapshots, errors = fetch_snapshots(
                 [f"{host}:{port}"], [str(snap_path)])
+            url = (f"http://{host}:{handle.metrics_port}"
+                   "/metrics.json?window=60")
+            with urllib.request.urlopen(url, timeout=10) as r:
+                served = json.loads(r.read())
             driver.close()
+        assert served["windows"]["window_seconds"] == 60
+        assert any(c["name"] == "rpc_requests_total"
+                   for c in served["windows"]["counters"])
         assert not errors
         assert len(snapshots) == 2
         text = render_top(snapshots, window=60)
