@@ -5,12 +5,9 @@ Usage::
     python -m repro.analysis lint [PATH ...] [--format text|json]
                                   [--metrics-json OUT.json]
     python -m repro.analysis rules
-    python -m repro.analysis budgets [PATH ...]
 
 ``lint --format json`` emits ``[{file, line, col, rule, message}, ...]``
-for CI problem matchers. ``budgets`` prints the statically derived warm
-round-trip bound of every op next to its declared budget — the
-transcription aid for updating ``repro/analysis/budgets.py``.
+for CI problem matchers.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -41,33 +38,6 @@ def _write_metrics(path: str, by_rule: Counter) -> None:
         handle.write("\n")
 
 
-def _print_budgets(paths: Sequence[str]) -> int:
-    from repro.analysis import costs
-    from repro.analysis.budgets import budget_for
-    from repro.analysis.linter import iter_python_files
-
-    corpus = []
-    for filename in iter_python_files(paths):
-        with open(filename, encoding="utf-8") as handle:
-            sf = costs.SourceFile.parse(filename, handle.read())
-        if sf is not None:
-            corpus.append(sf)
-    op_costs, problems = costs.analyze(corpus)
-    width = max((len(oc.op) for oc in op_costs), default=4)
-    for oc in sorted(op_costs, key=lambda o: (o.path, o.line)):
-        budget = budget_for(oc.op)
-        declared = budget.expr if budget is not None else "<missing>"
-        marker = " " if budget is not None \
-            and budget.cost.render() == oc.cost.render() else "!"
-        print(f"{marker} {oc.op:<{width}}  derived={oc.cost.render()!r}  "
-              f"declared={declared!r}  ({oc.path}:{oc.line})")
-    for problem in problems:
-        if problem.code == "HFS105" and "cannot statically bound" in \
-                problem.message:
-            print(f"? {problem.path}:{problem.line}: {problem.message}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.analysis")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,20 +52,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sub.add_parser("rules", help="list rule codes and what they enforce")
 
-    budgets = sub.add_parser(
-        "budgets", help="print derived vs declared round-trip budgets")
-    budgets.add_argument("paths", nargs="*", default=None,
-                         help="corpus to analyze (default: src/repro)")
-
     args = parser.parse_args(argv)
 
     if args.command == "rules":
         for code, description in sorted(RULES.items()):
             print(f"{code}  {description}")
         return 0
-
-    if args.command == "budgets":
-        return _print_budgets(args.paths or ["src/repro"])
 
     paths = args.paths or ["src/repro"]
     violations = lint_paths(paths)

@@ -1,44 +1,28 @@
-"""The shared per-operation round-trip budget table (HFS105).
+"""The per-operation warm round-trip budget table.
 
-One table, two consumers:
-
-* the static analyzer (:mod:`repro.analysis.costs`) derives a symbolic
-  warm round-trip bound for every ``_fs_op`` transaction callback in the
-  budget scope (``hopsfs/ops_inode.py``, ``hopsfs/ops_subtree.py``,
-  ``hopsfs/tx.py``, ``hopsfs/blockreport.py``) and fails the lint when
-  the derived bound differs from the entry here;
-* the runtime budget tests (``tests/test_round_trip_budgets.py``) read
-  the same entries and pin the *measured* ``db_round_trips_total`` delta
-  of each warm operation to them.
-
-So a new helper that adds a round trip fails the linter immediately, and
-an analyzer bug that undercounts fails the runtime pin — the two checks
-keep each other honest.
+``OP_BUDGETS`` declares how many database round trips one warm run of
+each ``_fs_op`` transaction pays — the paper's cost argument (§3.3,
+Fig. 2) as a table. It is held to the code by measurement:
+``tests/test_round_trip_budgets.py`` runs every operation warm on each
+DAL driver, reads each transaction's count off the namenode's
+``db_op_round_trips{op}`` histogram and pins it to the entry evaluated
+at the run's workload sizes. A change that adds or removes a round
+trip fails there, with the measured count.
 
 Budgets are **warm** costs: hint caches populated, no retries, no cold
-fallbacks (statements excluded with ``# rt: offpath(...)``), bounded
-retry loops at their uncontended iteration count (``# rt: bound(...)``).
-
-Costs are symbolic expressions over workload-size symbols, e.g.
-``"4 + node*block*replica"`` — ``node`` rows deleted per subtree batch,
-``block`` blocks per file, ``replica`` replicas per block. A plain
-integer means the op's cost is constant. The grammar is sums of
-integer-coefficient products: ``K`` | ``K*sym`` | ``sym*sym`` | ... (see
-:class:`Cost`).
+fallbacks. Costs are symbolic expressions over workload-size symbols,
+e.g. ``"4 + block*replica"``: ``block`` blocks per file, ``replica``
+replicas per block, ``extra`` replicas per block above the file's
+target, ``node`` inodes per subtree-delete batch, ``dir`` directories
+in a content summary (its root included). A plain integer means the
+op's cost is constant. The grammar is sums of integer-coefficient
+products: ``K`` | ``K*sym`` | ``sym*sym`` | ... (see :class:`Cost`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-
-#: files whose ``_fs_op`` call sites define the budgeted operations
-BUDGET_SCOPE_SUFFIXES = (
-    "hopsfs/ops_inode.py",
-    "hopsfs/ops_subtree.py",
-    "hopsfs/tx.py",
-    "hopsfs/blockreport.py",
-)
 
 #: Declared warm round-trip budget per operation, keyed by the ``_fs_op``
 #: name (f-string op names keep their template form, e.g.
@@ -100,27 +84,13 @@ class Cost:
     """A symbolic warm round-trip count.
 
     ``const`` plus a sum of integer-coefficient products of symbols;
-    ``terms`` maps a sorted symbol tuple (the product) to its
-    coefficient, e.g. ``Cost(3, {("node",): 8, ("block", "node"): 1})``
-    renders as ``"3 + 8*node + block*node"``. ``writes`` records whether
-    the costed code buffers any writes (commit then pays the flush+commit
-    pair; :meth:`with_commit` folds that in).
+    ``terms`` pairs each product (a sorted symbol tuple) with its
+    coefficient, e.g. ``"3 + 8*node + node*block"`` parses to
+    ``Cost(3, ((("block", "node"), 1), (("node",), 8)))``.
     """
 
     const: int = 0
     terms: tuple[tuple[tuple[str, ...], int], ...] = ()
-    writes: bool = False
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def of(const: int = 0, terms: dict[tuple[str, ...], int] | None = None,
-           writes: bool = False) -> "Cost":
-        items = tuple(sorted(
-            (tuple(sorted(syms)), coeff)
-            for syms, coeff in (terms or {}).items() if coeff
-        ))
-        return Cost(const, items, writes)
 
     @staticmethod
     def parse(text: str) -> "Cost":
@@ -140,12 +110,8 @@ class Cost:
             else:
                 key = tuple(sorted(s.strip() for s in syms.split("*")))
                 terms[key] = terms.get(key, 0) + coeff
-        return Cost.of(const, terms)
-
-    # -- views -----------------------------------------------------------------
-
-    def _term_map(self) -> dict[tuple[str, ...], int]:
-        return dict(self.terms)
+        return Cost(const, tuple(sorted(
+            (syms, coeff) for syms, coeff in terms.items() if coeff)))
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -159,52 +125,6 @@ class Cost:
             product = "*".join(syms)
             parts.append(product if coeff == 1 else f"{coeff}*{product}")
         return " + ".join(parts)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.render()
-
-    # -- algebra ---------------------------------------------------------------
-
-    def add(self, other: "Cost") -> "Cost":
-        terms = self._term_map()
-        for syms, coeff in other.terms:
-            terms[syms] = terms.get(syms, 0) + coeff
-        return Cost.of(self.const + other.const, terms,
-                       self.writes or other.writes)
-
-    def add_const(self, n: int) -> "Cost":
-        return Cost.of(self.const + n, self._term_map(), self.writes)
-
-    def mul_const(self, n: int) -> "Cost":
-        if n == 0:
-            return Cost.of(0, None, self.writes)
-        return Cost.of(self.const * n,
-                       {syms: coeff * n for syms, coeff in self.terms},
-                       self.writes)
-
-    def mul_symbol(self, symbol: str) -> "Cost":
-        """Widen to ``symbol`` iterations: every term picks up ``symbol``."""
-        terms: dict[tuple[str, ...], int] = {}
-        if self.const:
-            terms[(symbol,)] = self.const
-        for syms, coeff in self.terms:
-            key = tuple(sorted(syms + (symbol,)))
-            terms[key] = terms.get(key, 0) + coeff
-        return Cost.of(0, terms, self.writes)
-
-    def join(self, other: "Cost") -> "Cost":
-        """Sound upper bound of two branches (pointwise max)."""
-        terms = self._term_map()
-        for syms, coeff in other.terms:
-            terms[syms] = max(terms.get(syms, 0), coeff)
-        return Cost.of(max(self.const, other.const), terms,
-                       self.writes or other.writes)
-
-    def with_commit(self) -> "Cost":
-        """Fold in commit-time round trips: a transaction that buffered
-        writes pays one batched flush plus the commit round (+2); a
-        read-only transaction commits for free."""
-        return self.add_const(2) if self.writes else self
 
     def evaluate(self, **bounds: int) -> int:
         """Concrete value with each symbol bound to a workload size."""

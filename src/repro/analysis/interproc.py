@@ -26,6 +26,11 @@ in three parts:
    argument, acquires per-item locks in caller order — the same bug
    HFS102 flags for direct acquisitions in unsorted loops, one call
    level deeper.
+
+The corpus model the replay walks lives here too: parsed modules
+(:class:`SourceFile`), the ``_fs_op`` transaction callbacks that root
+each replay (:func:`find_roots`) and the by-name index that resolves a
+helper call.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.analysis.costs import CostAnalyzer, Problem, SourceFile, find_roots
 from repro.analysis.linter import (
     _acquisition_of,
     _LockOrderChecker,
@@ -56,6 +60,150 @@ _COMMON_NAMES = frozenset({"self", "tx", "LockMode", "None", "True",
 
 _IDENT_OR_STRING_RE = re.compile(
     r"'[^']*'|\"[^\"]*\"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)")
+
+
+@dataclass
+class SourceFile:
+    """One parsed module of the analyzed corpus."""
+
+    path: str
+    tree: ast.Module
+
+    @staticmethod
+    def parse(path: str, source: str) -> Optional["SourceFile"]:
+        try:
+            return SourceFile(path, ast.parse(source, filename=path))
+        except SyntaxError:
+            return None  # reported as HFS100 by the per-file lint
+
+
+@dataclass(frozen=True)
+class Problem:
+    """An analysis finding, converted to a Violation by the linter."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+
+
+@dataclass
+class OpRoot:
+    """One ``_fs_op(name, callback)`` site with its resolved callback."""
+
+    op: str                     # template form for f-string names
+    func: ast.FunctionDef
+    sf: SourceFile
+
+
+def _op_name_of(arg: ast.AST) -> Optional[str]:
+    """The op name of an ``_fs_op`` site; f-strings keep ``{...}`` holes."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        parts = []
+        for value in arg.values:
+            if isinstance(value, ast.Constant):
+                parts.append(str(value.value))
+            elif isinstance(value, ast.FormattedValue):
+                hole = (value.value.id
+                        if isinstance(value.value, ast.Name) else "x")
+                parts.append("{" + hole + "}")
+        return "".join(parts)
+    return None
+
+
+def _local_defs(func: ast.AST) -> dict[str, ast.FunctionDef]:
+    """``def``s in ``func``'s own scope (any statement depth, not nested
+    functions' scopes)."""
+    out: dict[str, ast.FunctionDef] = {}
+
+    def scan(stmts: list) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[stmt.name] = stmt
+                continue  # do not descend into the nested scope
+            for child in ast.iter_child_nodes(stmt):
+                body = getattr(child, "body", None)
+                if isinstance(child, ast.stmt):
+                    scan([child])
+                elif isinstance(body, list):  # e.g. excepthandler
+                    scan(body)
+
+    body = getattr(func, "body", None)
+    if isinstance(body, list):
+        scan(body)
+    return out
+
+
+def find_roots(sf: SourceFile) -> list[OpRoot]:
+    """Every ``_fs_op(name, callback)`` site whose callback is a local def.
+
+    The callback argument is a bare name referring to a ``def`` in one of
+    the lexically enclosing scopes (ops define ``def fn(tx): ...`` right
+    above the ``_fs_op`` call).
+    """
+    roots: list[OpRoot] = []
+
+    def walk(node: ast.AST, scopes: tuple[dict[str, ast.FunctionDef], ...]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scopes + (_local_defs(child),))
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "_fs_op"
+                    and len(child.args) >= 2):
+                op = _op_name_of(child.args[0])
+                callback = child.args[1]
+                if op is not None and isinstance(callback, ast.Name):
+                    for scope in reversed(scopes):
+                        fn = scope.get(callback.id)
+                        if fn is not None:
+                            roots.append(OpRoot(op, fn, sf))
+                            break
+            walk(child, scopes)
+
+    walk(sf.tree, (_local_defs(sf.tree),))
+    return roots
+
+
+def _def_index(files: Sequence[SourceFile],
+               ) -> dict[str, list[tuple[SourceFile, ast.FunctionDef]]]:
+    """Module-level functions and class methods, by name. Closures are
+    deliberately *not* indexed (their names collide wildly, e.g. every
+    op callback is called ``fn``); they are reached via lexical scope
+    instead (:func:`_env_for`)."""
+    defs: dict[str, list[tuple[SourceFile, ast.FunctionDef]]] = {}
+    for sf in files:
+        for node in sf.tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((sf, node))
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                        defs.setdefault(sub.name, []).append((sf, sub))
+    return defs
+
+
+def _env_for(root: OpRoot) -> dict[str, tuple[SourceFile, ast.FunctionDef]]:
+    """Sibling closures lexically visible from the root callback."""
+    env: dict[str, tuple[SourceFile, ast.FunctionDef]] = {}
+
+    def walk(node: ast.AST, scope: dict) -> bool:
+        local = {name: (root.sf, fn)
+                 for name, fn in _local_defs(node).items()}
+        if any(fn is root.func for _sf, fn in local.values()):
+            env.update(scope | local)
+            return True
+        merged = scope | local
+        return any(walk(child, merged)
+                   for child in ast.iter_child_nodes(node))
+
+    walk(root.sf.tree, {})
+    return env
 
 
 @dataclass(frozen=True)
@@ -212,7 +360,7 @@ def _event_key(call: ast.Call, acq) -> str:
 class _Replayer:
     def __init__(self, files: Sequence[SourceFile],
                  problems: list[Problem]) -> None:
-        self.analyzer = CostAnalyzer(files)
+        self._defs = _def_index(files)
         self.problems = problems
         self._summaries: dict[tuple[str, int], list[tuple]] = {}
 
@@ -225,7 +373,7 @@ class _Replayer:
     def _resolve(self, name: str, env) -> Optional[tuple[SourceFile, ast.AST]]:
         if name in env:
             return env[name]
-        candidates = self.analyzer._defs.get(name)
+        candidates = self._defs.get(name)
         return candidates[0] if candidates else None
 
     def replay(self, sf: SourceFile, fn: ast.AST, env,
@@ -317,7 +465,7 @@ def check(files: Sequence[SourceFile]) -> list[Problem]:
     # parts 2+3 replay each op root's callback
     for sf in files:
         for root in find_roots(sf):
-            env = replayer.analyzer._env_for(root)
+            env = _env_for(root)
             events = replayer.replay(root.sf, root.func, env, {}, (), 0,
                                      frozenset())
             _check_upgrades(root.op, events, problems)

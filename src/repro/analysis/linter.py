@@ -27,13 +27,7 @@ from repro.analysis.rules import (
     RULES,
     SESSION_NAME_HINTS,
 )
-from repro.analysis.budgets import BUDGET_SCOPE_SUFFIXES
-from repro.analysis.waivers import (
-    is_waived,
-    parse_guards,
-    parse_rt_notes,
-    parse_waivers,
-)
+from repro.analysis.waivers import is_waived, parse_guards, parse_waivers
 
 
 @dataclass(frozen=True)
@@ -611,33 +605,12 @@ def _decorator_alias_lines(tree: ast.AST) -> dict[int, tuple[int, ...]]:
     return aliases
 
 
-@dataclass
-class ParsedFile:
-    """One lint target with its parsed waiver context."""
-
-    path: str
-    source: str
-    tree: Optional[ast.AST]
-    waivers: dict
-    alias_lines: dict[int, tuple[int, ...]]
-
-
-def parse_file(source: str, path: str) -> ParsedFile:
-    try:
-        tree: Optional[ast.AST] = ast.parse(source, filename=path)
-    except SyntaxError:
-        return ParsedFile(path, source, None, {}, {})
-    waivers, _errors = parse_waivers(source, frozenset(RULES))
-    return ParsedFile(path, source, tree, waivers,
-                      _decorator_alias_lines(tree))
-
-
 def lint_source(source: str, path: str) -> list[Violation]:
     """Lint one module's source; ``path`` decides which rules apply.
 
     Runs the per-function rules (HFS101–104) plus the waiver/annotation
-    grammar checks; the interprocedural rules (HFS105/HFS106) need the
-    whole corpus and run from :func:`lint_paths`.
+    grammar checks; the interprocedural rule (HFS106) needs the whole
+    corpus and runs from :func:`lint_paths`.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -646,11 +619,6 @@ def lint_source(source: str, path: str) -> list[Violation]:
                           f"syntax error: {exc.msg}")]
     waivers, waiver_errors = parse_waivers(source, frozenset(RULES))
     guards, guard_errors = parse_guards(source)
-    _notes, note_errors = parse_rt_notes(source)
-    # rt: notes only have meaning in the HFS105 budget scope; elsewhere a
-    # matching line is almost certainly prose quoting the grammar
-    if not any(path.endswith(suffix) for suffix in BUDGET_SCOPE_SUFFIXES):
-        note_errors = []
     alias_lines = _decorator_alias_lines(tree)
 
     raw: list[Violation] = []
@@ -661,7 +629,7 @@ def lint_source(source: str, path: str) -> list[Violation]:
 
     violations = [v for v in raw
                   if not is_waived(waivers, v.code, v.line, alias_lines)]
-    for line, message in waiver_errors + guard_errors + note_errors:
+    for line, message in waiver_errors + guard_errors:
         violations.append(Violation(path, line, 0, "HFS100", message))
     violations.sort(key=lambda v: (v.line, v.col, v.code))
     return violations
@@ -681,42 +649,28 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
 
 
 def lint_paths(paths: Sequence[str]) -> list[Violation]:
-    """Per-file rules plus the corpus-wide HFS105/HFS106 passes."""
+    """Per-file rules plus the corpus-wide HFS106 pass."""
     # imported here: interproc imports linter helpers, so a top-level
     # import would be circular
-    from repro.analysis import costs, interproc
+    from repro.analysis import interproc
 
     violations: list[Violation] = []
-    parsed: dict[str, ParsedFile] = {}
     corpus: list = []
+    #: each corpus file's waivers and decorator alias lines
+    context: dict[str, tuple[dict, dict]] = {}
     for filename in iter_python_files(paths):
         with open(filename, encoding="utf-8") as handle:
             source = handle.read()
         violations.extend(lint_source(source, filename))
-        parsed[filename] = parse_file(source, filename)
-        sf = costs.SourceFile.parse(filename, source)
+        sf = interproc.SourceFile.parse(filename, source)
         if sf is not None:
             corpus.append(sf)
+            waivers, _errors = parse_waivers(source, frozenset(RULES))
+            context[filename] = (waivers, _decorator_alias_lines(sf.tree))
 
-    problems: list = []
-    if any(costs.in_budget_scope(sf.path) for sf in corpus):
-        _op_costs, cost_problems = costs.analyze(corpus)
-        problems.extend(cost_problems)
-        problems.extend(interproc.check(corpus))
-
-    for problem in problems:
-        context = parsed.get(problem.path)
-        if context is None:
-            # a file outside the lint targets (e.g. the budget table
-            # itself): parse it so its waivers still apply
-            try:
-                with open(problem.path, encoding="utf-8") as handle:
-                    context = parse_file(handle.read(), problem.path)
-            except OSError:
-                context = ParsedFile(problem.path, "", None, {}, {})
-            parsed[problem.path] = context
-        if is_waived(context.waivers, problem.code, problem.line,
-                     context.alias_lines):
+    for problem in interproc.check(corpus):
+        waivers, alias_lines = context[problem.path]
+        if is_waived(waivers, problem.code, problem.line, alias_lines):
             continue
         violations.append(Violation(problem.path, problem.line, problem.col,
                                     problem.code, problem.message))

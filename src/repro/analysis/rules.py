@@ -22,11 +22,6 @@ the tree follows only by convention:
   ``# guarded_by: <lock>`` annotation, and annotated attributes must only
   be touched inside a ``with self.<lock>`` block (a lightweight static
   race detector).
-* **HFS105** (§3.3, interprocedural) — every ``_fs_op`` transaction
-  callback in the budget scope must have a statically derived warm
-  round-trip bound that exactly matches its declared entry in the shared
-  budget table (:mod:`repro.analysis.budgets`), the same table the
-  runtime budget tests pin against. See :mod:`repro.analysis.costs`.
 * **HFS106** (§3.4, interprocedural) — lock context propagates through
   helper calls: no cross-function SHARED→EXCLUSIVE upgrade on one key
   within a transaction, no helper that acquires per-item locks called
@@ -39,7 +34,11 @@ the tree follows only by convention:
 
 ``HFS100`` is reserved for problems with the waiver and annotation
 comments themselves (malformed syntax, missing reason, unknown rule
-code) — including the ``# rt:`` cost notes HFS105 consumes.
+code).
+
+Warm round-trip costs are not a lint rule: every entry of the budget
+table (:mod:`repro.analysis.budgets`) is pinned by measurement, in
+``tests/test_round_trip_budgets.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ RULES: dict[str, str] = {
     "HFS102": "lock acquisitions out of total order, or SHARED->EXCLUSIVE upgrade",
     "HFS103": "DAL access outside a transaction callback (raw session / bare begin)",
     "HFS104": "shared mutable attribute without guarded_by, or access outside its lock",
-    "HFS105": "derived warm round-trip bound differs from the declared op budget",
     "HFS106": "interprocedural lock-order violation (S->X upgrade, unsorted batch keys)",
 }
 

@@ -23,23 +23,6 @@ only in real comments (never inside string literals):
   lock-free reads are part of the design (e.g. a hot-path membership
   check backed by GIL-atomic updates). The pseudo-guards ``GIL`` and
   ``owner-thread`` document lock-free-by-design attributes.
-
-A third grammar feeds the HFS105 static cost analysis
-(:mod:`repro.analysis.costs`)::
-
-    resolved = self.resolver.resolve(tx, path)  # rt: cost(2, reason=...)
-    self._delete_file_rows(tx, row)             # rt: offpath(reason=...)
-    for block in file_blocks:                   # rt: per(block)
-    for _attempt in range(3):                   # rt: bound(1, reason=...)
-
-``cost(K)`` pins a call site's warm round-trip cost (for callees whose
-cost depends on calling context, e.g. the path resolver); ``offpath``
-excludes a statement from the warm bound (cold fallbacks, rare
-variants); ``per(sym)`` names a loop's widening symbol; ``bound(K)``
-caps a loop's warm iteration count (bounded retry loops that succeed on
-the first attempt when uncontended). ``cost``/``offpath``/``bound``
-require a ``reason=`` just like waivers. Like waivers, an ``rt:`` note
-applies to its own line or the line directly below.
 """
 
 from __future__ import annotations
@@ -160,92 +143,3 @@ def is_waived(waivers: dict[int, list[Waiver]], code: str, line: int,
             if waiver.code == code:
                 return True
     return False
-
-
-# -- rt: cost annotations (HFS105) ----------------------------------------------
-
-#: ``# rt: cost(2, reason=...)`` / ``# rt: offpath(reason=...)`` /
-#: ``# rt: per(block)`` / ``# rt: bound(1, reason=...)``
-_RT_RE = re.compile(
-    r"rt:\s*(?P<kind>cost|offpath|per|bound)\(\s*(?P<body>[^)]*)\)")
-
-_RT_HINT_RE = re.compile(r"\brt:")
-
-_RT_REASON_RE = re.compile(r"reason\s*=\s*(?P<reason>.*)$")
-
-
-@dataclass(frozen=True)
-class RtNote:
-    kind: str              # 'cost' | 'offpath' | 'per' | 'bound'
-    value: int | None      # K for cost/bound
-    symbol: str | None     # loop symbol for per
-    reason: str
-    line: int
-
-
-def parse_rt_notes(source: str,
-                   ) -> tuple[dict[int, RtNote], list[tuple[int, str]]]:
-    """Parse ``# rt:`` cost annotations, keyed by comment line.
-
-    Returns ``(notes_by_line, errors)``; malformed notes are reported as
-    HFS100 by the linter, like malformed waivers.
-    """
-    notes: dict[int, RtNote] = {}
-    errors: list[tuple[int, str]] = []
-    for line, text in _comments(source):
-        if not _RT_HINT_RE.search(text):
-            continue
-        match = _RT_RE.search(text)
-        if match is None:
-            errors.append((line, "malformed rt: note; expected "
-                                 "'# rt: cost(K, reason=...)', "
-                                 "'# rt: offpath(reason=...)', "
-                                 "'# rt: per(symbol)' or "
-                                 "'# rt: bound(K, reason=...)'"))
-            continue
-        kind = match.group("kind")
-        body = match.group("body").strip()
-        value: int | None = None
-        symbol: str | None = None
-        reason = ""
-        if kind == "per":
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", body):
-                errors.append((line, f"rt: per(...) needs a bare symbol "
-                                     f"name, got {body!r}"))
-                continue
-            symbol = body
-        else:
-            head, _, tail = body.partition(",")
-            if kind in ("cost", "bound"):
-                head = head.strip()
-                if not re.fullmatch(r"\d+", head):
-                    errors.append((line, f"rt: {kind}(...) needs an integer "
-                                         f"round-trip count, got {head!r}"))
-                    continue
-                value = int(head)
-                reason_src = tail.strip()
-            else:  # offpath
-                reason_src = body
-            reason_match = _RT_REASON_RE.search(reason_src)
-            reason = (reason_match.group("reason").strip()
-                      if reason_match else "")
-            if not reason:
-                errors.append((line, f"rt: {kind}(...) is missing its "
-                                     "reason=... justification"))
-                continue
-        if line in notes:
-            errors.append((line, "multiple rt: notes on one line"))
-            continue
-        notes[line] = RtNote(kind, value, symbol, reason, line)
-    return notes, errors
-
-
-def rt_note_for(notes: dict[int, RtNote], line: int,
-                kind: str | tuple[str, ...]) -> RtNote | None:
-    """The rt: note of ``kind`` applying to ``line`` (own line or above)."""
-    kinds = (kind,) if isinstance(kind, str) else kind
-    for candidate in (line, line - 1):
-        note = notes.get(candidate)
-        if note is not None and note.kind in kinds:
-            return note
-    return None

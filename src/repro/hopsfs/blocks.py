@@ -147,7 +147,7 @@ def remove_file_blocks(tx: DALTransaction, inode_id: int,
         replica_dns.setdefault(row["block_id"], []).append(row["dn_id"])
     for block in file_blocks:
         block_id = block["block_id"]
-        for dn_id in sorted(replica_dns.get(block_id, ())):  # rt: per(replica)
+        for dn_id in sorted(replica_dns.get(block_id, ())):
             invalidate_replica(tx, inode_id, block_id, dn_id)
         tx.delete("blocks", (inode_id, block_id))
         tx.delete("block_lookup", (block_id,), must_exist=False)

@@ -223,7 +223,6 @@ class InodeOpsMixin:
     def _lock_inode_by_id(self, tx: DALTransaction, inode_id: int,
                           lock: LockMode = LockMode.EXCLUSIVE) -> Optional[dict]:
         """Lock an inode known only by id (datanode-triggered paths)."""
-        # rt: bound(1, reason=retry only races a concurrent rename; warm path locks on the first attempt)
         for _attempt in range(3):
             # hfs: allow(HFS101, reason=id-only lookup has no path to prune on; bounded retry, rare datanode-triggered path)
             matches = tx.index_scan("inodes", "by_id", (inode_id,))
@@ -244,7 +243,6 @@ class InodeOpsMixin:
         """Create a directory and any missing ancestors. Idempotent."""
 
         def fn(tx: DALTransaction) -> bool:
-            # rt: cost(1, reason=warm mkdir resolve: one batch locking the hinted parent and the computed key of the missing last component)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE, plan=plan)
@@ -293,7 +291,6 @@ class InodeOpsMixin:
         repl = replication if replication is not None else DEFAULT_REPLICATION
 
         def fn(tx: DALTransaction) -> FileStatus:
-            # rt: cost(1, reason=warm create resolve: one batch locking the hinted parent and the computed key of the missing last component)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE,
@@ -307,7 +304,6 @@ class InodeOpsMixin:
                     raise FileAlreadyExistsError(f"{path} is a directory")
                 if not overwrite:
                     raise FileAlreadyExistsError(path)
-                # rt: offpath(reason=overwrite variant; the pinned warm create targets a fresh path)
                 self._delete_file_rows(tx, resolved, existing)
             parent_row = resolved.parent
             if parent_row is None:
@@ -352,7 +348,7 @@ class InodeOpsMixin:
         """``stat``: shared lock on the last component only."""
 
         def fn(tx: DALTransaction) -> Optional[FileStatus]:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
+            resolved = self.resolver.resolve(tx, path,
                                              lock_last=LockMode.SHARED,
                                              last_access=True, plan=plan)
             row = resolved.last
@@ -368,7 +364,7 @@ class InodeOpsMixin:
         """The HDFS read path: file blocks plus replica locations."""
 
         def fn(tx: DALTransaction) -> LocatedBlocks:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans and the commit)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
                 scans_for=_block_replica_scans, plan=plan)
             row = self._require(resolved)
@@ -399,7 +395,7 @@ class InodeOpsMixin:
         """Directory listing; shared lock on the directory (§5.2.1)."""
 
         def fn(tx: DALTransaction) -> DirectoryListing:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the children scan and the commit)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
                 scans_for=_listing_scans, plan=plan)
             row = self._require(resolved)
@@ -412,7 +408,6 @@ class InodeOpsMixin:
                 children = [r for r in resolved.scanned[0]
                             if r["parent_id"] == row["id"]]
             else:
-                # rt: offpath(reason=hash-partitioned directory: an all-shard scan no hint can prune)
                 children = self._list_children(tx, row)
             base = path.rstrip("/")
             listing = DirectoryListing(path=path)
@@ -428,7 +423,7 @@ class InodeOpsMixin:
         """Recursive usage of a directory (read-committed traversal)."""
 
         def fn(tx: DALTransaction) -> ContentSummary:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
+            resolved = self.resolver.resolve(tx, path,
                                              lock_last=LockMode.SHARED,
                                              plan=plan)
             row = self._require(resolved)
@@ -437,7 +432,6 @@ class InodeOpsMixin:
                                       directory_count=0, length=row["size"])
             files = dirs = length = 0
             stack = [row]
-            # rt: per(dir)
             while stack:
                 current = stack.pop()
                 for child in self._list_children(tx, current):
@@ -463,7 +457,7 @@ class InodeOpsMixin:
         """Allocate the next block of a file under construction."""
 
         def fn(tx: DALTransaction) -> BlockLocation:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the blocks scan)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 scans_for=_block_scans, plan=plan)
             row = self._require(resolved)
@@ -512,7 +506,7 @@ class InodeOpsMixin:
         """Close a file under construction."""
 
         def fn(tx: DALTransaction) -> bool:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 scans_for=_block_replica_scans, plan=plan)
             row = self._require(resolved)
@@ -543,7 +537,7 @@ class InodeOpsMixin:
         """Reopen a file for append; returns the last partial block."""
 
         def fn(tx: DALTransaction) -> Optional[BlockLocation]:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the file's scans)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 scans_for=_block_replica_scans, plan=plan)
             row = self._require(resolved)
@@ -583,7 +577,6 @@ class InodeOpsMixin:
         """
 
         def fn(tx: DALTransaction):
-            # rt: cost(1, reason=warm delete resolve: parent and target locked in one hinted batched read carrying the target's sub-row scans)
             resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE,
@@ -703,10 +696,8 @@ class InodeOpsMixin:
         check_flags = subtree_root_id is None
         # Resolve both paths read-committed first (no locks): that names
         # the keys. What the move relies on is read by the lock batch.
-        # rt: cost(1, reason=warm RC resolve of the existing source: one batched read)
         src_resolved = self.resolver.resolve(
             tx, src, check_subtree_locks=check_flags, plan=plan)
-        # rt: cost(1, reason=warm RC resolve of the missing destination: one batched read, the last key computed)
         dst_resolved = self.resolver.resolve(
             tx, dst, check_subtree_locks=check_flags)
         if src_resolved.last is None:
@@ -759,7 +750,6 @@ class InodeOpsMixin:
         src_row = src_resolved.last
         dst_parent = dst_resolved.parent
         if subtree_root_id is None and src_row["is_dir"]:
-            # rt: offpath(reason=directory rename probes for children; the pinned warm budget is the file rename)
             if self._has_children(tx, src_row):
                 return "subtree"
         if fresh[dst_pk] is not None:
@@ -805,7 +795,7 @@ class InodeOpsMixin:
         """chmod. Non-empty directories escalate to a subtree operation."""
 
         def fn(tx: DALTransaction):
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
+            resolved = self.resolver.resolve(tx, path,
                                              lock_last=LockMode.EXCLUSIVE,
                                              plan=plan)
             row = self._require(resolved)
@@ -823,7 +813,7 @@ class InodeOpsMixin:
         """chown. Non-empty directories escalate to a subtree operation."""
 
         def fn(tx: DALTransaction):
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
+            resolved = self.resolver.resolve(tx, path,
                                              lock_last=LockMode.EXCLUSIVE,
                                              plan=plan)
             row = self._require(resolved)
@@ -844,7 +834,7 @@ class InodeOpsMixin:
             raise InvalidPathError("replication must be >= 1")
 
         def fn(tx: DALTransaction) -> bool:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the blocks scan)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 scans_for=_block_scans, plan=plan)
             row = self._require(resolved)
@@ -937,7 +927,7 @@ class InodeOpsMixin:
             raise InvalidPathError("xattr name must be non-empty")
 
         def fn(tx: DALTransaction) -> None:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
+            resolved = self.resolver.resolve(tx, path,
                                              lock_last=LockMode.EXCLUSIVE,
                                              plan=plan)
             row = self._require(resolved)
@@ -953,7 +943,7 @@ class InodeOpsMixin:
         """All extended attributes of a path (one partition-pruned scan)."""
 
         def fn(tx: DALTransaction) -> dict:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan and the commit)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.SHARED, last_access=True,
                 scans_for=_xattr_scans, plan=plan)
             self._require(resolved)
@@ -965,7 +955,7 @@ class InodeOpsMixin:
 
     def remove_xattr(self, path: str, name: str) -> bool:
         def fn(tx: DALTransaction) -> bool:
-            resolved = self.resolver.resolve(  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read carrying the xattrs scan)
+            resolved = self.resolver.resolve(
                 tx, path, lock_last=LockMode.EXCLUSIVE,
                 scans_for=_xattr_scans, plan=plan)
             row = self._require(resolved)

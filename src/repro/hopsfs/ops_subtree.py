@@ -185,7 +185,7 @@ class SubtreeOpsMixin:
             raise PermissionDeniedError(f"cannot run {op} on the root")
 
         def fn(tx: DALTransaction) -> dict:
-            resolved = self.resolver.resolve(tx, path,  # rt: cost(1, reason=warm resolve of a hinted existing path: one locked batched read)
+            resolved = self.resolver.resolve(tx, path,
                                              lock_last=LockMode.EXCLUSIVE)
             row = resolved.last
             if row is None:
@@ -308,16 +308,13 @@ class SubtreeOpsMixin:
         parent = "/" + "/".join(split_path(ctx.path)[:-1])
 
         def fn(tx: DALTransaction) -> None:
-            # rt: cost(1, reason=warm resolve of the hinted quiesced root: parent and target locked in one batched read)
             resolved = self.resolver.resolve(
                 tx, ctx.path, lock_last=LockMode.EXCLUSIVE,
                 lock_parent=LockMode.EXCLUSIVE, check_subtree_locks=False)
             row = resolved.last
             if row is not None and row["id"] == root["id"]:
                 inode = [(row["id"], row["sub_tables"])]
-                # rt: cost(0, reason=warm root without xattrs: its sub_tables bits ask for no scan)
                 sub_rows = self._scan_sub_rows(tx, inode)
-                # rt: cost(0, reason=the subtree root is a directory: no block rows, so none of remove_file_blocks' per-replica reads)
                 self._delete_sub_rows(tx, row["id"], row["sub_tables"],
                                       sub_rows[row["id"]])
                 tx.delete("inodes",
@@ -352,7 +349,6 @@ class SubtreeOpsMixin:
             rows = tx.read_batch("inodes", pks, lock=LockMode.EXCLUSIVE)
             bits = {node.id: row["sub_tables"] if row is not None else 0
                     for node, row in zip(ordered, rows, strict=True)}
-            # rt: cost(0, reason=warm batch of files without blocks, xattrs or EC: no sub_tables bit asks for a scan)
             sub_rows = self._scan_sub_rows(
                 tx, [(inode_id, b) for inode_id, b in bits.items() if b])
             for node in ordered:

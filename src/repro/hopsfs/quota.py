@@ -68,7 +68,6 @@ def enforce_and_queue(tx: DALTransaction, ancestor_ids: Iterable[int],
     ids = list(ancestor_ids)
     if not ids or (ns_delta == 0 and ds_delta == 0):
         return
-    # rt: cost(0, reason=warm path under no quota: the ancestors' sub_tables bits ask for no quotas read)
     rows = tx.read_batch("quotas", [(i,) for i in ids])
     for inode_id, row in zip(ids, rows, strict=True):
         if row is None:

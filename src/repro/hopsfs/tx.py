@@ -334,7 +334,6 @@ class PathResolver:
         if scans_for is not None and not hinted_last and last is not None:
             scans = scans_for(_hint_of(last))
             if scans is not None:
-                # rt: offpath(reason=the last component was not hinted: its scans could not ride)
                 resolved.scanned = tx.ppis_batch(scans)
         if check_subtree_locks:
             self.check_subtree_locks(resolved)

@@ -163,6 +163,34 @@ def make_hopsfs(num_namenodes=2, num_datanodes=3, clock=None,
                              network_delay=network_delay))
 
 
+@pytest.fixture(params=["ndb", "memory", "process"])
+def any_driver(request):
+    """A 2-namenode, 3-datanode HopsFS cluster on each DAL driver: the
+    embedded NDB engine, the memory driver, and ``RemoteDriver`` to an
+    ndb-server."""
+    config = HopsFSConfig(clock=ManualClock())
+    ndb = NDBConfig(num_datanodes=4, replication=2, lock_timeout=2.0)
+    if request.param == "ndb":
+        yield HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
+                            ndb_config=ndb)
+    elif request.param == "memory":
+        from repro.dal import MemoryDriver
+
+        yield HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
+                            driver=MemoryDriver())
+    else:
+        from repro.dal import RemoteDriver
+        from repro.rpc import NDBServer
+
+        with NDBServer(config=ndb) as server:
+            driver = RemoteDriver(server.host, server.port, timeout=10.0)
+            try:
+                yield HopsFSCluster(num_namenodes=2, num_datanodes=3,
+                                    driver=driver, config=config)
+            finally:
+                driver.close()
+
+
 @pytest.fixture
 def fs():
     """A 2-namenode, 3-datanode HopsFS cluster on a 4-node NDB."""

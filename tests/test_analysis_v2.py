@@ -1,9 +1,9 @@
-"""Analysis-v2 fixtures: HFS105 cost bounds, HFS106 interprocedural
-lock discipline, waiver edge cases, and the lock-witness graph export.
+"""Analysis-v2 fixtures: the budget table's cost expressions, HFS106
+interprocedural lock discipline, waiver edge cases, and the lock-witness
+graph export.
 
 Like ``test_analysis_lint.py``, these drive the analyzers over small
-synthetic modules; paths decide which rules apply (HFS105 only derives
-bounds for modules whose path ends with a budget-scope suffix).
+synthetic modules; paths decide which rules apply.
 """
 
 import json
@@ -11,12 +11,12 @@ import textwrap
 
 from repro.analysis import interproc
 from repro.analysis.budgets import BudgetError, Cost, budget_for
-from repro.analysis.costs import SourceFile, analyze
+from repro.analysis.interproc import SourceFile
 from repro.analysis.linter import lint_source
 from repro.analysis.lockwitness import LockWitness
 
-SCOPE = "synthetic/hopsfs/ops_inode.py"   # budget-scope path for HFS105
-HELPER = "synthetic/hopsfs/helpers.py"    # out of scope; helpers only
+SCOPE = "synthetic/hopsfs/ops_inode.py"   # a module defining op callbacks
+HELPER = "synthetic/hopsfs/helpers.py"    # helpers only
 
 
 def parse(source: str, path: str = SCOPE) -> SourceFile:
@@ -25,13 +25,7 @@ def parse(source: str, path: str = SCOPE) -> SourceFile:
     return sf
 
 
-def derive(source: str):
-    """(op -> rendered cost, problems) for one synthetic scope module."""
-    op_costs, problems = analyze([parse(source)])
-    return {oc.op: oc.cost.render() for oc in op_costs}, problems
-
-
-# -- Cost algebra ---------------------------------------------------------------
+# -- budget expressions -----------------------------------------------------------
 
 
 class TestCostModel:
@@ -60,152 +54,6 @@ class TestCostModel:
         # a templated root (f-string op name) matches its own entry
         assert budget_for("{op}_subtree_lock").op == "{op}_subtree_lock"
         assert budget_for("no_such_op") is None
-
-
-# -- HFS105: derived warm bounds -------------------------------------------------
-
-
-class TestHFS105:
-    def test_read_only_op_counts_reads(self):
-        costs, _ = derive("""
-        class Ops:
-            def stat(self, path):
-                def fn(tx):
-                    return tx.read("inodes", (1, 2, "x"))
-                return self._fs_op("stat", fn)
-        """)
-        assert costs == {"stat": "1"}
-
-    def test_writing_op_pays_the_commit_pair(self):
-        costs, _ = derive("""
-        class Ops:
-            def touch(self, path):
-                def fn(tx):
-                    row = tx.read("inodes", (1, 2, "x"))
-                    tx.update("inodes", (1, 2, "x"), {"mtime": 1})
-                    return row
-                return self._fs_op("touch_op", fn)
-        """)
-        # 1 read + buffered write (free) + flush/commit pair (+2)
-        assert costs == {"touch_op": "3"}
-
-    def test_a_locking_batched_scan_is_still_one_round_trip(self):
-        costs, problems = derive("""
-        class Ops:
-            def quiesce(self, group):
-                def fn(tx):
-                    return tx.ppis_batch(
-                        [("inodes", {"part_key": d}) for d in group],
-                        lock=LockMode.EXCLUSIVE)
-                return self._fs_op("subtree_quiesce", fn)
-        """)
-        assert costs == {"subtree_quiesce": "1"}
-        assert [p for p in problems if "subtree_quiesce" in p.message] == []
-
-    def test_a_delete_batch_is_a_buffered_write(self):
-        costs, _ = derive("""
-        class Ops:
-            def drop(self, ids):
-                def fn(tx):
-                    tx.delete_batch("leases", sorted((i,) for i in ids))
-                return self._fs_op("drop_op", fn)
-        """)
-        # no round trip of its own: only the flush/commit pair (+2)
-        assert costs == {"drop_op": "2"}
-
-    def test_mismatch_against_declared_budget_flagged(self):
-        _, problems = derive("""
-        class Ops:
-            def stat(self, path):
-                def fn(tx):
-                    tx.read("inodes", (1, 2, "x"))
-                    return tx.read("inodes", (1, 2, "y"))
-                return self._fs_op("stat", fn)
-        """)
-        assert any(p.code == "HFS105" and "derived warm round-trip bound"
-                   in p.message for p in problems)
-
-    def test_op_missing_from_table_flagged(self):
-        _, problems = derive("""
-        class Ops:
-            def wat(self):
-                def fn(tx):
-                    return tx.read("inodes", (1,))
-                return self._fs_op("not_in_the_table", fn)
-        """)
-        assert any(p.code == "HFS105" and "no entry" in p.message
-                   for p in problems)
-
-    def test_constant_loop_multiplies_body(self):
-        costs, _ = derive("""
-        class Ops:
-            def warm(self):
-                def fn(tx):
-                    for i in range(3):
-                        tx.read("inodes", (i,))
-                    return None
-                return self._fs_op("warm3", fn)
-        """)
-        assert costs == {"warm3": "3"}
-
-    def test_per_note_widens_to_symbol(self):
-        costs, _ = derive("""
-        class Ops:
-            def walk(self, stack):
-                def fn(tx):
-                    out = tx.read("inodes", (1,))
-                    # rt: per(dir)
-                    for entry in stack:
-                        tx.ppis("inodes", {"parent_id": entry})
-                    return out
-                return self._fs_op("walk_op", fn)
-        """)
-        assert costs == {"walk_op": "1 + dir"}
-
-    def test_offpath_note_excludes_statement(self):
-        costs, _ = derive("""
-        class Ops:
-            def get(self, path):
-                def fn(tx):
-                    row = tx.read("inodes", (1,))
-                    if row is None:
-                        # rt: offpath(reason=cold fallback, not the warm path)
-                        row = tx.index_scan("inodes", "by_path", (path,))
-                    return row
-                return self._fs_op("get_op", fn)
-        """)
-        assert costs == {"get_op": "1"}
-
-    def test_unresolvable_helper_flagged_and_pinnable(self):
-        _, problems = derive("""
-        class Ops:
-            def op(self, resolver):
-                def fn(tx):
-                    return resolver.resolve(tx, "/a/b")
-                return self._fs_op("res_op", fn)
-        """)
-        assert any(p.code == "HFS105" and "cannot statically bound"
-                   in p.message for p in problems)
-        costs, problems = derive("""
-        class Ops:
-            def op(self, resolver):
-                def fn(tx):
-                    return resolver.resolve(tx, "/a/b")  # rt: cost(1, reason=warm hinted resolve)
-                return self._fs_op("res_op", fn)
-        """)
-        assert costs == {"res_op": "1"}
-        assert not any("cannot statically bound" in p.message
-                       for p in problems)
-
-    def test_out_of_scope_module_not_budgeted(self):
-        op_costs, problems = analyze([parse("""
-        class Ops:
-            def op(self):
-                def fn(tx):
-                    return tx.read("inodes", (1,))
-                return self._fs_op("unlisted", fn)
-        """, path=HELPER)])
-        assert op_costs == [] and problems == []
 
 
 # -- HFS106: interprocedural lock discipline -------------------------------------
@@ -417,20 +265,6 @@ class TestWaiverEdgeCases:
         violations = lint(src)
         assert [v.code for v in violations] == ["HFS100", "HFS101"]
         assert "HFS999" in violations[0].message
-
-    def test_malformed_rt_note_in_scope_is_hfs100(self):
-        src = """
-        def fn(tx):
-            return tx.read("inodes", (1,))  # rt: cost(two, reason=not a number)
-        """
-        assert [v.code for v in lint(src)] == ["HFS100"]
-
-    def test_rt_note_lookalike_out_of_scope_ignored(self):
-        src = """
-        def fn(tx):
-            return tx.read("inodes", (1,))  # rt: cost(two, reason=not a number)
-        """
-        assert lint(src, path="src/repro/hopsfs/fsck.py") == []
 
 
 # -- lock-witness graph export ----------------------------------------------------

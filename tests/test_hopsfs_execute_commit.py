@@ -430,30 +430,6 @@ def test_a_file_this_namenode_has_not_seen_is_scanned_by_the_resolver(deploy):
 # -- every op that scans a file's rows takes them from the resolve ---------------
 
 
-@pytest.fixture(params=["ndb", "memory", "process"])
-def any_driver(request):
-    config = HopsFSConfig(clock=ManualClock())
-    if request.param == "ndb":
-        yield HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
-                            ndb_config=NDB)
-    elif request.param == "memory":
-        from repro.dal import MemoryDriver
-
-        yield HopsFSCluster(num_namenodes=2, num_datanodes=3, config=config,
-                            driver=MemoryDriver())
-    else:
-        from repro.dal import RemoteDriver
-        from repro.rpc import NDBServer
-
-        with NDBServer(config=NDB) as server:
-            driver = RemoteDriver(server.host, server.port, timeout=10.0)
-            try:
-                yield HopsFSCluster(num_namenodes=2, num_datanodes=3,
-                                    driver=driver, config=config)
-            finally:
-                driver.close()
-
-
 def test_the_joined_ops_return_what_they_returned(any_driver):
     """``add_block``, ``complete``, ``append_file``, ``set_replication``
     and ``get_xattrs`` read their block/replica/xattr rows off the

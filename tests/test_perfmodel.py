@@ -93,7 +93,7 @@ PROFILED_BUDGETS = {
 #: profiles with no budget to tie to, and why
 UNBUDGETED_PROFILES = {
     # a top-level directory is hash-partitioned: its listing is an
-    # all-shard index scan, outside the warm budget (``rt: offpath``)
+    # all-shard index scan, outside every warm budget
     "ls_top",
     # recorded before its block has a finalized replica, so the call
     # returns False after its read; the budget prices the close
@@ -103,8 +103,8 @@ UNBUDGETED_PROFILES = {
 
 def test_profiles_cost_what_the_budget_table_says(profiles):
     """The perf model replays these profiles, so they must not drift from
-    the round-trip budgets the linter and the runtime pins hold the code
-    to: an extra round trip in an op fails here too."""
+    the round-trip budgets ``tests/test_round_trip_budgets.py`` pins the
+    code to: an extra round trip in an op fails here too."""
     from repro.analysis.budgets import OP_BUDGETS, Cost
 
     assert set(profiles) == set(PROFILED_BUDGETS) | UNBUDGETED_PROFILES

@@ -1,41 +1,39 @@
-"""Round-trip budget regression tests (the cost program's ledger).
+"""Round-trip budget pins: every warm operation pays exactly its budget.
 
-Every cell here is an *exact* count of database round trips per warm
-metadata operation, read off the namenode's ``db_round_trips_total``
-counter. The counts are deterministic — the engine counts one round
-trip per batched access — so any drift means someone added or removed
-a database access on the hot path.
+The budget table (:data:`repro.analysis.budgets.OP_BUDGETS`) says how
+many database round trips one warm run of each ``_fs_op`` transaction
+pays. This module is the one check that holds the table to the code.
+:class:`TestEveryBudget` runs every entry warm, on the embedded NDB
+engine, the memory driver and over ``RemoteDriver``, reads each
+transaction's count off the namenode's ``db_op_round_trips{op}``
+histogram (one sample per run, observed by ``NameNode._fold_stats``)
+and pins it, with zero tolerance,
+to the entry evaluated at the run's workload sizes. Each symbol of an
+entry is measured at two values, each product of symbols at two
+combinations. The counts are deterministic (the engine counts one round
+trip per batched access), so any drift means a database access was
+added to or removed from a warm path.
 
-The expected values are NOT duplicated here: they come from the shared
-budget table in :mod:`repro.analysis.budgets`, the same table the static
-analyzer (HFS105) checks its derived bounds against. The contract:
+If a change legitimately alters a cost, edit ``OP_BUDGETS`` in the same
+change and say why: the failing pin prints the measured count of every
+transaction next to the budgeted one. If you did not mean to, you just
+found a redundant read.
 
-* static side — ``python -m repro.analysis budgets`` derives a symbolic
-  warm bound for every ``_fs_op`` callback and fails when it differs
-  from the table;
-* runtime side — these tests measure real operations and pin the
-  measured round trips to the table entries (with workload symbols
-  bound to the scenario's sizes).
-
-A new helper that adds a round trip therefore fails the linter, and an
-analyzer bug that undercounts fails the runtime pin. If a change
-legitimately alters a budget, update ``OP_BUDGETS`` *in the same PR*
-and say why in the commit.
-
-The *wire budget* at the bottom is the same ledger one layer down: over
-an ndb-server, how many frames a warm operation sends and how many of
-them it *waits for*.
-
-The cold cell pins the one fallback the resolver has (hint-cache miss →
-recursive PK reads, then the same batched lock read the warm path issues);
-its count lives here, not in the table — the analyzer only models the
-warm path.
+The other cells pin what one transaction's count cannot: the cold
+create (a hint-cache miss, outside every budget), how many transactions
+a subtree operation is, and the *wire budget* one layer down: over an
+ndb-server, how many frames a warm operation sends and how many of them
+it *waits for*.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 
-from repro.analysis.budgets import budget_for
+from repro.analysis.budgets import OP_BUDGETS, budget_for
 from repro.hopsfs.blockreport import BlockReportProcessor
+from repro.hopsfs.ops_inode import LEASE_TIMEOUT
 from repro.ndb.stats import AccessKind
 from tests.conftest import make_hopsfs
 
@@ -52,6 +50,352 @@ def _budget(op_name: str, **bounds: int) -> int:
     budget = budget_for(op_name)
     assert budget is not None, f"no budget table entry for {op_name!r}"
     return budget.cost.evaluate(**bounds)
+
+
+# -- every entry, measured ---------------------------------------------------------
+
+def _samples(nn) -> dict[str, list[int]]:
+    """``db_op_round_trips{op}``: each transaction's round trips, by op."""
+    return {dict(h.labels)["op"]: [int(value) for _, value in h.samples()]
+            for h in nn.metrics.histograms()
+            if h.name == "db_op_round_trips"}
+
+
+def _spent(nn, action: Callable[[], object]) -> dict[str, list[int]]:
+    """The transactions ``action`` ran: each one's round trips, by op."""
+    before = _samples(nn)
+    action()
+    return {op: trips[len(before.get(op, ())):]
+            for op, trips in _samples(nn).items()
+            if len(trips) > len(before.get(op, ()))}
+
+
+def _file(nn, path: str, blocks: int = 0, dns=(), replication: int = 1,
+          client: str = "c") -> list[int]:
+    """A file under construction of ``blocks`` blocks, each finalized on
+    the datanodes ``dns``; returns the block ids."""
+    nn.create(path, client=client, replication=replication)
+    block_ids = []
+    for _ in range(blocks):
+        block = nn.add_block(path, client)
+        for dn_id in dns:
+            nn.block_received(dn_id, block.block_id, 4)
+        block_ids.append(block.block_id)
+    return block_ids
+
+
+def _subtree(nn, node: int = 1, block: int = 0, replica: int = 0) -> str:
+    """``/a/b/t`` holding ``node`` files of ``block`` blocks on
+    ``replica`` datanodes each (as many as their target)."""
+    nn.mkdirs("/a/b/t")
+    for i in range(node):
+        _file(nn, f"/a/b/t/f{i}", blocks=block, dns=range(1, 1 + replica),
+              replication=max(1, replica))
+    return "/a/b/t"
+
+
+def _on_file(op, xattr: bool = False):
+    """A scenario: ``op(nn, path)`` on a fresh file (with one xattr)."""
+
+    def scenario(fs, nn, **_):
+        nn.create("/a/b/x", client="c")
+        if xattr:
+            nn.set_xattr("/a/b/x", "user.k", "v")
+        return lambda: op(nn, "/a/b/x")
+
+    return scenario
+
+
+def _on_empty_dir(op):
+    """A scenario: ``op(nn, path)`` on a fresh empty directory."""
+
+    def scenario(fs, nn, **_):
+        nn.mkdirs("/a/b/x")
+        return lambda: op(nn, "/a/b/x")
+
+    return scenario
+
+
+def _on_subtree(op):
+    """A scenario: ``op(nn, path)`` on a directory holding one file."""
+
+    def scenario(fs, nn, **_):
+        path = _subtree(nn)
+        nn.mkdirs("/a/c")  # a hinted parent for a move's destination
+        return lambda: op(nn, path)
+
+    return scenario
+
+
+def _read(fs, nn):
+    _file(nn, "/a/b/f", blocks=1, dns=(1,))
+    return lambda: nn.get_block_locations("/a/b/f")
+
+
+def _append(fs, nn):
+    _file(nn, "/a/b/f", blocks=1, dns=(1,))
+    nn.complete("/a/b/f", "c")
+    return lambda: nn.append_file("/a/b/f", "c2")
+
+
+def _block_received(fs, nn):
+    (block_id,) = _file(nn, "/a/b/f", blocks=1)
+    return lambda: nn.block_received(1, block_id, 4)
+
+
+def _complete(fs, nn, block, extra):
+    # target 1: every block finalized on 1 + extra datanodes
+    _file(nn, "/a/b/f", blocks=block, dns=range(1, 2 + extra))
+    return lambda: nn.complete("/a/b/f", "c")
+
+
+def _set_replication(fs, nn, block, extra):
+    # closed at target 3 on 1 + extra datanodes, then cut to 1
+    _file(nn, "/a/b/f", blocks=block, dns=range(1, 2 + extra), replication=3)
+    nn.complete("/a/b/f", "c")
+    return lambda: nn.set_replication("/a/b/f", 1)
+
+
+def _delete_file(fs, nn, block, replica):
+    _file(nn, "/a/b/f", blocks=block, dns=range(1, 1 + replica),
+          replication=replica)
+    nn.complete("/a/b/f", "c")
+    return lambda: nn.delete("/a/b/f")
+
+
+def _report_bad_block(fs, nn, extra):
+    # target 1: the corrupt replica on datanode 1, 1 + extra more
+    (block_id,) = _file(nn, "/a/b/f", blocks=1, dns=range(1, 3 + extra))
+    return lambda: nn.report_bad_block(block_id, 1)
+
+
+def _content_summary(fs, nn, dir):
+    nn.mkdirs("/a/b/s")
+    for i in range(dir - 1):
+        nn.mkdirs(f"/a/b/s/d{i}")
+    return lambda: nn.content_summary("/a/b/s")
+
+
+def _renew_lease(fs, nn):
+    for i in range(2):
+        nn.create(f"/a/b/f{i}", client="lc")
+    return lambda: nn.renew_lease("lc")
+
+
+def _recover_expired_leases(fs, nn):
+    for i in range(2):
+        _file(nn, f"/a/b/f{i}", blocks=1, dns=(1,))
+    fs.config.clock.advance(2 * LEASE_TIMEOUT)
+    return nn.recover_expired_leases
+
+
+def _delete_subtree(fs, nn, node, block, replica):
+    path = _subtree(nn, node, block, replica)
+    return lambda: nn.delete_subtree(path)
+
+
+def _subtree_release(fs, nn):
+    ctx = nn._subtree_begin(_subtree(nn), "chmod")
+    return lambda: nn._subtree_release(ctx)
+
+
+def _block_report_add(fs, nn, block, extra):
+    # target 1: datanode 1 reports blocks it holds no replica row of,
+    # each finalized on extra other datanodes already
+    block_ids = _file(nn, "/a/b/f", blocks=block, dns=range(2, 2 + extra))
+    processor = BlockReportProcessor(nn)
+    return lambda: processor.process(1, [(b, 4) for b in block_ids])
+
+
+def _block_report_drop(fs, nn, extra):
+    # target 1: datanode 1 reports nothing, its replica goes, 1 + extra stay
+    _file(nn, "/a/b/f", blocks=1, dns=range(1, 3 + extra))
+    processor = BlockReportProcessor(nn)
+    return lambda: processor.process(1, [])
+
+
+#: Where a warm run's path and its op's entry part, the case pins the
+#: difference, named here with its cause.
+#:
+#: A file has no children to probe for: ``delete``, ``chmod`` and
+#: ``chown`` of a file skip the probe their entries count for a directory.
+FILE_SKIPS_PROBE = -1
+#: A directory rename probes for children, which ``rename``'s entry, the
+#: price of a file rename, does not count.
+DIR_RENAME_PROBES = 1
+#: ``{op}_subtree`` hands the root row it read on to
+#: ``_subtree_clear_in_tx``, which then reads nothing; the entry counts
+#: that read as well.
+ROOT_HANDED_ON = -1
+#: A delete batch holding a file with blocks scans its sub-rows (one
+#: ``ppis_batch``); ``subtree_delete_batch``'s entry prices a batch of
+#: files never written, whose ``sub_tables`` bits ask for no scan.
+BATCH_SCANS_SUB_ROWS = 1
+
+
+@dataclass(frozen=True)
+class Case:
+    """One warm run: the scenario builds what it needs and returns the
+    action to measure; ``pins`` maps each op the action runs to one
+    offset per transaction: each pays its op's budget at ``shape`` plus
+    the offset."""
+
+    scenario: Callable
+    pins: dict[str, list[int]]
+    shape: dict[str, int]
+
+
+def _case(name: str, scenario: Callable, pins: dict[str, list[int]],
+          **shape: int):
+    return pytest.param(Case(scenario, pins, shape), id=name)
+
+
+_SUBTREE_DELETE = {"delete_subtree_lock": [0], "subtree_quiesce": [0],
+                   "delete_subtree_root": [0]}
+_REPORT = {"block_report_lookup": [0], "block_report_dbview": [0]}
+
+CASES = [
+    _case("stat", _on_file(lambda nn, p: nn.get_file_info(p)),
+          {"stat": [0]}),
+    _case("read", _read, {"read": [0]}),
+    _case("ls", _on_file(lambda nn, p: nn.list_status("/a/b")),
+          {"ls": [0]}),
+    _case("mkdirs", _on_empty_dir(lambda nn, p: nn.mkdirs(p + "/d")),
+          {"mkdirs": [0]}),
+    _case("create", _on_empty_dir(lambda nn, p: nn.create(p + "/f")),
+          {"create": [0]}),
+    _case("rename", _on_file(lambda nn, p: nn.rename(p, "/a/b/y")),
+          {"rename": [0]}),
+    _case("rename-empty-dir",
+          _on_empty_dir(lambda nn, p: nn.rename(p, "/a/b/y")),
+          {"rename": [DIR_RENAME_PROBES]}),
+    _case("add_block", _on_file(lambda nn, p: nn.add_block(p, "c")),
+          {"add_block": [0]}),
+    _case("block_received", _block_received, {"block_received": [0]}),
+    _case("append", _append, {"append": [0]}),
+    _case("complete-b1e0", _complete, {"complete": [0]}, block=1, extra=0),
+    _case("complete-b1e1", _complete, {"complete": [0]}, block=1, extra=1),
+    _case("complete-b2e2", _complete, {"complete": [0]}, block=2, extra=2),
+    _case("set_replication-b1e0", _set_replication,
+          {"set_replication": [0]}, block=1, extra=0),
+    _case("set_replication-b1e1", _set_replication,
+          {"set_replication": [0]}, block=1, extra=1),
+    _case("set_replication-b2e2", _set_replication,
+          {"set_replication": [0]}, block=2, extra=2),
+    _case("delete-file-b1r2", _delete_file,
+          {"delete": [FILE_SKIPS_PROBE]}, block=1, replica=2),
+    _case("delete-file-b2r3", _delete_file,
+          {"delete": [FILE_SKIPS_PROBE]}, block=2, replica=3),
+    _case("delete-empty-dir", _on_empty_dir(lambda nn, p: nn.delete(p)),
+          {"delete": [0]}, block=0, replica=0),
+    _case("chmod-file", _on_file(lambda nn, p: nn.set_permission(p, 0o600)),
+          {"chmod": [FILE_SKIPS_PROBE]}),
+    _case("chmod-empty-dir",
+          _on_empty_dir(lambda nn, p: nn.set_permission(p, 0o700)),
+          {"chmod": [0]}),
+    _case("chown-file", _on_file(lambda nn, p: nn.set_owner(p, "u", "g")),
+          {"chown": [FILE_SKIPS_PROBE]}),
+    _case("chown-empty-dir",
+          _on_empty_dir(lambda nn, p: nn.set_owner(p, "u", "g")),
+          {"chown": [0]}),
+    _case("renew_lease", _renew_lease, {"renew_lease": [0]}),
+    _case("lease_recovery", _recover_expired_leases,
+          {"lease_scan": [0], "lease_recovery": [0, 0]}),
+    _case("set_xattr", _on_file(lambda nn, p: nn.set_xattr(p, "user.k", "v")),
+          {"set_xattr": [0]}),
+    _case("get_xattrs", _on_file(lambda nn, p: nn.get_xattrs(p), xattr=True),
+          {"get_xattrs": [0]}),
+    _case("remove_xattr",
+          _on_file(lambda nn, p: nn.remove_xattr(p, "user.k"), xattr=True),
+          {"remove_xattr": [0]}),
+    _case("report_bad_block-e0", _report_bad_block,
+          {"report_bad_block": [0]}, extra=0),
+    _case("report_bad_block-e1", _report_bad_block,
+          {"report_bad_block": [0]}, extra=1),
+    _case("content_summary-d1", _content_summary,
+          {"content_summary": [0]}, dir=1),
+    _case("content_summary-d3", _content_summary,
+          {"content_summary": [0]}, dir=3),
+    _case("delete_subtree-n2b0r0", _delete_subtree,
+          {**_SUBTREE_DELETE, "subtree_delete_batch": [0]},
+          node=2, block=0, replica=0),
+    _case("delete_subtree-n1b1r2", _delete_subtree,
+          {**_SUBTREE_DELETE, "subtree_delete_batch": [BATCH_SCANS_SUB_ROWS]},
+          node=1, block=1, replica=2),
+    _case("delete_subtree-n2b2r1", _delete_subtree,
+          {**_SUBTREE_DELETE, "subtree_delete_batch": [BATCH_SCANS_SUB_ROWS]},
+          node=2, block=2, replica=1),
+    _case("chmod_subtree",
+          _on_subtree(lambda nn, p: nn.chmod_subtree(p, 0o700)),
+          {"chmod_subtree_lock": [0], "subtree_quiesce": [0],
+           "chmod_subtree": [ROOT_HANDED_ON]}),
+    _case("chown_subtree",
+          _on_subtree(lambda nn, p: nn.chown_subtree(p, "u", "g")),
+          {"chown_subtree_lock": [0], "subtree_quiesce": [0],
+           "chown_subtree": [ROOT_HANDED_ON]}),
+    _case("set_quota", _on_subtree(lambda nn, p: nn.set_quota(p, 100, None)),
+          {"set_quota_subtree_lock": [0], "subtree_quiesce": [0],
+           "set_quota": [0]}),
+    _case("move_subtree",
+          _on_subtree(lambda nn, p: nn.move_subtree(p, "/a/c/t")),
+          {"move_subtree_lock": [0], "subtree_quiesce": [0],
+           "move_subtree": [0]}),
+    _case("subtree_release", _subtree_release, {"subtree_release": [0]}),
+    _case("block_report_add-b1e0", _block_report_add,
+          {**_REPORT, "block_report_add": [0]}, block=1, extra=0),
+    _case("block_report_add-b1e1", _block_report_add,
+          {**_REPORT, "block_report_add": [0]}, block=1, extra=1),
+    _case("block_report_add-b2e2", _block_report_add,
+          {**_REPORT, "block_report_add": [0]}, block=2, extra=2),
+    _case("block_report_drop-e0", _block_report_drop,
+          {"block_report_dbview": [0], "block_report_drop": [0]}, extra=0),
+    _case("block_report_drop-e1", _block_report_drop,
+          {"block_report_dbview": [0], "block_report_drop": [0]}, extra=1),
+]
+
+
+def _pinned_shapes() -> dict[str, list[dict[str, int]]]:
+    """Each ``OP_BUDGETS`` key the cases pin, with the shapes they pin it at."""
+    shapes: dict[str, list[dict[str, int]]] = {}
+    for param in CASES:
+        (case,) = param.values
+        for op in case.pins:
+            shapes.setdefault(budget_for(op).op, []).append(case.shape)
+    return shapes
+
+
+class TestEveryBudget:
+    """Every ``OP_BUDGETS`` entry, measured warm on each DAL driver."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_warm_run_pays_its_budget(self, any_driver, case):
+        nn = any_driver.namenodes[0]
+        action = case.scenario(any_driver, nn, **case.shape)
+        expected = {op: [_budget(op, **case.shape) + off for off in offs]
+                    for op, offs in case.pins.items()}
+        assert _spent(nn, action) == expected
+        # nothing the namenode ran, the scenario's building included, is
+        # an op the table does not price
+        assert [op for op in _samples(nn) if budget_for(op) is None] == []
+
+    def test_every_entry_is_pinned(self):
+        assert sorted(_pinned_shapes()) == sorted(OP_BUDGETS)
+
+    def test_each_symbol_is_pinned_at_two_values(self):
+        """Each symbol of an entry at two values, each product of symbols
+        at two combinations of non-zero values."""
+        thin = []
+        for key, shapes in _pinned_shapes().items():
+            for product, _coeff in budget_for(key).cost.terms:
+                for sym in product:
+                    if len({shape[sym] for shape in shapes}) < 2:
+                        thin.append((key, sym))
+                combos = {tuple(shape[sym] for sym in product)
+                          for shape in shapes}
+                if len(product) > 1 and len(
+                        [c for c in combos if all(c)]) < 2:
+                    thin.append((key, "*".join(product)))
+        assert thin == []
 
 
 def _warm_namenode():

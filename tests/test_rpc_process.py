@@ -76,7 +76,7 @@ def test_sigterm_exits_cleanly_and_persists_observability(tmp_path):
 def test_kill9_then_ensure_alive_respawns():
     with Supervisor() as sup:
         handle = sup.spawn("ndb-k", **SERVER_OPTIONS)
-        first_pid, first_port = handle.pid, handle.port
+        first_pid = handle.pid
         os.kill(handle.pid, signal.SIGKILL)
         deadline = time.time() + 10
         while handle.alive and time.time() < deadline:
@@ -93,7 +93,6 @@ def test_kill9_then_ensure_alive_respawns():
             session = drv.session()
             session.run(lambda tx: tx.insert("kv", {"k": 7, "v": 7}))
             assert drv.table_size("kv") == 1
-        assert handle.port != first_port or True  # port may be reused
 
 
 def test_server_pool_no_leaked_processes():
