@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.faults import fault_point
 
@@ -119,6 +119,15 @@ class InodeHintCache:
         with self._mutex:
             if self._entries.pop((parent_id, name), None) is not None:
                 self._invalidations += 1
+
+    def invalidate_many(self, keys: Iterable[tuple[int, str]]) -> None:
+        """:meth:`invalidate` each ``(parent_id, name)`` of ``keys``
+        under one hold of the mutex."""
+        with self._mutex:
+            pop = self._entries.pop
+            for key in keys:
+                if pop(key, None) is not None:
+                    self._invalidations += 1
 
     def clear(self) -> None:
         """Drop every entry *and* reset the counters — after a clear the

@@ -48,7 +48,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import (
     FileNotFoundError_,
@@ -66,7 +66,8 @@ from repro.ndb.locks import LockMode
 
 @dataclass(slots=True)
 class SubtreeNode:
-    """One inode of the in-memory tree built while quiescing (§6.1)."""
+    """One inode of the in-memory tree built while quiescing (§6.1); a
+    directory's ``children`` are set when the quiesce locks them."""
 
     pk: tuple  # (part_key, parent_id, name)
     id: int
@@ -74,7 +75,7 @@ class SubtreeNode:
     size: int
     replication: int
     children_random: bool = False
-    children: list["SubtreeNode"] = field(default_factory=list)
+    children: Sequence["SubtreeNode"] = ()
 
     @property
     def name(self) -> str:
@@ -228,10 +229,8 @@ class SubtreeOpsMixin:
         usage."""
         root = ctx.root_row
         ctx.tree = SubtreeNode(
-            pk=(root["part_key"], root["parent_id"], root["name"]),
-            id=root["id"], is_dir=True, size=root["size"],
-            replication=root["replication"],
-            children_random=root["children_random"])
+            (root["part_key"], root["parent_id"], root["name"]), root["id"],
+            True, root["size"], root["replication"], root["children_random"])
         frontier = [ctx.tree]
         size = self.config.subtree_batch_size
         with self._unit_pool() as pool:
@@ -240,20 +239,19 @@ class SubtreeOpsMixin:
                 groups = [plain[i: i + size]
                           for i in range(0, len(plain), size)]
                 groups += [[n] for n in frontier if n.children_random]
-                _run_level(pool, self._quiesce_group, groups)
+                ctx.disk += sum(_run_level(pool, self._quiesce_group, groups))
                 level = [c for node in frontier for c in node.children]
                 if level:
                     ctx.levels.append(level)
                 ctx.inodes += len(level)
-                ctx.disk += sum(c.size * max(1, c.replication)
-                                for c in level if not c.is_dir)
                 frontier = [c for c in level if c.is_dir]
         self._subtree_failpoint("after_quiesce")
 
-    def _quiesce_group(self, group: list[SubtreeNode]) -> None:
+    def _quiesce_group(self, group: list[SubtreeNode]) -> int:
         """Write-lock the children of a group of directories in one
         transaction; the commit releases the locks, which is exactly the
-        'take and release' of §6.1."""
+        'take and release' of §6.1. Returns the disk space of the files
+        among the children."""
         first = group[0]
 
         def fn(tx: DALTransaction) -> list[list[dict]]:
@@ -269,17 +267,20 @@ class SubtreeOpsMixin:
 
         scanned = self._fs_op("subtree_quiesce", fn,
                               hint=("inodes", {"part_key": first.id}))
+        disk = 0
         for node, rows in zip(group, scanned, strict=True):
-            node.children = [
-                SubtreeNode(pk=(r["part_key"], r["parent_id"], r["name"]),
-                            id=r["id"], is_dir=r["is_dir"], size=r["size"],
-                            replication=r["replication"],
-                            children_random=r["children_random"])
+            node.children = children = [
+                SubtreeNode((r["part_key"], r["parent_id"], r["name"]),
+                            r["id"], r["is_dir"], r["size"],
+                            r["replication"], r["children_random"])
                 # the scan takes no predicate: a top-level inode whose
                 # hashed part_key equals this id was locked with the
                 # batch, and is not a child
                 for r in rows if r["parent_id"] == node.id
             ]
+            disk += sum(c.size * max(1, c.replication)
+                        for c in children if not c.is_dir)
+        return disk
 
     def _unit_pool(self) -> contextlib.AbstractContextManager[
             Optional[ThreadPoolExecutor]]:
@@ -361,8 +362,8 @@ class SubtreeOpsMixin:
             tx.delete_batch("leases", sorted((node.id,) for node in ordered
                                              if not node.is_dir))
             tx.delete_batch("inodes", pks)
-            for node in ordered:
-                self.hint_cache.invalidate(node.pk[1], node.pk[2])
+            self.hint_cache.invalidate_many(
+                [(parent_id, name) for _, parent_id, name in pks])
 
         self._fs_op("subtree_delete_batch", fn)
 
@@ -422,9 +423,10 @@ class SubtreeOpsMixin:
 
 
 def _run_level(pool: Optional[ThreadPoolExecutor],
-               fn: Callable[[list[SubtreeNode]], None],
-               units: list[list[SubtreeNode]]) -> None:
-    """Run ``fn`` on each unit (quiesce group, delete batch) of one level.
+               fn: Callable[[list[SubtreeNode]], Any],
+               units: list[list[SubtreeNode]]) -> list[Any]:
+    """Run ``fn`` on each unit (quiesce group, delete batch) of one level;
+    returns its results in unit order.
 
     After the first failure no further unit starts — the caller is about
     to be told the operation failed, so nothing more is locked or
@@ -435,22 +437,22 @@ def _run_level(pool: Optional[ThreadPoolExecutor],
     first failure in submission order is raised.
     """
     if pool is None or len(units) == 1:
-        for unit in units:
-            fn(unit)
-        return
+        return [fn(unit) for unit in units]
     failed = threading.Event()
 
-    def run(unit: list[SubtreeNode]) -> None:
+    def run(unit: list[SubtreeNode]) -> Any:
         if not failed.is_set():
             try:
-                fn(unit)
+                return fn(unit)
             except BaseException:
                 failed.set()
                 raise
+        return None  # a unit failed: its error is raised below
 
     bound = TraceContext.capture().wrap(run)
     futures = [pool.submit(bound, unit) for unit in units]
     for exc in [future.exception() for future in futures]:  # waits for all
         if exc is not None:
             raise exc
+    return [future.result() for future in futures]
 

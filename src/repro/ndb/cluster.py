@@ -42,8 +42,8 @@ from repro.faults import fault_point
 from repro.metrics.registry import HistogramMetric, MetricsRegistry
 from repro.metrics.tracing import TraceContext, span
 from repro.ndb.config import NDBConfig
-from repro.ndb.datanode import CommitRecord, GroupCommitLog, NDBDatanode, WriteRecord
-from repro.ndb.fragment import Fragment
+from repro.ndb.datanode import CommitRecord, GroupCommitLog, NDBDatanode
+from repro.ndb.fragment import Fragment, WriteRecord
 from repro.ndb.locks import LockManager
 from repro.ndb.partition import PartitionMap
 from repro.ndb.schema import TableSchema
@@ -405,7 +405,7 @@ class NDBCluster:
             # each one's primary fragments and replica batches, once
             pids = sorted({pending.pid for pending in writes.values()})
             primaries = self._primaries
-            node_batches: dict[int, list[WriteRecord]] = {}
+            node_batches: dict[int, list[tuple]] = {}
             placement = {}
             for pid in pids:
                 # raises ClusterDownError if the node group is dead
@@ -425,21 +425,30 @@ class NDBCluster:
                         lock.acquire()
                     held.append(lock)
                 # one record per write, in write order, is its redo/undo
-                # entry and every live replica's batch entry; its images
-                # are the stored row and the buffered row, uncopied
+                # entry and an entry of its fragment's slice (write order
+                # too); its images are the stored row and the buffered
+                # row, uncopied
                 wrecs = record.writes
                 write_pids = []
+                slices: dict[tuple[str, int], list[WriteRecord]] = {}
                 for (table, pk), pending in writes.items():
                     pid = pending.pid
                     write_pids.append(pid)
-                    primary, batches = placement[pid]
-                    wrec = WriteRecord(
-                        table=table, partition_id=pid, pk=pk,
-                        before=primary[(table, pid)].peek(pk),
-                        after=pending.row)
+                    wrec = WriteRecord(table, pid, pk, None, pending.row)
                     wrecs.append(wrec)
-                    for batch in batches:
-                        batch.append(wrec)
+                    batch = slices.get((table, pid))
+                    if batch is None:
+                        batch = slices[(table, pid)] = []
+                    batch.append(wrec)
+                # each slice's before-images in one round of its primary
+                # fragment; every live replica applies the slice whole
+                for key, batch in slices.items():
+                    primary, node_lists = placement[key[1]]
+                    befores = primary[key].peek_many([w.pk for w in batch])
+                    for wrec, before in zip(batch, befores):
+                        wrec.before = before
+                    for node_list in node_lists:
+                        node_list.append((key, batch))
                 self._run_on_shards([
                     functools.partial(self._participant, node_id, batch)
                     for node_id, batch in sorted(node_batches.items())])
@@ -465,33 +474,27 @@ class NDBCluster:
         finally:
             gate.release_read()
 
-    def _participant(self, node_id: int, batch: list[WriteRecord]) -> None:
+    def _participant(self, node_id: int, batch: list[
+            tuple[tuple[str, int], list[WriteRecord]]]) -> None:
         """One participant node's apply of its commit batch, inline or on
-        the shard executor: :meth:`_apply_commit` binds one per node."""
+        the shard executor: :meth:`_apply_commit` binds one per node,
+        with its ``((table, pid), slice)`` per fragment it holds."""
         # stall-only site (a datanode pausing mid-2PC): replicas may
         # already hold this batch partially, so plans must not inject
         # errors here
         fault_point("ndb.commit.participant", node=node_id)
         started = time.perf_counter()
-        shard = pid = batch[0].partition_id
-        for wrec in batch:
-            if wrec.partition_id != pid:
+        shard = pid = batch[0][0][1]
+        for (_table, other), _slice in batch:
+            if other != pid:
                 shard = "multi"
                 break
         with span("commit.participant", node=node_id,
                   node_group=self._groups[pid], shard=shard):
             self._round_trip()  # one commit round per participant
             fragments = self.datanodes[node_id].fragments
-            for wrec in batch:
-                frag = fragments[(wrec.table, wrec.partition_id)]
-                # the images pick the operation: a delete+insert of one
-                # pk inside a tx nets out to an update
-                if wrec.after is None:
-                    frag.apply_delete(wrec.pk)
-                elif wrec.before is None:
-                    frag.apply_insert(wrec.after)
-                else:
-                    frag.apply_update(wrec.pk, wrec.after)
+            for key, wrecs in batch:
+                fragments[key].apply_batch(wrecs)
         self._shard_op_seconds(shard, "commit").observe(
             time.perf_counter() - started)
 

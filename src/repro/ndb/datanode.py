@@ -17,31 +17,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
 from repro.faults import fault_point
 from repro.metrics.registry import HistogramMetric
 from repro.metrics.tracing import span
-from repro.ndb.fragment import Fragment
+from repro.ndb.fragment import Fragment, WriteRecord
 from repro.ndb.schema import TableSchema
 from repro.util.park import park
-
-
-@dataclass(slots=True)
-class WriteRecord:
-    """One row mutation inside a committed transaction.
-
-    ``before`` is the committed row image prior to the write (undo);
-    ``after`` is the image after it (redo). Inserts have ``before=None``;
-    deletes have ``after=None``. Both are the very row objects the
-    replicas store (never mutated), so a consumer copies what it keeps.
-    """
-
-    table: str
-    partition_id: int
-    pk: tuple[Any, ...]
-    before: Optional[dict[str, Any]]
-    after: Optional[dict[str, Any]]
 
 
 @dataclass(slots=True)

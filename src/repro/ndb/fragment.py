@@ -3,17 +3,19 @@
 A fragment stores rows keyed by primary-key tuple, a *partition-key
 index* and hash indexes for the table's secondary indexes. Every datanode
 in a partition's node group holds its own fragment replica; committed
-writes are applied to all live replicas. A per-fragment lock keeps
-row+index mutation atomic with respect to concurrent readers
-(transaction-level isolation is the job of the row-lock manager, not the
-fragment).
+writes are applied to all live replicas, each fragment's slice of a
+commit in one ``apply_batch`` call, in write order — the one place rows
+enter and leave the indexes. A per-fragment lock, held once per call,
+keeps row+index mutation atomic with respect to concurrent readers
+(transaction-level isolation is the job of the row-lock manager).
 
 Row ownership: a stored row is never mutated — a write replaces it
 whole — so a fragment keeps the row object it is given, and one
 committed image is shared by every replica and by the commit log's
 redo/undo record. Rows leave the engine only as copies (``get``,
 ``get_many``, the lookups and ``snapshot``); ``peek`` hands the engine's
-own write path the stored object to check, never to change.
+own write path (``peek_many`` a batch of them) the stored object to
+check, never to change.
 
 Access paths and what they cost here:
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import operator
 import threading
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import DuplicateKeyError, NoSuchRowError
@@ -50,6 +53,24 @@ Predicate = Optional[Callable[[Mapping[str, Any]], bool]]
 Pk = tuple[Any, ...]
 #: an insertion-ordered set of pks (dict keys; the values are unused)
 Bucket = dict[Pk, None]
+
+
+@dataclass(slots=True)
+class WriteRecord:
+    """One row mutation inside a committed transaction: an entry of its
+    redo/undo record and of its fragment's ``apply_batch`` slice.
+
+    ``before`` is the committed row image prior to the write (undo);
+    ``after`` is the image after it (redo). Inserts have ``before=None``;
+    deletes have ``after=None``. Both are the very row objects the
+    replicas store (never mutated), so a consumer copies what it keeps.
+    """
+
+    table: str
+    partition_id: int
+    pk: tuple[Any, ...]
+    before: Optional[dict[str, Any]]
+    after: Optional[dict[str, Any]]
 
 
 def _key_getter(fields: Sequence[Any]) -> Callable[[Any], tuple[Any, ...]]:
@@ -98,6 +119,11 @@ class Fragment:
         undo images only, never to mutate or hand out."""
         with self._lock:
             return self._rows.get(pk)
+
+    def peek_many(self, pks: Iterable[Pk]) -> list[Optional[dict[str, Any]]]:
+        """``peek`` for a batch of pks under one acquisition of the lock."""
+        with self._lock:
+            return list(map(self._rows.get, pks))
 
     def get_many(self, pks: Sequence[Pk]) -> list[Optional[dict[str, Any]]]:
         """``get`` for a batch of pks under one acquisition of the lock."""
@@ -149,62 +175,58 @@ class Fragment:
         rows = self._rows
         return [pk for pk in pks if predicate(rows[pk])]
 
-    # -- writes (called only with the row X-locked at the lock manager) --------
+    # -- writes (called only with the rows X-locked at the lock manager) -------
 
-    def apply_insert(self, row: dict[str, Any]) -> None:
-        pk = self.schema.pk_of(row)
+    def apply_batch(self, writes: Iterable[WriteRecord]) -> None:
+        """Apply this fragment's slice of a commit batch, in write order,
+        under one hold of the lock. A write's images pick its operation:
+        no ``after`` deletes, no ``before`` inserts, both update (a
+        delete+insert of one pk inside a transaction nets out to an
+        update, which keeps the row's place). A duplicate or missing row
+        raises at its write, the writes before it applied."""
+        name = self.schema.name
+        index_keys = self._index_keys
+        partition_of = self._partition_of_pk
+        bucket_remove = self._bucket_remove
         with self._lock:
-            if pk in self._rows:
-                raise DuplicateKeyError(f"{self.schema.name}:{pk}")
-            self._add(pk, row)
-
-    def apply_update(self, pk: Pk, row: dict[str, Any]) -> None:
-        with self._lock:
-            old = self._rows.get(pk)
-            if old is None:
-                raise NoSuchRowError(f"{self.schema.name}:{pk}")
-            self._rows[pk] = row  # keeps the row's position
-            for index, key_of in self._index_keys:
-                old_key = key_of(old)
-                new_key = key_of(row)
-                if old_key != new_key:
-                    self._bucket_remove(index, old_key, pk)
-                    index.setdefault(new_key, {})[pk] = None
-
-    def apply_delete(self, pk: Pk) -> None:
-        with self._lock:
-            old = self._rows.pop(pk, None)
-            if old is None:
-                raise NoSuchRowError(f"{self.schema.name}:{pk}")
-            self._drop(pk, old)
+            rows, partition_index = self._rows, self._partition_index
+            for wrec in writes:
+                pk, row = wrec.pk, wrec.after
+                if row is None:
+                    old = rows.pop(pk, None)
+                    if old is None:
+                        raise NoSuchRowError(f"{name}:{pk}")
+                    bucket_remove(partition_index, partition_of(pk), pk)
+                    for index, key_of in index_keys:
+                        bucket_remove(index, key_of(old), pk)
+                elif wrec.before is None:
+                    if pk in rows:
+                        raise DuplicateKeyError(f"{name}:{pk}")
+                    rows[pk] = row
+                    partition_index.setdefault(partition_of(pk), {})[pk] = None
+                    for index, key_of in index_keys:
+                        index.setdefault(key_of(row), {})[pk] = None
+                else:
+                    old = rows.get(pk)
+                    if old is None:
+                        raise NoSuchRowError(f"{name}:{pk}")
+                    rows[pk] = row  # keeps the row's position
+                    for index, key_of in index_keys:
+                        if (old_key := key_of(old)) != (new_key := key_of(row)):
+                            bucket_remove(index, old_key, pk)
+                            index.setdefault(new_key, {})[pk] = None
 
     def apply_restore(self, pk: Pk, row: Optional[dict[str, Any]]) -> None:
         """Force a row to a given state (undo/redo recovery): drop the row
         if present, then append the new image, if any, at the end."""
+        name, pid = self.schema.name, self.partition_id
         with self._lock:
-            old = self._rows.pop(pk, None)
-            if old is not None:
-                self._drop(pk, old)
+            old = self._rows.get(pk)
+            writes = [] if old is None else [
+                WriteRecord(name, pid, pk, old, None)]
             if row is not None:
-                self._add(pk, row)
-
-    # the two places rows enter and leave the indexes (``_lock`` held)
-
-    def _add(self, pk: Pk, row: dict[str, Any]) -> None:
-        # hfs: allow(HFS104, reason=private helper; every caller holds _lock)
-        rows, partition_index = self._rows, self._partition_index
-        rows[pk] = row
-        partition_index.setdefault(self._partition_of_pk(pk), {})[pk] = None
-        for index, key_of in self._index_keys:
-            index.setdefault(key_of(row), {})[pk] = None
-
-    def _drop(self, pk: Pk, old: dict[str, Any]) -> None:
-        """Unindex ``old``, which ``pk`` no longer maps to in ``_rows``."""
-        # hfs: allow(HFS104, reason=private helper; every caller holds _lock)
-        self._bucket_remove(self._partition_index, self._partition_of_pk(pk),
-                            pk)
-        for index, key_of in self._index_keys:
-            self._bucket_remove(index, key_of(old), pk)
+                writes.append(WriteRecord(name, pid, pk, None, row))
+            self.apply_batch(writes)
 
     # -- snapshot / clone -------------------------------------------------------
 
@@ -219,8 +241,9 @@ class Fragment:
             self._partition_index = {}
             for index, _key_of in self._index_keys:
                 index.clear()
-            for pk, row in rows.items():
-                self._add(pk, row)
+            name, pid = self.schema.name, self.partition_id
+            self.apply_batch(WriteRecord(name, pid, pk, None, row)
+                             for pk, row in rows.items())
 
     def load_from(self, source: "Fragment") -> None:
         """Node recovery: load the rows ``source`` stores, uncopied, so

@@ -23,7 +23,10 @@ def stable_hash(values: Sequence[Any]) -> int:
     """
     crc = 0
     for value in values:
-        encoded = f"{type(value).__name__}:{value!r}".encode()
+        if type(value) is int:  # the same bytes, without the str round
+            encoded = b"int:%d" % value
+        else:
+            encoded = f"{type(value).__name__}:{value!r}".encode()
         crc = zlib.crc32(encoded, crc)
     return crc
 

@@ -465,9 +465,18 @@ class Transaction:
         # multi-row transaction locks in (§3.4) — whatever the request
         # order of the scans or the shards their rows live on; a row two
         # scans share is locked once but counted for each, as the same
-        # scans one by one would count it
-        keys = sorted({(plan.table, pk)
-                       for plan, pks in zip(plans, plan_pks) for pk in pks})
+        # scans one by one would count it. Within one table, (table, pk)
+        # order is pk order.
+        table = plans[0].table
+        if all(plan.table == table for plan in plans):
+            # the sorted runs merge in one pass; a shared pk goes once
+            keys = [(table, pk) for pk in dict.fromkeys(sorted(
+                itertools.chain.from_iterable(plan_pks)))]
+        else:
+            keys = sorted({(plan.table, pk)
+                           for plan, pks in zip(plans, plan_pks)
+                           for pk in pks})
+        # hfs: allow(HFS106, reason=both branches build keys in sorted (table, pk) order; dict.fromkeys keeps the order of the sorted(...) it dedupes)
         self._lock_many(lock, keys)
         self.stats.rows_locked += sum(map(len, plan_pks)) - len(keys)
         # re-read: a row may have changed or gone before its lock
@@ -574,13 +583,36 @@ class Transaction:
         self._lock_many(LockMode.EXCLUSIVE, [(table, pk) for pk in pks])
         positions = schema.partition_positions
         shard_of = self._cluster._pmap.partition_of
-        for pk in pks:
-            pid = shard_of([pk[i] for i in positions])
-            if self._current(table, pid, pk) is None:
+        pids = [shard_of([pk[i] for i in positions]) for pk in pks]
+        by_shard: dict[int, list[tuple[Any, ...]]] = {}
+        for pk, pid in zip(pks, pids):
+            by_shard.setdefault(pid, []).append(pk)
+        # which keys exist: one round of each shard's primary fragment
+        committed: dict[tuple[Any, ...], Any] = {}
+        for pid, shard_pks in by_shard.items():
+            committed.update(zip(shard_pks, self._cluster._primary_fragment(
+                table, pid).peek_many(shard_pks)))
+        # buffered in the order given, as ``delete`` one by one would
+        writes = self._writes
+        table_writes = self._table_writes.setdefault(table, {})
+        # a ``_Write`` is immutable: one per shard serves all its deletes
+        deletes = {pid: _Write("delete", None, pid) for pid in by_shard}
+        touched = set()
+        for pk, pid in zip(pks, pids):
+            key = (table, pk)
+            # the row as this transaction sees it (``_current``): its
+            # buffered write, else the committed row
+            pending = writes.get(key)
+            if (committed[pk] if pending is None else pending.row) is None:
                 continue
-            pending = self._writes.get((table, pk))
-            cancels = pending is not None and pending.op == "insert"
-            self._buffer(table, pk, pid, None if cancels else "delete")
+            if pending is not None and pending.op == "insert":
+                del writes[key]  # insert+delete inside one tx cancels out
+                del table_writes[pk]
+            else:
+                writes[key] = table_writes[pk] = deletes[pid]
+            touched.add(pid)
+        primary_node = self._cluster._primary_node
+        self._participants.update(primary_node(pid) for pid in touched)
 
     # -- transaction end -----------------------------------------------------------
 

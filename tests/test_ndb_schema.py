@@ -1,5 +1,7 @@
 """Tests for table schemas and partition placement."""
 
+import zlib
+
 import pytest
 
 from repro.errors import SchemaError
@@ -91,6 +93,24 @@ class TestStableHash:
 
     def test_order_sensitive(self):
         assert stable_hash((1, 2)) != stable_hash((2, 1))
+
+    def test_bytes_equal_the_repr_encoding(self):
+        """The ``int`` shortcut hashes the bytes every value type hashes:
+        ``type name:repr``, so every placement stays where it was."""
+        def reference(values):
+            crc = 0
+            for value in values:
+                crc = zlib.crc32(
+                    f"{type(value).__name__}:{value!r}".encode(), crc)
+            return crc
+
+        cases = [0, 1, -1, -(2 ** 40), 2 ** 63, 2 ** 64 + 7, -(2 ** 100),
+                 True, False, "plain", "é'\"ü", "it's", None, 1.5, -0.0,
+                 (1, "a"), ()]
+        for value in cases:
+            assert stable_hash((value,)) == reference((value,)), value
+        assert stable_hash(cases) == reference(cases)
+        assert stable_hash((True,)) != stable_hash((1,))
 
 
 class TestPartitionMap:

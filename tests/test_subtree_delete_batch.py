@@ -7,7 +7,9 @@ batch without files), and no single ``acquire`` — not one per inode to
 re-lock what the batch already holds, nor one per file for its lease.
 """
 
+from repro.hopsfs.hintcache import InodeHintCache
 from repro.ndb.locks import LockManager
+from repro.ndb.transaction import Transaction
 from tests.conftest import make_hopsfs
 
 
@@ -80,6 +82,84 @@ def test_a_delete_batch_makes_no_single_lock_call(monkeypatch):
     assert session.run(lambda tx: tx.full_scan("leases")) == []
     assert not fs.client("reader").exists("/t")
     assert fs.driver._locks.lock_table_size() == 0
+
+
+class _CountingLock:
+    """A fragment's lock that counts its holds while ``rounds`` is a
+    list (it appends one per hold) and is otherwise the lock."""
+
+    rounds = None
+
+    def __init__(self, lock):
+        self._inner = lock
+
+    def __enter__(self):
+        if _CountingLock.rounds is not None:
+            _CountingLock.rounds.append(1)
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self._inner.__exit__(*exc)
+
+    def _is_owned(self):  # the guard sanitizer's ownership probe
+        return self._inner._is_owned()
+
+
+def test_a_delete_batch_checks_each_shard_once(monkeypatch):
+    """``delete_batch`` finds which of its keys exist with one hold of
+    each touched shard's fragment lock, not one per key."""
+    fs = make_hopsfs(num_namenodes=1)
+    nn = fs.namenodes[0]
+    _build(nn)
+    engine = fs.driver
+    for node in engine.datanodes:
+        for frag in node.fragments.values():
+            frag._lock = _CountingLock(frag._lock)
+    calls = []
+    real = Transaction.delete_batch
+
+    def delete_batch(self, table, keys):
+        shards = {engine.partition_of(table, tuple(key)) for key in keys}
+        _CountingLock.rounds = []
+        try:
+            real(self, table, keys)
+        finally:
+            calls.append((table, len(keys), len(shards),
+                          len(_CountingLock.rounds)))
+            _CountingLock.rounds = None
+
+    monkeypatch.setattr(Transaction, "delete_batch", delete_batch)
+    assert nn.delete("/t", recursive=True)
+    assert [(table, keys) for table, keys, _, _ in calls] == [
+        ("leases", 8), ("inodes", 8), ("leases", 4), ("inodes", 4),
+        ("leases", 0), ("inodes", 3)]
+    assert all(rounds <= shards for _, _, shards, rounds in calls), calls
+    assert sum(keys for _, keys, _, _ in calls) > \
+        sum(shards for _, _, shards, _ in calls)
+    assert not fs.client("reader").exists("/t")
+
+
+def test_invalidate_many_counts_as_one_invalidate_per_key():
+    """``invalidate_many`` (a delete batch's one mutex round) leaves the
+    cache as one ``invalidate`` per key would: its entries in LRU order,
+    ``invalidations``, ``hit_rate`` and ``snapshot()``."""
+    caches = [InodeHintCache(capacity=6), InodeHintCache(capacity=6)]
+    for cache in caches:
+        for i in range(8):  # two evictions
+            cache.put(1, f"n{i}", 10 + i, 1, i % 2 == 0)
+        for name in ("n3", "n0", "n7", "missing"):
+            cache.get(1, name)
+    keys = [(1, "n3"), (1, "absent"), (2, "n4"), (1, "n5"), (1, "n3"),
+            (1, "n7")]
+    for key in keys:
+        caches[0].invalidate(*key)
+    caches[1].invalidate_many(keys)
+    one_by_one, batched = caches
+    assert batched.invalidations == one_by_one.invalidations == 3
+    assert batched.hit_rate == one_by_one.hit_rate
+    assert batched.snapshot() == one_by_one.snapshot()
+    with one_by_one._mutex, batched._mutex:
+        assert list(batched._entries) == list(one_by_one._entries)
 
 
 def test_phase_three_deletes_the_quiesced_levels_deepest_first(monkeypatch):
