@@ -20,7 +20,7 @@ import threading
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.faults import fault_point
+from repro.faults import active, fault_point
 
 
 class InodeHint:
@@ -83,17 +83,19 @@ class InodeHintCache:
 
         The ``hopsfs.hintcache.get`` site fires once per probed name,
         with the mutex held: a ``call`` fault there must not use this
-        cache.
+        cache. The walk reads the installed injector once; with none it
+        calls no ``fault_point``.
         """
         keys: list[tuple] = []
         hints: list[Optional[InodeHint]] = []
+        faulty = active() is not None
         with self._mutex:
             entries = self._entries
             for name in names:
                 key = (parent_id, name)
-                hint = (None if fault_point("hopsfs.hintcache.get",
-                                            parent_id=parent_id, name=name)
-                        else entries.get(key))
+                stale = faulty and fault_point(
+                    "hopsfs.hintcache.get", parent_id=parent_id, name=name)
+                hint = None if stale else entries.get(key)
                 if hint is None:
                     self._misses += 1
                     break

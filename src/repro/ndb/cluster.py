@@ -30,7 +30,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Mapping, Optional, TypeVar
+from typing import Any, Callable, Collection, Iterable, Mapping, Optional
 
 from repro.errors import (
     ClusterDownError,
@@ -52,7 +52,21 @@ from repro.ndb.transaction import Transaction, TxState
 from repro.util.park import park
 from repro.util.rwlock import ReadWriteLock
 
-T = TypeVar("T")
+
+class _ShardOpHists(dict):
+    """One kind's ``ndb_shard_op_seconds{shard,kind}`` handles by shard,
+    each made on first use, so a shard visit finds its handle with one
+    lookup."""
+
+    def __init__(self, registry: MetricsRegistry, kind: str) -> None:
+        super().__init__()
+        self._registry = registry
+        self._kind = kind
+
+    def __missing__(self, shard: Any) -> HistogramMetric:
+        hist = self[shard] = self._registry.histogram(
+            "ndb_shard_op_seconds", shard=shard, kind=self._kind)
+        return hist
 
 
 class NDBCluster:
@@ -85,9 +99,11 @@ class NDBCluster:
             for path in ("inline", "parallel")}
         self._commit_participants = self.metrics.histogram(
             "ndb_commit_participants")
-        #: ``ndb_shard_op_seconds`` handles by (shard, kind)
+        #: ``ndb_shard_op_seconds`` handles: kind -> shard -> handle
         # guarded_by: GIL -- racing fillers store the registry's one metric
-        self._shard_op_hists: dict[tuple[Any, str], HistogramMetric] = {}
+        self._shard_op_hists = {
+            kind: _ShardOpHists(self.metrics, kind)
+            for kind in (*(k.value for k in AccessKind), "lock_wait")}
         self._locks = LockManager(timeout=self.config.lock_timeout,
                                   shard_of=self._lock_key_shard,
                                   registry=self.metrics,
@@ -157,16 +173,20 @@ class NDBCluster:
         except Exception:  # noqa: BLE001 - non-(table, pk) keys have no shard
             return None
 
-    def _primary_node(self, pid: int) -> int:
-        node_id = self._primaries[pid]
-        if not self.datanodes[node_id].alive:
+    def _live_primary(self, pid: int) -> NDBDatanode:
+        """``pid``'s primary datanode; raises if its node group is down."""
+        node = self.datanodes[self._primaries[pid]]
+        if not node.alive:
             raise ClusterDownError(
                 f"partition {pid} has no live primary (node group down)"
             )
-        return node_id
+        return node
+
+    def _primary_node(self, pid: int) -> int:
+        return self._live_primary(pid).node_id
 
     def _primary_fragment(self, table: str, pid: int) -> Fragment:
-        return self.datanodes[self._primary_node(pid)].fragment(table, pid)
+        return self._live_primary(pid).fragments[(table, pid)]
 
     def primary_table(self) -> tuple[int, ...]:
         """The pid→primary-node table.
@@ -224,12 +244,7 @@ class NDBCluster:
 
     def _shard_op_seconds(self, shard: Any, kind: str) -> HistogramMetric:
         """The ``ndb_shard_op_seconds{shard,kind}`` histogram."""
-        hist = self._shard_op_hists.get((shard, kind))
-        if hist is None:
-            hist = self._shard_op_hists[(shard, kind)] = (
-                self.metrics.histogram("ndb_shard_op_seconds",
-                                       shard=shard, kind=kind))
-        return hist
+        return self._shard_op_hists[kind][shard]
 
     # -- shard executor ---------------------------------------------------------------
 
@@ -275,37 +290,51 @@ class NDBCluster:
                 self._executor.shutdown(wait=True)
                 self._executor = None
 
-    def _run_on_shards(self, tasks: list[Callable[[], T]]) -> list[T]:
-        """Run shard-local thunks; in parallel when dispatch is enabled.
+    def _run_on_shards(self, visit: Callable[[Any, Any], None],
+                       items: Collection[tuple[Any, Any]],
+                       span_name: Optional[str] = None, **labels: Any) -> None:
+        """``visit(shard, work)`` for each ``(shard, work)`` of ``items``.
 
-        Results keep task order. If any task raises, every task is still
-        awaited (no stragglers left mutating state) and the first
-        exception is re-raised. Records the fan-out width and dispatch
-        path.
+        Work on one shard, or with parallel dispatch off, is a plain loop
+        on this thread. Only work sent to the shard executor becomes one
+        thunk per shard, each (with ``span_name``) in a span labelled
+        with its shard that attributes executor-thread work back to the
+        submitting operation; inline, the enclosing span and the event's
+        shard labels already cover it. Records the fan-out width and the
+        dispatch path.
+
+        If any thunk raises, every thunk is still awaited (no stragglers
+        left mutating state) and the first exception is re-raised.
         """
-        parallel = len(tasks) > 1 and self.parallel_dispatch_enabled
-        self._fanout.observe(len(tasks))
+        parallel = len(items) > 1 and self.parallel_dispatch_enabled
+        self._fanout.observe(len(items))
         self._dispatch["parallel" if parallel else "inline"].inc()
         if not parallel:
-            return [task() for task in tasks]
+            for shard, work in items:
+                visit(shard, work)
+            return
+
+        def traced(shard: Any, work: Any) -> None:
+            with span(span_name, shard=shard, **labels):
+                visit(shard, work)
+
+        task = visit if span_name is None else traced
         # propagate the submitter's trace binding onto the worker threads
         # so shard spans/events parent under the submitting span
         ctx = TraceContext.capture()
-        futures = [self._shard_executor().submit(ctx.wrap(task))
-                   for task in tasks]
+        futures = [self._shard_executor().submit(
+            ctx.wrap(functools.partial(task, shard, work)))
+            for shard, work in items]
         park()
-        results: list[T] = []
         first_exc: Optional[BaseException] = None
         for future in futures:
             try:
-                results.append(future.result())
+                future.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 if first_exc is None:
                     first_exc = exc
-                results.append(None)  # type: ignore[arg-type]
         if first_exc is not None:
             raise first_exc
-        return results
 
     def _round_trip(self) -> None:
         """One simulated network round trip (no-op at zero delay)."""
@@ -409,7 +438,7 @@ class NDBCluster:
             placement = {}
             for pid in pids:
                 # raises ClusterDownError if the node group is dead
-                primary = self.datanodes[self._primary_node(pid)].fragments
+                primary = self._live_primary(pid).fragments
                 placement[pid] = (primary, [
                     node_batches.setdefault(node_id, [])
                     for node_id in self.live_replicas(pid)])
@@ -449,9 +478,8 @@ class NDBCluster:
                         wrec.before = before
                     for node_list in node_lists:
                         node_list.append((key, batch))
-                self._run_on_shards([
-                    functools.partial(self._participant, node_id, batch)
-                    for node_id, batch in sorted(node_batches.items())])
+                self._run_on_shards(self._participant,
+                                    sorted(node_batches.items()))
             finally:
                 for lock in held:
                     lock.release()
@@ -477,8 +505,8 @@ class NDBCluster:
     def _participant(self, node_id: int, batch: list[
             tuple[tuple[str, int], list[WriteRecord]]]) -> None:
         """One participant node's apply of its commit batch, inline or on
-        the shard executor: :meth:`_apply_commit` binds one per node,
-        with its ``((table, pid), slice)`` per fragment it holds."""
+        the shard executor: :meth:`_apply_commit` runs one per node, with
+        its ``((table, pid), slice)`` per fragment it holds."""
         # stall-only site (a datanode pausing mid-2PC): replicas may
         # already hold this batch partially, so plans must not inject
         # errors here

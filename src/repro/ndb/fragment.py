@@ -33,10 +33,13 @@ Access paths and what they cost here:
   scans and unindexed all-shard scans come here.
 
 Index buckets are insertion-ordered (``dict`` keys, not ``set``), so every
-lookup returns rows in the order they were inserted — the order ``scan``
-yields them — independent of ``PYTHONHASHSEED``. A bucket key is the
-tuple of the index's column values (a 1-tuple for one column), built by
-a key function each fragment makes once per index.
+lookup returns rows in the order they entered the bucket (an update that
+moves an indexed column re-appends the pk), independent of
+``PYTHONHASHSEED``. A bucket key is the tuple of the index's column
+values (a 1-tuple for one column), built by a key function each fragment
+makes once per index. Node recovery (``load_from``) copies a live
+replica's buckets as they are; crash recovery's ``load`` still rebuilds
+each bucket in row order, the same way on every replica.
 """
 
 from __future__ import annotations
@@ -247,10 +250,21 @@ class Fragment:
 
     def load_from(self, source: "Fragment") -> None:
         """Node recovery: load the rows ``source`` stores, uncopied, so
-        this replica shares them with it as it shares every commit's."""
+        this replica shares them with it as it shares every commit's,
+        and its index buckets in their order, so every lookup lists its
+        rows as the source does."""
         with source._lock:
             rows = dict(source._rows)
-        self.load(rows)
+            partition_index = {key: dict(bucket) for key, bucket
+                               in source._partition_index.items()}
+            indexes = [{key: dict(bucket) for key, bucket in index.items()}
+                       for index, _key_of in source._index_keys]
+        with self._lock:
+            self._rows = rows
+            self._partition_index = partition_index
+            for (index, _key_of), buckets in zip(self._index_keys, indexes):
+                index.clear()
+                index.update(buckets)
 
     @staticmethod
     def _bucket_remove(index: dict[tuple[Any, ...], Bucket],

@@ -77,15 +77,6 @@ class _ScanPlan(NamedTuple):
     shard_of: Callable[[tuple[Any, ...]], Optional[int]]
 
 
-def _traced(visit: Callable[[int, list[int]], None], name: str,
-            tables: str) -> Callable[[int, list[int]], None]:
-    """``visit`` inside a ``name`` span labelled with its shard."""
-    def run(pid: int, indexes: list[int]) -> None:
-        with span(name, shard=pid, table=tables):
-            visit(pid, indexes)
-    return run
-
-
 class Transaction:
     """One database transaction. Not thread safe; owned by a single caller
     thread (the cluster may abort it from another thread on node failure).
@@ -159,6 +150,15 @@ class Transaction:
             self._table_writes.setdefault(table, {})[pk] = write
         self._participants.add(self._cluster._primary_node(pid))
 
+    def _shards_of(self, schema: Any, pks: Sequence[tuple]) -> list[int]:
+        """The shard of each of ``pks`` (rows of ``schema``'s table)."""
+        positions = schema.partition_positions
+        shard_of = self._cluster._pmap.partition_of
+        if len(positions) == 1:  # the partition values are a slice
+            [p] = positions
+            return [shard_of(pk[p:p + 1]) for pk in pks]
+        return [shard_of([pk[i] for i in positions]) for pk in pks]
+
     def _record(self, kind: AccessKind, table: str, partitions: Sequence[int],
                 rows: int, locked: bool) -> None:
         """Record one read round trip as an :class:`AccessEvent`."""
@@ -173,11 +173,6 @@ class Transaction:
             self.coordinator, rows, locked, False,
             tuple(sorted(set(map(groups.__getitem__, pids))))))
 
-    def _observe_shard(self, kind: str, shard: Any, started: float) -> None:
-        """Fold one shard-local round trip into ndb_shard_op_seconds."""
-        self._cluster._shard_op_seconds(shard, kind).observe(
-            time.perf_counter() - started)
-
     # -- reads -------------------------------------------------------------------
 
     def read(self, table: str, key: Mapping[str, Any] | Sequence[Any],
@@ -191,7 +186,8 @@ class Transaction:
         started = time.perf_counter()
         self._cluster._round_trip()
         row = self._committed_or_buffered(table, pid, pk)
-        self._observe_shard(AccessKind.PK.value, pid, started)
+        self._cluster._shard_op_seconds(pid, AccessKind.PK.value).observe(
+            time.perf_counter() - started)
         self._record(AccessKind.PK, table, [pid], rows=1 if row else 0,
                      locked=lock is not LockMode.READ_COMMITTED)
         return row
@@ -212,8 +208,8 @@ class Transaction:
         resolve can read the whole path at READ_COMMITTED while locking
         only the parent and last components — in one round trip. The
         *fetch phase* then groups the keys by shard and visits the shards
-        concurrently on the cluster's shard executor: the whole batch
-        costs one parallel round trip, not one per key. Exactly one
+        (:meth:`_visit_shards`): the whole batch costs one parallel round
+        trip, not one per key. Exactly one
         BATCH_PK access event is recorded per call, whatever the fan-out.
 
         ``scans`` and ``commit`` are the contract's
@@ -232,9 +228,7 @@ class Transaction:
                 "transaction; this one has buffered writes")
         schema = self._cluster.schema(table)
         pks = [schema.pk_tuple(key) for key in keys]
-        positions = schema.partition_positions
-        shard_of = self._cluster._pmap.partition_of
-        pids = [shard_of([pk[i] for i in positions]) for pk in pks]
+        pids = self._shards_of(schema, pks)
         plans = [self._plan_pruned(t, values) for t, values in scans or ()]
         if locks is not None:
             if len(locks) != len(pks):
@@ -251,19 +245,13 @@ class Transaction:
         for i, pid in enumerate(pids):
             by_shard.setdefault(pid, []).append(i)
 
-        def pk_fetch(pid: int, indexes: list[int]):
-            def fetch() -> None:
-                for i in indexes:
-                    rows[i] = self._committed_or_buffered(table, pid, pks[i])
-            return fetch
-
+        fetch = functools.partial(self._fetch, table, pks, rows)
         tables = ("+".join(dict.fromkeys([table, *(p.table for p in plans)]))
                   if plans else table)
         # the riding scans merge their writes like an unlocked ppis_batch
-        scanned = self._visit_shards(
-            AccessKind.BATCH_PK, tables, plans, keys=False,
-            fetches={pid: pk_fetch(pid, indexes)
-                     for pid, indexes in by_shard.items()})
+        scanned = self._visit_shards(AccessKind.BATCH_PK, tables, plans,
+                                     keys=False, by_shard=by_shard,
+                                     fetch=fetch)
         found = len(rows) - rows.count(None)
         self._record(AccessKind.BATCH_PK, tables,
                      pids + [plan.shard for plan in plans],
@@ -402,47 +390,70 @@ class Transaction:
 
     def _visit_shards(self, kind: AccessKind, tables: str,
                       plans: Sequence[_ScanPlan], keys: bool,
-                      fetches: Optional[Mapping[int, Callable[[], None]]] = None,
+                      by_shard: Optional[Mapping[int, list[int]]] = None,
+                      fetch: Optional[Callable[[int, list[int]], None]] = None,
                       ) -> list[list[Any]]:
-        """One round trip to every shard the plans (and ``fetches``, a
-        batch's primary-key reads by shard, run first on their shard)
-        name, the shards visited concurrently on the cluster's shard
-        executor. Returns each plan's rows, or with ``keys`` (a locking
-        scan's candidate pass) their pks.
+        """One round trip to every shard the plans (and ``by_shard``, a
+        batch's primary-key indexes by shard, which ``fetch(pid,
+        indexes)`` reads first on their shard) name. Returns each plan's
+        rows, or with ``keys`` (a locking scan's candidate pass) their
+        pks.
 
-        A worker-side span exists to attribute executor-thread work back
-        to the submitting operation; when the visit runs inline the
-        enclosing span and the event's shard labels already cover it, so
-        the serial path records none (per-shard timing still lands in
-        ``ndb_shard_op_seconds`` either way).
+        The cluster's :meth:`~NDBCluster._run_on_shards` visits the
+        shards: in a plain loop when they stay on this thread, as one
+        thunk per shard only on the shard executor. Each visit is timed
+        as one ``ndb_shard_op_seconds{kind}``.
         """
-        fetches = fetches or {}
+        by_shard = by_shard or {}
         work: dict[int, list[int]] = {}
-        for pid in fetches:
+        for pid in by_shard:
             work[pid] = []
         for i, plan in enumerate(plans):
             work.setdefault(plan.shard, []).append(i)
         found: list[Any] = [None] * len(plans)
-        label = kind.value
+        cluster = self._cluster
+        hists = cluster._shard_op_hists[kind.value]
 
         def visit(pid: int, indexes: list[int]) -> None:
             started = time.perf_counter()
-            self._cluster._round_trip()
-            fetch = fetches.get(pid)
-            if fetch is not None:
-                fetch()
+            cluster._round_trip()
+            keyed = by_shard.get(pid)
+            if keyed is not None:
+                fetch(pid, keyed)  # type: ignore[misc]
             for i in indexes:
                 found[i] = self._plan_rows(plans[i], keys)
-            self._observe_shard(label, pid, started)
+            hists[pid].observe(time.perf_counter() - started)
 
-        if len(work) > 1 and self._cluster.parallel_dispatch_enabled:
-            visit = _traced(visit, "shard_fetch" if kind is AccessKind.BATCH_PK
-                            else "shard_scan", tables)
-        tasks = []
-        for pid, indexes in work.items():
-            tasks.append(functools.partial(visit, pid, indexes))
-        self._cluster._run_on_shards(tasks)
+        cluster._run_on_shards(
+            visit, work.items(),
+            "shard_fetch" if kind is AccessKind.BATCH_PK else "shard_scan",
+            table=tables)
         return found
+
+    def _fetch(self, table: str, pks: Sequence[tuple[Any, ...]],
+               rows: list[Optional[dict[str, Any]]], pid: int,
+               indexes: list[int]) -> None:
+        """``read_batch``'s keys ``indexes`` on shard ``pid``: copies from
+        one read of the shard's primary fragment, with this transaction's
+        buffered writes of them laid over (read-your-writes, as
+        :meth:`_committed_or_buffered`)."""
+        fragment = self._cluster._primary_fragment(table, pid)
+        if len(indexes) == 1:
+            # most shards of a batch hold one key; ``get`` then costs
+            # well under half of a ``get_many`` of one
+            [i] = indexes
+            rows[i] = fragment.get(pks[i])
+        else:
+            for i, row in zip(indexes, fragment.get_many(
+                    [pks[i] for i in indexes])):
+                rows[i] = row
+        writes = self._table_writes.get(table)
+        if writes:
+            for i in indexes:
+                pending = writes.get(pks[i])
+                if pending is not None:
+                    rows[i] = (None if pending.row is None
+                               else dict(pending.row))
 
     def _plan_rows(self, plan: _ScanPlan, keys: bool) -> list[Any]:
         """One plan's candidates, predicate applied: with ``keys`` their
@@ -581,9 +592,7 @@ class Transaction:
         pks = [schema.pk_tuple(key) for key in keys]
         # hfs: allow(HFS106, reason=DAL primitive; delete_batch callers own the pk sort contract, linted at caller sites)
         self._lock_many(LockMode.EXCLUSIVE, [(table, pk) for pk in pks])
-        positions = schema.partition_positions
-        shard_of = self._cluster._pmap.partition_of
-        pids = [shard_of([pk[i] for i in positions]) for pk in pks]
+        pids = self._shards_of(schema, pks)
         by_shard: dict[int, list[tuple[Any, ...]]] = {}
         for pk, pid in zip(pks, pids):
             by_shard.setdefault(pid, []).append(pk)

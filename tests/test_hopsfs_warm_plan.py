@@ -125,3 +125,48 @@ def test_an_error_at_the_site_leaves_the_walk_unlocked():
             {"parent_id": 2, "name": "b"}]
     assert cache.hits == 1  # "a" was probed before the error
     assert cache.get(2, "b").inode_id == 3  # the mutex is free
+
+
+def _five_deep() -> InodeHintCache:
+    """A cache holding ``/a/b/c/d/e``: ``a`` under inode 1, each next
+    name under the inode the previous one names."""
+    cache = InodeHintCache()
+    for i, name in enumerate("abcde"):
+        cache.put(i + 1, name, i + 2, 10 + i, name != "e")
+    return cache
+
+
+def test_the_walk_fires_its_site_once_per_probed_name():
+    """With an injector installed the site fires at each probed name,
+    in order; a veto at the third name is that probe's miss and ends
+    the walk there."""
+    cache = _five_deep()
+    plan = FaultPlan()
+    plan.add("hopsfs.hintcache.get", action="delay", max_fires=None)
+    plan.add("hopsfs.hintcache.get", action="veto", skip=2)
+    with installed(plan) as injector:
+        keys, hints = cache.walk(1, list("abcde"))
+    assert [(f.seq, f.spec_index, f.action, f.ctx) for f in injector.fired] \
+        == [(1, 0, "delay", {"parent_id": 1, "name": "a"}),
+            (2, 0, "delay", {"parent_id": 2, "name": "b"}),
+            (3, 0, "delay", {"parent_id": 3, "name": "c"}),
+            (4, 1, "veto", {"parent_id": 3, "name": "c"})]
+    assert keys == [(10, 1, "a"), (11, 2, "b")]
+    assert (cache.hits, cache.misses) == (2, 1)
+
+
+def test_a_walk_without_an_injector_calls_no_fault_point(monkeypatch):
+    """The walk reads the installed injector once: with none, its
+    five probes make no ``fault_point`` call."""
+    from repro.hopsfs import hintcache
+
+    calls = []
+    monkeypatch.setattr(hintcache, "fault_point",
+                        lambda site, **ctx: calls.append(site) or False)
+    cache = _five_deep()
+    keys, hints = cache.walk(1, list("abcde"))
+    assert len(keys) == 5 and cache.hits == 5
+    assert calls == []
+    with installed(FaultPlan()):
+        cache.walk(1, list("abcde"))
+    assert calls == ["hopsfs.hintcache.get"] * 5

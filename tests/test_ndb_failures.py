@@ -99,6 +99,32 @@ class TestReplicaFailover:
         assert cluster.is_available()
         assert all(get(cluster, i) == i for i in range(60))
 
+    def test_a_restarted_replica_lists_an_index_bucket_in_its_peers_order(self):
+        """A restart copies the survivor's index buckets as they are: an
+        update that moved ``x`` out of its bucket and back put it at the
+        bucket's end, and the restarted replica keeps it there."""
+        cluster = NDBCluster(NDBConfig(num_datanodes=2, replication=2,
+                                       lock_timeout=0.4))
+        cluster.create_table(TableSchema(
+            name="t", columns=("a", "b", "v"), primary_key=("a", "b"),
+            partition_key=("a",), indexes={"by_v": ("v",)}))
+        with cluster.begin() as tx:
+            tx.insert("t", {"a": 1, "b": "x", "v": 0})
+            tx.insert("t", {"a": 1, "b": "y", "v": 0})
+        for v in (1, 0):
+            with cluster.begin() as tx:
+                tx.update("t", (1, "x"), {"v": v})
+
+        def bucket():
+            with cluster.begin() as tx:
+                return [row["b"] for row in tx.index_scan("t", "by_v", (0,))]
+
+        assert bucket() == ["y", "x"]
+        cluster.kill_node(1)
+        cluster.restart_node(1)
+        cluster.kill_node(0)  # node 1, restarted from node 0, serves it
+        assert bucket() == ["y", "x"]
+
     def test_kill_is_idempotent(self):
         cluster = make_cluster()
         cluster.kill_node(0)
