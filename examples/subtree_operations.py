@@ -12,6 +12,7 @@ Demonstrates:
 Run:  python examples/subtree_operations.py
 """
 
+from repro import faults
 from repro.errors import NameNodeUnavailableError
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.ndb import NDBConfig
@@ -55,9 +56,13 @@ def main() -> None:
         victim.alive = False
         raise NameNodeUnavailableError("injected crash")
 
-    victim.failpoints["after_delete_level_2"] = crash
+    # a fault plan calls crash() when the victim finishes deleting level 2
+    plan = faults.FaultPlan()
+    plan.add("hopsfs.subtree.after_delete_level_2", action="call",
+             callback="crash", match={"nn": victim.nn_id})
     try:
-        victim.delete("/doomed", recursive=True)
+        with faults.installed(plan, callbacks={"crash": crash}):
+            victim.delete("/doomed", recursive=True)
     except NameNodeUnavailableError:
         print("  namenode crashed half-way through the delete")
     session = cluster.driver.session()

@@ -8,8 +8,10 @@ checkpoints. Datanodes send heartbeats, blockReceived and block reports
 to *both* namenodes, keeping the standby's block map hot.
 
 Promotion replays any outstanding durable edits, resumes the id counters
-above every id seen, and flips the role — the (simulated) minutes HDFS
-needs for this at scale are modelled in :mod:`repro.perfmodel.failover`.
+above every id seen, and flips the role. The 8–10 s this takes HDFS at
+scale (Fig. 10) is simulated by :mod:`repro.perfmodel.hdfs_model`: each
+of its ``kill_times`` makes the namenode unavailable for a downtime drawn
+from ``CostModel.hdfs_failover_downtime_min``/``_max``.
 """
 
 from __future__ import annotations

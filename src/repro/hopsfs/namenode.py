@@ -89,8 +89,6 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self._dn_heartbeats: dict[int, float] = {}  # guarded_by: GIL
         #: datanodes being drained: no new replicas are placed on them
         self.decommissioning: set[int] = set()
-        #: test hooks: tag -> callable, invoked at subtree-protocol stages
-        self.failpoints: dict[str, Callable[[], None]] = {}
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -347,12 +345,10 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
     # -- test hooks ---------------------------------------------------------------------
 
     def _subtree_failpoint(self, tag: str) -> None:
-        # chaos bridge: every subtree-protocol stage doubles as a fault
-        # injection site, e.g. "hopsfs.subtree.after_quiesce"
+        # every subtree-protocol stage is a fault injection site, e.g.
+        # "hopsfs.subtree.after_quiesce"; a test hooks one namenode's
+        # stage with a ``call`` spec matched on ``nn``
         fault_point(f"hopsfs.subtree.{tag}", nn=self.nn_id)
-        hook = self.failpoints.get(tag)
-        if hook is not None:
-            hook()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

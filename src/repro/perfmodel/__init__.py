@@ -15,7 +15,8 @@ The paper's numbers come from a 72-node testbed; this package replays the
   handler pools, NDB thread pools, the HDFS global lock + quorum
   journal);
 * specialised models for metadata capacity (Table 3), subtree-operation
-  latency (Table 4), block reports (§7.7) and failover (Figure 10).
+  latency (Table 4) and block reports (§7.7). Failover (Figure 10) is
+  the two DES models' ``kill_times``.
 
 Absolute numbers are calibrated; the *shape* of every result (who wins,
 scaling, saturation, crossovers) emerges from the queueing model plus the

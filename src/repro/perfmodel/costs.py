@@ -40,6 +40,7 @@ E5-2620 v3, 10 GbE; NDB 7.5.3 on 12 nodes with 22 threads each; HDFS
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 
@@ -128,3 +129,8 @@ class CostModel:
         return (self.subtree_quiesce_per_inode()
                 + self.delete_rows_per_file * self.db_row_cost
                 / self.subtree_parallelism)
+
+
+def _jitter(mean: float, rng: random.Random) -> float:
+    """An exponential service time with the given mean (0 for mean 0)."""
+    return rng.expovariate(1.0 / mean) if mean > 0 else 0.0

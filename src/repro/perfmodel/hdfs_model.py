@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.perfmodel.costs import CostModel
+from repro.perfmodel.costs import CostModel, _jitter
 from repro.perfmodel.results import RunResult
 from repro.sim import Environment, Resource
 from repro.workload.spec import WRITE_OPS, WorkloadSpec
@@ -38,7 +38,6 @@ class HDFSModelConfig:
     seed: int = 1
     duration: float = 1.0
     warmup: float = 0.2
-    jitter: bool = True
     #: times at which the active namenode is killed (Figure 10)
     kill_times: tuple[float, ...] = ()
 
@@ -65,11 +64,6 @@ class HDFSPerfModel:
         self._op_weights = [self.workload.mix[op] for op in self._op_names]
         self.available = True
 
-    def _jitter(self, mean: float, rng: random.Random) -> float:
-        if not self.config.jitter:
-            return mean
-        return rng.expovariate(1.0 / mean) if mean > 0 else 0.0
-
     def _client_proc(self, client_id: int):
         rng = random.Random((self.config.seed << 16) ^ client_id)
         env = self.env
@@ -85,21 +79,17 @@ class HDFSPerfModel:
             try:
                 service = (cost.hdfs_write_cost if op in WRITE_OPS
                            else cost.hdfs_read_cost)
-                yield self.namesystem.acquire()
-                try:
-                    yield env.timeout(self._jitter(service, rng))
-                finally:
-                    self.namesystem.release()
+                yield self.namesystem.serve(_jitter(service, rng))
                 if op in WRITE_OPS:
                     # quorum-journal group commit, after lock release (§2.1)
                     yield env.timeout(
-                        self._jitter(cost.hdfs_journal_sync_mean, rng))
+                        _jitter(cost.hdfs_journal_sync_mean, rng))
             finally:
                 self.handlers.release()
             yield env.timeout(cost.client_nn_rtt / 2)
             if op == "create":
                 yield env.timeout(
-                    self._jitter(cost.create_pipeline_mean, rng))
+                    _jitter(cost.create_pipeline_mean, rng))
             self._record(op, start)
 
     def _record(self, op: str, start: float) -> None:

@@ -2,9 +2,9 @@
 
 Topology (paper §7.1): N stateless namenodes, each with a pool of RPC
 handler threads, in front of an NDB cluster of M datanodes with 22
-transaction/storage threads each. Closed-loop clients pick a namenode
-(sticky by default, like the paper's benchmark) and issue operations from
-a workload mix.
+transaction/storage threads each. Closed-loop clients stick to one
+namenode, like the paper's benchmark, re-picking only when it dies, and
+issue operations from a workload mix.
 
 One operation = client→namenode RTT + handler occupancy for the CPU work
 and every database round trip of the operation's **measured profile**
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.perfmodel.costs import CostModel
+from repro.perfmodel.costs import CostModel, _jitter
 from repro.perfmodel.profiles import OpProfile, spotify_profile_table
 from repro.perfmodel.results import RunResult
 from repro.sim import AllOf, Environment, Resource
@@ -49,9 +49,6 @@ class HopsFSModelConfig:
     seed: int = 1
     duration: float = 1.0
     warmup: float = 0.2
-    sticky_clients: bool = True
-    #: service-time jitter: exponential when True, deterministic otherwise
-    jitter: bool = True
     #: optional namenode kill schedule: list of times (for Figure 10)
     kill_times: tuple[float, ...] = ()
 
@@ -127,12 +124,7 @@ class HopsFSPerfModel:
         self._op_names = list(self.workload.mix.keys())
         self._op_weights = [self.workload.mix[op] for op in self._op_names]
 
-    # -- service-time helpers ---------------------------------------------------------
-
-    def _jitter(self, mean: float, rng: random.Random) -> float:
-        if not self.config.jitter:
-            return mean
-        return rng.expovariate(1.0 / mean) if mean > 0 else 0.0
+    # -- op profiles -------------------------------------------------------------------
 
     def _profile_for(self, op: str, rng: random.Random) -> OpProfile:
         dir_share = self.workload.dir_fraction.get(op, 0.0)
@@ -170,38 +162,37 @@ class HopsFSPerfModel:
                         if op in _PARENT_LOCKING_OPS else None)
             dir_locked = False
             try:
-                yield env.timeout(self._jitter(cost.nn_cpu_per_op, rng))
+                yield env.timeout(_jitter(cost.nn_cpu_per_op, rng))
                 if dir_lock is not None:
                     # X lock on the parent directory row, held until commit
                     yield dir_lock.acquire()
                     dir_locked = True
                 for trip in profile.trips:
-                    yield from self._db_trip(nn, trip, rng)
+                    yield from self._db_trip(trip, rng)
             finally:
                 if dir_locked:
                     dir_lock.release()
                 nn.handlers.release()
             yield env.timeout(cost.client_nn_rtt / 2)
             if profile.client_overhead:
-                yield env.timeout(self._jitter(profile.client_overhead, rng))
+                yield env.timeout(_jitter(profile.client_overhead, rng))
             self._record(op, start)
 
-    def _db_trip(self, nn: _NameNodeStation, trip, rng: random.Random):
+    def _db_trip(self, trip, rng: random.Random):
         env = self.env
         cost = self.cost
         latency = cost.nn_db_rtt
         if not trip.local:
             latency += cost.db_internode_hop
-        yield env.timeout(self._jitter(latency, rng))
+        yield env.timeout(_jitter(latency, rng))
         fanout = min(trip.fanout, len(self.db_nodes))
         plain_rows = trip.rows
-        waits = []
+        visits = []
         if self.config.hotspot and trip.hot_rows:
             plain_rows = max(0, trip.rows - trip.hot_rows)
             service = (cost.db_row_cost * trip.hot_rows) / self._hot_speedup
-            waits.append(env.process(
-                self._hot_station.use(self._jitter(service, rng))))
-        if plain_rows > 0 or not waits:
+            visits.append(self._hot_station.serve(_jitter(service, rng)))
+        if plain_rows > 0 or not visits:
             # total thread time for the trip = trip TC overhead + row work,
             # split evenly over the participating nodes (parallel fan-out)
             row_cost = (cost.db_write_row_cost if trip.write
@@ -212,9 +203,8 @@ class HopsFSPerfModel:
             nodes = rng.sample(self.db_nodes, fanout) if fanout > 1 else [
                 rng.choice(self.db_nodes)]
             for node in nodes:
-                waits.append(env.process(
-                    node.use(self._jitter(service_mean, rng))))
-        yield AllOf(env, waits)
+                visits.append(node.serve(_jitter(service_mean, rng)))
+        yield visits[0] if len(visits) == 1 else AllOf(env, visits)
 
     def _pick_namenode(self, rng: random.Random):
         alive = [nn for nn in self.namenodes if nn.alive]

@@ -9,30 +9,12 @@ style of SimPy:
 * processes are Python generators that ``yield`` events;
 * :class:`Environment` keeps a time-ordered event heap and resumes
   processes when the events they wait on fire;
-* :class:`Resource` models a k-server FCFS station (thread pools, NICs);
-* :class:`RWLock` models a readers-writer lock (the HDFS namesystem lock).
+* :class:`AllOf` fires when every one of its events has;
+* :class:`Resource` models a k-server FCFS station (thread pools, the
+  HDFS namesystem lock as one server); a visit is one event.
 """
 
-from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupted,
-    Process,
-    SimError,
-)
-from repro.sim.resources import Resource, RWLock, Store
+from repro.sim.core import AllOf, Environment, Event, Process, SimError
+from repro.sim.resources import Resource
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Interrupted",
-    "Process",
-    "Resource",
-    "RWLock",
-    "SimError",
-    "Store",
-]
+__all__ = ["AllOf", "Environment", "Event", "Process", "Resource", "SimError"]

@@ -18,18 +18,6 @@ class SimError(Exception):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupted(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    ``cause`` carries whatever the interrupter supplied (e.g. a reason
-    string such as ``"namenode-killed"``).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -47,20 +35,6 @@ class Event:
         self._exc: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        if not self._triggered:
-            raise SimError("event not yet triggered")
-        return self._exc is None
 
     @property
     def value(self) -> Any:
@@ -102,8 +76,6 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self._triggered = True
         self._value = value
@@ -128,42 +100,18 @@ class AllOf(Event):
             return
         for ev in self._children:
             ev.callbacks.append(self._on_child)
-            if ev.processed:  # already delivered before we attached
+            if ev._processed:  # already delivered before we attached
                 self._on_child(ev)
 
     def _on_child(self, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev._exc)  # type: ignore[arg-type]
+        if ev._exc is not None:
+            self.fail(ev._exc)
             return
         self._pending -= 1
         if self._pending == 0:
             self.succeed([c._value for c in self._children])
-
-
-class AnyOf(Event):
-    """Succeeds (or fails) with the first child event to trigger."""
-
-    __slots__ = ("_children",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._children = list(events)
-        if not self._children:
-            raise SimError("AnyOf requires at least one event")
-        for ev in self._children:
-            ev.callbacks.append(self._on_child)
-            if ev.processed:
-                self._on_child(ev)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if ev.ok:
-            self.succeed((ev, ev._value))
-        else:
-            self.fail(ev._exc)  # type: ignore[arg-type]
 
 
 class Process(Event):
@@ -175,7 +123,7 @@ class Process(Event):
     :meth:`Environment.run` (errors never pass silently).
     """
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(
         self,
@@ -187,57 +135,18 @@ class Process(Event):
         if not hasattr(gen, "send"):
             raise SimError("Process requires a generator")
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         self.name = name
         # Bootstrap: resume once at the current time.
         boot = Event(env)
         boot.callbacks.append(self._resume)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at the current time.
-
-        A process cannot interrupt itself, and interrupting a finished
-        process is a no-op (it already has a result).
-        """
-        if self._triggered:
-            return
-        if self.env.active_process is self:
-            raise SimError("a process cannot interrupt itself")
-        target = self._waiting_on
-        if target is not None and self in [
-            getattr(cb, "__self__", None) for cb in target.callbacks
-        ]:
-            target.callbacks = [
-                cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self
-            ]
-        self._waiting_on = None
-        kick = Event(self.env)
-        kick.callbacks.append(
-            lambda ev, c=cause: self._step(throw=Interrupted(c))
-        )
-        kick.succeed()
-
     def _resume(self, ev: Event) -> None:
-        self._waiting_on = None
-        if ev._exc is not None:
-            self._step(throw=ev._exc)
-        else:
-            self._step(send=ev._value)
-
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
-        if self._triggered:
-            return
-        self.env.active_process = self
         try:
-            if throw is not None:
-                target = self._gen.throw(throw)
+            if ev._exc is not None:
+                target = self._gen.throw(ev._exc)
             else:
-                target = self._gen.send(send)
+                target = self._gen.send(ev._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -245,19 +154,17 @@ class Process(Event):
             self.fail(exc)
             self.env._defunct.append(self)
             return
-        finally:
-            self.env.active_process = None
         if not isinstance(target, Event):
             self.fail(SimError(f"process {self.name!r} yielded non-event {target!r}"))
             self.env._defunct.append(self)
             return
-        self._waiting_on = target
-        target.callbacks.append(self._resume)
-        if target.processed:
+        if target._processed:
             # Event already delivered; resume at the current time.
             kick = Event(self.env)
             kick.callbacks.append(lambda _ev: self._resume(target))
             kick.succeed()
+        else:
+            target.callbacks.append(self._resume)
 
 
 class Environment:
@@ -271,7 +178,6 @@ class Environment:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self.active_process: Optional[Process] = None
         self._defunct: list[Process] = []
 
     @property
@@ -288,22 +194,18 @@ class Environment:
     def process(self, gen: Generator[Event, Any, Any], name: str = "process") -> Process:
         return Process(self, gen, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, delay: float) -> None:
+        if delay < 0:
+            raise SimError(f"negative delay: {delay}")
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
 
     def step(self) -> None:
+        """Process the next scheduled event."""
         if not self._heap:
             raise SimError("no scheduled events")
-        t, _seq, event = heapq.heappop(self._heap)
-        self._now = t
+        self._now, _seq, event = heapq.heappop(self._heap)
         event._run_callbacks()
         self._raise_defunct()
 
@@ -318,21 +220,8 @@ class Environment:
         """Run until the heap drains or simulated time reaches ``until``."""
         if until is not None and until < self._now:
             raise SimError("cannot run backwards in time")
-        while self._heap:
-            t = self._heap[0][0]
-            if until is not None and t > until:
-                self._now = until
-                return
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
             self.step()
         if until is not None:
             self._now = until
-
-    def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` is processed; return its value."""
-        while not event.processed:
-            if not self._heap:
-                raise SimError("event will never trigger: heap empty")
-            if limit is not None and self._heap[0][0] > limit:
-                raise SimError("event did not trigger before limit")
-            self.step()
-        return event.value

@@ -1,19 +1,13 @@
-"""Shared resources for the DES kernel.
+"""A k-server FCFS station for the DES kernel.
 
-* :class:`Resource` — a k-server FCFS station; models thread pools
-  (namenode RPC handlers, NDB transaction-coordinator threads) and any
-  other finite concurrency.
-* :class:`RWLock` — readers-writer lock with writer preference; models the
-  HDFS namesystem global lock (single writer, many readers, writers would
-  otherwise starve under read-heavy workloads).
-* :class:`Store` — an unbounded FIFO queue of items; models RPC queues and
-  mailbox-style handoff between processes.
+:class:`Resource` models thread pools (namenode RPC handlers, NDB
+transaction-coordinator threads), the HDFS namesystem lock (one server)
+and any other finite concurrency.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator
 
 from repro.sim.core import Environment, Event, SimError
 
@@ -21,17 +15,20 @@ from repro.sim.core import Environment, Event, SimError
 class Resource:
     """A k-server resource with a FIFO wait queue.
 
-    Usage inside a process::
+    A station visit is one event::
 
-        req = resource.acquire()
-        yield req
+        yield resource.serve(service_time)
+
+    fires when the visit ends, ``service_time`` after a server was
+    granted; the release is the event's first callback. A holder that
+    waits on other events while it keeps the server uses
+    :meth:`acquire` and :meth:`release` instead::
+
+        yield resource.acquire()
         try:
-            yield env.timeout(service_time)
+            ...
         finally:
             resource.release()
-
-    ``utilization`` integrates busy-server-seconds so models can report how
-    loaded a station was.
     """
 
     def __init__(self, env: Environment, capacity: int, name: str = "resource") -> None:
@@ -41,189 +38,36 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: deque[Event] = deque()
-        # busy-time accounting
-        self._busy_area = 0.0
-        self._last_change = env.now
-        self.total_acquisitions = 0
-        self.max_queue_len = 0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
-
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_area += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of servers busy over [since, now]."""
-        self._account()
-        elapsed = self.env.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_area / (elapsed * self.capacity)
+        #: waiting requests: (event, delay from the grant to the event)
+        self._queue: deque[tuple[Event, float]] = deque()
 
     def acquire(self) -> Event:
+        """An event that fires when a server is granted to the caller."""
+        return self._request(Event(self.env), 0.0)
+
+    def serve(self, service_time: float) -> Event:
+        """An event that fires when a visit of ``service_time`` ends."""
         ev = Event(self.env)
-        self._account()
+        ev.callbacks.append(self._end_visit)
+        return self._request(ev, service_time)
+
+    def _request(self, ev: Event, delay: float) -> Event:
         if self._in_use < self.capacity and not self._queue:
+            ev.succeed(delay=delay)  # raises on a negative delay
             self._in_use += 1
-            self.total_acquisitions += 1
-            ev.succeed()
         else:
-            self._queue.append(ev)
-            self.max_queue_len = max(self.max_queue_len, len(self._queue))
+            self._queue.append((ev, delay))
         return ev
+
+    def _end_visit(self, _ev: Event) -> None:
+        self.release()
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimError(f"release of idle resource {self.name!r}")
-        self._account()
         if self._queue:
-            nxt = self._queue.popleft()
-            self.total_acquisitions += 1
-            nxt.succeed()  # server handed over directly; _in_use unchanged
+            # server handed over directly; _in_use unchanged
+            nxt, delay = self._queue.popleft()
+            nxt.succeed(delay=delay)
         else:
             self._in_use -= 1
-
-    def use(self, service_time: float) -> Generator[Event, Any, None]:
-        """Subprocess: acquire, hold for ``service_time``, release."""
-        yield self.acquire()
-        try:
-            yield self.env.timeout(service_time)
-        finally:
-            self.release()
-
-
-class RWLock:
-    """Readers-writer lock with writer preference.
-
-    Any number of readers may hold the lock concurrently; writers are
-    exclusive. Once a writer is waiting, new readers queue behind it —
-    this mirrors the fairness of ``ReentrantReadWriteLock(true)`` that the
-    HDFS namesystem uses and is what makes HDFS write-sensitive: a single
-    writer drains and blocks the entire reader pipeline.
-    """
-
-    def __init__(self, env: Environment, name: str = "rwlock") -> None:
-        self.env = env
-        self.name = name
-        self._readers = 0
-        self._writer_active = False
-        self._waiters: deque[tuple[str, Event]] = deque()
-        # accounting
-        self.read_acquisitions = 0
-        self.write_acquisitions = 0
-        self._write_busy = 0.0
-        self._write_since = 0.0
-
-    @property
-    def writer_waiting(self) -> bool:
-        return any(kind == "w" for kind, _ in self._waiters)
-
-    def acquire_read(self) -> Event:
-        ev = Event(self.env)
-        if not self._writer_active and not self._waiters:
-            self._readers += 1
-            self.read_acquisitions += 1
-            ev.succeed()
-        else:
-            self._waiters.append(("r", ev))
-        return ev
-
-    def acquire_write(self) -> Event:
-        ev = Event(self.env)
-        if not self._writer_active and self._readers == 0 and not self._waiters:
-            self._writer_active = True
-            self.write_acquisitions += 1
-            self._write_since = self.env.now
-            ev.succeed()
-        else:
-            self._waiters.append(("w", ev))
-        return ev
-
-    def release_read(self) -> None:
-        if self._readers <= 0:
-            raise SimError("release_read without holder")
-        self._readers -= 1
-        self._dispatch()
-
-    def release_write(self) -> None:
-        if not self._writer_active:
-            raise SimError("release_write without holder")
-        self._writer_active = False
-        self._write_busy += self.env.now - self._write_since
-        self._dispatch()
-
-    def write_utilization(self, since: float = 0.0) -> float:
-        busy = self._write_busy
-        if self._writer_active:
-            busy += self.env.now - self._write_since
-        elapsed = self.env.now - since
-        return busy / elapsed if elapsed > 0 else 0.0
-
-    def _dispatch(self) -> None:
-        if self._writer_active:
-            return
-        while self._waiters:
-            kind, ev = self._waiters[0]
-            if kind == "w":
-                if self._readers == 0:
-                    self._waiters.popleft()
-                    self._writer_active = True
-                    self.write_acquisitions += 1
-                    self._write_since = self.env.now
-                    ev.succeed()
-                return
-            # batch-admit consecutive readers at the head of the queue
-            self._waiters.popleft()
-            self._readers += 1
-            self.read_acquisitions += 1
-            ev.succeed()
-
-    def read(self, hold_time: float) -> Generator[Event, Any, None]:
-        yield self.acquire_read()
-        try:
-            yield self.env.timeout(hold_time)
-        finally:
-            self.release_read()
-
-    def write(self, hold_time: float) -> Generator[Event, Any, None]:
-        yield self.acquire_write()
-        try:
-            yield self.env.timeout(hold_time)
-        finally:
-            self.release_write()
-
-
-class Store:
-    """Unbounded FIFO handoff between producer and consumer processes."""
-
-    def __init__(self, env: Environment, name: str = "store") -> None:
-        self.env = env
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

@@ -3,8 +3,9 @@
 Models the HDFS namesystem's global ``FSNamesystem`` lock: any number of
 readers, one writer, and queued writers block new readers (otherwise a
 read-heavy workload starves writers forever). Used by the HDFS baseline's
-in-heap namesystem and by the NDB cluster's structure gate; the DES twin
-lives in :class:`repro.sim.RWLock`.
+in-heap namesystem and by the NDB cluster's structure gate. (The HDFS
+performance model simulates the lock as a one-server
+:class:`repro.sim.Resource`.)
 """
 
 from __future__ import annotations

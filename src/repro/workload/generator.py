@@ -26,12 +26,6 @@ class FileSystemOp:
     path: str
     dst: Optional[str] = None  # rename target
 
-    @property
-    def is_write(self) -> bool:
-        from repro.workload.spec import WRITE_OPS
-
-        return self.op in WRITE_OPS
-
 
 #: share of the files that is hot, and the share of accesses they get
 HOT_FRACTION = 0.03

@@ -76,10 +76,6 @@ class WorkloadSpec:
     def file_write_fraction(self) -> float:
         return sum(w for op, w in self.mix.items() if op in FILE_WRITE_OPS)
 
-    @property
-    def read_fraction(self) -> float:
-        return 1.0 - self.write_fraction
-
     def ops(self) -> list[str]:
         return sorted(op for op, w in self.mix.items() if w > 0)
 

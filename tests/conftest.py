@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro import faults
 from repro.hopsfs import HopsFSCluster, HopsFSConfig
 from repro.ndb import NDBConfig
 from repro.util.clock import ManualClock
@@ -161,6 +162,16 @@ def make_hopsfs(num_namenodes=2, num_datanodes=3, clock=None,
                              replication=ndb_replication,
                              lock_timeout=1.0,
                              network_delay=network_delay))
+
+
+def at_subtree_stage(nn, tag, hook):
+    """While the returned context is open, call ``hook`` each time the
+    namenode ``nn`` reaches the subtree-protocol stage ``tag``: a
+    ``call`` fault spec on ``hopsfs.subtree.{tag}`` matched on ``nn``."""
+    plan = faults.FaultPlan()
+    plan.add(f"hopsfs.subtree.{tag}", action="call", callback="hook",
+             match={"nn": nn.nn_id}, max_fires=None)
+    return faults.installed(plan, callbacks={"hook": hook})
 
 
 @pytest.fixture(params=["ndb", "memory", "process"])

@@ -5,6 +5,7 @@ set-quota phase-3 semantics, namenode-failure consistency and the lazy
 reclamation of stale subtree locks.
 """
 
+import contextlib
 import threading
 import time
 
@@ -25,7 +26,7 @@ from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.fsck import Fsck
 from repro.ndb import LockMode, NDBCluster, NDBConfig
 from repro.util.clock import ManualClock
-from tests.conftest import make_hopsfs
+from tests.conftest import at_subtree_stage, make_hopsfs
 
 
 def build_tree(client, root="/tree", dirs=3, files_per_dir=5, depth=2):
@@ -147,8 +148,8 @@ class TestSubtreeFailureHandling:
             victim.alive = False
             raise NameNodeUnavailableError("injected crash")
 
-        victim.failpoints["after_delete_level_2"] = crash
-        with pytest.raises(NameNodeUnavailableError):
+        with at_subtree_stage(victim, "after_delete_level_2", crash), \
+                pytest.raises(NameNodeUnavailableError):
             victim.delete("/tree", recursive=True)
         # the subtree root row is still present and connected (delete goes
         # bottom-up); checked directly in the database because namenodes
@@ -199,10 +200,9 @@ class TestSubtreeFailureHandling:
         def boom():
             raise RuntimeError("injected")
 
-        nn.failpoints["after_quiesce"] = boom
-        with pytest.raises(RuntimeError):
+        with at_subtree_stage(nn, "after_quiesce", boom), \
+                pytest.raises(RuntimeError):
             nn.delete("/d", recursive=True)
-        nn.failpoints.clear()
         # lock was released by the error path; the op can run again
         assert nn.delete("/d", recursive=True)
 
@@ -584,12 +584,15 @@ class TestSetQuota:
         client.create("/q/f")
         nn = fs.namenodes[0]
         q_id = nn.get_file_info("/q").inode_id
-        nn.failpoints["after_quiesce"] = lambda: fs.driver.session().run(
-            lambda tx: nn._rename_in_tx(tx, "/q", "/moved",
-                                        subtree_root_id=q_id))
-        with pytest.raises(FileNotFoundError_):
+
+        def move():
+            fs.driver.session().run(
+                lambda tx: nn._rename_in_tx(tx, "/q", "/moved",
+                                            subtree_root_id=q_id))
+
+        with at_subtree_stage(nn, "after_quiesce", move), \
+                pytest.raises(FileNotFoundError_):
             nn.set_quota("/q", 5, None)
-        nn.failpoints.clear()
         assert nn.get_file_info("/moved").inode_id == q_id
         assert subtree_rows(fs, "quotas") == []
         assert subtree_rows(fs) == []
@@ -629,8 +632,6 @@ class TestRenameIntoASubtreeBeingDeleted:
             quiesced.set()
             assert renamed.wait(10)
 
-        if park:
-            nn0.failpoints["after_quiesce"] = parked
         deleter = threading.Thread(
             target=nn0.delete, args=(victim,), kwargs={"recursive": True})
         real_resolve = nn1.resolver.resolve
@@ -646,14 +647,19 @@ class TestRenameIntoASubtreeBeingDeleted:
             return resolved
 
         nn1.resolver.resolve = resolve
+        hook = (at_subtree_stage(nn0, "after_quiesce", parked) if park
+                else contextlib.nullcontext())
         try:
-            try:
-                outcome = nn1.rename("/p/q/other/f0", "/p/q/tree/d5/moved")
-            except Exception as exc:  # noqa: BLE001 - the test judges it
-                outcome = exc
+            with hook:
+                try:
+                    outcome = nn1.rename("/p/q/other/f0",
+                                         "/p/q/tree/d5/moved")
+                except Exception as exc:  # noqa: BLE001 - the test judges it
+                    outcome = exc
+                finally:
+                    renamed.set()
+                    deleter.join(10)
         finally:
-            renamed.set()
-            deleter.join(10)
             nn1.resolver.resolve = real_resolve
         assert not deleter.is_alive()
         return fs, outcome

@@ -143,12 +143,6 @@ class TestSimKernelErrorPaths:
         with pytest.raises(SimError):
             _ = ev.value
 
-    def test_run_until_event_with_empty_heap(self):
-        env = Environment()
-        ev = env.event()
-        with pytest.raises(SimError, match="never trigger"):
-            env.run_until_event(ev)
-
     def test_step_on_empty_heap(self):
         env = Environment()
         with pytest.raises(SimError):

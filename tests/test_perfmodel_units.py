@@ -165,3 +165,37 @@ class TestDeterminism:
         a = simulate_hdfs(clients=100, duration=0.1, seed=3)
         b = simulate_hdfs(clients=100, duration=0.1, seed=4)
         assert a.mean_latency() != b.mean_latency()
+
+    def test_small_runs_repeat_their_recorded_numbers(self):
+        """Both models' outputs, pinned: a change to the kernel or the
+        models that moves any simulated number fails here, not only in
+        the figures. A fixed profile table keeps engine changes out."""
+        from repro.perfmodel.hdfs_model import simulate_hdfs
+        from repro.perfmodel.hopsfs_model import simulate_hopsfs
+
+        resolve = TripSpec("batch_pk", "inodes", rows=5, fanout=2,
+                           local=False, hot_rows=1)
+        profiles = {
+            "stat": OpProfile("stat", (resolve,)),
+            "read": OpProfile("read", (resolve, TripSpec(
+                "batch_pk", "blocks", rows=3, fanout=1, local=True))),
+            "ls": OpProfile("ls", (TripSpec(
+                "index_scan", "inodes", rows=16, fanout=2, local=False),)),
+            "create": OpProfile("create", (resolve, TripSpec(
+                "batch_pk", "inodes", rows=2, fanout=2, local=False,
+                write=True)), client_overhead=0.02),
+        }
+        hopsfs = simulate_hopsfs(
+            num_namenodes=3, ndb_nodes=2, clients=300, hotspot=True,
+            scale=0.1, duration=2.0, warmup=0.2, kill_times=(0.8, 1.5),
+            profiles=profiles, cost=CostModel(client_nn_rtt=0.004))
+        assert hopsfs.operations == 10652
+        assert hopsfs.completions == {0: 4395, 1: 5251, 2: 1006}
+        hdfs = simulate_hdfs(
+            clients=20, duration=4.0, warmup=0.2, kill_times=(1.2,),
+            cost=CostModel(client_nn_rtt=0.004,
+                           hdfs_failover_downtime_min=1.0,
+                           hdfs_failover_downtime_max=1.5))
+        assert hdfs.operations == 13197
+        assert hdfs.completions == {0: 3667, 1: 915, 2: 3124, 3: 4552,
+                                    4: 939}

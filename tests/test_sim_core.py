@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupted, SimError
+from repro.sim import AllOf, Environment, SimError
 
 
 def test_timeout_advances_clock():
@@ -130,59 +130,6 @@ def test_all_of_collects_values_in_order():
     assert env.now == 3.0
 
 
-def test_any_of_returns_first():
-    env = Environment()
-
-    def child(delay, value):
-        yield env.timeout(delay)
-        return value
-
-    def parent():
-        procs = [env.process(child(d, v)) for d, v in [(3, "slow"), (1, "fast")]]
-        _ev, value = yield AnyOf(env, procs)
-        return value
-
-    p = env.process(parent())
-    env.run()
-    assert p.value == "fast"
-
-
-def test_interrupt_raises_interrupted_with_cause():
-    env = Environment()
-    caught = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupted as intr:
-            caught.append((env.now, intr.cause))
-
-    def killer(target):
-        yield env.timeout(5.0)
-        target.interrupt("node-crash")
-
-    v = env.process(victim())
-    env.process(killer(v))
-    env.run()
-    assert caught == [(5.0, "node-crash")]
-
-
-def test_interrupt_finished_process_is_noop():
-    env = Environment()
-
-    def victim():
-        yield env.timeout(1.0)
-
-    def killer(target):
-        yield env.timeout(5.0)
-        target.interrupt()
-
-    v = env.process(victim())
-    env.process(killer(v))
-    env.run()
-    assert v.processed and v.ok
-
-
 def test_yield_non_event_fails_process():
     env = Environment()
 
@@ -198,18 +145,6 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimError):
         env.timeout(-1.0)
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(2.0)
-        return "done"
-
-    p = env.process(proc())
-    assert env.run_until_event(p) == "done"
-    assert env.now == 2.0
 
 
 def test_waiting_on_already_processed_event():

@@ -1,8 +1,8 @@
-"""Unit tests for DES resources (Resource, RWLock, Store)."""
+"""Unit tests for the DES resource (Resource)."""
 
 import pytest
 
-from repro.sim import Environment, Resource, RWLock, SimError, Store
+from repro.sim import Environment, Resource, SimError
 
 
 def test_resource_serializes_beyond_capacity():
@@ -44,32 +44,47 @@ def test_resource_fifo_ordering():
     assert order == list(range(5))
 
 
-def test_resource_use_helper():
+def test_resource_serve_is_one_event_per_visit():
+    """Two servers, five visits: the first two start at once, the rest
+    wait in FIFO order, and each is handed the server its predecessor
+    releases, ending its own service time after that release."""
+    env = Environment()
+    res = Resource(env, capacity=2)
+    ends = {}
+    for tag, service in enumerate((3.0, 1.0, 2.0, 4.0, 5.0)):
+        visit = res.serve(service)
+        visit.callbacks.append(lambda _ev, tag=tag: ends.setdefault(tag, env.now))
+    env.run()
+    # 1 ends at 1 and hands over to 2 (ends 3); 0 ends at 3 and hands
+    # over to 3 (ends 7); 2 ends at 3 and hands over to 4 (ends 8)
+    assert ends == {0: 3.0, 1: 1.0, 2: 3.0, 3: 7.0, 4: 8.0}
+    assert list(ends) == [1, 0, 2, 3, 4]
+    with pytest.raises(SimError):
+        res.release()  # every visit released its server
+
+
+def test_serve_waits_for_an_acquired_server():
     env = Environment()
     res = Resource(env, capacity=1)
 
-    def worker():
-        yield env.process(res.use(3.0))
+    def holder():
+        yield res.acquire()
+        yield env.timeout(4.0)
+        res.release()
+
+    def visitor():
+        yield env.timeout(1.0)
+        yield res.serve(2.0)
         return env.now
 
-    a = env.process(worker())
-    b = env.process(worker())
+    env.process(holder())
+    v = env.process(visitor())
     env.run()
-    assert a.value == 3.0
-    assert b.value == 6.0
-
-
-def test_resource_utilization_accounting():
-    env = Environment()
-    res = Resource(env, capacity=2)
-
-    def worker():
-        yield env.process(res.use(10.0))
-
-    env.process(worker())
-    env.run(until=10.0)
-    # One of two servers busy for the whole window -> 50%.
-    assert res.utilization() == pytest.approx(0.5)
+    assert v.value == 6.0
+    with pytest.raises(SimError):
+        res.serve(-1.0)
+    with pytest.raises(SimError):
+        res.release()  # the rejected visit took no server
 
 
 def test_release_idle_resource_raises():
@@ -77,116 +92,3 @@ def test_release_idle_resource_raises():
     res = Resource(env, capacity=1)
     with pytest.raises(SimError):
         res.release()
-
-
-def test_rwlock_readers_share():
-    env = Environment()
-    lock = RWLock(env)
-    done = []
-
-    def reader(tag):
-        yield env.process(lock.read(5.0))
-        done.append((tag, env.now))
-
-    for tag in range(3):
-        env.process(reader(tag))
-    env.run()
-    assert all(t == 5.0 for _tag, t in done)
-
-
-def test_rwlock_writer_excludes_everyone():
-    env = Environment()
-    lock = RWLock(env)
-    log = []
-
-    def writer():
-        yield env.process(lock.write(5.0))
-        log.append(("w", env.now))
-
-    def reader():
-        yield env.process(lock.read(1.0))
-        log.append(("r", env.now))
-
-    env.process(writer())
-    env.process(reader())
-    env.run()
-    assert log == [("w", 5.0), ("r", 6.0)]
-
-
-def test_rwlock_writer_preference_blocks_new_readers():
-    env = Environment()
-    lock = RWLock(env)
-    log = []
-
-    def early_reader():
-        yield env.process(lock.read(10.0))
-        log.append(("r1", env.now))
-
-    def writer():
-        yield env.timeout(1.0)
-        yield env.process(lock.write(5.0))
-        log.append(("w", env.now))
-
-    def late_reader():
-        yield env.timeout(2.0)  # arrives while writer is queued
-        yield env.process(lock.read(1.0))
-        log.append(("r2", env.now))
-
-    env.process(early_reader())
-    env.process(writer())
-    env.process(late_reader())
-    env.run()
-    # late reader must wait for the queued writer even though a reader held
-    # the lock when it arrived.
-    assert log == [("r1", 10.0), ("w", 15.0), ("r2", 16.0)]
-
-
-def test_rwlock_write_utilization():
-    env = Environment()
-    lock = RWLock(env)
-
-    def writer():
-        yield env.process(lock.write(4.0))
-
-    env.process(writer())
-    env.run(until=8.0)
-    assert lock.write_utilization() == pytest.approx(0.5)
-
-
-def test_store_fifo_and_blocking_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, env.now))
-        item = yield store.get()
-        got.append((item, env.now))
-
-    def producer():
-        yield env.timeout(3.0)
-        store.put("a")
-        store.put("b")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [("a", 3.0), ("b", 3.0)]
-
-
-def test_store_buffers_when_no_getter():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-
-    def consumer():
-        first = yield store.get()
-        second = yield store.get()
-        return (first, second)
-
-    p = env.process(consumer())
-    env.run()
-    assert p.value == (1, 2)

@@ -25,7 +25,7 @@ from repro import faults
 from repro.errors import NameNodeUnavailableError
 from repro.hopsfs import schema as fs_schema
 from repro.hopsfs.fsck import Fsck
-from tests.conftest import make_hopsfs
+from tests.conftest import at_subtree_stage, make_hopsfs
 
 TREE = "/p/tree"
 #: the subtree's levels below its root: 1 (a, q), 2 (b and the files
@@ -106,8 +106,9 @@ def test_the_tree_flags_every_kind_of_sub_row():
 def crash_after_a_level(level, network_delay):
     fs = build(network_delay)
     victim = fs.namenodes[0]
-    victim.failpoints[f"after_delete_level_{level}"] = crash_of(victim)
-    with pytest.raises(NameNodeUnavailableError):
+    with at_subtree_stage(victim, f"after_delete_level_{level}",
+                          crash_of(victim)), \
+            pytest.raises(NameNodeUnavailableError):
         victim.delete(TREE, recursive=True)
     resubmit_and_check(fs)
 
