@@ -308,9 +308,11 @@ class HopsShell:
         if mode == "slow":
             lines = []
             for nn in self.cluster.namenodes:
-                for trace in nn.tracer.slow_ops():
-                    lines.append(f"-- namenode {nn.nn_id} --")
-                    lines.append(trace.render())
+                # the kept ring also holds fast failed and retried traces
+                for trace in nn.tracer.kept():
+                    if trace.duration >= nn.tracer.SLOW_THRESHOLD:
+                        lines.append(f"-- namenode {nn.nn_id} --")
+                        lines.append(trace.render())
             return "\n".join(lines) if lines else "(no slow operations)"
         if mode == "window":
             seconds = float(args[1]) if len(args) > 1 else 60.0
@@ -322,16 +324,14 @@ class HopsShell:
     # -- tracing ------------------------------------------------------------------
 
     def _all_traces(self) -> list[tuple[int, "object"]]:
-        """(nn_id, Trace) for every kept trace across the cluster."""
+        """(nn_id, Trace) for every trace in a tracer's recent or kept
+        ring across the cluster, each once."""
         found = []
         for nn in self.cluster.namenodes:
-            seen = set()
-            for trace in (nn.tracer.recent() + nn.tracer.slow_ops()
-                          + nn.flight.traces()):
-                if trace.trace_id in seen:
-                    continue
-                seen.add(trace.trace_id)
-                found.append((nn.nn_id, trace))
+            # a trace can be in both rings; its id keys it once
+            traces = {trace.trace_id: trace
+                      for trace in nn.tracer.recent() + nn.tracer.kept()}
+            found += [(nn.nn_id, trace) for trace in traces.values()]
         return found
 
     def _trace(self, args: list[str]) -> str:

@@ -70,10 +70,6 @@ class DeadlockError(TransactionError):
     """The lock manager detected a wait-for cycle involving this tx."""
 
 
-class NodeFailureError(DatabaseError):
-    """An NDB datanode needed by the operation is not available."""
-
-
 class ClusterDownError(DatabaseError):
     """An entire node group is dead: the cluster cannot serve requests."""
 

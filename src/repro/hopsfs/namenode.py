@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import random
-import time
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import (
@@ -30,7 +29,7 @@ from repro.hopsfs.ops_subtree import SubtreeOpsMixin
 from repro.hopsfs.tx import IdAllocator, PathResolver, StaleSubtreeLockError
 from repro.hopsfs import schema as fs_schema
 from repro.metrics import tracing
-from repro.metrics.flightrecorder import FlightRecorder
+from repro.metrics.flightrecorder import FlightRecorder, OpRecord
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracing import Trace, Tracer
 from repro.ndb.locks import LockMode
@@ -66,10 +65,9 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(name=f"nn{nn_id}",
                                      dump_dir=config.flight_dump_dir)
-        self.tracer = Tracer(
-            registry=self.metrics,
-            sample_every=config.trace_sample_every,
-            on_finish=self._on_trace_finish)
+        self.tracer = Tracer(registry=self.metrics,
+                             sample_every=config.trace_sample_every)
+        self.flight.tracer = self.tracer  # a dump carries its kept traces
         # hot-path metric handles, cached so per-operation recording is a
         # couple of lock/inc pairs instead of registry lookups (the
         # registry's get-or-create does label canonicalization each call)
@@ -138,40 +136,29 @@ class NameNode(InodeOpsMixin, SubtreeOpsMixin):
         # plans use to simulate a namenode dying as the request arrives
         fault_point("hopsfs.op", op=op_name, nn=self.nn_id)
         record = self.flight.begin(op_name)
-        started = time.perf_counter()
         trace = None
         try:
             with self.tracer.trace(op_name) as trace:
                 result = self._fs_op_attempts(op_name, fn, hint,
                                               retry_duplicates)
         except Exception as exc:
-            self._account(op_name, record, started, trace, exc)
+            self._account(op_name, record, trace, exc)
             raise
-        self._account(op_name, record, started, trace, None)
+        self._account(op_name, record, trace, None)
         return result
 
-    def _account(self, op_name: str, record: Any, started: float,
+    def _account(self, op_name: str, record: OpRecord,
                  trace: Optional[Trace], error: Optional[Exception]) -> None:
-        """The one epilogue of :meth:`_fs_op`: latency, outcome counter,
-        flight record."""
-        elapsed = time.perf_counter() - started
+        """The one epilogue of :meth:`_fs_op`: the flight record's end,
+        whose duration is the op's latency, and the outcome counter."""
         seconds, total, _round_trips = self._hot_op_metrics(op_name)
-        seconds.observe(elapsed)
+        seconds.observe(self.flight.end(
+            record, error=error, trace_id=trace.trace_id if trace else None))
         if error is None:
             total.inc()
         else:
             self.metrics.inc("fs_op_errors_total", op=op_name,
                              error=type(error).__name__)
-        self.flight.end(record, error=error,
-                        trace_id=trace.trace_id if trace else None)
-
-    def _on_trace_finish(self, trace: Trace) -> None:
-        """Keep failed, retried and slow traces in the flight recorder."""
-        if (trace.error is not None
-                or trace.duration >= self.tracer.SLOW_THRESHOLD
-                or trace.execute_attempts > 1
-                or trace.retry_events):
-            self.flight.keep_trace(trace)
 
     def _hot_op_metrics(self, op_name: str) -> tuple:
         """Cached (latency histogram, success counter, round-trip

@@ -1,18 +1,20 @@
-"""Failure flight recorder: always-on op ring + kept traces + JSON dumps.
+"""Failure flight recorder: always-on op ring + JSON dumps.
 
 Sampled tracing answers "what does a typical operation look like"; the
 flight recorder answers "what happened *just before* things went wrong".
-It keeps two bounded buffers per namenode:
+It keeps an **operation ring** of cheap begin/end records for *every*
+operation — op name, wall-clock start, duration, error class and (when
+the op was sampled) its ``trace_id`` — recorded even when tracing
+samples the op out. A record's begin and end are the op's one timing:
+:meth:`FlightRecorder.end` returns the duration for the caller's latency
+histogram.
 
-* an **operation ring** of cheap begin/end records for *every* operation
-  — op name, wall-clock start, duration, error class and (when the op was
-  sampled) its ``trace_id`` — recorded even when tracing samples the op
-  out;
-* a **kept-trace ring** of full span trees for the interesting ops: the
-  tracer's ``on_finish`` hook feeds it every failed, retried or
-  slow-threshold-crossing trace.
-
-``dump()`` serializes both to a JSON file. Dumps are triggered:
+The recorder keeps no traces of its own. A namenode sets
+:attr:`FlightRecorder.tracer`, and ``dump()`` serializes the op ring
+together with that tracer's kept ring (every failed, retried or slow
+trace, :meth:`repro.metrics.tracing.Tracer.kept`) to a JSON file; a
+recorder without a tracer (the ndb-server's) dumps ``"traces": []``.
+Dumps are triggered:
 
 * automatically on a **transaction abort storm** — ``STORM_THRESHOLD``
   aborted-class failures (deadlock/lock-timeout/tx-abort/cluster-down)
@@ -34,7 +36,7 @@ import weakref
 from collections import deque
 from typing import Any, Optional
 
-from repro.metrics.tracing import Trace
+from repro.metrics.tracing import Tracer
 
 #: error classes that count toward an abort storm (transaction-level
 #: failures; user errors like FileNotFound never trigger a dump)
@@ -77,10 +79,10 @@ class OpRecord:
 
 
 class FlightRecorder:
-    """Bounded per-namenode recorder of recent operations and traces."""
+    """Bounded per-process recorder of recent operations."""
 
-    #: full span trees kept, newest last
-    TRACE_KEEP = 64
+    #: whose kept traces a dump carries (set by the owning namenode)
+    tracer: Optional[Tracer] = None
     #: aborted-class failures within the window that make a storm
     STORM_THRESHOLD = 8
     #: completed ops the storm detector looks back over
@@ -94,7 +96,6 @@ class FlightRecorder:
         self.dump_dir = dump_dir
         self._lock = threading.Lock()
         self._ops: deque[OpRecord] = deque(maxlen=ring_size)
-        self._traces: deque[Trace] = deque(maxlen=self.TRACE_KEEP)
         self._recent_errors: deque[bool] = deque(maxlen=self.STORM_WINDOW)
         self._storm_active = False
         self._seq = 0
@@ -114,8 +115,9 @@ class FlightRecorder:
         return record
 
     def end(self, record: OpRecord, error: Optional[BaseException] = None,
-            trace_id: Optional[str] = None) -> None:
-        record.end = time.perf_counter()
+            trace_id: Optional[str] = None) -> float:
+        """Close a record; returns its duration in seconds."""
+        end = record.end = time.perf_counter()
         record.trace_id = trace_id
         storm = False
         with self._lock:
@@ -133,6 +135,7 @@ class FlightRecorder:
                 self._storm_active = False  # window healthy again; re-arm
         if storm:
             self._auto_dump("abort_storm")
+        return end - record.start
 
     def note(self, op: str) -> OpRecord:
         """Record an instantaneous event (e.g. an injected fault) as a
@@ -144,36 +147,19 @@ class FlightRecorder:
             self._ops.append(record)
         return record
 
-    def keep_trace(self, trace: Trace) -> None:
-        """Keep a full span tree (failed/retried/slow ops; tracer hook)."""
-        with self._lock:
-            self._traces.append(trace)
-
     # -- inspection ------------------------------------------------------------
 
     def ops(self) -> list[OpRecord]:
         with self._lock:
             return list(self._ops)
 
-    def traces(self) -> list[Trace]:
-        with self._lock:
-            return list(self._traces)
-
-    def find_trace(self, trace_id: str) -> Optional[Trace]:
-        with self._lock:
-            candidates = list(self._traces)
-        for trace in reversed(candidates):
-            if trace.trace_id == trace_id:
-                return trace
-        return None
-
     # -- dumping ---------------------------------------------------------------
 
     def snapshot(self, reason: str = "") -> dict[str, Any]:
-        """JSON-able dict of the full recorder state."""
+        """JSON-able dict of the op ring and the tracer's kept traces."""
         with self._lock:
             ops = list(self._ops)
-            traces = list(self._traces)
+        traces = self.tracer.kept() if self.tracer is not None else []
         return {
             "version": DUMP_VERSION,
             "recorder": self.name,

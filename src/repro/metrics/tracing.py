@@ -30,10 +30,11 @@ submitting span. Multi-transaction operations (the subtree protocol)
 wrap their phases in :func:`link_scope` so every inner trace records a
 ``parent_id`` pointing at the operation's root trace.
 
-The :class:`Tracer` keeps a bounded ring of recent traces plus a
-slow-operation log (traces of ``Tracer.SLOW_THRESHOLD`` seconds or more)
-and, when given a registry, folds every finished trace's per-phase
-durations into ``hopsfs_phase_seconds{phase,op}`` histograms.
+The :class:`Tracer` is the one store of finished traces: a bounded ring
+of recent traces plus a kept ring of the interesting ones (failed,
+retried, or of ``Tracer.SLOW_THRESHOLD`` seconds or more) and, when
+given a registry, it folds every finished trace's per-phase durations
+into ``hopsfs_phase_seconds{phase,op}`` histograms.
 ``sample_every=N`` traces every Nth call *per operation name*
 (round-robin within each op, so rare ops like ``set_quota`` are not
 starved by hot ones; 1 = all, 0 = none).
@@ -231,8 +232,7 @@ class Trace(Span):
     point at the trace of the phase that opened the scope).
     """
 
-    __slots__ = ("error", "trace_id", "parent_id",
-                 "execute_attempts", "retry_events",
+    __slots__ = ("error", "trace_id", "parent_id", "execute_attempts",
                  "_tracer", "_prev_bind")
 
     def __init__(self, op: str, start: float,
@@ -252,9 +252,8 @@ class Trace(Span):
         self.trace_id = new_trace_id()
         self.parent_id = parent_id
         #: filled by ``Tracer._finish`` from its one :func:`_summarize`
-        #: pass so finish hooks don't re-walk the span tree per question
+        #: pass, which also decides whether the trace is kept
         self.execute_attempts = 0
-        self.retry_events = 0
         #: the trace is its own `with` target (`Tracer.trace` sets the
         #: owning tracer) — a separate context-manager object would be
         #: one more allocation on every sampled operation
@@ -673,7 +672,7 @@ def _summarize(trace: Trace) -> tuple[dict[str, float], int, int]:
 
 
 class Tracer:
-    """Per-namenode trace collector.
+    """Per-namenode trace collector, and the one store of its traces.
 
     * ``sample_every=N``: trace every Nth call *of each operation name*
       (per-op round-robin: the first call of every op is always sampled,
@@ -681,44 +680,44 @@ class Tracer:
       Traces started inside an active :func:`link_scope` group are always
       sampled so operation groups stay complete. An unsampled call binds
       nothing.
-    * ``ring_size``: completed traces kept for inspection (FIFO);
+    * ``ring_size``: completed traces kept for inspection (FIFO,
+      :meth:`recent`);
     * ``registry``: when set, per-phase durations of every finished trace
       are folded into ``hopsfs_phase_seconds{phase,op}`` histograms and
       slow ops counted as ``hopsfs_slow_ops_total{op=...}``.
 
-    A trace of :attr:`SLOW_THRESHOLD` seconds or more also lands in the
-    slow-operation log, kept separately so bursts of fast traces cannot
-    evict the interesting ones.
+    A trace that failed, was retried, or took :attr:`SLOW_THRESHOLD`
+    seconds or more also lands in the kept ring (:meth:`kept`), so bursts
+    of fast traces cannot evict the interesting ones. The three kinds
+    share that ring: a burst of failures can evict a slow trace. The
+    namenode's flight recorder dumps the kept ring.
     """
 
     #: seconds at or above which a finished trace is slow
     SLOW_THRESHOLD = 0.5
-    #: slow traces kept, newest last
-    SLOW_LOG_SIZE = 64
+    #: failed, retried and slow traces kept, newest last
+    KEPT_SIZE = 64
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 ring_size: int = 256, sample_every: int = 1,
-                 on_finish: Optional[Callable[[Trace], None]] = None) -> None:
+                 ring_size: int = 256, sample_every: int = 1) -> None:
         if ring_size < 1:
             raise ValueError("ring_size must be >= 1")
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0 (0 disables)")
         self.registry = registry
         self.sample_every = sample_every
-        self.on_finish = on_finish
+        # deque.append (maxlen eviction included) and list(deque) are
+        # each one C call under the GIL, so neither ring needs a lock
         self._ring: deque[Trace] = deque(maxlen=ring_size)
-        self._slow: deque[Trace] = deque(maxlen=self.SLOW_LOG_SIZE)
+        self._kept: deque[Trace] = deque(maxlen=self.KEPT_SIZE)
         #: per-op monotonic sequence; itertools.count() advances without
         #: a lock (``next`` on a count is atomic under the GIL), so the
         #: sampling decision costs no lock round on the hot path
         self._op_seq: dict[str, Iterator[int]] = {}
-        self._lock = threading.Lock()
         #: pre-resolved metric handles so finishing a trace skips the
         #: registry's per-call label canonicalization
         self._phase_hists: dict[str, dict] = {}  # op -> phase -> histogram
         self._slow_counters: dict[str, Any] = {}
-        self.traces_started = 0
-        self.traces_dropped = 0  # unsampled operations
 
     # -- tracing ---------------------------------------------------------------
 
@@ -739,22 +738,19 @@ class Tracer:
             if seq_counter is None:
                 seq_counter = self._op_seq.setdefault(op, itertools.count())
             if next(seq_counter) % sample_every != 0:
-                self.traces_dropped += 1
                 return _NULL
-        self.traces_started += 1
         trace = Trace(op, _perf_counter(), labels or None,
                       parent_id=link)
         trace._tracer = self
         return trace
 
     def _finish(self, trace: Trace) -> None:
-        phases, trace.execute_attempts, trace.retry_events = _summarize(trace)
-        # deque.append is atomic under the GIL (maxlen eviction included),
-        # so the ring and slow log need no lock round here
+        phases, attempts, retries = _summarize(trace)
+        trace.execute_attempts = attempts
         self._ring.append(trace)
         slow = trace.duration >= self.SLOW_THRESHOLD
-        if slow:
-            self._slow.append(trace)
+        if slow or trace.error is not None or attempts > 1 or retries:
+            self._kept.append(trace)
         registry = self.registry
         if registry is not None:
             op_hists = self._phase_hists.get(trace.op)
@@ -773,25 +769,13 @@ class Tracer:
                         registry.counter("hopsfs_slow_ops_total",
                                          op=trace.op))
                 counter.inc()
-        if self.on_finish is not None:
-            self.on_finish(trace)
 
     # -- inspection ------------------------------------------------------------
 
     def recent(self, n: Optional[int] = None) -> list[Trace]:
-        with self._lock:
-            traces = list(self._ring)
+        traces = list(self._ring)
         return traces if n is None else traces[-n:]
 
-    def slow_ops(self) -> list[Trace]:
-        with self._lock:
-            return list(self._slow)
-
-    def find(self, trace_id: str) -> Optional[Trace]:
-        """Look a trace up by id in the ring and slow log (newest first)."""
-        with self._lock:
-            candidates = list(self._ring) + list(self._slow)
-        for trace in reversed(candidates):
-            if trace.trace_id == trace_id:
-                return trace
-        return None
+    def kept(self) -> list[Trace]:
+        """The failed, retried and slow traces, newest last."""
+        return list(self._kept)

@@ -116,10 +116,6 @@ class AccessStats:
                    for event in self.events for node in event.nodes)
 
     @property
-    def partitions_touched(self) -> int:
-        return sum(len(event.partitions) for event in self.events)
-
-    @property
     def uses_expensive_scans(self) -> bool:
         """True if any all-shard access (IS or FTS) was used."""
         return any(event.kind is AccessKind.INDEX_SCAN

@@ -374,11 +374,9 @@ class FrameLoop:
         req_id = message.get("id", 0)
         method = message.get("method", "")
         params = message.get("params") or {}
-        wire_trace = message.get("trace")
         handler = self._handlers.get(method)
         label = method if handler is not None else UNKNOWN_METHOD
         record = self.flight.begin(f"rpc.{method}")
-        started = time.perf_counter()
         error: Optional[BaseException] = None
         try:
             if handler is None:
@@ -386,7 +384,7 @@ class FrameLoop:
             if not isinstance(params, Mapping):
                 raise protocol.ProtocolError("params must be an object")
             fault_point("rpc.server.request", method=method)
-            if wire_trace is None:
+            if message.get("trace") is None:
                 return protocol.ok(req_id, handler(peer, params))
             # a sampled request: the spans the handler records (an
             # engine's lock_wait, log_flush, ...) go under a trace of
@@ -399,11 +397,9 @@ class FrameLoop:
             response = protocol.ok(req_id, result)
             response["trace"] = {
                 "pid": os.getpid(), "server": self.name,
-                "client_trace_id": wire_trace.get("id"),
-                "started": started,
-                "pre_s": trace.start - started,
+                "pre_s": trace.start - record.start,
                 "engine_s": trace.end - trace.start,
-                "total_s": time.perf_counter() - started,
+                "total_s": time.perf_counter() - record.start,
                 "root": Span.to_dict(trace),
             }
             return response
@@ -427,5 +423,5 @@ class FrameLoop:
                     self.registry.histogram("rpc_request_seconds",
                                             method=label))
             metrics[0].inc()
-            metrics[1].observe(time.perf_counter() - started)
-            self.flight.end(record, error=error)
+            # the flight record's begin and end are the request's timing
+            metrics[1].observe(self.flight.end(record, error=error))

@@ -280,6 +280,20 @@ def test_each_connection_is_dropped_once_whoever_ends_it(toy):
     stays.close()
 
 
+def test_a_requests_latency_is_its_flight_records_duration(toy):
+    """One clock pair per request: the ``rpc_request_seconds`` sample is
+    the flight record's own duration, not a second timing."""
+    conn = ClientConn(dial(toy.host, toy.port, timeout=5.0))
+    try:
+        assert conn.call("ping") == "pong"
+    finally:
+        conn.close()
+    record, = [r for r in toy.loop.flight.ops() if r.op == "rpc.ping"]
+    hist = toy.loop.registry.get_histogram("rpc_request_seconds",
+                                           method="ping")
+    assert hist.samples()[-1][1] == record.duration
+
+
 def test_the_loop_knows_nothing_of_the_engine():
     """The loop serves whatever table it is given: it imports nothing
     from ``repro.ndb`` and names no ``tx.*`` request."""

@@ -10,6 +10,7 @@ submit time, so a parallel-dispatch run must record exactly the same
 """
 
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -287,8 +288,7 @@ class TestRetriesAndSampling:
         # global every-Nth sampling would starve "rare"; per-op does not
         assert sampled["rare"] == 1
         assert sampled["hot"] == 2
-        assert tracer.traces_started == 3
-        assert tracer.traces_dropped == 6
+        assert len(tracer.recent()) == 3  # the other 6 calls: no trace
 
 
 # -- flight recorder -----------------------------------------------------------
@@ -308,8 +308,9 @@ class TestFlightRecorder:
         assert record.op == "rename"
         assert record.error == "FileNotFoundError_"
         assert record.trace_id is not None
-        kept = nn.flight.find_trace(record.trace_id)
-        assert kept is not None and kept.error == "FileNotFoundError_"
+        kept, = [t for t in nn.tracer.kept()
+                 if t.trace_id == record.trace_id]
+        assert kept.error == "FileNotFoundError_"
         assert kept.spans("resolve")
 
         path = nn.flight.dump(str(tmp_path / "dump.json"), reason="test")
@@ -382,6 +383,61 @@ class TestFlightRecorder:
         assert any("busy-recorder" in p for p in paths)
         assert not any("idle-recorder" in p for p in paths)
         assert idle.dumps_written == 0
+
+    def test_an_untraced_ops_latency_is_its_flight_records_duration(self):
+        """One clock pair per op: the ``fs_op_seconds`` sample is the
+        flight record's own duration, not a second timing."""
+        fs = make_hopsfs(num_namenodes=1, trace_sample_every=0)
+        nn = fs.namenodes[0]
+        nn.mkdirs("/timed")
+        record = [r for r in nn.flight.ops() if r.op == "mkdirs"][-1]
+        hist = nn.metrics.get_histogram("fs_op_seconds", op="mkdirs")
+        assert hist.samples()[-1][1] == record.duration
+
+    def test_failed_retried_and_slow_traces_are_kept_once(
+            self, monkeypatch, tmp_path):
+        """The tracer is the one store of traces: each interesting trace
+        is in its kept ring once, in the flight dump, and listed once by
+        ``trace top``."""
+        from repro.cli import HopsShell
+
+        shell = HopsShell(cluster=make_hopsfs(num_namenodes=1,
+                                              trace_sample_every=1))
+        nn = shell.cluster.namenodes[0]
+        nn.mkdirs("/k")
+        with pytest.raises(FileNotFoundError_):
+            nn.rename("/k/missing", "/k/dst")
+        attempts = []
+
+        def flaky(tx):
+            attempts.append(tx)
+            if len(attempts) == 1:
+                raise TransactionAbortedError("induced conflict")
+
+        nn._fs_op("flaky", flaky)
+        monkeypatch.setattr(nn.tracer, "SLOW_THRESHOLD", 0.05)
+        nn._fs_op("sleepy", lambda tx: time.sleep(0.06))
+
+        kept = nn.tracer.kept()
+        ids = [t.trace_id for t in kept]
+        assert len(set(ids)) == len(ids)
+        wanted = {}
+        for op in ("rename", "flaky", "sleepy"):
+            trace, = [t for t in kept if t.op == op]
+            wanted[op] = trace.trace_id
+        assert [t.error for t in kept if t.op == "rename"] == [
+            "FileNotFoundError_"]
+        assert [t.execute_attempts for t in kept if t.op == "flaky"] == [2]
+
+        path = nn.flight.dump(str(tmp_path / "dump.json"), reason="test")
+        with open(path, encoding="utf-8") as fh:
+            dumped = [t["trace_id"] for t in json.load(fh)["traces"]]
+        assert dumped == ids
+        top = shell.execute("trace top 100").splitlines()[1:]
+        listed = Counter(line.split()[0] for line in top)
+        assert all(listed[trace_id] == 1 for trace_id in wanted.values())
+        assert len(top) == len(listed)
+        assert "sleepy" in shell.execute("metrics slow")
 
 
 # -- timeline export + CLI -----------------------------------------------------
