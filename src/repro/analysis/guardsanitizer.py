@@ -1,12 +1,19 @@
 """Runtime sanitizer for ``# guarded_by:`` annotations.
 
-HFS104 statically checks that a guarded attribute is only touched inside
-a ``with self.<lock>`` block *within its own class*. This module is the
-dynamic complement: opt-in (``REPRO_GUARD_SANITIZER=1``), it instruments
+HFS104 statically checks that shared mutable state carries a
+``# guarded_by:`` annotation; this module checks at run time that the
+annotation is kept. Opt-in (``REPRO_GUARD_SANITIZER=1``), it instruments
 every annotated attribute of the concurrent core (the same ``ndb/`` +
 ``hopsfs/`` + ``rpc/`` scope as HFS104) and records a violation whenever
-one is read or written without its guard held — including from *other*
-modules and tests, which the static rule cannot see.
+one is read or written without its guard held, in its own class or from
+any other module or test. In the table of ``docs/static_analysis.md`` it
+caught each seeded unguarded access it can see, and alone the one from
+outside the class (``NDBCluster`` reading ``LockManager._aborted``
+without ``_mutex``), which no per-class rule sees. Two things it cannot
+see stay HFS104's: an attribute nobody annotated, and an in-place
+mutation (``self.x[k] = v``, ``self.x.append(v)``) of a
+``[writes]``-annotated attribute — a write reaches it only through
+``__setattr__``, and a ``[writes]`` attribute's reads are unchecked.
 
 How a guard is judged "held":
 

@@ -1,7 +1,6 @@
-"""HFS106: interprocedural lock discipline.
+"""HFS106: the lock order of batches and of helpers called in loops.
 
-Extends HFS102's per-function lock-order checks across call boundaries,
-in three parts:
+Extends HFS102's per-function lock-order checks in two parts:
 
 1. **Batched-acquisition proof obligations.** Every call site of
    ``acquire_many`` / ``_lock_many`` / ``delete_batch`` /
@@ -12,31 +11,31 @@ in three parts:
    a caller contract instead (the DAL internals, the resolver's
    root-down path order) carry explicit waivers quoting that contract.
 
-2. **Cross-function S→X upgrades.** Each transaction callback's helper
-   calls are inlined (depth-limited) with textual parameter
-   substitution, building one acquisition sequence per operation; a key
-   first locked SHARED and later EXCLUSIVE anywhere in that sequence is
-   an upgrade HFS102 could not see because the two acquisitions live in
-   different functions. Helper-local names that survive substitution are
-   qualified (``helper:name``) so same-named locals in different
-   functions never alias.
+2. **Loop-context propagation.** A helper that acquires locks (itself
+   or through the helpers it calls), called from a loop over an
+   *unsorted* iterable with the loop variable as an argument, acquires
+   per-item locks in caller order — the same bug HFS102 flags for
+   direct acquisitions in unsorted loops, one call level deeper. The
+   helpers are followed from each ``_fs_op`` transaction callback
+   (:func:`find_roots`), resolved by lexical scope first and then by
+   name across the corpus.
 
-3. **Loop-context propagation.** A helper that acquires locks, called
-   from a loop over an *unsorted* iterable with the loop variable as an
-   argument, acquires per-item locks in caller order — the same bug
-   HFS102 flags for direct acquisitions in unsorted loops, one call
-   level deeper.
-
-The corpus model the replay walks lives here too: parsed modules
-(:class:`SourceFile`), the ``_fs_op`` transaction callbacks that root
-each replay (:func:`find_roots`) and the by-name index that resolves a
-helper call.
+Both are sortedness obligations, and the lock-order witness
+(:mod:`repro.analysis.lockwitness`) sees a broken one only when some
+test also takes the same rows in the opposite order. Part 2's unique
+catches in the table of ``docs/static_analysis.md``: ``complete``
+calling its locking block helpers over unsorted blocks, and a
+decommission drain locking id-resolved inodes in one transaction. Part
+1's two rows were caught by the witness too, each only because the
+subtree quiesce happens to lock the same rows in pk order. A lock
+*upgrade* is not checked here: one transaction's S→X upgrade does not
+depend on another test, so the witness sees it on every path a test
+runs.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,16 +49,8 @@ from repro.analysis.linter import (
 #: their second argument)
 _BATCH_LOCKERS = frozenset({"acquire_many", "_lock_many", "delete_batch"})
 
-#: maximum helper-inlining depth for the replay
+#: how many calls deep part 2 follows a helper
 _MAX_DEPTH = 3
-
-#: names never qualified during substitution (shared across functions or
-#: not value-like)
-_COMMON_NAMES = frozenset({"self", "tx", "LockMode", "None", "True",
-                           "False", "fs_schema", "schema"})
-
-_IDENT_OR_STRING_RE = re.compile(
-    r"'[^']*'|\"[^\"]*\"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)")
 
 
 @dataclass
@@ -92,26 +83,8 @@ class Problem:
 class OpRoot:
     """One ``_fs_op(name, callback)`` site with its resolved callback."""
 
-    op: str                     # template form for f-string names
     func: ast.FunctionDef
     sf: SourceFile
-
-
-def _op_name_of(arg: ast.AST) -> Optional[str]:
-    """The op name of an ``_fs_op`` site; f-strings keep ``{...}`` holes."""
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    if isinstance(arg, ast.JoinedStr):
-        parts = []
-        for value in arg.values:
-            if isinstance(value, ast.Constant):
-                parts.append(str(value.value))
-            elif isinstance(value, ast.FormattedValue):
-                hole = (value.value.id
-                        if isinstance(value.value, ast.Name) else "x")
-                parts.append("{" + hole + "}")
-        return "".join(parts)
-    return None
 
 
 def _local_defs(func: ast.AST) -> dict[str, ast.FunctionDef]:
@@ -155,13 +128,12 @@ def find_roots(sf: SourceFile) -> list[OpRoot]:
                     and isinstance(child.func, ast.Attribute)
                     and child.func.attr == "_fs_op"
                     and len(child.args) >= 2):
-                op = _op_name_of(child.args[0])
                 callback = child.args[1]
-                if op is not None and isinstance(callback, ast.Name):
+                if isinstance(callback, ast.Name):
                     for scope in reversed(scopes):
                         fn = scope.get(callback.id)
                         if fn is not None:
-                            roots.append(OpRoot(op, fn, sf))
+                            roots.append(OpRoot(fn, sf))
                             break
             walk(child, scopes)
 
@@ -206,32 +178,22 @@ def _env_for(root: OpRoot) -> dict[str, tuple[SourceFile, ast.FunctionDef]]:
     return env
 
 
-@dataclass(frozen=True)
-class LockEvent:
-    """One (possibly inlined) lock acquisition in a replayed op."""
-
-    key: str
-    mode: str                 # 'SHARED' | 'EXCLUSIVE' | '?'
-    path: str
-    line: int
-    col: int
-    via: tuple[str, ...]      # helper chain from the op callback
-
-
 class _Collector(_LockOrderChecker):
     """Per-function pass: batch-site obligations + a lock/call summary.
 
     Reuses :class:`_LockOrderChecker`'s ordered traversal and
     sorted-name tracking; instead of emitting HFS102 violations it
-    records the acquisition/call sequence for the interprocedural
-    replay, and checks sortedness proofs at batched-acquisition sites
-    with the tracker's live state.
+    records whether the function locks and which helpers it calls with
+    ``tx`` (with their loop context), and checks sortedness proofs at
+    batched-acquisition sites with the tracker's live state.
     """
 
     def __init__(self, path: str, out: list[Problem]) -> None:
-        super().__init__(path, out=[])  # swallow the HFS102 duplicates
+        super().__init__(path, out=[])  # HFS102 itself runs per file
         self.problems = out
-        self.items: list[tuple] = []    # ('acq'|'call', ...)
+        self.acquires = False
+        #: (helper name, call, loop context) per call passing ``tx``
+        self.calls: list[tuple[str, ast.Call, tuple]] = []
 
     # comprehensions over a sorted iterable preserve its order
     def _is_sorted_iter(self, node: ast.AST) -> bool:
@@ -246,13 +208,12 @@ class _Collector(_LockOrderChecker):
             if not isinstance(sub, ast.Call):
                 continue
             self._check_batch_site(sub)
-            acq = _acquisition_of(sub)
-            if acq is not None:
-                self.items.append(("acq", acq, sub, self._loop_info(loops)))
+            if _acquisition_of(sub) is not None:
+                self.acquires = True
                 continue
             name = self._tx_call_name(sub)
             if name is not None:
-                self.items.append(("call", name, sub, self._loop_info(loops)))
+                self.calls.append((name, sub, self._loop_info(loops)))
 
     @staticmethod
     def _loop_info(loops) -> tuple[tuple[frozenset[str], bool], ...]:
@@ -303,71 +264,21 @@ class _Collector(_LockOrderChecker):
                 "contract"))
 
 
-def _collect(path: str, fn: ast.AST, out: list[Problem]) -> list[tuple]:
-    collector = _Collector(path, out)
-    collector.check(fn)
-    return collector.items
-
-
-# -- textual substitution --------------------------------------------------------
-
-def _substitute(text: str, subst: dict[str, str], qualifier: str) -> str:
-    """Rewrite identifiers through ``subst``; qualify the leftovers."""
-
-    def repl(match: re.Match) -> str:
-        ident = match.group("ident")
-        if ident is None:
-            return match.group(0)
-        if ident in subst:
-            return subst[ident]
-        if ident in _COMMON_NAMES:
-            return ident
-        return f"{qualifier}:{ident}"
-
-    return _IDENT_OR_STRING_RE.sub(repl, text)
-
-
-def _arg_map(fn: ast.AST, call: ast.Call,
-             caller_subst: dict[str, str], caller_name: str,
-             ) -> dict[str, str]:
-    """Map callee parameter names to caller argument text (substituted)."""
-    params = [a.arg for a in fn.args.args]
-    if params and params[0] == "self":
-        params = params[1:]
-    mapping: dict[str, str] = {}
-    for param, arg in zip(params, call.args):
-        mapping[param] = _substitute(ast.unparse(arg), caller_subst,
-                                     caller_name)
-    for kw in call.keywords:
-        if kw.arg is not None and kw.arg in [a.arg for a in fn.args.args]:
-            mapping[kw.arg] = _substitute(ast.unparse(kw.value),
-                                          caller_subst, caller_name)
-    return mapping
-
-
-def _event_key(call: ast.Call, acq) -> str:
-    """Textual lock key including the table when the call names one."""
-    table = ""
-    if call.args:
-        first = call.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            table = first.value + "/"
-    return table + (acq.key_src or "?")
-
-
-# -- part 2+3: interprocedural replay --------------------------------------------
-
 class _Replayer:
+    """Part 2: follows each op callback's helper calls."""
+
     def __init__(self, files: Sequence[SourceFile],
                  problems: list[Problem]) -> None:
         self._defs = _def_index(files)
         self.problems = problems
-        self._summaries: dict[tuple[str, int], list[tuple]] = {}
+        self._summaries: dict[tuple[str, int], _Collector] = {}
 
-    def _summary(self, path: str, fn: ast.AST) -> list[tuple]:
+    def _summary(self, path: str, fn: ast.AST) -> _Collector:
         key = (path, fn.lineno)
         if key not in self._summaries:
-            self._summaries[key] = _collect(path, fn, self.problems)
+            collector = _Collector(path, self.problems)
+            collector.check(fn)
+            self._summaries[key] = collector
         return self._summaries[key]
 
     def _resolve(self, name: str, env) -> Optional[tuple[SourceFile, ast.AST]]:
@@ -376,40 +287,31 @@ class _Replayer:
         candidates = self._defs.get(name)
         return candidates[0] if candidates else None
 
-    def replay(self, sf: SourceFile, fn: ast.AST, env,
-               subst: dict[str, str], via: tuple[str, ...],
-               depth: int, seen: frozenset[tuple[str, int]],
-               ) -> list[LockEvent]:
+    def replay(self, sf: SourceFile, fn: ast.AST, env, depth: int,
+               seen: frozenset[tuple[str, int]]) -> bool:
+        """Whether ``fn`` locks, itself or through a helper (to
+        ``_MAX_DEPTH`` calls deep); flags each locking helper it calls
+        per item from an unsorted loop."""
         key = (sf.path, fn.lineno)
         if key in seen or depth > _MAX_DEPTH:
-            return []
+            return False
         seen = seen | {key}
-        events: list[LockEvent] = []
-        for item in self._summary(sf.path, fn):
-            if item[0] == "acq":
-                _tag, acq, call, _loops = item
-                text = _substitute(_event_key(call, acq), subst, fn.name)
-                events.append(LockEvent(text, acq.mode, sf.path, acq.line,
-                                        acq.col, via))
-                continue
-            _tag, name, call, loops = item
+        summary = self._summary(sf.path, fn)
+        locks = summary.acquires
+        for name, call, loops in summary.calls:
             resolved = self._resolve(name, env)
             if resolved is None:
                 continue
             c_sf, c_fn = resolved
-            child_subst = _arg_map(c_fn, call, subst, fn.name)
-            child_events = self.replay(
-                c_sf, c_fn, env if c_sf is sf else {}, child_subst,
-                via + (name,), depth + 1, seen)
-            self._check_loop_call(sf, call, name, loops, child_events)
-            events.extend(child_events)
-        return events
+            if self.replay(c_sf, c_fn, env if c_sf is sf else {},
+                           depth + 1, seen):
+                locks = True
+                self._check_loop_call(sf, call, name, loops)
+        return locks
 
     def _check_loop_call(self, sf: SourceFile, call: ast.Call, name: str,
-                         loops, child_events: list[LockEvent]) -> None:
-        """Part 3: callee acquires locks, call sits in an unsorted loop."""
-        if not child_events:
-            return
+                         loops) -> None:
+        """A locking helper whose call sits in an unsorted loop."""
         arg_names = {n.id for a in list(call.args)
                      + [kw.value for kw in call.keywords]
                      for n in ast.walk(a) if isinstance(n, ast.Name)}
@@ -425,48 +327,19 @@ class _Replayer:
                 break
 
 
-def _check_upgrades(op: str, events: list[LockEvent],
-                    problems: list[Problem]) -> None:
-    """Part 2: SHARED→EXCLUSIVE on one key across function boundaries."""
-    strongest: dict[str, LockEvent] = {}
-    for event in events:
-        if event.mode not in ("SHARED", "EXCLUSIVE"):
-            continue
-        prev = strongest.get(event.key)
-        if (prev is not None and prev.mode == "SHARED"
-                and event.mode == "EXCLUSIVE"
-                and (prev.via != event.via or prev.path != event.path)):
-            where = (f"{prev.path}:{prev.line}"
-                     + (f" via {' -> '.join(prev.via)}" if prev.via else ""))
-            chain = f" via {' -> '.join(event.via)}" if event.via else ""
-            problems.append(Problem(
-                event.path, event.line, event.col, "HFS106",
-                f"cross-function SHARED->EXCLUSIVE upgrade on key "
-                f"{event.key} in op {op!r}{chain}; first locked SHARED at "
-                f"{where} — read at the strongest level up front "
-                "(paper §3.4)"))
-        if prev is None or prev.mode != "EXCLUSIVE":
-            strongest[event.key] = event
-
-
 def check(files: Sequence[SourceFile]) -> list[Problem]:
-    """Run all HFS106 checks over the corpus; returns problems."""
+    """Run both HFS106 checks over the corpus; returns problems."""
     problems: list[Problem] = []
     replayer = _Replayer(files, problems)
     # part 1 runs per function over every file (including helpers that
     # no current op reaches), so obligations hold corpus-wide
-    checked: set[tuple[str, int]] = set()
     for sf in files:
         for node in ast.walk(sf.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and (sf.path, node.lineno) not in checked:
-                checked.add((sf.path, node.lineno))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 replayer._summary(sf.path, node)
-    # parts 2+3 replay each op root's callback
+    # part 2 follows each op root's callback
     for sf in files:
         for root in find_roots(sf):
-            env = _env_for(root)
-            events = replayer.replay(root.sf, root.func, env, {}, (), 0,
-                                     frozenset())
-            _check_upgrades(root.op, events, problems)
+            replayer.replay(root.sf, root.func, _env_for(root), 0,
+                            frozenset())
     return problems

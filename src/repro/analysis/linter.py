@@ -1,12 +1,22 @@
-"""AST linter enforcing the HopsFS transaction discipline (HFS101–104).
+"""AST linter enforcing the HopsFS transaction discipline.
 
-Pure stdlib (``ast`` + ``tokenize``); see :mod:`repro.analysis.rules` for
-what each rule means and :mod:`repro.analysis.waivers` for the inline
+Runs HFS100–HFS104 per module and HFS106
+(:mod:`repro.analysis.interproc`) over the whole corpus. Pure stdlib
+(``ast`` + ``tokenize``); see :mod:`repro.analysis.rules` for what each
+rule means and :mod:`repro.analysis.waivers` for the inline
 waiver/annotation grammar. The checks are deliberately syntactic — they
 catch the regressions that are easy to introduce and hard to debug
 dynamically (a stray ``full_scan`` on the hot path, locks taken out of
 order) without trying to be a theorem prover; anything legitimately
 outside the pattern carries a waiver with a written reason.
+
+A rule stays for what the runtime checkers cannot be counted on to
+catch (the table in ``docs/static_analysis.md``). HFS102's unique catch:
+per-item locks in a loop over an unsorted iterable, such as the quota
+applier folding its deltas in update-id order; the lock witness sees
+such a loop only when some test also takes those rows in another order,
+and none does. Its literal-key check proves the same obligation for
+constant keys. HFS104's are in :class:`_GuardedByChecker`.
 """
 
 from __future__ import annotations
@@ -108,25 +118,25 @@ def _check_hot_path(tree: ast.AST, path: str, out: list[Violation]) -> None:
                 "reason"))
 
 
-# -- HFS102: total lock order, strongest level up front ------------------------
+# -- HFS102: total lock order --------------------------------------------------
 
 @dataclass
 class _Acquisition:
     key_expr: Optional[ast.AST]
     key_src: Optional[str]
-    mode: str                    # 'SHARED' | 'EXCLUSIVE' | '?'
     line: int
     col: int
     method: str
 
 
 def _acquisition_of(call: ast.Call) -> Optional[_Acquisition]:
-    """Recognize a lock-taking call and extract its key and mode.
+    """Recognize a lock-taking call and extract its key.
 
     Covers explicit modes (``lock=LockMode.X`` keywords, positional
-    ``LockMode.X`` args to ``acquire``/``_lock``) and the implicitly
-    X-locking transaction writes ``tx.delete(...)`` /
-    ``tx.delete_batch(...)`` / ``tx.update(...)``.
+    ``LockMode.X`` args, a mode passed through a variable to
+    ``acquire``/``_lock``) and the implicitly X-locking transaction
+    writes ``tx.delete(...)`` / ``tx.delete_batch(...)`` /
+    ``tx.update(...)``. A read-committed read takes no lock.
     """
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -143,30 +153,26 @@ def _acquisition_of(call: ast.Call) -> Optional[_Acquisition]:
                 break
     if mode == "READ_COMMITTED":
         return None
-    if mode is None and func.attr in ("acquire", "_lock") and len(call.args) >= 3:
-        mode = "?"  # mode passed through a variable; still a lock call
     key_expr: Optional[ast.AST] = None
-    if mode is not None:
-        if func.attr in ("acquire", "_lock") and len(call.args) >= 2:
-            key_expr = call.args[1]
-        elif len(call.args) >= 2:
+    if mode is not None or (func.attr in ("acquire", "_lock")
+                            and len(call.args) >= 3):
+        if len(call.args) >= 2:
             key_expr = call.args[1]
         elif call.args:
             key_expr = call.args[0]
     else:
         receiver = _receiver_name(func.value) or ""
         is_txish = receiver == "tx" or receiver.endswith(("_tx", "txn"))
-        if func.attr in ("delete", "delete_batch") and (
-                is_txish or len(call.args) >= 2):
-            mode = "EXCLUSIVE"
-        elif func.attr == "update" and is_txish and len(call.args) >= 2:
-            mode = "EXCLUSIVE"
-        else:
+        writes = ((func.attr in ("delete", "delete_batch")
+                   and (is_txish or len(call.args) >= 2))
+                  or (func.attr == "update" and is_txish
+                      and len(call.args) >= 2))
+        if not writes:
             return None
         key_expr = call.args[1] if len(call.args) >= 2 else None
     key_src = ast.unparse(key_expr) if key_expr is not None else None
-    return _Acquisition(key_expr, key_src, mode, call.lineno,
-                        call.col_offset, func.attr)
+    return _Acquisition(key_expr, key_src, call.lineno, call.col_offset,
+                        func.attr)
 
 
 class _LockOrderChecker:
@@ -177,8 +183,6 @@ class _LockOrderChecker:
         self.out = out
 
     def check(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.fn_name = fn.name
-        self.modes_seen: dict[str, tuple[str, int]] = {}
         self.last_literal: Optional[tuple[object, str, int]] = None
         self.sorted_names: set[str] = set()
         self._walk(fn.body, loops=())
@@ -266,22 +270,10 @@ class _LockOrderChecker:
                 if acq is not None:
                     self._record(acq, loops)
 
-    # the three sub-checks -----------------------------------------------------
+    # the two sub-checks -------------------------------------------------------
 
     def _record(self, acq: _Acquisition,
                 loops: tuple[tuple[set[str], bool], ...]) -> None:
-        if acq.key_src is not None:
-            prev = self.modes_seen.get(acq.key_src)
-            if prev is not None and prev[0] == "SHARED" and acq.mode == "EXCLUSIVE":
-                self.out.append(Violation(
-                    self.path, acq.line, acq.col, "HFS102",
-                    f"SHARED->EXCLUSIVE upgrade on key {acq.key_src} in "
-                    f"{self.fn_name}() (first locked SHARED at line "
-                    f"{prev[1]}); read at the strongest level up front "
-                    "(paper §3.4)"))
-            if acq.mode in ("SHARED", "EXCLUSIVE"):
-                if prev is None or prev[0] != "EXCLUSIVE":
-                    self.modes_seen[acq.key_src] = (acq.mode, acq.line)
         literal = _literal_key(acq.key_expr)
         if literal is not None and not loops:
             if self.last_literal is not None:
@@ -381,19 +373,23 @@ def _check_session_scope(tree: ast.AST, path: str, out: list[Violation]) -> None
             checker.check(node)
 
 
-# -- HFS104: guarded_by annotations + lock-scope checking ----------------------
-
-@dataclass
-class _Access:
-    attr: str
-    kind: str        # 'read' | 'write'
-    line: int
-    col: int
-    guards: frozenset[str]
-
+# -- HFS104: guarded_by annotations --------------------------------------------
 
 class _GuardedByChecker:
-    """Per-class static race check over ``self.<attr>`` accesses."""
+    """Per-class check that shared mutable state says what guards it.
+
+    The unique catches (docs/static_analysis.md, "Which checker catches
+    what"): an attribute written outside ``__init__`` with no
+    ``# guarded_by:`` annotation, which no runtime checker can see since
+    the guard sanitizer instruments only annotated attributes; and an
+    in-place write (an item store, or a mutator call such as
+    ``self.x.append``) to a ``[writes]``-annotated attribute outside
+    ``with self.<lock>``. The sanitizer sees a write only through
+    ``__setattr__`` and checks no read of a ``[writes]`` attribute, so
+    such a mutation is invisible to it. Every other access to an
+    annotated attribute without its lock is the sanitizer's catch, from
+    any module.
+    """
 
     def __init__(self, path: str, guards_by_line, out: list[Violation]) -> None:
         self.path = path
@@ -437,15 +433,12 @@ class _GuardedByChecker:
             if guard is not None:
                 annotations[attr] = guard
 
-        tracked = set(init_lines) - lock_attrs
-        accesses: list[_Access] = []
-        for node in cls.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node.name != "__init__":
-                self._collect(node, lock_attrs, tracked, accesses)
-
-        written = {a.attr for a in accesses if a.kind == "write"}
-        for attr in sorted(written):
+        writes = [write for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name != "__init__"
+                  for write in _writes(node, lock_attrs)]
+        written = {write.attr for write in writes}
+        for attr in sorted(written & (set(init_lines) - lock_attrs)):
             if attr not in annotations:
                 line, col = init_lines[attr]
                 self.out.append(Violation(
@@ -456,117 +449,81 @@ class _GuardedByChecker:
 
         for attr, guard in sorted(annotations.items()):
             name = guard.name  # type: ignore[attr-defined]
-            writes_only = guard.writes_only  # type: ignore[attr-defined]
-            if name in PSEUDO_GUARDS:
-                continue
-            if name not in lock_attrs:
+            if name not in PSEUDO_GUARDS and name not in lock_attrs:
                 line, col = init_lines[attr]
                 self.out.append(Violation(
                     self.path, line, col, "HFS104",
                     f"guarded_by names {name!r}, which is not a lock "
                     f"attribute of {cls.name}"))
-                continue
-            for access in accesses:
-                if access.attr != attr:
-                    continue
-                if writes_only and access.kind != "write":
-                    continue
-                if name not in access.guards:
-                    self.out.append(Violation(
-                        self.path, access.line, access.col, "HFS104",
-                        f"{access.kind} of {cls.name}.{attr} outside "
-                        f"'with self.{name}' (annotated guarded_by: {name})"))
+            elif name in lock_attrs and guard.writes_only:  # type: ignore[attr-defined]
+                for write in writes:
+                    if (write.attr == attr and write.in_place
+                            and name not in write.held):
+                        self.out.append(Violation(
+                            self.path, write.node.lineno,
+                            write.node.col_offset, "HFS104",
+                            f"in-place write to {cls.name}.{attr} outside "
+                            f"'with self.{name}' (annotated guarded_by: "
+                            f"{name} [writes])"))
 
-    # access collection ---------------------------------------------------------
 
-    def _collect(self, method: ast.AST, lock_attrs: set[str],
-                 tracked: set[str], out: list[_Access]) -> None:
+@dataclass
+class _Write:
+    attr: str
+    node: ast.AST
+    in_place: bool   # an item of it, or a mutator call on it
+    held: frozenset[str]
 
-        def mentioned_locks(items: list[ast.withitem]) -> set[str]:
-            found: set[str] = set()
-            for item in items:
-                for sub in ast.walk(item.context_expr):
-                    attr = _self_attr(sub)
-                    if attr in lock_attrs:
-                        found.add(attr)
-            return found
 
-        def record(attr: str, kind: str, node: ast.AST,
-                   guards: frozenset[str]) -> None:
-            if attr in tracked:
-                out.append(_Access(attr, kind, node.lineno,
-                                   node.col_offset, guards))
+def _writes(method: ast.AST, lock_attrs: set[str]) -> list[_Write]:
+    """Each write to a ``self.<attr>`` in ``method``, with the locks held
+    around it by ``with self.<lock>``: an assign, augment or delete of
+    the attribute, of an item of it, or a mutator call on it
+    (``self.x.append``)."""
+    out: list[_Write] = []
 
-        def visit_target(node: ast.AST, guards: frozenset[str]) -> None:
-            attr = _self_attr(node)
-            if attr is not None and isinstance(node, (ast.Attribute, ast.Subscript)):
-                record(attr, "write", node, guards)
-                if isinstance(node, ast.Subscript):
-                    visit(node.slice, guards)
-                return
-            if isinstance(node, (ast.Tuple, ast.List)):
-                for elt in node.elts:
-                    visit_target(elt, guards)
-                return
-            if isinstance(node, ast.Starred):
-                visit_target(node.value, guards)
-                return
-            visit(node, guards)
+    def visit(node: ast.AST, held: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return  # closures may run on other threads; not modelled
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            taken = {attr for item in node.items
+                     for sub in ast.walk(item.context_expr)
+                     if (attr := _self_attr(sub)) in lock_attrs}
+            for item in node.items:
+                visit(item.context_expr, held)
+            for stmt in node.body:
+                visit(stmt, held | taken)
+            return
+        targets: list[ast.AST] = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATOR_METHODS):
+            attr = _self_attr(node.func.value)
+            if attr is not None:
+                out.append(_Write(attr, node, True, held))
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, (ast.Attribute, ast.Subscript)):
+                attr = _self_attr(target)
+                if attr is not None:
+                    out.append(_Write(attr, target,
+                                      isinstance(target, ast.Subscript),
+                                      held))
+        for child in ast.iter_child_nodes(node):
+            visit(child, held)
 
-        def visit(node: ast.AST, guards: frozenset[str]) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                return  # closures may run on other threads; not modelled
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    visit(item.context_expr, guards)
-                inner = guards | mentioned_locks(node.items)
-                for stmt in node.body:
-                    visit(stmt, frozenset(inner))
-                return
-            if isinstance(node, ast.Assign):
-                visit(node.value, guards)
-                for target in node.targets:
-                    visit_target(target, guards)
-                return
-            if isinstance(node, ast.AnnAssign):
-                if node.value is not None:
-                    visit(node.value, guards)
-                visit_target(node.target, guards)
-                return
-            if isinstance(node, ast.AugAssign):
-                visit(node.value, guards)
-                visit_target(node.target, guards)
-                return
-            if isinstance(node, ast.Delete):
-                for target in node.targets:
-                    visit_target(target, guards)
-                return
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in MUTATOR_METHODS):
-                    attr = _self_attr(func.value)
-                    if attr is not None:
-                        record(attr, "write", func.value, guards)
-                        for arg in node.args:
-                            visit(arg, guards)
-                        for kw in node.keywords:
-                            visit(kw.value, guards)
-                        return
-                for child in ast.iter_child_nodes(node):
-                    visit(child, guards)
-                return
-            attr = _self_attr(node)
-            if attr is not None and isinstance(node, ast.Attribute):
-                record(attr, "read", node, guards)
-                return
-            for child in ast.iter_child_nodes(node):
-                visit(child, guards)
-
-        body = getattr(method, "body", [])
-        for stmt in body:
-            visit(stmt, frozenset())
+    for stmt in getattr(method, "body", []):
+        visit(stmt, frozenset())
+    return out
 
 
 def _call_name(func: ast.AST) -> Optional[str]:

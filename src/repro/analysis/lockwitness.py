@@ -2,9 +2,17 @@
 
 The paper's §3.4 claim is that HopsFS transactions never deadlock because
 every lock is taken in one global total order at the strongest level
-needed up front. The linter checks that claim syntactically; this module
-checks it *empirically*: when installed (``REPRO_LOCK_WITNESS=1`` plus
-the pytest plugin in ``tests/conftest.py``), hooks inside
+needed up front. The linter checks the order's sortedness obligations
+syntactically; this module checks the claim *empirically*, and is the
+only check of the "strongest level up front" half. Its unique catches in
+the table of ``docs/static_analysis.md``: an S→X upgrade whose S lock
+was taken through the resolver's ``lock_last=`` or through a helper,
+which no rule pairs with the X lock; and cycles between orders no rule
+models — across tables (``inv`` before ``er``, child rows before their
+inode) or at a site whose order a waiver vouches for.
+
+When installed (``REPRO_LOCK_WITNESS=1`` plus the pytest plugin in
+``tests/conftest.py``), hooks inside
 :class:`repro.ndb.locks.LockManager` and
 :class:`repro.util.rwlock.ReadWriteLock` (which includes the cluster's
 structure gate) report every acquisition, and the witness accumulates the

@@ -8,29 +8,39 @@ the tree follows only by convention:
   scans (``ppis``, ``ppis_batch``). ``full_scan`` and unhinted
   ``index_scan`` fan out to every shard and must not appear on the
   operation hot path.
-* **HFS102** (§3.4) — row locks are taken in one total order at the
-  strongest level needed up front: no SHARED→EXCLUSIVE upgrade on the
-  same key inside one transaction function, no acquisition of literal
-  keys in decreasing order, and no per-item lock acquisition inside a
-  loop over an unsorted iterable.
+* **HFS102** (§3.4) — row locks are taken in one total order: no
+  acquisition of literal keys in decreasing order, and no per-item lock
+  acquisition inside a loop over an unsorted iterable.
 * **HFS103** (§2.2.1) — DAL access calls happen only inside a
   transaction callback run by ``Session.run`` (which retries on lock
   conflicts and merges statistics); never on a raw session, and never on
   a transaction obtained from a bare ``begin()``.
 * **HFS104** — shared mutable attributes of classes in ``ndb/``,
   ``hopsfs/`` and ``rpc/`` that own a lock must carry a
-  ``# guarded_by: <lock>`` annotation, and annotated attributes must only
-  be touched inside a ``with self.<lock>`` block (a lightweight static
-  race detector).
-* **HFS106** (§3.4, interprocedural) — lock context propagates through
-  helper calls: no cross-function SHARED→EXCLUSIVE upgrade on one key
-  within a transaction, no helper that acquires per-item locks called
-  from a loop over an unsorted iterable, and every batched acquisition
-  site (``acquire_many`` / ``_lock_many`` / locked ``read_batch``) must
-  take a provably sorted key iterable. A locking scan (``ppis``,
-  ``ppis_batch``, ``index_scan`` with ``lock=``) puts no such obligation
-  on its caller: the primitive finds the keys itself and sorts them
-  before it locks. See :mod:`repro.analysis.interproc`.
+  ``# guarded_by: <lock>`` annotation naming one of the class's locks
+  (or a pseudo-guard), and an attribute annotated ``[writes]`` is not
+  mutated in place (an item store or a mutator call) outside
+  ``with self.<lock>``. Every other access to an annotated attribute is
+  checked at run time, from every module, by the guard sanitizer
+  (:mod:`repro.analysis.guardsanitizer`), which sees no in-place write
+  to a ``[writes]`` attribute.
+* **HFS106** (§3.4, across calls) — every batched acquisition site
+  (``acquire_many`` / ``_lock_many`` / ``delete_batch`` / locked
+  ``read_batch``) must take a provably sorted key iterable, and no
+  helper that acquires locks may be called per item from a loop over an
+  unsorted iterable. A locking scan (``ppis``, ``ppis_batch``,
+  ``index_scan`` with ``lock=``) puts no such obligation on its caller:
+  the primitive finds the keys itself and sorts them before it locks.
+  See :mod:`repro.analysis.interproc`.
+
+No rule checks lock *upgrades* or lock-held accesses: a
+SHARED→EXCLUSIVE upgrade inside one transaction, like an access without
+the lock held, does not depend on what another test does, so the
+lock-order witness (:mod:`repro.analysis.lockwitness`) and the guard
+sanitizer see it on every path a test runs, including locks taken
+through the resolver and accesses from other modules, which no rule
+sees. What each rule catches that no runtime checker does is the table
+"Which checker catches what" in ``docs/static_analysis.md``.
 
 ``HFS100`` is reserved for problems with the waiver and annotation
 comments themselves (malformed syntax, missing reason, unknown rule
@@ -43,14 +53,15 @@ table (:mod:`repro.analysis.budgets`) is pinned by measurement, in
 
 from __future__ import annotations
 
-#: rule code -> one-line description (used by ``--list-rules`` and docs)
+#: rule code -> one-line description (``python -m repro.analysis rules``)
 RULES: dict[str, str] = {
     "HFS100": "malformed waiver or annotation comment",
     "HFS101": "expensive access type (full_scan / unhinted index_scan) on a hot path",
-    "HFS102": "lock acquisitions out of total order, or SHARED->EXCLUSIVE upgrade",
+    "HFS102": "literal keys locked in decreasing order, or per-item locks in an unsorted loop",
     "HFS103": "DAL access outside a transaction callback (raw session / bare begin)",
-    "HFS104": "shared mutable attribute without guarded_by, or access outside its lock",
-    "HFS106": "interprocedural lock-order violation (S->X upgrade, unsorted batch keys)",
+    "HFS104": "shared mutable attribute without guarded_by, guarded_by naming no lock, "
+              "or a [writes] attribute mutated in place outside its lock",
+    "HFS106": "unsorted batch keys, or a locking helper called from an unsorted loop",
 }
 
 #: path suffixes of the hot-path modules HFS101 applies to (paper §3.3:

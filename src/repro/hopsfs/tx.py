@@ -487,6 +487,8 @@ class IdAllocator:
             return ids
 
     def _lease_batch(self, size: int) -> None:
+        """Lease the next ``size`` ids (the caller holds ``_mutex``)."""
+
         def fn(tx: DALTransaction) -> tuple[int, int]:
             row = tx.read("sequences", (self._sequence,), lock=LockMode.EXCLUSIVE)
             if row is None:
@@ -498,7 +500,6 @@ class IdAllocator:
                       {"next_value": start + size})
             return start, start + size
 
-        # hfs: allow(HFS104, reason=private helper; next/next_many call it with _mutex already held)
         self._next, self._limit = self._session.run(
             fn, hint=("sequences", {"name": self._sequence})
         )

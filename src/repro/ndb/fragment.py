@@ -174,7 +174,6 @@ class Fragment:
         row locks."""
         if predicate is None:
             return list(pks)
-        # hfs: allow(HFS104, reason=private helper; every caller holds _lock)
         rows = self._rows
         return [pk for pk in pks if predicate(rows[pk])]
 

@@ -360,10 +360,8 @@ class LockManager:
 
     def _hold(self, owner: Hashable, key: Any) -> None:
         """Add ``key`` to the keys ``owner`` holds."""
-        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
         held = self._held.get(owner)
         if held is None:
-            # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
             self._held[owner] = [key]
         else:
             held.append(key)
@@ -377,7 +375,6 @@ class LockManager:
             return True  # reentrant; X covers S
         if held is None:
             # a new holder: FIFO behind a queue, and S only beside S
-            # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
             if (key in self._queues or mode is LockMode.EXCLUSIVE
                     or LockMode.EXCLUSIVE in holders.values()):
                 return False
@@ -391,7 +388,6 @@ class LockManager:
         """Grant queued requests from the front while compatible, drop
         the queue once drained and the row once idle, and wake the
         waiters if a request left the queue."""
-        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
         rows, queues, aborted, waiting = self._rows, self._queues, self._aborted, self._waiting
         holders, queue = rows[key], queues[key]
         served = False
@@ -421,8 +417,6 @@ class LockManager:
         if request.granted or request.cancelled:
             return
         request.cancelled = True
-        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
         self._queues[key].remove(request)
-        # hfs: allow(HFS104, reason=private helper; every caller holds _mutex)
         self._waiting.pop(request.owner, None)
         self._dispatch(key)

@@ -643,7 +643,6 @@ class Transaction:
         try:
             end(self)
         except Exception:
-            # hfs: allow(HFS104, reason=both commit() branches call this with _mutex held; the split exists only to skip the phase span on read-only commits)
             self.state = TxState.ABORTED
             raise
         finally:

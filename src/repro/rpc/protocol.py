@@ -1,4 +1,4 @@
-"""Wire protocol (version 5) for the DAL RPC subsystem.
+"""Wire protocol (:data:`PROTOCOL_VERSION`) for the DAL RPC subsystem.
 
 Frames are length-prefixed JSON: a 4-byte big-endian payload length
 followed by the UTF-8 JSON payload, handled strictly in order per

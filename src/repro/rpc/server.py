@@ -2,12 +2,13 @@
 
 One server process owns one :class:`repro.ndb.NDBCluster` (the DAL
 driver itself) and serves the full ``DALTransaction`` contract plus
-admin, fault-injection and observability endpoints in protocol version 5
-(:mod:`repro.rpc.protocol`): a transaction begins on its first request,
-buffered writes ride the next reply-bearing request and are applied
-before its own operation, and a ``tx.read_batch`` may carry the scans
-that follow it and the commit of its read-only transaction (both kinds
-of commit run through :meth:`NDBServer._commit`).
+admin, fault-injection and observability endpoints in the wire
+protocol of :data:`repro.rpc.protocol.PROTOCOL_VERSION`: a transaction
+begins on its first request, buffered writes ride the next
+reply-bearing request and are applied before its own operation, and a
+``tx.read_batch`` may carry the scans that follow it and the commit of
+its read-only transaction (both kinds of commit run through
+:meth:`NDBServer._commit`).
 
 :class:`NDBServer` is a handler table and a transaction registry; the
 :class:`repro.rpc.loop.FrameLoop` it hands them to does the serving.

@@ -1,4 +1,4 @@
-"""Per-rule fixtures for the transaction-discipline linter (HFS101-104).
+"""Per-rule fixtures for the transaction-discipline linter (HFS100-104).
 
 Each rule gets a positive fixture (the violation fires), a negative one
 (conforming code stays clean), and a waiver fixture (the inline
@@ -84,7 +84,7 @@ class TestHFS101:
         assert codes(src) == ["HFS101"]
 
 
-# -- HFS102: lock order and upgrades ------------------------------------------
+# -- HFS102: lock order ---------------------------------------------------------
 
 
 class TestHFS102:
@@ -97,6 +97,15 @@ class TestHFS102:
             tx.read("inodes", (3,), lock=LockMode.EXCLUSIVE)
         """
         assert "HFS102" in codes(src)
+        # the seeded defect (docs/static_analysis.md, "Which checker
+        # catches what")
+        seeded = """
+        def fn(tx):
+            row = tx.read("sequences", (sequence,), lock=LockMode.EXCLUSIVE)
+            tx.read("sequences", ("inodes",), lock=LockMode.EXCLUSIVE)
+            tx.read("sequences", ("blocks",), lock=LockMode.EXCLUSIVE)
+        """
+        assert codes(seeded, path=COLD) == ["HFS102"]
 
     def test_increasing_literal_keys_clean(self):
         src = """
@@ -108,16 +117,6 @@ class TestHFS102:
         """
         assert codes(src) == []
 
-    def test_shared_then_exclusive_same_key_flagged(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx):
-            tx.read("inodes", (3,), lock=LockMode.SHARED)
-            tx.read("inodes", (3,), lock=LockMode.EXCLUSIVE)
-        """
-        assert "HFS102" in codes(src)
-
     def test_per_item_lock_in_unsorted_loop_flagged(self):
         src = """
         from repro.ndb.locks import LockMode
@@ -127,6 +126,15 @@ class TestHFS102:
                 tx.read("inodes", row, lock=LockMode.EXCLUSIVE)
         """
         assert "HFS102" in codes(src)
+        # the seeded defect only this check caught: the quota applier's
+        # deltas are grouped in update-id order, not quota-row order
+        seeded = """
+        def fn(tx):
+            for inode_id, (ns_delta, ds_delta) in by_inode.items():
+                row = tx.read("quotas", (inode_id,), lock=LockMode.EXCLUSIVE)
+                tx.update("quotas", (inode_id,), {"ns_used": ns_delta})
+        """
+        assert codes(seeded, path=COLD) == ["HFS102", "HFS102"]
 
     def test_per_item_lock_in_sorted_loop_clean(self):
         src = """
@@ -235,6 +243,23 @@ class TestHFS104:
         violations = lint(src, path=COLD)
         assert [v.code for v in violations] == ["HFS104"]
         assert "_entries" in violations[0].message
+        # the seeded defect the guard sanitizer cannot see: it instruments
+        # annotated attributes only
+        seeded = """
+        import threading
+
+        class LockManager:
+            def __init__(self):
+                self._mutex = threading.Lock()
+                self._aborted: set[Hashable] = set()
+
+            def mark_aborted(self, owner):
+                with self._mutex:
+                    self._aborted.add(owner)
+        """
+        violations = lint(seeded, path="src/repro/ndb/locks.py")
+        assert [v.code for v in violations] == ["HFS104"]
+        assert "LockManager._aborted" in violations[0].message
 
     def test_annotated_and_locked_access_clean(self):
         src = """
@@ -251,35 +276,49 @@ class TestHFS104:
         """
         assert codes(src, path=COLD) == []
 
-    def test_access_outside_lock_flagged(self):
-        src = """
-        import threading
-
-        class Cache:
-            def __init__(self):
-                self._mutex = threading.Lock()
-                self._entries = {}  # guarded_by: _mutex
-
-            def put(self, k, v):
-                self._entries[k] = v
-        """
-        violations = lint(src, path=COLD)
-        assert [v.code for v in violations] == ["HFS104"]
-        assert "outside" in violations[0].message
-
     def test_mutator_method_outside_lock_flagged(self):
+        # in-place writes to a [writes] attribute: the guard sanitizer sees
+        # a write only through __setattr__ and checks no [writes] read
         src = """
         import threading
 
         class Queue:
             def __init__(self):
                 self._mutex = threading.Lock()
-                self._items = []  # guarded_by: _mutex
+                self._items = []  # guarded_by: _mutex [writes]
 
             def push(self, item):
                 self._items.append(item)
+
+            def push_locked(self, item):
+                with self._mutex:
+                    self._items.append(item)
+
+            def reset(self):
+                self._items = []  # a whole-value write: the sanitizer's
         """
         assert codes(src, path=COLD) == ["HFS104"]
+        # seeded row (r): a failover updates the primary table in place
+        # after it has left the structure gate
+        seeded = """
+        from repro.util.rwlock import ReadWriteLock
+
+        class NDBCluster:
+            def __init__(self):
+                self._structure_gate = ReadWriteLock(name="structure_gate")
+                # guarded_by: _structure_gate [writes]
+                self._primaries = [0, 1]
+
+            def kill_node(self, node_id, survivor):
+                with self._structure_gate.write_locked():
+                    pass
+                for pid, primary in enumerate(self._primaries):
+                    if primary == node_id:
+                        self._primaries[pid] = survivor
+        """
+        violations = lint(seeded, path="src/repro/ndb/cluster.py")
+        assert [(v.code, v.line) for v in violations] == [("HFS104", 15)]
+        assert "in-place write to NDBCluster._primaries" in violations[0].message
 
     def test_pseudo_guard_gil_accepted(self):
         src = """

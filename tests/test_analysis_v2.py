@@ -1,6 +1,6 @@
-"""Analysis-v2 fixtures: the budget table's cost expressions, HFS106
-interprocedural lock discipline, waiver edge cases, and the lock-witness
-graph export.
+"""Analysis-v2 fixtures: the budget table's cost expressions, HFS106's
+batch and helper-in-loop lock order, waiver edge cases, and the
+lock-witness graph export.
 
 Like ``test_analysis_lint.py``, these drive the analyzers over small
 synthetic modules; paths decide which rules apply.
@@ -70,6 +70,18 @@ class TestHFS106:
             return tx.read_batch("inodes", keys, lock=LockMode.SHARED)
         """
         assert interproc_codes(src) == ["HFS106"]
+        # the seeded rename lock plan (docs/static_analysis.md, "Which
+        # checker catches what")
+        seeded = """
+        def fn(tx, paths, exclusive):
+            lock_plan = list(paths.items())
+            plan_pks = [pk for pk, _order_key in lock_plan]
+            return tx.read_batch(
+                "inodes", plan_pks,
+                locks=[LockMode.EXCLUSIVE if pk in exclusive
+                       else LockMode.READ_COMMITTED for pk in plan_pks])
+        """
+        assert interproc_codes(seeded) == ["HFS106"]
 
     def test_sorted_locked_batch_clean(self):
         src = """
@@ -119,23 +131,6 @@ class TestHFS106:
         """
         assert interproc_codes(src) == ["HFS106"]
 
-    def test_cross_function_upgrade_flagged(self):
-        src = """
-        class Ops:
-            def op(self, mgr):
-                def fn(tx):
-                    mgr.acquire(tx, ("inodes", 5), LockMode.SHARED)
-                    bump(tx, ("inodes", 5))
-                return self._fs_op("up_op", fn)
-
-        def bump(tx, key):
-            mgr.acquire(tx, key, LockMode.EXCLUSIVE)
-        """
-        problems = interproc.check([parse(src)])
-        assert any(p.code == "HFS106"
-                   and "cross-function SHARED->EXCLUSIVE" in p.message
-                   for p in problems)
-
     def test_strongest_first_across_functions_clean(self):
         src = """
         class Ops:
@@ -165,6 +160,27 @@ class TestHFS106:
         problems = interproc.check([parse(src)])
         assert any(p.code == "HFS106" and "called\nper-item" not in p.message
                    and "per-item" in p.message for p in problems)
+        # the seeded defect only this check caught: ``complete`` walks
+        # its blocks unsorted and locks through the block helpers
+        seeded = """
+        class Ops:
+            def complete(self, path):
+                def fn(tx):
+                    resolved = self.resolver.resolve(tx, path)
+                    file_blocks, replicas = resolved.scanned
+                    for block in file_blocks:
+                        blk.complete_block(tx, inode_id, block["block_id"])
+                        blk.check_replication(tx, inode_id,
+                                              block["block_id"], 3)
+                return self._fs_op("complete", fn)
+
+        def complete_block(tx, inode_id, block_id):
+            tx.update("blocks", (inode_id, block_id), {"state": 1})
+
+        def check_replication(tx, inode_id, block_id, replication):
+            tx.delete("urb", (inode_id, block_id), must_exist=False)
+        """
+        assert [p.line for p in interproc.check([parse(seeded)])] == [8, 9]
 
     def test_helper_locking_in_sorted_loop_clean(self):
         src = """
@@ -183,20 +199,21 @@ class TestHFS106:
     def test_helper_resolved_across_files(self):
         ops = parse("""
         class Ops:
-            def op(self, mgr):
+            def op(self, keys):
                 def fn(tx):
-                    mgr.acquire(tx, ("inodes", 9), LockMode.SHARED)
-                    helper_bump(tx, ("inodes", 9))
+                    for k in keys:
+                        helper_bump(tx, k)
                 return self._fs_op("x_op", fn)
         """)
         helpers = parse("""
         def helper_bump(tx, key):
-            mgr.acquire(tx, key, LockMode.EXCLUSIVE)
+            locked_read(tx, key)
+
+        def locked_read(tx, key):
+            tx.read("inodes", key, lock=LockMode.EXCLUSIVE)
         """, path=HELPER)
         problems = interproc.check([ops, helpers])
-        assert any(p.code == "HFS106"
-                   and "cross-function SHARED->EXCLUSIVE" in p.message
-                   for p in problems)
+        assert [(p.path, p.code) for p in problems] == [(SCOPE, "HFS106")]
 
 
 # -- waiver edge cases ------------------------------------------------------------
@@ -217,14 +234,6 @@ class TestDeleteBatchIsAnXLock:
                 tx.delete_batch("leases", [(inode_id,)])
         """
         assert [v.code for v in lint(src)] == ["HFS102"]
-
-    def test_shared_then_delete_batch_is_an_upgrade(self):
-        src = """
-        def fn(tx, keys):
-            tx.read_batch("inodes", keys, lock=LockMode.SHARED)
-            tx.delete_batch("inodes", keys)
-        """
-        assert "HFS102" in [v.code for v in lint(src)]
 
 
 class TestWaiverEdgeCases:

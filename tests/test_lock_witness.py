@@ -8,6 +8,7 @@ upgrade, and the hierarchical-guard pruning (§5.2.1) are all exercised
 without real threads or timing.
 """
 
+import inspect
 import threading
 
 from repro.analysis import lockwitness
@@ -274,6 +275,46 @@ class TestInstallation:
             LockManager._witness = prev
             ReadWriteLock._witness = prev
             lockwitness._current = prev
+
+
+class TestUpgradeThroughTheResolver:
+    def test_set_permission_resolving_shared_upgrades_at_its_update(
+            self, monkeypatch):
+        # row (a) of docs/static_analysis.md's "Which checker catches
+        # what": the resolver's lock_last= takes the S lock and the
+        # op's tx.update asks for X on the same row. No lint rule sees a
+        # lock taken through the resolver; the witness is its one checker.
+        from repro.hopsfs import HopsFSCluster
+        from repro.hopsfs.ops_inode import InodeOpsMixin
+        from repro.ndb.locks import LockManager, LockMode
+        from repro.util.rwlock import ReadWriteLock
+
+        fs = HopsFSCluster(num_namenodes=1, num_datanodes=1)
+        fs.client("c").write_file("/f", b"x")
+        nn = fs.any_namenode()
+        resolve = nn.resolver.resolve
+
+        def shared_last(tx, path, **kwargs):
+            if kwargs.get("lock_last") is LockMode.EXCLUSIVE:
+                kwargs["lock_last"] = LockMode.SHARED
+            return resolve(tx, path, **kwargs)
+
+        monkeypatch.setattr(nn.resolver, "resolve", shared_last)
+        prev = lockwitness.current_witness()
+        try:
+            witness = lockwitness.install_witness()
+            nn.set_permission("/f", 0o600)
+        finally:
+            LockManager._witness = prev
+            ReadWriteLock._witness = prev
+            lockwitness._current = prev
+        lines, first = inspect.getsourcelines(InodeOpsMixin.set_permission)
+        update = first + next(i for i, line in enumerate(lines)
+                              if 'tx.update("inodes"' in line)
+        [upgrade] = witness.report().upgrades
+        assert (upgrade.held_mode, upgrade.wanted_mode) == (
+            "SHARED", "EXCLUSIVE")
+        assert upgrade.site == f"hopsfs/ops_inode.py:{update}"
 
 
 class TestThreadBridging:
