@@ -4,16 +4,16 @@ One checker per catch:
 
 * :mod:`repro.analysis.linter` — an AST linter (``python -m
   repro.analysis lint``) for what must hold on every path, run or not:
-  cheap access types on hot paths (HFS101), lock-order obligations that
-  no single run can falsify (sorted batches and loops, literal keys in
-  order: HFS102, HFS106 in :mod:`repro.analysis.interproc`), DAL calls
-  only inside transaction callbacks (HFS103), ``guarded_by``
-  annotations on shared mutable state and no in-place write to a
-  ``[writes]`` attribute outside its lock (HFS104);
+  cheap access types on hot paths (HFS101), DAL calls only inside
+  transaction callbacks (HFS103), ``guarded_by`` annotations on shared
+  mutable state and no in-place write to a ``[writes]`` attribute
+  outside its lock (HFS104);
 * :mod:`repro.analysis.lockwitness` — an opt-in runtime recorder
-  (``REPRO_LOCK_WITNESS=1``) that builds the lock-acquisition-order
-  graph across the test suite and reports cycles and lock upgrades,
-  validating the §3.4 deadlock-freedom argument empirically;
+  (``REPRO_LOCK_WITNESS=1``) that checks the §3.4 lock order where each
+  lock is taken: every row lock a transaction requests must rank above
+  the ones it requested before (:func:`repro.hopsfs.schema.lock_rank`);
+  across the test suite it also builds the lock-acquisition-order graph
+  and reports its cycles and every lock upgrade;
 * :mod:`repro.analysis.guardsanitizer` — an opt-in runtime check
   (``REPRO_GUARD_SANITIZER=1``) that fails a test touching an annotated
   attribute without its lock, from any module (all but an in-place

@@ -1,22 +1,19 @@
 """AST linter enforcing the HopsFS transaction discipline.
 
-Runs HFS100–HFS104 per module and HFS106
-(:mod:`repro.analysis.interproc`) over the whole corpus. Pure stdlib
+Runs HFS100, HFS101, HFS103 and HFS104 per module. Pure stdlib
 (``ast`` + ``tokenize``); see :mod:`repro.analysis.rules` for what each
 rule means and :mod:`repro.analysis.waivers` for the inline
 waiver/annotation grammar. The checks are deliberately syntactic — they
 catch the regressions that are easy to introduce and hard to debug
-dynamically (a stray ``full_scan`` on the hot path, locks taken out of
-order) without trying to be a theorem prover; anything legitimately
-outside the pattern carries a waiver with a written reason.
+dynamically (a stray ``full_scan`` on the hot path, a DAL call outside
+a transaction callback) without trying to be a theorem prover; anything
+legitimately outside the pattern carries a waiver with a written reason.
 
 A rule stays for what the runtime checkers cannot be counted on to
-catch (the table in ``docs/static_analysis.md``). HFS102's unique catch:
-per-item locks in a loop over an unsorted iterable, such as the quota
-applier folding its deltas in update-id order; the lock witness sees
-such a loop only when some test also takes those rows in another order,
-and none does. Its literal-key check proves the same obligation for
-constant keys. HFS104's are in :class:`_GuardedByChecker`.
+catch (the table in ``docs/static_analysis.md``). The lock order is not
+a rule: the lock witness ranks every row lock where it is taken
+(:func:`repro.hopsfs.schema.lock_rank`). HFS104's unique catches are in
+:class:`_GuardedByChecker`.
 """
 
 from __future__ import annotations
@@ -54,20 +51,6 @@ class Violation:
 
 # -- shared AST helpers ---------------------------------------------------------
 
-_LOCK_MODES = {"SHARED", "EXCLUSIVE", "READ_COMMITTED"}
-
-
-def _lockmode_name(node: ast.AST) -> Optional[str]:
-    """'SHARED' for ``LockMode.SHARED`` / ``locks.LockMode.SHARED``; else None."""
-    if isinstance(node, ast.Attribute) and node.attr in _LOCK_MODES:
-        base = node.value
-        if isinstance(base, ast.Name) and base.id == "LockMode":
-            return node.attr
-        if isinstance(base, ast.Attribute) and base.attr == "LockMode":
-            return node.attr
-    return None
-
-
 def _receiver_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
@@ -83,20 +66,6 @@ def _self_attr(node: ast.AST) -> Optional[str]:
     if (isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "self"):
         return node.attr
-    return None
-
-
-def _literal_key(node: Optional[ast.AST]):
-    """Python value of a constant key expression, or None."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, (ast.Tuple, ast.List)):
-        values = []
-        for elt in node.elts:
-            if not isinstance(elt, ast.Constant):
-                return None
-            values.append(elt.value)
-        return tuple(values)
     return None
 
 
@@ -116,199 +85,6 @@ def _check_hot_path(tree: ast.AST, path: str, out: list[Violation]) -> None:
                 "modules may only use read/read_batch/ppis/ppis_batch "
                 "(paper §3.3) — restructure the access or waive with a "
                 "reason"))
-
-
-# -- HFS102: total lock order --------------------------------------------------
-
-@dataclass
-class _Acquisition:
-    key_expr: Optional[ast.AST]
-    key_src: Optional[str]
-    line: int
-    col: int
-    method: str
-
-
-def _acquisition_of(call: ast.Call) -> Optional[_Acquisition]:
-    """Recognize a lock-taking call and extract its key.
-
-    Covers explicit modes (``lock=LockMode.X`` keywords, positional
-    ``LockMode.X`` args, a mode passed through a variable to
-    ``acquire``/``_lock``) and the implicitly X-locking transaction
-    writes ``tx.delete(...)`` / ``tx.delete_batch(...)`` /
-    ``tx.update(...)``. A read-committed read takes no lock.
-    """
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    mode: Optional[str] = None
-    for kw in call.keywords:
-        if kw.arg == "lock":
-            mode = _lockmode_name(kw.value) or "?"
-    if mode is None:
-        for arg in call.args:
-            named = _lockmode_name(arg)
-            if named is not None:
-                mode = named
-                break
-    if mode == "READ_COMMITTED":
-        return None
-    key_expr: Optional[ast.AST] = None
-    if mode is not None or (func.attr in ("acquire", "_lock")
-                            and len(call.args) >= 3):
-        if len(call.args) >= 2:
-            key_expr = call.args[1]
-        elif call.args:
-            key_expr = call.args[0]
-    else:
-        receiver = _receiver_name(func.value) or ""
-        is_txish = receiver == "tx" or receiver.endswith(("_tx", "txn"))
-        writes = ((func.attr in ("delete", "delete_batch")
-                   and (is_txish or len(call.args) >= 2))
-                  or (func.attr == "update" and is_txish
-                      and len(call.args) >= 2))
-        if not writes:
-            return None
-        key_expr = call.args[1] if len(call.args) >= 2 else None
-    key_src = ast.unparse(key_expr) if key_expr is not None else None
-    return _Acquisition(key_expr, key_src, call.lineno, call.col_offset,
-                        func.attr)
-
-
-class _LockOrderChecker:
-    """Per-function walk tracking acquisitions, loops and sortedness."""
-
-    def __init__(self, path: str, out: list[Violation]) -> None:
-        self.path = path
-        self.out = out
-
-    def check(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self.last_literal: Optional[tuple[object, str, int]] = None
-        self.sorted_names: set[str] = set()
-        self._walk(fn.body, loops=())
-
-    # sortedness ---------------------------------------------------------------
-
-    def _is_sorted_iter(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "sorted":
-                return True
-            if node.func.id == "range":
-                # monotonically increasing; also covers retry loops that
-                # re-lock the same key a bounded number of times
-                return True
-            if node.func.id == "enumerate" and node.args:
-                return self._is_sorted_iter(node.args[0])
-        if isinstance(node, ast.Name):
-            return node.id in self.sorted_names
-        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
-            # a slice of a sorted sequence is still sorted
-            return self._is_sorted_iter(node.value)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            # x.items() / x.keys() on a name assigned from sorted(...) dict —
-            # too clever to model; treated as unsorted
-            return False
-        return False
-
-    # traversal ----------------------------------------------------------------
-
-    def _walk(self, stmts: Sequence[ast.stmt],
-              loops: tuple[tuple[set[str], bool], ...]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue  # nested defs are analyzed as their own functions
-            if isinstance(stmt, ast.Assign):
-                self._scan(stmt.value, loops)
-                if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
-                    if self._is_sorted_iter(stmt.value):
-                        self.sorted_names.add(stmt.targets[0].id)
-                    else:
-                        self.sorted_names.discard(stmt.targets[0].id)
-                    if loops:
-                        # a name (re)bound inside a loop body varies per
-                        # iteration; keys built from it are per-item keys
-                        loops[-1][0].add(stmt.targets[0].id)
-                continue
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan(stmt.iter, loops)
-                targets = {n.id for n in ast.walk(stmt.target)
-                           if isinstance(n, ast.Name)}
-                inner = loops + ((targets, self._is_sorted_iter(stmt.iter)),)
-                self._walk(stmt.body, inner)
-                self._walk(stmt.orelse, loops)
-                continue
-            if isinstance(stmt, ast.While):
-                self._scan(stmt.test, loops)
-                self._walk(stmt.body, loops)
-                self._walk(stmt.orelse, loops)
-                continue
-            if isinstance(stmt, ast.If):
-                self._scan(stmt.test, loops)
-                self._walk(stmt.body, loops)
-                self._walk(stmt.orelse, loops)
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._scan(item.context_expr, loops)
-                self._walk(stmt.body, loops)
-                continue
-            if isinstance(stmt, ast.Try):
-                self._walk(stmt.body, loops)
-                for handler in stmt.handlers:
-                    self._walk(handler.body, loops)
-                self._walk(stmt.orelse, loops)
-                self._walk(stmt.finalbody, loops)
-                continue
-            self._scan(stmt, loops)
-
-    def _scan(self, node: ast.AST,
-              loops: tuple[tuple[set[str], bool], ...]) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                acq = _acquisition_of(sub)
-                if acq is not None:
-                    self._record(acq, loops)
-
-    # the two sub-checks -------------------------------------------------------
-
-    def _record(self, acq: _Acquisition,
-                loops: tuple[tuple[set[str], bool], ...]) -> None:
-        literal = _literal_key(acq.key_expr)
-        if literal is not None and not loops:
-            if self.last_literal is not None:
-                prev_value, prev_src, prev_line = self.last_literal
-                try:
-                    decreasing = literal < prev_value
-                except TypeError:
-                    decreasing = False
-                if decreasing:
-                    self.out.append(Violation(
-                        self.path, acq.line, acq.col, "HFS102",
-                        f"lock on {acq.key_src} acquired after {prev_src} "
-                        f"(line {prev_line}) — keys must be locked in "
-                        "non-decreasing order (paper §3.4)"))
-            self.last_literal = (literal, acq.key_src or "?", acq.line)
-        if acq.key_expr is not None and loops:
-            names = {n.id for n in ast.walk(acq.key_expr)
-                     if isinstance(n, ast.Name)}
-            for targets, is_sorted in reversed(loops):
-                if names & targets:
-                    if not is_sorted:
-                        self.out.append(Violation(
-                            self.path, acq.line, acq.col, "HFS102",
-                            f"per-item lock ({acq.method}) inside a loop "
-                            "over an unsorted iterable; iterate "
-                            "sorted(...) so acquisitions keep one global "
-                            "order (paper §3.4)"))
-                    break
-
-
-def _check_lock_order(tree: ast.AST, path: str, out: list[Violation]) -> None:
-    checker = _LockOrderChecker(path, out)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            checker.check(node)
 
 
 # -- HFS103: DAL access only inside transaction callbacks ----------------------
@@ -565,9 +341,8 @@ def _decorator_alias_lines(tree: ast.AST) -> dict[int, tuple[int, ...]]:
 def lint_source(source: str, path: str) -> list[Violation]:
     """Lint one module's source; ``path`` decides which rules apply.
 
-    Runs the per-function rules (HFS101–104) plus the waiver/annotation
-    grammar checks; the interprocedural rule (HFS106) needs the whole
-    corpus and runs from :func:`lint_paths`.
+    Runs the rules (HFS101, HFS103, HFS104) plus the waiver/annotation
+    grammar checks.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -580,7 +355,6 @@ def lint_source(source: str, path: str) -> list[Violation]:
 
     raw: list[Violation] = []
     _check_hot_path(tree, path, raw)
-    _check_lock_order(tree, path, raw)
     _check_session_scope(tree, path, raw)
     _check_guarded_by(tree, path, guards, raw)
 
@@ -606,30 +380,10 @@ def iter_python_files(paths: Iterable[str]) -> list[str]:
 
 
 def lint_paths(paths: Sequence[str]) -> list[Violation]:
-    """Per-file rules plus the corpus-wide HFS106 pass."""
-    # imported here: interproc imports linter helpers, so a top-level
-    # import would be circular
-    from repro.analysis import interproc
-
+    """Every rule over every Python file under ``paths``."""
     violations: list[Violation] = []
-    corpus: list = []
-    #: each corpus file's waivers and decorator alias lines
-    context: dict[str, tuple[dict, dict]] = {}
     for filename in iter_python_files(paths):
         with open(filename, encoding="utf-8") as handle:
-            source = handle.read()
-        violations.extend(lint_source(source, filename))
-        sf = interproc.SourceFile.parse(filename, source)
-        if sf is not None:
-            corpus.append(sf)
-            waivers, _errors = parse_waivers(source, frozenset(RULES))
-            context[filename] = (waivers, _decorator_alias_lines(sf.tree))
-
-    for problem in interproc.check(corpus):
-        waivers, alias_lines = context[problem.path]
-        if is_waived(waivers, problem.code, problem.line, alias_lines):
-            continue
-        violations.append(Violation(problem.path, problem.line, problem.col,
-                                    problem.code, problem.message))
+            violations.extend(lint_source(handle.read(), filename))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return violations

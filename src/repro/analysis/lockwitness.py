@@ -2,14 +2,23 @@
 
 The paper's §3.4 claim is that HopsFS transactions never deadlock because
 every lock is taken in one global total order at the strongest level
-needed up front. The linter checks the order's sortedness obligations
-syntactically; this module checks the claim *empirically*, and is the
-only check of the "strongest level up front" half. Its unique catches in
-the table of ``docs/static_analysis.md``: an S→X upgrade whose S lock
-was taken through the resolver's ``lock_last=`` or through a helper,
-which no rule pairs with the X lock; and cycles between orders no rule
-models — across tables (``inv`` before ``er``, child rows before their
-inode) or at a site whose order a waiver vouches for.
+needed up front. This module is the one check of that claim, and it
+checks it three ways:
+
+* **rank** — every row lock a transaction requests must rank above the
+  ones it requested before, in the order
+  :func:`repro.hopsfs.schema.lock_rank` writes down (inodes by depth and
+  pk, then every other table). The rank is derived where the lock is
+  taken, from the rows the transaction sees, so a sort by the wrong key
+  or a loop in the wrong order shows on any run of its path, whatever
+  the other tests do. Like kernel lockdep's lock classes, it needs no
+  second party;
+* **cycles** — across the whole run, a cycle in the
+  lock-acquisition-order graph: orders that each transaction keeps but
+  two of them take both ways;
+* **upgrades** — a SHARED→EXCLUSIVE (or read→write) request on a held
+  lock, however it was taken (through the resolver's ``lock_last=``, a
+  helper or inline).
 
 When installed (``REPRO_LOCK_WITNESS=1`` plus the pytest plugin in
 ``tests/conftest.py``), hooks inside
@@ -26,7 +35,13 @@ structure gate) report every acquisition, and the witness accumulates the
   kernel lockdep's "this would have deadlocked under other timing";
 * a cycle in the graph is a potential deadlock even if no run ever hit
   it; an observed SHARED→EXCLUSIVE (or read→write) upgrade on a held
-  lock violates the strongest-lock-up-front discipline directly.
+  lock violates the strongest-lock-up-front discipline directly;
+* a request ranked below one its transaction made before is a rank
+  fault (a reentrant request is not a new one). The rank is computed
+  before the witness's own mutex is taken, and
+  :meth:`repro.ndb.locks.LockManager.acquire_many` reports its grants
+  after it leaves the lock table's mutex, since ranking an inode lock
+  reads inode rows.
 
 Row locks are held by transaction objects (which may be aborted from
 another thread), readers-writer locks by threads; the witness bridges the
@@ -44,6 +59,7 @@ via :meth:`LockWitness.paused` (the ``lock_witness_exempt`` marker).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 import threading
@@ -52,11 +68,15 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
 from weakref import WeakKeyDictionary
 
+from repro.errors import ClusterDownError
+from repro.hopsfs.schema import lock_rank
+
 Node = tuple  # ('row', scope, key) | ('rw', scope)
 
 #: frames from these files are skipped when sampling an acquisition site
-_INTERNAL_FILES = ("lockwitness.py", "locks.py", "rwlock.py", "contextlib.py",
-                   "ndb/transaction.py", "ndb/cluster.py", "ndb/session.py")
+_INTERNAL_FILES = ("lockwitness.py", "ndb/locks.py", "rwlock.py",
+                   "contextlib.py", "ndb/transaction.py", "ndb/cluster.py",
+                   "ndb/session.py")
 
 
 def _call_site(max_depth: int = 25) -> str:
@@ -84,29 +104,44 @@ class UpgradeEvent:
                 f"{self.wanted_mode} at {self.site}")
 
 
+@dataclass(frozen=True)
+class RankFault:
+    label: str
+    #: the lock it ranks below, requested earlier by the same transaction
+    after: str
+    site: str
+
+    def render(self) -> str:
+        return f"{self.label} after {self.after} at {self.site}"
+
+
 @dataclass
 class WitnessReport:
     nodes: int
     edges: int
     cycles: list[list[str]] = field(default_factory=list)
     upgrades: list[UpgradeEvent] = field(default_factory=list)
+    rank_faults: list[RankFault] = field(default_factory=list)
     #: raw node members of each reported cycle (same order as ``cycles``),
     #: kept for graph exports that highlight the offending subgraph
     components: list[list[Node]] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
-        return not self.cycles and not self.upgrades
+        return not self.cycles and not self.upgrades and not self.rank_faults
 
     def render(self) -> str:
         lines = [f"lock witness: {self.nodes} locks, {self.edges} ordered "
                  f"pairs, {len(self.cycles)} cycle(s), "
-                 f"{len(self.upgrades)} upgrade(s)"]
+                 f"{len(self.upgrades)} upgrade(s), "
+                 f"{len(self.rank_faults)} rank fault(s)"]
         for cycle in self.cycles:
             lines.append("  CYCLE (potential deadlock):")
             lines.extend(f"    {hop}" for hop in cycle)
         for upgrade in self.upgrades:
             lines.append(f"  UPGRADE: {upgrade.render()}")
+        for fault in self.rank_faults:
+            lines.append(f"  RANK: {fault.render()}")
         return "\n".join(lines)
 
 
@@ -140,6 +175,11 @@ class LockWitness:
         #: thread ident -> transaction owner it last acquired rows for
         self._thread_owner: dict[int, Hashable] = {}
         self._upgrades: list[UpgradeEvent] = []
+        #: transaction owner -> [its first lock on a tier-1 table, whether
+        #: it requested an ``inodes`` lock, {group: (highest rank
+        #: requested, its lock)}]
+        self._ranks: dict[Hashable, list] = {}
+        self._rank_faults: list[RankFault] = []
         self._paused = 0
 
     # -- pause (deliberate-deadlock tests) -------------------------------------
@@ -158,6 +198,12 @@ class LockWitness:
 
     def row_requested(self, manager: Any, owner: Hashable, key: Any,
                       mode: str) -> None:
+        # the rank may read the engine: before any mutex is taken. Only
+        # this owner's own earlier requests change its rank state
+        rank = None
+        if not self._paused:
+            state = self._ranks.get(owner)
+            rank = _rank_of(owner, key, state is not None and state[1])
         with self._mutex:
             if self._paused:
                 return
@@ -171,6 +217,8 @@ class LockWitness:
                 # reentrant re-request of a held lock is granted without
                 # blocking; it cannot contribute a wait dependency
                 return
+            if rank is not None:
+                self._check_rank(owner, key, rank)
             held = self._held_by_thread(owner)
             self._add_edges(held, node)
 
@@ -188,6 +236,7 @@ class LockWitness:
     def owner_released(self, manager: Any, owner: Hashable) -> None:
         with self._mutex:
             self._row_held.pop(owner, None)
+            self._ranks.pop(owner, None)
 
     def rw_requested(self, lock: Any, mode: str) -> None:
         with self._mutex:
@@ -220,6 +269,30 @@ class LockWitness:
             held = self._rw_held.get(threading.get_ident())
             if held is not None:
                 held.pop(node, None)
+
+    # -- rank ---------------------------------------------------------------------
+
+    def _check_rank(self, owner: Hashable, key: Any,
+                    rank: tuple[int, Any, Any]) -> None:
+        """Record a rank fault if ``key`` ranks below a lock ``owner``
+        requested before it (:func:`repro.hopsfs.schema.lock_rank`)."""
+        tier, group, value = rank
+        state = self._ranks.setdefault(owner, [None, False, {}])
+        highest = state[2].get(group)
+        after = None
+        if tier == 0 and state[0] is not None:
+            after = state[0]
+        elif highest is not None and value < highest[0]:
+            after = highest[1]
+        if after is not None:
+            self._rank_faults.append(RankFault(
+                f"row {key!r}", f"row {after!r}", _call_site()))
+            return
+        if tier == 0:
+            state[1] = True
+        elif state[0] is None:
+            state[0] = key
+        state[2][group] = (value, key)
 
     # -- graph ------------------------------------------------------------------
 
@@ -274,6 +347,7 @@ class LockWitness:
             node_guards = dict(self._node_guards)
             labels = dict(self._labels)
             upgrades = list(self._upgrades)
+            rank_faults = list(self._rank_faults)
         # prune edges into nodes whose every request carried a common
         # exclusive guard: contenders for such a node are mutually
         # excluded, so nothing ever waits on it (§5.2.1)
@@ -305,6 +379,7 @@ class LockWitness:
             edges=sum(len(succ) for succ in edges.values()),
             cycles=cycles,
             upgrades=upgrades,
+            rank_faults=rank_faults,
             components=components,
         )
 
@@ -335,6 +410,7 @@ class LockWitness:
         registry.set_gauge("lock_witness_edges", report.edges)
         registry.set_gauge("lock_witness_cycles", len(report.cycles))
         registry.set_gauge("lock_witness_upgrades", len(report.upgrades))
+        registry.set_gauge("lock_witness_rank_faults", len(report.rank_faults))
 
     # -- graph export (CI artifact) ----------------------------------------------
 
@@ -363,7 +439,8 @@ class LockWitness:
             "summary": {"nodes": len(nodes),
                         "edges": sum(len(s) for s in edges.values()),
                         "cycles": len(report.cycles),
-                        "upgrades": len(report.upgrades)},
+                        "upgrades": len(report.upgrades),
+                        "rank_faults": len(report.rank_faults)},
             "nodes": [{"id": ids[node],
                        "label": labels.get(node, repr(node)),
                        "in_cycle": node in in_cycle}
@@ -378,6 +455,8 @@ class LockWitness:
             "upgrades": [{"label": u.label, "held": u.held_mode,
                           "wanted": u.wanted_mode, "site": u.site}
                          for u in report.upgrades],
+            "rank_faults": [{"label": f.label, "after": f.after,
+                             "site": f.site} for f in report.rank_faults],
         }
 
     def export_dot(self, report: Optional[WitnessReport] = None) -> str:
@@ -418,6 +497,42 @@ class LockWitness:
         with open(dot_path, "w", encoding="utf-8") as handle:
             handle.write(self.export_dot(report))
         return [json_path, dot_path]
+
+
+def _lookup(tx: Any, table: str, index: str,
+            key: tuple) -> Optional[tuple]:
+    """The pk of the row of ``table`` whose ``index`` columns equal
+    ``key``, as transaction ``tx`` sees it: its own buffered rows first,
+    then the committed ones. None if ``tx`` is no engine transaction or
+    the row is nowhere."""
+    cluster = getattr(tx, "_cluster", None)
+    if cluster is None:
+        return None
+    columns = cluster.schema(table).indexes[index]
+    for pk, write in tx._table_writes.get(table, {}).items():
+        row = write.row
+        if row is not None and tuple(row[c] for c in columns) == key:
+            return pk
+    try:
+        for pid in range(cluster.config.num_partitions):
+            pks = cluster._primary_fragment(table, pid).index_lookup(
+                index, key, keys=True)
+            if pks:
+                return pks[0]
+    except ClusterDownError:  # a node group is down: the row is unknown
+        pass
+    return None
+
+
+def _rank_of(owner: Hashable, key: Any, holds_inode_locks: bool
+             ) -> Optional[tuple[int, Any, Any]]:
+    """Where row lock ``key`` stands in the lock order, for ``owner``."""
+    if not (isinstance(key, tuple) and len(key) == 2
+            and isinstance(key[1], tuple)):
+        return None
+    table, pk = key
+    return lock_rank(table, pk, functools.partial(_lookup, owner),
+                     holds_inode_locks)
 
 
 def _cyclic_sccs(edges: dict[Node, dict[Node, str]]) -> list[list[Node]]:

@@ -8,9 +8,6 @@ the tree follows only by convention:
   scans (``ppis``, ``ppis_batch``). ``full_scan`` and unhinted
   ``index_scan`` fan out to every shard and must not appear on the
   operation hot path.
-* **HFS102** (§3.4) — row locks are taken in one total order: no
-  acquisition of literal keys in decreasing order, and no per-item lock
-  acquisition inside a loop over an unsorted iterable.
 * **HFS103** (§2.2.1) — DAL access calls happen only inside a
   transaction callback run by ``Session.run`` (which retries on lock
   conflicts and merges statistics); never on a raw session, and never on
@@ -24,23 +21,16 @@ the tree follows only by convention:
   checked at run time, from every module, by the guard sanitizer
   (:mod:`repro.analysis.guardsanitizer`), which sees no in-place write
   to a ``[writes]`` attribute.
-* **HFS106** (§3.4, across calls) — every batched acquisition site
-  (``acquire_many`` / ``_lock_many`` / ``delete_batch`` / locked
-  ``read_batch``) must take a provably sorted key iterable, and no
-  helper that acquires locks may be called per item from a loop over an
-  unsorted iterable. A locking scan (``ppis``, ``ppis_batch``,
-  ``index_scan`` with ``lock=``) puts no such obligation on its caller:
-  the primitive finds the keys itself and sorts them before it locks.
-  See :mod:`repro.analysis.interproc`.
 
-No rule checks lock *upgrades* or lock-held accesses: a
-SHARED→EXCLUSIVE upgrade inside one transaction, like an access without
-the lock held, does not depend on what another test does, so the
-lock-order witness (:mod:`repro.analysis.lockwitness`) and the guard
-sanitizer see it on every path a test runs, including locks taken
-through the resolver and accesses from other modules, which no rule
-sees. What each rule catches that no runtime checker does is the table
-"Which checker catches what" in ``docs/static_analysis.md``.
+No rule checks the lock order: one total order over every row lock
+(§3.4), with the strongest lock taken up front, is checked where each
+lock is taken. The lock-order witness (:mod:`repro.analysis.lockwitness`)
+ranks every request by :func:`repro.hopsfs.schema.lock_rank` and sees
+every upgrade; the guard sanitizer sees every access without its lock.
+Both see the locks the resolver takes and accesses from other modules,
+which no rule sees. What each rule catches that no runtime checker does
+is the table "Which checker catches what" in
+``docs/static_analysis.md``.
 
 ``HFS100`` is reserved for problems with the waiver and annotation
 comments themselves (malformed syntax, missing reason, unknown rule
@@ -57,11 +47,9 @@ from __future__ import annotations
 RULES: dict[str, str] = {
     "HFS100": "malformed waiver or annotation comment",
     "HFS101": "expensive access type (full_scan / unhinted index_scan) on a hot path",
-    "HFS102": "literal keys locked in decreasing order, or per-item locks in an unsorted loop",
     "HFS103": "DAL access outside a transaction callback (raw session / bare begin)",
     "HFS104": "shared mutable attribute without guarded_by, guarded_by naming no lock, "
               "or a [writes] attribute mutated in place outside its lock",
-    "HFS106": "unsorted batch keys, or a locking helper called from an unsorted loop",
 }
 
 #: path suffixes of the hot-path modules HFS101 applies to (paper §3.3:

@@ -6,7 +6,7 @@ only in real comments (never inside string literals):
 * waivers silence one or more rules on one statement::
 
       rows = tx.full_scan("leases")  # hfs: allow(HFS101, reason=leader-only housekeeping)
-      keys = walk()                  # hfs: allow(HFS102, HFS106, reason=root-down path order)
+      rows = session.full_scan("t")  # hfs: allow(HFS101, HFS103, reason=offline audit)
 
   A waiver applies to violations reported on its own line or on the line
   directly below it (so it can sit on a comment-only line above a long
@@ -32,7 +32,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 
-#: ``# hfs: allow(HFS101, reason=...)`` / ``# hfs: allow(HFS101, HFS106, reason=...)``
+#: ``# hfs: allow(HFS101, reason=...)`` / ``# hfs: allow(HFS101, HFS103, reason=...)``
 _WAIVER_RE = re.compile(
     r"hfs:\s*allow\(\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)\s*"
     r"(?:,\s*reason\s*=\s*(?P<reason>[^)]*))?\)")

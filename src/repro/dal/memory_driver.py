@@ -306,7 +306,6 @@ class MemoryTransaction:
 
     def delete_batch(self, table: str, keys: Sequence[Any]) -> None:
         for key in keys:
-            # hfs: allow(HFS102, reason=DAL primitive; the one global mutex is every row lock, and delete_batch callers own the key order)
             self.delete(table, key, must_exist=False)
 
     # -- end -----------------------------------------------------------------

@@ -42,7 +42,7 @@ def allocate_block(tx: DALTransaction, inode_id: int, block_id: int,
     }
     tx.insert("blocks", block)
     tx.insert("block_lookup", {"block_id": block_id, "inode_id": inode_id})
-    for dn_id in target_dns:
+    for dn_id in sorted(target_dns):
         tx.insert("ruc", {"inode_id": inode_id, "block_id": block_id,
                           "dn_id": dn_id})
     return block

@@ -55,9 +55,10 @@ class HopsFSCluster:
         session = self.driver.session()
 
         def fn(tx: DALTransaction) -> None:
-            for name, start in (("inodes", fs_schema.ROOT_ID + 1),
-                                ("blocks", 1), ("genstamps", 1000),
-                                ("namenodes", 1), ("datanodes", 1)):
+            for name, start in (("blocks", 1), ("datanodes", 1),
+                                ("genstamps", 1000),
+                                ("inodes", fs_schema.ROOT_ID + 1),
+                                ("namenodes", 1)):  # in pk order (§3.4)
                 tx.insert("sequences", {"name": name, "next_value": start})
 
         session.run(fn)

@@ -174,7 +174,8 @@ class InodeOpsMixin:
         return row
 
     def _touch_parent(self, tx: DALTransaction, parent_row: dict) -> None:
-        """Update the parent's mtime (parent row already X-locked)."""
+        """Update the parent's mtime, under its X lock (taken here unless
+        the resolve took it)."""
         if parent_row["id"] == fs_schema.ROOT_ID:
             return  # the root inode is immutable (§4.2.1)
         tx.update("inodes",
@@ -258,6 +259,11 @@ class InodeOpsMixin:
             if not parent_row["is_dir"]:
                 raise ParentNotDirectoryError(join_path(
                     resolved.components[:depth]))
+            if depth > 0:
+                # X-locks the deepest existing ancestor before the rows
+                # below it (§3.4): the resolve locked it only when it is
+                # the new directory's parent
+                self._touch_parent(tx, parent_row)
             created = 0
             for i in range(depth, len(resolved.components)):
                 name = resolved.components[i]
@@ -273,8 +279,6 @@ class InodeOpsMixin:
             quota_mod.enforce_and_queue(
                 tx, self._quota_ancestors(resolved, upto=depth),
                 ns_delta=created, ds_delta=0, nn_id=self.nn_id)
-            if depth > 0:
-                self._touch_parent(tx, resolved.rows[depth - 1])
             return True
 
         hint, plan = self.resolver.tx_hint(path)
@@ -464,15 +468,21 @@ class InodeOpsMixin:
             self._check_lease(row, client)
             inode_id = row["id"]
             (file_blocks,) = resolved.scanned
-            for block in sorted(file_blocks, key=lambda b: b["block_id"]):
-                if block["state"] == blk.BLOCK_STATE_UNDER_CONSTRUCTION:
-                    blk.complete_block(tx, inode_id, block["block_id"])
             targets = self._choose_datanodes(row["replication"])
             block_id = self.block_alloc.next()
             fs_schema.flag_sub_tables(tx, row, fs_schema.SUB_BLOCKS)
-            block = blk.allocate_block(
-                tx, inode_id, block_id, index=len(file_blocks),
-                gen_stamp=self.gen_stamp_alloc.next(), target_dns=targets)
+            # the file's block rows in block-id order (§3.4): a block id
+            # leased by another namenode can sort below the open block
+            for open_id in sorted([block_id] + [
+                    b["block_id"] for b in file_blocks
+                    if b["state"] == blk.BLOCK_STATE_UNDER_CONSTRUCTION]):
+                if open_id != block_id:
+                    blk.complete_block(tx, inode_id, open_id)
+                    continue
+                block = blk.allocate_block(
+                    tx, inode_id, block_id, index=len(file_blocks),
+                    gen_stamp=self.gen_stamp_alloc.next(),
+                    target_dns=targets)
             quota_mod.enforce_and_queue(
                 tx, self._quota_ancestors(resolved,
                                           upto=len(resolved.components) - 1),
@@ -718,7 +728,7 @@ class InodeOpsMixin:
             dst_pk: tuple(dst_components),
         }
         # One locked batched read over EVERY component of both paths in
-        # component-tuple order — ancestor before descendant, the total
+        # (depth, pk) order — ancestor before descendant, the total
         # order: X on the two parents, the source and the destination
         # key, read-committed above them. The engine locks first and
         # reads after, so the ancestors come back as of the moment the
@@ -730,7 +740,8 @@ class InodeOpsMixin:
         for resolved, rows in above:
             for depth, row in enumerate(rows, start=1):
                 paths[self._row_pk(row)] = tuple(resolved.components[:depth])
-        lock_plan = sorted(paths.items(), key=lambda item: item[1])
+        lock_plan = sorted(paths.items(),
+                           key=lambda item: (len(item[1]), item[0]))
         plan_pks = [pk for pk, _order_key in lock_plan]
         with span("lock", rows=len(plan_pks)):
             plan_rows = tx.read_batch(

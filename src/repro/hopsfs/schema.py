@@ -24,7 +24,7 @@ The entity-relation model of Figure 3, fully normalized:
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Optional
 
 from repro.dal.driver import DALDriver, DALTransaction
 from repro.ndb.partition import stable_hash
@@ -255,6 +255,72 @@ ALL_TABLES = (
     SEQUENCES,
     DATANODES,
 )
+
+#: tables whose rows belong to one file, keyed by its ``inode_id``: its
+#: block rows, its lease, its extended metadata. An op writes them under
+#: the file's X lock (§5.2.1); the leader's replication and invalidation
+#: sweeps take them for many files at once with no inode lock
+INODE_ROW_TABLES = frozenset(SUB_TABLE_BITS.keys() - {"quotas"}
+                             | {"leases", "inv"})
+
+#: ``lookup(table, index, key)``: the pk of the row whose ``index``
+#: columns equal ``key``, as the requesting transaction sees it, or None
+RowLookup = Callable[[str, str, tuple], Optional[tuple]]
+
+
+def inode_depth(pk: tuple, lookup: RowLookup) -> Optional[int]:
+    """The depth of the inode with primary key ``pk`` (the root is 0),
+    counted up its parent ids (pk slot 1) through the ``by_id`` index. A
+    move changes it, so the row's ``depth`` column does not serve. None
+    if an ancestor is not found."""
+    depth, parent = 0, pk[1]
+    while parent:
+        depth += 1
+        if parent == ROOT_ID:
+            break
+        parent_pk = lookup("inodes", "by_id", (parent,))
+        if parent_pk is None:
+            return None
+        parent = parent_pk[1]
+    return depth
+
+
+def lock_rank(table: str, pk: tuple, lookup: RowLookup,
+              holds_inode_locks: bool) -> Optional[tuple[int, Any, Any]]:
+    """A row lock's place in the one lock order (paper §3.4), as
+    ``(tier, group, rank)``: a transaction requests the ``inodes`` locks
+    (tier 0) before any other lock (tier 1), and within each group in
+    rising rank. ``holds_inode_locks`` says whether the requesting
+    transaction has requested an ``inodes`` lock before.
+
+    * ``inodes``: one group, ranked by (depth, pk) (:func:`inode_depth`).
+      A path is locked root-down and a subtree level by level, each level
+      in pk order;
+    * :data:`INODE_ROW_TABLES`, in a transaction that holds inode locks:
+      a group per (table, inode), by pk. A file's rows are grouped under
+      its X lock, and go both ways between tables (blocks and replicas,
+      ``er`` and ``inv``);
+    * every other table, the engine's own test tables included, and
+      :data:`INODE_ROW_TABLES` in a transaction with no inode lock (the
+      leader's sweeps, which nothing else orders): a group per table, by
+      pk. ``quotas`` is one of them: the quota applier folds the rows of
+      many directories in one transaction;
+    * ``block_lookup`` has no rank: it is keyed by block id, and its row
+      is written with its block's row, under that file's X lock, so the
+      inode lock orders it (§5.2.1; fsck's repair sweep aside). A subtree
+      delete removes the rows of a whole batch of files, file by file.
+
+    None also for an inode whose depth cannot be traced.
+    """
+    if table == "block_lookup":
+        return None
+    if table == "inodes" and len(pk) == 3:
+        depth = inode_depth(pk, lookup)
+        return None if depth is None else (0, table, (depth, pk))
+    if table in INODE_ROW_TABLES and holds_inode_locks:
+        return 1, (table, pk[0]), pk
+    return 1, table, pk
+
 
 def create_all_tables(driver: DALDriver) -> None:
     for schema in ALL_TABLES:

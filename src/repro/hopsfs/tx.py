@@ -374,7 +374,6 @@ class PathResolver:
             if hints[-1] is not None:
                 scans = scans_for(hints[-1])
             commit = last_access and scans is not None
-        # hfs: allow(HFS106, reason=keys are path-component pks in root-down depth order; the paper's hierarchical total order (section 3.4))
         rows = tx.read_batch("inodes", keys, locks=locks, scans=scans,
                              commit=commit)
         scanned = None
@@ -461,33 +460,13 @@ class IdAllocator:
     def next(self) -> int:
         with self._mutex:
             if self._next >= self._limit:
-                self._lease_batch(self._batch)
+                self._lease_batch()
             value = self._next
             self._next += 1
             return value
 
-    def next_many(self, n: int) -> list[int]:
-        """Allocate ``n`` ids under one mutex acquisition.
-
-        Drains the current lease first; a shortfall triggers at most one
-        lease refill (sized up for large requests), so a bulk allocation
-        costs one lock round and at most one small database transaction
-        instead of ``n`` of each.
-        """
-        if n <= 0:
-            return []
-        with self._mutex:
-            ids = list(range(self._next, min(self._next + n, self._limit)))
-            self._next += len(ids)
-            shortfall = n - len(ids)
-            if shortfall:
-                self._lease_batch(max(self._batch, shortfall))
-                ids.extend(range(self._next, self._next + shortfall))
-                self._next += shortfall
-            return ids
-
-    def _lease_batch(self, size: int) -> None:
-        """Lease the next ``size`` ids (the caller holds ``_mutex``)."""
+    def _lease_batch(self) -> None:
+        """Lease the next ``batch`` ids (the caller holds ``_mutex``)."""
 
         def fn(tx: DALTransaction) -> tuple[int, int]:
             row = tx.read("sequences", (self._sequence,), lock=LockMode.EXCLUSIVE)
@@ -497,8 +476,8 @@ class IdAllocator:
                 )
             start = row["next_value"]
             tx.update("sequences", (self._sequence,),
-                      {"next_value": start + size})
-            return start, start + size
+                      {"next_value": start + self._batch})
+            return start, start + self._batch
 
         self._next, self._limit = self._session.run(
             fn, hint=("sequences", {"name": self._sequence})

@@ -247,11 +247,12 @@ class LockManager:
                      modes: Optional[Iterable[LockMode]] = None) -> None:
         """Acquire ``mode`` on every key, the uncontended ones in one visit.
 
-        ``keys`` must already be in a deadlock-free total order (sorted
-        PKs / root-down path order, §5) — grants happen in exactly that
-        order, so the witness sees the same edge sequence as a per-key
-        loop. ``modes`` optionally gives a per-key mode (parallel to
-        ``keys``); READ_COMMITTED entries are skipped.
+        ``keys`` must already be in the one lock order (§3.4,
+        :func:`repro.hopsfs.schema.lock_rank`, which the lock witness
+        checks) — grants happen in exactly that order, so the witness
+        sees the same requests as a per-key loop. ``modes`` optionally
+        gives a per-key mode (parallel to ``keys``); READ_COMMITTED
+        entries are skipped.
 
         The batched phase takes the mutex once and self-grants keys in
         order until the first one that conflicts; it and everything after
@@ -283,13 +284,14 @@ class LockManager:
                     held.append(key)
                 elif not self._try_grant(key, holders, owner, kmode):
                     break
-                if witness is not None:
-                    witness.row_requested(self, owner, key, kmode.value)
-                    witness.row_granted(self, owner, key, kmode.value)
                 granted += 1
+        if witness is not None:
+            # out of the mutex: the witness ranks a lock by reading rows
+            for key, kmode in wanted[:granted]:
+                witness.row_requested(self, owner, key, kmode.value)
+                witness.row_granted(self, owner, key, kmode.value)
         # remainder: contended keys block one at a time, in caller order
         for key, kmode in wanted[granted:]:
-            # hfs: allow(HFS102, reason=keys arrive pre-sorted in the global total order per the docstring contract; re-sorting here would break root-down path order)
             self.acquire(owner, key, kmode, timeout=timeout)
 
     def release_all(self, owner: Hashable) -> None:

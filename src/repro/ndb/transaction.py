@@ -134,7 +134,6 @@ class Transaction:
             wanted = len(modes) - modes.count(LockMode.READ_COMMITTED)
         if not wanted:
             return
-        # hfs: allow(HFS106, reason=DAL primitive; acquire_many's docstring contract requires keys already in the deadlock-free total order, linted at caller sites)
         self._cluster._locks.acquire_many(self, keys, mode, modes=modes)
         self.stats.rows_locked += wanted
         self._check_granted()
@@ -238,7 +237,6 @@ class Transaction:
         else:
             any_locked = lock is not LockMode.READ_COMMITTED
         if any_locked:
-            # hfs: allow(HFS106, reason=DAL primitive; read_batch callers own the pk sort contract (resolver passes root-down path order))
             self._lock_many(lock, [(table, pk) for pk in pks], modes=locks)
         rows: list[Optional[dict[str, Any]]] = [None] * len(pks)
         by_shard: dict[int, list[int]] = {}
@@ -487,7 +485,6 @@ class Transaction:
             keys = sorted({(plan.table, pk)
                            for plan, pks in zip(plans, plan_pks)
                            for pk in pks})
-        # hfs: allow(HFS106, reason=both branches build keys in sorted (table, pk) order; dict.fromkeys keeps the order of the sorted(...) it dedupes)
         self._lock_many(lock, keys)
         self.stats.rows_locked += sum(map(len, plan_pks)) - len(keys)
         # re-read: a row may have changed or gone before its lock
@@ -590,7 +587,6 @@ class Transaction:
         self._check_active()
         schema = self._cluster.schema(table)
         pks = [schema.pk_tuple(key) for key in keys]
-        # hfs: allow(HFS106, reason=DAL primitive; delete_batch callers own the pk sort contract, linted at caller sites)
         self._lock_many(LockMode.EXCLUSIVE, [(table, pk) for pk in pks])
         pids = self._shards_of(schema, pks)
         by_shard: dict[int, list[tuple[Any, ...]]] = {}

@@ -472,7 +472,6 @@ class NDBServer:
         commit = bool(params.get("commit"))
 
         def read(tx: Any) -> Any:
-            # hfs: allow(HFS106, reason=server relays client-supplied keys verbatim; the ordering obligation is linted at the client call site)
             return tx.read_batch(
                 params["table"], params["keys"],
                 lock=_lock_mode(params.get("lock")),

@@ -84,101 +84,6 @@ class TestHFS101:
         assert codes(src) == ["HFS101"]
 
 
-# -- HFS102: lock order ---------------------------------------------------------
-
-
-class TestHFS102:
-    def test_decreasing_literal_keys_flagged(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx):
-            tx.read("inodes", (5,), lock=LockMode.EXCLUSIVE)
-            tx.read("inodes", (3,), lock=LockMode.EXCLUSIVE)
-        """
-        assert "HFS102" in codes(src)
-        # the seeded defect (docs/static_analysis.md, "Which checker
-        # catches what")
-        seeded = """
-        def fn(tx):
-            row = tx.read("sequences", (sequence,), lock=LockMode.EXCLUSIVE)
-            tx.read("sequences", ("inodes",), lock=LockMode.EXCLUSIVE)
-            tx.read("sequences", ("blocks",), lock=LockMode.EXCLUSIVE)
-        """
-        assert codes(seeded, path=COLD) == ["HFS102"]
-
-    def test_increasing_literal_keys_clean(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx):
-            tx.read("inodes", (3,), lock=LockMode.EXCLUSIVE)
-            tx.read("inodes", (5,), lock=LockMode.EXCLUSIVE)
-        """
-        assert codes(src) == []
-
-    def test_per_item_lock_in_unsorted_loop_flagged(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx, rows):
-            for row in rows:
-                tx.read("inodes", row, lock=LockMode.EXCLUSIVE)
-        """
-        assert "HFS102" in codes(src)
-        # the seeded defect only this check caught: the quota applier's
-        # deltas are grouped in update-id order, not quota-row order
-        seeded = """
-        def fn(tx):
-            for inode_id, (ns_delta, ds_delta) in by_inode.items():
-                row = tx.read("quotas", (inode_id,), lock=LockMode.EXCLUSIVE)
-                tx.update("quotas", (inode_id,), {"ns_used": ns_delta})
-        """
-        assert codes(seeded, path=COLD) == ["HFS102", "HFS102"]
-
-    def test_per_item_lock_in_sorted_loop_clean(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx, rows):
-            for row in sorted(rows):
-                tx.read("inodes", row, lock=LockMode.EXCLUSIVE)
-        """
-        assert codes(src) == []
-
-    def test_name_assigned_from_sorted_is_clean(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx, rows):
-            ordered = sorted(rows, key=lambda r: r["id"])
-            for row in ordered:
-                tx.read("inodes", row, lock=LockMode.EXCLUSIVE)
-        """
-        assert codes(src) == []
-
-    def test_range_loop_is_clean(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx):
-            for i in range(4):
-                tx.read("inodes", (i,), lock=LockMode.EXCLUSIVE)
-        """
-        assert codes(src) == []
-
-    def test_waiver_suppresses_lock_order(self):
-        src = """
-        from repro.ndb.locks import LockMode
-
-        def fn(tx, rows):
-            for row in rows:
-                # hfs: allow(HFS102, reason=single-row batches only)
-                tx.read("inodes", row, lock=LockMode.EXCLUSIVE)
-        """
-        assert codes(src) == []
-
-
 # -- HFS103: DAL access outside transaction-callback scope --------------------
 
 

@@ -1,6 +1,5 @@
-"""Analysis-v2 fixtures: the budget table's cost expressions, HFS106's
-batch and helper-in-loop lock order, waiver edge cases, and the
-lock-witness graph export.
+"""Analysis-v2 fixtures: the budget table's cost expressions, waiver
+edge cases, and the lock-witness graph export.
 
 Like ``test_analysis_lint.py``, these drive the analyzers over small
 synthetic modules; paths decide which rules apply.
@@ -9,20 +8,9 @@ synthetic modules; paths decide which rules apply.
 import json
 import textwrap
 
-from repro.analysis import interproc
 from repro.analysis.budgets import BudgetError, Cost, budget_for
-from repro.analysis.interproc import SourceFile
 from repro.analysis.linter import lint_source
 from repro.analysis.lockwitness import LockWitness
-
-SCOPE = "synthetic/hopsfs/ops_inode.py"   # a module defining op callbacks
-HELPER = "synthetic/hopsfs/helpers.py"    # helpers only
-
-
-def parse(source: str, path: str = SCOPE) -> SourceFile:
-    sf = SourceFile.parse(path, textwrap.dedent(source))
-    assert sf is not None
-    return sf
 
 
 # -- budget expressions -----------------------------------------------------------
@@ -56,166 +44,6 @@ class TestCostModel:
         assert budget_for("no_such_op") is None
 
 
-# -- HFS106: interprocedural lock discipline -------------------------------------
-
-
-def interproc_codes(source: str, path: str = SCOPE):
-    return [p.code for p in interproc.check([parse(source, path)])]
-
-
-class TestHFS106:
-    def test_unsorted_locked_batch_flagged(self):
-        src = """
-        def fn(tx, keys):
-            return tx.read_batch("inodes", keys, lock=LockMode.SHARED)
-        """
-        assert interproc_codes(src) == ["HFS106"]
-        # the seeded rename lock plan (docs/static_analysis.md, "Which
-        # checker catches what")
-        seeded = """
-        def fn(tx, paths, exclusive):
-            lock_plan = list(paths.items())
-            plan_pks = [pk for pk, _order_key in lock_plan]
-            return tx.read_batch(
-                "inodes", plan_pks,
-                locks=[LockMode.EXCLUSIVE if pk in exclusive
-                       else LockMode.READ_COMMITTED for pk in plan_pks])
-        """
-        assert interproc_codes(seeded) == ["HFS106"]
-
-    def test_sorted_locked_batch_clean(self):
-        src = """
-        def fn(tx, keys):
-            ordered = sorted(keys)
-            return tx.read_batch("inodes", ordered, lock=LockMode.SHARED)
-        """
-        assert interproc_codes(src) == []
-
-    def test_unlocked_batch_carries_no_obligation(self):
-        src = """
-        def fn(tx, keys):
-            return tx.read_batch("inodes", keys)
-        """
-        assert interproc_codes(src) == []
-
-    def test_locking_scans_order_their_own_acquisition(self):
-        # the keys are found by the primitive, which sorts before it
-        # locks: nothing for the call site to prove
-        src = """
-        def fn(tx, dirs):
-            return tx.ppis_batch([("inodes", {"part_key": d}) for d in dirs],
-                                 lock=LockMode.EXCLUSIVE)
-        """
-        assert interproc_codes(src) == []
-
-    def test_unsorted_delete_batch_flagged(self):
-        src = """
-        def fn(tx, ids):
-            tx.delete_batch("leases", [(i,) for i in ids])
-        """
-        assert interproc_codes(src) == ["HFS106"]
-
-    def test_sorted_delete_batch_clean(self):
-        src = """
-        def fn(tx, nodes):
-            ordered = sorted(nodes)
-            tx.delete_batch("leases", sorted((n,) for n in nodes))
-            tx.delete_batch("inodes", [node.pk for node in ordered])
-        """
-        assert interproc_codes(src) == []
-
-    def test_acquire_many_obligation(self):
-        src = """
-        def fn(mgr, tx, keys):
-            mgr.acquire_many(tx, keys, LockMode.EXCLUSIVE)
-        """
-        assert interproc_codes(src) == ["HFS106"]
-
-    def test_strongest_first_across_functions_clean(self):
-        src = """
-        class Ops:
-            def op(self, mgr):
-                def fn(tx):
-                    mgr.acquire(tx, ("inodes", 5), LockMode.EXCLUSIVE)
-                    bump(tx, ("inodes", 5))
-                return self._fs_op("up_op", fn)
-
-        def bump(tx, key):
-            mgr.acquire(tx, key, LockMode.EXCLUSIVE)
-        """
-        assert interproc.check([parse(src)]) == []
-
-    def test_helper_locking_in_unsorted_loop_flagged(self):
-        src = """
-        class Ops:
-            def op(self, keys):
-                def fn(tx):
-                    for k in keys:
-                        bump(tx, k)
-                return self._fs_op("loop_op", fn)
-
-        def bump(tx, key):
-            mgr.acquire(tx, key, LockMode.EXCLUSIVE)
-        """
-        problems = interproc.check([parse(src)])
-        assert any(p.code == "HFS106" and "called\nper-item" not in p.message
-                   and "per-item" in p.message for p in problems)
-        # the seeded defect only this check caught: ``complete`` walks
-        # its blocks unsorted and locks through the block helpers
-        seeded = """
-        class Ops:
-            def complete(self, path):
-                def fn(tx):
-                    resolved = self.resolver.resolve(tx, path)
-                    file_blocks, replicas = resolved.scanned
-                    for block in file_blocks:
-                        blk.complete_block(tx, inode_id, block["block_id"])
-                        blk.check_replication(tx, inode_id,
-                                              block["block_id"], 3)
-                return self._fs_op("complete", fn)
-
-        def complete_block(tx, inode_id, block_id):
-            tx.update("blocks", (inode_id, block_id), {"state": 1})
-
-        def check_replication(tx, inode_id, block_id, replication):
-            tx.delete("urb", (inode_id, block_id), must_exist=False)
-        """
-        assert [p.line for p in interproc.check([parse(seeded)])] == [8, 9]
-
-    def test_helper_locking_in_sorted_loop_clean(self):
-        src = """
-        class Ops:
-            def op(self, keys):
-                def fn(tx):
-                    for k in sorted(keys):
-                        bump(tx, k)
-                return self._fs_op("loop_op", fn)
-
-        def bump(tx, key):
-            mgr.acquire(tx, key, LockMode.EXCLUSIVE)
-        """
-        assert interproc.check([parse(src)]) == []
-
-    def test_helper_resolved_across_files(self):
-        ops = parse("""
-        class Ops:
-            def op(self, keys):
-                def fn(tx):
-                    for k in keys:
-                        helper_bump(tx, k)
-                return self._fs_op("x_op", fn)
-        """)
-        helpers = parse("""
-        def helper_bump(tx, key):
-            locked_read(tx, key)
-
-        def locked_read(tx, key):
-            tx.read("inodes", key, lock=LockMode.EXCLUSIVE)
-        """, path=HELPER)
-        problems = interproc.check([ops, helpers])
-        assert [(p.path, p.code) for p in problems] == [(SCOPE, "HFS106")]
-
-
 # -- waiver edge cases ------------------------------------------------------------
 
 
@@ -224,16 +52,6 @@ HOT = "src/repro/hopsfs/ops_inode.py"
 
 def lint(source: str, path: str = HOT):
     return lint_source(textwrap.dedent(source), path)
-
-
-class TestDeleteBatchIsAnXLock:
-    def test_per_item_delete_batch_in_an_unsorted_loop_flagged(self):
-        src = """
-        def fn(tx, ids):
-            for inode_id in ids:
-                tx.delete_batch("leases", [(inode_id,)])
-        """
-        assert [v.code for v in lint(src)] == ["HFS102"]
 
 
 class TestWaiverEdgeCases:

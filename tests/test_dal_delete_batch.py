@@ -81,20 +81,21 @@ def test_an_empty_batch_deletes_nothing(driver):
 def test_a_buffered_insert_is_cancelled(driver):
     session = _fill(driver)
 
-    def fn(tx):
-        tx.insert("items", {"pid": 1, "name": "new", "value": 0})
-        tx.delete_batch("items", [(1, "n0"), (1, "new")])
+    def fn(tx):  # keys in rising order (the lock order)
+        tx.insert("items", {"pid": 1, "name": "m", "value": 0})
+        tx.delete_batch("items", [(1, "m"), (1, "n0")])
         # cancelled, not deleted: the key is free to insert again
-        tx.insert("items", {"pid": 1, "name": "again", "value": 0})
-        tx.insert("items", {"pid": 1, "name": "new", "value": 7})
-        tx.delete_batch("items", [(1, "again")])
+        tx.insert("items", {"pid": 1, "name": "m", "value": 7})
+        tx.insert("items", {"pid": 1, "name": "o", "value": 0})
+        tx.delete_batch("items", [(1, "o")])
 
     session.run(fn)
-    assert _names(session, 1) == ["n1", "n2", "new"]
-    row = session.run(lambda tx: tx.read("items", (1, "new")))
+    assert _names(session, 1) == ["m", "n1", "n2"]
+    row = session.run(lambda tx: tx.read("items", (1, "m")))
     assert row["value"] == 7
 
 
+@pytest.mark.lock_witness_exempt  # a locked scan over rows it deleted first
 def test_the_transaction_reads_its_own_deletes(driver):
     session = _fill(driver)
     tx = session.begin()

@@ -97,6 +97,27 @@ class TestCreate:
         status = client.stat("/f")
         assert not status.under_construction
 
+    def test_complete_a_file_whose_block_ids_do_not_follow_its_blocks(
+            self, fs):
+        """Each namenode leases its own range of block ids, so a file
+        written through two of them has a second block whose id is below
+        its first's."""
+        nn1, nn2 = fs.namenodes
+        nn1.create("/other", client="c")
+        nn1.add_block("/other", "c")  # nn1 leases the first id range
+        nn2.create("/f", client="c")
+        first = nn2.add_block("/f", "c")
+        nn2.block_received(first.datanodes[0], first.block_id, 7)
+        second = nn1.add_block("/f", "c")
+        nn1.block_received(second.datanodes[0], second.block_id, 3)
+        assert second.block_id < first.block_id
+        assert nn1.complete("/f", "c")
+        status = nn1.get_file_info("/f")
+        assert (status.size, status.under_construction) == (10, False)
+        blocks = nn1.get_block_locations("/f").blocks
+        assert [(b.block_id, b.size, b.state) for b in blocks] == [
+            (first.block_id, 7, "complete"), (second.block_id, 3, "complete")]
+
 
 class TestStatAndExists:
     def test_stat_missing_is_none(self, client):

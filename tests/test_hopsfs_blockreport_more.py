@@ -53,10 +53,12 @@ class TestDivergenceRepair:
         dn = max(fs.datanodes, key=lambda d: d.block_count())
         session = fs.driver.session()
 
-        def drop_all(tx):
-            for row in tx.index_scan("replicas", "by_dn", (dn.dn_id,)):
-                tx.delete("replicas", (row["inode_id"], row["block_id"],
-                                       dn.dn_id))
+        def drop_all(tx):  # in pk order (the lock order)
+            rows = tx.index_scan("replicas", "by_dn", (dn.dn_id,))
+            for inode_id, block_id in sorted((row["inode_id"],
+                                              row["block_id"])
+                                             for row in rows):
+                tx.delete("replicas", (inode_id, block_id, dn.dn_id))
 
         session.run(drop_all)
         result = fs.send_block_report(dn.dn_id)

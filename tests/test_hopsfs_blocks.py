@@ -74,6 +74,23 @@ class TestReplicationManager:
         holders = [dn for dn in fs.datanodes if dn.block_count() > 0]
         assert len(holders) == 1
 
+    def test_one_drain_invalidates_each_files_excess_copies(self, fs,
+                                                              client):
+        # excess copies queued file by file in descending inode id, so
+        # the drain's scan does not return them in key order
+        paths = [f"/f{i}" for i in range(4)]
+        for path in paths:
+            client.write_file(path, path.encode(), replication=3)
+        for path in reversed(paths):
+            client.set_replication(path, 1)
+        assert len(table_rows(fs, "inv")) == 8
+        fs.tick()
+        assert table_rows(fs, "inv") == []
+        assert table_rows(fs, "er") == []
+        assert sum(dn.block_count() for dn in fs.datanodes) == 4
+        for path in paths:
+            assert client.read_file(path) == path.encode()
+
     def test_set_replication_up_creates_urb(self, fs, client):
         client.write_file("/f", b"x", replication=1)
         client.set_replication("/f", 3)

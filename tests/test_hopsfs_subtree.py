@@ -560,6 +560,30 @@ class TestSetQuota:
         rows = session.run(lambda tx: tx.full_scan("quotas"))
         assert rows[0]["ns_used"] == 6  # dir + 5 files
 
+    def test_one_fold_updates_each_directory_by_its_own_deltas(self, fs):
+        """The leader folds every queued delta in one transaction. Here
+        the deltas are queued for two quota'd directories in descending
+        inode id, so the fold meets them out of key order."""
+        nn = fs.namenodes[0]
+        nn.mkdirs("/qa")
+        nn.mkdirs("/qb")
+        ids = {name: nn.get_file_info(f"/{name}").inode_id
+               for name in ("qa", "qb")}
+        assert ids["qa"] < ids["qb"]
+        for name in ("qa", "qb"):
+            nn.set_quota(f"/{name}", 100, 10**9)
+        fs.tick()
+        nn.create("/qb/f", client="c")
+        nn.add_block("/qb/f", "c")
+        nn.create("/qa/f1", client="c")
+        nn.create("/qa/f2", client="c")
+        fs.tick()
+        rows = fs.driver.session().run(lambda tx: tx.read_batch(
+            "quotas", [(ids["qa"],), (ids["qb"],)]))
+        block = fs.config.block_size * 3  # a block reserves its replicas
+        assert [(row["ns_used"], row["ds_used"]) for row in rows] == [
+            (3, 0), (2, block)]
+
     def test_delete_releases_quota(self, fs, client):
         client.mkdirs("/q")
         client.set_quota("/q", 4, None)

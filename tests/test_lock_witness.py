@@ -10,10 +10,14 @@ without real threads or timing.
 
 import inspect
 import threading
+from contextlib import contextmanager
+
+import pytest
 
 from repro.analysis import lockwitness
 from repro.analysis.lockwitness import LockWitness
 from repro.metrics.registry import MetricsRegistry
+from repro.ndb.locks import LockMode
 
 
 class FakeManager:
@@ -61,7 +65,7 @@ class TestCycleDetection:
         take(w, m2, "t2", ("inodes", (2,)))
         take(w, m2, "t2", ("inodes", (1,)))
         w.owner_released(m2, "t2")
-        assert w.report().ok
+        assert w.report().cycles == []  # t2's own order is a rank fault
 
     def test_three_party_cycle(self):
         w = LockWitness()
@@ -354,3 +358,167 @@ class TestThreadBridging:
         t.start()
         t.join()
         assert w.report().ok
+
+
+# -- the rank check (repro.hopsfs.schema.lock_rank), on a real cluster ----------
+
+@contextmanager
+def witnessing():
+    """A fresh witness on every lock, the session's own put back after."""
+    from repro.ndb.locks import LockManager
+    from repro.util.rwlock import ReadWriteLock
+
+    prev = lockwitness.current_witness()
+    try:
+        yield lockwitness.install_witness()
+    finally:
+        LockManager._witness = ReadWriteLock._witness = prev
+        lockwitness._current = prev
+
+
+class TestRankCheck:
+    @pytest.fixture(scope="class")
+    def fs(self):
+        from repro.hopsfs import HopsFSCluster
+
+        fs = HopsFSCluster(num_namenodes=1, num_datanodes=1)
+        client = fs.client("c")
+        client.mkdirs("/a/b/c")
+        client.mkdirs("/z")
+        return fs
+
+    @staticmethod
+    def rows(fs, path):
+        """The inode rows of ``path``'s components, root-down."""
+        tx = fs.driver.begin()
+        try:
+            return fs.any_namenode().resolver.resolve(tx, path).rows
+        finally:
+            tx.abort()
+
+    @staticmethod
+    def pk(row):
+        return (row["part_key"], row["parent_id"], row["name"])
+
+    def lock(self, fs, keys):
+        """One transaction X-locking ``(table, pk)`` keys in this order;
+        the rank faults it drew."""
+        with witnessing() as witness:
+            tx = fs.driver.begin()
+            try:
+                for table, pk in keys:
+                    tx.read(table, pk, lock=LockMode.EXCLUSIVE)
+            finally:
+                tx.abort()
+        return witness.report().rank_faults
+
+    def test_a_lock_above_a_deeper_one_is_flagged(self, fs):
+        a, b = self.rows(fs, "/a/b")
+        [fault] = self.lock(fs, [("inodes", self.pk(b)),
+                                 ("inodes", self.pk(a))])
+        assert fault.label == f"row {('inodes', self.pk(a))!r}"
+        assert fault.after == f"row {('inodes', self.pk(b))!r}"
+        assert "tests/test_lock_witness.py:" in fault.site
+
+    def test_depth_outranks_the_pk(self, fs):
+        # /z sorts after /a/b/c by pk, but is shallower: it goes first
+        *_, c = self.rows(fs, "/a/b/c")
+        [z] = self.rows(fs, "/z")
+        assert self.pk(z) > self.pk(c)
+        assert self.lock(fs, [("inodes", self.pk(z)),
+                              ("inodes", self.pk(c))]) == []
+        assert len(self.lock(fs, [("inodes", self.pk(c)),
+                                  ("inodes", self.pk(z))])) == 1
+
+    def test_a_reentrant_request_is_not_flagged(self, fs):
+        a, b = self.rows(fs, "/a/b")
+        assert self.lock(fs, [("inodes", self.pk(a)), ("inodes", self.pk(b)),
+                              ("inodes", self.pk(a))]) == []
+
+    def test_a_root_down_path_passes(self, fs):
+        rows = self.rows(fs, "/a/b/c")
+        assert self.lock(fs, [("inodes", self.pk(row))
+                              for row in rows]) == []
+        with witnessing() as witness:  # as one batch, as a resolve takes it
+            fs.any_namenode().mkdirs("/a/b/c/d/e")
+            fs.any_namenode().rename("/a/b/c/d", "/z/d")
+        assert witness.report().ok, witness.report().render()
+
+    def test_a_multi_level_mkdirs_locks_its_ancestor_first(self, fs):
+        # the ancestor's mtime update X-locks it before the rows inserted
+        # below it: after them, mkdirs /y/p/q against rename /x -> /y/p
+        # could each hold the row the other waits for
+        fs.any_namenode().mkdirs("/y")
+        with witnessing() as witness:
+            fs.any_namenode().mkdirs("/y/p/q/r")
+        assert witness.report().ok, witness.report().render()
+
+    def test_rows_the_transaction_inserted_give_the_depth(self, fs):
+        [a] = self.rows(fs, "/a")
+        nn = fs.any_namenode()
+        with witnessing() as witness:
+            tx = fs.driver.begin()
+            try:
+                parent = nn.resolver.root_row()
+                for name in ("n", "m"):  # /n, then /n/m under it
+                    row = nn._new_inode_row(parent, name, depth=0,
+                                            is_dir=True, perm=0o755,
+                                            owner="o", group="g")
+                    tx.insert("inodes", row)
+                    parent = row
+                tx.read("inodes", self.pk(a), lock=LockMode.EXCLUSIVE)
+            finally:
+                tx.abort()
+        [fault] = witness.report().rank_faults
+        assert fault.label == f"row {('inodes', self.pk(a))!r}"
+        assert "'m')" in fault.after
+
+    def test_an_inodes_rows_rank_within_the_inode(self, fs):
+        [a] = self.rows(fs, "/a")
+        [z] = self.rows(fs, "/z")
+        low, high = sorted((a["id"], z["id"]))
+        # under the files' inode locks (depth 1 both: in pk order)
+        inodes = sorted([("inodes", self.pk(a)), ("inodes", self.pk(z))])
+        assert self.lock(fs, inodes + [("xattrs", (high, "k")),
+                                       ("xattrs", (low, "k"))]) == []
+        assert self.lock(fs, inodes + [("xattrs", (low, "k")),
+                                       ("blocks", (low, 9)),
+                                       ("xattrs", (high, "a"))]) == []
+        [fault] = self.lock(fs, inodes + [("xattrs", (low, "z")),
+                                          ("xattrs", (low, "a"))])
+        assert fault.label == f"row {('xattrs', (low, 'a'))!r}"
+
+    def test_without_an_inode_lock_a_files_rows_rank_by_pk(self, fs):
+        # the leader's sweeps take many files' rows and no inode lock
+        assert self.lock(fs, [("prb", (3, 9)), ("urb", (3, 9)),
+                              ("prb", (4, 1)), ("urb", (4, 1))]) == []
+        [fault] = self.lock(fs, [("urb", (4, 1)), ("urb", (3, 9))])
+        assert fault.label == f"row {('urb', (3, 9))!r}"
+        assert fault.after == f"row {('urb', (4, 1))!r}"
+
+    def test_an_inode_after_another_table_is_flagged(self, fs):
+        [a] = self.rows(fs, "/a")
+        [fault] = self.lock(fs, [("xattrs", (a["id"], "k")),
+                                 ("inodes", self.pk(a))])
+        assert fault.label == f"row {('inodes', self.pk(a))!r}"
+
+    def test_other_tables_rank_by_pk(self, fs):
+        assert self.lock(fs, [("quotas", (5,)), ("quotas", (7,))]) == []
+        assert len(self.lock(fs, [("quotas", (7,)), ("quotas", (5,))])) == 1
+        assert self.lock(fs, [("block_lookup", (7,)),
+                              ("block_lookup", (5,))]) == []  # unranked
+
+    def test_the_report_carries_rank_faults(self, fs):
+        a, b = self.rows(fs, "/a/b")
+        with witnessing() as witness:
+            tx = fs.driver.begin()
+            tx.read("inodes", self.pk(b), lock=LockMode.EXCLUSIVE)
+            tx.read("inodes", self.pk(a), lock=LockMode.EXCLUSIVE)
+            tx.abort()
+        report = witness.report()
+        assert not report.ok
+        assert "1 rank fault(s)" in report.render()
+        assert "  RANK: row ('inodes'" in report.render()
+        graph = witness.export_graph(report)
+        assert graph["summary"]["rank_faults"] == 1
+        assert graph["rank_faults"][0]["label"] == report.rank_faults[0].label

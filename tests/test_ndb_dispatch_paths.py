@@ -85,9 +85,9 @@ def run_the_mix(cluster):
     out.append(tx.stats.events)
     with cluster.begin() as tx:
         tx.update("inodes", (0, "a"), {"perm": 0o600})
+        tx.delete("inodes", (2, "c"))
         tx.insert("inodes", {"parent_id": 5, "name": "new", "inode_id": 99,
                              "perm": 0o644})
-        tx.delete("inodes", (2, "c"))
         tx.insert("blocks", {"inode_id": 4, "block_id": 0, "size": 1})
     out.append(tx.stats.events)
     out.append({key: frag.snapshot() for node in cluster.datanodes

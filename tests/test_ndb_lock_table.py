@@ -263,15 +263,15 @@ def test_the_fault_site_fires_once_per_call_regrants_included():
         mgr.acquire_many("a", KEYS[:3], X)               # two new, one held
         mgr.acquire_many("a", KEYS[:3], X)               # all re-grants
         mgr.acquire_many("a", KEYS[3:], S, modes=[RC, RC])  # nothing wanted
-        mgr.acquire_many("b", KEYS[3:], S)
         # a conflict: the batch, then its remainder's one acquire call
         with pytest.raises(LockTimeoutError):
             mgr.acquire_many("b", KEYS[:1], S, timeout=0.01)
+        mgr.acquire_many("b", KEYS[3:], S)
     contexts = [f.ctx for f in injector.fired]
     assert contexts == [{"mode": "x"}, {"mode": "x"}, {"mode": "s"},
                         {"mode": "x", "batch": 3}, {"mode": "x", "batch": 3},
-                        {"mode": "s", "batch": 2},
-                        {"mode": "s", "batch": 1}, {"mode": "s"}]
+                        {"mode": "s", "batch": 1}, {"mode": "s"},
+                        {"mode": "s", "batch": 2}]
     mgr.release_all("a")
     mgr.release_all("b")
     assert mgr.lock_table_size() == 0

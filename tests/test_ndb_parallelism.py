@@ -1,6 +1,5 @@
 """Tests for the shard-parallel engine: the lock table, per-shard
-dispatch, group-committed 2PC, bulk id allocation and the primary
-table.
+dispatch, group-committed 2PC and the primary table.
 
 The stress tests use real threads; they keep iteration counts small so
 the suite stays fast, and every assertion is about *correctness* (no
@@ -19,7 +18,6 @@ import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.faults import FaultPlan, installed
-from repro.hopsfs.tx import IdAllocator
 from repro.metrics.tracing import Tracer
 from repro.ndb import LockMode, NDBCluster, NDBConfig, TableSchema, datanode
 from repro.ndb.locks import LockManager
@@ -340,17 +338,17 @@ class TestGroupCommit:
             plan.add("ndb.commit.participant", action="delay", delay=0.0,
                      max_fires=None)
             with installed(plan) as injector, tracer.trace("commit3"):
-                with cluster.begin() as tx:
+                with cluster.begin() as tx:  # keys in rising order
                     tx.update("kv", (updated,), {"v": "u"})
-                    tx.insert("kv", {"k": 9, "v": "i"})
                     tx.delete("kv", (deleted,))
+                    tx.insert("kv", {"k": 9, "v": "i"})
             assert injector.counts() == {"ndb.commit.participant": k}
             assert (commit.count, commit.total,
                     observations(cluster, "commit")) == (
                 before[0] + 1, before[1] + k, before[2] + k)
             seeding, record = cluster.commit_log
-            assert [w.pk for w in record.writes] == [(updated,), (9,),
-                                                     (deleted,)]
+            assert [w.pk for w in record.writes] == [(updated,),
+                                                     (deleted,), (9,)]
             [trace] = tracer.recent()
             assert len(trace.spans("commit.participant")) == k
             return k, {key: frag.snapshot() for node in cluster.datanodes
@@ -415,60 +413,3 @@ class TestPrimaryTable:
         event = tx.stats.events[-1]
         assert victim not in event.nodes
         tx.commit()
-
-
-# -- bulk id allocation -----------------------------------------------------------
-
-
-class TestNextMany:
-    def make_seq_cluster(self):
-        cluster = NDBCluster(NDBConfig(num_datanodes=2, replication=2))
-        cluster.create_table(TableSchema(
-            name="sequences", columns=("name", "next_value"),
-            primary_key=("name",)))
-        with cluster.begin() as tx:
-            tx.insert("sequences", {"name": "ids", "next_value": 100})
-        return cluster
-
-    def test_bulk_ids_unique_and_ordered(self):
-        cluster = self.make_seq_cluster()
-        alloc = IdAllocator(cluster.session(), "ids", batch=10)
-        ids = alloc.next_many(25)
-        assert len(ids) == 25
-        assert ids == sorted(set(ids))
-
-    def test_bulk_allocation_single_refill(self):
-        cluster = self.make_seq_cluster()
-        alloc = IdAllocator(cluster.session(), "ids", batch=10)
-        leases = []
-        original = alloc._lease_batch
-        alloc._lease_batch = lambda size: (leases.append(size),
-                                           original(size))[1]
-        alloc.next_many(45)  # empty lease, needs 45 > batch
-        assert leases == [45]
-
-    def test_bulk_drains_lease_before_refill(self):
-        cluster = self.make_seq_cluster()
-        alloc = IdAllocator(cluster.session(), "ids", batch=10)
-        first = alloc.next()  # leases [100, 110)
-        ids = alloc.next_many(15)  # 9 from lease + one refill of >= 10
-        assert ids[0] == first + 1
-        assert len(set(ids)) == 15
-        with cluster.begin() as tx:
-            leased = tx.read("sequences", ("ids",))["next_value"]
-        assert leased == 120  # exactly two leases total
-
-    def test_zero_and_negative(self):
-        cluster = self.make_seq_cluster()
-        alloc = IdAllocator(cluster.session(), "ids", batch=10)
-        assert alloc.next_many(0) == []
-        assert alloc.next_many(-3) == []
-
-    def test_interleaves_with_next(self):
-        cluster = self.make_seq_cluster()
-        alloc = IdAllocator(cluster.session(), "ids", batch=8)
-        seen = set()
-        for _ in range(4):
-            seen.add(alloc.next())
-            seen.update(alloc.next_many(7))
-        assert len(seen) == 4 * 8

@@ -253,8 +253,8 @@ class TestScans:
     def test_ppis_sees_own_buffered_writes(self, cluster):
         self.fill_dir(cluster, 1, 2)
         with cluster.begin() as tx:
-            tx.insert("inodes", inode(1, "new", 999))
             tx.delete("inodes", (1, "f0"))
+            tx.insert("inodes", inode(1, "new", 999))
             rows = tx.ppis("inodes", {"parent_id": 1})
             names = {r["name"] for r in rows}
         assert names == {"f1", "new"}
@@ -330,12 +330,16 @@ class TestScans:
         (LockMode.READ_COMMITTED, True,
          [(0, 0), (8, 8), (2, 102), (6, 6), (20, 20), (10, 10)], 0),
         # locked: every committed candidate in pk order, then the
-        # buffered rows in write order; only candidates are locked
-        (LockMode.SHARED, False,
-         [(0, 0), (1, 1), (2, 102), (3, 3), (6, 6), (7, 7), (8, 8),
-          (9, 9), (10, 10), (20, 20), (21, 7)], 10),
-        (LockMode.SHARED, True,
-         [(0, 0), (2, 102), (6, 6), (8, 8), (10, 10), (20, 20)], 5),
+        # buffered rows in write order; only candidates are locked. The
+        # scan's locks rank below the writes before it: a locked scan
+        # over buffered writes is the point, so the witness is off
+        pytest.param(LockMode.SHARED, False,
+                     [(0, 0), (1, 1), (2, 102), (3, 3), (6, 6), (7, 7),
+                      (8, 8), (9, 9), (10, 10), (20, 20), (21, 7)], 10,
+                     marks=pytest.mark.lock_witness_exempt),
+        pytest.param(LockMode.SHARED, True,
+                     [(0, 0), (2, 102), (6, 6), (8, 8), (10, 10), (20, 20)],
+                     5, marks=pytest.mark.lock_witness_exempt),
     ])
     def test_all_shard_index_scan_merges_buffered_writes(
             self, cluster, lock, even, expected, locked):
@@ -504,8 +508,8 @@ class TestRowOwnership:
         assert stored(cluster, "inodes", (0, "g")) == [inode(0, "g", 2)] * 2
 
     def test_a_restarted_replica_shares_the_survivors_rows(self, cluster):
-        with cluster.begin() as tx:
-            for i in range(20):
+        with cluster.begin() as tx:  # in key order
+            for i in sorted(range(20), key=lambda i: (i % 4, f"f{i}")):
                 tx.insert("inodes", inode(i % 4, f"f{i}", i))
         cluster.kill_node(0)
         with cluster.begin() as tx:  # committed while node 0 is down

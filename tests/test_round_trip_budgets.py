@@ -537,18 +537,6 @@ class TestSubtreeBudgets:
         assert fs.driver.table_size("xattrs") == 0
 
 
-def _create_level_by_level(nn, path: str) -> None:
-    """Create a file, making each missing directory in a transaction of
-    its own: ``create`` of a path with several missing directories
-    inserts them root-down and only then touches the existing prefix's
-    last row, an ancestor-after-descendant edge the lock-order witness
-    would close into a cycle with the level-wide quiesce batches."""
-    parts = path.strip("/").split("/")
-    for depth in range(1, len(parts)):
-        nn.mkdirs("/" + "/".join(parts[:depth]))
-    nn.create(path, client="c")
-
-
 def _subtree_txs(levels, batch: int) -> int:
     """Transactions of a root-update subtree op: phase 1, phase 3 and,
     per level of the walk, one per group of ``batch`` plain directories
@@ -586,8 +574,7 @@ class TestSubtreeTransactionCount:
         nn = fs.namenodes[0]
         for parent in range(8):
             for leaf in range(5):
-                _create_level_by_level(
-                    nn, f"/x/y/tree/p{parent}/d{leaf}/f")
+                nn.create(f"/x/y/tree/p{parent}/d{leaf}/f", client="c")
         assert (self._chown_txs(nn, "/x/y/tree")
                 == _subtree_txs([(1, 0), (8, 0), (40, 0)], 64) == 5)
 
@@ -606,7 +593,7 @@ class TestSubtreeTransactionCount:
         nn = fs.namenodes[0]
         for d in range(3):
             for leaf in range(2):
-                _create_level_by_level(nn, f"/top/d{d}/e{leaf}/f")
+                nn.create(f"/top/d{d}/e{leaf}/f", client="c")
         assert (self._chown_txs(nn, "/top")
                 == _subtree_txs([(0, 1), (0, 3), (6, 0)], 8) == 2 + 1 + 3 + 1)
 
@@ -769,8 +756,7 @@ class TestWireBudget:
         nn = remote_nn
         for parent in range(2):
             for leaf in range(3):
-                _create_level_by_level(
-                    nn, f"/x/y/tree/p{parent}/d{leaf}/f")
+                nn.create(f"/x/y/tree/p{parent}/d{leaf}/f", client="c")
         ctx = nn._subtree_begin("/x/y/tree", "chown")
         requests, one_way = [], []
         real_request = RemoteTransaction._request

@@ -1037,10 +1037,10 @@ IX = TableSchema(name="ix", columns=("k", "g", "v"), primary_key=("k",),
 
 def _writes(tx):
     tx.read("kv", (1,), lock=LockMode.EXCLUSIVE)
-    tx.insert("kv", {"k": 20, "v": 0})
     tx.update("kv", (1,), {"v": 11})
-    tx.write("kv", {"k": 21, "v": 0})
     tx.delete("kv", (2,))
+    tx.insert("kv", {"k": 20, "v": 0})
+    tx.write("kv", {"k": 21, "v": 0})
     tx.delete("kv", (30,), must_exist=False)
     tx.commit()
 

@@ -7,6 +7,8 @@ batch without files), and no single ``acquire`` — not one per inode to
 re-lock what the batch already holds, nor one per file for its lease.
 """
 
+import pytest
+
 from repro.hopsfs.hintcache import InodeHintCache
 from repro.ndb.locks import LockManager
 from repro.ndb.transaction import Transaction
@@ -14,9 +16,8 @@ from tests.conftest import make_hopsfs
 
 
 def _build(nn, dirs=3, files=4):
-    """/t/d{i}/f{j}, one ``mkdirs`` per level (see the lock witness
-    notes in ``test_round_trip_budgets._create_level_by_level``); every
-    other file is completed, so only the rest keep a lease."""
+    """/t/d{i}/f{j}; every other file is completed, so only the rest
+    keep a lease."""
     nn.mkdirs("/t")
     for d in range(dirs):
         nn.mkdirs(f"/t/d{d}")
@@ -105,6 +106,9 @@ class _CountingLock:
         return self._inner._is_owned()
 
 
+# the lock witness ranks an inode lock by reading inode rows, under the
+# fragment locks this test counts
+@pytest.mark.lock_witness_exempt
 def test_a_delete_batch_checks_each_shard_once(monkeypatch):
     """``delete_batch`` finds which of its keys exist with one hold of
     each touched shard's fragment lock, not one per key."""
